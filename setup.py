@@ -1,7 +1,9 @@
-"""Build script: compiles the optional simplex speedup extension.
+"""Build script: optionally compiles the simplex kernel with Cython.
 
-The package is fully functional without the extension (a pure-Python
-kernel is selected at import time), so a failed compile is not fatal.
+credalkit/_backend.py is plain Python and is the only kernel source. When
+Cython is importable, the same file is also compiled to an extension
+module, which Python then loads in place of the .py file; without Cython,
+or if the compile fails, the package installs and runs as pure Python.
 """
 
 from setuptools import Extension, setup
@@ -13,8 +15,8 @@ try:
     ext_modules = cythonize(
         [
             Extension(
-                "credalkit._simplex_ext",
-                ["src/credalkit/_simplex_ext.pyx"],
+                "credalkit._backend",
+                ["src/credalkit/_backend.py"],
                 optional=True,
             )
         ],

@@ -1,24 +1,176 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The exact simplex kernel.
 
-Set CREDALKIT_PURE=1 in the environment to force the pure kernel (useful
-for timing comparisons; the benchmark script imports both directly).
+The kernel works on the equality-form problem
+
+    minimize c.x   subject to   a.x = b,  x >= 0,
+
+with b >= 0 entrywise (the caller pre-scales rows). Phase 1 minimizes
+the sum of one artificial variable per row; phase 2 optimizes c over the
+feasible basis. Pivoting uses Bland's rule (lowest eligible index) in
+both phases, which guarantees termination.
+
+Arithmetic is fraction-free, in the manner of Bareiss (1968): every
+tableau row, the reduced-cost row included, is a list of integers over
+one positive common denominator, and the row's content is divided out
+after each update to keep the integers small. Every comparison is
+exact, so the pivot sequence and the returned rationals are those of a
+simplex on Fraction entries (tests/oracles.py keeps one as reference),
+without per-entry Fraction arithmetic in the pivot loop.
+
+This file is plain Python. setup.py compiles the same file with Cython
+when Cython is installed; kernel_backend() says which of the two loaded.
 """
 
-import os
-
-from credalkit import _simplex_py
-
-if os.environ.get("CREDALKIT_PURE"):
-    _impl = _simplex_py
-else:
-    try:
-        from credalkit import _simplex_ext as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _simplex_py
-
-simplex_solve = _impl.simplex_solve
+from fractions import Fraction
+from math import gcd, lcm
 
 
 def kernel_backend():
-    """Name of the active simplex kernel: "compiled" or "pure"."""
-    return "compiled" if _impl.__name__.endswith("_simplex_ext") else "pure"
+    """Name of the loaded kernel: "compiled" (built by Cython) or "pure"."""
+    return "pure" if __file__.endswith(".py") else "compiled"
+
+
+def simplex_solve(m, n, a, b, c):
+    """Solve min c.x over {a.x = b, x >= 0}, b >= 0 entrywise.
+
+    `a` is a list of m rows (each a sequence of n Fractions), `b` a list
+    of m nonnegative Fractions, `c` a list of n Fractions.
+
+    Returns (status, x, y):
+      ("optimal", x, None)      x is a basic optimal point, length n
+      ("infeasible", None, y)   y has y.a_j <= 0 for every column j and
+                                y.b > 0 (an exact infeasibility witness)
+      ("unbounded", None, None)
+    """
+    rhs = n + m
+    rows = []
+    dens = []
+    for i in range(m):
+        unit = [0] * m
+        unit[i] = 1
+        nums, den = _integer_row([*a[i], *unit, b[i]])
+        rows.append(nums)
+        dens.append(den)
+    basis = list(range(n, rhs))
+
+    # Phase 1 minimizes the sum of the artificials; artificial columns
+    # never re-enter, so the entering index stays below n.
+    _price(rows, dens, basis, [0] * n + [1] * m + [0])
+    _bland(rows, dens, basis, n)
+    cost, cden = rows.pop(), dens.pop()
+    if cost[rhs] < 0:
+        # Positive phase-1 optimum: the reduced cost of artificial i is
+        # 1 - y_i, which gives the dual witness.
+        y = [Fraction(cden - cost[n + i], cden) for i in range(m)]
+        return ("infeasible", None, y)
+
+    # Drive leftover artificials out of the basis (degenerate pivots);
+    # rows with no structural entry are redundant and get dropped.
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            row = rows[i]
+            piv = next((j for j in range(n) if row[j]), -1)
+            if piv < 0:
+                drop.append(i)
+            else:
+                _pivot(rows, dens, basis, i, piv)
+    for i in reversed(drop):
+        del rows[i], dens[i], basis[i]
+
+    # Phase 2 on the structural columns only.
+    for i, row in enumerate(rows):
+        rows[i], dens[i] = _primitive(row[:n] + [row[rhs]], dens[i])
+    _price(rows, dens, basis, [*c, 0])
+    if not _bland(rows, dens, basis, n):
+        return ("unbounded", None, None)
+
+    x = [Fraction(0)] * n
+    for i, j in enumerate(basis):
+        x[j] = Fraction(rows[i][n], dens[i])
+    return ("optimal", x, None)
+
+
+def _primitive(nums, den):
+    """Divide the common content out of the row nums/den (den > 0)."""
+    g = gcd(*nums)
+    if g == 0:
+        return nums, 1
+    g = gcd(g, den)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
+def _integer_row(values):
+    """A row of rationals as integers over their least common denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return _primitive([v.numerator * (den // v.denominator) for v in values], den)
+
+
+def _eliminate(nums, den, pnums, pden, f):
+    """Subtract (f / den) times the pivot row from the row nums/den.
+
+    The pivot row pnums/pden has value 1 in the pivot column, where
+    nums holds f, so the result is 0 there.
+    """
+    if pden == 1:
+        new = [v - f * p if p else v for v, p in zip(nums, pnums)]
+    else:
+        new = [v * pden - f * p if p else v * pden for v, p in zip(nums, pnums)]
+    return _primitive(new, den * pden)
+
+
+def _price(rows, dens, basis, cost):
+    """Append the reduced-cost row of `cost` for the current basis."""
+    cnum, cden = _integer_row(cost)
+    for row, den, j in zip(rows, dens, basis):
+        if cnum[j]:
+            cnum, cden = _eliminate(cnum, cden, row, den, cnum[j])
+    rows.append(cnum)
+    dens.append(cden)
+
+
+def _pivot(rows, dens, basis, r, jc):
+    """Make column jc basic in row r, updating every other row in `rows`."""
+    prow = rows[r]
+    p = prow[jc]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+    # dividing the row by its pivot value leaves the numerators over p
+    prow, pden = _primitive(prow, p)
+    rows[r] = prow
+    dens[r] = pden
+    for i, row in enumerate(rows):
+        if i != r and row[jc]:
+            rows[i], dens[i] = _eliminate(row, dens[i], prow, pden, row[jc])
+    basis[r] = jc
+
+
+def _bland(rows, dens, basis, n_enter):
+    """Pivot until optimal (True) or unbounded (False)."""
+    rhs = len(rows[-1]) - 1
+    while True:
+        cost = rows[-1]
+        enter = next((j for j in range(n_enter) if cost[j] < 0), -1)
+        if enter < 0:
+            return True
+        # Ratio test: theta_i = rhs_i / a_i,enter, the row denominator
+        # cancels; ties go to the lowest basic index.
+        leave = -1
+        for i in range(len(basis)):
+            row = rows[i]
+            aij = row[enter]
+            if aij > 0:
+                t = row[rhs]
+                if leave < 0:
+                    leave, best_t, best_a = i, t, aij
+                else:
+                    lhs = t * best_a
+                    ref = best_t * aij
+                    if lhs < ref or (lhs == ref and basis[i] < basis[leave]):
+                        leave, best_t, best_a = i, t, aij
+        if leave < 0:
+            return False
+        _pivot(rows, dens, basis, leave, enter)

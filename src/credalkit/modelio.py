@@ -50,6 +50,15 @@ def _need(obj, key, kind, path):
     return value
 
 
+def _labels(obj, key, path):
+    """A list of labels; each must be a JSON scalar, as labels are hashed."""
+    values = _need(obj, key, list, path)
+    for k, label in enumerate(values):
+        if isinstance(label, (list, dict)):
+            _fail(f"{path}.{key}[{k}]", "expected a scalar label")
+    return values
+
+
 def _rational(text, path):
     try:
         return parse_rational(text)
@@ -75,8 +84,8 @@ def load_model(path):
 
 
 def parse_model(doc):
-    outcomes = _need(doc, "Y", list, "model")
-    indices = _need(doc, "T", list, "model")
+    outcomes = _labels(doc, "Y", "model")
+    indices = _labels(doc, "T", "model")
     try:
         space = sp.make_space(indices, outcomes)
     except DimensionError as exc:
@@ -92,13 +101,13 @@ def parse_model(doc):
     if policy not in (cr.SYNTHESIZED, cr.SUPPLIED):
         _fail("model.options.permutations", f"unknown policy {policy!r}")
     cap = options.get("finite_cap", jt.DEFAULT_CELL_CAP)
-    if not isinstance(cap, int) or cap < 1:
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         _fail("model.options.finite_cap", "expected a positive integer")
 
     sets = {}
     for i, entry in enumerate(entries):
         path = f"model.credal_sets[{i}]"
-        tup = tuple(_need(entry, "tuple", list, path))
+        tup = tuple(_labels(entry, "tuple", path))
         mode = _need(entry, "mode", str, path)
         try:
             if mode == "polytope-v":

@@ -4,6 +4,11 @@ Nothing here calls the double description machinery, and vertex
 enumeration is done combinatorially (tight-row subsets + Gaussian
 solves), so these can cross-check both the LP solver and the geometry
 kernel without sharing their code paths.
+
+`fraction_simplex_solve` is the reference for the shipped simplex
+kernel: the same two-phase Bland simplex with plain Fraction entries,
+one tableau entry at a time, so it shares no arithmetic with the
+kernel's integer rows.
 """
 
 from fractions import Fraction
@@ -12,6 +17,7 @@ from itertools import combinations
 from credalkit.exactq import QMatrix, dot, solve_linear_system
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def brute_force_vertices(dim, ineqs, eqs=()):
@@ -71,3 +77,138 @@ def hrep_contains(hrep, x) -> bool:
     return all(dot(a, x) <= b for a, b in hrep.ineqs) and all(
         dot(e, x) == f for e, f in hrep.eqs
     )
+
+
+def fraction_simplex_solve(m, n, a, b, c):
+    """Solve min c.x over {a.x = b, x >= 0}, b >= 0 entrywise.
+
+    `a` is a list of m rows (each a sequence of n Fractions), `b` a list
+    of m nonnegative Fractions, `c` a list of n Fractions.
+
+    Returns (status, x, y):
+      ("optimal", x, None)      x is a basic optimal point, length n
+      ("infeasible", None, y)   y has y.a_j <= 0 for every column j and
+                                y.b > 0 (an exact infeasibility witness)
+      ("unbounded", None, None)
+    """
+    ntot = n + m
+    rhs = ntot
+    rows = []
+    for i in range(m):
+        row = [ZERO] * (ntot + 1)
+        ai = a[i]
+        for j in range(n):
+            row[j] = ai[j]
+        row[n + i] = ONE
+        row[rhs] = b[i]
+        rows.append(row)
+    basis = list(range(n, ntot))
+
+    # Phase-1 reduced costs for the all-artificial basis.
+    cost = [ZERO] * (ntot + 1)
+    for j in range(n):
+        s = ZERO
+        for i in range(m):
+            s += rows[i][j]
+        cost[j] = -s
+    total = ZERO
+    for i in range(m):
+        total += rows[i][rhs]
+    cost[rhs] = -total
+
+    # Artificial columns never re-enter: entering index stays below n.
+    _bland(rows, cost, basis, rhs, n)
+    if cost[rhs] < 0:
+        # Positive phase-1 optimum: extract the dual witness from the
+        # artificial columns (reduced cost of artificial i is 1 - y_i).
+        y = [ONE - cost[n + i] for i in range(m)]
+        return ("infeasible", None, y)
+
+    # Drive leftover artificials out of the basis (degenerate pivots);
+    # rows with no structural entry are redundant and get dropped.
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            piv = -1
+            ri = rows[i]
+            for j in range(n):
+                if ri[j] != 0:
+                    piv = j
+                    break
+            if piv < 0:
+                drop.append(i)
+            else:
+                _pivot(rows, cost, basis, i, piv, rhs)
+    for i in reversed(drop):
+        del rows[i]
+        del basis[i]
+
+    # Phase 2 on the structural columns only.
+    rows = [row[:n] + [row[rhs]] for row in rows]
+    rhs = n
+    cost = [c[j] for j in range(n)] + [ZERO]
+    for i, ri in enumerate(rows):
+        cb = c[basis[i]]
+        if cb != 0:
+            for j in range(n + 1):
+                if ri[j]:
+                    cost[j] -= cb * ri[j]
+
+    if not _bland(rows, cost, basis, rhs, n):
+        return ("unbounded", None, None)
+
+    x = [ZERO] * n
+    for i, ri in enumerate(rows):
+        x[basis[i]] = ri[rhs]
+    return ("optimal", x, None)
+
+
+def _bland(rows, cost, basis, rhs, n_enter):
+    """Pivot until optimal (True) or unbounded (False)."""
+    m = len(rows)
+    while True:
+        enter = -1
+        for j in range(n_enter):
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return True
+        leave = -1
+        best = None
+        for i in range(m):
+            aij = rows[i][enter]
+            if aij > 0:
+                theta = rows[i][rhs] / aij
+                if (
+                    leave < 0
+                    or theta < best
+                    or (theta == best and basis[i] < basis[leave])
+                ):
+                    leave = i
+                    best = theta
+        if leave < 0:
+            return False
+        _pivot(rows, cost, basis, leave, enter, rhs)
+
+
+def _pivot(rows, cost, basis, r, jc, rhs):
+    row = rows[r]
+    piv = row[jc]
+    if piv != 1:
+        for j in range(rhs + 1):
+            if row[j]:
+                row[j] /= piv
+    support = [j for j in range(rhs + 1) if row[j]]
+    for ri in rows:
+        if ri is row:
+            continue
+        f = ri[jc]
+        if f != 0:
+            for j in support:
+                ri[j] -= f * row[j]
+    f = cost[jc]
+    if f != 0:
+        for j in support:
+            cost[j] -= f * row[j]
+    basis[r] = jc

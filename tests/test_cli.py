@@ -106,6 +106,19 @@ class TestValidate:
         assert res.returncode == 2
         assert "1/0" in res.stderr
 
+    def test_array_label_exit_two(self, tmp_path):
+        doc = {
+            "Y": ["0", "1"],
+            "T": [["a"], "b"],
+            "credal_sets": [
+                {"tuple": ["b"], "mode": "polytope-v", "vertices": [["1/2", "1/2"]]}
+            ],
+        }
+        model = write(tmp_path, "m.json", doc)
+        res = run_cli("validate", model)
+        assert res.returncode == 2
+        assert "model.T[0]" in res.stderr
+
     def test_missing_file_exit_two(self):
         res = run_cli("validate", "/nonexistent/model.json")
         assert res.returncode == 2

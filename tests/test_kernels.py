@@ -1,24 +1,15 @@
-"""Parity between the pure and compiled simplex kernels.
+"""The shipped simplex kernel against the Fraction reference kernel.
 
-Both must walk the identical Bland pivot sequence, so outcomes have to
-match bit for bit on every input, not just in value.
+Both walk the identical Bland pivot sequence in exact arithmetic, so
+outcomes have to match bit for bit on every input, not just in value.
 """
 
 import random
 from fractions import Fraction as F
 
-import pytest
+from oracles import fraction_simplex_solve
 
-from credalkit import _simplex_py
-
-try:
-    from credalkit import _simplex_ext
-except ImportError:  # pragma: no cover - extension always built in CI
-    _simplex_ext = None
-
-needs_ext = pytest.mark.skipif(
-    _simplex_ext is None, reason="compiled kernel not built"
-)
+from credalkit._backend import simplex_solve
 
 
 def random_canonical_problem(rng):
@@ -33,34 +24,30 @@ def random_canonical_problem(rng):
     return m, n, a, b, c
 
 
-@needs_ext
-def test_kernels_agree_bit_for_bit():
+def test_kernel_matches_reference_bit_for_bit():
     rng = random.Random(123)
     statuses = set()
     for _ in range(300):
         m, n, a, b, c = random_canonical_problem(rng)
-        ref = _simplex_py.simplex_solve(m, n, [list(r) for r in a], list(b), list(c))
-        ext = _simplex_ext.simplex_solve(m, n, [list(r) for r in a], list(b), list(c))
-        assert ref[0] == ext[0]
-        if ref[1] is None:
-            assert ext[1] is None
-        else:
-            assert list(ref[1]) == list(ext[1])
-        if ref[2] is None:
-            assert ext[2] is None
-        else:
-            assert list(ref[2]) == list(ext[2])
+        ref = fraction_simplex_solve(m, n, [list(r) for r in a], list(b), list(c))
+        got = simplex_solve(m, n, [list(r) for r in a], list(b), list(c))
+        assert got[0] == ref[0]
+        for ours, theirs in zip(got[1:], ref[1:]):
+            if theirs is None:
+                assert ours is None
+            else:
+                assert all(type(v) is F for v in ours)
+                assert list(ours) == list(theirs)
         statuses.add(ref[0])
     assert {"optimal", "infeasible", "unbounded"} <= statuses
 
 
-@needs_ext
 def test_infeasible_dual_contract():
     rng = random.Random(5)
     checked = 0
     for _ in range(200):
         m, n, a, b, c = random_canonical_problem(rng)
-        status, _, y = _simplex_ext.simplex_solve(m, n, a, b, c)
+        status, _, y = simplex_solve(m, n, a, b, c)
         if status != "infeasible":
             continue
         checked += 1
@@ -70,11 +57,11 @@ def test_infeasible_dual_contract():
     assert checked > 10
 
 
-def test_pure_kernel_solves_degenerate_rows():
+def test_kernel_solves_degenerate_rows():
     # duplicated constraints force a redundant artificial pivot-out
     a = [[F(1), F(1)], [F(1), F(1)], [F(2), F(2)]]
     b = [F(1), F(1), F(2)]
     c = [F(-1), F(0)]
-    status, x, _ = _simplex_py.simplex_solve(3, 2, a, b, c)
+    status, x, _ = simplex_solve(3, 2, a, b, c)
     assert status == "optimal"
     assert x == [F(1), F(0)]

@@ -88,10 +88,32 @@ class TestParseModel:
             parse_model(doc)
 
     def test_bad_cap(self):
+        for cap in (0, True):
+            doc = base_doc()
+            doc["options"] = {"finite_cap": cap}
+            with pytest.raises(ModelFormatError, match="finite_cap"):
+                parse_model(doc)
+
+    def test_unhashable_labels_named(self):
+        for key, pos, label in (("T", 0, ["a"]), ("Y", 1, {"x": "1"})):
+            doc = base_doc()
+            doc[key][pos] = label
+            with pytest.raises(ModelFormatError, match=rf"model\.{key}\[{pos}\]"):
+                parse_model(doc)
         doc = base_doc()
-        doc["options"] = {"finite_cap": 0}
-        with pytest.raises(ModelFormatError, match="finite_cap"):
+        doc["credal_sets"][2]["tuple"] = ["a", ["b"]]
+        with pytest.raises(ModelFormatError, match=r"credal_sets\[2\]\.tuple\[1\]"):
             parse_model(doc)
+
+    def test_scalar_labels_accepted(self):
+        doc = base_doc()
+        doc["Y"] = [0, None]
+        doc["T"] = [1, "b"]
+        for entry in doc["credal_sets"]:
+            entry["tuple"] = [1 if t == "a" else t for t in entry["tuple"]]
+        space, coll, _ = parse_model(doc)
+        assert space.indices == (1, "b")
+        assert (1, "b") in coll.sets
 
 
 class TestCertificates:
