@@ -140,8 +140,7 @@ def cmd_verify(args):
 
 def cmd_expect(args):
     space, coll, options = io.load_model(args.model)
-    labels = tuple(args.tuple.split(","))
-    alpha = sp.validate_index_tuple(space, labels)
+    alpha = sp.validate_index_tuple(space, _tuple_labels(space, args.tuple))
     with open(args.function_file, "rb") as fh:
         try:
             doc = json.loads(fh.read().decode("utf-8"))
@@ -170,6 +169,18 @@ def cmd_expect(args):
         value = cr.upper_expectation(cset, f)
     print(format_rational(value))
     return EXIT_PASS
+
+
+def _tuple_labels(space, text):
+    """The index labels named by `--tuple`, matched by io.label_text."""
+    labels = []
+    for piece in text.split(","):
+        found = [t for t in space.indices if io.label_text(t) == piece]
+        if len(found) != 1:
+            which = "no index label" if not found else "more than one index label"
+            raise DimensionError(f"--tuple: {piece!r} names {which}")
+        labels.append(found[0])
+    return tuple(labels)
 
 
 def cmd_extend(args):

@@ -25,7 +25,6 @@ from credalkit.exactq import (
     ZERO,
     DimensionError,
     LpProblem,
-    QMatrix,
     dot,
     lp_solve,
     qvec,
@@ -146,8 +145,8 @@ class CredalCollection:
         canon = sp.canonical_tuple(self.space, index_tuple)
         base = self.sets[canon]
         perm = tuple(canon.index(t) for t in index_tuple)
-        matrix = sp.permutation_matrix(self.space, len(index_tuple), perm)
-        return _pushforward_set(base, matrix, index_tuple)
+        idx = sp.permutation_matrix(self.space, len(index_tuple), perm)
+        return _pushforward_set(base, idx, index_tuple)
 
     def covers_all_subsets(self) -> bool:
         supplied = {sp.canonical_tuple(self.space, t) for t in self.sets}
@@ -161,11 +160,13 @@ def _tuple_sort_key(space):
     return key
 
 
-def _pushforward_set(cset: CredalSet, matrix: QMatrix, new_tuple) -> CredalSet:
+def _pushforward_set(cset: CredalSet, idx, new_tuple) -> CredalSet:
+    """The image of a credal set under a coordinate map onto new_tuple."""
+    size = cset.space.n_outcomes ** len(new_tuple)
     if cset.mode == POLYTOPE:
-        body = pt.linear_image(matrix, cset.body)
+        body = pt.linear_image(idx, cset.body, size)
     else:
-        body = tuple(sorted(set(matrix.apply(v) for v in cset.body)))
+        body = tuple(sorted(set(sp.push(idx, v, size) for v in cset.body)))
     return CredalSet(cset.space, tuple(new_tuple), cset.mode, body)
 
 
@@ -374,8 +375,8 @@ def check_permutation_consistency(coll: CredalCollection) -> ConsistencyReport:
 def _permutation_pair(coll, alpha, beta):
     """Both inclusions between the shuffle image of V_alpha and V_beta."""
     perm = tuple(alpha.index(t) for t in beta)
-    matrix = sp.permutation_matrix(coll.space, len(alpha), perm)
-    image = _pushforward_set(coll.sets[alpha], matrix, beta)
+    idx = sp.permutation_matrix(coll.space, len(alpha), perm)
+    image = _pushforward_set(coll.sets[alpha], idx, beta)
     target = coll.sets[beta]
     out = []
     holds, witness, cert = _body_subset(target, image)
@@ -423,8 +424,8 @@ def check_marginal_consistency(coll: CredalCollection) -> ConsistencyReport:
 
 
 def _marginal_pair(coll, alpha, beta):
-    matrix = sp.restriction_matrix(coll.space, alpha, beta)
-    image = _pushforward_set(coll.sets[alpha], matrix, beta)
+    idx = sp.restriction_matrix(coll.space, alpha, beta)
+    image = _pushforward_set(coll.sets[alpha], idx, beta)
     target = coll.sets[beta]
     out = []
     holds, witness, cert = _body_subset(image, target)

@@ -89,23 +89,10 @@ class QMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
     def apply(self, vec: Sequence[Fraction]) -> tuple:
         if len(vec) != self.ncols:
             raise DimensionError(f"apply: {self.ncols} cols vs {len(vec)} vector")
         return tuple(dot(row, vec) for row in self.rows)
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionError(f"matmul: {self.ncols} vs {other.nrows}")
-        cols = list(zip(*other.rows))
-        return QMatrix([[dot(row, col) for col in cols] for row in self.rows])
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self.rows)))
 
     def __eq__(self, other):
         return isinstance(other, QMatrix) and self.rows == other.rows
@@ -202,11 +189,6 @@ def _rref(aug, n):
 def matrix_rank(a: QMatrix) -> int:
     aug = [list(row) + [ZERO] for row in a.rows]
     return len(_rref(aug, a.ncols))
-
-
-def nullspace_basis(a: QMatrix) -> tuple:
-    """Basis of {x : A x = 0}."""
-    return solve_linear_system(a, [ZERO] * a.nrows).nullspace
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from credalkit.credal import (
 from credalkit.exactq import (
     EQ,
     LE,
+    ONE,
     ZERO,
     DimensionError,
     LpProblem,
@@ -152,32 +153,32 @@ def _preimage_of(cset: CredalSet) -> pt.Polytope:
             "preimage polytopes need polytope mode; finite collections "
             "use cell construction"
         )
-    matrix = sp.pushforward_matrix(cset.space, cset.index_tuple)
-    ambient = pt.Polytope.simplex(cset.space.path_count)
-    target = pt.dd_convert(cset.body)
-    return pt.linear_preimage(matrix, target, ambient)
+    target = pt.dd_convert(cset.body).hrep
+    ineqs, eqs = _pulled_system(cset.space, [(cset.index_tuple, target)])
+    return _system_polytope(cset.space.path_count, ineqs, eqs)
 
 
 def _pullback_rows(space, alpha, hrep):
     """Pull an H-rep on the alpha-space back through the pushforward map.
 
-    Rows implied by the path simplex alone are filtered out: an
-    inequality g.p <= c holds on the whole simplex iff max_j g_j <= c,
-    and a constant-coefficient equality reduces to the normalization row.
+    Rows implied by the path simplex alone are filtered out. An
+    inequality g.p <= c holds on the whole simplex iff max_j g_j <= c.
+    The map is onto, so a pulled-back equality is constant only when its
+    target row is; the target lies in its simplex, so such a row is the
+    normalization row, which the path simplex already carries.
     """
-    matrix = sp.pushforward_matrix(space, alpha)
-    cols = list(zip(*matrix.rows))
+    idx = sp.pushforward_matrix(space, alpha)
     ineqs = []
     eqs = []
     for a, b in hrep.ineqs:
-        row = tuple(dot(a, col) for col in cols)
+        row = sp.pull(idx, a)
         if max(row) <= b:
             continue
         ineqs.append((row, b))
     for e, f in hrep.eqs:
-        row = tuple(dot(e, col) for col in cols)
+        row = sp.pull(idx, e)
         if len(set(row)) == 1:
-            continue  # constant on the simplex: either trivial or caught by LP
+            continue  # the normalization row
         eqs.append((row, f))
     return ineqs, eqs
 
@@ -218,12 +219,8 @@ def _assemble(coll, reps, selections=None):
     `selections` optionally maps a tuple to a single member measure whose
     point-preimage replaces the whole set.
     """
-    dim = coll.space.path_count
-    ineqs, eqs = _ambient_rows(dim)
-    seen_i = {row for row, _ in ineqs}
-    seen_e = {row for row, _ in eqs}
+    targets = []
     for alpha in reps:
-        cset = coll.sets[alpha]
         if selections is not None and alpha in selections:
             member = selections[alpha]
             target = pt.HRep.make(
@@ -232,8 +229,22 @@ def _assemble(coll, reps, selections=None):
                      for j in range(len(member))],
             )
         else:
-            target = pt.dd_convert(cset.body).hrep
-        add_i, add_e = _pullback_rows(coll.space, alpha, target)
+            target = pt.dd_convert(coll.sets[alpha].body).hrep
+        targets.append((alpha, target))
+    return _pulled_system(coll.space, targets)
+
+
+def _pulled_system(space, targets):
+    """Path-simplex rows plus the pullback of each (alpha, H-rep) target.
+
+    Rows are canonical and each enters once, tagged with the first origin
+    that produced it.
+    """
+    ineqs, eqs = _ambient_rows(space.path_count)
+    seen_i = {row for row, _ in ineqs}
+    seen_e = {row for row, _ in eqs}
+    for alpha, target in targets:
+        add_i, add_e = _pullback_rows(space, alpha, target)
         for row in add_i:
             row = pt._canon_ineq(*row)
             if row is not None and row not in seen_i:
@@ -374,11 +385,12 @@ def pushforward_joint(joint: JointModel, alpha) -> CredalSet:
     alpha = sp.validate_index_tuple(joint.space, alpha)
     if joint.is_empty():
         raise EmptyJointError("empty joint set has no pushforwards")
-    matrix = sp.pushforward_matrix(joint.space, alpha)
+    idx = sp.pushforward_matrix(joint.space, alpha)
+    size = joint.space.n_outcomes ** len(alpha)
     if joint.mode == POLYTOPE:
-        image = pt.linear_image(matrix, joint.body)
+        image = pt.linear_image(idx, joint.body, size)
         return CredalSet(joint.space, alpha, POLYTOPE, image)
-    points = sorted(set(matrix.apply(cell.point) for cell in joint.cells))
+    points = sorted(set(sp.push(idx, cell.point, size) for cell in joint.cells))
     return CredalSet(joint.space, alpha, FINITE, tuple(points))
 
 
@@ -418,12 +430,12 @@ def _max_over_joint(joint, objective):
     return lp_solve(LpProblem("max", qvec(objective), tuple(rows), nonneg))
 
 
-def _member_reachable(joint, matrix, v):
+def _member_reachable(joint, idx, v):
     """Feasibility of {p in P : pushforward(p) = v} with certificate."""
     rows, nonneg = _joint_lp_rows(joint)
     n_base = len(rows)
-    for mrow, target in zip(matrix.rows, v):
-        rows.append((mrow, EQ, target))
+    for x, target in enumerate(v):
+        rows.append((tuple(ONE if y == x else ZERO for y in idx), EQ, target))
     outcome = lp_solve(
         LpProblem(
             "min", tuple([ZERO] * joint.dim), tuple(rows), nonneg
@@ -478,17 +490,16 @@ def verify_representation(
 
 def _verify_tuple_polytope(joint, alpha, cset):
     space = joint.space
-    matrix = sp.pushforward_matrix(space, alpha)
-    cols = list(zip(*matrix.rows))
+    idx = sp.pushforward_matrix(space, alpha)
     target = pt.dd_convert(cset.body)
     records = []
 
     # prescribed set within the pushforward of the joint set
     failure = None
     for v in target.points:
-        ok, g = _member_reachable(joint, matrix, v)
+        ok, g = _member_reachable(joint, idx, v)
         if not ok:
-            lifted = tuple(dot(g, col) for col in cols)
+            lifted = sp.pull(idx, g)
             sup = _max_over_joint(joint, lifted)
             assert sup.status == "optimal"
             gap = dot(g, v) - sup.value
@@ -514,11 +525,11 @@ def _verify_tuple_polytope(joint, alpha, cset):
         probes.append((e, f))
         probes.append((tuple(-c for c in e), -f))
     for g, bound in probes:
-        lifted = tuple(dot(g, col) for col in cols)
+        lifted = sp.pull(idx, g)
         outcome = _max_over_joint(joint, lifted)
         assert outcome.status == "optimal"
         if outcome.value > bound:
-            image_point = matrix.apply(outcome.solution)
+            image_point = sp.push(idx, outcome.solution, cset.dim)
             sup = max(dot(g, w) for w in target.points)
             failure = RepresentationRecord(
                 alpha,
@@ -540,9 +551,9 @@ def _verify_tuple_polytope(joint, alpha, cset):
 
 def _verify_tuple_finite(joint, alpha, cset):
     space = joint.space
-    matrix = sp.pushforward_matrix(space, alpha)
+    idx = sp.pushforward_matrix(space, alpha)
     members = set(cset.members())
-    images = sorted(set(matrix.apply(cell.point) for cell in joint.cells))
+    images = sorted(set(sp.push(idx, cell.point, cset.dim) for cell in joint.cells))
     records = []
 
     missing = next((v for v in sorted(members) if v not in set(images)), None)
@@ -628,8 +639,8 @@ def property_suite(
             try:
                 shuffled_set = coll.credal_set(shuffled)
             except KeyError:
-                matrix = sp.permutation_matrix(coll.space, len(alpha), perm)
-                shuffled_set = _pushforward_set(coll.sets[alpha], matrix, shuffled)
+                idx = sp.permutation_matrix(coll.space, len(alpha), perm)
+                shuffled_set = _pushforward_set(coll.sets[alpha], idx, shuffled)
             same = pt.equals(pre[alpha], _preimage_of(shuffled_set))
             records.append(
                 PropertyRecord(

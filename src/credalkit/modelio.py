@@ -305,15 +305,27 @@ def joint_summary(model: jt.JointModel, vertices=None):
         "points": [rat_list(c.point) for c in model.cells],
     }
     if model.diagnosis:
-        out["offending_tuples"] = sorted(
-            {
-                tuple(t)
-                for d in model.diagnosis
-                for t in d.diagnosis.offending_tuples
-            }
-        )
-        out["offending_tuples"] = [list(t) for t in out["offending_tuples"]]
+        out["offending_tuples"] = _offending_tuples(model.diagnosis)
     return out
+
+
+def label_text(label) -> str:
+    """A label as typed: a string is its own text, any other label its JSON."""
+    return label if isinstance(label, str) else json.dumps(label)
+
+
+def _offending_tuples(diagnoses):
+    """The offending tuples of finite-mode selections, each once, sorted.
+
+    Tuples compare label by label on the text, strings before other
+    labels of the same text, so all-string tuples keep plain string order.
+    """
+    found = {tuple(t) for d in diagnoses for t in d.diagnosis.offending_tuples}
+
+    def key(tup):
+        return tuple((label_text(t), not isinstance(t, str)) for t in tup)
+
+    return [list(t) for t in sorted(found, key=key)]
 
 
 def report_document(digest, consistency=None, representation=None,
@@ -410,14 +422,5 @@ def joint_hrep_document(model: jt.JointModel, digest):
             for cell in model.cells
         ]
         if model.diagnosis:
-            doc["offending_tuples"] = [
-                list(t)
-                for t in sorted(
-                    {
-                        tuple(t)
-                        for d in model.diagnosis
-                        for t in d.diagnosis.offending_tuples
-                    }
-                )
-            ]
+            doc["offending_tuples"] = _offending_tuples(model.diagnosis)
     return doc

@@ -2,8 +2,8 @@
 
 Dual-representation polytopes (inequality form and generator form) with
 the geometric predicates the credal machinery needs: membership,
-containment with separating certificates, set equality, linear images
-and preimages, and intersection with redundancy elimination.
+containment with separating certificates, set equality, images under
+coordinate maps, and redundancy elimination.
 Representation conversion is the double description method run on the
 homogenization cone, with the combinatorial adjacency test; everything
 is exact.
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from credalkit.exactq import (
     EQ,
@@ -34,6 +33,7 @@ from credalkit.exactq import (
     qvec,
     solve_linear_system,
 )
+from credalkit.spaces import push
 
 
 class UnboundedError(ValueError):
@@ -696,60 +696,13 @@ def equals(p: Polytope, q: Polytope) -> bool:
     return b
 
 
-def linear_image(m: QMatrix, p: Polytope) -> Polytope:
-    """Image {M.x : x in p}: mapped generators reduced to extreme points."""
-    if m.ncols != p.dim:
-        raise DimensionError(f"map has {m.ncols} columns, polytope dim {p.dim}")
-    pts = [m.apply(v) for v in p.points]
-    return Polytope.from_points(_extreme_subset(pts, m.nrows), dim=m.nrows)
-
-
-def linear_preimage(m: QMatrix, q: Polytope, ambient: Polytope) -> Polytope:
-    """{x in ambient : M.x in q}, assembled purely on H-reps."""
-    if m.ncols != ambient.dim:
-        raise DimensionError("map columns differ from ambient dimension")
-    if m.nrows != q.dim:
-        raise DimensionError("map rows differ from target dimension")
-    qh = q.hrep
-    ah = ambient.hrep
-    cols = list(zip(*m.rows))
-    ineqs = list(ah.ineqs)
-    eqs = list(ah.eqs)
-    for a, b in qh.ineqs:
-        ineqs.append((tuple(dot(a, col) for col in cols), b))
-    for e, f in qh.eqs:
-        eqs.append((tuple(dot(e, col) for col in cols), f))
-    return Polytope.from_hrep(ambient.dim, ineqs, eqs)
-
-
-def intersect(ps: Sequence[Polytope]) -> Polytope:
-    """Intersection of H-rep polytopes with redundant rows removed."""
-    if not ps:
-        raise DimensionError("nothing to intersect")
-    dim = ps[0].dim
-    if any(p.dim != dim for p in ps):
-        raise DimensionError("dimension mismatch in intersection")
-    ineqs = []
-    eqs = []
-    seen_i = set()
-    seen_e = set()
-    for p in ps:
-        h = p.hrep
-        for row in h.ineqs:
-            if row not in seen_i:
-                seen_i.add(row)
-                ineqs.append(row)
-        for row in h.eqs:
-            if row not in seen_e:
-                seen_e.add(row)
-                eqs.append(row)
-    out = Polytope.from_hrep(dim, ineqs, eqs)
-    if out.is_empty():
-        return out
-    keep = remove_redundant_ineqs(dim, out.hrep.ineqs, out.hrep.eqs)
-    reduced = HRep(dim, tuple(out.hrep.ineqs[i] for i in keep), out.hrep.eqs)
-    slim = Polytope(dim, hrep=reduced, empty=False)
-    return slim
+def linear_image(idx, p: Polytope, size: int) -> Polytope:
+    """Image of p under a coordinate map (an index map onto `size` cells):
+    pushed generators reduced to extreme points."""
+    if len(idx) != p.dim:
+        raise DimensionError(f"map has {len(idx)} source cells, polytope dim {p.dim}")
+    pts = [push(idx, v, size) for v in p.points]
+    return Polytope.from_points(_extreme_subset(pts, size), dim=size)
 
 
 def remove_redundant_ineqs(dim, ineqs, eqs):

@@ -1,17 +1,24 @@
-"""Finite process spaces and the exact matrices acting on their simplices.
+"""Finite process spaces and the coordinate maps between their simplices.
 
 A process space fixes an ordered set of index labels (the coordinates of
 the process) and an ordered set of outcome labels. Joint distributions
 over n coordinates are vectors indexed row-major over outcome tuples,
 first coordinate most significant; the same convention drives every
-matrix built here and every serialized measure vector, so nothing can
+map built here and every serialized measure vector, so nothing can
 silently misalign.
 
-The matrix factories produce the three linear maps the consistency
-machinery needs: the pushforward from the full path space onto a tuple
-of coordinates, coordinate permutations, and marginalization of trailing
-coordinates. All are 0/1 column-stochastic matrices, so they carry
-probability vectors to probability vectors exactly.
+The map factories produce the three maps the consistency machinery
+needs: the pushforward from the full path space onto a tuple of
+coordinates, coordinate permutations, and marginalization of trailing
+coordinates. Each sends every source cell to exactly one target cell,
+so it is an index map: a tuple of ints whose entry w is the target cell
+of source cell w. `push` carries a measure forward by bucket sums, which
+keeps probability vectors probability vectors exactly, and `pull` reads
+a row on the target through the map, which is how constraint rows and
+functionals move back to the source. Maps compose by indexing: g after
+f is `tuple(g[x] for x in f)`. The factories keep their `*_matrix`
+names; an index map lists, column by column, where the single 1 of a
+0/1 column-stochastic matrix sits.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from credalkit.exactq import ONE, ZERO, DimensionError, QMatrix, qvec
+from credalkit.exactq import ONE, ZERO, DimensionError, qvec
 
 
 @dataclass(frozen=True)
@@ -132,52 +139,63 @@ def all_outcome_tuples(space: ProcessSpace, n: int):
 
 
 @lru_cache(maxsize=None)
-def pushforward_matrix(space: ProcessSpace, alpha: tuple) -> QMatrix:
-    """Matrix of the map sending a path law to the joint law of alpha.
+def pushforward_matrix(space: ProcessSpace, alpha: tuple) -> tuple:
+    """Index map sending a path law to the joint law of alpha.
 
-    Shape m^|alpha| x m^k. Entry [x][w] is 1 iff the path w agrees with
-    the outcome tuple x on every coordinate of alpha.
+    A tuple of length m^k: entry w is the cell of the outcome tuple that
+    path w takes on alpha's coordinates.
     """
     alpha = validate_index_tuple(space, alpha)
     positions = [space.index_pos(t) for t in alpha]
-    nrows = space.n_outcomes ** len(alpha)
-    rows = [[ZERO] * space.path_count for _ in range(nrows)]
-    for col, path in enumerate(all_outcome_tuples(space, space.n_indices)):
-        x = tuple(path[p] for p in positions)
-        rows[product_index(space, x)][col] = ONE
-    return QMatrix(rows)
+    return _reading_map(space.n_outcomes, space.n_indices, positions)
 
 
 @lru_cache(maxsize=None)
-def permutation_matrix(space: ProcessSpace, n: int, perm: tuple) -> QMatrix:
-    """Matrix of the coordinate shuffle y -> (y[perm[0]], ..., y[perm[n-1]]).
+def permutation_matrix(space: ProcessSpace, n: int, perm: tuple) -> tuple:
+    """Index map of the coordinate shuffle y -> (y[perm[0]], ..., y[perm[n-1]]).
 
-    A 0/1 permutation matrix on the m^n-dimensional simplex: the mass a
-    law puts on y moves to the shuffled tuple.
+    A bijection of the m^n cells: the mass a law puts on y moves to the
+    shuffled tuple.
     """
     if sorted(perm) != list(range(n)):
         raise DimensionError(f"not a permutation of 0..{n - 1}: {perm!r}")
-    d = space.n_outcomes ** n
-    rows = [[ZERO] * d for _ in range(d)]
-    for col, y in enumerate(all_outcome_tuples(space, n)):
-        x = tuple(y[p] for p in perm)
-        rows[product_index(space, x)][col] = ONE
-    return QMatrix(rows)
+    return _reading_map(space.n_outcomes, n, perm)
 
 
 @lru_cache(maxsize=None)
-def marginal_matrix(space: ProcessSpace, n_total: int, n_keep: int) -> QMatrix:
-    """Sum out the trailing n_total - n_keep coordinates (row-major order)."""
+def marginal_matrix(space: ProcessSpace, n_total: int, n_keep: int) -> tuple:
+    """Index map summing out the trailing n_total - n_keep coordinates."""
     if not 1 <= n_keep <= n_total:
         raise DimensionError(f"bad arities: keep {n_keep} of {n_total}")
     m = space.n_outcomes
     block = m ** (n_total - n_keep)
-    nrows = m ** n_keep
-    rows = [[ZERO] * (nrows * block) for _ in range(nrows)]
-    for i in range(nrows):
-        for r in range(block):
-            rows[i][i * block + r] = ONE
-    return QMatrix(rows)
+    return tuple(w // block for w in range(m ** n_total))
+
+
+def _reading_map(m: int, n: int, positions) -> tuple:
+    """Index map of y -> (y[p] for p in positions) on n-tuples of m outcomes."""
+    out = []
+    for y in product(range(m), repeat=n):
+        x = 0
+        for p in positions:
+            x = x * m + y[p]
+        out.append(x)
+    return tuple(out)
+
+
+def push(idx, vec, size: int) -> tuple:
+    """Pushforward of a vector along an index map: a bucket sum per cell."""
+    if len(vec) != len(idx):
+        raise DimensionError(f"push: map has {len(idx)} cells, vector {len(vec)}")
+    out = [ZERO] * size
+    for target, v in zip(idx, vec):
+        out[target] += v
+    return tuple(out)
+
+
+def pull(idx, row) -> tuple:
+    """A row on the target read through an index map: entry w is row[idx[w]]."""
+    return tuple(row[target] for target in idx)
 
 
 def alignment_permutation(alpha: tuple, beta: tuple) -> tuple:
@@ -200,8 +218,8 @@ def permute_tuple(alpha: tuple, perm: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def restriction_matrix(space: ProcessSpace, alpha: tuple, beta: tuple) -> QMatrix:
-    """Map the joint law of alpha's coordinates to the joint law of beta's.
+def restriction_matrix(space: ProcessSpace, alpha: tuple, beta: tuple) -> tuple:
+    """Index map from the joint law of alpha's coordinates to beta's.
 
     Defined whenever beta's labels are a subset of alpha's: shuffle
     beta's coordinates to the front, then sum out the rest.
@@ -209,7 +227,7 @@ def restriction_matrix(space: ProcessSpace, alpha: tuple, beta: tuple) -> QMatri
     perm = alignment_permutation(alpha, beta)
     shuffle = permutation_matrix(space, len(alpha), perm)
     margin = marginal_matrix(space, len(alpha), len(beta))
-    return margin @ shuffle
+    return tuple(margin[y] for y in shuffle)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,9 @@ def generated_instance(rng, n_indices):
     base = pt.Polytope.from_points(points, dim=dim)
     sets = {}
     for alpha in all_canonical_tuples(space):
-        matrix = pushforward_matrix(space, alpha)
+        idx = pushforward_matrix(space, alpha)
         sets[alpha] = CredalSet(
-            space, alpha, POLYTOPE, pt.linear_image(matrix, base)
+            space, alpha, POLYTOPE, pt.linear_image(idx, base, 2 ** len(alpha))
         )
     return space, CredalCollection(space, sets), base
 

@@ -9,12 +9,18 @@ kernel without sharing their code paths.
 kernel: the same two-phase Bland simplex with plain Fraction entries,
 one tableau entry at a time, so it shares no arithmetic with the
 kernel's integer rows.
+
+The `dense_*` builders are the reference for the coordinate maps of
+`credalkit.spaces`: each map written out as a 0/1 column-stochastic
+matrix, built cell by cell from outcome labels, so pushing a measure is
+a matrix-vector product and pulling a row is a row-matrix product.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from credalkit.exactq import QMatrix, dot, solve_linear_system
+from credalkit.spaces import alignment_permutation, all_outcome_tuples, product_index
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,6 +83,55 @@ def hrep_contains(hrep, x) -> bool:
     return all(dot(a, x) <= b for a, b in hrep.ineqs) and all(
         dot(e, x) == f for e, f in hrep.eqs
     )
+
+
+def dense_pushforward(space, alpha) -> QMatrix:
+    """Entry [x][w] is 1 iff path w agrees with outcome tuple x on alpha."""
+    positions = [space.index_pos(t) for t in alpha]
+    return _dense_reading(space, space.n_indices, positions)
+
+
+def dense_permutation(space, n, perm) -> QMatrix:
+    """The shuffle y -> (y[perm[0]], ..., y[perm[n-1]]) on n-tuples."""
+    return _dense_reading(space, n, perm)
+
+
+def dense_marginal(space, n_total, n_keep) -> QMatrix:
+    """Sum out the trailing n_total - n_keep coordinates."""
+    return _dense_reading(space, n_total, range(n_keep))
+
+
+def dense_restriction(space, alpha, beta) -> QMatrix:
+    """Shuffle beta's coordinates to the front, then sum out the rest."""
+    perm = alignment_permutation(alpha, beta)
+    return matmul(
+        dense_marginal(space, len(alpha), len(beta)),
+        dense_permutation(space, len(alpha), perm),
+    )
+
+
+def _dense_reading(space, n, positions) -> QMatrix:
+    ncols = space.n_outcomes ** n
+    rows = [[ZERO] * ncols for _ in range(space.n_outcomes ** len(positions))]
+    for col, y in enumerate(all_outcome_tuples(space, n)):
+        rows[product_index(space, [y[p] for p in positions])][col] = ONE
+    return QMatrix(rows)
+
+
+def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
+    out = []
+    for row in a.rows:
+        acc = [ZERO] * b.ncols
+        for k, v in enumerate(row):
+            if v:
+                acc = [s + v * w for s, w in zip(acc, b.rows[k])]
+        out.append(acc)
+    return QMatrix(out)
+
+
+def dense_pull(m: QMatrix, row) -> tuple:
+    """The row vector row.M."""
+    return tuple(dot(row, col) for col in zip(*m.rows))
 
 
 def fraction_simplex_solve(m, n, a, b, c):

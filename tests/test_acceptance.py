@@ -38,11 +38,10 @@ from credalkit.modelio import load_model, parse_certificate, rat_list
 from credalkit.spaces import (
     all_canonical_tuples,
     make_space,
-    pushforward_matrix,
     uniform_measure,
 )
 from gen import generated_instance, random_simplex_point
-from oracles import brute_force_vertices
+from oracles import brute_force_vertices, dense_pushforward
 
 # separation certificates produced while the suite runs, re-verified in
 # criterion 8: pairs (certificate, comparison credal set or polytope)
@@ -366,7 +365,7 @@ def test_criterion_9_finite_mode_cells():
         mu2 = (F(1, 4), F(1, 4), F(1, 4), F(1, 4))
         sets = {}
         for tup in all_canonical_tuples(space):
-            m = pushforward_matrix(space, tup)
+            m = dense_pushforward(space, tup)
             sets[tup] = credal_set_from_members(
                 space, tup, [m.apply(mu1), m.apply(mu2)]
             )
@@ -379,7 +378,7 @@ def test_criterion_9_finite_mode_cells():
         from itertools import product as iproduct
 
         reps = representative_tuples(coll)
-        mats = {t: pushforward_matrix(space, t) for t in reps}
+        mats = {t: dense_pushforward(space, t) for t in reps}
         expected_cells = set()
         for choice in iproduct(*(coll.sets[t].members() for t in reps)):
             sel = dict(zip(reps, choice))

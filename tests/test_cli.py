@@ -228,6 +228,33 @@ class TestBuild:
         }
 
 
+    def test_finite_empty_joint_mixed_labels(self, tmp_path):
+        # index labels 1 and "b": the offending tuples cannot be sorted as
+        # plain tuples, yet both commands report them
+        doc = {
+            "Y": ["0", "1"],
+            "T": [1, "b"],
+            "credal_sets": [
+                {"tuple": [1], "mode": "finite", "members": [["1", "0"]]},
+                {"tuple": ["b"], "mode": "finite", "members": [["0", "1"]]},
+                {"tuple": [1, "b"], "mode": "finite",
+                 "members": [["1", "0", "0", "0"]]},
+            ],
+        }
+        model = write(tmp_path, "m.json", doc)
+        out = str(tmp_path / "joint.json")
+        res = run_cli("build", model, "-o", out)
+        assert res.returncode == 1, res.stderr
+        built = json.loads(open(out).read())
+        res = run_cli("verify", model, "--json")
+        assert res.returncode == 1, res.stderr
+        report = json.loads(res.stdout)
+        for listed in (built["offending_tuples"],
+                       report["joint"]["offending_tuples"]):
+            assert listed and [1, "b"] in listed
+            assert all(t in ([1], ["b"], [1, "b"]) for t in listed)
+
+
 class TestVerify:
     def test_full_pipeline_pass(self, tmp_path):
         model = write(tmp_path, "m.json", segment_model())
@@ -337,6 +364,40 @@ class TestExpect:
         open(fpath, "w").write('["1", "0", "0"]')
         res = run_cli("expect", model, "--tuple", "a", "--function-file", fpath)
         assert res.returncode == 2
+
+    def test_non_string_index_labels(self, tmp_path):
+        doc = full_simplex_model()
+        doc["T"] = [1, "b"]
+        doc["credal_sets"][0]["tuple"] = [1]
+        doc["credal_sets"][2]["tuple"] = [1, "b"]
+        model = write(tmp_path, "m.json", doc)
+        fpath = str(tmp_path / "f.json")
+        open(fpath, "w").write('["1", "0"]')
+        res = run_cli("expect", model, "--tuple", "1", "--function-file", fpath,
+                      "--bound", "upper")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "1"
+        open(fpath, "w").write('["1", "0", "0", "0"]')
+        res = run_cli("expect", model, "--tuple", "b,1", "--function-file", fpath,
+                      "--bound", "upper", "--joint")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "1"
+
+    def test_tuple_piece_errors_exit_two(self, tmp_path):
+        doc = full_simplex_model()
+        doc["T"] = [1, "1"]
+        doc["credal_sets"][0]["tuple"] = [1]
+        doc["credal_sets"][1]["tuple"] = ["1"]
+        doc["credal_sets"][2]["tuple"] = [1, "1"]
+        model = write(tmp_path, "m.json", doc)
+        fpath = str(tmp_path / "f.json")
+        open(fpath, "w").write('["1", "0"]')
+        res = run_cli("expect", model, "--tuple", "1", "--function-file", fpath)
+        assert res.returncode == 2
+        assert "'1'" in res.stderr and "more than one" in res.stderr
+        res = run_cli("expect", model, "--tuple", "2", "--function-file", fpath)
+        assert res.returncode == 2
+        assert "'2'" in res.stderr
 
     def test_joint_flag_finite_mode(self, tmp_path):
         doc = {

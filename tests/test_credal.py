@@ -24,10 +24,10 @@ from credalkit.spaces import (
     make_space,
     point_mass,
     product_index,
-    pushforward_matrix,
     uniform_measure,
 )
 from gen import generated_instance, random_simplex_point
+from oracles import dense_pushforward, dense_restriction
 
 AB = make_space(("a", "b"), ("0", "1"))
 
@@ -181,7 +181,7 @@ class TestMarginalCheck:
         mu2 = random_simplex_point(rng, 4)
         sets = {}
         for alpha in [("a",), ("b",), ("a", "b")]:
-            m = pushforward_matrix(space, alpha)
+            m = dense_pushforward(space, alpha)
             sets[alpha] = credal_set_from_members(
                 space, alpha, [m.apply(mu1), m.apply(mu2)]
             )
@@ -192,9 +192,7 @@ class TestMarginalCheck:
             (("a", "b"), ("a",)),
             (("a", "b"), ("b",)),
         ]:
-            from credalkit.spaces import restriction_matrix
-
-            m = restriction_matrix(space, alpha, beta)
+            m = dense_restriction(space, alpha, beta)
             image = {m.apply(v) for v in sets[alpha].members()}
             expected = image == set(sets[beta].members())
             records = [

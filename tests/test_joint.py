@@ -27,10 +27,10 @@ from credalkit.joint import (
 from credalkit.spaces import (
     make_space,
     point_mass,
-    pushforward_matrix,
     uniform_measure,
 )
 from gen import generated_instance, random_simplex_point
+from oracles import dense_pushforward
 
 AB = make_space(("a", "b"), ("0", "1"))
 ABC = make_space(("a", "b", "c"), ("0", "1"))
@@ -194,7 +194,7 @@ class TestFiniteCells:
             sets = {}
             distinct = True
             for alpha in [("a",), ("b",), ("a", "b")]:
-                m = pushforward_matrix(AB, alpha)
+                m = dense_pushforward(AB, alpha)
                 members = [m.apply(mu1), m.apply(mu2)]
                 if members[0] == members[1]:
                     distinct = False
@@ -211,7 +211,7 @@ class TestFiniteCells:
         from itertools import product
 
         reps = representative_tuples(coll)
-        mats = {t: pushforward_matrix(AB, t) for t in reps}
+        mats = {t: dense_pushforward(AB, t) for t in reps}
         survivors = set()
         for choice in product(*(coll.sets[t].members() for t in reps)):
             sel = dict(zip(reps, choice))
@@ -225,7 +225,7 @@ class TestFiniteCells:
         joint = build_joint(coll)
         for alpha in [("a",), ("b",), ("a", "b"), ("b", "a")]:
             image = pushforward_joint(joint, alpha)
-            m = pushforward_matrix(AB, alpha)
+            m = dense_pushforward(AB, alpha)
             expected = sorted({m.apply(c.point) for c in joint.cells})
             assert list(image.members()) == expected
 

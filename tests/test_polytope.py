@@ -11,14 +11,25 @@ from credalkit.polytope import (
     contains_point,
     dd_convert,
     equals,
-    intersect,
     is_subset,
     linear_image,
-    linear_preimage,
+    remove_redundant_ineqs,
     separate,
     verify_separation,
 )
-from oracles import brute_force_vertices, hrep_contains, hull_sample_points
+from credalkit.credal import (
+    CredalCollection,
+    credal_set_from_hrep,
+    credal_set_from_vertices,
+)
+from credalkit.joint import preimage_set
+from credalkit.spaces import make_space, pushforward_matrix
+from oracles import (
+    brute_force_vertices,
+    dense_pushforward,
+    hrep_contains,
+    hull_sample_points,
+)
 
 
 def random_bounded_hrep(rng, dim, extra_rows=3, box=1):
@@ -113,15 +124,19 @@ class TestConversion:
         assert len(q.hrep.ineqs) == 3
 
 
+def dense(idx, size):
+    """The index map as a 0/1 matrix."""
+    return QMatrix([[int(y == x) for y in idx] for x in range(size)])
+
+
 class TestLinearImage:
     def test_identity(self):
         p = Polytope.simplex(3)
-        q = linear_image(QMatrix.identity(3), p)
+        q = linear_image((0, 1, 2), p, 3)
         assert equals(p, q)
 
     def test_marginalization_of_full_simplex(self):
-        m = QMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])
-        q = linear_image(m, Polytope.simplex(4))
+        q = linear_image((0, 0, 1, 1), Polytope.simplex(4), 2)
         assert equals(q, Polytope.simplex(2))
 
     def test_sampled_membership_oracle(self):
@@ -131,10 +146,9 @@ class TestLinearImage:
                 tuple(F(rng.randint(0, 5), 7) for _ in range(4)) for _ in range(5)
             ]
             p = Polytope.from_points(pts)
-            m = QMatrix(
-                [[F(rng.randint(-2, 2)) for _ in range(4)] for _ in range(3)]
-            )
-            img = linear_image(m, p)
+            idx = tuple(rng.randrange(3) for _ in range(4))
+            m = dense(idx, 3)
+            img = linear_image(idx, p, 3)
             for x in hull_sample_points(rng, pts, 10):
                 assert contains_point(img, m.apply(x))
             # image generators come from mapped input points
@@ -148,60 +162,65 @@ class TestLinearImage:
         p = Polytope.from_points(
             [tuple(F(rng.randint(0, 4), 5) for _ in range(3)) for _ in range(5)]
         )
-        m1 = QMatrix([[1, 1, 0], [0, 0, 1]])
-        m2 = QMatrix([[1, -1], [0, 2]])
-        lhs = linear_image(m2, linear_image(m1, p))
-        rhs = linear_image(m2 @ m1, p)
+        m1 = (0, 0, 1)
+        m2 = (1, 0)
+        lhs = linear_image(m2, linear_image(m1, p, 2), 2)
+        rhs = linear_image(tuple(m2[x] for x in m1), p, 2)
         assert equals(lhs, rhs)
 
 
+A = make_space(("a",), ("0", "1"))
+AB = make_space(("a", "b"), ("0", "1"))
+
+
+def preimage_of(space, alpha, cset):
+    return preimage_set(CredalCollection(space, {alpha: cset}), alpha)
+
+
 class TestLinearPreimage:
+    """Preimages under pushforward maps, as the joint module builds them."""
+
     def test_identity_map(self):
-        seg = Polytope.from_hrep(
-            2, ineqs=[((-1, 0), F(-1, 3)), ((1, 0), F(2, 3))], eqs=[((1, 1), 1)]
+        seg = credal_set_from_hrep(
+            A, ("a",), ineqs=[((-1, 0), F(-1, 3)), ((1, 0), F(2, 3))]
         )
-        pre = linear_preimage(QMatrix.identity(2), seg, Polytope.simplex(2))
-        assert equals(pre, seg)
+        pre = preimage_of(A, ("a",), seg)
+        assert equals(pre, seg.body)
 
     def test_preimage_of_everything(self):
-        m = QMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])
-        pre = linear_preimage(m, Polytope.simplex(2), Polytope.simplex(4))
+        pre = preimage_of(AB, ("a",), credal_set_from_hrep(AB, ("a",)))
         assert equals(pre, Polytope.simplex(4))
+        # rows the path simplex implies are filtered out
+        assert pre.hrep == Polytope.simplex(4).hrep
 
     def test_bijection_pins_uniform(self):
         from credalkit.exactq import solve_linear_system
 
-        m = QMatrix.identity(4)
-        target = Polytope.from_points([(F(1, 4),) * 4])
-        pre = linear_preimage(m, dd_convert(target), Polytope.simplex(4))
+        target = credal_set_from_vertices(AB, ("a", "b"), [(F(1, 4),) * 4])
+        pre = preimage_of(AB, ("a", "b"), target)
         # oracle: solve M.p = uniform directly
-        res = solve_linear_system(m, [F(1, 4)] * 4)
+        res = solve_linear_system(dense_pushforward(AB, ("a", "b")), [F(1, 4)] * 4)
         assert res.status == "unique"
         assert dd_convert(pre).points == (res.solution,)
 
     def test_image_of_preimage_contained(self):
         rng = random.Random(31)
-        ambient = Polytope.simplex(4)
-        m = QMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])
         for _ in range(5):
             pts = [
                 tuple(F(rng.randint(0, 3), 3) for _ in range(2)) for _ in range(3)
             ]
-            pts = [(a, b) for a, b in pts]
             # normalize to the 2-simplex so the target is sensible
             pts = [
                 (a / (a + b), b / (a + b)) if a + b else (F(1), F(0))
                 for a, b in pts
             ]
-            q = dd_convert(Polytope.from_points(pts))
-            pre = linear_preimage(m, q, ambient)
-            if pre.is_empty():
-                continue
-            img = linear_image(m, pre)
-            holds, _ = is_subset(img, q)
+            q = credal_set_from_vertices(AB, ("a",), pts)
+            pre = preimage_of(AB, ("a",), q)
+            img = linear_image(pushforward_matrix(AB, ("a",)), pre, 2)
+            holds, _ = is_subset(img, q.body)
             assert holds
             # the map is onto the target simplex, so equality holds too
-            assert equals(img, q)
+            assert equals(img, q.body)
 
 
 class TestPredicates:
@@ -268,18 +287,36 @@ class TestPredicates:
         assert is_subset(p, q)[0] and is_subset(q, p)[0] and equals(p, q)
 
 
+def stacked(dim, parts):
+    """One system holding every part's rows, redundant rows removed."""
+    out = Polytope.from_hrep(
+        dim,
+        [row for p in parts for row in p.hrep.ineqs],
+        [row for p in parts for row in p.hrep.eqs],
+    )
+    if out.is_empty():
+        return out
+    h = out.hrep
+    keep = remove_redundant_ineqs(dim, h.ineqs, h.eqs)
+    return Polytope.from_hrep(dim, [h.ineqs[i] for i in keep], h.eqs)
+
+
 class TestIntersect:
     def test_pinning_singleton(self):
         a = Polytope.from_hrep(2, ineqs=[((-1, 0), F(-1, 4))], eqs=[((1, 1), 1)])
         b = Polytope.from_hrep(2, ineqs=[((1, 0), F(1, 4))], eqs=[((1, 1), 1)])
         s = Polytope.simplex(2)
-        out = intersect([a, b, s])
+        out = stacked(2, [a, b, s])
+        assert len(out.hrep.ineqs) < 4
         assert dd_convert(out).points == ((F(1, 4), F(3, 4)),)
 
     def test_disjoint_slabs_empty(self):
-        a = Polytope.from_hrep(1, ineqs=[((1,), 0)])
-        b = Polytope.from_hrep(1, ineqs=[((-1,), -1)])
-        assert intersect([a, b]).is_empty()
+        # disjoint sets on one coordinate have disjoint preimages
+        low = credal_set_from_hrep(AB, ("a",), ineqs=[((1, 0), F(1, 4))])
+        high = credal_set_from_hrep(AB, ("a",), ineqs=[((-1, 0), F(-1, 2))])
+        parts = [preimage_of(AB, ("a",), c) for c in (low, high)]
+        assert not any(p.is_empty() for p in parts)
+        assert stacked(4, parts).is_empty()
 
     def test_membership_conjunction_oracle(self):
         rng = random.Random(70)
@@ -293,7 +330,7 @@ class TestIntersect:
                     dim, ineqs=[(coeffs, F(rng.randint(0, 2), 2))]
                 )
             )
-        out = intersect(parts)
+        out = stacked(dim, parts)
         for x in hull_sample_points(rng, simplex.points, 25):
             member = all(
                 hrep_contains(p.hrep, x) for p in parts

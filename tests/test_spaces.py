@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 
-from credalkit.exactq import DimensionError, QMatrix
+from credalkit.exactq import DimensionError
 from credalkit.spaces import (
     alignment_permutation,
     all_canonical_tuples,
@@ -15,12 +16,21 @@ from credalkit.spaces import (
     permute_tuple,
     point_mass,
     product_index,
+    pull,
+    push,
     pushforward_matrix,
     restriction_matrix,
     tuple_covers,
     uniform_measure,
     validate_index_tuple,
     validate_measure,
+)
+from oracles import (
+    dense_marginal,
+    dense_permutation,
+    dense_pull,
+    dense_pushforward,
+    dense_restriction,
 )
 
 AB = make_space(("a", "b"), ("0", "1"))
@@ -68,70 +78,77 @@ class TestSpaceValidation:
         assert not tuple_covers(("a",), ("b",))
 
 
+def compose(outer, inner):
+    """Index map of `outer` after `inner`."""
+    return tuple(outer[x] for x in inner)
+
+
+def identity(n):
+    return tuple(range(n))
+
+
 class TestMatrices:
+    """The coordinate maps, which are index maps: entry w is the target
+    cell of source cell w."""
+
     def test_pushforward_single_coordinate(self):
-        m = pushforward_matrix(AB, ("b",))
-        assert [[int(v) for v in row] for row in m.rows] == [
-            [1, 0, 1, 0],
-            [0, 1, 0, 1],
-        ]
+        assert pushforward_matrix(AB, ("b",)) == (0, 1, 0, 1)
+        assert pushforward_matrix(AB, ("a",)) == (0, 0, 1, 1)
 
     def test_full_tuple_is_identity(self):
-        assert pushforward_matrix(AB, ("a", "b")) == QMatrix.identity(4)
-        assert pushforward_matrix(ABC, ("a", "b", "c")) == QMatrix.identity(8)
+        assert pushforward_matrix(AB, ("a", "b")) == identity(4)
+        assert pushforward_matrix(ABC, ("a", "b", "c")) == identity(8)
 
     def test_uniform_maps_to_uniform(self):
         for alpha in [("a",), ("c", "a"), ("b", "c", "a")]:
             m = pushforward_matrix(ABC, alpha)
-            out = m.apply(uniform_measure(8))
+            out = push(m, uniform_measure(8), 2 ** len(alpha))
             assert out == uniform_measure(2 ** len(alpha))
 
     def test_permutation_identity_and_swap(self):
-        assert permutation_matrix(AB, 2, (0, 1)) == QMatrix.identity(4)
+        assert permutation_matrix(AB, 2, (0, 1)) == identity(4)
         swap = permutation_matrix(AB, 2, (1, 0))
-        moved = swap.apply(point_mass(4, product_index(AB, ("0", "1"))))
+        moved = push(swap, point_mass(4, product_index(AB, ("0", "1"))), 4)
         assert moved == point_mass(4, product_index(AB, ("1", "0")))
 
     def test_permutation_composition_brute_force(self):
-        # matrix(pi o rho) = matrix(pi) @ matrix(rho) over all of S3
+        # map(pi o rho) = map(pi) after map(rho) over all of S3
         for pi in permutations(range(3)):
             for rho in permutations(range(3)):
                 composed = tuple(rho[pi[j]] for j in range(3))
                 lhs = permutation_matrix(ABC, 3, composed)
-                rhs = permutation_matrix(ABC, 3, pi) @ permutation_matrix(
-                    ABC, 3, rho
+                rhs = compose(
+                    permutation_matrix(ABC, 3, pi), permutation_matrix(ABC, 3, rho)
                 )
                 assert lhs == rhs
 
     def test_permutation_inverse(self):
         for pi in permutations(range(3)):
             inv = tuple(pi.index(j) for j in range(3))
-            prod = permutation_matrix(ABC, 3, pi) @ permutation_matrix(ABC, 3, inv)
-            assert prod == QMatrix.identity(8)
+            both = compose(permutation_matrix(ABC, 3, pi), permutation_matrix(ABC, 3, inv))
+            assert both == identity(8)
 
     def test_marginal_examples(self):
-        assert marginal_matrix(AB, 2, 2) == QMatrix.identity(4)
-        m = marginal_matrix(AB, 2, 1)
-        assert [[int(v) for v in row] for row in m.rows] == [
-            [1, 1, 0, 0],
-            [0, 0, 1, 1],
-        ]
+        assert marginal_matrix(AB, 2, 2) == identity(4)
+        assert marginal_matrix(AB, 2, 1) == (0, 0, 1, 1)
 
     def test_marginal_chain(self):
         lhs = marginal_matrix(ABC, 3, 1)
-        rhs = marginal_matrix(ABC, 2, 1) @ marginal_matrix(ABC, 3, 2)
+        rhs = compose(marginal_matrix(ABC, 2, 1), marginal_matrix(ABC, 3, 2))
         assert lhs == rhs
 
     def test_column_stochastic_zero_one(self):
-        mats = [
-            pushforward_matrix(ABC, ("b", "a")),
-            permutation_matrix(ABC, 3, (2, 0, 1)),
-            marginal_matrix(ABC, 3, 2),
+        # one target cell per source cell, and every target cell is hit:
+        # the maps are onto, so pulled-back rows keep their distinct values
+        maps = [
+            (pushforward_matrix(ABC, ("b", "a")), 8, 4),
+            (permutation_matrix(ABC, 3, (2, 0, 1)), 8, 8),
+            (marginal_matrix(ABC, 3, 2), 8, 4),
+            (restriction_matrix(ABC, ("c", "a", "b"), ("b",)), 8, 2),
         ]
-        for m in mats:
-            for col in zip(*m.rows):
-                assert sum(col) == 1
-                assert all(v in (0, 1) for v in col)
+        for m, n_source, n_target in maps:
+            assert len(m) == n_source
+            assert set(m) == set(range(n_target))
 
     def test_compatibility_identity(self):
         # restriction == marginalize-after-shuffle == direct pushforward
@@ -139,15 +156,77 @@ class TestMatrices:
             for beta in [("a",), ("c",), ("b", "a"), ("c", "b")]:
                 pi = alignment_permutation(alpha, beta)
                 assert permute_tuple(alpha, pi)[: len(beta)] == beta
-                lhs = (
-                    marginal_matrix(ABC, 3, len(beta))
-                    @ permutation_matrix(ABC, 3, pi)
-                    @ pushforward_matrix(ABC, alpha)
-                )
+                shuffle = permutation_matrix(ABC, 3, pi)
+                margin = marginal_matrix(ABC, 3, len(beta))
+                restriction = restriction_matrix(ABC, alpha, beta)
+                assert restriction == compose(margin, shuffle)
+                lhs = compose(restriction, pushforward_matrix(ABC, alpha))
                 assert lhs == pushforward_matrix(ABC, beta)
-                assert restriction_matrix(ABC, alpha, beta) @ pushforward_matrix(
-                    ABC, alpha
-                ) == pushforward_matrix(ABC, beta)
+
+
+def ordered_tuples(space):
+    for tup in all_canonical_tuples(space):
+        yield from permutations(tup)
+
+
+def random_vector(rng, n):
+    return tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+
+
+class TestIndexMapParity:
+    """push and pull against the dense 0/1 matrices of tests/oracles.py."""
+
+    SPACES = [
+        make_space(labels, outcomes)
+        for labels in [("a",), ("a", "b"), ("a", "b", "c")]
+        for outcomes in [("0", "1"), ("x", "y", "z")]
+    ]
+
+    @staticmethod
+    def check(rng, idx, dense):
+        assert len(idx) == dense.ncols
+        for _ in range(3):
+            vec = random_vector(rng, dense.ncols)
+            assert push(idx, vec, dense.nrows) == dense.apply(vec)
+            row = random_vector(rng, dense.nrows)
+            assert pull(idx, row) == dense_pull(dense, row)
+
+    def test_pushforward_maps(self):
+        rng = random.Random(3)
+        for space in self.SPACES:
+            for alpha in ordered_tuples(space):
+                self.check(
+                    rng, pushforward_matrix(space, alpha), dense_pushforward(space, alpha)
+                )
+
+    def test_restriction_maps(self):
+        rng = random.Random(4)
+        for space in self.SPACES:
+            for alpha in ordered_tuples(space):
+                for beta in ordered_tuples(space):
+                    if tuple_covers(alpha, beta):
+                        self.check(
+                            rng,
+                            restriction_matrix(space, alpha, beta),
+                            dense_restriction(space, alpha, beta),
+                        )
+
+    def test_permutation_and_marginal_maps(self):
+        rng = random.Random(5)
+        for space in self.SPACES:
+            n = space.n_indices
+            for perm in permutations(range(n)):
+                self.check(
+                    rng, permutation_matrix(space, n, perm), dense_permutation(space, n, perm)
+                )
+            for keep in range(1, n + 1):
+                self.check(
+                    rng, marginal_matrix(space, n, keep), dense_marginal(space, n, keep)
+                )
+
+    def test_push_length_guard(self):
+        with pytest.raises(DimensionError):
+            push(pushforward_matrix(AB, ("a",)), uniform_measure(2), 2)
 
 
 class TestMeasures:
