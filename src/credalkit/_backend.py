@@ -4,7 +4,10 @@ The kernel works on the equality-form problem
 
     minimize c.x   subject to   a.x = b,  x >= 0,
 
-with b >= 0 entrywise (the caller pre-scales rows). Phase 1 minimizes
+with b >= 0 entrywise (the caller flips row signs). The caller hands
+it integers: each row [a_i | b_i] as numerators over one positive
+denominator, and c as integers, which may be any positive multiple of
+the objective since scaling c changes no pivot. Phase 1 minimizes
 the sum of one artificial variable per row; phase 2 optimizes c over the
 feasible basis. Pivoting uses Bland's rule (lowest eligible index) in
 both phases, which guarantees termination.
@@ -15,14 +18,15 @@ one positive common denominator, and the row's content is divided out
 after each update to keep the integers small. Every comparison is
 exact, so the pivot sequence and the returned rationals are those of a
 simplex on Fraction entries (tests/oracles.py keeps one as reference),
-without per-entry Fraction arithmetic in the pivot loop.
+without per-entry Fraction arithmetic in the pivot loop. Only the
+returned point and dual witness are Fractions.
 
 This file is plain Python. setup.py compiles the same file with Cython
 when Cython is installed; kernel_backend() says which of the two loaded.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def kernel_backend():
@@ -30,13 +34,14 @@ def kernel_backend():
     return "pure" if __file__.endswith(".py") else "compiled"
 
 
-def simplex_solve(m, n, a, b, c):
+def simplex_solve(m, n, a, dens, c):
     """Solve min c.x over {a.x = b, x >= 0}, b >= 0 entrywise.
 
-    `a` is a list of m rows (each a sequence of n Fractions), `b` a list
-    of m nonnegative Fractions, `c` a list of n Fractions.
+    `a` is a list of m integer rows of length n + 1, the n coefficients
+    and then the rhs b_i >= 0, each over its positive denominator in
+    `dens`; `c` is a list of n integers.
 
-    Returns (status, x, y):
+    Returns (status, x, y) with Fraction entries:
       ("optimal", x, None)      x is a basic optimal point, length n
       ("infeasible", None, y)   y has y.a_j <= 0 for every column j and
                                 y.b > 0 (an exact infeasibility witness)
@@ -44,13 +49,13 @@ def simplex_solve(m, n, a, b, c):
     """
     rhs = n + m
     rows = []
-    dens = []
-    for i in range(m):
+    dens = list(dens)
+    for i, row in enumerate(a):
+        # artificial i's entry 1 is written as den/den over the row's den
         unit = [0] * m
-        unit[i] = 1
-        nums, den = _integer_row([*a[i], *unit, b[i]])
+        unit[i] = dens[i]
+        nums, dens[i] = _primitive([*row[:n], *unit, row[n]], dens[i])
         rows.append(nums)
-        dens.append(den)
     basis = list(range(n, rhs))
 
     # Phase 1 minimizes the sum of the artificials; artificial columns
@@ -102,12 +107,6 @@ def _primitive(nums, den):
     return [v // g for v in nums], den // g
 
 
-def _integer_row(values):
-    """A row of rationals as integers over their least common denominator."""
-    den = lcm(*[v.denominator for v in values])
-    return _primitive([v.numerator * (den // v.denominator) for v in values], den)
-
-
 def _eliminate(nums, den, pnums, pden, f):
     """Subtract (f / den) times the pivot row from the row nums/den.
 
@@ -122,8 +121,8 @@ def _eliminate(nums, den, pnums, pden, f):
 
 
 def _price(rows, dens, basis, cost):
-    """Append the reduced-cost row of `cost` for the current basis."""
-    cnum, cden = _integer_row(cost)
+    """Append the reduced-cost row of the integer `cost` for the basis."""
+    cnum, cden = _primitive(cost, 1)
     for row, den, j in zip(rows, dens, basis):
         if cnum[j]:
             cnum, cden = _eliminate(cnum, cden, row, den, cnum[j])

@@ -191,13 +191,7 @@ def cmd_extend(args):
             raise io.ModelFormatError(
                 f"{args.partition_file}: not valid JSON ({exc})"
             ) from exc
-    size = doc.get("size")
-    if not isinstance(size, int) or size < 1:
-        raise io.ModelFormatError("partition.size: expected a positive integer")
-    atoms = doc.get("atoms")
-    if not isinstance(atoms, list):
-        raise io.ModelFormatError("partition.atoms: expected a list of lists")
-    masses = io._rational_vector(doc.get("masses", []), "partition.masses")
+    size, atoms, masses = io.parse_partition(doc)
     measure = cr.extend_measure(size, atoms, masses)
     print(json.dumps(io.rat_list(measure)))
     return EXIT_PASS
@@ -268,7 +262,8 @@ def main(argv=None):
     except (io.ModelFormatError, RationalParseError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing file, a directory, or one we may not read
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
     except jt.ResourceCapError as exc:

@@ -7,6 +7,13 @@ and `lp_solve` is an exact two-phase simplex that returns either an
 optimal point, an unbounded flag, or a Farkas-style infeasibility
 certificate that can be re-verified by direct substitution. There are
 no tolerances anywhere; every comparison is exact.
+
+`lp_solve` converts each row of an `LpProblem` once to integer
+numerators over the row's least common denominator. The kernel's
+columns (free variables split, slacks, sign flips) are built from
+those integers, and the returned point or certificate is re-checked
+against them with integer dot products over common denominators.
+Fractions appear again only in the outcome.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from credalkit import _backend
@@ -88,11 +96,6 @@ class QMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
-
-    def apply(self, vec: Sequence[Fraction]) -> tuple:
-        if len(vec) != self.ncols:
-            raise DimensionError(f"apply: {self.ncols} cols vs {len(vec)} vector")
-        return tuple(dot(row, vec) for row in self.rows)
 
     def __eq__(self, other):
         return isinstance(other, QMatrix) and self.rows == other.rows
@@ -186,11 +189,6 @@ def _rref(aug, n):
     return pivots
 
 
-def matrix_rank(a: QMatrix) -> int:
-    aug = [list(row) + [ZERO] for row in a.rows]
-    return len(_rref(aug, a.ncols))
-
-
 # ---------------------------------------------------------------------------
 # Linear programming
 
@@ -256,51 +254,40 @@ class LpOutcome:
 def lp_solve(problem: LpProblem) -> LpOutcome:
     """Exact simplex with Bland's rule; deterministic for fixed input."""
     n = len(problem.objective)
+    split = [not flag for flag in problem.nonneg]
+    # Each row once as integers over its least common denominator; the
+    # kernel rows and both certificate checks are built from these.
+    irows = [_integer_row([*coeffs, rhs]) for coeffs, _sense, rhs in problem.rows]
+    onums, oden = _integer_row(problem.objective)
+
     # Column expansion: sign-constrained variables map to one column,
     # free variables split into a positive and a negative part.
-    col_var = []
-    col_sign = []
-    for j in range(n):
-        col_var.append(j)
-        col_sign.append(ONE)
-        if not problem.nonneg[j]:
-            col_var.append(j)
-            col_sign.append(-ONE)
-    ncols = len(col_var)
-
-    arows = []
-    brhs = []
-    sigma = []
-    slack_cols = 0
-    for coeffs, sense, _rhs in problem.rows:
-        if sense != EQ:
-            slack_cols += 1
+    ncols = n + sum(split)
+    slack_cols = sum(1 for _coeffs, sense, _rhs in problem.rows if sense != EQ)
     width = ncols + slack_cols
     slack_at = ncols
-    for coeffs, sense, rhs in problem.rows:
-        row = [ZERO] * width
-        for k in range(ncols):
-            row[k] = coeffs[col_var[k]] * col_sign[k]
+    arows = []
+    dens = []
+    sigma = []
+    for (_coeffs, sense, _rhs), (nums, den) in zip(problem.rows, irows):
+        row = _expand(nums, split)
+        row += [0] * slack_cols
         if sense != EQ:
-            row[slack_at] = ONE if sense == LE else -ONE
+            row[slack_at] = den if sense == LE else -den
             slack_at += 1
-        if rhs < 0:
+        row.append(nums[n])
+        if nums[n] < 0:
             row = [-v for v in row]
-            rhs = -rhs
-            sigma.append(-ONE)
+            sigma.append(-1)
         else:
-            sigma.append(ONE)
+            sigma.append(1)
         arows.append(row)
-        brhs.append(rhs)
+        dens.append(den)
 
-    sign = ONE if problem.direction == "min" else -ONE
-    cvec = [ZERO] * width
-    for k in range(ncols):
-        cvec[k] = sign * problem.objective[col_var[k]] * col_sign[k]
+    sign = 1 if problem.direction == "min" else -1
+    cvec = [sign * v for v in _expand(onums, split)] + [0] * slack_cols
 
-    status, xcols, y = _backend.simplex_solve(
-        len(arows), width, arows, brhs, cvec
-    )
+    status, xcols, y = _backend.simplex_solve(len(arows), width, arows, dens, cvec)
 
     if status == "unbounded":
         return LpOutcome("unbounded")
@@ -308,17 +295,37 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     if status == "infeasible":
         certificate = _farkas_from_dual(problem, sigma, y)
         outcome = LpOutcome("infeasible", certificate=certificate)
-        _check_infeasible(problem, certificate)
+        _check_infeasible(problem, irows, certificate)
         return outcome
 
-    x = [ZERO] * n
-    for k in range(ncols):
-        x[col_var[k]] += col_sign[k] * xcols[k]
-    solution = tuple(x)
-    value = dot(problem.objective, solution)
+    cols = iter(xcols)
+    solution = tuple(
+        next(cols) - next(cols) if free else next(cols) for free in split
+    )
+    xnums, xden = _integer_row(solution)
+    value = Fraction(sum(c * v for c, v in zip(onums, xnums) if v), oden * xden)
     outcome = LpOutcome("optimal", value=value, solution=solution)
-    _check_optimal(problem, outcome)
+    _check_optimal(problem, irows, outcome)
     return outcome
+
+
+def _integer_row(values):
+    """Rationals as integer numerators over their least common denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _expand(nums, split):
+    """The kernel columns of a row: a free variable's negative column
+    follows its positive one."""
+    if not any(split):
+        return nums[: len(split)]
+    row = []
+    for v, free in zip(nums, split):
+        row.append(v)
+        if free:
+            row.append(-v)
+    return row
 
 
 def _farkas_from_dual(problem, sigma, y):
@@ -339,36 +346,61 @@ def _farkas_from_dual(problem, sigma, y):
     return tuple(cm * scale for cm in mult)
 
 
-def _check_infeasible(problem, certificate):
+def _check_infeasible(problem, irows, certificate):
+    """Re-verify a Farkas certificate on the integer rows.
+
+    Multiplier i on row nums_i / den_i becomes the integer weight
+    cm_i * mden * (rden / den_i), with mden the lcm of the multipliers'
+    denominators and rden that of the rows'; the combined row is then
+    the true one times mden * rden > 0, so every sign condition reads
+    the same.
+    """
     n = len(problem.objective)
-    combined = [ZERO] * n
-    combined_rhs = ZERO
-    for (coeffs, sense, rhs), cm in zip(problem.rows, certificate):
+    mden = lcm(*[cm.denominator for cm in certificate])
+    rden = lcm(*[den for _nums, den in irows])
+    combined = [0] * (n + 1)
+    for (_coeffs, sense, _rhs), (nums, den), cm in zip(
+        problem.rows, irows, certificate
+    ):
         if sense != EQ and cm < 0:
             raise RuntimeError("negative multiplier on an inequality row")
-        flip = -ONE if sense == GE else ONE
-        for j in range(n):
-            combined[j] += cm * flip * coeffs[j]
-        combined_rhs += cm * flip * rhs
+        if not cm:
+            continue
+        w = cm.numerator * (mden // cm.denominator) * (rden // den)
+        if sense == GE:
+            w = -w
+        combined = [s + w * v for s, v in zip(combined, nums)]
     for j in range(n):
         if problem.nonneg[j]:
             if combined[j] < 0:
                 raise RuntimeError("combined row negative on a nonneg variable")
         elif combined[j] != 0:
             raise RuntimeError("combined row nonzero on a free variable")
-    if combined_rhs >= 0:
+    if combined[n] >= 0:
         raise RuntimeError("combined rhs not violated")
 
 
-def _check_optimal(problem, outcome):
-    x = outcome.solution
+def _check_optimal(problem, irows, outcome):
+    """Re-verify an optimal point on the integer rows.
+
+    With x = xnums / xden, the row [coefficients | rhs] = nums / den
+    holds at x exactly when the integer coefficients . xnums compares
+    with rhs * xden the same way.
+    """
+    xnums, xden = _integer_row(outcome.solution)
     for j, flag in enumerate(problem.nonneg):
-        if flag and x[j] < 0:
+        if flag and xnums[j] < 0:
             raise RuntimeError("negative value for a sign-constrained variable")
-    for coeffs, sense, rhs in problem.rows:
-        lhs = dot(coeffs, x)
+    support = [(j, v) for j, v in enumerate(xnums) if v]
+    for (_coeffs, sense, _rhs), (nums, _den) in zip(problem.rows, irows):
+        lhs = sum(nums[j] * v for j, v in support)
+        rhs = nums[-1] * xden
         ok = lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs
         if not ok:
             raise RuntimeError("reported solution violates a constraint")
-    if dot(problem.objective, x) != outcome.value:
+    onums, oden = _integer_row(problem.objective)
+    value = outcome.value
+    if sum(onums[j] * v for j, v in support) * value.denominator != (
+        value.numerator * oden * xden
+    ):
         raise RuntimeError("reported value differs from objective at solution")

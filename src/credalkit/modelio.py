@@ -161,6 +161,26 @@ def parse_model(doc):
     return space, coll, {"finite_cap": cap}
 
 
+def parse_partition(doc):
+    """Parse an `extend` document into (size, atoms, masses)."""
+    if not isinstance(doc, dict):
+        _fail("partition", "expected an object")
+    size = doc.get("size")
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        _fail("partition.size", "expected a positive integer")
+    atoms = doc.get("atoms")
+    if not isinstance(atoms, list):
+        _fail("partition.atoms", "expected a list of lists")
+    for k, atom in enumerate(atoms):
+        if not isinstance(atom, list):
+            _fail(f"partition.atoms[{k}]", "expected a list of integers")
+        for i, point in enumerate(atom):
+            if isinstance(point, bool) or not isinstance(point, int):
+                _fail(f"partition.atoms[{k}][{i}]", "expected an integer")
+    masses = _rational_vector(doc.get("masses", []), "partition.masses")
+    return size, atoms, masses
+
+
 def input_digest(path) -> str:
     with open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()

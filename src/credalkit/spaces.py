@@ -121,23 +121,6 @@ def product_index(space: ProcessSpace, outcomes_seq) -> int:
     return idx
 
 
-def index_to_outcomes(space: ProcessSpace, idx: int, n: int) -> tuple:
-    """Inverse of product_index for n-tuples."""
-    m = space.n_outcomes
-    if not 0 <= idx < m ** n:
-        raise DimensionError(f"index {idx} out of range for {n} coordinates")
-    out = []
-    for _ in range(n):
-        idx, r = divmod(idx, m)
-        out.append(space.outcomes[r])
-    return tuple(reversed(out))
-
-
-def all_outcome_tuples(space: ProcessSpace, n: int):
-    """All n-tuples of outcomes in row-major order."""
-    return product(space.outcomes, repeat=n)
-
-
 @lru_cache(maxsize=None)
 def pushforward_matrix(space: ProcessSpace, alpha: tuple) -> tuple:
     """Index map sending a path law to the joint law of alpha.

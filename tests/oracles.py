@@ -10,6 +10,10 @@ kernel: the same two-phase Bland simplex with plain Fraction entries,
 one tableau entry at a time, so it shares no arithmetic with the
 kernel's integer rows.
 
+`apply` and `matrix_rank` are the dense matrix-vector product and the
+rank of a QMatrix, and `index_to_outcomes` / `all_outcome_tuples` spell
+out the row-major order of outcome tuples cell by cell.
+
 The `dense_*` builders are the reference for the coordinate maps of
 `credalkit.spaces`: each map written out as a 0/1 column-stochastic
 matrix, built cell by cell from outcome labels, so pushing a measure is
@@ -17,10 +21,10 @@ a matrix-vector product and pulling a row is a row-matrix product.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from credalkit.exactq import QMatrix, dot, solve_linear_system
-from credalkit.spaces import alignment_permutation, all_outcome_tuples, product_index
+from credalkit.exactq import DimensionError, QMatrix, dot, solve_linear_system
+from credalkit.spaces import alignment_permutation, product_index
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,6 +87,32 @@ def hrep_contains(hrep, x) -> bool:
     return all(dot(a, x) <= b for a, b in hrep.ineqs) and all(
         dot(e, x) == f for e, f in hrep.eqs
     )
+
+
+def apply(m: QMatrix, vec) -> tuple:
+    """The matrix-vector product M.vec."""
+    return tuple(dot(row, vec) for row in m.rows)
+
+
+def matrix_rank(m: QMatrix) -> int:
+    return solve_linear_system(m, [ZERO] * m.nrows).rank
+
+
+def index_to_outcomes(space, idx: int, n: int) -> tuple:
+    """Inverse of product_index for n-tuples."""
+    m = space.n_outcomes
+    if not 0 <= idx < m ** n:
+        raise DimensionError(f"index {idx} out of range for {n} coordinates")
+    out = []
+    for _ in range(n):
+        idx, r = divmod(idx, m)
+        out.append(space.outcomes[r])
+    return tuple(reversed(out))
+
+
+def all_outcome_tuples(space, n: int):
+    """All n-tuples of outcomes in row-major order."""
+    return product(space.outcomes, repeat=n)
 
 
 def dense_pushforward(space, alpha) -> QMatrix:

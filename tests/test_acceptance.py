@@ -41,7 +41,7 @@ from credalkit.spaces import (
     uniform_measure,
 )
 from gen import generated_instance, random_simplex_point
-from oracles import brute_force_vertices, dense_pushforward
+from oracles import apply, brute_force_vertices, dense_pushforward
 
 # separation certificates produced while the suite runs, re-verified in
 # criterion 8: pairs (certificate, comparison credal set or polytope)
@@ -367,7 +367,7 @@ def test_criterion_9_finite_mode_cells():
         for tup in all_canonical_tuples(space):
             m = dense_pushforward(space, tup)
             sets[tup] = credal_set_from_members(
-                space, tup, [m.apply(mu1), m.apply(mu2)]
+                space, tup, [apply(m, mu1), apply(m, mu2)]
             )
         coll = CredalCollection(space, sets)
         joint = build_joint(coll, cell_cap=10000)
@@ -383,13 +383,13 @@ def test_criterion_9_finite_mode_cells():
         for choice in iproduct(*(coll.sets[t].members() for t in reps)):
             sel = dict(zip(reps, choice))
             full = sel[("a", "b")]
-            if all(mats[t].apply(full) == v for t, v in sel.items()):
+            if all(apply(mats[t], full) == v for t, v in sel.items()):
                 expected_cells.add(full)
         assert {c.point for c in joint.cells} == expected_cells
 
         for tup in reps:
             image = pushforward_joint(joint, tup)
-            expected = sorted({mats[tup].apply(p) for p in expected_cells})
+            expected = sorted({apply(mats[tup], p) for p in expected_cells})
             assert list(image.members()) == expected
 
         rep = verify_representation(coll, joint)

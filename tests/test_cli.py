@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 MODULE = [sys.executable, "-m", "credalkit.cli"]
 
 
@@ -443,6 +445,52 @@ class TestExtend:
         )
         res = run_cli("extend", str(p))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([3, [[0, 1], [2]]], "partition:"),
+            ({"size": 2, "atoms": [0, 1], "masses": ["1/2", "1/2"]},
+             "partition.atoms[0]:"),
+            ({"size": 2, "atoms": [[0], ["x"]], "masses": ["1/2", "1/2"]},
+             "partition.atoms[1][0]:"),
+            ({"size": 2, "atoms": [[0], [1.5]], "masses": ["1/2", "1/2"]},
+             "partition.atoms[1][0]:"),
+            ({"size": 2, "atoms": [[0], [True]], "masses": ["1/2", "1/2"]},
+             "partition.atoms[1][0]:"),
+            ({"size": True, "atoms": [[0]], "masses": ["1"]}, "partition.size:"),
+        ],
+        ids=["array", "flat-atoms", "string-point", "float-point", "bool-point",
+             "bool-size"],
+    )
+    def test_malformed_partition_named(self, tmp_path, doc, field):
+        p = write(tmp_path, "part.json", doc)
+        res = run_cli("extend", p)
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: {field}")
+        assert "Traceback" not in res.stderr
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["validate", "{dir}"],
+            ["build", "{dir}", "-o", "{dir}/out.json"],
+            ["verify", "{dir}"],
+            ["expect", "{dir}", "--tuple", "a", "--function-file", "{dir}"],
+            ["expect", "{model}", "--tuple", "a", "--function-file", "{dir}"],
+            ["extend", "{dir}"],
+        ],
+        ids=["validate", "build", "verify", "expect-model", "expect-function",
+             "extend"],
+    )
+    def test_directory_exit_two(self, tmp_path, args):
+        model = write(tmp_path, "m.json", full_simplex_model())
+        res = run_cli(*[a.format(dir=tmp_path, model=model) for a in args])
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr
 
 
 class TestResourceCap:

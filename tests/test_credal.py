@@ -27,7 +27,7 @@ from credalkit.spaces import (
     uniform_measure,
 )
 from gen import generated_instance, random_simplex_point
-from oracles import dense_pushforward, dense_restriction
+from oracles import apply, dense_pushforward, dense_restriction
 
 AB = make_space(("a", "b"), ("0", "1"))
 
@@ -183,7 +183,7 @@ class TestMarginalCheck:
         for alpha in [("a",), ("b",), ("a", "b")]:
             m = dense_pushforward(space, alpha)
             sets[alpha] = credal_set_from_members(
-                space, alpha, [m.apply(mu1), m.apply(mu2)]
+                space, alpha, [apply(m, mu1), apply(m, mu2)]
             )
         coll = CredalCollection(space, sets)
         report = check_marginal_consistency(coll)
@@ -193,7 +193,7 @@ class TestMarginalCheck:
             (("a", "b"), ("b",)),
         ]:
             m = dense_restriction(space, alpha, beta)
-            image = {m.apply(v) for v in sets[alpha].members()}
+            image = {apply(m, v) for v in sets[alpha].members()}
             expected = image == set(sets[beta].members())
             records = [
                 r

@@ -25,6 +25,7 @@ from credalkit.credal import (
 from credalkit.joint import preimage_set
 from credalkit.spaces import make_space, pushforward_matrix
 from oracles import (
+    apply,
     brute_force_vertices,
     dense_pushforward,
     hrep_contains,
@@ -150,9 +151,9 @@ class TestLinearImage:
             m = dense(idx, 3)
             img = linear_image(idx, p, 3)
             for x in hull_sample_points(rng, pts, 10):
-                assert contains_point(img, m.apply(x))
+                assert contains_point(img, apply(m, x))
             # image generators come from mapped input points
-            mapped = {m.apply(v) for v in pts}
+            mapped = {apply(m, v) for v in pts}
             hull = Polytope.from_points(mapped)
             for v in img.points:
                 assert contains_point(hull, v)

@@ -9,7 +9,6 @@ from credalkit.spaces import (
     alignment_permutation,
     all_canonical_tuples,
     canonical_tuple,
-    index_to_outcomes,
     make_space,
     marginal_matrix,
     permutation_matrix,
@@ -26,11 +25,13 @@ from credalkit.spaces import (
     validate_measure,
 )
 from oracles import (
+    apply,
     dense_marginal,
     dense_permutation,
     dense_pull,
     dense_pushforward,
     dense_restriction,
+    index_to_outcomes,
 )
 
 AB = make_space(("a", "b"), ("0", "1"))
@@ -187,7 +188,7 @@ class TestIndexMapParity:
         assert len(idx) == dense.ncols
         for _ in range(3):
             vec = random_vector(rng, dense.ncols)
-            assert push(idx, vec, dense.nrows) == dense.apply(vec)
+            assert push(idx, vec, dense.nrows) == apply(dense, vec)
             row = random_vector(rng, dense.nrows)
             assert pull(idx, row) == dense_pull(dense, row)
 
