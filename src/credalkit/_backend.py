@@ -7,10 +7,13 @@ The kernel works on the equality-form problem
 with b >= 0 entrywise (the caller flips row signs). The caller hands
 it integers: each row [a_i | b_i] as numerators over one positive
 denominator, and c as integers, which may be any positive multiple of
-the objective since scaling c changes no pivot. Phase 1 minimizes
-the sum of one artificial variable per row; phase 2 optimizes c over the
-feasible basis. Pivoting uses Bland's rule (lowest eligible index) in
-both phases, which guarantees termination.
+the objective since scaling c changes no pivot. A column that is
+positive in one row and zero in every other row (the slack of a <= row
+with rhs >= 0) starts basic in that row, the lowest such column if
+there are several; only the remaining rows get an artificial variable.
+Phase 1 minimizes the sum of the artificials; phase 2 optimizes c over
+the feasible basis. Pivoting uses Bland's rule (lowest eligible index)
+in both phases, which guarantees termination.
 
 Arithmetic is fraction-free, in the manner of Bareiss (1968): every
 tableau row, the reduced-cost row included, is a list of integers over
@@ -26,6 +29,7 @@ when Cython is installed; kernel_backend() says which of the two loaded.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 
@@ -47,53 +51,82 @@ def simplex_solve(m, n, a, dens, c):
                                 y.b > 0 (an exact infeasibility witness)
       ("unbounded", None, None)
     """
-    rhs = n + m
+    start = _unit_columns(m, n, a)
+    art = [i for i in range(m) if start[i] < 0]
+    k = len(art)
+    rhs = n + k
     rows = []
-    dens = list(dens)
+    tdens = []
+    basis = []
+    r = 0
     for i, row in enumerate(a):
-        # artificial i's entry 1 is written as den/den over the row's den
-        unit = [0] * m
-        unit[i] = dens[i]
-        nums, dens[i] = _primitive([*row[:n], *unit, row[n]], dens[i])
+        unit = [0] * k
+        j = start[i]
+        if j < 0:
+            # artificial r's entry 1 is written as den/den over the row's den
+            j, unit[r], den = n + r, dens[i], dens[i]
+            r += 1
+        else:
+            # the row divided by its entry in column j has a 1 there
+            den = row[j]
+        nums, den = _primitive([*row[:n], *unit, row[n]], den)
         rows.append(nums)
-    basis = list(range(n, rhs))
+        tdens.append(den)
+        basis.append(j)
 
     # Phase 1 minimizes the sum of the artificials; artificial columns
     # never re-enter, so the entering index stays below n.
-    _price(rows, dens, basis, [0] * n + [1] * m + [0])
-    _bland(rows, dens, basis, n)
-    cost, cden = rows.pop(), dens.pop()
+    _price(rows, tdens, basis, [0] * n + [1] * k + [0])
+    _bland(rows, tdens, basis, n)
+    cost, cden = rows.pop(), tdens.pop()
     if cost[rhs] < 0:
-        # Positive phase-1 optimum: the reduced cost of artificial i is
-        # 1 - y_i, which gives the dual witness.
-        y = [Fraction(cden - cost[n + i], cden) for i in range(m)]
+        # Positive phase-1 optimum; the reduced costs give the dual
+        # witness: 1 - y_i at the artificial of row i, and -y_i * a_ij at
+        # the column j that started basic in row i.
+        y = [None] * m
+        for r, i in enumerate(art):
+            y[i] = Fraction(cden - cost[n + r], cden)
+        for i, j in enumerate(start):
+            if j >= 0:
+                y[i] = Fraction(-cost[j] * dens[i], cden * a[i][j])
         return ("infeasible", None, y)
 
     # Drive leftover artificials out of the basis (degenerate pivots);
     # rows with no structural entry are redundant and get dropped.
     drop = []
-    for i in range(m):
+    for i in art:
         if basis[i] >= n:
             row = rows[i]
             piv = next((j for j in range(n) if row[j]), -1)
             if piv < 0:
                 drop.append(i)
             else:
-                _pivot(rows, dens, basis, i, piv)
+                _pivot(rows, tdens, basis, i, piv)
     for i in reversed(drop):
-        del rows[i], dens[i], basis[i]
+        del rows[i], tdens[i], basis[i]
 
     # Phase 2 on the structural columns only.
     for i, row in enumerate(rows):
-        rows[i], dens[i] = _primitive(row[:n] + [row[rhs]], dens[i])
-    _price(rows, dens, basis, [*c, 0])
-    if not _bland(rows, dens, basis, n):
+        rows[i], tdens[i] = _primitive(row[:n] + [row[rhs]], tdens[i])
+    _price(rows, tdens, basis, [*c, 0])
+    if not _bland(rows, tdens, basis, n):
         return ("unbounded", None, None)
 
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
-        x[j] = Fraction(rows[i][n], dens[i])
+        x[j] = Fraction(rows[i][n], tdens[i])
     return ("optimal", x, None)
+
+
+def _unit_columns(m, n, a):
+    """Per row, the lowest column positive there and zero in every other
+    row, or -1 when there is none."""
+    start = [-1] * m
+    for j, col in enumerate(islice(zip(*a), n)):
+        hits = [i for i, v in enumerate(col) if v]
+        if len(hits) == 1 and col[hits[0]] > 0 and start[hits[0]] < 0:
+            start[hits[0]] = j
+    return start
 
 
 def _primitive(nums, den):

@@ -501,7 +501,7 @@ def extend_measure(size: int, atoms, masses) -> tuple:
     choice among all extensions; re-aggregating over the partition
     returns the input exactly.
     """
-    atoms = [tuple(int(i) for i in atom) for atom in atoms]
+    atoms = [tuple(atom) for atom in atoms]
     masses = qvec(masses)
     if len(atoms) != len(masses):
         raise DimensionError("one mass per atom required")
@@ -510,6 +510,8 @@ def extend_measure(size: int, atoms, masses) -> tuple:
         if not atom:
             raise DimensionError("empty atom")
         for i in atom:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise DimensionError(f"atom point {i!r} is not an integer")
             if i < 0 or i >= size:
                 raise DimensionError(f"atom point {i} outside 0..{size - 1}")
             if i in seen:

@@ -9,11 +9,15 @@ certificate that can be re-verified by direct substitution. There are
 no tolerances anywhere; every comparison is exact.
 
 `lp_solve` converts each row of an `LpProblem` once to integer
-numerators over the row's least common denominator. The kernel's
-columns (free variables split, slacks, sign flips) are built from
-those integers, and the returned point or certificate is re-checked
-against them with integer dot products over common denominators.
-Fractions appear again only in the outcome.
+numerators over the row's least common denominator. An equality row
+whose full row (coefficients and rhs) depends on the equality rows
+before it is then dropped: it holds wherever they do, and an
+inconsistent row is independent, so it stays and the kernel still
+proves infeasibility. The kernel's columns (free variables split,
+slacks, sign flips) are built from the kept rows, and the returned
+point or certificate is re-checked against every row of the problem
+with integer dot products over common denominators; a certificate is
+0 on the dropped rows. Fractions appear again only in the outcome.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from credalkit import _backend
@@ -189,6 +193,54 @@ def _rref(aug, n):
     return pivots
 
 
+def independent_rows(rows) -> list:
+    """Indices of a greedy maximal linearly independent subset of integer
+    rows of one length, taken in input order.
+
+    A row is kept when it is not in the span of the rows kept before
+    it, which does not depend on the field, so fraction-free
+    elimination picks the same rows as Fraction elimination would. The
+    kept rows are held reduced (each zero at every other kept row's
+    pivot column), so a new row is reduced only by the kept rows whose
+    pivot column it touches.
+    """
+    basis = []  # (pivot column, primitive reduced row)
+    chosen = []
+    for idx, row in enumerate(rows):
+        vec = row
+        for col, red in basis:
+            f = vec[col]
+            if f:
+                p = red[col]
+                if p == 1:
+                    vec = [v - f * w for v, w in zip(vec, red)]
+                else:
+                    vec = _content_free([p * v - f * w for v, w in zip(vec, red)])
+        piv = next((j for j, v in enumerate(vec) if v), None)
+        if piv is None:
+            continue
+        # clear the new pivot column from the kept rows; with p > 0 and
+        # vec 0 at their pivots, every pivot entry stays positive
+        vec = _content_free([-v for v in vec] if vec[piv] < 0 else vec)
+        p = vec[piv]
+        for k, (col, red) in enumerate(basis):
+            f = red[piv]
+            if f:
+                red = _content_free([p * v - f * w for v, w in zip(red, vec)])
+                basis[k] = (col, red)
+        basis.append((piv, vec))
+        chosen.append(idx)
+        if len(chosen) == len(vec):
+            break
+    return chosen
+
+
+def _content_free(vec):
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*vec)
+    return vec if g <= 1 else [v // g for v in vec]
+
+
 # ---------------------------------------------------------------------------
 # Linear programming
 
@@ -259,17 +311,20 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     # kernel rows and both certificate checks are built from these.
     irows = [_integer_row([*coeffs, rhs]) for coeffs, _sense, rhs in problem.rows]
     onums, oden = _integer_row(problem.objective)
+    kept = _kept_rows(problem, irows)
 
     # Column expansion: sign-constrained variables map to one column,
     # free variables split into a positive and a negative part.
     ncols = n + sum(split)
-    slack_cols = sum(1 for _coeffs, sense, _rhs in problem.rows if sense != EQ)
+    slack_cols = sum(1 for i in kept if problem.rows[i][1] != EQ)
     width = ncols + slack_cols
     slack_at = ncols
     arows = []
     dens = []
     sigma = []
-    for (_coeffs, sense, _rhs), (nums, den) in zip(problem.rows, irows):
+    for i in kept:
+        sense = problem.rows[i][1]
+        nums, den = irows[i]
         row = _expand(nums, split)
         row += [0] * slack_cols
         if sense != EQ:
@@ -293,7 +348,13 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
         return LpOutcome("unbounded")
 
     if status == "infeasible":
-        certificate = _farkas_from_dual(problem, sigma, y)
+        if len(y) != len(kept):
+            raise RuntimeError("kernel returned a witness of the wrong length")
+        # back to one entry per problem row, in the rows' own signs
+        dual = [ZERO] * len(problem.rows)
+        for i, sg, yi in zip(kept, sigma, y):
+            dual[i] = sg * yi
+        certificate = _farkas_from_dual(problem, dual)
         outcome = LpOutcome("infeasible", certificate=certificate)
         _check_infeasible(problem, irows, certificate)
         return outcome
@@ -307,6 +368,17 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     outcome = LpOutcome("optimal", value=value, solution=solution)
     _check_optimal(problem, irows, outcome)
     return outcome
+
+
+def _kept_rows(problem, irows):
+    """Indices of the rows the kernel sees: every inequality row, and
+    each equality row independent of the equality rows kept before it."""
+    eqs = [i for i, (_coeffs, sense, _rhs) in enumerate(problem.rows) if sense == EQ]
+    keep = {eqs[k] for k in independent_rows([irows[i][0] for i in eqs])}
+    return [
+        i for i, (_coeffs, sense, _rhs) in enumerate(problem.rows)
+        if sense != EQ or i in keep
+    ]
 
 
 def _integer_row(values):
@@ -328,15 +400,16 @@ def _expand(nums, split):
     return row
 
 
-def _farkas_from_dual(problem, sigma, y):
-    """Map the phase-1 dual onto per-row multipliers, <= normalized.
+def _farkas_from_dual(problem, dual):
+    """Map the phase-1 dual (one entry per row, in the row's own sign)
+    onto per-row multipliers, <= normalized.
 
     Scaled so the combined rhs is exactly -1.
     """
-    mult = []
-    for (coeffs, sense, _rhs), sg, yi in zip(problem.rows, sigma, y):
-        mu = -sg * yi
-        mult.append(-mu if sense == GE else mu)
+    mult = [
+        yi if sense == GE else -yi
+        for (_coeffs, sense, _rhs), yi in zip(problem.rows, dual)
+    ]
     gap = ZERO
     for (coeffs, sense, rhs), cm in zip(problem.rows, mult):
         gap += cm * (-rhs if sense == GE else rhs)

@@ -29,6 +29,7 @@ from credalkit.exactq import (
     LpProblem,
     QMatrix,
     dot,
+    independent_rows,
     lp_solve,
     qvec,
     solve_linear_system,
@@ -305,35 +306,13 @@ def _primitive_int(vec) -> tuple:
     return tuple(v // g for v in ints)
 
 
-def _independent_rows(rows, dim):
-    """Greedy maximal linearly independent subset, in input order."""
-    basis = []  # (pivot_col, reduced_row)
-    chosen = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(v) for v in row]
-        for col, red in basis:
-            f = vec[col]
-            if f != 0:
-                vec = [a - f * b for a, b in zip(vec, red)]
-        piv = next((j for j, v in enumerate(vec) if v != 0), None)
-        if piv is None:
-            continue
-        pv = vec[piv]
-        vec = [v / pv for v in vec]
-        basis.append((piv, vec))
-        chosen.append(idx)
-        if len(chosen) == dim:
-            break
-    return chosen
-
-
 def _extreme_rays(rows, dim):
     """Extreme rays of the pointed cone {z : r.z <= 0 for r in rows}.
 
     `rows` are integer tuples. Raises UnboundedError when the cone has a
     lineality space (rank below dim). Returns primitive integer rays.
     """
-    init = _independent_rows(rows, dim)
+    init = independent_rows(rows)
     if len(init) < dim:
         raise UnboundedError("cone is not pointed")
     m0 = QMatrix([rows[i] for i in init])

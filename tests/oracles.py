@@ -6,9 +6,10 @@ solves), so these can cross-check both the LP solver and the geometry
 kernel without sharing their code paths.
 
 `fraction_simplex_solve` is the reference for the shipped simplex
-kernel: the same two-phase Bland simplex with plain Fraction entries,
-one tableau entry at a time, so it shares no arithmetic with the
-kernel's integer rows.
+kernel: the same two-phase Bland simplex from the same starting basis
+(unit columns basic, artificials on the other rows) with plain
+Fraction entries, one tableau entry at a time, so it shares no
+arithmetic with the kernel's integer rows.
 
 `apply` and `matrix_rank` are the dense matrix-vector product and the
 rank of a QMatrix, and `index_to_outcomes` / `all_outcome_tuples` spell
@@ -176,43 +177,60 @@ def fraction_simplex_solve(m, n, a, b, c):
                                 y.b > 0 (an exact infeasibility witness)
       ("unbounded", None, None)
     """
-    ntot = n + m
+    # A column positive in one row and zero in every other row starts
+    # basic there (the lowest such column per row); the other rows get
+    # artificials, numbered in row order.
+    start = [-1] * m
+    for j in range(n):
+        hits = [i for i in range(m) if a[i][j] != 0]
+        if len(hits) == 1 and a[hits[0]][j] > 0 and start[hits[0]] < 0:
+            start[hits[0]] = j
+    art = [i for i in range(m) if start[i] < 0]
+    ntot = n + len(art)
     rhs = ntot
     rows = []
+    basis = []
     for i in range(m):
         row = [ZERO] * (ntot + 1)
         ai = a[i]
         for j in range(n):
             row[j] = ai[j]
-        row[n + i] = ONE
         row[rhs] = b[i]
+        if start[i] < 0:
+            basis.append(n + art.index(i))
+            row[basis[-1]] = ONE
+        else:
+            basis.append(start[i])
+            piv = ai[start[i]]
+            row = [v / piv for v in row]
         rows.append(row)
-    basis = list(range(n, ntot))
 
-    # Phase-1 reduced costs for the all-artificial basis.
+    # Phase-1 reduced costs: the artificial rows summed and negated.
     cost = [ZERO] * (ntot + 1)
-    for j in range(n):
+    for j in list(range(n)) + [rhs]:
         s = ZERO
-        for i in range(m):
+        for i in art:
             s += rows[i][j]
         cost[j] = -s
-    total = ZERO
-    for i in range(m):
-        total += rows[i][rhs]
-    cost[rhs] = -total
 
     # Artificial columns never re-enter: entering index stays below n.
     _bland(rows, cost, basis, rhs, n)
     if cost[rhs] < 0:
-        # Positive phase-1 optimum: extract the dual witness from the
-        # artificial columns (reduced cost of artificial i is 1 - y_i).
-        y = [ONE - cost[n + i] for i in range(m)]
+        # Positive phase-1 optimum: the reduced cost of artificial i is
+        # 1 - y_i, and that of the column j basic from the start in row i
+        # is -y_i * a_ij.
+        y = [None] * m
+        for r, i in enumerate(art):
+            y[i] = ONE - cost[n + r]
+        for i in range(m):
+            if start[i] >= 0:
+                y[i] = -cost[start[i]] / a[i][start[i]]
         return ("infeasible", None, y)
 
     # Drive leftover artificials out of the basis (degenerate pivots);
     # rows with no structural entry are redundant and get dropped.
     drop = []
-    for i in range(m):
+    for i in art:
         if basis[i] >= n:
             piv = -1
             ri = rows[i]

@@ -284,6 +284,12 @@ class TestExtendMeasure:
         with pytest.raises(DimensionError):
             extend_measure(3, [(0, 1), (2,)], [F(1, 3), F(1, 3)])
 
+    @pytest.mark.parametrize("point", [1.5, True, 1.0, "1"], ids=repr)
+    def test_non_integer_atom_point(self, point):
+        # 1.5 and True used to be read as int(1.5) = 1 and int(True) = 1
+        with pytest.raises(DimensionError, match="not an integer"):
+            extend_measure(2, [[0], [point]], ["1/2", "1/2"])
+
 
 class TestClosednessWitness:
     def test_polytope_mode_delegates_to_separation(self):

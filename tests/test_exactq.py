@@ -9,13 +9,14 @@ from credalkit.exactq import (
     RationalParseError,
     dot,
     format_rational,
+    independent_rows,
     lp_problem,
     lp_solve,
     parse_rational,
     qvec,
     solve_linear_system,
 )
-from oracles import apply, brute_force_max, matrix_rank
+from oracles import apply, brute_force_max, fraction_simplex_solve, matrix_rank
 
 from credalkit import _backend
 
@@ -215,25 +216,194 @@ class TestLpSolve:
             )
             out = lp_solve(problem)
             statuses.add(out.status)
-            if out.status == "optimal":
-                x = out.solution
-                assert all(v >= 0 for v, flag in zip(x, nonneg) if flag)
-                for coeffs, sense, rhs in problem.rows:
-                    lhs = dot(coeffs, x)
-                    assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[sense]
-                assert out.value == dot(problem.objective, x)
-            elif out.status == "infeasible":
-                combined = [F(0)] * n
-                combined_rhs = F(0)
-                for (coeffs, sense, rhs), cm in zip(problem.rows, out.certificate):
-                    flip = -1 if sense == ">=" else 1
-                    assert sense == "=" or cm >= 0
-                    combined = [s + cm * flip * v for s, v in zip(combined, coeffs)]
-                    combined_rhs += cm * flip * rhs
-                for v, flag in zip(combined, nonneg):
-                    assert v >= 0 if flag else v == 0
-                assert combined_rhs == -1
+            assert_verifies(problem, out)
         assert {"optimal", "infeasible", "unbounded"} <= statuses
+
+
+def assert_verifies(problem, out):
+    """Re-check an optimal point or a Farkas certificate in Fractions."""
+    n = len(problem.objective)
+    if out.status == "optimal":
+        x = out.solution
+        assert all(v >= 0 for v, flag in zip(x, problem.nonneg) if flag)
+        for coeffs, sense, rhs in problem.rows:
+            lhs = dot(coeffs, x)
+            assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[sense]
+        assert out.value == dot(problem.objective, x)
+    elif out.status == "infeasible":
+        assert len(out.certificate) == len(problem.rows)
+        combined = [F(0)] * n
+        combined_rhs = F(0)
+        for (coeffs, sense, rhs), cm in zip(problem.rows, out.certificate):
+            flip = -1 if sense == ">=" else 1
+            assert sense == "=" or cm >= 0
+            combined = [s + cm * flip * v for s, v in zip(combined, coeffs)]
+            combined_rhs += cm * flip * rhs
+        for v, flag in zip(combined, problem.nonneg):
+            assert v >= 0 if flag else v == 0
+        assert combined_rhs == -1
+
+
+def reference_lp(problem):
+    """Status and optimal value from the Fraction reference kernel on the
+    problem's equality form with every row: free variables split, one
+    slack per inequality row, rows with a negative rhs negated."""
+    a, b = [], []
+    n_slack = sum(1 for _c, sense, _r in problem.rows if sense != "=")
+    slack = 0
+    for coeffs, sense, rhs in problem.rows:
+        row = []
+        for v, flag in zip(coeffs, problem.nonneg):
+            row += [v] if flag else [v, -v]
+        tail = [F(0)] * n_slack
+        if sense != "=":
+            tail[slack] = F(1) if sense == "<=" else F(-1)
+            slack += 1
+        row += tail
+        flip = -1 if rhs < 0 else 1
+        a.append([flip * v for v in row])
+        b.append(flip * rhs)
+    sign = 1 if problem.direction == "min" else -1
+    c = []
+    for v, flag in zip(problem.objective, problem.nonneg):
+        c += [sign * v] if flag else [sign * v, -sign * v]
+    c += [F(0)] * n_slack
+    status, x, _ = fraction_simplex_solve(len(a), len(c), a, b, c)
+    value = sign * dot(c, x) if status == "optimal" else None
+    return status, value
+
+
+def dropped_rows(problem):
+    """Equality rows in the span of the equality rows before them,
+    coefficients and rhs together."""
+    earlier, dropped = [], []
+    for i, (coeffs, sense, rhs) in enumerate(problem.rows):
+        if sense != "=":
+            continue
+        stacked = earlier + [[*coeffs, rhs]]
+        if matrix_rank(QMatrix(stacked)) < len(stacked):
+            dropped.append(i)
+        else:
+            earlier = stacked
+    return dropped
+
+
+def random_dependent_lp(rng):
+    """A random LP whose equality rows include exact duplicates, scaled
+    copies and sums of other rows, a third of them with a changed rhs,
+    mixed with inequality rows in random order."""
+    n = rng.randint(2, 4)
+    eqs = []
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        eqs.append((coeffs, F(rng.randint(-3, 3), rng.randint(1, 3))))
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("duplicate", "scaled", "sum"))
+        (c1, r1), (c2, r2) = rng.choice(eqs), rng.choice(eqs)
+        if kind == "duplicate":
+            coeffs, rhs = list(c1), r1
+        elif kind == "scaled":
+            k = F(rng.choice((-3, -2, -1, 2, 3)), rng.randint(1, 3))
+            coeffs, rhs = [k * v for v in c1], k * r1
+        else:
+            coeffs, rhs = [u + v for u, v in zip(c1, c2)], r1 + r2
+        if rng.random() < 0.3:
+            rhs += F(rng.choice((-1, 1)), rng.randint(1, 3))
+        eqs.append((coeffs, rhs))
+    rows = [(coeffs, "=", rhs) for coeffs, rhs in eqs]
+    for _ in range(rng.randint(0, 3)):
+        coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        rows.append((coeffs, rng.choice(["<=", ">="]), F(rng.randint(-3, 3))))
+    rng.shuffle(rows)
+    return lp_problem(
+        rng.choice(["min", "max"]),
+        [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)],
+        rows,
+        [rng.random() < 0.6 for _ in range(n)],
+    )
+
+
+class TestIndependentRows:
+    def test_matches_rank_oracle(self):
+        # rows drawn at random or as combinations of earlier rows; a row
+        # is kept iff it raises the rank of the rows kept before it
+        rng = random.Random(8)
+        for _ in range(200):
+            width = rng.randint(1, 6)
+            rows = []
+            for _ in range(rng.randint(1, 9)):
+                if rows and rng.random() < 0.5:
+                    u, v = rng.choice(rows), rng.choice(rows)
+                    k, h = rng.randint(-3, 3), rng.randint(-3, 3)
+                    rows.append([k * x + h * y for x, y in zip(u, v)])
+                else:
+                    rows.append([rng.randint(-4, 4) for _ in range(width)])
+            expected = []
+            for i, row in enumerate(rows):
+                kept = [rows[j] for j in expected] + [row]
+                if any(row) and matrix_rank(QMatrix(kept)) == len(kept):
+                    expected.append(i)
+            assert independent_rows(rows) == expected
+
+
+class TestEqualityPresolve:
+    """Dependent equality rows never reach the kernel; the answer is the
+    one of the unfiltered problem and is checked against every row."""
+
+    def test_dependent_rows_match_reference(self, monkeypatch):
+        rng = random.Random(41)
+        seen = []
+        solve = _backend.simplex_solve
+
+        def recording(m, *args):
+            seen.append(m)
+            return solve(m, *args)
+
+        monkeypatch.setattr(_backend, "simplex_solve", recording)
+        statuses = set()
+        with_dropped = inconsistent = 0
+        for _ in range(150):
+            problem = random_dependent_lp(rng)
+            dropped = dropped_rows(problem)
+            out = lp_solve(problem)
+            assert seen.pop() == len(problem.rows) - len(dropped)
+            status, value = reference_lp(problem)
+            assert out.status == status
+            assert out.value == value
+            assert_verifies(problem, out)
+            if out.status == "infeasible":
+                assert all(out.certificate[i] == 0 for i in dropped)
+                eqs = [(c, s, r) for c, s, r in problem.rows if s == "="]
+                n = len(problem.objective)
+                alone = lp_problem("min", problem.objective, eqs, [False] * n)
+                inconsistent += lp_solve(alone).status == "infeasible"
+            statuses.add(out.status)
+            with_dropped += bool(dropped)
+        assert {"optimal", "infeasible", "unbounded"} <= statuses
+        assert with_dropped > 100 and inconsistent > 20
+
+    def test_inconsistent_copy_is_kept(self):
+        # the scaled copy with a changed rhs proves infeasibility; the
+        # exact duplicate is dropped and gets multiplier 0
+        out = lp_solve(
+            lp_problem(
+                "min",
+                [0, 0],
+                [([1, 1], "=", 1), ([1, 1], "=", 1), ([2, 2], "=", 3)],
+                [False, False],
+            )
+        )
+        assert out.status == "infeasible"
+        assert out.certificate[1] == 0
+        assert out.certificate == (F(2), F(0), F(-1))
+
+    def test_zero_row(self):
+        # 0 = 0 is dropped; 0 = 1 is kept and is the whole certificate
+        problem = lp_problem(
+            "max", [1], [([0], "=", 0), ([1], "<=", 2), ([0], "=", 1)]
+        )
+        assert lp_solve(problem).certificate == (F(0), F(0), F(-1))
+        assert lp_solve(lp_problem("max", [1], problem.rows[:2])).value == 2
 
 
 def fake_kernel(monkeypatch, answer):
@@ -246,7 +416,9 @@ class TestCertificateChecks:
 
     The kernel sees one column per sign-constrained variable, two per
     free one (positive, then negative) and then one slack per inequality
-    row; a Farkas `y` has one entry per row.
+    row; a Farkas `y` has one entry per row the kernel is given: every
+    inequality row and each equality row independent of the equality
+    rows before it.
     """
 
     @pytest.mark.parametrize(
@@ -304,6 +476,29 @@ class TestCertificateChecks:
         fake_kernel(monkeypatch, ("infeasible", None, [y]))
         with pytest.raises(RuntimeError, match="infeasibility witness"):
             lp_solve(lp_problem("min", [0], [([1], "<=", 1)]))
+
+    # x0 = 1, 2 x0 = 2 (dropped), x0 = 3: the kernel sees rows 0 and 2
+    MISALIGNED = [([1], "=", 1), ([2], "=", 2), ([1], "=", 3)]
+
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            # valid on all three rows, but the kernel was given two
+            ([F(-1), F(0), F(1)], "wrong length"),
+            # valid on rows 0 and 2 in the other order
+            ([F(1), F(-1)], "infeasibility witness"),
+        ],
+        ids=["unfiltered", "swapped"],
+    )
+    def test_witness_misaligned_with_kept_rows(self, monkeypatch, y, message):
+        fake_kernel(monkeypatch, ("infeasible", None, y))
+        with pytest.raises(RuntimeError, match=message):
+            lp_solve(lp_problem("min", [0], self.MISALIGNED))
+
+    def test_witness_on_kept_rows_accepted(self, monkeypatch):
+        fake_kernel(monkeypatch, ("infeasible", None, [F(-1), F(1)]))
+        out = lp_solve(lp_problem("min", [0], self.MISALIGNED))
+        assert out.certificate == (F(1, 2), F(0), F(-1, 2))
 
     def test_valid_certificate_accepted(self, monkeypatch):
         # -x0 >= 1 with x0 >= 0 is infeasible, and y = 1 proves it
