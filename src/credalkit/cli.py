@@ -24,7 +24,6 @@ from credalkit import spaces as sp
 from credalkit._backend import kernel_backend
 from credalkit.exactq import (
     DimensionError,
-    QMatrix,
     RationalParseError,
     format_rational,
 )
@@ -79,19 +78,20 @@ def cmd_build(args):
 
 
 def _singleton_note(model):
+    """The note for a joint set P that is one point: P's equality rows
+    leave no free direction, or max v.x = min v.x over P for every
+    nullspace vector v of those rows. (A difference of two points of P
+    lies in the span of the nullspace; if it is also orthogonal to each
+    v, it is 0.)"""
     if model.mode != cr.POLYTOPE or model.is_empty():
         return None
-    from credalkit.exactq import solve_linear_system
-
-    h = model.body.hrep
-    if not h.eqs:
-        return None
-    res = solve_linear_system(
-        QMatrix([row for row, _ in h.eqs]), [rhs for _, rhs in h.eqs]
-    )
-    if res.status == "unique":
-        return "joint set is a single measure"
-    return None
+    _, nullspace, _ = pt._equality_solutions(model.body.hrep)
+    for v in nullspace:
+        _, high, _ = pt._maximize(model.body, v)
+        _, low, _ = pt._maximize(model.body, [-c for c in v])
+        if high != -low:
+            return None
+    return "joint set is a single measure"
 
 
 def cmd_verify(args):
@@ -197,6 +197,16 @@ def cmd_extend(args):
     return EXIT_PASS
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="credalkit",
@@ -233,7 +243,7 @@ def _build_parser():
                    help="print the JSON report to stdout")
     p.add_argument("--emit-vertices", action="store_true",
                    help="include the joint set's vertices in the report")
-    p.add_argument("--vertex-limit", type=int, default=500,
+    p.add_argument("--vertex-limit", type=_nonnegative_int, default=500,
                    help="withhold the vertex list beyond this count")
     p.set_defaults(func=cmd_verify)
 

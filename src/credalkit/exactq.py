@@ -2,11 +2,12 @@
 
 Everything in this package funnels through here: rationals are
 `fractions.Fraction` (always canonical: positive denominator, reduced),
-vectors are tuples of Fractions, matrices are immutable row-major grids,
-and `lp_solve` is an exact two-phase simplex that returns either an
-optimal point, an unbounded flag, or a Farkas-style infeasibility
-certificate that can be re-verified by direct substitution. There are
-no tolerances anywhere; every comparison is exact.
+vectors are tuples of Fractions, `echelon` is the one (fraction-free,
+integer) Gaussian elimination, and `lp_solve` is an exact two-phase
+simplex that returns either an optimal point, an unbounded flag, or a
+Farkas-style infeasibility certificate that can be re-verified by direct
+substitution. There are no tolerances anywhere; every comparison is
+exact.
 
 `lp_solve` converts each row of an `LpProblem` once to integer
 numerators over the row's least common denominator. An equality row
@@ -81,134 +82,29 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-class QMatrix:
-    """Immutable dense rational matrix, row-major."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(qvec(r) for r in rows)
-        if not rows:
-            raise DimensionError("matrix needs at least one row")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise DimensionError("ragged matrix rows")
-        self_set = super().__setattr__
-        self_set("rows", rows)
-        self_set("nrows", len(rows))
-        self_set("ncols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"QMatrix({self.nrows}x{self.ncols})"
-
-
 # ---------------------------------------------------------------------------
-# Gaussian elimination
+# Fraction-free elimination
 
 
-@dataclass(frozen=True)
-class LinearSolveResult:
-    """Outcome of exact Gaussian elimination on A x = b.
+def echelon(rows):
+    """Greedy row echelon form of integer rows of one length.
 
-    status is "unique", "underdetermined", or "inconsistent". When the
-    system is consistent, `solution` is a particular solution and
-    `nullspace` a basis of {x : A x = 0} (empty for unique solutions),
-    so the full solution set is solution + span(nullspace).
+    Rows are taken in input order; a row is kept when it is not in the
+    span of the rows kept before it. Returns (chosen, kept): the indices
+    of the kept rows, and for each one its pivot column and its
+    primitive reduced row. A reduced row has its pivot at its first
+    nonzero entry, positive, and is zero at every other kept row's
+    pivot column, so the kept rows are the reduced row echelon form of
+    the rows up to row scaling (which does not depend on the field, so
+    fraction-free elimination keeps the same rows as Fraction
+    elimination would). A new row is reduced only by the kept rows
+    whose pivot column it touches.
     """
-
-    status: str
-    rank: int
-    solution: Optional[tuple]
-    nullspace: tuple
-
-
-def solve_linear_system(a: QMatrix, b: Sequence[Fraction]) -> LinearSolveResult:
-    """Exact solve of A x = b with rank reporting.
-
-    Deterministic: reduced row echelon form with first-nonzero pivoting.
-    """
-    if a.nrows != len(b):
-        raise DimensionError(f"solve: {a.nrows} rows vs {len(b)} rhs")
-    b = qvec(b)
-    aug = [list(row) + [rhs] for row, rhs in zip(a.rows, b)]
-    n = a.ncols
-    pivots = _rref(aug, n)
-    rank = len(pivots)
-    for row in aug[rank:]:
-        if row[n] != 0:
-            return LinearSolveResult("inconsistent", rank, None, ())
-    solution = [ZERO] * n
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][n]
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    nullspace = []
-    for free in free_cols:
-        vec = [ZERO] * n
-        vec[free] = ONE
-        for r, col in enumerate(pivots):
-            vec[col] = -aug[r][free]
-        nullspace.append(tuple(vec))
-    status = "unique" if not free_cols else "underdetermined"
-    return LinearSolveResult(status, rank, tuple(solution), tuple(nullspace))
-
-
-def _rref(aug, n):
-    """In-place reduced row echelon form over columns 0..n-1.
-
-    Returns the pivot column list; rows beyond the rank hold only the
-    (possibly nonzero) augmented entries.
-    """
-    pivots = []
-    r = 0
-    for col in range(n):
-        sel = -1
-        for i in range(r, len(aug)):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        piv = aug[r][col]
-        if piv != 1:
-            aug[r] = [v / piv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    return pivots
-
-
-def independent_rows(rows) -> list:
-    """Indices of a greedy maximal linearly independent subset of integer
-    rows of one length, taken in input order.
-
-    A row is kept when it is not in the span of the rows kept before
-    it, which does not depend on the field, so fraction-free
-    elimination picks the same rows as Fraction elimination would. The
-    kept rows are held reduced (each zero at every other kept row's
-    pivot column), so a new row is reduced only by the kept rows whose
-    pivot column it touches.
-    """
-    basis = []  # (pivot column, primitive reduced row)
+    kept = []  # (pivot column, primitive reduced row)
     chosen = []
     for idx, row in enumerate(rows):
         vec = row
-        for col, red in basis:
+        for col, red in kept:
             f = vec[col]
             if f:
                 p = red[col]
@@ -223,16 +119,47 @@ def independent_rows(rows) -> list:
         # vec 0 at their pivots, every pivot entry stays positive
         vec = _content_free([-v for v in vec] if vec[piv] < 0 else vec)
         p = vec[piv]
-        for k, (col, red) in enumerate(basis):
+        for k, (col, red) in enumerate(kept):
             f = red[piv]
             if f:
                 red = _content_free([p * v - f * w for v, w in zip(red, vec)])
-                basis[k] = (col, red)
-        basis.append((piv, vec))
+                kept[k] = (col, red)
+        kept.append((piv, vec))
         chosen.append(idx)
         if len(chosen) == len(vec):
             break
-    return chosen
+    return chosen, kept
+
+
+def solve_rows(rows, n):
+    """The solution set of the integer rows [a | b], read a.x = b, in n
+    variables.
+
+    Returns None when a pivot lands in the rhs column (the system is
+    inconsistent), else (x0, nullspace, pivots): x0 is the solution that
+    is 0 on every free column, each nullspace vector is 1 at its free
+    column and 0 at the others (one per free column, in column order),
+    and pivots lists the pivot columns of the kept rows in row order.
+    The solutions are x0 + span(nullspace).
+    """
+    kept = echelon(rows)[1]
+    if any(col == n for col, _ in kept):
+        return None
+    x0 = [ZERO] * n
+    for col, red in kept:
+        x0[col] = Fraction(red[n], red[col])
+    pivots = [col for col, _ in kept]
+    taken = set(pivots)
+    nullspace = []
+    for free in range(n):
+        if free in taken:
+            continue
+        vec = [ZERO] * n
+        vec[free] = ONE
+        for col, red in kept:
+            vec[col] = Fraction(-red[free], red[col])
+        nullspace.append(tuple(vec))
+    return tuple(x0), tuple(nullspace), pivots
 
 
 def _content_free(vec):
@@ -374,7 +301,7 @@ def _kept_rows(problem, irows):
     """Indices of the rows the kernel sees: every inequality row, and
     each equality row independent of the equality rows kept before it."""
     eqs = [i for i, (_coeffs, sense, _rhs) in enumerate(problem.rows) if sense == EQ]
-    keep = {eqs[k] for k in independent_rows([irows[i][0] for i in eqs])}
+    keep = {eqs[k] for k in echelon([irows[i][0] for i in eqs])[0]}
     return [
         i for i, (_coeffs, sense, _rhs) in enumerate(problem.rows)
         if sense != EQ or i in keep

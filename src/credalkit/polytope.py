@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from credalkit.exactq import (
     EQ,
@@ -27,12 +27,13 @@ from credalkit.exactq import (
     ZERO,
     DimensionError,
     LpProblem,
-    QMatrix,
+    _content_free,
+    _integer_row,
     dot,
-    independent_rows,
+    echelon,
     lp_solve,
     qvec,
-    solve_linear_system,
+    solve_rows,
 )
 from credalkit.spaces import push
 
@@ -55,22 +56,12 @@ def _canon_ineq(coeffs, rhs):
     rows with negative rhs normalize to the canonical empty marker
     (0,...,0) <= -1.
     """
-    coeffs = qvec(coeffs)
-    rhs = Fraction(rhs)
-    den = rhs.denominator
-    for v in coeffs:
-        den = den * (v.denominator // gcd(den, v.denominator))
-    ints = [int(v * den) for v in coeffs]
-    r = int(rhs * den)
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g == 0:
-        if r >= 0:
+    nums = _integer_row(qvec([*coeffs, rhs]))[0]
+    if not any(nums[:-1]):
+        if nums[-1] >= 0:
             return None
-        return (tuple(Fraction(0) for _ in coeffs), Fraction(-1))
-    g = gcd(g, r)
-    return (tuple(Fraction(v // g) for v in ints), Fraction(r // g))
+        return (tuple(ZERO for _ in coeffs), Fraction(-1))
+    return _fraction_row(_content_free(nums))
 
 
 def _canon_eq(coeffs, rhs):
@@ -79,28 +70,19 @@ def _canon_eq(coeffs, rhs):
     Returns None when trivially true; all-zero rows with nonzero rhs
     normalize to (0,...,0) = 1 (the canonical inconsistent marker).
     """
-    coeffs = qvec(coeffs)
-    rhs = Fraction(rhs)
-    den = rhs.denominator
-    for v in coeffs:
-        den = den * (v.denominator // gcd(den, v.denominator))
-    ints = [int(v * den) for v in coeffs]
-    r = int(rhs * den)
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g == 0:
-        if r == 0:
+    nums = _integer_row(qvec([*coeffs, rhs]))[0]
+    lead = next((v for v in nums[:-1] if v), None)
+    if lead is None:
+        if nums[-1] == 0:
             return None
-        return (tuple(Fraction(0) for _ in coeffs), Fraction(1))
-    g = gcd(g, r)
-    sign = 1
-    for v in ints:
-        if v != 0:
-            sign = 1 if v > 0 else -1
-            break
-    g *= sign
-    return (tuple(Fraction(v // g) for v in ints), Fraction(r // g))
+        return (tuple(ZERO for _ in coeffs), Fraction(1))
+    nums = _content_free(nums)
+    return _fraction_row([-v for v in nums] if lead < 0 else nums)
+
+
+def _fraction_row(nums):
+    """(coefficients, rhs) as Fractions from the integer row [a | b]."""
+    return tuple(Fraction(v) for v in nums[:-1]), Fraction(nums[-1])
 
 
 @dataclass(frozen=True)
@@ -293,17 +275,7 @@ def _feasible_point(p: Polytope):
 
 def _primitive_int(vec) -> tuple:
     """Scale a rational vector to a primitive integer tuple."""
-    den = 1
-    for v in vec:
-        f = Fraction(v)
-        den = den * (f.denominator // gcd(den, f.denominator))
-    ints = [int(Fraction(v) * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g == 0:
-        return tuple(ints)
-    return tuple(v // g for v in ints)
+    return tuple(_content_free(_integer_row(vec)[0]))
 
 
 def _extreme_rays(rows, dim):
@@ -312,13 +284,10 @@ def _extreme_rays(rows, dim):
     `rows` are integer tuples. Raises UnboundedError when the cone has a
     lineality space (rank below dim). Returns primitive integer rays.
     """
-    init = independent_rows(rows)
+    init = echelon(rows)[0]
     if len(init) < dim:
         raise UnboundedError("cone is not pointed")
-    m0 = QMatrix([rows[i] for i in init])
-    inv = _inverse(m0)
-    cols = list(zip(*inv.rows))
-    rays = [_primitive_int([-v for v in col]) for col in cols]
+    rays = _initial_rays([rows[i] for i in init])
     # zero set bit t <-> the t-th processed row; ray j is tight on every
     # initial row except the j-th
     full = (1 << dim) - 1
@@ -361,50 +330,47 @@ def _extreme_rays(rows, dim):
                 combo = [
                     (-sn) * a + sp * b for a, b in zip(rays[ip], rays[im])
                 ]
-                new_rays.append(_primitive_int(combo))
+                new_rays.append(tuple(_content_free(combo)))
                 new_mask.append(zpn | bit)
         rays = keep_rays + new_rays
         zmask = keep_mask + new_mask
     return rays
 
 
-def _inverse(m: QMatrix) -> QMatrix:
-    n = m.nrows
-    if m.ncols != n:
-        raise DimensionError("inverse of a non-square matrix")
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(m.rows)]
-    for col in range(n):
-        sel = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if sel is None:
-            raise DimensionError("singular matrix")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        piv = aug[col][col]
-        if piv != 1:
-            aug[col] = [v / piv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return QMatrix([row[n:] for row in aug])
+def _initial_rays(m):
+    """The columns of -M^-1 for a nonsingular square integer matrix M,
+    each as a primitive integer tuple: ray j is 0 on every row of M but
+    the j-th, and negative on that one.
+
+    The echelon rows of [M | I] are the rows of [I | M^-1], each scaled
+    by its positive pivot entry p_c; scaling row c by lcm / p_c makes
+    them share one positive factor, which leaves every ray's primitive
+    form unchanged.
+    """
+    n = len(m)
+    kept = sorted(echelon([
+        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)
+    ])[1])
+    den = lcm(*[red[col] for col, red in kept])
+    return [
+        tuple(_content_free([-red[n + j] * (den // red[col]) for col, red in kept]))
+        for j in range(n)
+    ]
+
+
+def _equality_solutions(hrep: HRep):
+    """`solve_rows` on the equality rows of an H-rep; without any, x0 = 0
+    and the nullspace is the unit vectors."""
+    return solve_rows([_integer_row([*e, f])[0] for e, f in hrep.eqs], hrep.dim)
 
 
 def _points_from_hrep(hrep: HRep) -> tuple:
     """Vertices of a bounded H-rep polytope, sorted; () when empty."""
     dim = hrep.dim
-    if hrep.eqs:
-        e_mat = QMatrix([row for row, _ in hrep.eqs])
-        res = solve_linear_system(e_mat, [rhs for _, rhs in hrep.eqs])
-        if res.status == "inconsistent":
-            return ()
-        x0 = res.solution
-        basis = res.nullspace
-    else:
-        x0 = tuple([ZERO] * dim)
-        basis = tuple(
-            tuple(ONE if i == j else ZERO for j in range(dim))
-            for i in range(dim)
-        )
+    sol = _equality_solutions(hrep)
+    if sol is None:
+        return ()
+    x0, basis, _ = sol
     d2 = len(basis)
     if d2 == 0:
         ok = all(dot(a, x0) <= b for a, b in hrep.ineqs)
@@ -454,44 +420,15 @@ def _hrep_from_points(points, dim) -> HRep:
         return HRep.make(dim, ineqs=[(zero, Fraction(-1))])
     pts = sorted(set(points))
     v0 = pts[0]
-    diffs = [tuple(a - b for a, b in zip(v, v0)) for v in pts[1:]]
-
-    # row basis of the difference space; each new row is reduced by the
-    # earlier ones, then back-substitution makes pivot columns unit
-    basis = []  # (pivot_col, row)
-    for d in diffs:
-        vec = list(d)
-        for col, red in basis:
-            f = vec[col]
-            if f != 0:
-                vec = [a - f * b for a, b in zip(vec, red)]
-        piv = next((j for j, v in enumerate(vec) if v != 0), None)
-        if piv is None:
-            continue
-        pv = vec[piv]
-        vec = [v / pv for v in vec]
-        basis.append((piv, vec))
-    for i in range(len(basis) - 1, 0, -1):
-        piv_i, row_i = basis[i]
-        for k in range(i):
-            piv_k, row_k = basis[k]
-            f = row_k[piv_i]
-            if f != 0:
-                basis[k] = (piv_k, [a - f * b for a, b in zip(row_k, row_i)])
-
-    r = len(basis)
-    pivots = [piv for piv, _ in basis]
-    rows_b = [row for _, row in basis]
-
-    # affine-hull equalities: w.x = w.v0 for w spanning the complement
-    if r < dim:
-        null = solve_linear_system(
-            QMatrix(rows_b) if rows_b else QMatrix([[ZERO] * dim]),
-            [ZERO] * max(1, r),
-        ).nullspace
-        eqs = [(w, dot(w, v0)) for w in null]
-    else:
-        eqs = []
+    # the affine hull is v0 + the span of the differences; its
+    # equalities are w.x = w.v0 for the nullspace vectors w of the
+    # differences
+    diffs = [
+        _integer_row([a - b for a, b in zip(v, v0)] + [ZERO])[0] for v in pts[1:]
+    ]
+    _, null, pivots = solve_rows(diffs, dim)
+    eqs = [(w, dot(w, v0)) for w in null]
+    r = len(pivots)
 
     if r == 0:
         return HRep.make(dim, ineqs=(), eqs=eqs)

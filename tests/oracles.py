@@ -11,9 +11,13 @@ kernel: the same two-phase Bland simplex from the same starting basis
 Fraction entries, one tableau entry at a time, so it shares no
 arithmetic with the kernel's integer rows.
 
-`apply` and `matrix_rank` are the dense matrix-vector product and the
-rank of a QMatrix, and `index_to_outcomes` / `all_outcome_tuples` spell
-out the row-major order of outcome tuples cell by cell.
+`solve_linear_system` and `fraction_inverse` are the references for
+`credalkit.exactq.echelon` and its callers: Gauss-Jordan elimination in
+Fractions, with the pivot chosen column by column. Matrices here are
+plain sequences of rows. `apply` and `matrix_rank` are the dense
+matrix-vector product and the rank of a matrix, and `index_to_outcomes` /
+`all_outcome_tuples` spell out the row-major order of outcome tuples
+cell by cell.
 
 The `dense_*` builders are the reference for the coordinate maps of
 `credalkit.spaces`: each map written out as a 0/1 column-stochastic
@@ -24,7 +28,7 @@ a matrix-vector product and pulling a row is a row-matrix product.
 from fractions import Fraction
 from itertools import combinations, product
 
-from credalkit.exactq import DimensionError, QMatrix, dot, solve_linear_system
+from credalkit.exactq import DimensionError, dot, qvec
 from credalkit.spaces import alignment_permutation, product_index
 
 ZERO = Fraction(0)
@@ -48,10 +52,9 @@ def brute_force_vertices(dim, ineqs, eqs=()):
             rhs = [ineqs[i][1] for i in subset] + [f for _, f in eqs]
             if not rows:
                 continue
-            res = solve_linear_system(QMatrix(rows), rhs)
-            if res.status != "unique":
+            status, _, x, _ = solve_linear_system(rows, rhs)
+            if status != "unique":
                 continue
-            x = res.solution
             if all(dot(a, x) <= b for a, b in ineqs) and all(
                 dot(e, x) == f for e, f in eqs
             ):
@@ -90,13 +93,82 @@ def hrep_contains(hrep, x) -> bool:
     )
 
 
-def apply(m: QMatrix, vec) -> tuple:
+def solve_linear_system(a, b):
+    """Exact solve of A x = b: (status, rank, solution, nullspace).
+
+    status is "unique", "underdetermined" or "inconsistent". When the
+    system is consistent, `solution` is the particular solution that is
+    0 on every free column and `nullspace` holds one vector per free
+    column, 1 there and 0 at the other free columns, so the solution set
+    is solution + span(nullspace); otherwise they are None and ().
+    """
+    if len(a) != len(b):
+        raise DimensionError(f"solve: {len(a)} rows vs {len(b)} rhs")
+    n = len(a[0])
+    aug = [list(qvec(row)) + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    pivots = _rref(aug, n)
+    rank = len(pivots)
+    for row in aug[rank:]:
+        if row[n] != 0:
+            return "inconsistent", rank, None, ()
+    solution = [ZERO] * n
+    for r, col in enumerate(pivots):
+        solution[col] = aug[r][n]
+    free_cols = [j for j in range(n) if j not in set(pivots)]
+    nullspace = []
+    for free in free_cols:
+        vec = [ZERO] * n
+        vec[free] = ONE
+        for r, col in enumerate(pivots):
+            vec[col] = -aug[r][free]
+        nullspace.append(tuple(vec))
+    status = "unique" if not free_cols else "underdetermined"
+    return status, rank, tuple(solution), tuple(nullspace)
+
+
+def _rref(aug, n):
+    """In-place reduced row echelon form over columns 0..n-1.
+
+    Returns the pivot column list; rows beyond the rank hold only the
+    (possibly nonzero) augmented entries.
+    """
+    pivots = []
+    r = 0
+    for col in range(n):
+        sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        piv = aug[r][col]
+        aug[r] = [v / piv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(aug):
+            break
+    return pivots
+
+
+def fraction_inverse(m) -> tuple:
+    """The inverse of a nonsingular square matrix, by Gauss-Jordan."""
+    n = len(m)
+    aug = [list(qvec(row)) + [ONE if i == j else ZERO for j in range(n)]
+           for i, row in enumerate(m)]
+    if _rref(aug, n) != list(range(n)):
+        raise DimensionError("singular matrix")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def apply(m, vec) -> tuple:
     """The matrix-vector product M.vec."""
-    return tuple(dot(row, vec) for row in m.rows)
+    return tuple(dot(row, vec) for row in m)
 
 
-def matrix_rank(m: QMatrix) -> int:
-    return solve_linear_system(m, [ZERO] * m.nrows).rank
+def matrix_rank(m) -> int:
+    return solve_linear_system(m, [ZERO] * len(m))[1]
 
 
 def index_to_outcomes(space, idx: int, n: int) -> tuple:
@@ -116,23 +188,23 @@ def all_outcome_tuples(space, n: int):
     return product(space.outcomes, repeat=n)
 
 
-def dense_pushforward(space, alpha) -> QMatrix:
+def dense_pushforward(space, alpha) -> tuple:
     """Entry [x][w] is 1 iff path w agrees with outcome tuple x on alpha."""
     positions = [space.index_pos(t) for t in alpha]
     return _dense_reading(space, space.n_indices, positions)
 
 
-def dense_permutation(space, n, perm) -> QMatrix:
+def dense_permutation(space, n, perm) -> tuple:
     """The shuffle y -> (y[perm[0]], ..., y[perm[n-1]]) on n-tuples."""
     return _dense_reading(space, n, perm)
 
 
-def dense_marginal(space, n_total, n_keep) -> QMatrix:
+def dense_marginal(space, n_total, n_keep) -> tuple:
     """Sum out the trailing n_total - n_keep coordinates."""
     return _dense_reading(space, n_total, range(n_keep))
 
 
-def dense_restriction(space, alpha, beta) -> QMatrix:
+def dense_restriction(space, alpha, beta) -> tuple:
     """Shuffle beta's coordinates to the front, then sum out the rest."""
     perm = alignment_permutation(alpha, beta)
     return matmul(
@@ -141,28 +213,28 @@ def dense_restriction(space, alpha, beta) -> QMatrix:
     )
 
 
-def _dense_reading(space, n, positions) -> QMatrix:
+def _dense_reading(space, n, positions) -> tuple:
     ncols = space.n_outcomes ** n
     rows = [[ZERO] * ncols for _ in range(space.n_outcomes ** len(positions))]
     for col, y in enumerate(all_outcome_tuples(space, n)):
         rows[product_index(space, [y[p] for p in positions])][col] = ONE
-    return QMatrix(rows)
+    return tuple(map(tuple, rows))
 
 
-def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
+def matmul(a, b) -> tuple:
     out = []
-    for row in a.rows:
-        acc = [ZERO] * b.ncols
+    for row in a:
+        acc = [ZERO] * len(b[0])
         for k, v in enumerate(row):
             if v:
-                acc = [s + v * w for s, w in zip(acc, b.rows[k])]
-        out.append(acc)
-    return QMatrix(out)
+                acc = [s + v * w for s, w in zip(acc, b[k])]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
-def dense_pull(m: QMatrix, row) -> tuple:
+def dense_pull(m, row) -> tuple:
     """The row vector row.M."""
-    return tuple(dot(row, col) for col in zip(*m.rows))
+    return tuple(dot(row, col) for col in zip(*m))
 
 
 def fraction_simplex_solve(m, n, a, b, c):

@@ -310,6 +310,56 @@ class TestVerify:
         assert "joint set is a single measure" in report["notes"]
         assert report["joint"]["vertices"] == [["1/8"] * 8]
 
+    @staticmethod
+    def pinned_by_inequalities(bound):
+        # (a) caps p(0) at `bound`, (a,b) is the segment from
+        # [1/2,0,1/2,0] to [1,0,0,0]: with bound 1/2 only its first end
+        # is left, though no equality row says so
+        return {
+            "Y": ["0", "1"],
+            "T": ["a", "b"],
+            "credal_sets": [
+                {
+                    "tuple": ["a"],
+                    "mode": "polytope-h",
+                    "hrep": [{"coeffs": ["1", "0"], "sense": "<=", "rhs": bound}],
+                },
+                {"tuple": ["b"], "mode": "polytope-h", "hrep": []},
+                {
+                    "tuple": ["a", "b"],
+                    "mode": "polytope-v",
+                    "vertices": [["1/2", "0", "1/2", "0"], ["1", "0", "0", "0"]],
+                },
+            ],
+        }
+
+    def test_singleton_note_from_inequalities(self, tmp_path):
+        model = write(tmp_path, "m.json", self.pinned_by_inequalities("1/2"))
+        res = run_cli("verify", model, "--json", "--emit-vertices")
+        report = json.loads(res.stdout)
+        assert report["joint"]["vertices"] == [["1/2", "0", "1/2", "0"]]
+        assert report["notes"] == ["joint set is a single measure"]
+
+    def test_no_singleton_note_for_a_segment(self, tmp_path):
+        model = write(tmp_path, "m.json", self.pinned_by_inequalities("3/4"))
+        res = run_cli("verify", model, "--json", "--emit-vertices")
+        report = json.loads(res.stdout)
+        assert report["joint"]["vertices"] == [
+            ["1/2", "0", "1/2", "0"], ["3/4", "0", "1/4", "0"]
+        ]
+        assert report["notes"] == []
+
+    def test_negative_vertex_limit_rejected(self, tmp_path):
+        model = write(tmp_path, "m.json", full_simplex_model())
+        res = run_cli("verify", model, "--emit-vertices", "--vertex-limit", "-1")
+        assert res.returncode == 2
+        assert "--vertex-limit" in res.stderr and not res.stdout
+        res = run_cli("verify", model, "--json", "--emit-vertices", "--vertex-limit", "0")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["notes"] == [
+            "vertex list withheld: 4 vertices exceed the limit of 0"
+        ]
+
     def test_report_written_atomically(self, tmp_path):
         model = write(tmp_path, "m.json", full_simplex_model())
         out = str(tmp_path / "report.json")

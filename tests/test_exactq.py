@@ -5,18 +5,24 @@ import pytest
 
 from credalkit.exactq import (
     DimensionError,
-    QMatrix,
     RationalParseError,
+    _integer_row,
     dot,
+    echelon,
     format_rational,
-    independent_rows,
     lp_problem,
     lp_solve,
     parse_rational,
     qvec,
+    solve_rows,
+)
+from oracles import (
+    apply,
+    brute_force_max,
+    fraction_simplex_solve,
+    matrix_rank,
     solve_linear_system,
 )
-from oracles import apply, brute_force_max, fraction_simplex_solve, matrix_rank
 
 from credalkit import _backend
 
@@ -46,50 +52,93 @@ class TestRationalGrammar:
             assert gcd(abs(back.numerator), back.denominator) == 1
 
 
+def integer_rows(a, b):
+    """The system A x = b as integer rows [a | b]."""
+    return [_integer_row(qvec([*row, rhs]))[0] for row, rhs in zip(a, b)]
+
+
 class TestLinearSystems:
     def test_identity(self):
-        res = solve_linear_system(QMatrix([[1, 0], [0, 1]]), [F(1, 2), F(1, 2)])
-        assert res.status == "unique"
-        assert res.solution == (F(1, 2), F(1, 2))
+        x0, nullspace, pivots = solve_rows(
+            integer_rows([[1, 0], [0, 1]], [F(1, 2), F(1, 2)]), 2
+        )
+        assert x0 == (F(1, 2), F(1, 2))
+        assert nullspace == () and pivots == [0, 1]
 
     def test_inconsistent_parallel_rows(self):
-        res = solve_linear_system(QMatrix([[1, 1], [2, 2]]), [1, 3])
-        assert res.status == "inconsistent"
-        assert res.rank == 1
+        assert solve_rows(integer_rows([[1, 1], [2, 2]], [1, 3]), 2) is None
+        assert echelon([[1, 1], [2, 2]])[0] == [0]
 
     def test_random_invertible_residual(self):
         rng = random.Random(42)
         for _ in range(10):
             while True:
-                a = QMatrix(
-                    [
-                        [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)]
-                        for _ in range(5)
-                    ]
-                )
+                a = [
+                    [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)]
+                    for _ in range(5)
+                ]
                 if matrix_rank(a) == 5:
                     break
             b = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)]
-            res = solve_linear_system(a, b)
-            assert res.status == "unique"
-            assert list(apply(a, res.solution)) == list(qvec(b))
+            x0, nullspace, _ = solve_rows(integer_rows(a, b), 5)
+            assert nullspace == ()
+            assert list(apply(a, x0)) == list(qvec(b))
 
     def test_underdetermined_nullspace(self):
-        a = QMatrix([[1, 1, 0], [0, 0, 1]])
-        res = solve_linear_system(a, [1, 2])
-        assert res.status == "underdetermined"
-        assert res.rank == 2
-        for vec in res.nullspace:
+        a = [[1, 1, 0], [0, 0, 1]]
+        x0, nullspace, pivots = solve_rows(integer_rows(a, [1, 2]), 3)
+        assert pivots == [0, 2]
+        assert nullspace == ((F(-1), F(1), F(0)),)
+        for vec in nullspace:
             assert all(v == 0 for v in apply(a, vec))
         # full solution set reproduces the rhs
-        x = res.solution
-        assert list(apply(a, x)) == [F(1), F(2)]
+        assert list(apply(a, x0)) == [F(1), F(2)]
 
+    def test_no_rows(self):
+        x0, nullspace, pivots = solve_rows([], 2)
+        assert x0 == (F(0), F(0)) and pivots == []
+        assert nullspace == ((F(1), F(0)), (F(0), F(1)))
 
-class TestMatrix:
-    def test_shape_errors(self):
-        with pytest.raises(DimensionError):
-            QMatrix([[1, 2], [3]])
+    def test_matches_fraction_reference(self):
+        # random rational systems with duplicate, scaled, summed and
+        # zero rows, a third of the copies with a changed rhs: the same
+        # solution, nullspace and rank as Fraction Gauss-Jordan
+        rng = random.Random(6)
+        seen = set()
+        for _ in range(2000):
+            n = rng.randint(1, 5)
+            a, b = [], []
+            for _ in range(rng.randint(1, 6)):
+                kind = rng.choice(("fresh", "fresh", "duplicate", "scaled", "sum", "zero"))
+                if kind == "fresh" or not a:
+                    row = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                    rhs = F(rng.randint(-3, 3), rng.randint(1, 3))
+                elif kind == "zero":
+                    row, rhs = [F(0)] * n, F(rng.choice((0, 0, 1)))
+                else:
+                    i, j = rng.randrange(len(a)), rng.randrange(len(a))
+                    k = F(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+                    if kind == "duplicate":
+                        row, rhs = a[i], b[i]
+                    elif kind == "scaled":
+                        row, rhs = [k * v for v in a[i]], k * b[i]
+                    else:
+                        row = [u + k * v for u, v in zip(a[i], a[j])]
+                        rhs = b[i] + k * b[j]
+                    if rng.random() < 0.3:
+                        rhs += 1
+                a.append(row)
+                b.append(rhs)
+            status, rank, solution, nullspace = solve_linear_system(a, b)
+            got = solve_rows(integer_rows(a, b), n)
+            assert len(echelon(integer_rows(a, [0] * len(a)))[0]) == rank
+            if status == "inconsistent":
+                assert got is None
+            else:
+                assert got[:2] == (solution, nullspace)
+                assert len(got[2]) == rank
+            seen.add(status)
+        assert seen == {"unique", "underdetermined", "inconsistent"}
 
 
 class TestLpSolve:
@@ -281,7 +330,7 @@ def dropped_rows(problem):
         if sense != "=":
             continue
         stacked = earlier + [[*coeffs, rhs]]
-        if matrix_rank(QMatrix(stacked)) < len(stacked):
+        if matrix_rank(stacked) < len(stacked):
             dropped.append(i)
         else:
             earlier = stacked
@@ -341,9 +390,9 @@ class TestIndependentRows:
             expected = []
             for i, row in enumerate(rows):
                 kept = [rows[j] for j in expected] + [row]
-                if any(row) and matrix_rank(QMatrix(kept)) == len(kept):
+                if any(row) and matrix_rank(kept) == len(kept):
                     expected.append(i)
-            assert independent_rows(rows) == expected
+            assert echelon(rows)[0] == expected
 
 
 class TestEqualityPresolve:

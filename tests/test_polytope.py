@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
-from credalkit.exactq import QMatrix, dot
+import credalkit.polytope as pt
+from credalkit.exactq import dot
 from credalkit.polytope import (
+    HRep,
     NotSeparableError,
     Polytope,
     UnboundedError,
@@ -28,8 +31,11 @@ from oracles import (
     apply,
     brute_force_vertices,
     dense_pushforward,
+    fraction_inverse,
     hrep_contains,
     hull_sample_points,
+    matrix_rank,
+    solve_linear_system,
 )
 
 
@@ -127,7 +133,7 @@ class TestConversion:
 
 def dense(idx, size):
     """The index map as a 0/1 matrix."""
-    return QMatrix([[int(y == x) for y in idx] for x in range(size)])
+    return [[F(int(y == x)) for y in idx] for x in range(size)]
 
 
 class TestLinearImage:
@@ -195,14 +201,14 @@ class TestLinearPreimage:
         assert pre.hrep == Polytope.simplex(4).hrep
 
     def test_bijection_pins_uniform(self):
-        from credalkit.exactq import solve_linear_system
-
         target = credal_set_from_vertices(AB, ("a", "b"), [(F(1, 4),) * 4])
         pre = preimage_of(AB, ("a", "b"), target)
         # oracle: solve M.p = uniform directly
-        res = solve_linear_system(dense_pushforward(AB, ("a", "b")), [F(1, 4)] * 4)
-        assert res.status == "unique"
-        assert dd_convert(pre).points == (res.solution,)
+        status, _, x, _ = solve_linear_system(
+            dense_pushforward(AB, ("a", "b")), [F(1, 4)] * 4
+        )
+        assert status == "unique"
+        assert dd_convert(pre).points == (x,)
 
     def test_image_of_preimage_contained(self):
         rng = random.Random(31)
@@ -378,3 +384,153 @@ class TestSeparate:
             assert cert.gap > 0
             assert min(dot(cert.functional, cert.point) - dot(cert.functional, v)
                        for v in p.points) >= cert.gap
+
+
+def primitive(vec):
+    """A rational vector scaled to a primitive integer tuple, in Fractions."""
+    vec = [F(v) for v in vec]
+    den = lcm(*[v.denominator for v in vec])
+    ints = [int(v * den) for v in vec]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g else tuple(ints)
+
+
+def fraction_initial_rays(m):
+    return [primitive([-v for v in col]) for col in zip(*fraction_inverse(m))]
+
+
+def pivot_columns(a):
+    """The pivot columns of a's reduced row echelon form: the columns
+    that raise the rank of the columns before them."""
+    ranks = [matrix_rank([row[:c] for row in a]) for c in range(len(a[0]) + 1)]
+    return {c for c in range(len(a[0])) if ranks[c + 1] > ranks[c]}
+
+
+def fraction_solve_rows(rows, n):
+    """`solve_rows` from the Fraction references; the pivot of a kept row
+    is the column it adds to the pivots of the rows before it."""
+    a = [row[:n] for row in rows] or [[0] * n]
+    b = [row[n] for row in rows] or [0]
+    status, _, x0, nullspace = solve_linear_system(a, b)
+    if status == "inconsistent":
+        return None
+    pivots = []
+    for k in range(1, len(rows) + 1):
+        pivots += sorted(pivot_columns(a[:k]) - set(pivots))
+    return x0, nullspace, pivots
+
+
+def random_point_sets(rng, count):
+    """(points, dim): full-dimensional sets, sets spanning a random affine
+    subspace (a single point included), and points of the simplex."""
+    cases = []
+    for i in range(count):
+        dim = rng.randint(1, 4)
+        kind = i % 3
+        if kind == 0:
+            pts = [
+                tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
+                for _ in range(rng.randint(1, 7))
+            ]
+        elif kind == 1:
+            base = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]
+            dirs = [
+                [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
+                for _ in range(rng.randint(0, dim - 1))
+            ]
+            pts = []
+            for _ in range(rng.randint(1, 6)):
+                cs = [F(rng.randint(-3, 3)) for _ in dirs]
+                pts.append(tuple(
+                    base[j] + sum((c * d[j] for c, d in zip(cs, dirs)), F(0))
+                    for j in range(dim)
+                ))
+        else:
+            pts = []
+            for _ in range(rng.randint(1, 6)):
+                w = [F(rng.randint(0, 4)) for _ in range(dim)]
+                w[rng.randrange(dim)] += 1
+                pts.append(tuple(v / sum(w) for v in w))
+        cases.append((pts, dim))
+    return cases
+
+
+class TestEliminationParity:
+    """The echelon-based elimination reproduces the Fraction references:
+    the same initial rays, the same equality solutions, and so the same
+    double description runs."""
+
+    def test_initial_rays_match_fraction_inverse(self):
+        rng = random.Random(12)
+        checked = 0
+        while checked < 1000:
+            n = rng.randint(1, 5)
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if matrix_rank(m) < n:
+                continue
+            assert pt._initial_rays(m) == fraction_initial_rays(m)
+            checked += 1
+
+    def test_dd_matches_reference_run(self, monkeypatch):
+        rng = random.Random(13)
+        point_sets = random_point_sets(rng, 90)
+        hreps = []
+        for _ in range(30):
+            p = random_bounded_hrep(rng, rng.randint(1, 4))
+            eq = tuple(F(rng.randint(-2, 2)) for _ in range(p.dim))
+            eq = (eq, F(rng.randint(-1, 1)))
+            hreps.append(HRep(p.dim, p.hrep.ineqs, (eq,)))
+
+        real = pt._extreme_rays
+        calls = []
+
+        def recording(rows, dim):
+            rays = real(rows, dim)
+            calls.append((list(rows), dim, rays))
+            return rays
+
+        def run():
+            out = []
+            for pts, dim in point_sets:
+                h = pt._hrep_from_points(pts, dim)
+                out.append((h, pt._points_from_hrep(h)))
+            for h in hreps:
+                try:
+                    out.append(pt._points_from_hrep(h))
+                except UnboundedError:
+                    out.append("unbounded")
+            return out
+
+        monkeypatch.setattr(pt, "_extreme_rays", recording)
+        shipped = run()
+        shipped_calls = list(calls)
+        calls.clear()
+        monkeypatch.setattr(pt, "solve_rows", fraction_solve_rows)
+        monkeypatch.setattr(pt, "_initial_rays", fraction_initial_rays)
+        assert run() == shipped
+        assert calls == shipped_calls
+        assert any(h.eqs and h.ineqs for h, _ in shipped[:90])
+        assert any(pts == () for pts in shipped[90:])
+
+    def test_canonical_rows_match_fraction_scaling(self):
+        rng = random.Random(14)
+        for _ in range(500):
+            n = rng.randint(1, 4)
+            coeffs = [
+                F(rng.randint(-4, 4), rng.randint(1, 6)) * rng.choice((0, 1))
+                for _ in range(n)
+            ]
+            rhs = F(rng.randint(-4, 4), rng.randint(1, 6))
+            assert pt._primitive_int([*coeffs, rhs]) == primitive([*coeffs, rhs])
+            ineq, eq = pt._canon_ineq(coeffs, rhs), pt._canon_eq(coeffs, rhs)
+            zero = (F(0),) * n
+            if not any(coeffs):
+                assert ineq == (None if rhs >= 0 else (zero, F(-1)))
+                assert eq == (None if rhs == 0 else (zero, F(1)))
+                continue
+            prim = primitive([*coeffs, rhs])
+            sign = 1 if next(v for v in prim if v) > 0 else -1
+            assert ineq == (prim[:-1], prim[-1])
+            assert eq == (tuple(sign * v for v in prim[:-1]), sign * prim[-1])
+            for coeffs_out, rhs_out in (ineq, eq):
+                assert all(type(v) is F for v in (*coeffs_out, rhs_out))

@@ -185,11 +185,11 @@ class TestIndexMapParity:
 
     @staticmethod
     def check(rng, idx, dense):
-        assert len(idx) == dense.ncols
+        assert len(idx) == len(dense[0])
         for _ in range(3):
-            vec = random_vector(rng, dense.ncols)
-            assert push(idx, vec, dense.nrows) == apply(dense, vec)
-            row = random_vector(rng, dense.nrows)
+            vec = random_vector(rng, len(dense[0]))
+            assert push(idx, vec, len(dense)) == apply(dense, vec)
+            row = random_vector(rng, len(dense))
             assert pull(idx, row) == dense_pull(dense, row)
 
     def test_pushforward_maps(self):
