@@ -85,8 +85,7 @@ def _singleton_note(model):
     v, it is 0.)"""
     if model.mode != cr.POLYTOPE or model.is_empty():
         return None
-    _, nullspace, _ = pt._equality_solutions(model.body.hrep)
-    for v in nullspace:
+    for v in pt._lp_context(model.body).basis:
         _, high, _ = pt._maximize(model.body, v)
         _, low, _ = pt._maximize(model.body, [-c for c in v])
         if high != -low:

@@ -7,7 +7,10 @@ integer) Gaussian elimination, and `lp_solve` is an exact two-phase
 simplex that returns either an optimal point, an unbounded flag, or a
 Farkas-style infeasibility certificate that can be re-verified by direct
 substitution. There are no tolerances anywhere; every comparison is
-exact.
+exact. On request `echelon` also names the input rows behind each kept
+row; that is how an LP solved in affine-hull coordinates
+(`polytope.LpContext`) maps its infeasibility certificate back onto the
+equality rows it eliminated.
 
 `lp_solve` converts each row of an `LpProblem` once to integer
 numerators over the row's least common denominator. An equality row
@@ -86,7 +89,7 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 # Fraction-free elimination
 
 
-def echelon(rows):
+def echelon(rows, combine=False):
     """Greedy row echelon form of integer rows of one length.
 
     Rows are taken in input order; a row is kept when it is not in the
@@ -99,7 +102,31 @@ def echelon(rows):
     fraction-free elimination keeps the same rows as Fraction
     elimination would). A new row is reduced only by the kept rows
     whose pivot column it touches.
+
+    With `combine`, each kept entry is (pivot column, reduced row,
+    combination): the combination holds one Fraction per input row, 0
+    off the chosen rows, and the reduced row is the sum of the input
+    rows weighted by it. It is read off the echelon rows of
+    [chosen rows | I]: the chosen rows are independent, so every pivot
+    lands left of the identity block, the left block is the same
+    reduced row echelon form up to row scaling, and the right block
+    names the weights of the chosen rows behind it.
     """
+    if combine:
+        chosen = echelon(rows)[0]
+        k = len(chosen)
+        n = len(rows[0]) if rows else 0
+        aug = [
+            [*rows[i], *(int(t == j) for t in range(k))] for j, i in enumerate(chosen)
+        ]
+        out = []
+        for col, red in echelon(aug)[1]:
+            g = gcd(*red[:n])
+            comb = [ZERO] * len(rows)
+            for j, i in enumerate(chosen):
+                comb[i] = Fraction(red[n + j], g)
+            out.append((col, [v // g for v in red[:n]], tuple(comb)))
+        return chosen, out
     kept = []  # (pivot column, primitive reduced row)
     chosen = []
     for idx, row in enumerate(rows):

@@ -42,10 +42,10 @@ from credalkit.exactq import (
     ONE,
     ZERO,
     DimensionError,
+    LpOutcome,
     LpProblem,
     dot,
     lp_solve,
-    qvec,
 )
 
 SIMPLEX_ORIGIN = "simplex"
@@ -271,24 +271,24 @@ def _build_polytope(coll, reps) -> JointModel:
     dim = coll.space.path_count
     ineqs, eqs = _assemble(coll, reps)
     body = _system_polytope(dim, ineqs, eqs)
-    status, _, _ = pt._feasible_point(body)
-    if status != "optimal":
+    if body.is_empty():
         diagnosis = _diagnose(dim, ineqs, eqs)
         return JointModel(
             coll.space,
             POLYTOPE,
-            pt.Polytope(dim, hrep=body.hrep, empty=True),
+            body,
             tuple(origin for _, origin in ineqs),
             tuple(origin for _, origin in eqs),
             (),
             diagnosis,
         )
+    # the feasibility LP behind is_empty gave body its LP context, which
+    # both the redundancy removal and the trimmed body use
     keep = pt.remove_redundant_ineqs(
-        dim, body.hrep.ineqs, body.hrep.eqs
+        dim, body.hrep.ineqs, body.hrep.eqs, pt._lp_context(body)
     )
     ineqs = [ineqs[i] for i in keep]
-    body = _system_polytope(dim, ineqs, eqs)
-    body._empty = False
+    body = pt._with_ineqs(body, keep)
     return JointModel(
         coll.space,
         POLYTOPE,
@@ -328,7 +328,8 @@ def _diagnose(dim, ineqs, eqs) -> InfeasibilityDiagnosis:
         if bad:
             active = trial
     bad, certificate = infeasible(active)
-    assert bad and certificate is not None
+    if not bad:
+        raise RuntimeError("infeasible core turned feasible")
     offending = []
     for row, mult in zip(active, certificate):
         origin = row[3]
@@ -420,34 +421,28 @@ class RepresentationReport:
         return tuple(r for r in self.records if r.status != "pass")
 
 
-def _joint_lp_rows(joint):
-    rows, nonneg = pt._lp_rows(joint.body.hrep)
-    return list(rows), nonneg
-
-
 def _max_over_joint(joint, objective):
-    rows, nonneg = _joint_lp_rows(joint)
-    return lp_solve(LpProblem("max", qvec(objective), tuple(rows), nonneg))
+    """max objective.p over the joint set, as an LpOutcome."""
+    status, value, solution = pt._maximize(joint.body, objective)
+    return LpOutcome(status, value=value, solution=solution)
 
 
 def _member_reachable(joint, idx, v):
-    """Feasibility of {p in P : pushforward(p) = v} with certificate."""
-    rows, nonneg = _joint_lp_rows(joint)
-    n_base = len(rows)
-    for x, target in enumerate(v):
-        rows.append((tuple(ONE if y == x else ZERO for y in idx), EQ, target))
-    outcome = lp_solve(
-        LpProblem(
-            "min", tuple([ZERO] * joint.dim), tuple(rows), nonneg
-        )
-    )
-    if outcome.status == "optimal":
+    """Feasibility of {p in P : pushforward(p) = v} with certificate.
+
+    Runs in the joint set's LP context; on failure the Farkas
+    multipliers on the pushforward rows, negated, are a separating
+    functional on the image space.
+    """
+    rows = [
+        (tuple(ONE if y == x else ZERO for y in idx), target)
+        for x, target in enumerate(v)
+    ]
+    ok, certificate = pt._lp_context(joint.body).feasible_with(rows)
+    if ok:
         return True, None
-    # lift the Farkas multipliers on the pushforward rows into a
-    # separating functional on the image space
-    mu = outcome.certificate[n_base:]
-    g = tuple(-m for m in mu)
-    return False, g
+    mu = certificate[len(certificate) - len(rows):]
+    return False, tuple(-m for m in mu)
 
 
 def verify_representation(
@@ -501,7 +496,8 @@ def _verify_tuple_polytope(joint, alpha, cset):
         if not ok:
             lifted = sp.pull(idx, g)
             sup = _max_over_joint(joint, lifted)
-            assert sup.status == "optimal"
+            if sup.status != "optimal":
+                raise RuntimeError(f"supremum LP over the joint set ended {sup.status}")
             gap = dot(g, v) - sup.value
             failure = RepresentationRecord(
                 alpha,
@@ -527,7 +523,8 @@ def _verify_tuple_polytope(joint, alpha, cset):
     for g, bound in probes:
         lifted = sp.pull(idx, g)
         outcome = _max_over_joint(joint, lifted)
-        assert outcome.status == "optimal"
+        if outcome.status != "optimal":
+            raise RuntimeError(f"facet LP over the joint set ended {outcome.status}")
         if outcome.value > bound:
             image_point = sp.push(idx, outcome.solution, cset.dim)
             sup = max(dot(g, w) for w in target.points)

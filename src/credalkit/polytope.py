@@ -8,6 +8,14 @@ Representation conversion is the double description method run on the
 homogenization cone, with the combinatorial adjacency test; everything
 is exact.
 
+Every LP over a nonempty polytope runs in its `LpContext`, built on
+first use and cached on the polytope: affine-hull coordinates z with
+x = origin + N z, from a feasible origin, so every LP starts from the
+slack basis with no phase 1. The origin comes from the feasibility LP
+that also decides `is_empty` (or is the first generator), so the
+system's one phase 1 is that LP. Each answer is mapped back and checked
+against the original rows.
+
 Only bounded sets are supported. Constructors either receive finitely
 many points, or an inequality system that is expected to bound the set
 (the credal layer always includes probability-simplex constraints);
@@ -26,7 +34,10 @@ from credalkit.exactq import (
     ONE,
     ZERO,
     DimensionError,
+    LpOutcome,
     LpProblem,
+    _check_infeasible,
+    _check_optimal,
     _content_free,
     _integer_row,
     dot,
@@ -147,7 +158,7 @@ class Polytope:
     readers are safe.
     """
 
-    __slots__ = ("dim", "_hrep", "_points", "_empty", "_canonical")
+    __slots__ = ("dim", "_hrep", "_points", "_empty", "_canonical", "_context")
 
     def __init__(self, dim, hrep=None, points=None, empty=None, canonical=False):
         if hrep is None and points is None:
@@ -161,6 +172,7 @@ class Polytope:
             empty = len(self._points) == 0
         self._empty = empty
         self._canonical = canonical
+        self._context = None
 
     @classmethod
     def from_hrep(cls, dim, ineqs=(), eqs=()):
@@ -209,8 +221,7 @@ class Polytope:
             if self._points is not None:
                 self._empty = len(self._points) == 0
             else:
-                status, _, _ = _feasible_point(self)
-                self._empty = status != "optimal"
+                _lp_context(self)  # its feasibility LP decides emptiness
         return self._empty
 
     def __repr__(self):
@@ -224,21 +235,6 @@ class Polytope:
 
 # ---------------------------------------------------------------------------
 # LP plumbing over H-reps
-
-def _lp_rows(hrep, drop_nonneg=True):
-    """LP rows from an H-rep; unit nonnegativity rows become var bounds."""
-    nonneg = [False] * hrep.dim
-    rows = []
-    for coeffs, rhs in hrep.ineqs:
-        j = _unit_nonneg(coeffs, rhs, hrep.dim)
-        if drop_nonneg and j is not None:
-            nonneg[j] = True
-            continue
-        rows.append((coeffs, LE, rhs))
-    for coeffs, rhs in hrep.eqs:
-        rows.append((coeffs, EQ, rhs))
-    return rows, tuple(nonneg)
-
 
 def _unit_nonneg(coeffs, rhs, dim):
     """Index j when the row is exactly -x_j <= 0, else None."""
@@ -256,18 +252,229 @@ def _unit_nonneg(coeffs, rhs, dim):
 
 
 def _maximize(p: Polytope, f):
-    """Exact max of f over p via LP. Returns (status, value, argmax)."""
-    rows, nonneg = _lp_rows(p.hrep)
-    outcome = lp_solve(LpProblem("max", qvec(f), tuple(rows), nonneg))
-    return outcome.status, outcome.value, outcome.solution
+    """Exact max of f over p via p's LP context. Returns (status, value,
+    argmax); ("infeasible", None, None) when p is empty."""
+    ctx = _lp_context(p)
+    if ctx is None:
+        return "infeasible", None, None
+    return ctx.maximize(qvec(f))
 
 
 def _feasible_point(p: Polytope):
-    """Feasibility of p's H-rep; returns (status, x, certificate)."""
-    rows, nonneg = _lp_rows(p.hrep)
+    """Feasibility of p's H-rep; returns (status, x, certificate). Unit
+    nonnegativity rows -x_j <= 0 enter as bounds on x_j."""
+    h = p.hrep
+    nonneg = [False] * p.dim
+    rows = []
+    for coeffs, rhs in h.ineqs:
+        j = _unit_nonneg(coeffs, rhs, p.dim)
+        if j is None:
+            rows.append((coeffs, LE, rhs))
+        else:
+            nonneg[j] = True
+    rows += [(e, EQ, f) for e, f in h.eqs]
     zero = tuple([ZERO] * p.dim)
-    outcome = lp_solve(LpProblem("min", zero, tuple(rows), nonneg))
+    outcome = lp_solve(LpProblem("min", zero, tuple(rows), tuple(nonneg)))
     return outcome.status, outcome.solution, outcome.certificate
+
+
+# ---------------------------------------------------------------------------
+# LP contexts: every LP over one feasible system in affine-hull coordinates
+
+def _lp_context(p: Polytope):
+    """p's LP context, built on first use; None when p is empty.
+
+    Its origin is the first generator when p has them, else the point of
+    the feasibility LP that also decides `is_empty`.
+    """
+    if p._context is None:
+        if p._points is not None:
+            if not p._points:
+                return None
+            origin = p._points[0]
+        elif p._empty:
+            return None
+        else:
+            status, origin, _ = _feasible_point(p)
+            p._empty = status != "optimal"
+            if p._empty:
+                return None
+        p._context = LpContext.build(p.hrep, origin)
+    return p._context
+
+
+class LpContext:
+    """One feasible H-rep, set up once for every LP over it.
+
+    The equality rows E x = e leave the affine hull origin + N z, where
+    `origin` is a point of the set and the columns of N (`basis`) are
+    primitive integer nullspace vectors of E. Each inequality row
+    a.x <= b becomes the row (a.N) z <= b - a.origin over free z, reduced
+    once in integers; its rhs is >= 0 because the origin is feasible, so
+    the kernel starts every LP from the slack basis, with no artificials
+    and no phase 1. A row with a.N = 0 is constant on the hull and takes
+    no part. An LP may use any subset of the inequality rows (redundancy
+    removal drops them one at a time) and may add equality rows, which
+    are reduced through the same N.
+
+    Every answer is mapped back and checked against the original rows in
+    integers: an optimal z gives x = origin + N z, and an infeasibility
+    certificate y on the reduced rows gives multipliers on the original
+    rows once the part of y.A in the row space of E is written as w.E
+    (`exactq.echelon` with `combine`); the certificate is then (y, -w).
+    """
+
+    __slots__ = ("dim", "origin", "onums", "oden", "basis", "ineqs", "irows",
+                 "zrows", "eqs", "eq_irows")
+
+    def __init__(self, dim, origin, basis, ineqs, irows, zrows, eqs, eq_irows):
+        self.dim = dim
+        self.origin = origin
+        self.onums, self.oden = _integer_row(origin)
+        self.basis = basis
+        self.ineqs = ineqs  # LP rows (a, "<=", b)
+        self.irows = irows  # their integer rows
+        self.zrows = zrows  # per row, (a.N, "<=", b - a.origin) or None
+        self.eqs = eqs
+        self.eq_irows = eq_irows
+
+    @classmethod
+    def build(cls, hrep: HRep, origin):
+        dim = hrep.dim
+        origin = tuple(origin)
+        eq_irows = [_integer_row([*e, f]) for e, f in hrep.eqs]
+        _, nullspace, _ = solve_rows([nums for nums, _ in eq_irows], dim)
+        basis = tuple(_primitive_int(v) for v in nullspace)
+        ctx = cls(
+            dim, origin, basis, tuple((a, LE, b) for a, b in hrep.ineqs),
+            [_integer_row([*a, b]) for a, b in hrep.ineqs], None,
+            tuple((e, EQ, f) for e, f in hrep.eqs), eq_irows,
+        )
+        for nums, den in eq_irows:
+            if ctx._reduce(nums, den)[1] != Fraction(nums[dim], den):
+                raise RuntimeError("LP context origin violates an equality row")
+        ctx.zrows = []
+        for nums, den in ctx.irows:
+            coeffs, at_origin = ctx._reduce(nums, den)
+            slack = Fraction(nums[dim], den) - at_origin
+            if slack < 0:
+                raise RuntimeError("LP context origin violates an inequality row")
+            ctx.zrows.append((coeffs, LE, slack) if any(coeffs) else None)
+        return ctx
+
+    def _reduce(self, nums, den):
+        """(a.N, a.origin) for the row a = nums[:dim] / den, in integers."""
+        support = [(j, v) for j, v in enumerate(nums[: self.dim]) if v]
+        coeffs = tuple(
+            Fraction(sum(v * vec[j] for j, v in support), den) for vec in self.basis
+        )
+        onums = self.onums
+        at_origin = Fraction(sum(v * onums[j] for j, v in support), den * self.oden)
+        return coeffs, at_origin
+
+    def restrict(self, keep):
+        """The context of the same system with only the inequality rows
+        `keep`: same origin and basis, a subset of the reduced rows."""
+        return LpContext(
+            self.dim, self.origin, self.basis,
+            tuple(self.ineqs[i] for i in keep),
+            [self.irows[i] for i in keep],
+            [self.zrows[i] for i in keep],
+            self.eqs, self.eq_irows,
+        )
+
+    def maximize(self, f, keep=None):
+        """Exact max of f.x over the inequality rows `keep` (default:
+        all) and the equality rows. Returns (status, value, argmax)."""
+        keep = range(len(self.ineqs)) if keep is None else keep
+        fz, base = self._reduce(*_integer_row(f))
+        if not any(fz):
+            return "optimal", base, self.origin
+        rows = [self.zrows[i] for i in keep if self.zrows[i] is not None]
+        nonneg = (False,) * len(fz)
+        outcome = lp_solve(LpProblem("max", fz, tuple(rows), nonneg))
+        if outcome.status == "infeasible":
+            raise RuntimeError("LP over a feasible context reported infeasible")
+        if outcome.status != "optimal":
+            return outcome.status, None, None
+        x = self._point(outcome.solution)
+        value = base + outcome.value
+        _check_optimal(*self._original(f, keep), LpOutcome("optimal", value, x))
+        return "optimal", value, x
+
+    def feasible_with(self, eqs):
+        """Whether some point of the set also satisfies the equality rows
+        `eqs`, each (e, f) read e.x = f. Returns (True, None), or (False,
+        certificate): Farkas multipliers on the inequality rows, the
+        equality rows and then `eqs`, checked against all of them."""
+        extra = []
+        for e, f in eqs:
+            coeffs, at_origin = self._reduce(*_integer_row(e))
+            extra.append((coeffs, EQ, f - at_origin))
+        live = [i for i, row in enumerate(self.zrows) if row is not None]
+        original = self._original(tuple([ZERO] * self.dim), extra=eqs)
+        if self.basis:
+            zero = tuple([ZERO] * len(self.basis))
+            outcome = lp_solve(LpProblem(
+                "min", zero, tuple([self.zrows[i] for i in live] + extra),
+                (False,) * len(zero),
+            ))
+            if outcome.status == "optimal":
+                x = self._point(outcome.solution)
+                _check_optimal(*original, LpOutcome("optimal", ZERO, x))
+                return True, None
+            reduced = outcome.certificate
+        else:
+            # the set is the origin alone: a violated added row is the
+            # whole certificate
+            bad = next((k for k, row in enumerate(extra) if row[2]), None)
+            if bad is None:
+                return True, None
+            reduced = [ZERO] * (len(live) + len(extra))
+            reduced[len(live) + bad] = -ONE / extra[bad][2]
+        y = [ZERO] * len(self.ineqs)
+        for i, cm in zip(live, reduced):
+            y[i] = cm
+        mu = tuple(reduced[len(live):])
+        # y.A + mu.M vanishes on the hull directions N, so it is w.E
+        u = [ZERO] * self.dim
+        rows = [a for a, _, _ in self.ineqs] + [e for e, _ in eqs]
+        for cm, a in zip((*y, *mu), rows):
+            if cm:
+                u = [s + cm * v for s, v in zip(u, a)]
+        certificate = (*y, *(-v for v in self._eq_weights(u)), *mu)
+        _check_infeasible(*original, certificate)
+        return False, certificate
+
+    def _point(self, z):
+        x = list(self.origin)
+        for zk, vec in zip(z, self.basis):
+            if zk:
+                x = [xj + zk * v for xj, v in zip(x, vec)]
+        return tuple(x)
+
+    def _eq_weights(self, u):
+        """Weights w on the equality rows with w.E = u, for u in the row
+        space of E (a u outside it leaves the certificate check to fail)."""
+        w = [ZERO] * len(self.eqs)
+        kept = echelon([nums for nums, _ in self.eq_irows], combine=True)[1]
+        for col, red, comb in kept:
+            t = u[col] / red[col]
+            if t:
+                w = [s + t * c for s, c in zip(w, comb)]
+        # the echelon ran on the integer rows den_j * [e_j | f_j]
+        return [s * den for s, (_nums, den) in zip(w, self.eq_irows)]
+
+    def _original(self, f, keep=None, extra=()):
+        """The original LP behind a context LP, every variable free, with
+        its integer rows: the inequality rows `keep`, the equality rows
+        and the added equality rows `extra`."""
+        keep = range(len(self.ineqs)) if keep is None else keep
+        rows = [self.ineqs[i] for i in keep] + list(self.eqs)
+        rows += [(e, EQ, rhs) for e, rhs in extra]
+        irows = [self.irows[i] for i in keep] + self.eq_irows
+        irows += [_integer_row([*e, rhs]) for e, rhs in extra]
+        return LpProblem("max", f, tuple(rows), (False,) * self.dim), irows
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +716,22 @@ def _hull_membership(x, points):
     rows = [(tuple([ONE] * npts), EQ, ONE)]
     for j in range(dim):
         rows.append((tuple(pt[j] for pt in points), EQ, x[j]))
+    # In the probability simplex the coordinate rows sum to the
+    # normalization row, so the last one is dependent: it is left out,
+    # and its multiplier is 0.
+    on_simplex = all(
+        sum(nums) == den for nums, den in map(_integer_row, (x, *points))
+    )
+    if on_simplex:
+        rows.pop()
     problem = LpProblem(
         "min", tuple([ZERO] * npts), tuple(rows), (True,) * npts
     )
     outcome = lp_solve(problem)
-    return outcome.status, outcome.certificate
+    cert = outcome.certificate
+    if cert is not None and on_simplex:
+        cert = (*cert, ZERO)
+    return outcome.status, cert
 
 
 def contains_point(p: Polytope, x) -> bool:
@@ -542,7 +760,8 @@ def separate(p: Polytope, x) -> SeparationCertificate:
             val = dot(a, x)
             if val > b:
                 status, mx, _ = _maximize(p, a)
-                assert status == "optimal"
+                if status != "optimal":
+                    raise RuntimeError(f"separation LP ended {status}")
                 return SeparationCertificate(a, val - mx, x)
         for e, f in h.eqs:
             val = dot(e, x)
@@ -552,11 +771,13 @@ def separate(p: Polytope, x) -> SeparationCertificate:
                 return SeparationCertificate(g, gap, x)
         raise NotSeparableError("point satisfies every row")  # unreachable
     status, cert = _hull_membership(x, p.points)
-    assert status == "infeasible"
+    if status != "infeasible":
+        raise RuntimeError(f"hull membership LP ended {status} for an outside point")
     mu = cert[1:]
     g = tuple(-m for m in mu)
     gap = min(dot(g, x) - dot(g, v) for v in p.points)
-    assert gap > 0
+    if gap <= 0:
+        raise RuntimeError("hull membership certificate does not separate")
     return SeparationCertificate(g, gap, x)
 
 
@@ -600,7 +821,8 @@ def _sup(q: Polytope, f) -> Fraction:
     if q._points is not None:
         return max(dot(f, v) for v in q.points)
     status, val, _ = _maximize(q, f)
-    assert status == "optimal"
+    if status != "optimal":
+        raise RuntimeError(f"supremum LP ended {status}")
     return val
 
 
@@ -621,22 +843,35 @@ def linear_image(idx, p: Polytope, size: int) -> Polytope:
     return Polytope.from_points(_extreme_subset(pts, size), dim=size)
 
 
-def remove_redundant_ineqs(dim, ineqs, eqs):
+def remove_redundant_ineqs(dim, ineqs, eqs, context=None):
     """Indices of the irredundant inequality rows of a feasible system.
 
     A row is dropped iff maximizing it over the remaining rows stays
     within its bound; rows are probed in order, so the result is
-    deterministic.
+    deterministic. Every probe is an LP in the system's LP context
+    (`context`, which must be that of this system, or one built here)
+    over the rows still kept.
     """
+    if context is None:
+        context = _lp_context(Polytope(dim, hrep=HRep(dim, tuple(ineqs), tuple(eqs))))
+        if context is None:
+            return list(range(len(ineqs)))
     alive = list(range(len(ineqs)))
     for idx in range(len(ineqs)):
         rest = [i for i in alive if i != idx]
-        if len(rest) == len(alive):
-            continue
-        trial = HRep(dim, tuple(ineqs[i] for i in rest), tuple(eqs))
-        probe = Polytope(dim, hrep=trial)
         a, b = ineqs[idx]
-        status, val, _ = _maximize(probe, a)
+        status, val, _ = context.maximize(a, rest)
         if status == "optimal" and val <= b:
             alive = rest
     return alive
+
+
+def _with_ineqs(p: Polytope, keep) -> Polytope:
+    """p with only the inequality rows `keep`, which must describe the
+    same set; it inherits p's emptiness and LP context."""
+    h = p.hrep
+    out = Polytope(p.dim, hrep=HRep(p.dim, tuple(h.ineqs[i] for i in keep), h.eqs))
+    out._empty = p._empty
+    if p._context is not None:
+        out._context = p._context.restrict(keep)
+    return out

@@ -11,6 +11,11 @@ kernel: the same two-phase Bland simplex from the same starting basis
 Fraction entries, one tableau entry at a time, so it shares no
 arithmetic with the kernel's integer rows.
 
+`redundant_rows_reference` is the reference for
+`credalkit.polytope.remove_redundant_ineqs`: the drop-one-row loop, each
+probe an LP over the original coordinates with every row and no LP
+context.
+
 `solve_linear_system` and `fraction_inverse` are the references for
 `credalkit.exactq.echelon` and its callers: Gauss-Jordan elimination in
 Fractions, with the pivot chosen column by column. Matrices here are
@@ -28,7 +33,7 @@ a matrix-vector product and pulling a row is a row-matrix product.
 from fractions import Fraction
 from itertools import combinations, product
 
-from credalkit.exactq import DimensionError, dot, qvec
+from credalkit.exactq import EQ, LE, DimensionError, LpProblem, dot, lp_solve, qvec
 from credalkit.spaces import alignment_permutation, product_index
 
 ZERO = Fraction(0)
@@ -67,6 +72,22 @@ def brute_force_max(objective, dim, ineqs, eqs=()):
     verts = brute_force_vertices(dim, ineqs, eqs)
     assert verts, "brute-force oracle found an empty feasible region"
     return max(dot(objective, v) for v in verts)
+
+
+def redundant_rows_reference(dim, ineqs, eqs):
+    """Indices of the irredundant inequality rows, probed in order: a row
+    is dropped when its max over the rows still kept (itself left out)
+    and the equalities stays within its bound."""
+    alive = list(range(len(ineqs)))
+    for idx in range(len(ineqs)):
+        rest = [i for i in alive if i != idx]
+        rows = [(ineqs[i][0], LE, ineqs[i][1]) for i in rest]
+        rows += [(e, EQ, f) for e, f in eqs]
+        a, b = ineqs[idx]
+        out = lp_solve(LpProblem("max", qvec(a), tuple(rows), (False,) * dim))
+        if out.status == "optimal" and out.value <= b:
+            alive = rest
+    return alive
 
 
 def hull_sample_points(rng, vertices, count):

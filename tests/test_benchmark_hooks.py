@@ -4,12 +4,14 @@ perfbench/layers.py names the functions it wraps for tracing and the
 lru_cache'd coordinate-map builders whose caches perfbench/run.py clears
 before every operation, and reads the kernel's first two arguments and
 its Fraction results. A rename or a contract change in the program would
-break the benchmark without failing anything else, so this checks them.
+break the benchmark without failing anything else, so this checks them,
+and that the layers it wraps see every LP.
 """
 
 import importlib
 import inspect
 import os
+import random
 import types
 from fractions import Fraction
 
@@ -60,3 +62,56 @@ def test_kernel_info_reads_shape_and_fractions():
         assert all(type(v) is Fraction for v in values)
         info = layers._kernel_info(args, result)
         assert info == {"cells": args[0] * args[1], "bits": bits}
+
+
+def traced(layers, work):
+    """Run `work` with every WRAPPED function wrapped; returns its result
+    and the tracer's spans and span info."""
+    modules = {
+        module: importlib.import_module(f"credalkit.{module}")
+        for _, module, _ in layers.WRAPPED
+    }
+    tracer = layers.Tracer(modules)
+    tracer.install()
+    try:
+        result = work()
+    finally:
+        tracer.uninstall()
+    return result, tracer.spans, tracer.info
+
+
+def test_every_kernel_call_is_an_lp_span():
+    """A build and the representation check on the joint set it returns,
+    reloaded from its H-rep the way perfbench/run.py reads a build file:
+    every kernel call sits below a traced `lp_solve` span, so the lp layer
+    counts every LP (LP-context ones included), and the redundancy span
+    sees the inequality rows and returns kept indices."""
+    layers = load_layers()
+    gen = importlib.import_module("gen")
+    pt = importlib.import_module("credalkit.polytope")
+    jt = importlib.import_module("credalkit.joint")
+    _, coll, _ = gen.generated_instance(random.Random(5), 2)
+
+    def work():
+        model = jt.build_joint(coll)
+        h = model.body.hrep
+        body = pt.Polytope(model.dim, hrep=pt.HRep(model.dim, h.ineqs, h.eqs),
+                           empty=False)
+        reloaded = jt.JointModel(coll.space, "polytope", body, model.ineq_origins,
+                                 model.eq_origins, (), None)
+        return model, jt.verify_representation(coll, reloaded)
+
+    (model, report), spans, info = traced(layers, work)
+    assert report.passed
+    layer_of = [name.split(".")[0] for name, *_ in spans]
+    kernel = [i for i, layer in enumerate(layer_of) if layer == "kernel"]
+    assert kernel
+    for i in kernel:
+        p = spans[i][3]
+        while p >= 0 and layer_of[p] != "lp":
+            p = spans[p][3]
+        assert p >= 0, "a kernel call outside every traced lp_solve"
+    redundancy = [i for i, layer in enumerate(layer_of) if layer == "redundancy"]
+    assert len(redundancy) == 1
+    rows = info[redundancy[0]]
+    assert rows["rows_kept"] == len(model.body.hrep.ineqs) < rows["rows_in"]

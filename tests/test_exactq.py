@@ -394,6 +394,33 @@ class TestIndependentRows:
                     expected.append(i)
             assert echelon(rows)[0] == expected
 
+    def test_combinations_rebuild_the_reduced_rows(self):
+        # with `combine`, each kept row is the combination of the input
+        # rows it names, which is zero off the chosen rows; the chosen
+        # rows and reduced rows are those of the plain call
+        rng = random.Random(9)
+        for _ in range(200):
+            width = rng.randint(1, 6)
+            rows = []
+            for _ in range(rng.randint(1, 9)):
+                if rows and rng.random() < 0.5:
+                    u, v = rng.choice(rows), rng.choice(rows)
+                    k, h = rng.randint(-3, 3), rng.randint(-3, 3)
+                    rows.append([k * x + h * y for x, y in zip(u, v)])
+                else:
+                    rows.append([rng.randint(-4, 4) for _ in range(width)])
+            chosen, kept = echelon(rows)
+            chosen_c, kept_c = echelon(rows, combine=True)
+            assert chosen_c == chosen
+            assert [(col, red) for col, red, _ in kept_c] == kept
+            for _col, red, comb in kept_c:
+                assert all(c == 0 for i, c in enumerate(comb) if i not in chosen)
+                rebuilt = [
+                    sum((c * row[j] for c, row in zip(comb, rows)), F(0))
+                    for j in range(width)
+                ]
+                assert rebuilt == red
+
 
 class TestEqualityPresolve:
     """Dependent equality rows never reach the kernel; the answer is the

@@ -12,9 +12,10 @@ from credalkit.credal import (
     credal_set_from_members,
     credal_set_from_vertices,
 )
-from credalkit.exactq import dot
+from credalkit.exactq import EQ, LE, LpProblem, _check_infeasible, _integer_row, dot
 from credalkit.joint import (
     EmptyJointError,
+    _member_reachable,
     ModeError,
     ResourceCapError,
     build_joint,
@@ -27,6 +28,8 @@ from credalkit.joint import (
 from credalkit.spaces import (
     make_space,
     point_mass,
+    pull,
+    pushforward_matrix,
     uniform_measure,
 )
 from gen import generated_instance, random_simplex_point
@@ -65,6 +68,20 @@ def inconsistent_collection(space=AB):
             ("a", "b"): credal_set_from_vertices(
                 space, ("a", "b"), [point_mass(4, 3)]
             ),
+        },
+    )
+
+
+def forced_failure_collection(joint_points=(uniform_measure(4),)):
+    """Marginals prescribed as the full simplex, the joint set pinned to
+    the hull of laws with uniform marginals (by default uniform alone):
+    the pushforward cannot reach the extreme points."""
+    return CredalCollection(
+        AB,
+        {
+            ("a",): credal_set_from_hrep(AB, ("a",)),
+            ("b",): credal_set_from_hrep(AB, ("b",)),
+            ("a", "b"): credal_set_from_vertices(AB, ("a", "b"), joint_points),
         },
     )
 
@@ -291,18 +308,7 @@ class TestVerifyRepresentation:
         assert report.passed
 
     def test_forced_marginal_failure(self):
-        # marginal prescribed as the full simplex, joint pinned to uniform:
-        # the pushforward cannot reach the extreme points
-        coll = CredalCollection(
-            AB,
-            {
-                ("a",): credal_set_from_hrep(AB, ("a",)),
-                ("b",): credal_set_from_hrep(AB, ("b",)),
-                ("a", "b"): credal_set_from_vertices(
-                    AB, ("a", "b"), [uniform_measure(4)]
-                ),
-            },
-        )
+        coll = forced_failure_collection()
         joint = build_joint(coll)
         report = verify_representation(coll, joint)
         assert not report.passed
@@ -320,6 +326,58 @@ class TestVerifyRepresentation:
         sup = _max_over_joint(joint, rec.lifted_functional)
         assert sup.status == "optimal"
         assert dot(cert.functional, cert.point) - sup.value >= cert.gap
+
+    def test_unreachable_member_certificate(self):
+        """An infeasible pushforward LP in the joint set's LP context maps
+        its certificate back to every original row: it passes the
+        integer check and, by direct Fraction arithmetic, combines the
+        rows to 0 <= -1; the separation it gives re-verifies."""
+        segment = (uniform_measure(4), (F(1, 2), F(0), F(0), F(1, 2)))
+        cases = [(forced_failure_collection(segment), 1),
+                 (forced_failure_collection(), 0), (singleton_collection(AB), 0)]
+        for coll, hull_dim in cases:
+            joint = build_joint(coll)
+            ctx = pt._lp_context(joint.body)
+            assert len(ctx.basis) == hull_dim
+            h = joint.body.hrep
+            alpha = ("a",)
+            idx = pushforward_matrix(AB, alpha)
+            target = (F(1), F(0))
+            rows = [
+                (tuple(F(int(y == x)) for y in idx), target[x]) for x in range(2)
+            ]
+            ok, cert = ctx.feasible_with(rows)
+            assert not ok
+            problem_rows = (
+                [(a, LE, b) for a, b in h.ineqs]
+                + [(e, EQ, f) for e, f in h.eqs]
+                + [(e, EQ, f) for e, f in rows]
+            )
+            problem = LpProblem(
+                "min", (F(0),) * joint.dim, tuple(problem_rows), (False,) * joint.dim
+            )
+            _check_infeasible(
+                problem, [_integer_row([*a, b]) for a, _, b in problem_rows], cert
+            )
+            combined = [F(0)] * (joint.dim + 1)
+            for cm, (a, sense, b) in zip(cert, problem_rows):
+                assert sense == EQ or cm >= 0
+                combined = [s + cm * v for s, v in zip(combined, (*a, b))]
+            assert combined[:-1] == [F(0)] * joint.dim and combined[-1] < 0
+            reachable, g = _member_reachable(joint, idx, target)
+            assert not reachable
+            status, sup, _ = pt._maximize(joint.body, pull(idx, g))
+            sep = pt.SeparationCertificate(g, dot(g, target) - sup, target)
+            assert sep.gap > 0
+            image = pushforward_joint(joint, alpha)
+            assert pt.verify_separation(sep, image.body)
+
+    def test_wrong_lp_status_raises(self, monkeypatch):
+        coll = singleton_collection(AB)
+        joint = build_joint(coll)
+        monkeypatch.setattr(pt, "_maximize", lambda p, f: ("unbounded", None, None))
+        with pytest.raises(RuntimeError):
+            verify_representation(coll, joint)
 
     def test_singleton_family_passes_with_point(self):
         coll = singleton_collection(ABC)

@@ -1,11 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
 
 import credalkit.polytope as pt
-from credalkit.exactq import dot
+from credalkit.exactq import EQ, LpProblem, dot, lp_solve
 from credalkit.polytope import (
     HRep,
     NotSeparableError,
@@ -29,12 +32,14 @@ from credalkit.joint import preimage_set
 from credalkit.spaces import make_space, pushforward_matrix
 from oracles import (
     apply,
+    brute_force_max,
     brute_force_vertices,
     dense_pushforward,
     fraction_inverse,
     hrep_contains,
     hull_sample_points,
     matrix_rank,
+    redundant_rows_reference,
     solve_linear_system,
 )
 
@@ -534,3 +539,152 @@ class TestEliminationParity:
             assert eq == (tuple(sign * v for v in prim[:-1]), sign * prim[-1])
             for coeffs_out, rhs_out in (ineq, eq):
                 assert all(type(v) is F for v in (*coeffs_out, rhs_out))
+
+
+def random_context_case(rng, kind):
+    """A random feasible H-rep: "full" (a box with random cuts), "flat"
+    (that, cut by equality rows through a point of it) or "point" (as
+    many independent equality rows as coordinates)."""
+    dim = rng.randint(1, 4)
+    p = random_bounded_hrep(rng, dim, extra_rows=rng.randint(0, 4))
+    ineqs, eqs = list(p.hrep.ineqs), []
+    if kind != "full":
+        x = dd_convert(p).points[0]
+        if kind == "point":
+            x = tuple(v / 2 for v in x)  # inside the box, outside no cut
+            ineqs = [(a, b) for a, b in ineqs if dot(a, x) <= b]
+        count = dim if kind == "point" else rng.randint(1, dim)
+        while len(eqs) < count:
+            e = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+            trial = [row for row, _ in eqs] + [e]
+            if matrix_rank(trial) == len(trial):
+                eqs.append((e, dot(e, x)))
+    return Polytope.from_hrep(dim, ineqs, eqs)
+
+
+class TestLpContext:
+    """Every LP over a feasible H-rep runs in affine-hull coordinates from
+    the context's origin; values, argmaxes and kept rows match LPs over
+    the original coordinates."""
+
+    @pytest.mark.parametrize("kind", ["full", "flat", "point"])
+    def test_values_match_brute_force(self, kind):
+        rng = random.Random(("full", "flat", "point").index(kind))
+        for _ in range(12):
+            p = random_context_case(rng, kind)
+            h = p.hrep
+            ctx = pt._lp_context(p)
+            rank = matrix_rank([e for e, _ in h.eqs] or [[0] * p.dim])
+            assert len(ctx.basis) == p.dim - rank
+            if kind == "point":
+                assert ctx.basis == ()
+            assert all(row is None or row[2] >= 0 for row in ctx.zrows)
+            for _ in range(4):
+                f = tuple(
+                    F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p.dim)
+                )
+                status, value, x = pt._maximize(p, f)
+                assert status == "optimal"
+                assert value == brute_force_max(f, p.dim, h.ineqs, h.eqs)
+                assert hrep_contains(h, x) and dot(f, x) == value
+
+    @pytest.mark.parametrize("kind", ["full", "flat", "point"])
+    def test_kept_rows_match_reference(self, kind):
+        rng = random.Random(10 + ("full", "flat", "point").index(kind))
+        for _ in range(12):
+            p = random_context_case(rng, kind)
+            h = p.hrep
+            # duplicated and scaled rows make some rows redundant
+            ineqs = list(h.ineqs)
+            ineqs += [(tuple(2 * v for v in a), 2 * b) for a, b in h.ineqs[:2]]
+            keep = remove_redundant_ineqs(p.dim, ineqs, h.eqs)
+            assert keep == redundant_rows_reference(p.dim, ineqs, h.eqs)
+
+    def test_trimmed_body_inherits_context(self):
+        rng = random.Random(91)
+        p = random_context_case(rng, "flat")
+        p.is_empty()
+        h = p.hrep
+        keep = remove_redundant_ineqs(p.dim, h.ineqs, h.eqs, p._context)
+        q = pt._with_ineqs(p, keep)
+        assert q._context.origin == p._context.origin
+        assert q._context.zrows == [p._context.zrows[i] for i in keep]
+        assert equals(p, q)
+
+    def test_generator_origin_needs_no_lp(self, monkeypatch):
+        p = Polytope.from_points([(F(1), F(0)), (F(0), F(1))])
+        p.hrep
+        monkeypatch.setattr(pt, "lp_solve", None)  # any LP would fail
+        ctx = pt._lp_context(p)
+        assert ctx.origin == (F(0), F(1))
+        assert pt._maximize(p, (F(1), F(1))) == ("optimal", F(1), (F(0), F(1)))
+
+    def test_empty_has_no_context(self):
+        p = Polytope.from_hrep(1, ineqs=[((F(1),), F(-1)), ((F(-1),), F(0))])
+        assert pt._lp_context(p) is None and p.is_empty()
+        assert pt._maximize(p, (F(1),)) == ("infeasible", None, None)
+
+
+def hull_membership_all_rows(x, points):
+    """`_hull_membership` with every coordinate row kept."""
+    rows = [(tuple([F(1)] * len(points)), EQ, F(1))]
+    rows += [(tuple(v[j] for v in points), EQ, x[j]) for j in range(len(x))]
+    out = lp_solve(LpProblem("min", tuple([F(0)] * len(points)), tuple(rows),
+                             (True,) * len(points)))
+    return out.status, out.certificate
+
+
+class TestHullMembership:
+    def test_simplex_points_match_all_rows(self):
+        """Leaving out the dependent last coordinate row of points in the
+        simplex changes neither status nor certificate."""
+        rng = random.Random(33)
+        for pts, dim in random_point_sets(rng, 90):
+            if not all(sum(v) == 1 for v in pts):
+                continue
+            for x in pts[:1] + [tuple(F(rng.randint(0, 3)) for _ in range(dim))]:
+                x = tuple(v / sum(x) for v in x) if sum(x) else (F(1),) + x[1:]
+                assert pt._hull_membership(x, pts) == hull_membership_all_rows(x, pts)
+
+    def test_off_simplex_keeps_every_row(self):
+        pts = [(F(1), F(1)), (F(2), F(0))]
+        for x in [(F(3, 2), F(1, 2)), (F(1), F(0))]:
+            assert pt._hull_membership(x, pts) == hull_membership_all_rows(x, pts)
+
+
+class TestLpStatusChecks:
+    """A wrong LP status raises RuntimeError, also under python -O."""
+
+    @staticmethod
+    def unbounded(p, f):
+        return "unbounded", None, None
+
+    def test_separate_and_sup(self, monkeypatch):
+        p = Polytope.simplex(2)
+        monkeypatch.setattr(pt, "_maximize", self.unbounded)
+        with pytest.raises(RuntimeError):
+            separate(p, (F(2), F(-1)))
+        with pytest.raises(RuntimeError):
+            pt._sup(p, (F(1), F(0)))
+
+    def test_hull_separation(self, monkeypatch):
+        p = Polytope.from_points([(F(1), F(0)), (F(0), F(1))])
+        monkeypatch.setattr(pt, "contains_point", lambda p, x: False)
+        monkeypatch.setattr(pt, "_hull_membership", lambda x, pts: ("optimal", None))
+        with pytest.raises(RuntimeError):
+            separate(p, (F(1), F(1)))
+
+    def test_under_optimize_flag(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = (
+            "import credalkit.polytope as pt\n"
+            "pt._maximize = lambda p, f: ('unbounded', None, None)\n"
+            "try:\n"
+            "    pt.separate(pt.Polytope.simplex(2), (2, -1))\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "raised", out.stderr
