@@ -67,11 +67,18 @@ def cmd_build(args):
     io.write_atomic(args.output, io.dump_json(doc))
     if model.is_empty():
         if model.mode == cr.POLYTOPE and model.diagnosis is not None:
-            tuples = ", ".join(str(t) for t in model.diagnosis.offending_tuples)
-            print(f"joint set is empty; offending tuples: {tuples}",
-                  file=sys.stderr)
+            tuples = model.diagnosis.offending_tuples
+        elif model.diagnosis:
+            # finite mode: the tuples named by any dead selection
+            tuples = [tuple(t) for t in io._offending_tuples(model.diagnosis)]
         else:
+            tuples = None
+        if tuples is None:
             print("joint set is empty", file=sys.stderr)
+        else:
+            named = ", ".join(str(t) for t in tuples)
+            print(f"joint set is empty; offending tuples: {named}",
+                  file=sys.stderr)
         return EXIT_FAIL
     print(f"joint set written to {args.output}", file=sys.stderr)
     return EXIT_PASS

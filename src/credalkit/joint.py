@@ -44,8 +44,12 @@ from credalkit.exactq import (
     DimensionError,
     LpOutcome,
     LpProblem,
+    _check_infeasible,
+    _content_free,
+    _integer_row,
     dot,
     lp_solve,
+    solve_rows,
 )
 
 SIMPLEX_ORIGIN = "simplex"
@@ -304,42 +308,124 @@ def _diagnose(dim, ineqs, eqs) -> InfeasibilityDiagnosis:
     """Minimal infeasible core plus its Farkas certificate.
 
     Simplex rows always stay in the system; credal-origin rows are
-    dropped one by one (deletion filter) whenever the rest remains
-    infeasible, so every surviving row is necessary.
-    """
-    rows = [(coeffs, rhs, LE, origin) for (coeffs, rhs), origin in ineqs]
-    rows += [(coeffs, rhs, EQ, origin) for (coeffs, rhs), origin in eqs]
+    dropped one by one, in row order, whenever the rest remains
+    infeasible (deletion filter, Chinneck & Dravnieks 1991), so every
+    surviving row is necessary. The filter carries a Farkas certificate
+    of the rows still active (the first one from an LP over all rows)
+    and decides each row in one of three exact ways:
 
-    def infeasible(active):
-        lp_rows = tuple(
-            (coeffs, sense, rhs) for coeffs, rhs, sense, _ in active
+    - weight 0 in the carried certificate: the same certificate proves
+      the other rows infeasible, so the row is dropped with no LP;
+    - an equality row whose full row [a | b] is a combination
+      sum_j c_j e_j of the other active equality rows: the rest has the
+      same (empty) solution set, so the row is dropped with no LP, and
+      its weight y_r moves onto the others (y_j + y_r c_j), a
+      substitution re-checked in integers;
+    - otherwise an LP over the other active rows decides, and when they
+      are infeasible its certificate becomes the carried one.
+
+    Each rule only proves what that LP would find, so the kept rows are
+    the ones the LP-per-row filter keeps, and the certificate reported
+    comes from one last LP over them. The c_j are read off a basis of
+    the integer vectors z with sum_j z_j e_j = 0 over the equality rows
+    (from `solve_rows`); dropping a dependent row r leaves the basis
+    vectors with z_r = 0.
+    """
+    rows = [(coeffs, LE, rhs, origin) for (coeffs, rhs), origin in ineqs]
+    rows += [(coeffs, EQ, rhs, origin) for (coeffs, rhs), origin in eqs]
+    irows = [_integer_row([*coeffs, rhs]) for coeffs, _, rhs, _ in rows]
+    first_eq = len(ineqs)
+    active = [True] * len(rows)
+
+    def problem(keep):
+        return LpProblem(
+            "min",
+            tuple([ZERO] * dim),
+            tuple(rows[i][:3] for i in keep),
+            (False,) * dim,
         )
-        outcome = lp_solve(
-            LpProblem("min", tuple([ZERO] * dim), lp_rows, (False,) * dim)
-        )
+
+    def infeasible(keep):
+        outcome = lp_solve(problem(keep))
         return outcome.status == "infeasible", outcome.certificate
 
-    active = list(rows)
-    for row in rows:
-        if row[3] == SIMPLEX_ORIGIN or row not in active:
+    def weights(keep, certificate):
+        out = [ZERO] * len(rows)
+        for i, y in zip(keep, certificate):
+            out[i] = y
+        return out
+
+    everything = range(len(rows))
+    bad, certificate = infeasible(everything)
+    if not bad:
+        raise RuntimeError("diagnosis of a feasible system")
+    weight = weights(everything, certificate)
+    null = _equality_relations(irows[first_eq:], dim)
+
+    for r, (_, sense, _, origin) in enumerate(rows):
+        if origin == SIMPLEX_ORIGIN:
             continue
-        trial = [r for r in active if r is not row]
-        bad, _ = infeasible(trial)
-        if bad:
-            active = trial
-    bad, certificate = infeasible(active)
+        z = _drop_relation(null, r - first_eq) if sense == EQ else None
+        if weight[r] and z is not None:
+            # rule 2: row r is sum_k c_k e_k, c_k = -z_k den_k / (z_r den_r);
+            # the loop also clears row r's own weight
+            j = r - first_eq
+            scale = weight[r] / (z[j] * irows[r][1])
+            for k, zk in enumerate(z):
+                if zk:
+                    weight[first_eq + k] -= scale * zk * irows[first_eq + k][1]
+            active[r] = False
+            keep = [i for i in everything if active[i]]
+            _check_infeasible(
+                problem(keep), [irows[i] for i in keep], [weight[i] for i in keep]
+            )
+            continue
+        if weight[r]:  # else rule 1
+            keep = [i for i in everything if active[i] and i != r]
+            bad, certificate = infeasible(keep)
+            if not bad:
+                continue
+            weight = weights(keep, certificate)
+        active[r] = False
+    keep = [i for i in everything if active[i]]
+    bad, certificate = infeasible(keep)
     if not bad:
         raise RuntimeError("infeasible core turned feasible")
     offending = []
-    for row, mult in zip(active, certificate):
-        origin = row[3]
+    for i, mult in zip(keep, certificate):
+        origin = rows[i][3]
         if mult != 0 and origin != SIMPLEX_ORIGIN and origin not in offending:
             offending.append(origin)
     return InfeasibilityDiagnosis(
-        tuple((coeffs, sense, rhs, origin) for coeffs, rhs, sense, origin in active),
+        tuple(rows[i] for i in keep),
         tuple(certificate),
         tuple(offending),
     )
+
+
+def _equality_relations(irows, dim):
+    """A basis of the integer vectors z with sum_j z_j nums_j = 0 over the
+    integer rows nums_j = [a_j | b_j] * den_j, one list per vector."""
+    if not irows:
+        return []
+    columns = [[nums[t] for nums, _ in irows] + [0] for t in range(dim + 1)]
+    _, nullspace, _ = solve_rows(columns, len(irows))
+    return [_integer_row(z)[0] for z in nullspace]
+
+
+def _drop_relation(null, j):
+    """Restrict the relation basis `null` to z_j = 0, in place; returns the
+    vector used to clear position j, or None when every z_j is 0 (row j
+    is not a combination of the others)."""
+    w = next((z for z in null if z[j]), None)
+    if w is None:
+        return None
+    null[:] = [
+        _content_free([w[j] * a - z[j] * b for a, b in zip(z, w)]) if z[j] else z
+        for z in null
+        if z is not w
+    ]
+    return w
 
 
 def _build_cells(coll, reps, cell_cap) -> JointModel:

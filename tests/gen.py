@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 
 import credalkit.polytope as pt
-from credalkit.credal import POLYTOPE, CredalCollection, CredalSet
+from credalkit.credal import (
+    POLYTOPE,
+    CredalCollection,
+    CredalSet,
+    credal_set_from_vertices,
+)
 from credalkit.spaces import (
     all_canonical_tuples,
     make_space,
@@ -40,6 +45,23 @@ def generated_instance(rng, n_indices):
             space, alpha, POLYTOPE, pt.linear_image(idx, base, 2 ** len(alpha))
         )
     return space, CredalCollection(space, sets), base
+
+
+def clash_instance(rng, n_indices):
+    """An inconsistent collection: a generated one whose first 1-tuple
+    set is replaced by a point outside that coordinate's marginal range,
+    so the joint set is empty."""
+    while True:
+        space, coll, base = generated_instance(rng, n_indices)
+        first = (space.indices[0],)
+        values = [p[0] for p in pt.dd_convert(coll.sets[first].body).points]
+        lo, hi = min(values), max(values)
+        if lo > 0 or hi < 1:
+            break
+    q = (hi + 1) / 2 if hi < 1 else lo / 2
+    sets = dict(coll.sets)
+    sets[first] = credal_set_from_vertices(space, first, [(q, 1 - q)])
+    return space, CredalCollection(space, sets)
 
 
 def instance_stream(seed, n_indices, count):

@@ -16,6 +16,13 @@ arithmetic with the kernel's integer rows.
 probe an LP over the original coordinates with every row and no LP
 context.
 
+`deletion_filter_reference` is the reference for
+`credalkit.joint._diagnose`: the deletion filter with one LP per
+credal-origin row, each over every other row still active, and no
+carried certificate. `fraction_feasible` decides a system of free
+variables with `fraction_simplex_solve`, so it shares no LP code with
+the program.
+
 `solve_linear_system` and `fraction_inverse` are the references for
 `credalkit.exactq.echelon` and its callers: Gauss-Jordan elimination in
 Fractions, with the pivot chosen column by column. Matrices here are
@@ -34,6 +41,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from credalkit.exactq import EQ, LE, DimensionError, LpProblem, dot, lp_solve, qvec
+from credalkit.joint import SIMPLEX_ORIGIN
 from credalkit.spaces import alignment_permutation, product_index
 
 ZERO = Fraction(0)
@@ -88,6 +96,68 @@ def redundant_rows_reference(dim, ineqs, eqs):
         if out.status == "optimal" and out.value <= b:
             alive = rest
     return alive
+
+
+def deletion_filter_reference(dim, ineqs, eqs):
+    """(core rows, multipliers, offending tuples, LP count) for the
+    system of ((coeffs, rhs), origin) rows: rows are tried in order,
+    inequality rows first, and a credal-origin row is dropped whenever
+    an LP finds the other active rows infeasible; one last LP certifies
+    the rows left."""
+    rows = [(coeffs, rhs, LE, origin) for (coeffs, rhs), origin in ineqs]
+    rows += [(coeffs, rhs, EQ, origin) for (coeffs, rhs), origin in eqs]
+    lps = 0
+
+    def infeasible(active):
+        nonlocal lps
+        lps += 1
+        lp_rows = tuple((coeffs, sense, rhs) for coeffs, rhs, sense, _ in active)
+        outcome = lp_solve(
+            LpProblem("min", tuple([ZERO] * dim), lp_rows, (False,) * dim)
+        )
+        return outcome.status == "infeasible", outcome.certificate
+
+    active = list(range(len(rows)))
+    for r in range(len(rows)):
+        if rows[r][3] == SIMPLEX_ORIGIN:
+            continue
+        trial = [i for i in active if i != r]
+        if infeasible([rows[i] for i in trial])[0]:
+            active = trial
+    bad, certificate = infeasible([rows[i] for i in active])
+    assert bad, "the reference core is feasible"
+    offending = []
+    for i, mult in zip(active, certificate):
+        origin = rows[i][3]
+        if mult != 0 and origin != SIMPLEX_ORIGIN and origin not in offending:
+            offending.append(origin)
+    core = tuple(
+        (rows[i][0], rows[i][2], rows[i][1], rows[i][3]) for i in active
+    )
+    return core, tuple(certificate), tuple(offending), lps
+
+
+def fraction_feasible(dim, rows) -> bool:
+    """Whether the (coeffs, sense, rhs) rows, senses <= and =, have a
+    solution in free variables: each x_j is split as u_j - v_j and each
+    <= row gets a slack, then `fraction_simplex_solve` runs phase 1."""
+    n_slack = sum(1 for _, sense, _ in rows if sense == LE)
+    a, b = [], []
+    slack = 0
+    for coeffs, sense, rhs in rows:
+        row = [Fraction(c) for c in coeffs] + [-Fraction(c) for c in coeffs]
+        row += [ZERO] * n_slack
+        if sense == LE:
+            row[2 * dim + slack] = ONE
+            slack += 1
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            row, rhs = [-v for v in row], -rhs
+        a.append(row)
+        b.append(rhs)
+    n = 2 * dim + n_slack
+    status, _, _ = fraction_simplex_solve(len(a), n, a, b, [ZERO] * n)
+    return status == "optimal"
 
 
 def hull_sample_points(rng, vertices, count):

@@ -115,3 +115,47 @@ def test_every_kernel_call_is_an_lp_span():
     assert len(redundancy) == 1
     rows = info[redundancy[0]]
     assert rows["rows_kept"] == len(model.body.hrep.ineqs) < rows["rows_in"]
+
+
+def test_diagnosis_lps_are_traced():
+    """A build on an inconsistent collection: `_diagnose` keeps the
+    arguments and result perfbench/layers.py reads, and every kernel call
+    inside its span sits below a traced `lp_solve` span that is itself
+    inside it, so `diagnosis.lps` counts each LP the filter runs."""
+    layers = load_layers()
+    gen = importlib.import_module("gen")
+    jt = importlib.import_module("credalkit.joint")
+    assert list(inspect.signature(jt._diagnose).parameters) == ["dim", "ineqs", "eqs"]
+    _, coll = gen.clash_instance(random.Random(5), 3)
+
+    model, spans, info = traced(layers, lambda: jt.build_joint(coll))
+    assert model.is_empty()
+    assert isinstance(model.diagnosis, jt.InfeasibilityDiagnosis)
+    layer_of = [name.split(".")[0] for name, *_ in spans]
+    diagnosis = [i for i, layer in enumerate(layer_of) if layer == "diagnosis"]
+    assert len(diagnosis) == 1
+    root = diagnosis[0]
+    assert info[root] == {"core_rows": len(model.diagnosis.rows)}
+
+    def chain(i):
+        p = spans[i][3]
+        while p >= 0:
+            yield p
+            p = spans[p][3]
+
+    inside = {"kernel": 0, "lp": 0}
+    for i, layer in enumerate(layer_of):
+        if layer != "kernel":
+            continue
+        above = list(chain(i))
+        lp = next((p for p in above if layer_of[p] == "lp"), None)
+        assert lp is not None, "a kernel call outside every traced lp_solve"
+        if root in above:
+            assert root in chain(lp), "an LP of the diagnosis traced outside it"
+            inside["kernel"] += 1
+    inside["lp"] = sum(
+        1 for i, layer in enumerate(layer_of) if layer == "lp" and root in chain(i)
+    )
+    # the first and the last LP at least, one kernel call each
+    assert inside["lp"] >= 2
+    assert inside["kernel"] == inside["lp"]

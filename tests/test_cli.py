@@ -200,6 +200,9 @@ class TestBuild:
             ("a", "b"),
         ]
         assert doc["farkas"]["multipliers"]
+        assert res.stderr == (
+            "joint set is empty; offending tuples: ('a',), ('a', 'b')\n"
+        )
 
     def test_finite_mode_cells_written(self, tmp_path):
         doc = {
@@ -255,6 +258,30 @@ class TestBuild:
                        report["joint"]["offending_tuples"]):
             assert listed and [1, "b"] in listed
             assert all(t in ([1], ["b"], [1, "b"]) for t in listed)
+
+    def test_finite_empty_joint_names_tuples(self, tmp_path):
+        # the stderr line names the tuples the build file lists, as the
+        # polytope path does
+        doc = {
+            "Y": ["0", "1"],
+            "T": ["a", "b"],
+            "credal_sets": [
+                {"tuple": ["a"], "mode": "finite",
+                 "members": [["1", "0"], ["1/2", "1/2"]]},
+                {"tuple": ["b"], "mode": "finite",
+                 "members": [["1", "0"], ["0", "1"]]},
+                {"tuple": ["a", "b"], "mode": "finite",
+                 "members": [["0", "0", "0", "1"], ["1/2", "0", "0", "1/2"]]},
+            ],
+        }
+        model = write(tmp_path, "m.json", doc)
+        out = str(tmp_path / "joint.json")
+        res = run_cli("build", model, "-o", out)
+        assert res.returncode == 1, res.stderr
+        built = json.loads(open(out).read())
+        assert built["offending_tuples"]
+        named = ", ".join(str(tuple(t)) for t in built["offending_tuples"])
+        assert res.stderr == f"joint set is empty; offending tuples: {named}\n"
 
 
 class TestVerify:

@@ -13,8 +13,12 @@ from credalkit.credal import (
     credal_set_from_vertices,
 )
 from credalkit.exactq import EQ, LE, LpProblem, _check_infeasible, _integer_row, dot
+import credalkit.joint as jt
 from credalkit.joint import (
+    SIMPLEX_ORIGIN,
     EmptyJointError,
+    _assemble,
+    _diagnose,
     _member_reachable,
     ModeError,
     ResourceCapError,
@@ -26,22 +30,26 @@ from credalkit.joint import (
     verify_representation,
 )
 from credalkit.spaces import (
+    all_canonical_tuples,
     make_space,
     point_mass,
     pull,
     pushforward_matrix,
     uniform_measure,
 )
-from gen import generated_instance, random_simplex_point
-from oracles import apply, dense_pushforward
+from gen import clash_instance, generated_instance, random_simplex_point
+from oracles import (
+    apply,
+    deletion_filter_reference,
+    dense_pushforward,
+    fraction_feasible,
+)
 
 AB = make_space(("a", "b"), ("0", "1"))
 ABC = make_space(("a", "b", "c"), ("0", "1"))
 
 
 def full_collection(space):
-    from credalkit.spaces import all_canonical_tuples
-
     return CredalCollection(
         space,
         {t: credal_set_from_hrep(space, t) for t in all_canonical_tuples(space)},
@@ -50,8 +58,6 @@ def full_collection(space):
 
 def singleton_collection(space):
     """All sets pin the uniform law: the classical product construction."""
-    from credalkit.spaces import all_canonical_tuples
-
     sets = {}
     for t in all_canonical_tuples(space):
         dim = space.n_outcomes ** len(t)
@@ -273,6 +279,156 @@ class TestFiniteCells:
         assert ("a",) in named
         with pytest.raises(EmptyJointError):
             pushforward_joint(joint, ("a",))
+
+
+def random_infeasible_system(rng, dim, inconsistent_copy):
+    """An empty system in deletion-filter form: the path simplex rows,
+    equality rows through two different points of the simplex, a few
+    inequality rows (some redundant on the simplex), and equality rows
+    that depend on the others: a duplicate, a scaled copy and a sum, and
+    with `inconsistent_copy` a copy with another rhs. Credal-origin rows
+    come in random order."""
+    origins = [("a",), ("b",), ("a", "b")]
+    simplex = pt.Polytope.simplex(dim).hrep
+    while True:
+        x = random_simplex_point(rng, dim)
+        y = random_simplex_point(rng, dim)
+        eqs = []
+        for point in (x, y, x, y)[: rng.randint(2, 4)]:
+            e = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
+            eqs.append((e, dot(e, point)))
+        ineqs = []
+        for _ in range(rng.randint(1, 4)):
+            a = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
+            ineqs.append((a, dot(a, x) + F(rng.randint(0, 2), 2)))
+        a = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
+        ineqs.append((a, max(a) + 1))  # holds on the whole simplex
+        rows = [(c, LE, b) for c, b in list(simplex.ineqs) + ineqs]
+        rows += [(c, EQ, b) for c, b in list(simplex.eqs) + eqs]
+        if not fraction_feasible(dim, rows):
+            break
+    (e1, f1), (e2, f2) = rng.sample(eqs, 2)
+    k = rng.choice([F(2), F(-3), F(1, 2), F(-5, 3)])
+    eqs.append((e1, f1))
+    eqs.append((tuple(k * c for c in e2), k * f2))
+    eqs.append((tuple(u + v for u, v in zip(e1, e2)), f1 + f2))
+    if inconsistent_copy:
+        e, f = rng.choice(eqs)
+        eqs.append((e, f + 1))
+    ineq_rows = [(row, rng.choice(origins)) for row in ineqs]
+    eq_rows = [(row, rng.choice(origins)) for row in eqs]
+    rng.shuffle(ineq_rows)
+    rng.shuffle(eq_rows)
+    return (
+        [(row, SIMPLEX_ORIGIN) for row in simplex.ineqs] + ineq_rows,
+        [(row, SIMPLEX_ORIGIN) for row in simplex.eqs] + eq_rows,
+    )
+
+
+def counted_diagnose(monkeypatch, dim, ineqs, eqs):
+    """_diagnose's result, the LPs it ran and its certificate
+    substitutions (rule 2)."""
+    counts = {"lps": 0, "substitutions": 0}
+    solve, check = jt.lp_solve, jt._check_infeasible
+
+    def counting_solve(problem):
+        counts["lps"] += 1
+        return solve(problem)
+
+    def counting_check(*args):
+        counts["substitutions"] += 1
+        return check(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(jt, "lp_solve", counting_solve)
+        m.setattr(jt, "_check_infeasible", counting_check)
+        diag = _diagnose(dim, ineqs, eqs)
+    return diag, counts
+
+
+def assert_minimal_core(dim, diag):
+    """The core is empty, and leaving out any credal-origin row of it
+    leaves a nonempty system, by the Fraction simplex."""
+    core = [(coeffs, sense, rhs) for coeffs, sense, rhs, _ in diag.rows]
+    assert not fraction_feasible(dim, core)
+    for k, row in enumerate(diag.rows):
+        if row[3] != SIMPLEX_ORIGIN:
+            assert fraction_feasible(dim, core[:k] + core[k + 1:])
+
+
+class TestDiagnose:
+    """The certificate-guided deletion filter against the one-LP-per-row
+    reference: the same core rows in order, the same multipliers and
+    tuples, and fewer LPs."""
+
+    def test_random_systems_match_reference(self, monkeypatch):
+        rng = random.Random(808)
+        substitutions = 0
+        for case in range(24):
+            dim = rng.randint(3, 5)
+            ineqs, eqs = random_infeasible_system(rng, dim, case % 3 == 0)
+            diag, counts = counted_diagnose(monkeypatch, dim, ineqs, eqs)
+            rows, multipliers, offending, ref_lps = deletion_filter_reference(
+                dim, ineqs, eqs
+            )
+            assert diag.rows == rows
+            assert diag.multipliers == multipliers
+            assert diag.offending_tuples == offending
+            # three equality rows depend on the others, and each is
+            # dropped with no LP
+            assert counts["lps"] < ref_lps
+            assert_minimal_core(dim, diag)
+            substitutions += counts["substitutions"]
+        assert substitutions
+
+    def test_build_diagnosis_matches_reference(self, monkeypatch):
+        rng = random.Random(61)
+        for _ in range(2):
+            space, coll = clash_instance(rng, 3)
+            reps = representative_tuples(coll)
+            ineqs, eqs = _assemble(coll, reps)
+            joint = build_joint(coll)
+            assert joint.is_empty()
+            rows, multipliers, offending, ref_lps = deletion_filter_reference(
+                space.path_count, ineqs, eqs
+            )
+            diag = joint.diagnosis
+            assert (diag.rows, diag.multipliers, diag.offending_tuples) == (
+                rows, multipliers, offending
+            )
+            assert (space.indices[0],) in offending
+            _, counts = counted_diagnose(monkeypatch, space.path_count, ineqs, eqs)
+            assert counts["lps"] < ref_lps
+            assert_minimal_core(space.path_count, diag)
+
+    def test_feasible_system_raises(self):
+        simplex = pt.Polytope.simplex(3).hrep
+        ineqs = [(row, SIMPLEX_ORIGIN) for row in simplex.ineqs]
+        eqs = [(row, SIMPLEX_ORIGIN) for row in simplex.eqs]
+        eqs.append((((F(1), F(0), F(0)), F(1, 2)), ("a",)))
+        with pytest.raises(RuntimeError):
+            _diagnose(3, ineqs, eqs)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_finite_selections_match_reference(self, seed):
+        rng = random.Random(seed)
+        members = {("a",): 2, ("b",): 2, ("c",): 1, ("a", "b"): 2}
+        sets = {}
+        for alpha in all_canonical_tuples(ABC):
+            dim = 2 ** len(alpha)
+            points = {random_simplex_point(rng, dim)
+                      for _ in range(members.get(alpha, 1))}
+            sets[alpha] = credal_set_from_members(ABC, alpha, sorted(points))
+        coll = CredalCollection(ABC, sets)
+        joint = build_joint(coll)
+        assert joint.is_empty()
+        assert len(joint.diagnosis) == 8  # every selection is dead
+        reps = representative_tuples(coll)
+        for d in joint.diagnosis:
+            ineqs, eqs = _assemble(coll, reps, selections=dict(d.selection))
+            rows, multipliers, offending, _ = deletion_filter_reference(8, ineqs, eqs)
+            assert (d.diagnosis.rows, d.diagnosis.multipliers,
+                    d.diagnosis.offending_tuples) == (rows, multipliers, offending)
 
 
 class TestPushforward:
