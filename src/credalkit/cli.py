@@ -115,11 +115,11 @@ def cmd_verify(args):
     if note:
         notes.append(note)
     if model.mode == cr.POLYTOPE and consistency.passed and not model.is_empty():
-        properties = jt.property_suite(coll, model)
+        properties = jt.property_suite(coll, model, representation=representation)
 
     vertices = None
     if args.emit_vertices and model.mode == cr.POLYTOPE and not model.is_empty():
-        verts = pt.dd_convert(model.body).points
+        verts = model.body.points  # the double description's sorted vertices
         if len(verts) <= args.vertex_limit:
             vertices = verts
         else:

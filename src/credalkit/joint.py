@@ -690,6 +690,7 @@ def property_suite(
     coll: CredalCollection,
     joint: Optional[JointModel] = None,
     max_permutations: int = 6,
+    representation: Optional[RepresentationReport] = None,
 ) -> PropertyReport:
     """Structural facts that hold for consistent polytope collections.
 
@@ -698,6 +699,12 @@ def property_suite(
     - every prescribed set is reachable (the inclusion half of the
       representation check);
     - the preimage of the full tuple already equals the joint set.
+
+    The containments are exact `pt.is_subset` calls, in which a row of
+    the second set that the first already carries costs no LP. The
+    reachability records are copied from `representation`, the report
+    of `verify_representation(coll, joint)`, which is run here when not
+    given.
     """
     if joint is None:
         joint = build_joint(coll)
@@ -750,8 +757,9 @@ def property_suite(
                 )
             )
 
-    rep_half = verify_representation(coll, joint)
-    for r in rep_half.records:
+    if representation is None:
+        representation = verify_representation(coll, joint)
+    for r in representation.records:
         if r.direction == "prescribed within pushforward":
             records.append(
                 PropertyRecord(

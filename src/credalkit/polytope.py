@@ -154,11 +154,13 @@ class Polytope:
     form lists hull generators; after `dd_convert` (and for anything
     produced by representation conversion) the generators are exactly
     the extreme points and the inequality form has no redundant rows.
-    Instances are immutable apart from idempotent caching, so concurrent
-    readers are safe.
+    Instances are immutable apart from idempotent caching (the missing
+    representation, emptiness, the LP context, and the canonical form
+    `dd_convert` returns), so concurrent readers are safe.
     """
 
-    __slots__ = ("dim", "_hrep", "_points", "_empty", "_canonical", "_context")
+    __slots__ = ("dim", "_hrep", "_points", "_empty", "_canonical", "_context",
+                 "_converted")
 
     def __init__(self, dim, hrep=None, points=None, empty=None, canonical=False):
         if hrep is None and points is None:
@@ -173,6 +175,7 @@ class Polytope:
         self._empty = empty
         self._canonical = canonical
         self._context = None
+        self._converted = None
 
     @classmethod
     def from_hrep(cls, dim, ineqs=(), eqs=()):
@@ -665,21 +668,21 @@ def _hrep_from_points(points, dim) -> HRep:
 # public operations
 
 def dd_convert(p: Polytope) -> Polytope:
-    """Both representations, canonical: extreme points, irredundant rows."""
+    """Both representations, canonical: extreme points, irredundant rows.
+
+    The result is cached on p, so each set is converted once."""
     if p._canonical:
         return p
-    if p._points is None:
-        pts = p.points  # double description output: exactly the vertices
-    else:
-        pts = _extreme_subset(p._points, p.dim)
-    if not pts:
-        return Polytope(
-            p.dim, hrep=_hrep_from_points((), p.dim), points=(), canonical=True
+    if p._converted is None:
+        if p._points is None:
+            pts = p.points  # double description output: exactly the vertices
+        else:
+            pts = _extreme_subset(p._points, p.dim)
+        p._converted = Polytope(
+            p.dim, hrep=_hrep_from_points(pts, p.dim), points=tuple(sorted(pts)),
+            canonical=True,
         )
-    hrep = _hrep_from_points(pts, p.dim)
-    return Polytope(
-        p.dim, hrep=hrep, points=tuple(sorted(pts)), canonical=True
-    )
+    return p._converted
 
 
 def _extreme_subset(points, dim):
@@ -787,6 +790,13 @@ def is_subset(p: Polytope, q: Polytope):
     Returns (holds, certificate). The certificate separates some point
     of p from q; it is None when q is empty (no functional can have a
     finite supremum over the empty set).
+
+    A p given by generators is tested point by point. Otherwise every row
+    of q is maximized over p, except a row p already carries: an
+    inequality row (a, b) holds with no LP when p has a row (a, b') with
+    b' <= b, and an equality row in the span of p's equality rows is
+    constant on p, so its two LPs are free. The first failing row, and
+    so the certificate, is the one every row's LP would find.
     """
     if p.dim != q.dim:
         raise DimensionError("dimension mismatch")
@@ -799,9 +809,15 @@ def is_subset(p: Polytope, q: Polytope):
             if not contains_point(q, v):
                 return False, separate(q, v)
         return True, None
-    # facet route: maximize every row of q over p
+    # facet route: maximize every row of q over p that p does not carry
+    carried = {}
+    for a, b in p._hrep.ineqs:
+        if a not in carried or b < carried[a]:
+            carried[a] = b
     h = q.hrep
     for a, b in h.ineqs:
+        if a in carried and carried[a] <= b:
+            continue
         status, val, arg = _maximize(p, a)
         if status != "optimal":
             raise UnboundedError("containment query over an unbounded set")

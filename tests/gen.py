@@ -10,6 +10,7 @@ from credalkit.credal import (
     CredalSet,
     credal_set_from_vertices,
 )
+from credalkit.modelio import rat_list
 from credalkit.spaces import (
     all_canonical_tuples,
     make_space,
@@ -68,3 +69,22 @@ def instance_stream(seed, n_indices, count):
     rng = random.Random(seed)
     for _ in range(count):
         yield generated_instance(rng, n_indices)
+
+
+def collection_to_model(coll):
+    """The model document of a polytope collection, each set by vertices."""
+    doc = {
+        "Y": list(coll.space.outcomes),
+        "T": list(coll.space.indices),
+        "credal_sets": [],
+    }
+    for tup in coll.supplied_tuples():
+        cset = coll.sets[tup]
+        doc["credal_sets"].append(
+            {
+                "tuple": list(tup),
+                "mode": "polytope-v",
+                "vertices": [rat_list(v) for v in cset.body.points],
+            }
+        )
+    return doc

@@ -16,6 +16,10 @@ arithmetic with the kernel's integer rows.
 probe an LP over the original coordinates with every row and no LP
 context.
 
+`is_subset_reference` is the reference for
+`credalkit.polytope.is_subset`: the same routes, but the facet route
+maximizes every row of q over p, one LP per row, with none skipped.
+
 `deletion_filter_reference` is the reference for
 `credalkit.joint._diagnose`: the deletion filter with one LP per
 credal-origin row, each over every other row still active, and no
@@ -40,6 +44,7 @@ a matrix-vector product and pulling a row is a row-matrix product.
 from fractions import Fraction
 from itertools import combinations, product
 
+import credalkit.polytope as pt
 from credalkit.exactq import EQ, LE, DimensionError, LpProblem, dot, lp_solve, qvec
 from credalkit.joint import SIMPLEX_ORIGIN
 from credalkit.spaces import alignment_permutation, product_index
@@ -96,6 +101,34 @@ def redundant_rows_reference(dim, ineqs, eqs):
         if out.status == "optimal" and out.value <= b:
             alive = rest
     return alive
+
+
+def is_subset_reference(p, q):
+    """(holds, certificate) for p within q, maximizing every row of q
+    over p (inequality rows first, then each equality row both ways) and
+    stopping at the first that fails. Every LP goes through the module
+    attribute `pt._maximize`, so a test can count them."""
+    if p.dim != q.dim:
+        raise DimensionError("dimension mismatch")
+    if p.is_empty():
+        return True, None
+    if q.is_empty():
+        return False, None
+    if p._points is not None:
+        for v in p.points:
+            if not pt.contains_point(q, v):
+                return False, pt.separate(q, v)
+        return True, None
+    h = q.hrep
+    probes = list(h.ineqs)
+    for e, f in h.eqs:
+        probes += [(e, f), (tuple(-c for c in e), -f)]
+    for g, bound in probes:
+        status, val, arg = pt._maximize(p, g)
+        assert status == "optimal", status
+        if val > bound:
+            return False, pt.SeparationCertificate(g, val - pt._sup(q, g), arg)
+    return True, None
 
 
 def deletion_filter_reference(dim, ineqs, eqs):

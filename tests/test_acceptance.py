@@ -34,13 +34,13 @@ from credalkit.joint import (
     representative_tuples,
     verify_representation,
 )
-from credalkit.modelio import load_model, parse_certificate, rat_list
+from credalkit.modelio import load_model, parse_certificate
 from credalkit.spaces import (
     all_canonical_tuples,
     make_space,
     uniform_measure,
 )
-from gen import generated_instance, random_simplex_point
+from gen import collection_to_model, generated_instance, random_simplex_point
 from oracles import apply, brute_force_vertices, dense_pushforward
 
 # separation certificates produced while the suite runs, re-verified in
@@ -67,24 +67,6 @@ def run_cli(*argv):
         except SystemExit as exc:
             code = exc.code or 0
     return code, out.getvalue(), err.getvalue()
-
-
-def collection_to_model(coll):
-    doc = {
-        "Y": list(coll.space.outcomes),
-        "T": list(coll.space.indices),
-        "credal_sets": [],
-    }
-    for tup in coll.supplied_tuples():
-        cset = coll.sets[tup]
-        doc["credal_sets"].append(
-            {
-                "tuple": list(tup),
-                "mode": "polytope-v",
-                "vertices": [rat_list(v) for v in cset.body.points],
-            }
-        )
-    return doc
 
 
 class Pipeline:
@@ -153,7 +135,9 @@ def test_criterion_3_structural_properties(pipeline):
     with criterion(3, "preimage property suite"):
         strict_seen = 0
         for entry in pipeline.entries:
-            report = property_suite(entry["coll"], entry["joint"])
+            report = property_suite(
+                entry["coll"], entry["joint"], representation=entry["representation"]
+            )
             assert report.passed
             strict_seen += sum(
                 1
@@ -162,6 +146,15 @@ def test_criterion_3_structural_properties(pipeline):
                 and r.note == "strict"
             )
         assert strict_seen >= 1
+
+
+def test_emitted_vertices_are_dd_vertices(pipeline):
+    """`verify --emit-vertices` reads the joint body's vertices straight
+    from its H-rep; they are the vertices `dd_convert` gives."""
+    for entry in pipeline.entries:
+        body = entry["joint"].body
+        fresh = [pt.Polytope(body.dim, hrep=body.hrep) for _ in range(2)]
+        assert fresh[0].points == pt.dd_convert(fresh[1]).points
 
 
 def test_criterion_4_necessity_direction(pipeline, tmp_path):

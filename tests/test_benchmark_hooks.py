@@ -10,6 +10,7 @@ and that the layers it wraps see every LP.
 
 import importlib
 import inspect
+import json
 import os
 import random
 import types
@@ -80,6 +81,13 @@ def traced(layers, work):
     return result, tracer.spans, tracer.info
 
 
+def ancestors(spans, i):
+    p = spans[i][3]
+    while p >= 0:
+        yield p
+        p = spans[p][3]
+
+
 def test_every_kernel_call_is_an_lp_span():
     """A build and the representation check on the joint set it returns,
     reloaded from its H-rep the way perfbench/run.py reads a build file:
@@ -137,25 +145,61 @@ def test_diagnosis_lps_are_traced():
     root = diagnosis[0]
     assert info[root] == {"core_rows": len(model.diagnosis.rows)}
 
-    def chain(i):
-        p = spans[i][3]
-        while p >= 0:
-            yield p
-            p = spans[p][3]
-
     inside = {"kernel": 0, "lp": 0}
     for i, layer in enumerate(layer_of):
         if layer != "kernel":
             continue
-        above = list(chain(i))
+        above = list(ancestors(spans, i))
         lp = next((p for p in above if layer_of[p] == "lp"), None)
         assert lp is not None, "a kernel call outside every traced lp_solve"
         if root in above:
-            assert root in chain(lp), "an LP of the diagnosis traced outside it"
+            assert root in ancestors(spans, lp), (
+                "an LP of the diagnosis traced outside it"
+            )
             inside["kernel"] += 1
     inside["lp"] = sum(
-        1 for i, layer in enumerate(layer_of) if layer == "lp" and root in chain(i)
+        1 for i, layer in enumerate(layer_of)
+        if layer == "lp" and root in ancestors(spans, i)
     )
     # the first and the last LP at least, one kernel call each
     assert inside["lp"] >= 2
     assert inside["kernel"] == inside["lp"]
+
+
+def test_verify_spans_one_representation_check(tmp_path):
+    """CLI `verify` on a consistent |T|=3 collection: one
+    `verify_representation` span, the property suite's `is_subset` spans
+    still recorded, and an `is_subset` call whose q rows p already
+    carries holds with no LP below its span."""
+    layers = load_layers()
+    gen = importlib.import_module("gen")
+    cli = importlib.import_module("credalkit.cli")
+    jt = importlib.import_module("credalkit.joint")
+    pt = importlib.import_module("credalkit.polytope")
+    _, coll, _ = gen.generated_instance(random.Random(31), 3)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(gen.collection_to_model(coll)))
+    # q is p's own rows, or the path simplex, whose rows every preimage
+    # carries; their feasibility LPs run before the trace
+    p = jt.preimage_set(coll, coll.space.full_tuple())
+    carried = [pt.Polytope(p.dim, hrep=p.hrep), pt.Polytope.simplex(p.dim)]
+    assert not any(s.is_empty() for s in (p, *carried))
+
+    def work():
+        try:
+            cli.main(["verify", str(model), "--report", str(tmp_path / "r.json")])
+        except SystemExit as exc:
+            assert exc.code == 0
+        return [pt.is_subset(p, q) for q in carried]
+
+    answers, spans, _ = traced(layers, work)
+    assert answers == [(True, None)] * len(carried)
+    layer_of = [name.split(".")[0] for name, *_ in spans]
+    assert layer_of.count("represent") == 1
+    subset = [i for i, layer in enumerate(layer_of) if layer == "is_subset"]
+    assert any(
+        "properties" in (layer_of[a] for a in ancestors(spans, i)) for i in subset
+    )
+    free = set(subset[-len(carried):])
+    lps = [i for i, layer in enumerate(layer_of) if layer == "lp"]
+    assert lps and not any(free & set(ancestors(spans, i)) for i in lps)

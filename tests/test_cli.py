@@ -1,8 +1,13 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+
+import credalkit.joint as jt
+from credalkit.cli import main
+from gen import collection_to_model, generated_instance
 
 MODULE = [sys.executable, "-m", "credalkit.cli"]
 
@@ -603,3 +608,21 @@ class TestResourceCap:
         res = run_cli("build", model, "-o", out)
         assert res.returncode == 3
         assert "cap" in res.stderr
+
+
+def test_verify_checks_the_representation_once(tmp_path, monkeypatch):
+    """The property suite reuses the representation report of `verify`."""
+    _, coll, _ = generated_instance(random.Random(31), 3)
+    model = write(tmp_path, "m.json", collection_to_model(coll))
+    calls = []
+    real = jt.verify_representation
+    monkeypatch.setattr(
+        jt, "verify_representation",
+        lambda *args: calls.append(args) or real(*args),
+    )
+    with pytest.raises(SystemExit) as done:
+        main(["verify", model, "--report", str(tmp_path / "report.json")])
+    assert done.value.code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["properties"]["passed"] and report["representation"]["passed"]
+    assert len(calls) == 1

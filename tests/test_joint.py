@@ -593,3 +593,17 @@ class TestPropertySuite:
             if r.name == "covering tuple has smaller preimage" and r.note == "strict"
         ]
         assert strict
+
+    @pytest.mark.parametrize("make", [
+        lambda: generated_instance(random.Random(800), 2)[1],
+        forced_failure_collection,
+    ], ids=["passing", "failing-representation"])
+    def test_given_representation_gives_the_same_report(self, make):
+        coll = make()
+        joint = build_joint(coll)
+        representation = verify_representation(coll, joint)
+        if make is forced_failure_collection:
+            assert not representation.passed
+        assert property_suite(coll, joint) == property_suite(
+            coll, joint, representation=representation
+        )

@@ -38,6 +38,7 @@ from oracles import (
     fraction_inverse,
     hrep_contains,
     hull_sample_points,
+    is_subset_reference,
     matrix_rank,
     redundant_rows_reference,
     solve_linear_system,
@@ -688,3 +689,169 @@ class TestLpStatusChecks:
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "raised", out.stderr
+
+
+def unit_row(dim, j, sign=1):
+    return tuple(F(sign if k == j else 0) for k in range(dim))
+
+
+def random_subset_pair(rng, case):
+    """Rows of p and q for one containment query: (dim, p rows, q rows),
+    each rows a pair (ineqs, eqs) of integer rows.
+
+    p is a box [-2, 2]^dim cut by primitive integer rows through
+    nonnegative rhs (so the origin stays in it), some of them copied
+    with the same or a larger rhs, and sometimes cut by one equality row
+    through the origin. q reuses p's rows: shared, with a smaller, equal
+    or larger rhs, duplicated, mixed with fresh rows. `case` "empty-p"
+    and "empty-q" add a row that empties that side; "fail-last" puts
+    one failing row after rows that p carries."""
+    dim = rng.randint(2, 3)
+    box = [(unit_row(dim, j, s), F(2)) for j in range(dim) for s in (1, -1)]
+    cuts = []
+    while len(cuts) < rng.randint(1, 3):
+        a = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+        if any(a) and gcd(*(int(v) for v in a)) == 1:
+            cuts.append((a, F(rng.randint(0, 3))))
+    p_ineqs = box + cuts
+    p_ineqs += [(a, b + rng.randint(0, 2)) for a, b in rng.sample(p_ineqs, 2)]
+    p_eqs = [((F(1),) * dim, F(0))] if rng.random() < 0.3 else []
+
+    if case == "fail-last":
+        q_ineqs = rng.sample(p_ineqs, 3) + [(cuts[0][0], cuts[0][1] - 1)]
+        q_eqs = []
+    else:
+        q_ineqs = []
+        for a, b in p_ineqs:
+            if rng.random() < 0.8:
+                q_ineqs.append((a, b + rng.choice((-1, 0, 0, 1, 2))))
+        q_ineqs += rng.sample(q_ineqs, min(2, len(q_ineqs)))  # duplicates
+        for _ in range(rng.randint(0, 2)):
+            a = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+            q_ineqs.append((a, F(rng.randint(0, 5))))
+        rng.shuffle(q_ineqs)
+        q_ineqs = box + q_ineqs  # keeps q bounded
+        q_eqs = p_eqs if rng.random() < 0.5 else []
+    if case in ("empty-p", "empty-q"):
+        (p_ineqs if case == "empty-p" else q_ineqs).append((unit_row(dim, 0), F(-3)))
+    return dim, (p_ineqs, p_eqs), (q_ineqs, q_eqs)
+
+
+def counted(monkeypatch, fn, p, q):
+    """fn(p, q) with every `pt._maximize` call recorded as ("p" | "q",
+    functional)."""
+    calls = []
+    real = pt._maximize
+
+    def counting(poly, f):
+        calls.append(("p" if poly is p else "q", tuple(f)))
+        return real(poly, f)
+
+    monkeypatch.setattr(pt, "_maximize", counting)
+    try:
+        return fn(p, q), calls
+    finally:
+        monkeypatch.setattr(pt, "_maximize", real)
+
+
+class TestSubsetParity:
+    """`is_subset` skips the rows of q that p already carries and
+    otherwise makes exactly the reference's LPs, with the same answer."""
+
+    CASES = ["mixed"] * 6 + ["fail-last", "empty-p", "empty-q"]
+
+    def test_random_pairs_match_reference(self, monkeypatch):
+        rng = random.Random(2026)
+        seen = {"equal-rhs skip": 0, "smaller of two rhs": 0, "fails": 0,
+                "fail-last": 0, "empty-p": 0, "empty-q": 0}
+        for k in range(60):
+            case = self.CASES[k % len(self.CASES)]
+            dim, p_rows, q_rows = random_subset_pair(rng, case)
+            sides = []
+            for fn in (is_subset_reference, is_subset):
+                p = Polytope.from_hrep(dim, *p_rows)
+                q = Polytope.from_hrep(dim, *q_rows)
+                sides.append(counted(monkeypatch, fn, p, q))
+            (want, ref_calls), (got, calls) = sides
+            assert got == want
+            assert p.is_empty() == (case == "empty-p")
+            if case == "empty-q":
+                assert q.is_empty() and got == (False, None)
+
+            # the rows p carries among those the reference probed: the
+            # j-th maximization over p is the j-th inequality row of q
+            carried = {}
+            for a, b in p.hrep.ineqs:
+                carried.setdefault(a, []).append(b)
+            rows = q.hrep.ineqs
+            probed = [i for i, (side, _) in enumerate(ref_calls) if side == "p"]
+            skipped = {
+                probed[j] for j, (a, b) in enumerate(rows[: len(probed)])
+                if any(b2 <= b for b2 in carried.get(a, ()))
+            }
+            assert calls == [c for i, c in enumerate(ref_calls) if i not in skipped]
+            if skipped:
+                assert len(calls) < len(ref_calls)
+            for j in range(min(len(probed), len(rows))):
+                a, b = rows[j]
+                if b in carried.get(a, ()):
+                    seen["equal-rhs skip"] += 1
+                if min(carried.get(a, [b + 1])) <= b < max(carried.get(a, [b])):
+                    seen["smaller of two rhs"] += 1
+            seen["fails"] += not got[0]
+            if case == "fail-last":
+                assert not got[0] and len(skipped) == 3
+            if case in seen:
+                seen[case] += 1
+        assert all(seen.values()), seen
+
+    def test_generator_form_p_stays_pointwise(self, monkeypatch):
+        """A p given by generators is tested point by point: no H-rep is
+        computed for it, whatever rows q shares with its hull."""
+        conversions = []
+        real = pt._hrep_from_points
+        monkeypatch.setattr(
+            pt, "_hrep_from_points",
+            lambda *args: conversions.append(args) or real(*args),
+        )
+        simplex = Polytope.simplex(3)
+        corners = [unit_row(3, j) for j in range(3)]
+        for pts, holds in ((corners, True), (corners + [(F(2), F(-1), F(0))], False)):
+            p = Polytope.from_points(pts)
+            ref = Polytope.from_points(pts)
+            assert is_subset(p, simplex) == is_subset_reference(ref, simplex)
+            assert is_subset(p, simplex)[0] is holds
+            assert p._hrep is None
+        assert conversions == []
+
+
+class TestConvertCache:
+    """`dd_convert` converts each polytope once and keeps the result."""
+
+    def inputs(self):
+        rng = random.Random(77)
+        yield random_bounded_hrep(rng, 3)
+        yield Polytope.from_points(
+            [tuple(F(rng.randint(0, 4), 4) for _ in range(3)) for _ in range(6)]
+        )
+        yield Polytope.from_hrep(2, ineqs=[((1, 0), -1), ((-1, 0), 0)])  # empty
+
+    def test_second_call_returns_the_same_object(self, monkeypatch):
+        for p in self.inputs():
+            first = dd_convert(p)
+            monkeypatch.setattr(pt, "_hrep_from_points", None)  # no second DD
+            assert dd_convert(p) is first
+            monkeypatch.undo()
+
+    def test_equals_a_fresh_conversion_of_a_copy(self):
+        for p in self.inputs():
+            copy = Polytope(p.dim, hrep=p._hrep, points=p._points)
+            cached, fresh = dd_convert(p), dd_convert(copy)
+            assert cached is not fresh
+            assert cached.points == fresh.points
+            assert cached.hrep == fresh.hrep
+
+    def test_canonical_input_returns_itself(self):
+        for p in self.inputs():
+            q = dd_convert(p)
+            assert q._canonical and dd_convert(q) is q
