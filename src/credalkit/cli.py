@@ -66,22 +66,27 @@ def cmd_build(args):
     doc = io.joint_hrep_document(model, digest)
     io.write_atomic(args.output, io.dump_json(doc))
     if model.is_empty():
-        if model.mode == cr.POLYTOPE and model.diagnosis is not None:
-            tuples = model.diagnosis.offending_tuples
-        elif model.diagnosis:
-            # finite mode: the tuples named by any dead selection
-            tuples = [tuple(t) for t in io._offending_tuples(model.diagnosis)]
-        else:
-            tuples = None
-        if tuples is None:
-            print("joint set is empty", file=sys.stderr)
-        else:
-            named = ", ".join(str(t) for t in tuples)
-            print(f"joint set is empty; offending tuples: {named}",
-                  file=sys.stderr)
+        _report_empty(model)
         return EXIT_FAIL
     print(f"joint set written to {args.output}", file=sys.stderr)
     return EXIT_PASS
+
+
+def _report_empty(model):
+    """The stderr line for an empty joint set, naming the offending
+    tuples of its diagnosis."""
+    if model.mode == cr.POLYTOPE and model.diagnosis is not None:
+        tuples = model.diagnosis.offending_tuples
+    elif model.diagnosis:
+        # finite mode: the tuples named by any dead selection
+        tuples = [tuple(t) for t in io._offending_tuples(model.diagnosis)]
+    else:
+        tuples = None
+    if tuples is None:
+        print("joint set is empty", file=sys.stderr)
+    else:
+        named = ", ".join(str(t) for t in tuples)
+        print(f"joint set is empty; offending tuples: {named}", file=sys.stderr)
 
 
 def _singleton_note(model):
@@ -164,7 +169,7 @@ def cmd_expect(args):
     if args.joint:
         model = jt.build_joint(coll, cell_cap=options["finite_cap"])
         if model.is_empty():
-            print("joint set is empty", file=sys.stderr)
+            _report_empty(model)
             return EXIT_FAIL
         cset = jt.pushforward_joint(model, alpha)
     else:

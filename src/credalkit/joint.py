@@ -56,6 +56,9 @@ SIMPLEX_ORIGIN = "simplex"
 
 DEFAULT_CELL_CAP = 10000
 
+# an empty finite-mode joint set is diagnosed on its first dead selections
+DIAGNOSED_SELECTIONS = 20
+
 
 class EmptyJointError(ValueError):
     """An operation that needs a nonempty joint set got an empty one."""
@@ -275,8 +278,12 @@ def _build_polytope(coll, reps) -> JointModel:
     dim = coll.space.path_count
     ineqs, eqs = _assemble(coll, reps)
     body = _system_polytope(dim, ineqs, eqs)
-    if body.is_empty():
-        diagnosis = _diagnose(dim, ineqs, eqs)
+    # the one LP over all rows: it gives a nonempty body its LP context,
+    # which the redundancy removal and the trimmed body use, and an empty
+    # one the certificate the diagnosis starts from
+    certificate = pt._decide_empty(body)
+    if certificate is not None:
+        diagnosis = _diagnose(dim, ineqs, eqs, certificate)
         return JointModel(
             coll.space,
             POLYTOPE,
@@ -286,8 +293,6 @@ def _build_polytope(coll, reps) -> JointModel:
             (),
             diagnosis,
         )
-    # the feasibility LP behind is_empty gave body its LP context, which
-    # both the redundancy removal and the trimmed body use
     keep = pt.remove_redundant_ineqs(
         dim, body.hrep.ineqs, body.hrep.eqs, pt._lp_context(body)
     )
@@ -304,15 +309,19 @@ def _build_polytope(coll, reps) -> JointModel:
     )
 
 
-def _diagnose(dim, ineqs, eqs) -> InfeasibilityDiagnosis:
+def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
     """Minimal infeasible core plus its Farkas certificate.
 
     Simplex rows always stay in the system; credal-origin rows are
     dropped one by one, in row order, whenever the rest remains
     infeasible (deletion filter, Chinneck & Dravnieks 1991), so every
     surviving row is necessary. The filter carries a Farkas certificate
-    of the rows still active (the first one from an LP over all rows)
-    and decides each row in one of three exact ways:
+    of the rows still active, one multiplier per row of ineqs + eqs. The
+    first one is `certificate`, when the caller's feasibility LP over
+    all rows (`polytope._feasible_point`) has one; it is re-checked in
+    integers, and a wrong one raises RuntimeError. Without it, an LP
+    over all rows gives the first. Each row is then decided in one of
+    three exact ways:
 
     - weight 0 in the carried certificate: the same certificate proves
       the other rows infeasible, so the row is dropped with no LP;
@@ -324,12 +333,15 @@ def _diagnose(dim, ineqs, eqs) -> InfeasibilityDiagnosis:
     - otherwise an LP over the other active rows decides, and when they
       are infeasible its certificate becomes the carried one.
 
-    Each rule only proves what that LP would find, so the kept rows are
-    the ones the LP-per-row filter keeps, and the certificate reported
-    comes from one last LP over them. The c_j are read off a basis of
-    the integer vectors z with sum_j z_j e_j = 0 over the equality rows
-    (from `solve_rows`); dropping a dependent row r leaves the basis
-    vectors with z_r = 0.
+    Every LP of the filter runs in `_feasible_point`'s form, the unit
+    rows -x_j <= 0 of the simplex as bounds, and its certificate is
+    checked against the all-free rows. Each rule only proves what an LP
+    per row would find, whatever certificate is carried, so the kept
+    rows are the ones the LP-per-row filter keeps, and the certificate
+    reported comes from one last LP over them with every variable free.
+    The c_j are read off a basis of the integer vectors z with
+    sum_j z_j e_j = 0 over the equality rows (from `solve_rows`);
+    dropping a dependent row r leaves the basis vectors with z_r = 0.
     """
     rows = [(coeffs, LE, rhs, origin) for (coeffs, rhs), origin in ineqs]
     rows += [(coeffs, EQ, rhs, origin) for (coeffs, rhs), origin in eqs]
@@ -346,20 +358,31 @@ def _diagnose(dim, ineqs, eqs) -> InfeasibilityDiagnosis:
         )
 
     def infeasible(keep):
-        outcome = lp_solve(problem(keep))
-        return outcome.status == "infeasible", outcome.certificate
-
-    def weights(keep, certificate):
-        out = [ZERO] * len(rows)
-        for i, y in zip(keep, certificate):
-            out[i] = y
-        return out
+        """Whether the rows `keep` are infeasible, with the weight of
+        every row in their certificate (0 off `keep`)."""
+        body = _system_polytope(
+            dim,
+            [ineqs[i] for i in keep if i < first_eq],
+            [eqs[i - first_eq] for i in keep if i >= first_eq],
+        )
+        status, _, found = pt._feasible_point(body)
+        if status != "infeasible":
+            return False, None
+        weight = [ZERO] * len(rows)
+        for i, y in zip(keep, found):
+            weight[i] = y
+        return True, weight
 
     everything = range(len(rows))
-    bad, certificate = infeasible(everything)
-    if not bad:
-        raise RuntimeError("diagnosis of a feasible system")
-    weight = weights(everything, certificate)
+    if certificate is None:
+        bad, weight = infeasible(everything)
+        if not bad:
+            raise RuntimeError("diagnosis of a feasible system")
+    else:
+        if len(certificate) != len(rows):
+            raise RuntimeError("certificate length differs from the rows")
+        _check_infeasible(problem(everything), irows, certificate)
+        weight = list(certificate)
     null = _equality_relations(irows[first_eq:], dim)
 
     for r, (_, sense, _, origin) in enumerate(rows):
@@ -382,23 +405,23 @@ def _diagnose(dim, ineqs, eqs) -> InfeasibilityDiagnosis:
             continue
         if weight[r]:  # else rule 1
             keep = [i for i in everything if active[i] and i != r]
-            bad, certificate = infeasible(keep)
+            bad, found = infeasible(keep)
             if not bad:
                 continue
-            weight = weights(keep, certificate)
+            weight = found
         active[r] = False
     keep = [i for i in everything if active[i]]
-    bad, certificate = infeasible(keep)
-    if not bad:
+    outcome = lp_solve(problem(keep))
+    if outcome.status != "infeasible":
         raise RuntimeError("infeasible core turned feasible")
     offending = []
-    for i, mult in zip(keep, certificate):
+    for i, mult in zip(keep, outcome.certificate):
         origin = rows[i][3]
         if mult != 0 and origin != SIMPLEX_ORIGIN and origin not in offending:
             offending.append(origin)
     return InfeasibilityDiagnosis(
         tuple(rows[i] for i in keep),
-        tuple(certificate),
+        tuple(outcome.certificate),
         tuple(offending),
     )
 
@@ -437,25 +460,26 @@ def _build_cells(coll, reps, cell_cap) -> JointModel:
         raise ResourceCapError(count, cell_cap)
     dim = coll.space.path_count
     cells = []
-    empty_selections = []
+    dead = []  # the diagnosed dead selections, with their systems
     for choice in product(*(coll.sets[t].members() for t in reps)):
         selections = dict(zip(reps, choice))
         ineqs, eqs = _assemble(coll, reps, selections=selections)
         body = _system_polytope(dim, ineqs, eqs)
-        status, point, _ = pt._feasible_point(body)
+        status, point, certificate = pt._feasible_point(body)
         if status == "optimal":
             body._empty = False
             cells.append(
                 JointCell(tuple(selections.items()), body, tuple(point))
             )
-        else:
-            empty_selections.append((tuple(selections.items()), ineqs, eqs))
+        elif len(dead) < DIAGNOSED_SELECTIONS:
+            dead.append((tuple(selections.items()), ineqs, eqs, certificate))
     diagnosis = None
     if not cells:
-        # empty joint: certify the first few dead selections
         diagnosis = tuple(
-            SelectionDiagnosis(selection, _diagnose(dim, ineqs, eqs))
-            for selection, ineqs, eqs in empty_selections[:20]
+            SelectionDiagnosis(
+                selection, _diagnose(dim, ineqs, eqs, certificate)
+            )
+            for selection, ineqs, eqs, certificate in dead
         )
     return JointModel(
         coll.space, FINITE, None, (), (), tuple(cells), diagnosis

@@ -264,21 +264,62 @@ def _maximize(p: Polytope, f):
 
 
 def _feasible_point(p: Polytope):
-    """Feasibility of p's H-rep; returns (status, x, certificate). Unit
-    nonnegativity rows -x_j <= 0 enter as bounds on x_j."""
+    """Feasibility of p's H-rep; returns (status, x, certificate).
+
+    A unit row -c x_j <= 0 (c > 0) enters the LP as the bound x_j >= 0,
+    so it adds no row and x_j is not split into two columns. When p is
+    empty, the certificate holds one Farkas multiplier per H-rep row,
+    inequalities then equalities, valid for the system with every
+    variable free: the LP's multipliers on its rows, and on the first
+    unit row of each bounded x_j the LP's combined row at j (>= 0) over
+    c; a repeated unit row gets 0. It is re-checked in integers against
+    that all-free system.
+    """
     h = p.hrep
-    nonneg = [False] * p.dim
+    dim = p.dim
+    nonneg = [False] * dim
+    bound_at = {}  # bounded variable -> its first unit row
     rows = []
-    for coeffs, rhs in h.ineqs:
-        j = _unit_nonneg(coeffs, rhs, p.dim)
+    at = []  # the H-rep row behind each LP row
+    for i, (coeffs, rhs) in enumerate(h.ineqs):
+        j = _unit_nonneg(coeffs, rhs, dim)
         if j is None:
             rows.append((coeffs, LE, rhs))
+            at.append(i)
         else:
             nonneg[j] = True
+            bound_at.setdefault(j, i)
     rows += [(e, EQ, f) for e, f in h.eqs]
-    zero = tuple([ZERO] * p.dim)
+    at += range(len(h.ineqs), len(h.ineqs) + len(h.eqs))
+    zero = tuple([ZERO] * dim)
     outcome = lp_solve(LpProblem("min", zero, tuple(rows), tuple(nonneg)))
-    return outcome.status, outcome.solution, outcome.certificate
+    if outcome.status != "infeasible":
+        return outcome.status, outcome.solution, None
+    every = [(a, LE, b) for a, b in h.ineqs] + [(e, EQ, f) for e, f in h.eqs]
+    certificate = [ZERO] * len(every)
+    support = [(k, y) for k, y in enumerate(outcome.certificate) if y]
+    for k, y in support:
+        certificate[at[k]] = y
+    for j, i in bound_at.items():
+        combined = sum((y * rows[k][0][j] for k, y in support), ZERO)
+        certificate[i] = combined / -h.ineqs[i][0][j]
+    _check_infeasible(
+        LpProblem("min", zero, tuple(every), (False,) * dim),
+        [_integer_row([*coeffs, rhs]) for coeffs, _, rhs in every],
+        certificate,
+    )
+    return "infeasible", None, tuple(certificate)
+
+
+def _decide_empty(p: Polytope):
+    """Run p's feasibility LP and keep what it proves: whether p is
+    empty, and for a nonempty p its LP context, with the LP's point as
+    origin. Returns the LP's certificate when p is empty, else None."""
+    status, origin, certificate = _feasible_point(p)
+    p._empty = status != "optimal"
+    if not p._empty:
+        p._context = LpContext.build(p.hrep, origin)
+    return certificate
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +333,10 @@ def _lp_context(p: Polytope):
     """
     if p._context is None:
         if p._points is not None:
-            if not p._points:
-                return None
-            origin = p._points[0]
-        elif p._empty:
-            return None
-        else:
-            status, origin, _ = _feasible_point(p)
-            p._empty = status != "optimal"
-            if p._empty:
-                return None
-        p._context = LpContext.build(p.hrep, origin)
+            if p._points:
+                p._context = LpContext.build(p.hrep, p._points[0])
+        elif not p._empty:
+            _decide_empty(p)
     return p._context
 
 

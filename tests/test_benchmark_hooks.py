@@ -129,12 +129,18 @@ def test_diagnosis_lps_are_traced():
     """A build on an inconsistent collection: `_diagnose` keeps the
     arguments and result perfbench/layers.py reads, and every kernel call
     inside its span sits below a traced `lp_solve` span that is itself
-    inside it, so `diagnosis.lps` counts each LP the filter runs."""
+    inside it, so `diagnosis.lps` counts each LP the filter runs. The
+    build's feasibility LP over every row runs before the span, and the
+    filter's last LP, over the core, inside it."""
     layers = load_layers()
     gen = importlib.import_module("gen")
     jt = importlib.import_module("credalkit.joint")
-    assert list(inspect.signature(jt._diagnose).parameters) == ["dim", "ineqs", "eqs"]
-    _, coll = gen.clash_instance(random.Random(5), 3)
+    assert list(inspect.signature(jt._diagnose).parameters) == [
+        "dim", "ineqs", "eqs", "certificate",
+    ]
+    space, coll = gen.clash_instance(random.Random(5), 3)
+    dim = space.path_count
+    ineqs, eqs = jt._assemble(coll, jt.representative_tuples(coll))
 
     model, spans, info = traced(layers, lambda: jt.build_joint(coll))
     assert model.is_empty()
@@ -157,13 +163,24 @@ def test_diagnosis_lps_are_traced():
                 "an LP of the diagnosis traced outside it"
             )
             inside["kernel"] += 1
-    inside["lp"] = sum(
-        1 for i, layer in enumerate(layer_of)
-        if layer == "lp" and root in ancestors(spans, i)
-    )
-    # the first and the last LP at least, one kernel call each
-    assert inside["lp"] >= 2
+    lps = [i for i, layer in enumerate(layer_of) if layer == "lp"]
+    filter_lps = [i for i in lps if root in ancestors(spans, i)]
+    inside["lp"] = len(filter_lps)
     assert inside["kernel"] == inside["lp"]
+    # the last LP: over the core rows, every variable free
+    assert info[filter_lps[-1]] == {
+        "status": "infeasible", "rows": len(model.diagnosis.rows), "cols": dim,
+    }
+    # the feasibility LP: every row, the dim unit rows of the path
+    # simplex as bounds
+    everything = len(ineqs) + len(eqs) - dim
+    feasibility = [
+        i for i in lps
+        if info[i] == {"status": "infeasible", "rows": everything, "cols": dim}
+    ]
+    assert len(feasibility) == 1
+    assert root not in ancestors(spans, feasibility[0])
+    assert spans[feasibility[0]][2] <= spans[root][1]
 
 
 def test_verify_spans_one_representation_check(tmp_path):

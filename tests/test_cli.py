@@ -442,6 +442,21 @@ class TestExpect:
         assert res.returncode == 0
         assert res.stdout.strip() == "2/3"
 
+    def test_joint_flag_empty_names_tuples(self, tmp_path):
+        # the same stderr line as build on the same model
+        model = write(tmp_path, "m.json", delta_conflict_model())
+        fpath = str(tmp_path / "f.json")
+        open(fpath, "w").write('["1", "0"]')
+        res = run_cli(
+            "expect", model, "--tuple", "a", "--function-file", fpath, "--joint",
+        )
+        built = run_cli("build", model, "-o", str(tmp_path / "joint.json"))
+        assert res.returncode == built.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == built.stderr == (
+            "joint set is empty; offending tuples: ('a',), ('a', 'b')\n"
+        )
+
     def test_wrong_length_exit_two(self, tmp_path):
         model = write(tmp_path, "m.json", full_simplex_model())
         fpath = str(tmp_path / "f.json")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -325,25 +326,95 @@ def random_infeasible_system(rng, dim, inconsistent_copy):
     )
 
 
-def counted_diagnose(monkeypatch, dim, ineqs, eqs):
-    """_diagnose's result, the LPs it ran and its certificate
-    substitutions (rule 2)."""
+def counted_diagnose(monkeypatch, dim, ineqs, eqs, certificate=None):
+    """_diagnose's result, the LPs it ran (the filter's, in polytope, and
+    the last one, in joint) and its integer certificate checks (rule 2's,
+    and the seed's when `certificate` is given)."""
     counts = {"lps": 0, "substitutions": 0}
-    solve, check = jt.lp_solve, jt._check_infeasible
+    check = jt._check_infeasible
 
-    def counting_solve(problem):
-        counts["lps"] += 1
-        return solve(problem)
+    def counting(solve):
+        def counting_solve(problem):
+            counts["lps"] += 1
+            return solve(problem)
+        return counting_solve
 
     def counting_check(*args):
         counts["substitutions"] += 1
         return check(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(jt, "lp_solve", counting_solve)
+        for module in (jt, pt):
+            m.setattr(module, "lp_solve", counting(module.lp_solve))
         m.setattr(jt, "_check_infeasible", counting_check)
-        diag = _diagnose(dim, ineqs, eqs)
+        diag = _diagnose(dim, ineqs, eqs, certificate)
     return diag, counts
+
+
+def seed_certificate(dim, ineqs, eqs):
+    """The certificate of the feasibility LP over all rows, as the build
+    passes it to `_diagnose`."""
+    status, _, certificate = pt._feasible_point(jt._system_polytope(dim, ineqs, eqs))
+    assert status == "infeasible"
+    return certificate
+
+
+def assert_matches_reference(monkeypatch, dim, ineqs, eqs):
+    """Seeded and unseeded `_diagnose` both return the reference's rows,
+    multipliers and tuples, each with fewer LPs; returns the unseeded
+    run's rule 2 substitutions and the diagnosis."""
+    rows, multipliers, offending, ref_lps = deletion_filter_reference(dim, ineqs, eqs)
+    unseeded, counts = counted_diagnose(monkeypatch, dim, ineqs, eqs)
+    seeded, seeded_counts = counted_diagnose(
+        monkeypatch, dim, ineqs, eqs, seed_certificate(dim, ineqs, eqs)
+    )
+    for diag in (unseeded, seeded):
+        assert (diag.rows, diag.multipliers, diag.offending_tuples) == (
+            rows, multipliers, offending
+        )
+    assert seeded_counts["lps"] < ref_lps and counts["lps"] < ref_lps
+    return counts["substitutions"], unseeded
+
+
+def dead_finite_collection(seed, members):
+    """A finite-mode collection on ABC with random members, `members[alpha]`
+    of them for alpha (default 1); its selections are all dead."""
+    rng = random.Random(seed)
+    sets = {}
+    for alpha in all_canonical_tuples(ABC):
+        dim = 2 ** len(alpha)
+        points = {random_simplex_point(rng, dim)
+                  for _ in range(members.get(alpha, 1))}
+        sets[alpha] = credal_set_from_members(ABC, alpha, sorted(points))
+    return CredalCollection(ABC, sets)
+
+
+def row_set(ineqs, eqs):
+    return {(a, LE, b) for (a, b), _ in ineqs} | {(e, EQ, f) for (e, f), _ in eqs}
+
+
+def recorded_systems(monkeypatch, dim, coll):
+    """`build_joint(coll)` and the system of each LP it ran over the path
+    space: the LP's rows plus a unit row -x_j <= 0 for each bounded x_j."""
+    systems = []
+
+    def recording(solve):
+        def recording_solve(problem):
+            if len(problem.objective) == dim:
+                system = set(problem.rows)
+                for j, bounded in enumerate(problem.nonneg):
+                    if bounded:
+                        unit = tuple(F(-1) if k == j else F(0) for k in range(dim))
+                        system.add((unit, LE, F(0)))
+                systems.append(system)
+            return solve(problem)
+        return recording_solve
+
+    with monkeypatch.context() as m:
+        for module in (jt, pt):
+            m.setattr(module, "lp_solve", recording(module.lp_solve))
+        joint = build_joint(coll)
+    return joint, systems
 
 
 def assert_minimal_core(dim, diag):
@@ -367,18 +438,11 @@ class TestDiagnose:
         for case in range(24):
             dim = rng.randint(3, 5)
             ineqs, eqs = random_infeasible_system(rng, dim, case % 3 == 0)
-            diag, counts = counted_diagnose(monkeypatch, dim, ineqs, eqs)
-            rows, multipliers, offending, ref_lps = deletion_filter_reference(
-                dim, ineqs, eqs
-            )
-            assert diag.rows == rows
-            assert diag.multipliers == multipliers
-            assert diag.offending_tuples == offending
             # three equality rows depend on the others, and each is
             # dropped with no LP
-            assert counts["lps"] < ref_lps
+            found, diag = assert_matches_reference(monkeypatch, dim, ineqs, eqs)
             assert_minimal_core(dim, diag)
-            substitutions += counts["substitutions"]
+            substitutions += found
         assert substitutions
 
     def test_build_diagnosis_matches_reference(self, monkeypatch):
@@ -389,17 +453,45 @@ class TestDiagnose:
             ineqs, eqs = _assemble(coll, reps)
             joint = build_joint(coll)
             assert joint.is_empty()
-            rows, multipliers, offending, ref_lps = deletion_filter_reference(
-                space.path_count, ineqs, eqs
+            _, diag = assert_matches_reference(
+                monkeypatch, space.path_count, ineqs, eqs
             )
-            diag = joint.diagnosis
             assert (diag.rows, diag.multipliers, diag.offending_tuples) == (
-                rows, multipliers, offending
+                joint.diagnosis.rows,
+                joint.diagnosis.multipliers,
+                joint.diagnosis.offending_tuples,
             )
-            assert (space.indices[0],) in offending
-            _, counts = counted_diagnose(monkeypatch, space.path_count, ineqs, eqs)
-            assert counts["lps"] < ref_lps
+            assert (space.indices[0],) in diag.offending_tuples
             assert_minimal_core(space.path_count, diag)
+
+    def test_build_runs_one_lp_over_all_rows(self, monkeypatch):
+        """The build's feasibility LP is the only LP over the whole system;
+        the diagnosis starts from its certificate."""
+        space, coll = clash_instance(random.Random(61), 3)
+        ineqs, eqs = _assemble(coll, representative_tuples(coll))
+        joint, systems = recorded_systems(monkeypatch, space.path_count, coll)
+        assert joint.is_empty() and joint.diagnosis is not None
+        assert systems.count(row_set(ineqs, eqs)) == 1
+
+    def test_finite_selection_runs_one_lp_over_all_rows(self, monkeypatch):
+        coll = dead_finite_collection(3, {("a",): 2, ("b",): 2, ("a", "b"): 2})
+        joint, systems = recorded_systems(monkeypatch, 8, coll)
+        assert joint.is_empty() and len(joint.diagnosis) == 8
+        reps = representative_tuples(coll)
+        for d in joint.diagnosis:
+            ineqs, eqs = _assemble(coll, reps, selections=dict(d.selection))
+            assert systems.count(row_set(ineqs, eqs)) == 1
+
+    def test_finite_diagnoses_the_first_dead_selections(self):
+        coll = dead_finite_collection(6, {("a",): 5, ("b",): 5, ("c",): 5})
+        joint = build_joint(coll)
+        assert joint.is_empty()
+        reps = representative_tuples(coll)
+        selections = list(product(*(coll.sets[t].members() for t in reps)))
+        assert len(selections) > 20
+        assert [d.selection for d in joint.diagnosis] == [
+            tuple(zip(reps, choice)) for choice in selections[:20]
+        ]
 
     def test_feasible_system_raises(self):
         simplex = pt.Polytope.simplex(3).hrep
@@ -409,26 +501,36 @@ class TestDiagnose:
         with pytest.raises(RuntimeError):
             _diagnose(3, ineqs, eqs)
 
+    def test_tampered_seed_raises(self):
+        rng = random.Random(17)
+        ineqs, eqs = random_infeasible_system(rng, 4, False)
+        good = seed_certificate(4, ineqs, eqs)
+        _diagnose(4, ineqs, eqs, good)
+        support = [i for i, y in enumerate(good) if y]
+        bumped = list(good)
+        bumped[support[-1]] += 1
+        negated = list(good)
+        negated[support[0]] = -negated[support[0]]
+        for tampered in (bumped, negated, [F(0)] * len(good), good[:-1]):
+            with pytest.raises(RuntimeError):
+                _diagnose(4, ineqs, eqs, tuple(tampered))
+
     @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_finite_selections_match_reference(self, seed):
-        rng = random.Random(seed)
-        members = {("a",): 2, ("b",): 2, ("c",): 1, ("a", "b"): 2}
-        sets = {}
-        for alpha in all_canonical_tuples(ABC):
-            dim = 2 ** len(alpha)
-            points = {random_simplex_point(rng, dim)
-                      for _ in range(members.get(alpha, 1))}
-            sets[alpha] = credal_set_from_members(ABC, alpha, sorted(points))
-        coll = CredalCollection(ABC, sets)
+    def test_finite_selections_match_reference(self, monkeypatch, seed):
+        coll = dead_finite_collection(
+            seed, {("a",): 2, ("b",): 2, ("c",): 1, ("a", "b"): 2}
+        )
         joint = build_joint(coll)
         assert joint.is_empty()
         assert len(joint.diagnosis) == 8  # every selection is dead
         reps = representative_tuples(coll)
         for d in joint.diagnosis:
             ineqs, eqs = _assemble(coll, reps, selections=dict(d.selection))
-            rows, multipliers, offending, _ = deletion_filter_reference(8, ineqs, eqs)
+            _, diag = assert_matches_reference(monkeypatch, 8, ineqs, eqs)
             assert (d.diagnosis.rows, d.diagnosis.multipliers,
-                    d.diagnosis.offending_tuples) == (rows, multipliers, offending)
+                    d.diagnosis.offending_tuples) == (
+                diag.rows, diag.multipliers, diag.offending_tuples
+            )
 
 
 class TestPushforward:

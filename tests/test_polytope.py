@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 
 import credalkit.polytope as pt
-from credalkit.exactq import EQ, LpProblem, dot, lp_solve
+from credalkit.exactq import EQ, LE, LpProblem, _check_infeasible, _integer_row, dot, lp_solve
 from credalkit.polytope import (
     HRep,
     NotSeparableError,
@@ -35,6 +35,7 @@ from oracles import (
     brute_force_max,
     brute_force_vertices,
     dense_pushforward,
+    fraction_feasible,
     fraction_inverse,
     hrep_contains,
     hull_sample_points,
@@ -624,6 +625,65 @@ class TestLpContext:
         p = Polytope.from_hrep(1, ineqs=[((F(1),), F(-1)), ((F(-1),), F(0))])
         assert pt._lp_context(p) is None and p.is_empty()
         assert pt._maximize(p, (F(1),)) == ("infeasible", None, None)
+
+
+def random_unit_row_system(rng, dim, only_units):
+    """An empty H-rep with unit rows -c x_j <= 0 (c > 0, some repeated)
+    on a random subset of variables, random equality rows, and unless
+    `only_units` random inequality rows too."""
+    while True:
+        bounded = rng.sample(range(dim), rng.randint(1, dim))
+        ineqs = []
+        for j in bounded + rng.sample(bounded, rng.randint(0, 1)):
+            row = [F(0)] * dim
+            row[j] = F(-rng.randint(1, 3))
+            ineqs.append((tuple(row), F(0)))
+        if not only_units:
+            for _ in range(rng.randint(1, 3)):
+                a = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
+                ineqs.append((a, F(rng.randint(-2, 2))))
+        eqs = [
+            (tuple(F(rng.randint(-2, 2)) for _ in range(dim)), F(rng.randint(-2, 2)))
+            for _ in range(rng.randint(1, 2))
+        ]
+        rng.shuffle(ineqs)
+        rows = [(a, LE, b) for a, b in ineqs] + [(e, EQ, f) for e, f in eqs]
+        if not fraction_feasible(dim, rows):
+            return HRep(dim, tuple(ineqs), tuple(eqs))
+
+
+class TestFeasibleCertificate:
+    """`_feasible_point` takes unit rows as bounds; its certificate on an
+    empty system has one multiplier per H-rep row and holds for the
+    system with every variable free."""
+
+    @pytest.mark.parametrize("only_units", [False, True])
+    def test_per_row_certificate_on_all_free_rows(self, only_units):
+        rng = random.Random(41 + only_units)
+        on_units = 0
+        for _ in range(30):
+            dim = rng.randint(2, 4)
+            h = random_unit_row_system(rng, dim, only_units)
+            status, x, cert = pt._feasible_point(Polytope(dim, hrep=h))
+            assert (status, x) == ("infeasible", None)
+            rows = [(a, LE, b) for a, b in h.ineqs] + [(e, EQ, f) for e, f in h.eqs]
+            assert len(cert) == len(rows)
+            _check_infeasible(
+                LpProblem("min", tuple([F(0)] * dim), tuple(rows), (False,) * dim),
+                [_integer_row([*a, b]) for a, _, b in rows],
+                cert,
+            )
+            combined = [F(0)] * (dim + 1)
+            for (a, sense, b), y in zip(rows, cert):
+                assert sense == EQ or y >= 0
+                combined = [s + y * v for s, v in zip(combined, [*a, b])]
+            assert combined[:dim] == [0] * dim and combined[dim] < 0
+            units = [
+                i for i, (a, b) in enumerate(h.ineqs)
+                if pt._unit_nonneg(a, b, dim) is not None
+            ]
+            on_units += any(cert[i] for i in units)
+        assert on_units  # the bounds carry weight
 
 
 def hull_membership_all_rows(x, points):
