@@ -22,7 +22,7 @@ separate construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import Optional
 
 from credalkit import polytope as pt
@@ -32,7 +32,6 @@ from credalkit.credal import (
     POLYTOPE,
     CredalCollection,
     CredalSet,
-    _pushforward_set,
     _separation_from,
     _tuple_sort_key,
 )
@@ -58,6 +57,9 @@ DEFAULT_CELL_CAP = 10000
 
 # an empty finite-mode joint set is diagnosed on its first dead selections
 DIAGNOSED_SELECTIONS = 20
+
+# the property suite checks the first shuffles of each tuple, identity excluded
+CHECKED_PERMUTATIONS = 6
 
 
 class EmptyJointError(ValueError):
@@ -151,30 +153,27 @@ def representative_tuples(coll: CredalCollection) -> tuple:
 def preimage_set(coll: CredalCollection, alpha) -> pt.Polytope:
     """All path laws whose pushforward onto alpha lands in V_alpha."""
     alpha = sp.validate_index_tuple(coll.space, alpha)
-    return _preimage_of(coll.credal_set(alpha))
-
-
-def _preimage_of(cset: CredalSet) -> pt.Polytope:
+    cset = coll.credal_set(alpha)
     if cset.mode != POLYTOPE:
         raise ModeError(
             "preimage polytopes need polytope mode; finite collections "
             "use cell construction"
         )
     target = pt.dd_convert(cset.body).hrep
-    ineqs, eqs = _pulled_system(cset.space, [(cset.index_tuple, target)])
-    return _system_polytope(cset.space.path_count, ineqs, eqs)
+    dim = coll.space.path_count
+    idx = sp.pushforward_matrix(coll.space, alpha)
+    return _system_polytope(dim, *_pulled_system(dim, [(alpha, idx, target)]))
 
 
-def _pullback_rows(space, alpha, hrep):
-    """Pull an H-rep on the alpha-space back through the pushforward map.
+def _pullback_rows(idx, hrep):
+    """Pull an H-rep on a tuple's simplex back through an index map onto it.
 
-    Rows implied by the path simplex alone are filtered out. An
+    Rows implied by the source simplex alone are filtered out. An
     inequality g.p <= c holds on the whole simplex iff max_j g_j <= c.
     The map is onto, so a pulled-back equality is constant only when its
     target row is; the target lies in its simplex, so such a row is the
-    normalization row, which the path simplex already carries.
+    normalization row, which the source simplex already carries.
     """
-    idx = sp.pushforward_matrix(space, alpha)
     ineqs = []
     eqs = []
     for a, b in hrep.ineqs:
@@ -212,13 +211,6 @@ def build_joint(
     return _build_polytope(coll, reps)
 
 
-def _ambient_rows(dim):
-    simplex = pt.Polytope.simplex(dim).hrep
-    ineqs = [(row, SIMPLEX_ORIGIN) for row in simplex.ineqs]
-    eqs = [(row, SIMPLEX_ORIGIN) for row in simplex.eqs]
-    return ineqs, eqs
-
-
 def _assemble(coll, reps, selections=None):
     """Constraint system with provenance.
 
@@ -237,31 +229,34 @@ def _assemble(coll, reps, selections=None):
             )
         else:
             target = pt.dd_convert(coll.sets[alpha].body).hrep
-        targets.append((alpha, target))
-    return _pulled_system(coll.space, targets)
+        targets.append((alpha, sp.pushforward_matrix(coll.space, alpha), target))
+    return _pulled_system(coll.space.path_count, targets)
 
 
-def _pulled_system(space, targets):
-    """Path-simplex rows plus the pullback of each (alpha, H-rep) target.
+def _pulled_system(dim, targets):
+    """Rows of the simplex of dimension dim, plus each (origin, index map,
+    H-rep) target's rows pulled back through its map.
 
     Rows are canonical and each enters once, tagged with the first origin
     that produced it.
     """
-    ineqs, eqs = _ambient_rows(space.path_count)
+    simplex = pt.Polytope.simplex(dim).hrep
+    ineqs = [(row, SIMPLEX_ORIGIN) for row in simplex.ineqs]
+    eqs = [(row, SIMPLEX_ORIGIN) for row in simplex.eqs]
     seen_i = {row for row, _ in ineqs}
     seen_e = {row for row, _ in eqs}
-    for alpha, target in targets:
-        add_i, add_e = _pullback_rows(space, alpha, target)
+    for origin, idx, target in targets:
+        add_i, add_e = _pullback_rows(idx, target)
         for row in add_i:
             row = pt._canon_ineq(*row)
             if row is not None and row not in seen_i:
                 seen_i.add(row)
-                ineqs.append((row, alpha))
+                ineqs.append((row, origin))
         for row in add_e:
             row = pt._canon_eq(*row)
             if row is not None and row not in seen_e:
                 seen_e.add(row)
-                eqs.append((row, alpha))
+                eqs.append((row, origin))
     return ineqs, eqs
 
 
@@ -713,22 +708,34 @@ class PropertyReport:
 def property_suite(
     coll: CredalCollection,
     joint: Optional[JointModel] = None,
-    max_permutations: int = 6,
     representation: Optional[RepresentationReport] = None,
 ) -> PropertyReport:
     """Structural facts that hold for consistent polytope collections.
 
-    - permuting a tuple leaves its preimage polytope unchanged;
+    - permuting a tuple (its first CHECKED_PERMUTATIONS shuffles) leaves
+      its preimage pre(alpha) = {p : pi_alpha(p) in V_alpha} unchanged;
     - a tuple covering another has a smaller (contained) preimage;
-    - every prescribed set is reachable (the inclusion half of the
-      representation check);
-    - the preimage of the full tuple already equals the joint set.
+    - every prescribed set is reachable: the inclusion half of
+      `representation`, the report of `verify_representation(coll,
+      joint)`, which is run here when not given;
+    - the preimage of the full tuple equals `joint`, which must be
+      `build_joint(coll)`.
 
-    The containments are exact `pt.is_subset` calls, in which a row of
-    the second set that the first already carries costs no LP. The
-    reachability records are copied from `representation`, the report
-    of `verify_representation(coll, joint)`, which is run here when not
-    given.
+    All are decided in the tuples' own spaces, with no path-space
+    polytope. pi_alpha maps the path simplex onto alpha's simplex, which
+    holds V_alpha, so for A and B in that simplex pi_alpha^-1(A) lies in
+    pi_alpha^-1(B) iff A lies in B. Hence:
+    - permutation to s, by the shuffle sigma: pi_s = sigma o pi_alpha, so
+      the record holds iff sigma(V_alpha) = V_s. A V_s not supplied is
+      derived as sigma(V_alpha), so it holds with no LP; a supplied one
+      is compared by vertex sets;
+    - covering of beta, by the restriction r: pi_beta = r o pi_alpha, so
+      pre(beta) = pi_alpha^-1(Q) for Q = {q in alpha's simplex : r(q) in
+      V_beta}, the pullback of V_beta's rows. The record holds iff V_alpha
+      lies in Q, and is "strict" iff Q does not also lie in V_alpha;
+    - full tuple: the joint set is the intersection of pre(beta) over the
+      representative tuples, so it equals pre(rep_gamma) iff every
+      covering record with alpha = rep_gamma holds, which takes no LP.
     """
     if joint is None:
         joint = build_joint(coll)
@@ -737,25 +744,18 @@ def property_suite(
     reps = representative_tuples(coll)
     records = []
 
-    pre = {alpha: preimage_set(coll, alpha) for alpha in reps}
-
     for alpha in reps:
         if len(alpha) < 2:
             continue
-        count = 0
-        for perm in permutations(range(len(alpha))):
-            if perm == tuple(range(len(alpha))):
-                continue
-            if count >= max_permutations:
-                break
-            count += 1
+        cset = coll.sets[alpha]
+        shuffles = islice(permutations(range(len(alpha))), 1, CHECKED_PERMUTATIONS + 1)
+        for perm in shuffles:
             shuffled = sp.permute_tuple(alpha, perm)
-            try:
-                shuffled_set = coll.credal_set(shuffled)
-            except KeyError:
+            same = True  # a derived set is the image by construction
+            if shuffled in coll.sets:
                 idx = sp.permutation_matrix(coll.space, len(alpha), perm)
-                shuffled_set = _pushforward_set(coll.sets[alpha], idx, shuffled)
-            same = pt.equals(pre[alpha], _preimage_of(shuffled_set))
+                image = pt.linear_image(idx, cset.body, cset.dim)
+                same = image.points == pt.dd_convert(coll.sets[shuffled].body).points
             records.append(
                 PropertyRecord(
                     "permutation-invariant preimage",
@@ -765,12 +765,22 @@ def property_suite(
                 )
             )
 
+    rep_gamma = reps[-1]  # the longest
+    shortcut = True
     for alpha in reps:
+        body = pt.dd_convert(coll.sets[alpha].body)
         for beta in reps:
             if alpha == beta or not sp.tuple_covers(alpha, beta):
                 continue
-            holds, _ = pt.is_subset(pre[alpha], pre[beta])
-            strict = holds and not pt.is_subset(pre[beta], pre[alpha])[0]
+            idx = sp.restriction_matrix(coll.space, alpha, beta)
+            target = pt.dd_convert(coll.sets[beta].body).hrep
+            q = _system_polytope(
+                body.dim, *_pulled_system(body.dim, [(beta, idx, target)])
+            )
+            holds, _ = pt.is_subset(body, q)
+            strict = holds and not pt.is_subset(q, body)[0]
+            if alpha == rep_gamma:
+                shortcut = shortcut and holds
             records.append(
                 PropertyRecord(
                     "covering tuple has smaller preimage",
@@ -791,9 +801,6 @@ def property_suite(
                 )
             )
 
-    gamma = joint.space.full_tuple()
-    rep_gamma = next(t for t in reps if set(t) == set(gamma))
-    shortcut = pt.equals(joint.body, pre[rep_gamma])
     records.append(
         PropertyRecord(
             "full-tuple preimage equals joint set",

@@ -876,14 +876,6 @@ def _sup(q: Polytope, f) -> Fraction:
     return val
 
 
-def equals(p: Polytope, q: Polytope) -> bool:
-    a, _ = is_subset(p, q)
-    if not a:
-        return False
-    b, _ = is_subset(q, p)
-    return b
-
-
 def linear_image(idx, p: Polytope, size: int) -> Polytope:
     """Image of p under a coordinate map (an index map onto `size` cells):
     pushed generators reduced to extreme points."""

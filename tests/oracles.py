@@ -1,9 +1,9 @@
 """Independent oracles for the test suite.
 
-Nothing here calls the double description machinery, and vertex
-enumeration is done combinatorially (tight-row subsets + Gaussian
-solves), so these can cross-check both the LP solver and the geometry
-kernel without sharing their code paths.
+`brute_force_vertices` and `brute_force_max` call no double description
+machinery: vertex enumeration is done combinatorially (tight-row subsets
++ Gaussian solves), so they can cross-check both the LP solver and the
+geometry kernel without sharing their code paths.
 
 `fraction_simplex_solve` is the reference for the shipped simplex
 kernel: the same two-phase Bland simplex from the same starting basis
@@ -19,6 +19,14 @@ context.
 `is_subset_reference` is the reference for
 `credalkit.polytope.is_subset`: the same routes, but the facet route
 maximizes every row of q over p, one LP per row, with none skipped.
+
+`equals` is two-sided `credalkit.polytope.is_subset`, the set equality
+the tests compare polytopes with.
+
+`property_suite_reference` is the reference for
+`credalkit.joint.property_suite`: every record decided over the path
+simplex, on the preimage polytopes of the tuples (shuffled ones
+included), with `equals` for the permutation and full-tuple records.
 
 `deletion_filter_reference` is the reference for
 `credalkit.joint._diagnose`: the deletion filter with one LP per
@@ -42,12 +50,22 @@ a matrix-vector product and pulling a row is a row-matrix product.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
+import credalkit.joint as jt
 import credalkit.polytope as pt
+from credalkit.credal import _pushforward_set
 from credalkit.exactq import EQ, LE, DimensionError, LpProblem, dot, lp_solve, qvec
 from credalkit.joint import SIMPLEX_ORIGIN
-from credalkit.spaces import alignment_permutation, product_index
+from credalkit.spaces import (
+    alignment_permutation,
+    permutation_matrix,
+    permute_tuple,
+    product_index,
+    pull,
+    pushforward_matrix,
+    tuple_covers,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -129,6 +147,68 @@ def is_subset_reference(p, q):
         if val > bound:
             return False, pt.SeparationCertificate(g, val - pt._sup(q, g), arg)
     return True, None
+
+
+def equals(p, q) -> bool:
+    return pt.is_subset(p, q)[0] and pt.is_subset(q, p)[0]
+
+
+def _path_preimage(cset):
+    """{p in the path simplex : pushforward of p onto the set's tuple lies
+    in the set}, every row of its canonical H-rep pulled back."""
+    idx = pushforward_matrix(cset.space, cset.index_tuple)
+    h = pt.dd_convert(cset.body).hrep
+    simplex = pt.Polytope.simplex(len(idx)).hrep
+    return pt.Polytope.from_hrep(
+        len(idx),
+        [*simplex.ineqs, *((pull(idx, a), b) for a, b in h.ineqs)],
+        [*simplex.eqs, *((pull(idx, e), f) for e, f in h.eqs)],
+    )
+
+
+def property_suite_reference(coll, joint, representation):
+    """The PropertyReport of `credalkit.joint.property_suite(coll, joint,
+    representation=representation)`, from path-space preimages."""
+    reps = jt.representative_tuples(coll)
+    pre = {alpha: _path_preimage(coll.sets[alpha]) for alpha in reps}
+    records = []
+    for alpha in reps:
+        if len(alpha) < 2:
+            continue
+        shuffles = list(permutations(range(len(alpha))))[1:jt.CHECKED_PERMUTATIONS + 1]
+        for perm in shuffles:
+            shuffled = permute_tuple(alpha, perm)
+            if shuffled in coll.sets:
+                shuffled_set = coll.sets[shuffled]
+            else:
+                idx = permutation_matrix(coll.space, len(alpha), perm)
+                shuffled_set = _pushforward_set(coll.sets[alpha], idx, shuffled)
+            same = equals(pre[alpha], _path_preimage(shuffled_set))
+            records.append(jt.PropertyRecord(
+                "permutation-invariant preimage", alpha, shuffled,
+                "pass" if same else "fail",
+            ))
+    for alpha in reps:
+        for beta in reps:
+            if alpha == beta or not tuple_covers(alpha, beta):
+                continue
+            holds = pt.is_subset(pre[alpha], pre[beta])[0]
+            strict = holds and not pt.is_subset(pre[beta], pre[alpha])[0]
+            records.append(jt.PropertyRecord(
+                "covering tuple has smaller preimage", alpha, beta,
+                "pass" if holds else "fail", note="strict" if strict else "",
+            ))
+    for r in representation.records:
+        if r.direction == "prescribed within pushforward":
+            records.append(jt.PropertyRecord(
+                "prescribed set reachable", r.alpha, (), r.status
+            ))
+    rep_gamma = next(t for t in reps if set(t) == set(coll.space.full_tuple()))
+    records.append(jt.PropertyRecord(
+        "full-tuple preimage equals joint set", rep_gamma, (),
+        "pass" if equals(joint.body, pre[rep_gamma]) else "fail",
+    ))
+    return jt.PropertyReport(tuple(records))
 
 
 def deletion_filter_reference(dim, ineqs, eqs):

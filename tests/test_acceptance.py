@@ -41,7 +41,7 @@ from credalkit.spaces import (
     uniform_measure,
 )
 from gen import collection_to_model, generated_instance, random_simplex_point
-from oracles import apply, brute_force_vertices, dense_pushforward
+from oracles import apply, brute_force_vertices, dense_pushforward, equals
 
 # separation certificates produced while the suite runs, re-verified in
 # criterion 8: pairs (certificate, comparison credal set or polytope)
@@ -128,7 +128,7 @@ def test_criterion_2_full_tuple_shortcut(pipeline):
         for entry in pipeline.entries:
             coll = entry["coll"]
             gamma = entry["space"].full_tuple()
-            assert pt.equals(entry["joint"].body, preimage_set(coll, gamma))
+            assert equals(entry["joint"].body, preimage_set(coll, gamma))
 
 
 def test_criterion_3_structural_properties(pipeline):
@@ -334,7 +334,7 @@ def test_criterion_8_geometry_round_trips():
             if p.is_empty():
                 continue
             q = pt.dd_convert(p)
-            assert pt.equals(p, q)
+            assert equals(p, q)
             if dim <= 4:
                 assert list(q.points) == brute_force_vertices(dim, ineqs)
             # produce and register a separation certificate

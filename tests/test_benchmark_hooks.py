@@ -186,8 +186,9 @@ def test_diagnosis_lps_are_traced():
 def test_verify_spans_one_representation_check(tmp_path):
     """CLI `verify` on a consistent |T|=3 collection: one
     `verify_representation` span, the property suite's `is_subset` spans
-    still recorded, and an `is_subset` call whose q rows p already
-    carries holds with no LP below its span."""
+    still recorded, at most two per covering record (the permutation and
+    full-tuple records take none), and an `is_subset` call whose q rows p
+    already carries holds with no LP below its span."""
     layers = load_layers()
     gen = importlib.import_module("gen")
     cli = importlib.import_module("credalkit.cli")
@@ -214,9 +215,15 @@ def test_verify_spans_one_representation_check(tmp_path):
     layer_of = [name.split(".")[0] for name, *_ in spans]
     assert layer_of.count("represent") == 1
     subset = [i for i, layer in enumerate(layer_of) if layer == "is_subset"]
-    assert any(
-        "properties" in (layer_of[a] for a in ancestors(spans, i)) for i in subset
-    )
+    in_suite = [
+        i for i in subset
+        if "properties" in (layer_of[a] for a in ancestors(spans, i))
+    ]
+    records = json.loads((tmp_path / "r.json").read_text())["properties"]["records"]
+    covering = [
+        r for r in records if r["property"] == "covering tuple has smaller preimage"
+    ]
+    assert 0 < len(in_suite) <= 2 * len(covering)
     free = set(subset[-len(carried):])
     lps = [i for i, layer in enumerate(layer_of) if layer == "lp"]
     assert lps and not any(free & set(ancestors(spans, i)) for i in lps)

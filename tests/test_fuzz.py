@@ -16,7 +16,7 @@ from credalkit.exactq import dot, lp_problem, lp_solve
 from credalkit.joint import build_joint, verify_representation
 from credalkit.spaces import restriction_matrix
 from gen import generated_instance, random_simplex_point
-from oracles import brute_force_vertices, hull_sample_points
+from oracles import brute_force_vertices, equals, hull_sample_points
 
 
 def random_hrep_with_eqs(rng, dim):
@@ -158,8 +158,8 @@ def test_marginal_tower_property():
     staged = pt.linear_image(
         to_beta, pt.linear_image(to_alpha, coll.sets[gamma].body, 4), 2
     )
-    assert pt.equals(direct, staged)
-    assert pt.equals(direct, coll.sets[beta].body)
+    assert equals(direct, staged)
+    assert equals(direct, coll.sets[beta].body)
 
 
 def test_supplied_policy_shuffle_violation_caught_end_to_end():

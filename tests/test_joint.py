@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -43,7 +43,9 @@ from oracles import (
     apply,
     deletion_filter_reference,
     dense_pushforward,
+    equals,
     fraction_feasible,
+    property_suite_reference,
 )
 
 AB = make_space(("a", "b"), ("0", "1"))
@@ -97,7 +99,7 @@ class TestPreimage:
     def test_full_simplex_gives_ambient(self):
         coll = full_collection(AB)
         pre = preimage_set(coll, ("a",))
-        assert pt.equals(pre, pt.Polytope.simplex(4))
+        assert equals(pre, pt.Polytope.simplex(4))
 
     def test_full_tuple_singleton(self):
         coll = singleton_collection(AB)
@@ -124,7 +126,7 @@ class TestPreimage:
             + [((-1, -1, 0, 0), F(-1, 3)), ((1, 1, 0, 0), F(2, 3))],
             eqs=pt.Polytope.simplex(4).hrep.eqs,
         )
-        assert pt.equals(pre, expected)
+        assert equals(pre, expected)
 
     def test_finite_mode_rejected(self):
         coll = CredalCollection(
@@ -139,7 +141,7 @@ class TestBuildJoint:
     def test_full_simplices_give_path_simplex(self):
         joint = build_joint(full_collection(ABC))
         assert not joint.is_empty()
-        assert pt.equals(joint.body, pt.Polytope.simplex(8))
+        assert equals(joint.body, pt.Polytope.simplex(8))
 
     def test_singletons_degenerate_to_product(self):
         joint = build_joint(singleton_collection(ABC))
@@ -539,7 +541,7 @@ class TestPushforward:
         for alpha in [("a",), ("b",), ("a", "b"), ("b", "a")]:
             image = pushforward_joint(joint, alpha)
             dim = 2 ** len(alpha)
-            assert pt.equals(image.body, pt.Polytope.simplex(dim))
+            assert equals(image.body, pt.Polytope.simplex(dim))
 
     def test_uniform_point(self):
         joint = build_joint(singleton_collection(AB))
@@ -552,7 +554,7 @@ class TestPushforward:
         joint = build_joint(coll)
         for alpha, cset in coll.sets.items():
             image = pushforward_joint(joint, alpha)
-            assert pt.equals(image.body, cset.body)
+            assert equals(image.body, cset.body)
 
 
 class TestVerifyRepresentation:
@@ -709,3 +711,96 @@ class TestPropertySuite:
         assert property_suite(coll, joint) == property_suite(
             coll, joint, representation=representation
         )
+
+
+def lifted_collection():
+    """V_ab is the full lift of the segment V_a, so pre(a, b) = pre(a):
+    the covering record ((a, b), (a,)) holds and is not strict."""
+    return CredalCollection(
+        AB,
+        {
+            ("a",): credal_set_from_hrep(
+                AB, ("a",), ineqs=[((-1, 0), F(-1, 3)), ((1, 0), F(2, 3))]
+            ),
+            ("b",): credal_set_from_hrep(AB, ("b",)),
+            ("a", "b"): credal_set_from_hrep(
+                AB,
+                ("a", "b"),
+                ineqs=[((-1, -1, 0, 0), F(-1, 3)), ((1, 1, 0, 0), F(2, 3))],
+            ),
+        },
+    )
+
+
+def supplied_variants(coll):
+    """`coll` under the supplied policy, every permuted variant of each
+    tuple supplied as its derived set."""
+    sets = {
+        perm: coll.credal_set(perm)
+        for alpha in coll.sets
+        for perm in permutations(alpha)
+    }
+    return CredalCollection(coll.space, sets, policy="supplied")
+
+
+def disagreeing_variant():
+    """A supplied (b, a) set that is V_ab itself, not its shuffle."""
+    coll = supplied_variants(generated_instance(random.Random(812), 2)[1])
+    sets = dict(coll.sets)
+    sets[("b", "a")] = credal_set_from_vertices(
+        coll.space, ("b", "a"), coll.sets[("a", "b")].body.points
+    )
+    return CredalCollection(coll.space, sets, policy="supplied")
+
+
+def _records(report, name):
+    return [r for r in report.records if r.name == name]
+
+
+PARITY_CASES = {
+    "generated-t2": (
+        lambda: generated_instance(random.Random(810), 2)[1],
+        lambda report: report.passed,
+    ),
+    "generated-t3": (
+        lambda: generated_instance(random.Random(811), 3)[1],
+        lambda report: report.passed,
+    ),
+    "non-strict": (
+        lifted_collection,
+        lambda report: any(
+            (r.alpha, r.beta, r.status, r.note) == (("a", "b"), ("a",), "pass", "")
+            for r in _records(report, "covering tuple has smaller preimage")
+        ),
+    ),
+    "clash": (
+        lambda: clash_instance(random.Random(5), 3)[1],
+        lambda report: [
+            r.status for r in _records(report, "full-tuple preimage equals joint set")
+        ] == ["fail"],
+    ),
+    "supplied": (
+        lambda: supplied_variants(generated_instance(random.Random(812), 3)[1]),
+        lambda report: report.passed
+        and len(_records(report, "permutation-invariant preimage")) == 8,
+    ),
+    "supplied-disagrees": (
+        disagreeing_variant,
+        lambda report: [
+            r.status for r in _records(report, "permutation-invariant preimage")
+        ] == ["fail"],
+    ),
+}
+
+
+@pytest.mark.parametrize("make, shows", PARITY_CASES.values(), ids=PARITY_CASES)
+def test_property_suite_matches_path_space_reference(make, shows):
+    """The suite, decided in the tuples' own spaces, gives the report of
+    the path-space reference; each case also shows the outcome it is
+    there for."""
+    coll = make()
+    joint = build_joint(coll)
+    representation = verify_representation(coll, joint)
+    report = property_suite(coll, joint, representation=representation)
+    assert report == property_suite_reference(coll, joint, representation)
+    assert shows(report)

@@ -16,7 +16,6 @@ from credalkit.polytope import (
     UnboundedError,
     contains_point,
     dd_convert,
-    equals,
     is_subset,
     linear_image,
     remove_redundant_ineqs,
@@ -35,6 +34,7 @@ from oracles import (
     brute_force_max,
     brute_force_vertices,
     dense_pushforward,
+    equals,
     fraction_feasible,
     fraction_inverse,
     hrep_contains,
