@@ -288,8 +288,12 @@ def _build_polytope(coll, reps) -> JointModel:
             (),
             diagnosis,
         )
+    # P lies in pre(V_T), whose rows it carries; on a consistent
+    # collection it is pre(V_T), and the redundancy removal reads the
+    # kept rows off pre(V_T)'s vertices with no LP
     keep = pt.remove_redundant_ineqs(
-        dim, body.hrep.ineqs, body.hrep.eqs, pt._lp_context(body)
+        dim, body.hrep.ineqs, body.hrep.eqs, pt._lp_context(body),
+        _pulled_vertices(coll, reps[-1]),
     )
     ineqs = [ineqs[i] for i in keep]
     body = pt._with_ineqs(body, keep)
@@ -302,6 +306,14 @@ def _build_polytope(coll, reps) -> JointModel:
         (),
         None,
     )
+
+
+def _pulled_vertices(coll, full):
+    """The vertices of pre(V_full) for a tuple over every index: its
+    pushforward is a bijection of the cells, so they are V_full's
+    vertices read through it."""
+    idx = sp.pushforward_matrix(coll.space, full)
+    return [sp.pull(idx, v) for v in pt.dd_convert(coll.sets[full].body).points]
 
 
 def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
@@ -777,6 +789,9 @@ def property_suite(
             q = _system_polytope(
                 body.dim, *_pulled_system(body.dim, [(beta, idx, target)])
             )
+            # V_alpha's first vertex, when in Q (as whenever the record
+            # holds), spares Q its feasibility LP
+            pt._context_at(q, body.points[0])
             holds, _ = pt.is_subset(body, q)
             strict = holds and not pt.is_subset(q, body)[0]
             if alpha == rep_gamma:

@@ -16,6 +16,15 @@ that also decides `is_empty` (or is the first generator), so the
 system's one phase 1 is that LP. Each answer is mapped back and checked
 against the original rows.
 
+Redundancy removal keeps a row iff dropping it changes the set, probing
+the rows in order by LP. When it is given points whose hull holds the
+set (the joint build passes the vertices of pre(V_T), the full tuple's
+preimage), it first substitutes them into every row. If all rows hold
+there, the set is their hull; if the equality rows also leave exactly
+the directions the points span, the probes would keep the last row of
+each facet and nothing else, and those rows are read off the points with
+no LP. Any other case falls back to the probes.
+
 Only bounded sets are supported. Constructors either receive finitely
 many points, or an inequality system that is expected to bound the set
 (the credal layer always includes probability-simplex constraints);
@@ -311,6 +320,16 @@ def _feasible_point(p: Polytope):
     return "infeasible", None, tuple(certificate)
 
 
+def _context_at(p: Polytope, x) -> bool:
+    """Give p its LP context with origin x when x is a point of p, which
+    proves p nonempty with no feasibility LP; whether x is in p."""
+    ctx = LpContext.at(p.hrep, x)
+    if ctx is not None:
+        p._empty = False
+        p._context = ctx
+    return ctx is not None
+
+
 def _decide_empty(p: Polytope):
     """Run p's feasibility LP and keep what it proves: whether p is
     empty, and for a nonempty p its LP context, with the LP's point as
@@ -377,6 +396,14 @@ class LpContext:
 
     @classmethod
     def build(cls, hrep: HRep, origin):
+        ctx = cls.at(hrep, origin)
+        if ctx is None:
+            raise RuntimeError("LP context origin violates a row of its system")
+        return ctx
+
+    @classmethod
+    def at(cls, hrep: HRep, origin):
+        """The context with `origin`, or None when it violates a row."""
         dim = hrep.dim
         origin = tuple(origin)
         eq_irows = [_integer_row([*e, f]) for e, f in hrep.eqs]
@@ -389,13 +416,13 @@ class LpContext:
         )
         for nums, den in eq_irows:
             if ctx._reduce(nums, den)[1] != Fraction(nums[dim], den):
-                raise RuntimeError("LP context origin violates an equality row")
+                return None
         ctx.zrows = []
         for nums, den in ctx.irows:
             coeffs, at_origin = ctx._reduce(nums, den)
             slack = Fraction(nums[dim], den) - at_origin
             if slack < 0:
-                raise RuntimeError("LP context origin violates an inequality row")
+                return None
             ctx.zrows.append((coeffs, LE, slack) if any(coeffs) else None)
         return ctx
 
@@ -885,7 +912,7 @@ def linear_image(idx, p: Polytope, size: int) -> Polytope:
     return Polytope.from_points(_extreme_subset(pts, size), dim=size)
 
 
-def remove_redundant_ineqs(dim, ineqs, eqs, context=None):
+def remove_redundant_ineqs(dim, ineqs, eqs, context=None, vertices=None):
     """Indices of the irredundant inequality rows of a feasible system.
 
     A row is dropped iff maximizing it over the remaining rows stays
@@ -893,11 +920,25 @@ def remove_redundant_ineqs(dim, ineqs, eqs, context=None):
     deterministic. Every probe is an LP in the system's LP context
     (`context`, which must be that of this system, or one built here)
     over the rows still kept.
+
+    `vertices`, when given, are points whose convex hull contains the
+    system's set P. If every row holds at each of them, P is their hull,
+    and if the equality rows also leave exactly as many directions as
+    the points span (d of them), P is full-dimensional within its
+    equality rows. The probes then keep, of each facet of P, the last
+    row that defines it and nothing else, and `_facet_rows` reads those
+    rows off the points with no LP: a row defines a facet iff the points
+    it is tight at span affine dimension d - 1 (a row tight at no point
+    is never kept, which matters at d = 0). Otherwise the probes run.
     """
     if context is None:
         context = _lp_context(Polytope(dim, hrep=HRep(dim, tuple(ineqs), tuple(eqs))))
         if context is None:
             return list(range(len(ineqs)))
+    if vertices:
+        keep = _facet_rows(context, vertices)
+        if keep is not None:
+            return keep
     alive = list(range(len(ineqs)))
     for idx in range(len(ineqs)):
         rest = [i for i in alive if i != idx]
@@ -906,6 +947,50 @@ def remove_redundant_ineqs(dim, ineqs, eqs, context=None):
         if status == "optimal" and val <= b:
             alive = rest
     return alive
+
+
+def _facet_rows(ctx, points):
+    """The rows the probes of `remove_redundant_ineqs` keep, when the
+    context's set P is the hull of `points` and full-dimensional within
+    its equality rows; None when the points do not prove that.
+
+    The tests run in integers: the points over one common denominator
+    against the context's integer rows. Of rows tight at the same
+    points, which cut out the same face, the last in row order stands
+    for them; the affine rank of each distinct tight set is computed
+    once.
+    """
+    dim = ctx.dim
+    den = lcm(*[v.denominator for x in points for v in x])
+    xs = [[v.numerator * (den // v.denominator) for v in x] for x in points]
+
+    def values(nums):
+        support = [(j, v) for j, v in enumerate(nums[:dim]) if v]
+        return [sum(v * x[j] for j, v in support) for x in xs]
+
+    for nums, _ in ctx.eq_irows:
+        if any(val != nums[dim] * den for val in values(nums)):
+            return None
+    tight = []
+    for nums, _ in ctx.irows:
+        bound = nums[dim] * den
+        vals = values(nums)
+        if any(val > bound for val in vals):
+            return None
+        tight.append(frozenset(k for k, val in enumerate(vals) if val == bound))
+    d = _affine_rank(xs)
+    if d != len(ctx.basis):
+        return None
+    last = {s: i for i, s in enumerate(tight) if s}
+    return sorted(
+        i for s, i in last.items() if _affine_rank([xs[k] for k in s]) == d - 1
+    )
+
+
+def _affine_rank(xs):
+    """Dimension of the affine hull of the nonempty integer points xs."""
+    x0 = xs[0]
+    return len(echelon([[a - b for a, b in zip(x, x0)] for x in xs[1:]])[0])
 
 
 def _with_ineqs(p: Polytope, keep) -> Polytope:

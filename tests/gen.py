@@ -14,6 +14,7 @@ from credalkit.modelio import rat_list
 from credalkit.spaces import (
     all_canonical_tuples,
     make_space,
+    point_mass,
     pushforward_matrix,
 )
 
@@ -39,13 +40,20 @@ def generated_instance(rng, n_indices):
     dim = space.path_count
     points = [random_simplex_point(rng, dim) for _ in range(rng.randint(4, 8))]
     base = pt.Polytope.from_points(points, dim=dim)
+    return space, pushforward_collection(space, base), base
+
+
+def pushforward_collection(space, base):
+    """The consistent collection of the pushforwards of a polytope of path
+    laws onto every canonical tuple."""
     sets = {}
     for alpha in all_canonical_tuples(space):
         idx = pushforward_matrix(space, alpha)
+        size = space.n_outcomes ** len(alpha)
         sets[alpha] = CredalSet(
-            space, alpha, POLYTOPE, pt.linear_image(idx, base, 2 ** len(alpha))
+            space, alpha, POLYTOPE, pt.linear_image(idx, base, size)
         )
-    return space, CredalCollection(space, sets), base
+    return CredalCollection(space, sets)
 
 
 def clash_instance(rng, n_indices):
@@ -63,6 +71,21 @@ def clash_instance(rng, n_indices):
     sets = dict(coll.sets)
     sets[first] = credal_set_from_vertices(space, first, [(q, 1 - q)])
     return space, CredalCollection(space, sets)
+
+
+def enlarged_full_tuple(coll):
+    """coll with the full tuple's set V_T enlarged by a point mass it does
+    not hold. P then lies strictly inside pre(V_T) unless the other sets
+    all hold that point's images."""
+    full = max(coll.sets, key=len)
+    body = pt.dd_convert(coll.sets[full].body)
+    extra = next(
+        point_mass(body.dim, j) for j in range(body.dim)
+        if point_mass(body.dim, j) not in body.points
+    )
+    sets = dict(coll.sets)
+    sets[full] = credal_set_from_vertices(coll.space, full, (*body.points, extra))
+    return CredalCollection(coll.space, sets)
 
 
 def instance_stream(seed, n_indices, count):

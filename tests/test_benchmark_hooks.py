@@ -227,3 +227,28 @@ def test_verify_spans_one_representation_check(tmp_path):
     free = set(subset[-len(carried):])
     lps = [i for i, layer in enumerate(layer_of) if layer == "lp"]
     assert lps and not any(free & set(ancestors(spans, i)) for i in lps)
+
+
+def test_redundancy_runs_lps_only_off_the_full_tuple_hull():
+    """A consistent build decides its rows in the `redundancy` span with no
+    LP below it, since P is the hull of V_T's vertices pulled back; a build
+    whose P lies strictly inside that hull (V_T enlarged by a point mass)
+    runs its probes there. Both spans see every row and return kept
+    indices."""
+    layers = load_layers()
+    gen = importlib.import_module("gen")
+    jt = importlib.import_module("credalkit.joint")
+    _, coll, _ = gen.generated_instance(random.Random(5), 3)
+    for c, probes in ((coll, False), (gen.enlarged_full_tuple(coll), True)):
+        model, spans, info = traced(layers, lambda: jt.build_joint(c))
+        layer_of = [name.split(".")[0] for name, *_ in spans]
+        redundancy = [i for i, layer in enumerate(layer_of) if layer == "redundancy"]
+        assert len(redundancy) == 1
+        root = redundancy[0]
+        below = [
+            i for i, layer in enumerate(layer_of)
+            if layer == "lp" and root in ancestors(spans, i)
+        ]
+        assert bool(below) == probes
+        rows = info[root]
+        assert rows["rows_kept"] == len(model.body.hrep.ineqs) < rows["rows_in"]

@@ -38,7 +38,13 @@ from credalkit.spaces import (
     pushforward_matrix,
     uniform_measure,
 )
-from gen import clash_instance, generated_instance, random_simplex_point
+from gen import (
+    clash_instance,
+    enlarged_full_tuple,
+    generated_instance,
+    pushforward_collection,
+    random_simplex_point,
+)
 from oracles import (
     apply,
     deletion_filter_reference,
@@ -46,6 +52,7 @@ from oracles import (
     equals,
     fraction_feasible,
     property_suite_reference,
+    redundant_rows_reference,
 )
 
 AB = make_space(("a", "b"), ("0", "1"))
@@ -535,6 +542,84 @@ class TestDiagnose:
             )
 
 
+def redundancy_case(coll):
+    """The build's system for coll, as a nonempty polytope with its LP
+    context, and the vertices of pre(V_T) for the full tuple T."""
+    reps = representative_tuples(coll)
+    body = jt._system_polytope(coll.space.path_count, *_assemble(coll, reps))
+    assert not body.is_empty()
+    return body, jt._pulled_vertices(coll, reps[-1])
+
+
+def assert_build_keeps_reference_rows(coll, read_off):
+    """build_joint keeps the rows of the reference filter on the build's
+    system; `read_off` says whether they come from pre(V_T)'s vertices."""
+    body, vertices = redundancy_case(coll)
+    h = body.hrep
+    assert (pt._facet_rows(body._context, vertices) is not None) == read_off
+    keep = redundant_rows_reference(body.dim, h.ineqs, h.eqs)
+    assert build_joint(coll).body.hrep.ineqs == tuple(h.ineqs[i] for i in keep)
+    return body, keep
+
+
+def path_law_collection(space, points):
+    return pushforward_collection(space, pt.Polytope.from_points(points))
+
+
+class TestBuildRedundancy:
+    """On a consistent collection P = pre(V_T), and the build reads the
+    kept rows off pre(V_T)'s vertices with no LP; otherwise its probes
+    run. Either way it keeps the rows of the reference filter."""
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (2, 3), (3, 0), (3, 4)])
+    def test_consistent_collections(self, n, seed):
+        _, coll, _ = generated_instance(random.Random(900 + 10 * n + seed), n)
+        assert_build_keeps_reference_rows(coll, read_off=True)
+
+    def test_consistent_collection_t4(self):
+        # a triangle of path laws: the reference filter takes about a
+        # minute on a generated |T| = 4 family
+        rng = random.Random(943)
+        space = make_space(tuple("abcd"), ("0", "1"))
+        points = [random_simplex_point(rng, 16) for _ in range(3)]
+        assert_build_keeps_reference_rows(
+            path_law_collection(space, points), read_off=True
+        )
+
+    def test_simplex_row_ties_with_a_tuple_row(self):
+        # a simplex row -x_j <= 0 and a later tuple's row cut the same
+        # facet through the equality rows: the later one is kept
+        _, coll, _ = generated_instance(random.Random(939), 3)
+        reps = representative_tuples(coll)
+        origins = [origin for _, origin in _assemble(coll, reps)[0]]
+        body, keep = assert_build_keeps_reference_rows(coll, read_off=True)
+        vertices = jt._pulled_vertices(coll, reps[-1])
+        tight = [
+            frozenset(k for k, x in enumerate(vertices) if dot(a, x) == b)
+            for a, b in body.hrep.ineqs
+        ]
+        ties = [
+            (i, j) for i in range(len(tight)) for j in keep
+            if i < j and tight[i] == tight[j]
+            and origins[i] == SIMPLEX_ORIGIN != origins[j]
+        ]
+        assert ties and not any(i in keep for i, _ in ties)
+
+    @pytest.mark.parametrize("points, d", [
+        ([(F(1, 8),) * 8], 0),
+        ([(F(1, 8),) * 8, (F(1, 4), F(0), F(1, 4), F(0), F(0), F(1, 4), F(0), F(1, 4))], 1),
+    ], ids=["d0", "d1"])
+    def test_low_dimensional_joint_set(self, points, d):
+        coll = path_law_collection(ABC, points)
+        body, keep = assert_build_keeps_reference_rows(coll, read_off=True)
+        assert len(body._context.basis) == d
+        assert len(keep) == 2 * d
+
+    def test_enlarged_full_tuple_runs_the_probes(self):
+        _, coll, _ = generated_instance(random.Random(930), 3)
+        assert_build_keeps_reference_rows(enlarged_full_tuple(coll), read_off=False)
+
+
 class TestPushforward:
     def test_path_simplex_maps_to_full(self):
         joint = build_joint(full_collection(AB))
@@ -697,6 +782,19 @@ class TestPropertySuite:
             if r.name == "covering tuple has smaller preimage" and r.note == "strict"
         ]
         assert strict
+
+    def test_covering_records_run_no_feasibility_lp(self, monkeypatch):
+        # a holding record's Q holds V_alpha's first vertex, which becomes
+        # the origin of Q's LP context
+        coll = generated_instance(random.Random(811), 3)[1]
+        joint = build_joint(coll)
+        representation = verify_representation(coll, joint)
+        calls = []
+        real = pt._feasible_point
+        monkeypatch.setattr(pt, "_feasible_point", lambda p: calls.append(p) or real(p))
+        report = property_suite(coll, joint, representation)
+        assert report.passed and _records(report, "covering tuple has smaller preimage")
+        assert calls == []
 
     @pytest.mark.parametrize("make", [
         lambda: generated_instance(random.Random(800), 2)[1],

@@ -627,6 +627,114 @@ class TestLpContext:
         assert pt._maximize(p, (F(1),)) == ("infeasible", None, None)
 
 
+def facet_case(rng, kind):
+    """A random feasible system (`random_context_case`) with scaled copies
+    of two of its rows, and its vertices."""
+    p = random_context_case(rng, kind)
+    h = p.hrep
+    ineqs = (*h.ineqs, *((tuple(2 * v for v in a), 2 * b) for a, b in h.ineqs[:2]))
+    return Polytope(p.dim, hrep=HRep(p.dim, ineqs, h.eqs)), dd_convert(p).points
+
+
+def simplex3_system(ineqs=(), eqs=()):
+    """The rows of the probability simplex in dimension 3 and the given
+    rows, as a system polytope."""
+    s = Polytope.simplex(3).hrep
+    return Polytope(3, hrep=HRep.make(3, (*s.ineqs, *ineqs), (*s.eqs, *eqs)))
+
+
+def kept_rows_and_lps(monkeypatch, p, vertices):
+    """remove_redundant_ineqs on p's rows in p's context, given vertices,
+    and the number of LPs it ran."""
+    ctx = pt._lp_context(p)
+    calls = []
+    real = pt.lp_solve
+
+    def counting(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(pt, "lp_solve", counting)
+    try:
+        h = p.hrep
+        return remove_redundant_ineqs(p.dim, h.ineqs, h.eqs, ctx, vertices), len(calls)
+    finally:
+        monkeypatch.setattr(pt, "lp_solve", real)
+
+
+class TestFacetRows:
+    """Given points whose hull contains the set, the kept rows are read off
+    the points with no LP when every row holds at them and the equality
+    rows leave as many directions as they span; they are the rows the
+    probes keep. Otherwise the probes run."""
+
+    @pytest.mark.parametrize("kind", ["full", "flat", "point"])
+    def test_vertices_keep_the_reference_rows(self, kind, monkeypatch):
+        rng = random.Random(20 + ("full", "flat", "point").index(kind))
+        read_off = 0
+        for _ in range(12):
+            p, vertices = facet_case(rng, kind)
+            h = p.hrep
+            keep, lps = kept_rows_and_lps(monkeypatch, p, vertices)
+            assert keep == redundant_rows_reference(p.dim, h.ineqs, h.eqs)
+            # a flat case may meet the box in a lower-dimensional face:
+            # some inequality rows then hold with equality, and the
+            # probes decide
+            x0 = vertices[0]
+            spanned = matrix_rank(
+                [[a - b for a, b in zip(x, x0)] for x in vertices] or [[0]]
+            )
+            assert (lps == 0) == (spanned == len(p._context.basis))
+            read_off += lps == 0
+            if kind == "point":
+                assert keep == []
+        assert read_off >= 6
+
+    @pytest.mark.parametrize("order", ["simplex-first", "cut-first"])
+    def test_tie_keeps_the_last_row_of_a_facet(self, order, monkeypatch):
+        # on the hull x0 + x1 + x2 = 1 the cut x0 + x1 <= 1 and the
+        # simplex row -x2 <= 0 define the same facet
+        s = Polytope.simplex(3).hrep
+        cut = ((F(1), F(1), F(0)), F(1))
+        ineqs = (*s.ineqs, cut) if order == "simplex-first" else (cut, *s.ineqs)
+        p = Polytope(3, hrep=HRep(3, ineqs, s.eqs))
+        keep, lps = kept_rows_and_lps(monkeypatch, p, Polytope.simplex(3).points)
+        assert lps == 0
+        assert keep == redundant_rows_reference(3, ineqs, s.eqs)
+        assert keep == ([0, 1, 3] if order == "simplex-first" else [1, 2, 3])
+
+    def test_point_outside_the_set_falls_back(self, monkeypatch):
+        # x0 <= 1/2; the simplex vertex (1, 0, 0) violates it
+        p = simplex3_system(ineqs=[(unit_row(3, 0), F(1, 2))])
+        vertices = (*dd_convert(p).points, unit_row(3, 0))
+        assert pt._facet_rows(pt._lp_context(p), vertices) is None
+        keep, lps = kept_rows_and_lps(monkeypatch, p, vertices)
+        assert lps > 0
+        assert keep == redundant_rows_reference(3, p.hrep.ineqs, p.hrep.eqs)
+
+    def test_point_off_an_equality_row_falls_back(self, monkeypatch):
+        # the segment x0 = x1; (1, 0, 0) holds every inequality row
+        p = simplex3_system(eqs=[((F(1), F(-1), F(0)), F(0))])
+        vertices = (*dd_convert(p).points, unit_row(3, 0))
+        assert all(dot(a, x) <= b for a, b in p.hrep.ineqs for x in vertices)
+        assert pt._facet_rows(pt._lp_context(p), vertices) is None
+        keep, lps = kept_rows_and_lps(monkeypatch, p, vertices)
+        assert lps > 0
+        assert keep == redundant_rows_reference(3, p.hrep.ineqs, p.hrep.eqs)
+
+    def test_implicit_equality_falls_back(self, monkeypatch):
+        # the segment x0 = x1 as two inequality rows: its two vertices span
+        # one direction, the one equality row leaves two
+        d = (F(1), F(-1), F(0))
+        p = simplex3_system(ineqs=[(d, F(0)), (tuple(-v for v in d), F(0))])
+        vertices = dd_convert(p).points
+        assert len(vertices) == 2 and len(pt._lp_context(p).basis) == 2
+        assert pt._facet_rows(pt._lp_context(p), vertices) is None
+        keep, lps = kept_rows_and_lps(monkeypatch, p, vertices)
+        assert lps > 0
+        assert keep == redundant_rows_reference(3, p.hrep.ineqs, p.hrep.eqs)
+
+
 def random_unit_row_system(rng, dim, only_units):
     """An empty H-rep with unit rows -c x_j <= 0 (c > 0, some repeated)
     on a random subset of variables, random equality rows, and unless
