@@ -19,12 +19,10 @@ from typing import Optional
 
 from credalkit import polytope as pt
 from credalkit import spaces as sp
-from credalkit.exactq import (
-    EQ,
+from credalkit.exactq import (  # noqa: F401 (perfbench/layers.py traces lp_solve here)
     ONE,
     ZERO,
     DimensionError,
-    LpProblem,
     dot,
     lp_solve,
     qvec,
@@ -476,19 +474,13 @@ def _upper(cset: CredalSet, f):
     if cset.mode == FINITE:
         return max(dot(f, v) for v in cset.body)
     body = cset.body
-    if body._hrep is not None:
-        status, value, _ = pt._maximize(body, f)
-        if status != "optimal":
-            raise DimensionError("expectation query over an unbounded body")
-        return value
-    # generator form only: optimize over hull weights, still an LP
-    gens = body.points
-    weights_obj = tuple(dot(f, v) for v in gens)
-    rows = ((tuple([ONE] * len(gens)), EQ, ONE),)
-    outcome = lp_solve(
-        LpProblem("max", weights_obj, rows, (True,) * len(gens))
-    )
-    return outcome.value
+    if body._hrep is None:
+        # a linear functional peaks over a hull at one of its generators
+        return max(dot(f, v) for v in body.points)
+    status, value, _ = pt._maximize(body, f)
+    if status != "optimal":
+        raise DimensionError("expectation query over an unbounded body")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -273,10 +273,13 @@ def _build_polytope(coll, reps) -> JointModel:
     dim = coll.space.path_count
     ineqs, eqs = _assemble(coll, reps)
     body = _system_polytope(dim, ineqs, eqs)
-    # the one LP over all rows: it gives a nonempty body its LP context,
-    # which the redundancy removal and the trimmed body use, and an empty
-    # one the certificate the diagnosis starts from
-    certificate = pt._decide_empty(body)
+    # P lies in pre(V_T), whose rows it carries; on a consistent
+    # collection it is pre(V_T), so a vertex of pre(V_T) is a point of P
+    # and gives it its LP context with no LP. Otherwise emptiness is
+    # decided in P's affine-hull coordinates, and an empty P gets the
+    # certificate the diagnosis starts from.
+    vertices = _pulled_vertices(coll, reps[-1])
+    certificate = pt._decide_empty(body, vertices[0])
     if certificate is not None:
         diagnosis = _diagnose(dim, ineqs, eqs, certificate)
         return JointModel(
@@ -288,12 +291,10 @@ def _build_polytope(coll, reps) -> JointModel:
             (),
             diagnosis,
         )
-    # P lies in pre(V_T), whose rows it carries; on a consistent
-    # collection it is pre(V_T), and the redundancy removal reads the
-    # kept rows off pre(V_T)'s vertices with no LP
+    # when P is pre(V_T), the redundancy removal reads the kept rows off
+    # its vertices with no LP
     keep = pt.remove_redundant_ineqs(
-        dim, body.hrep.ineqs, body.hrep.eqs, pt._lp_context(body),
-        _pulled_vertices(coll, reps[-1]),
+        dim, body.hrep.ineqs, body.hrep.eqs, pt._lp_context(body), vertices
     )
     ineqs = [ineqs[i] for i in keep]
     body = pt._with_ineqs(body, keep)
@@ -324,11 +325,11 @@ def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
     infeasible (deletion filter, Chinneck & Dravnieks 1991), so every
     surviving row is necessary. The filter carries a Farkas certificate
     of the rows still active, one multiplier per row of ineqs + eqs. The
-    first one is `certificate`, when the caller's feasibility LP over
-    all rows (`polytope._feasible_point`) has one; it is re-checked in
-    integers, and a wrong one raises RuntimeError. Without it, an LP
-    over all rows gives the first. Each row is then decided in one of
-    three exact ways:
+    first one is `certificate`, when the caller has already proved the
+    whole system empty (`polytope._feasible_point`); it is re-checked in
+    integers, and a wrong one raises RuntimeError. Without it,
+    `_feasible_point` over all rows gives the first. Each row is then
+    decided in one of three exact ways:
 
     - weight 0 in the carried certificate: the same certificate proves
       the other rows infeasible, so the row is dropped with no LP;
@@ -337,15 +338,16 @@ def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
       same (empty) solution set, so the row is dropped with no LP, and
       its weight y_r moves onto the others (y_j + y_r c_j), a
       substitution re-checked in integers;
-    - otherwise an LP over the other active rows decides, and when they
-      are infeasible its certificate becomes the carried one.
+    - otherwise `_feasible_point` decides the other active rows, and
+      when they are infeasible its certificate becomes the carried one.
 
-    Every LP of the filter runs in `_feasible_point`'s form, the unit
-    rows -x_j <= 0 of the simplex as bounds, and its certificate is
-    checked against the all-free rows. Each rule only proves what an LP
-    per row would find, whatever certificate is carried, so the kept
-    rows are the ones the LP-per-row filter keeps, and the certificate
-    reported comes from one last LP over them with every variable free.
+    `_feasible_point` solves each subsystem's equality rows afresh, since
+    every step drops a row, and runs at most one LP, over the free
+    directions they leave; its certificate is checked against the
+    all-free rows. Each rule only proves what an LP per row would find,
+    whatever certificate is carried, so the kept rows are the ones the
+    LP-per-row filter keeps, and the certificate reported comes from one
+    last LP over them with every variable free.
     The c_j are read off a basis of the integer vectors z with
     sum_j z_j e_j = 0 over the equality rows (from `solve_rows`);
     dropping a dependent row r leaves the basis vectors with z_r = 0.
@@ -372,8 +374,8 @@ def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
             [ineqs[i] for i in keep if i < first_eq],
             [eqs[i - first_eq] for i in keep if i >= first_eq],
         )
-        status, _, found = pt._feasible_point(body)
-        if status != "infeasible":
+        context, found = pt._feasible_point(body)
+        if context is not None:
             return False, None
         weight = [ZERO] * len(rows)
         for i, y in zip(keep, found):
@@ -472,11 +474,10 @@ def _build_cells(coll, reps, cell_cap) -> JointModel:
         selections = dict(zip(reps, choice))
         ineqs, eqs = _assemble(coll, reps, selections=selections)
         body = _system_polytope(dim, ineqs, eqs)
-        status, point, certificate = pt._feasible_point(body)
-        if status == "optimal":
-            body._empty = False
+        certificate = pt._decide_empty(body)
+        if certificate is None:
             cells.append(
-                JointCell(tuple(selections.items()), body, tuple(point))
+                JointCell(tuple(selections.items()), body, body._context.origin)
             )
         elif len(dead) < DIAGNOSED_SELECTIONS:
             dead.append((tuple(selections.items()), ineqs, eqs, certificate))
@@ -790,8 +791,8 @@ def property_suite(
                 body.dim, *_pulled_system(body.dim, [(beta, idx, target)])
             )
             # V_alpha's first vertex, when in Q (as whenever the record
-            # holds), spares Q its feasibility LP
-            pt._context_at(q, body.points[0])
+            # holds), proves Q nonempty with no LP and is its LP origin
+            pt._decide_empty(q, body.points[0])
             holds, _ = pt.is_subset(body, q)
             strict = holds and not pt.is_subset(q, body)[0]
             if alpha == rep_gamma:

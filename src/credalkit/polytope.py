@@ -11,9 +11,12 @@ is exact.
 Every LP over a nonempty polytope runs in its `LpContext`, built on
 first use and cached on the polytope: affine-hull coordinates z with
 x = origin + N z, from a feasible origin, so every LP starts from the
-slack basis with no phase 1. The origin comes from the feasibility LP
-that also decides `is_empty` (or is the first generator), so the
-system's one phase 1 is that LP. Each answer is mapped back and checked
+slack basis with no phase 1. The origin is the first generator, a point
+the caller knows to lie in the set, or the point `_feasible_point` finds
+as it decides `is_empty`. That decision runs in the same coordinates:
+the equality rows are solved once, and when they, or a row constant on
+their solutions, do not already decide it, one phase 1 runs over the d
+free directions. Each answer and certificate is mapped back and checked
 against the original rows.
 
 Redundancy removal keeps a row iff dropping it changes the set, probing
@@ -248,21 +251,6 @@ class Polytope:
 # ---------------------------------------------------------------------------
 # LP plumbing over H-reps
 
-def _unit_nonneg(coeffs, rhs, dim):
-    """Index j when the row is exactly -x_j <= 0, else None."""
-    if rhs != 0:
-        return None
-    found = None
-    for j in range(dim):
-        v = coeffs[j]
-        if v == 0:
-            continue
-        if v > 0 or found is not None:
-            return None
-        found = j
-    return found
-
-
 def _maximize(p: Polytope, f):
     """Exact max of f over p via p's LP context. Returns (status, value,
     argmax); ("infeasible", None, None) when p is empty."""
@@ -272,72 +260,118 @@ def _maximize(p: Polytope, f):
     return ctx.maximize(qvec(f))
 
 
-def _feasible_point(p: Polytope):
-    """Feasibility of p's H-rep; returns (status, x, certificate).
+def _feasible_point(p: Polytope, candidate=None):
+    """Decide whether p's H-rep has a point, in affine-hull coordinates.
 
-    A unit row -c x_j <= 0 (c > 0) enters the LP as the bound x_j >= 0,
-    so it adds no row and x_j is not split into two columns. When p is
-    empty, the certificate holds one Farkas multiplier per H-rep row,
-    inequalities then equalities, valid for the system with every
-    variable free: the LP's multipliers on its rows, and on the first
-    unit row of each bounded x_j the LP's combined row at j (>= 0) over
-    c; a repeated unit row gets 0. It is re-checked in integers against
-    that all-free system.
+    Returns (context, None) when it has one: p's LP context, whose origin
+    is a point of p. Returns (None, certificate) when p is empty: one
+    Farkas multiplier per H-rep row, inequalities then equalities, valid
+    for the system with every variable free and re-checked in integers
+    against it.
+
+    The equality rows are solved once (`exactq.solve_rows`): x = x0 + N z,
+    and each inequality row a.x <= b becomes (a.N) z <= b - a.x0. That
+    elimination is the context's own, so the system runs one. Then:
+    - a `candidate` point of p becomes the origin, with no LP;
+    - inconsistent equality rows: `echelon` with `combine` names the
+      combination of them that reads 0 = c, c != 0, and it is the
+      certificate; no LP;
+    - a row with a.N = 0 is constant on the hull: if one is violated, it
+      and -w on the equality rows, with w.E = a, are the certificate; no
+      LP. With d = 0 free directions every row is constant, so x0 is the
+      point or such a row proves p empty;
+    - x0 satisfying every row is the origin; no LP;
+    - otherwise one LP runs over the d columns z. A reduced row
+      -c z_k <= 0 (c > 0), as a row x_j >= 0 on a free column of the
+      equality rows reduces, enters it as the bound z_k >= 0, so it adds
+      no row and z_k is not split. The LP's point gives the origin. Its
+      certificate y gives the first bound row of each bounded z_k the
+      combined row's entry there (>= 0) over c, and becomes (y, -w),
+      with w.E = y.A, as in `LpContext.feasible_with`.
     """
     h = p.hrep
-    dim = p.dim
-    nonneg = [False] * dim
-    bound_at = {}  # bounded variable -> its first unit row
-    rows = []
-    at = []  # the H-rep row behind each LP row
-    for i, (coeffs, rhs) in enumerate(h.ineqs):
-        j = _unit_nonneg(coeffs, rhs, dim)
-        if j is None:
-            rows.append((coeffs, LE, rhs))
-            at.append(i)
+    irows, eq_irows = _integer_rows(h)
+    ctx = LpContext.eliminated(h, irows, eq_irows)
+    if ctx is None:
+        _, kept = echelon([nums for nums, _ in eq_irows], combine=True)
+        _, red, comb = next(k for k in kept if k[0] == p.dim)
+        certificate = [ZERO] * len(h.ineqs)
+        certificate += [-c * den / red[p.dim] for c, (_, den) in zip(comb, eq_irows)]
+    else:
+        if candidate is not None:
+            moved = ctx.moved(candidate)
+            if moved is not None:
+                return moved, None
+        zrows = ctx.zrows
+        y = [ZERO] * len(zrows)
+        bad = next(
+            (i for i, (_, _, slack) in enumerate(zrows)
+             if slack < 0 and not ctx.live[i]),
+            None,
+        )
+        if bad is not None:
+            y[bad] = -ONE / zrows[bad][2]
+        elif all(slack >= 0 for _, _, slack in zrows):
+            return ctx, None
         else:
-            nonneg[j] = True
-            bound_at.setdefault(j, i)
-    rows += [(e, EQ, f) for e, f in h.eqs]
-    at += range(len(h.ineqs), len(h.ineqs) + len(h.eqs))
-    zero = tuple([ZERO] * dim)
-    outcome = lp_solve(LpProblem("min", zero, tuple(rows), tuple(nonneg)))
-    if outcome.status != "infeasible":
-        return outcome.status, outcome.solution, None
+            d = len(ctx.basis)
+            bound_at = {}  # bounded direction -> its first row -c z_k <= 0
+            live = []
+            for i in (i for i, flag in enumerate(ctx.live) if flag):
+                k = _unit_bound(zrows[i])
+                if k is None:
+                    live.append(i)
+                else:
+                    bound_at.setdefault(k, i)
+            outcome = lp_solve(LpProblem(
+                "min", tuple([ZERO] * d), tuple(zrows[i] for i in live),
+                tuple(k in bound_at for k in range(d)),
+            ))
+            if outcome.status == "optimal":
+                moved = ctx.moved(ctx._point(outcome.solution))
+                if moved is None:
+                    raise RuntimeError("feasibility LP point violates a row")
+                return moved, None
+            for i, cm in zip(live, outcome.certificate):
+                y[i] = cm
+            # the combined row is >= 0 at a bounded z_k; its first bound
+            # row takes the weight that clears it
+            for k, i in bound_at.items():
+                combined = sum((y[r] * zrows[r][0][k] for r in live if y[r]), ZERO)
+                y[i] = combined / -zrows[i][0][k]
+        certificate = y + ctx._eq_part(y, [a for a, _, _ in ctx.ineqs])
     every = [(a, LE, b) for a, b in h.ineqs] + [(e, EQ, f) for e, f in h.eqs]
-    certificate = [ZERO] * len(every)
-    support = [(k, y) for k, y in enumerate(outcome.certificate) if y]
-    for k, y in support:
-        certificate[at[k]] = y
-    for j, i in bound_at.items():
-        combined = sum((y * rows[k][0][j] for k, y in support), ZERO)
-        certificate[i] = combined / -h.ineqs[i][0][j]
     _check_infeasible(
-        LpProblem("min", zero, tuple(every), (False,) * dim),
-        [_integer_row([*coeffs, rhs]) for coeffs, _, rhs in every],
-        certificate,
+        LpProblem("min", tuple([ZERO] * p.dim), tuple(every), (False,) * p.dim),
+        irows + eq_irows, certificate,
     )
-    return "infeasible", None, tuple(certificate)
+    return None, tuple(certificate)
 
 
-def _context_at(p: Polytope, x) -> bool:
-    """Give p its LP context with origin x when x is a point of p, which
-    proves p nonempty with no feasibility LP; whether x is in p."""
-    ctx = LpContext.at(p.hrep, x)
-    if ctx is not None:
-        p._empty = False
-        p._context = ctx
-    return ctx is not None
+def _unit_bound(zrow):
+    """k when the reduced row reads -c z_k <= 0 with c > 0, else None."""
+    coeffs, _, slack = zrow
+    support = [k for k, v in enumerate(coeffs) if v]
+    if slack or len(support) != 1 or coeffs[support[0]] > 0:
+        return None
+    return support[0]
 
 
-def _decide_empty(p: Polytope):
-    """Run p's feasibility LP and keep what it proves: whether p is
-    empty, and for a nonempty p its LP context, with the LP's point as
-    origin. Returns the LP's certificate when p is empty, else None."""
-    status, origin, certificate = _feasible_point(p)
-    p._empty = status != "optimal"
-    if not p._empty:
-        p._context = LpContext.build(p.hrep, origin)
+def _integer_rows(h: HRep):
+    """The integer rows of h's inequality rows and of its equality rows."""
+    return (
+        [_integer_row([*a, b]) for a, b in h.ineqs],
+        [_integer_row([*e, f]) for e, f in h.eqs],
+    )
+
+
+def _decide_empty(p: Polytope, candidate=None):
+    """Decide whether p is empty with `_feasible_point` and keep what it
+    proves: for a nonempty p its LP context, whose origin is `candidate`
+    when that is a point of p. Returns the certificate when p is empty,
+    else None."""
+    p._context, certificate = _feasible_point(p, candidate)
+    p._empty = p._context is None
     return certificate
 
 
@@ -347,8 +381,8 @@ def _decide_empty(p: Polytope):
 def _lp_context(p: Polytope):
     """p's LP context, built on first use; None when p is empty.
 
-    Its origin is the first generator when p has them, else the point of
-    the feasibility LP that also decides `is_empty`.
+    Its origin is the first generator when p has them, else the point
+    `_feasible_point` finds as it decides `is_empty`.
     """
     if p._context is None:
         if p._points is not None:
@@ -366,10 +400,11 @@ class LpContext:
     `origin` is a point of the set and the columns of N (`basis`) are
     primitive integer nullspace vectors of E. Each inequality row
     a.x <= b becomes the row (a.N) z <= b - a.origin over free z, reduced
-    once in integers; its rhs is >= 0 because the origin is feasible, so
-    the kernel starts every LP from the slack basis, with no artificials
-    and no phase 1. A row with a.N = 0 is constant on the hull and takes
-    no part. An LP may use any subset of the inequality rows (redundancy
+    once in integers (`eliminated`); its rhs is >= 0 because the origin
+    is feasible, so the kernel starts every LP from the slack basis, with
+    no artificials and no phase 1. Moving the origin (`moved`) re-reads
+    only the rhs. A row with a.N = 0 is constant on the hull and takes no
+    part. An LP may use any subset of the inequality rows (redundancy
     removal drops them one at a time) and may add equality rows, which
     are reduced through the same N.
 
@@ -381,7 +416,7 @@ class LpContext:
     """
 
     __slots__ = ("dim", "origin", "onums", "oden", "basis", "ineqs", "irows",
-                 "zrows", "eqs", "eq_irows")
+                 "zrows", "live", "eqs", "eq_irows")
 
     def __init__(self, dim, origin, basis, ineqs, irows, zrows, eqs, eq_irows):
         self.dim = dim
@@ -390,7 +425,8 @@ class LpContext:
         self.basis = basis
         self.ineqs = ineqs  # LP rows (a, "<=", b)
         self.irows = irows  # their integer rows
-        self.zrows = zrows  # per row, (a.N, "<=", b - a.origin) or None
+        self.zrows = zrows  # per row, (a.N, "<=", b - a.origin)
+        self.live = [any(coeffs) for coeffs, _, _ in zrows]  # a.N != 0
         self.eqs = eqs
         self.eq_irows = eq_irows
 
@@ -403,28 +439,57 @@ class LpContext:
 
     @classmethod
     def at(cls, hrep: HRep, origin):
-        """The context with `origin`, or None when it violates a row."""
+        """The context with `origin`, or None when it violates a row (or
+        no point satisfies the equality rows)."""
+        ctx = cls.eliminated(hrep, *_integer_rows(hrep))
+        return None if ctx is None else ctx.moved(origin)
+
+    @classmethod
+    def eliminated(cls, hrep: HRep, irows, eq_irows):
+        """The system's equality rows solved once, given the integer rows
+        of its inequality and equality rows: the context at the solution
+        x0 `solve_rows` gives, every inequality row reduced at it. A row
+        x0 violates keeps its negative slack, so this is a context for
+        LPs only when every slack is >= 0. None when the equality rows
+        are inconsistent."""
         dim = hrep.dim
-        origin = tuple(origin)
-        eq_irows = [_integer_row([*e, f]) for e, f in hrep.eqs]
-        _, nullspace, _ = solve_rows([nums for nums, _ in eq_irows], dim)
+        solved = solve_rows([nums for nums, _ in eq_irows], dim)
+        if solved is None:
+            return None
+        x0, nullspace, _ = solved
         basis = tuple(_primitive_int(v) for v in nullspace)
         ctx = cls(
-            dim, origin, basis, tuple((a, LE, b) for a, b in hrep.ineqs),
-            [_integer_row([*a, b]) for a, b in hrep.ineqs], None,
+            dim, x0, basis, tuple((a, LE, b) for a, b in hrep.ineqs), irows, [],
             tuple((e, EQ, f) for e, f in hrep.eqs), eq_irows,
         )
-        for nums, den in eq_irows:
-            if ctx._reduce(nums, den)[1] != Fraction(nums[dim], den):
-                return None
-        ctx.zrows = []
         for nums, den in ctx.irows:
             coeffs, at_origin = ctx._reduce(nums, den)
-            slack = Fraction(nums[dim], den) - at_origin
+            ctx.zrows.append((coeffs, LE, Fraction(nums[dim], den) - at_origin))
+            ctx.live.append(any(coeffs))
+        return ctx
+
+    def moved(self, origin):
+        """The same context with `origin`, each row's slack re-read there
+        in integers; None when `origin` violates a row."""
+        dim = self.dim
+        origin = tuple(origin)
+        onums, oden = _integer_row(origin)
+
+        def lhs(nums):
+            return sum(v * onums[j] for j, v in enumerate(nums[:dim]) if v)
+
+        if any(lhs(nums) != nums[dim] * oden for nums, _ in self.eq_irows):
+            return None
+        zrows = []
+        for (coeffs, _, _), (nums, den) in zip(self.zrows, self.irows):
+            slack = nums[dim] * oden - lhs(nums)
             if slack < 0:
                 return None
-            ctx.zrows.append((coeffs, LE, slack) if any(coeffs) else None)
-        return ctx
+            zrows.append((coeffs, LE, Fraction(slack, den * oden)))
+        return LpContext(
+            dim, origin, self.basis, self.ineqs, self.irows, zrows, self.eqs,
+            self.eq_irows,
+        )
 
     def _reduce(self, nums, den):
         """(a.N, a.origin) for the row a = nums[:dim] / den, in integers."""
@@ -454,7 +519,7 @@ class LpContext:
         fz, base = self._reduce(*_integer_row(f))
         if not any(fz):
             return "optimal", base, self.origin
-        rows = [self.zrows[i] for i in keep if self.zrows[i] is not None]
+        rows = [self.zrows[i] for i in keep if self.live[i]]
         nonneg = (False,) * len(fz)
         outcome = lp_solve(LpProblem("max", fz, tuple(rows), nonneg))
         if outcome.status == "infeasible":
@@ -475,7 +540,7 @@ class LpContext:
         for e, f in eqs:
             coeffs, at_origin = self._reduce(*_integer_row(e))
             extra.append((coeffs, EQ, f - at_origin))
-        live = [i for i, row in enumerate(self.zrows) if row is not None]
+        live = [i for i, flag in enumerate(self.live) if flag]
         original = self._original(tuple([ZERO] * self.dim), extra=eqs)
         if self.basis:
             zero = tuple([ZERO] * len(self.basis))
@@ -499,14 +564,9 @@ class LpContext:
         y = [ZERO] * len(self.ineqs)
         for i, cm in zip(live, reduced):
             y[i] = cm
-        mu = tuple(reduced[len(live):])
-        # y.A + mu.M vanishes on the hull directions N, so it is w.E
-        u = [ZERO] * self.dim
+        mu = reduced[len(live):]
         rows = [a for a, _, _ in self.ineqs] + [e for e, _ in eqs]
-        for cm, a in zip((*y, *mu), rows):
-            if cm:
-                u = [s + cm * v for s, v in zip(u, a)]
-        certificate = (*y, *(-v for v in self._eq_weights(u)), *mu)
+        certificate = (*y, *self._eq_part([*y, *mu], rows), *mu)
         _check_infeasible(*original, certificate)
         return False, certificate
 
@@ -516,6 +576,16 @@ class LpContext:
             if zk:
                 x = [xj + zk * v for xj, v in zip(x, vec)]
         return tuple(x)
+
+    def _eq_part(self, mults, rows):
+        """The equality rows' part -w of a certificate whose multipliers
+        `mults` on `rows` leave a combination u = sum cm * a that vanishes
+        on the hull directions N, so that u = w.E."""
+        u = [ZERO] * self.dim
+        for cm, a in zip(mults, rows):
+            if cm:
+                u = [s + cm * v for s, v in zip(u, a)]
+        return [-v for v in self._eq_weights(u)]
 
     def _eq_weights(self, u):
         """Weights w on the equality rows with w.E = u, for u in the row
@@ -664,9 +734,7 @@ def _points_from_hrep(hrep: HRep) -> tuple:
         rays = _extreme_rays(cone_rows, d2 + 1)
     except UnboundedError:
         # rank deficiency also occurs for some empty systems: decide by LP
-        probe = Polytope(dim, hrep=hrep)
-        status, _, _ = _feasible_point(probe)
-        if status != "optimal":
+        if _feasible_point(Polytope(dim, hrep=hrep))[0] is None:
             return ()
         raise
     verts = []

@@ -35,6 +35,11 @@ carried certificate. `fraction_feasible` decides a system of free
 variables with `fraction_simplex_solve`, so it shares no LP code with
 the program.
 
+`feasible_point_reference` is the reference for
+`credalkit.polytope._feasible_point`: one phase-1 LP over every row in
+the original coordinates, the unit rows -x_j <= 0 taken as bounds, with
+its certificate mapped back to one multiplier per row.
+
 `solve_linear_system` and `fraction_inverse` are the references for
 `credalkit.exactq.echelon` and its callers: Gauss-Jordan elimination in
 Fractions, with the pivot chosen column by column. Matrices here are
@@ -55,7 +60,17 @@ from itertools import combinations, permutations, product
 import credalkit.joint as jt
 import credalkit.polytope as pt
 from credalkit.credal import _pushforward_set
-from credalkit.exactq import EQ, LE, DimensionError, LpProblem, dot, lp_solve, qvec
+from credalkit.exactq import (
+    EQ,
+    LE,
+    DimensionError,
+    LpProblem,
+    _check_infeasible,
+    _integer_row,
+    dot,
+    lp_solve,
+    qvec,
+)
 from credalkit.joint import SIMPLEX_ORIGIN
 from credalkit.spaces import (
     alignment_permutation,
@@ -248,6 +263,70 @@ def deletion_filter_reference(dim, ineqs, eqs):
         (rows[i][0], rows[i][2], rows[i][1], rows[i][3]) for i in active
     )
     return core, tuple(certificate), tuple(offending), lps
+
+
+def unit_nonneg(coeffs, rhs, dim):
+    """Index j when the row is exactly -c x_j <= 0 with c > 0, else None."""
+    if rhs != 0:
+        return None
+    found = None
+    for j in range(dim):
+        v = coeffs[j]
+        if v == 0:
+            continue
+        if v > 0 or found is not None:
+            return None
+        found = j
+    return found
+
+
+def feasible_point_reference(p):
+    """Feasibility of p's H-rep by one LP over every row; returns
+    (status, x, certificate).
+
+    A unit row -c x_j <= 0 (c > 0) enters the LP as the bound x_j >= 0,
+    so it adds no row and x_j is not split into two columns. When p is
+    empty, the certificate holds one Farkas multiplier per H-rep row,
+    inequalities then equalities, valid for the system with every
+    variable free: the LP's multipliers on its rows, and on the first
+    unit row of each bounded x_j the LP's combined row at j (>= 0) over
+    c; a repeated unit row gets 0. It is re-checked in integers against
+    that all-free system.
+    """
+    h = p.hrep
+    dim = p.dim
+    nonneg = [False] * dim
+    bound_at = {}  # bounded variable -> its first unit row
+    rows = []
+    at = []  # the H-rep row behind each LP row
+    for i, (coeffs, rhs) in enumerate(h.ineqs):
+        j = unit_nonneg(coeffs, rhs, dim)
+        if j is None:
+            rows.append((coeffs, LE, rhs))
+            at.append(i)
+        else:
+            nonneg[j] = True
+            bound_at.setdefault(j, i)
+    rows += [(e, EQ, f) for e, f in h.eqs]
+    at += range(len(h.ineqs), len(h.ineqs) + len(h.eqs))
+    zero = tuple([ZERO] * dim)
+    outcome = lp_solve(LpProblem("min", zero, tuple(rows), tuple(nonneg)))
+    if outcome.status != "infeasible":
+        return outcome.status, outcome.solution, None
+    every = [(a, LE, b) for a, b in h.ineqs] + [(e, EQ, f) for e, f in h.eqs]
+    certificate = [ZERO] * len(every)
+    support = [(k, y) for k, y in enumerate(outcome.certificate) if y]
+    for k, y in support:
+        certificate[at[k]] = y
+    for j, i in bound_at.items():
+        combined = sum((y * rows[k][0][j] for k, y in support), ZERO)
+        certificate[i] = combined / -h.ineqs[i][0][j]
+    _check_infeasible(
+        LpProblem("min", zero, tuple(every), (False,) * dim),
+        [_integer_row([*coeffs, rhs]) for coeffs, _, rhs in every],
+        certificate,
+    )
+    return "infeasible", None, tuple(certificate)
 
 
 def fraction_feasible(dim, rows) -> bool:

@@ -125,26 +125,45 @@ def test_every_kernel_call_is_an_lp_span():
     assert rows["rows_kept"] == len(model.body.hrep.ineqs) < rows["rows_in"]
 
 
-def test_diagnosis_lps_are_traced():
+def test_diagnosis_lps_are_traced(monkeypatch):
     """A build on an inconsistent collection: `_diagnose` keeps the
     arguments and result perfbench/layers.py reads, and every kernel call
     inside its span sits below a traced `lp_solve` span that is itself
     inside it, so `diagnosis.lps` counts each LP the filter runs. The
-    build's feasibility LP over every row runs before the span, and the
-    filter's last LP, over the core, inside it."""
+    build decides once, before the span, that the whole system is empty
+    (`polytope._feasible_point`), and the filter's last LP, over the
+    core, runs inside it."""
     layers = load_layers()
     gen = importlib.import_module("gen")
     jt = importlib.import_module("credalkit.joint")
+    pt = importlib.import_module("credalkit.polytope")
     assert list(inspect.signature(jt._diagnose).parameters) == [
         "dim", "ineqs", "eqs", "certificate",
     ]
     space, coll = gen.clash_instance(random.Random(5), 3)
     dim = space.path_count
     ineqs, eqs = jt._assemble(coll, jt.representative_tuples(coll))
+    everything = (tuple(row for row, _ in ineqs), tuple(row for row, _ in eqs))
 
+    events = []
+    real_feasible, real_diagnose = pt._feasible_point, jt._diagnose
+
+    def deciding(p, candidate=None):
+        whole = (p.hrep.ineqs, p.hrep.eqs) == everything
+        events.append("whole system" if whole else "subsystem")
+        return real_feasible(p, candidate)
+
+    def diagnosing(*args):
+        events.append("diagnosis")
+        return real_diagnose(*args)
+
+    monkeypatch.setattr(pt, "_feasible_point", deciding)
+    monkeypatch.setattr(jt, "_diagnose", diagnosing)
     model, spans, info = traced(layers, lambda: jt.build_joint(coll))
     assert model.is_empty()
     assert isinstance(model.diagnosis, jt.InfeasibilityDiagnosis)
+    assert events.count("whole system") == 1 and events.count("diagnosis") == 1
+    assert events.index("whole system") < events.index("diagnosis")
     layer_of = [name.split(".")[0] for name, *_ in spans]
     diagnosis = [i for i, layer in enumerate(layer_of) if layer == "diagnosis"]
     assert len(diagnosis) == 1
@@ -171,16 +190,6 @@ def test_diagnosis_lps_are_traced():
     assert info[filter_lps[-1]] == {
         "status": "infeasible", "rows": len(model.diagnosis.rows), "cols": dim,
     }
-    # the feasibility LP: every row, the dim unit rows of the path
-    # simplex as bounds
-    everything = len(ineqs) + len(eqs) - dim
-    feasibility = [
-        i for i in lps
-        if info[i] == {"status": "infeasible", "rows": everything, "cols": dim}
-    ]
-    assert len(feasibility) == 1
-    assert root not in ancestors(spans, feasibility[0])
-    assert spans[feasibility[0]][2] <= spans[root][1]
 
 
 def test_verify_spans_one_representation_check(tmp_path):

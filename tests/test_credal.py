@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import credalkit.credal as credal
 import credalkit.polytope as pt
 from credalkit.credal import (
     CredalCollection,
@@ -19,7 +20,7 @@ from credalkit.credal import (
     verify_finite_separation,
     verify_witness_certificate,
 )
-from credalkit.exactq import DimensionError, dot
+from credalkit.exactq import EQ, DimensionError, LpProblem, dot, lp_solve
 from credalkit.spaces import (
     make_space,
     point_mass,
@@ -238,6 +239,29 @@ class TestExpectations:
             f = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
             assert lower_expectation(cset, f) == min(dot(f, v) for v in pts)
             assert upper_expectation(cset, f) == max(dot(f, v) for v in pts)
+
+    def test_generators_match_hull_weight_lp_with_no_lp(self, monkeypatch):
+        """A generator-form body's bound is its best generator: the value
+        of the LP over hull weights, found with no LP."""
+        rng = random.Random(201)
+        for _ in range(25):
+            dim = rng.choice([2, 4])
+            pts = [random_simplex_point(rng, dim) for _ in range(rng.randint(1, 5))]
+            cset = credal_set_from_vertices(AB, ("a",) if dim == 2 else ("a", "b"), pts)
+            f = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
+            gens = cset.body.points
+            bounds = []
+            for g in (f, tuple(-v for v in f)):
+                outcome = lp_solve(LpProblem(
+                    "max", tuple(dot(g, v) for v in gens),
+                    ((tuple([F(1)] * len(gens)), EQ, F(1)),), (True,) * len(gens),
+                ))
+                bounds.append(outcome.value)
+            with monkeypatch.context() as m:
+                for module in (pt, credal):
+                    m.setattr(module, "lp_solve", None)  # any LP would fail
+                assert upper_expectation(cset, f) == bounds[0]
+                assert lower_expectation(cset, f) == -bounds[1]
 
     def test_finite_mode_enumeration(self):
         cset = credal_set_from_members(

@@ -50,6 +50,7 @@ from oracles import (
     deletion_filter_reference,
     dense_pushforward,
     equals,
+    feasible_point_reference,
     fraction_feasible,
     property_suite_reference,
     redundant_rows_reference,
@@ -361,27 +362,41 @@ def counted_diagnose(monkeypatch, dim, ineqs, eqs, certificate=None):
 
 
 def seed_certificate(dim, ineqs, eqs):
-    """The certificate of the feasibility LP over all rows, as the build
-    passes it to `_diagnose`."""
-    status, _, certificate = pt._feasible_point(jt._system_polytope(dim, ineqs, eqs))
+    """The certificate `_feasible_point` proves the whole system empty
+    with, as the build passes it to `_diagnose`."""
+    context, certificate = pt._feasible_point(jt._system_polytope(dim, ineqs, eqs))
+    assert context is None
+    return certificate
+
+
+def reference_seed_certificate(dim, ineqs, eqs):
+    """The certificate of the reference feasibility LP over all rows."""
+    status, _, certificate = feasible_point_reference(
+        jt._system_polytope(dim, ineqs, eqs)
+    )
     assert status == "infeasible"
     return certificate
 
 
 def assert_matches_reference(monkeypatch, dim, ineqs, eqs):
-    """Seeded and unseeded `_diagnose` both return the reference's rows,
-    multipliers and tuples, each with fewer LPs; returns the unseeded
+    """`_diagnose` returns the reference's rows, multipliers and tuples
+    unseeded and seeded with either certificate (`_feasible_point`'s or
+    the reference LP's), each time with fewer LPs; returns the unseeded
     run's rule 2 substitutions and the diagnosis."""
     rows, multipliers, offending, ref_lps = deletion_filter_reference(dim, ineqs, eqs)
     unseeded, counts = counted_diagnose(monkeypatch, dim, ineqs, eqs)
-    seeded, seeded_counts = counted_diagnose(
-        monkeypatch, dim, ineqs, eqs, seed_certificate(dim, ineqs, eqs)
-    )
-    for diag in (unseeded, seeded):
-        assert (diag.rows, diag.multipliers, diag.offending_tuples) == (
+    for seed in (seed_certificate, reference_seed_certificate):
+        seeded, seeded_counts = counted_diagnose(
+            monkeypatch, dim, ineqs, eqs, seed(dim, ineqs, eqs)
+        )
+        assert (seeded.rows, seeded.multipliers, seeded.offending_tuples) == (
             rows, multipliers, offending
         )
-    assert seeded_counts["lps"] < ref_lps and counts["lps"] < ref_lps
+        assert seeded_counts["lps"] < ref_lps
+    assert (unseeded.rows, unseeded.multipliers, unseeded.offending_tuples) == (
+        rows, multipliers, offending
+    )
+    assert counts["lps"] < ref_lps
     return counts["substitutions"], unseeded
 
 
@@ -403,12 +418,18 @@ def row_set(ineqs, eqs):
 
 
 def recorded_systems(monkeypatch, dim, coll):
-    """`build_joint(coll)` and the system of each LP it ran over the path
-    space: the LP's rows plus a unit row -x_j <= 0 for each bounded x_j."""
+    """`build_joint(coll)`, the system of each LP it ran over the path
+    space (the LP's rows plus a unit row -x_j <= 0 for each bounded x_j),
+    and the system of each `_feasible_point` call, with the column counts
+    of the LPs that call ran."""
     systems = []
+    decided = []
+    current = [None]  # the LP column counts of the running call
 
     def recording(solve):
         def recording_solve(problem):
+            if current[0] is not None:
+                current[0].append(len(problem.objective))
             if len(problem.objective) == dim:
                 system = set(problem.rows)
                 for j, bounded in enumerate(problem.nonneg):
@@ -419,11 +440,24 @@ def recorded_systems(monkeypatch, dim, coll):
             return solve(problem)
         return recording_solve
 
+    real = pt._feasible_point
+
+    def recording_feasible(p, candidate=None):
+        h = p.hrep
+        rows = {(a, LE, b) for a, b in h.ineqs} | {(e, EQ, f) for e, f in h.eqs}
+        decided.append((rows, []))
+        current[0] = decided[-1][1]
+        try:
+            return real(p, candidate)
+        finally:
+            current[0] = None
+
     with monkeypatch.context() as m:
         for module in (jt, pt):
             m.setattr(module, "lp_solve", recording(module.lp_solve))
+        m.setattr(pt, "_feasible_point", recording_feasible)
         joint = build_joint(coll)
-    return joint, systems
+    return joint, systems, decided
 
 
 def assert_minimal_core(dim, diag):
@@ -473,23 +507,44 @@ class TestDiagnose:
             assert (space.indices[0],) in diag.offending_tuples
             assert_minimal_core(space.path_count, diag)
 
-    def test_build_runs_one_lp_over_all_rows(self, monkeypatch):
-        """The build's feasibility LP is the only LP over the whole system;
-        the diagnosis starts from its certificate."""
+    def test_build_decides_emptiness_once_in_hull_coordinates(self, monkeypatch):
+        """`_feasible_point` proves the whole system empty once, and the
+        diagnosis starts from its certificate; no LP over all rows runs
+        in the path space's columns, and every LP deciding a system's
+        emptiness runs over fewer columns."""
         space, coll = clash_instance(random.Random(61), 3)
-        ineqs, eqs = _assemble(coll, representative_tuples(coll))
-        joint, systems = recorded_systems(monkeypatch, space.path_count, coll)
+        dim = space.path_count
+        everything = row_set(*_assemble(coll, representative_tuples(coll)))
+        joint, systems, decided = recorded_systems(monkeypatch, dim, coll)
         assert joint.is_empty() and joint.diagnosis is not None
-        assert systems.count(row_set(ineqs, eqs)) == 1
+        assert [rows for rows, _ in decided].count(everything) == 1
+        assert everything not in systems
+        assert all(c < dim for _, cols in decided for c in cols)
 
-    def test_finite_selection_runs_one_lp_over_all_rows(self, monkeypatch):
+    def test_finite_selection_decides_emptiness_once_in_hull_coordinates(
+        self, monkeypatch
+    ):
+        """Each selection's system is decided once, with no LP: the full
+        tuple's member pins one point."""
         coll = dead_finite_collection(3, {("a",): 2, ("b",): 2, ("a", "b"): 2})
-        joint, systems = recorded_systems(monkeypatch, 8, coll)
+        joint, systems, decided = recorded_systems(monkeypatch, 8, coll)
         assert joint.is_empty() and len(joint.diagnosis) == 8
         reps = representative_tuples(coll)
         for d in joint.diagnosis:
-            ineqs, eqs = _assemble(coll, reps, selections=dict(d.selection))
-            assert systems.count(row_set(ineqs, eqs)) == 1
+            rows = row_set(*_assemble(coll, reps, selections=dict(d.selection)))
+            assert [r for r, _ in decided].count(rows) == 1
+            assert rows not in systems
+        assert all(not cols for _, cols in decided)
+
+    def test_consistent_build_runs_no_feasibility_lp(self, monkeypatch):
+        """On a consistent collection the first vertex of pre(V_T) is a
+        point of P and becomes its LP origin."""
+        coll = generated_instance(random.Random(811), 3)[1]
+        joint, _, decided = recorded_systems(monkeypatch, 8, coll)
+        assert not joint.is_empty()
+        assert [cols for _, cols in decided] == [[]]
+        vertex = jt._pulled_vertices(coll, representative_tuples(coll)[-1])[0]
+        assert joint.body._context.origin == vertex
 
     def test_finite_diagnoses_the_first_dead_selections(self):
         coll = dead_finite_collection(6, {("a",): 5, ("b",): 5, ("c",): 5})
@@ -791,10 +846,17 @@ class TestPropertySuite:
         representation = verify_representation(coll, joint)
         calls = []
         real = pt._feasible_point
-        monkeypatch.setattr(pt, "_feasible_point", lambda p: calls.append(p) or real(p))
+
+        def deciding(p, candidate=None):
+            context, certificate = real(p, candidate)
+            calls.append(context.origin == candidate)
+            return context, certificate
+
+        monkeypatch.setattr(pt, "_feasible_point", deciding)
         report = property_suite(coll, joint, representation)
-        assert report.passed and _records(report, "covering tuple has smaller preimage")
-        assert calls == []
+        records = _records(report, "covering tuple has smaller preimage")
+        assert report.passed and records
+        assert calls == [True] * len(records)
 
     @pytest.mark.parametrize("make", [
         lambda: generated_instance(random.Random(800), 2)[1],

@@ -35,6 +35,7 @@ from oracles import (
     brute_force_vertices,
     dense_pushforward,
     equals,
+    feasible_point_reference,
     fraction_feasible,
     fraction_inverse,
     hrep_contains,
@@ -43,6 +44,7 @@ from oracles import (
     matrix_rank,
     redundant_rows_reference,
     solve_linear_system,
+    unit_nonneg,
 )
 
 
@@ -580,7 +582,7 @@ class TestLpContext:
             assert len(ctx.basis) == p.dim - rank
             if kind == "point":
                 assert ctx.basis == ()
-            assert all(row is None or row[2] >= 0 for row in ctx.zrows)
+            assert all(row[2] >= 0 for row in ctx.zrows)
             for _ in range(4):
                 f = tuple(
                     F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p.dim)
@@ -620,6 +622,10 @@ class TestLpContext:
         ctx = pt._lp_context(p)
         assert ctx.origin == (F(0), F(1))
         assert pt._maximize(p, (F(1), F(1))) == ("optimal", F(1), (F(0), F(1)))
+
+    def test_at_inconsistent_equality_rows_is_none(self):
+        h = HRep.make(2, eqs=[((F(1), F(1)), F(1)), ((F(2), F(2)), F(1))])
+        assert pt.LpContext.at(h, (F(1, 2), F(1, 2))) is None
 
     def test_empty_has_no_context(self):
         p = Polytope.from_hrep(1, ineqs=[((F(1),), F(-1)), ((F(-1),), F(0))])
@@ -760,10 +766,27 @@ def random_unit_row_system(rng, dim, only_units):
             return HRep(dim, tuple(ineqs), tuple(eqs))
 
 
+def assert_farkas(h, cert):
+    """cert proves the H-rep empty with every variable free: one
+    multiplier per row, >= 0 on the inequality rows, combining the rows
+    [a | b] to 0 on the coefficients and a negative rhs; checked in
+    integers, independently of `_check_infeasible`."""
+    rows = [(a, b) for a, b in h.ineqs] + [(e, f) for e, f in h.eqs]
+    assert len(cert) == len(rows)
+    assert all(y >= 0 for y in cert[: len(h.ineqs)])
+    den = lcm(*[y.denominator for y in cert], *[v.denominator for a, b in rows
+                                                for v in (*a, b)])
+    combined = [0] * (h.dim + 1)
+    for (a, b), y in zip(rows, cert):
+        for j, v in enumerate((*a, b)):
+            combined[j] += int(y * v * den * den)
+    assert combined[: h.dim] == [0] * h.dim and combined[h.dim] < 0
+
+
 class TestFeasibleCertificate:
-    """`_feasible_point` takes unit rows as bounds; its certificate on an
-    empty system has one multiplier per H-rep row and holds for the
-    system with every variable free."""
+    """The reference `feasible_point_reference` takes unit rows as
+    bounds; its certificate on an empty system has one multiplier per
+    H-rep row and holds for the system with every variable free."""
 
     @pytest.mark.parametrize("only_units", [False, True])
     def test_per_row_certificate_on_all_free_rows(self, only_units):
@@ -772,26 +795,151 @@ class TestFeasibleCertificate:
         for _ in range(30):
             dim = rng.randint(2, 4)
             h = random_unit_row_system(rng, dim, only_units)
-            status, x, cert = pt._feasible_point(Polytope(dim, hrep=h))
+            status, x, cert = feasible_point_reference(Polytope(dim, hrep=h))
             assert (status, x) == ("infeasible", None)
-            rows = [(a, LE, b) for a, b in h.ineqs] + [(e, EQ, f) for e, f in h.eqs]
-            assert len(cert) == len(rows)
-            _check_infeasible(
-                LpProblem("min", tuple([F(0)] * dim), tuple(rows), (False,) * dim),
-                [_integer_row([*a, b]) for a, _, b in rows],
-                cert,
-            )
-            combined = [F(0)] * (dim + 1)
-            for (a, sense, b), y in zip(rows, cert):
-                assert sense == EQ or y >= 0
-                combined = [s + y * v for s, v in zip(combined, [*a, b])]
-            assert combined[:dim] == [0] * dim and combined[dim] < 0
+            assert_farkas(h, cert)
             units = [
                 i for i, (a, b) in enumerate(h.ineqs)
-                if pt._unit_nonneg(a, b, dim) is not None
+                if unit_nonneg(a, b, dim) is not None
             ]
             on_units += any(cert[i] for i in units)
         assert on_units  # the bounds carry weight
+
+
+def feasibility_lps(monkeypatch, p, candidate=None):
+    """`_feasible_point(p, candidate)` and, for each LP it ran, its column
+    count and how many of its columns are sign-constrained."""
+    cols = []
+    real = pt.lp_solve
+
+    def counting(problem):
+        cols.append((len(problem.objective), sum(problem.nonneg)))
+        return real(problem)
+
+    with monkeypatch.context() as m:
+        m.setattr(pt, "lp_solve", counting)
+        return pt._feasible_point(p, candidate), cols
+
+
+def random_feasibility_case(rng):
+    """A random H-rep, empty or not, over 1 to 4 variables: random
+    inequality rows (unit rows among them) and 0 to dim random equality
+    rows, some through one point."""
+    dim = rng.randint(1, 4)
+    x = tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim))
+    ineqs = []
+    for _ in range(rng.randint(1, 5)):
+        a = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
+        ineqs.append((a, dot(a, x) + F(rng.randint(-2, 2), 2)))
+    for j in rng.sample(range(dim), rng.randint(0, dim)):
+        ineqs.append((tuple(F(-(k == j)) for k in range(dim)), F(0)))
+    eqs = []
+    for _ in range(rng.randint(0, dim)):
+        e = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+        eqs.append((e, dot(e, x) + rng.choice([0, 0, 1])))
+    return Polytope.from_hrep(dim, ineqs, eqs)
+
+
+class TestFeasiblePoint:
+    """`_feasible_point` decides emptiness in affine-hull coordinates:
+    the same status as the reference's LP over every row, a certificate
+    that proves an empty system empty, and for a nonempty one its LP
+    context at a point of it. Only systems with free hull directions and
+    no point found by elimination run an LP, over those d columns; a row
+    that reduces to -c z_k <= 0 is the bound z_k >= 0."""
+
+    def assert_decides(self, monkeypatch, p, lp_shapes):
+        (ctx, cert), cols = feasibility_lps(monkeypatch, p)
+        status, _, ref_cert = feasible_point_reference(p)
+        assert (ctx is None) == (status == "infeasible")
+        assert cols == lp_shapes
+        if ctx is None:
+            assert_farkas(p.hrep, cert)
+            return
+        assert cert is None and hrep_contains(p.hrep, ctx.origin)
+        fresh = pt.LpContext.at(p.hrep, ctx.origin)
+        assert (ctx.basis, ctx.zrows, ctx.live) == (fresh.basis, fresh.zrows, fresh.live)
+
+    def test_random_systems_match_reference(self, monkeypatch):
+        rng = random.Random(5)
+        seen = set()
+        bounded = 0
+        for _ in range(150):
+            p = random_feasibility_case(rng)
+            (ctx, cert), cols = feasibility_lps(monkeypatch, p)
+            status, _, _ = feasible_point_reference(p)
+            assert (ctx is None) == (status == "infeasible")
+            if ctx is None:
+                assert_farkas(p.hrep, cert)
+            else:
+                assert hrep_contains(p.hrep, ctx.origin)
+            d = p.dim - matrix_rank([e for e, _ in p.hrep.eqs] or [[0]])
+            assert all(c == d for c, _ in cols)
+            seen.add((ctx is None, bool(cols)))
+            bounded += any(b for _, b in cols)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        assert bounded
+
+    def test_inconsistent_equality_rows_need_no_lp(self, monkeypatch):
+        p = Polytope.from_hrep(
+            3, ineqs=[((F(-1), F(0), F(0)), F(0))],
+            eqs=[((F(1), F(1), F(0)), F(1)), ((F(0), F(0), F(1)), F(1, 3)),
+                 ((F(2), F(2), F(1)), F(2))],
+        )
+        self.assert_decides(monkeypatch, p, [])
+        assert pt.LpContext.eliminated(p.hrep, *pt._integer_rows(p.hrep)) is None
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_single_point_hull_needs_no_lp(self, monkeypatch, inside):
+        # the equality rows pin x = (1/2, 1/4, 1/4)
+        cut = F(1, 3) if inside else F(1, 5)
+        p = Polytope.from_hrep(
+            3, ineqs=[((F(0), F(1), F(0)), cut), ((F(-1), F(0), F(0)), F(0))],
+            eqs=[((F(1), F(1), F(1)), F(1)), ((F(1), F(-2), F(0)), F(0)),
+                 ((F(0), F(1), F(-1)), F(0))],
+        )
+        self.assert_decides(monkeypatch, p, [])
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_free_directions_run_one_lp_over_them(self, monkeypatch, feasible):
+        # x0 = (1, 0, 0, 0) of the equality rows violates x1 + x2 >= 1/2
+        p = Polytope.from_hrep(
+            4,
+            ineqs=[*Polytope.simplex(4).hrep.ineqs,
+                   ((F(0), F(-1), F(-1), F(0)), F(-1, 2)),
+                   ((F(0), F(1), F(0), F(0)), F(1, 5) if feasible else F(0))],
+            eqs=[((F(1), F(1), F(1), F(1)), F(1)),
+                 ((F(0), F(0), F(1), F(-1)), F(0)) if feasible
+                 else ((F(0), F(0), F(1), F(0)), F(0))],
+        )
+        # x1 and x3 are the free columns, so -x1 <= 0 and -x3 <= 0 are bounds
+        self.assert_decides(monkeypatch, p, [(2, 2)])
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_simplex_row_as_only_equality(self, monkeypatch, feasible):
+        rhs = F(-1, 2) if feasible else F(-2)
+        h = Polytope.simplex(5).hrep
+        p = Polytope(5, hrep=HRep.make(
+            5, (*h.ineqs, ((F(0), F(-1), F(-1), F(0), F(0)), rhs)), h.eqs
+        ))
+        self.assert_decides(monkeypatch, p, [(4, 4)])
+
+    def test_violated_constant_row_needs_no_lp(self, monkeypatch):
+        # x0 + x1 is 1 on the hull, so x0 + x1 <= 1/2 is violated there
+        p = Polytope.from_hrep(
+            3, ineqs=[((F(0), F(0), F(1)), F(1)), ((F(1), F(1), F(0)), F(1, 2))],
+            eqs=[((F(1), F(1), F(0)), F(1))],
+        )
+        self.assert_decides(monkeypatch, p, [])
+
+    def test_candidate_point_is_the_origin(self, monkeypatch):
+        p = Polytope.simplex(3)
+        x = (F(1, 3), F(1, 3), F(1, 3))
+        (ctx, cert), cols = feasibility_lps(monkeypatch, p, x)
+        assert (ctx.origin, cert, cols) == (x, None, [])
+        outside = (F(1), F(1), F(-1))
+        (ctx, _), _ = feasibility_lps(monkeypatch, p, outside)
+        assert ctx.origin != outside and hrep_contains(p.hrep, ctx.origin)
 
 
 def hull_membership_all_rows(x, points):

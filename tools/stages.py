@@ -1,0 +1,197 @@
+#!/usr/bin/env python3
+"""Stage wall times and LP counts on fixed seeded families.
+
+    python3 tools/stages.py CHECKOUT OUT.json [--cap SECONDS]
+
+Imports credalkit from CHECKOUT/src and the family generator from
+CHECKOUT/perfbench, so the same script measures any checkout: run it once
+per checkout, one after the other, and compare the two files.
+
+Families: perfbench/families.py `make_family`, family seed 7, MAX_DEN 12,
+|Y| = 2, labels t0.., at |T| = 3 (4, 8 base points), 4 (2, 6) and 5 (2, 4,
+6, 8); all are consistent. Stages are library calls:
+- validate: both consistency checks;
+- feasibility: `polytope._decide_empty` on a fresh copy of the build's
+  system, which is how a joint set read back from a build file decides
+  that it is nonempty;
+- build: `joint.build_joint`;
+- verify: `joint.verify_representation`;
+- suite: `joint.property_suite` given verify's report.
+Then three families with V_T enlarged by a path point mass (P strictly
+inside pre(V_T); build and feasibility only), and the emptiness check of
+two H-rep sets in dimension 16 (the simplex rows plus random cuts, so the
+affine hull has dimension 15), one nonempty and one empty.
+
+LPs are `lp_solve` calls; the redundancy LPs are those inside
+`remove_redundant_ineqs`. Each family gets at most --cap seconds (default
+300, by SIGALRM); a stage cut by the cap is recorded as {"capped": cap}
+and the family's later stages are skipped.
+"""
+
+import argparse
+import json
+import os
+import random
+import signal
+import sys
+import time
+
+
+class Capped(Exception):
+    """A family ran past its time cap."""
+
+
+def _on_alarm(signum, frame):
+    raise Capped()
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout")
+    parser.add_argument("out")
+    parser.add_argument("--cap", type=int, default=300)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.join(args.checkout, "src"))
+    sys.path.insert(0, os.path.join(args.checkout, "perfbench"))
+    import families as fam
+    from credalkit import credal, joint, modelio, polytope
+    from credalkit.credal import CredalCollection, credal_set_from_vertices
+    from credalkit.exactq import ONE, ZERO
+    from credalkit.spaces import point_mass
+
+    counts = {"lps": 0, "redundancy": 0, "rows_in": None, "rows_kept": None}
+    depth = [0]
+
+    def counting(fn):
+        def wrapped(*a, **k):
+            counts["lps"] += 1
+            counts["redundancy"] += depth[0] > 0
+            return fn(*a, **k)
+        return wrapped
+
+    for mod in (polytope, credal, joint):
+        mod.lp_solve = counting(mod.lp_solve)
+    real_rr = polytope.remove_redundant_ineqs
+
+    def rr(*a, **k):
+        depth[0] += 1
+        try:
+            keep = real_rr(*a, **k)
+        finally:
+            depth[0] -= 1
+        counts["rows_in"], counts["rows_kept"] = len(a[1]), len(keep)
+        return keep
+
+    polytope.remove_redundant_ineqs = rr
+
+    def stage(fn):
+        counts.update(lps=0, redundancy=0)
+        t = time.perf_counter()
+        result = fn()
+        return result, {"s": round(time.perf_counter() - t, 3), "lps": counts["lps"]}
+
+    def build_stage(rec, coll):
+        model, rec["build"] = stage(lambda: joint.build_joint(coll))
+        rec["build"].update(redundancy_lps=counts["redundancy"],
+                            rows_in=counts["rows_in"], rows_kept=counts["rows_kept"])
+        return model
+
+    def feasibility_stage(rec, coll):
+        reps = joint.representative_tuples(coll)
+        body = joint._system_polytope(coll.space.path_count, *joint._assemble(coll, reps))
+        _, rec["feasibility"] = stage(lambda: polytope._decide_empty(body))
+        rec["feasibility"]["empty"] = body.is_empty()
+
+    def family_coll(n, k):
+        indices = tuple(f"t{i}" for i in range(n))
+        family = fam.make_family(polytope, random.Random(7), indices, k, 12, False)
+        return modelio.parse_model(family.model())[1]
+
+    def capped(rec, stages, fn):
+        """Run the family's `stages` under the cap; the stage it cuts is
+        the first of them that `rec` lacks."""
+        signal.alarm(args.cap)
+        try:
+            fn()
+        except Capped:
+            missing = next(s for s in stages if s not in rec)
+            rec[missing] = {"capped": args.cap}
+        finally:
+            signal.alarm(0)
+        rows.append(rec)
+        print(json.dumps(rec), flush=True)
+
+    signal.signal(signal.SIGALRM, _on_alarm)
+    rows = []
+    for n, sizes in ((3, (4, 8)), (4, (2, 6)), (5, (2, 4, 6, 8))):
+        for k in sizes:
+            coll = family_coll(n, k)
+            rec = {"T": n, "base_points": k}
+
+            def run(rec=rec, coll=coll):
+                _, rec["validate"] = stage(lambda: (
+                    credal.check_permutation_consistency(coll),
+                    credal.check_marginal_consistency(coll)))
+                feasibility_stage(rec, coll)
+                model = build_stage(rec, coll)
+                report, rec["verify"] = stage(
+                    lambda: joint.verify_representation(coll, model))
+                suite, rec["suite"] = stage(
+                    lambda: joint.property_suite(coll, model, report))
+                rec["passed"] = report.passed and suite.passed
+
+            capped(rec, ("validate", "feasibility", "build", "verify", "suite"), run)
+
+    # V_T enlarged by the first path point mass it does not hold, so that
+    # P lies strictly inside pre(V_T)
+    for n, k in ((3, 8), (4, 6), (5, 4)):
+        coll = family_coll(n, k)
+        full = max(coll.sets, key=len)
+        body = polytope.dd_convert(coll.sets[full].body)
+        extra = next(point_mass(body.dim, j) for j in range(body.dim)
+                     if point_mass(body.dim, j) not in body.points)
+        sets = dict(coll.sets)
+        sets[full] = credal_set_from_vertices(coll.space, full, (*body.points, extra))
+        coll = CredalCollection(coll.space, sets)
+        rec = {"T": n, "base_points": k, "enlarged_full_tuple": True}
+
+        def run(rec=rec, coll=coll):
+            feasibility_stage(rec, coll)
+            build_stage(rec, coll)
+
+        capped(rec, ("feasibility", "build"), run)
+
+    # H-rep sets in dimension 16: rows a.x <= a.p + s through a random
+    # point p of the simplex, with s >= 0, and for the empty one lower
+    # bounds that no law on the simplex meets
+    rng = random.Random(7)
+    dim = 16
+    p = [ZERO] * dim
+    for _ in range(12):
+        p[rng.randrange(dim)] += ONE / 12
+    simplex = polytope.Polytope.simplex(dim).hrep
+    for empty in (False, True):
+        cuts = []
+        for _ in range(12):
+            a = [rng.randint(-3, 3) for _ in range(dim)]
+            b = sum(x * v for x, v in zip(a, p)) + rng.randint(0, 2) * ONE / 24
+            cuts.append((tuple(ONE * v for v in a), b))
+        if empty:  # x_j >= 1/8 for nine coordinates: more than the unit mass
+            cuts += [(tuple(-ONE * (i == j) for i in range(dim)), -ONE / 8)
+                     for j in range(9)]
+        h = polytope.Polytope.from_hrep(dim, [*simplex.ineqs, *cuts], simplex.eqs)
+        rec = {"hrep_dim": dim, "cuts": len(cuts)}
+
+        def run(rec=rec, h=h):
+            _, rec["feasibility"] = stage(lambda: polytope._decide_empty(h))
+            rec["feasibility"]["empty"] = h.is_empty()
+
+        capped(rec, ("feasibility",), run)
+
+    with open(args.out, "w") as fh:
+        json.dump(rows, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
