@@ -2,26 +2,25 @@
 
 Everything in this package funnels through here: rationals are
 `fractions.Fraction` (always canonical: positive denominator, reduced),
-vectors are tuples of Fractions, `echelon` is the one (fraction-free,
-integer) Gaussian elimination, and `lp_solve` is an exact two-phase
-simplex that returns either an optimal point, an unbounded flag, or a
-Farkas-style infeasibility certificate that can be re-verified by direct
-substitution. There are no tolerances anywhere; every comparison is
-exact. On request `echelon` also names the input rows behind each kept
-row; that is how an LP solved in affine-hull coordinates
-(`polytope.LpContext`) maps its infeasibility certificate back onto the
-equality rows it eliminated.
+`echelon` is the one (fraction-free, integer) Gaussian elimination, and
+`lp_solve` is an exact two-phase simplex that returns either an optimal
+point, an unbounded flag, or a Farkas-style infeasibility certificate
+that can be re-verified by direct substitution. There are no tolerances
+anywhere; every comparison is exact. On request `echelon` also names the
+input rows behind each kept row; that is how an LP solved in affine-hull
+coordinates (`polytope.LpContext`) maps its infeasibility certificate
+back onto the equality rows it eliminated.
 
-`lp_solve` converts each row of an `LpProblem` once to integer
-numerators over the row's least common denominator. An equality row
-whose full row (coefficients and rhs) depends on the equality rows
-before it is then dropped: it holds wherever they do, and an
-inconsistent row is independent, so it stays and the kernel still
-proves infeasibility. The kernel's columns (free variables split,
-slacks, sign flips) are built from the kept rows, and the returned
-point or certificate is re-checked against every row of the problem
-with integer dot products over common denominators; a certificate is
-0 on the dropped rows. Fractions appear again only in the outcome.
+A system's rows are int tuples with int rhs (`polytope.HRep`);
+Fractions remain at the edges: parsed input, points, LP values and
+certificates. `lp_solve` puts each row of an `LpProblem` once over its
+least common denominator (an int row stays as it is). An equality row
+whose full row depends on the equality rows before it is then dropped:
+it holds wherever they do, and an inconsistent row is independent, so
+the kernel still proves infeasibility. The kernel's columns (free
+variables split, slacks, sign flips) are built from the kept rows, and
+the returned point or certificate is re-checked against every row with
+integer dot products; a certificate is 0 on the dropped rows.
 """
 
 from __future__ import annotations
@@ -263,9 +262,10 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     split = [not flag for flag in problem.nonneg]
     # Each row once as integers over its least common denominator; the
     # kernel rows and both certificate checks are built from these.
-    irows = [_integer_row([*coeffs, rhs]) for coeffs, _sense, rhs in problem.rows]
+    ints = [_integer_row([*coeffs, rhs]) for coeffs, _sense, rhs in problem.rows]
+    irows = [(nums[:n], nums[n]) for nums, _den in ints]
     onums, oden = _integer_row(problem.objective)
-    kept = _kept_rows(problem, irows)
+    kept = _kept_rows(problem, ints)
 
     # Column expansion: sign-constrained variables map to one column,
     # free variables split into a positive and a negative part.
@@ -278,7 +278,7 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     sigma = []
     for i in kept:
         sense = problem.rows[i][1]
-        nums, den = irows[i]
+        nums, den = ints[i]
         row = _expand(nums, split)
         row += [0] * slack_cols
         if sense != EQ:
@@ -324,11 +324,11 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     return outcome
 
 
-def _kept_rows(problem, irows):
+def _kept_rows(problem, ints):
     """Indices of the rows the kernel sees: every inequality row, and
     each equality row independent of the equality rows kept before it."""
     eqs = [i for i, (_coeffs, sense, _rhs) in enumerate(problem.rows) if sense == EQ]
-    keep = {eqs[k] for k in echelon([irows[i][0] for i in eqs])[0]}
+    keep = {eqs[k] for k in echelon([ints[i][0] for i in eqs])[0]}
     return [
         i for i, (_coeffs, sense, _rhs) in enumerate(problem.rows)
         if sense != EQ or i in keep
@@ -376,27 +376,29 @@ def _farkas_from_dual(problem, dual):
 def _check_infeasible(problem, irows, certificate):
     """Re-verify a Farkas certificate on the integer rows.
 
-    Multiplier i on row nums_i / den_i becomes the integer weight
+    irows[i] = (a, b) is problem row i over its least common denominator
+    den_i (1 for a row of ints). Multiplier i becomes the integer weight
     cm_i * mden * (rden / den_i), with mden the lcm of the multipliers'
-    denominators and rden that of the rows'; the combined row is then
-    the true one times mden * rden > 0, so every sign condition reads
-    the same.
+    denominators and rden that of the weighted rows'; the combined row is
+    then the true one times mden * rden > 0, so every sign condition
+    reads the same.
     """
     n = len(problem.objective)
     mden = lcm(*[cm.denominator for cm in certificate])
-    rden = lcm(*[den for _nums, den in irows])
+    weighted = [
+        (sense, irow, cm, lcm(rhs.denominator, *[v.denominator for v in coeffs]))
+        for (coeffs, sense, rhs), irow, cm in zip(problem.rows, irows, certificate)
+        if cm
+    ]
+    rden = lcm(*[den for *_, den in weighted])
     combined = [0] * (n + 1)
-    for (_coeffs, sense, _rhs), (nums, den), cm in zip(
-        problem.rows, irows, certificate
-    ):
+    for sense, (a, b), cm, den in weighted:
         if sense != EQ and cm < 0:
             raise RuntimeError("negative multiplier on an inequality row")
-        if not cm:
-            continue
         w = cm.numerator * (mden // cm.denominator) * (rden // den)
         if sense == GE:
             w = -w
-        combined = [s + w * v for s, v in zip(combined, nums)]
+        combined = [s + w * v for s, v in zip(combined, (*a, b))]
     for j in range(n):
         if problem.nonneg[j]:
             if combined[j] < 0:
@@ -410,18 +412,18 @@ def _check_infeasible(problem, irows, certificate):
 def _check_optimal(problem, irows, outcome):
     """Re-verify an optimal point on the integer rows.
 
-    With x = xnums / xden, the row [coefficients | rhs] = nums / den
-    holds at x exactly when the integer coefficients . xnums compares
-    with rhs * xden the same way.
+    irows[i] = (a, b) is problem row i times some positive number. With
+    x = xnums / xden, the row holds at x exactly when a . xnums compares
+    with b * xden the same way.
     """
     xnums, xden = _integer_row(outcome.solution)
     for j, flag in enumerate(problem.nonneg):
         if flag and xnums[j] < 0:
             raise RuntimeError("negative value for a sign-constrained variable")
     support = [(j, v) for j, v in enumerate(xnums) if v]
-    for (_coeffs, sense, _rhs), (nums, _den) in zip(problem.rows, irows):
-        lhs = sum(nums[j] * v for j, v in support)
-        rhs = nums[-1] * xden
+    for (_coeffs, sense, _rhs), (a, b) in zip(problem.rows, irows):
+        lhs = sum(a[j] * v for j, v in support)
+        rhs = b * xden
         ok = lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs
         if not ok:
             raise RuntimeError("reported solution violates a constraint")

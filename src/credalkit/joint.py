@@ -38,7 +38,6 @@ from credalkit.credal import (
 from credalkit.exactq import (
     EQ,
     LE,
-    ONE,
     ZERO,
     DimensionError,
     LpOutcome,
@@ -351,10 +350,10 @@ def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
     The c_j are read off a basis of the integer vectors z with
     sum_j z_j e_j = 0 over the equality rows (from `solve_rows`);
     dropping a dependent row r leaves the basis vectors with z_r = 0.
+    The rows are integer H-rep rows, and every step reads them as they are.
     """
     rows = [(coeffs, LE, rhs, origin) for (coeffs, rhs), origin in ineqs]
     rows += [(coeffs, EQ, rhs, origin) for (coeffs, rhs), origin in eqs]
-    irows = [_integer_row([*coeffs, rhs]) for coeffs, _, rhs, _ in rows]
     first_eq = len(ineqs)
     active = [True] * len(rows)
 
@@ -366,15 +365,20 @@ def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
             (False,) * dim,
         )
 
+    def check(keep, weight):
+        _check_infeasible(
+            problem(keep), [(rows[i][0], rows[i][2]) for i in keep],
+            [weight[i] for i in keep],
+        )
+
     def infeasible(keep):
         """Whether the rows `keep` are infeasible, with the weight of
         every row in their certificate (0 off `keep`)."""
-        body = _system_polytope(
+        context, found = pt._feasible_point(pt.HRep(
             dim,
-            [ineqs[i] for i in keep if i < first_eq],
-            [eqs[i - first_eq] for i in keep if i >= first_eq],
-        )
-        context, found = pt._feasible_point(body)
+            tuple(ineqs[i][0] for i in keep if i < first_eq),
+            tuple(eqs[i - first_eq][0] for i in keep if i >= first_eq),
+        ))
         if context is not None:
             return False, None
         weight = [ZERO] * len(rows)
@@ -390,27 +394,23 @@ def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
     else:
         if len(certificate) != len(rows):
             raise RuntimeError("certificate length differs from the rows")
-        _check_infeasible(problem(everything), irows, certificate)
+        check(everything, certificate)
         weight = list(certificate)
-    null = _equality_relations(irows[first_eq:], dim)
+    null = _equality_relations([row for row, _ in eqs], dim)
 
     for r, (_, sense, _, origin) in enumerate(rows):
         if origin == SIMPLEX_ORIGIN:
             continue
         z = _drop_relation(null, r - first_eq) if sense == EQ else None
         if weight[r] and z is not None:
-            # rule 2: row r is sum_k c_k e_k, c_k = -z_k den_k / (z_r den_r);
-            # the loop also clears row r's own weight
-            j = r - first_eq
-            scale = weight[r] / (z[j] * irows[r][1])
+            # rule 2: row r is sum_k c_k e_k, c_k = -z_k / z_r; the loop
+            # also clears row r's own weight
+            scale = weight[r] / z[r - first_eq]
             for k, zk in enumerate(z):
                 if zk:
-                    weight[first_eq + k] -= scale * zk * irows[first_eq + k][1]
+                    weight[first_eq + k] -= scale * zk
             active[r] = False
-            keep = [i for i in everything if active[i]]
-            _check_infeasible(
-                problem(keep), [irows[i] for i in keep], [weight[i] for i in keep]
-            )
+            check([i for i in everything if active[i]], weight)
             continue
         if weight[r]:  # else rule 1
             keep = [i for i in everything if active[i] and i != r]
@@ -435,13 +435,14 @@ def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
     )
 
 
-def _equality_relations(irows, dim):
-    """A basis of the integer vectors z with sum_j z_j nums_j = 0 over the
-    integer rows nums_j = [a_j | b_j] * den_j, one list per vector."""
-    if not irows:
+def _equality_relations(eqs, dim):
+    """A basis of the integer vectors z with sum_j z_j [e_j | f_j] = 0
+    over the integer equality rows (e_j, f_j), one list per vector."""
+    if not eqs:
         return []
-    columns = [[nums[t] for nums, _ in irows] + [0] for t in range(dim + 1)]
-    _, nullspace, _ = solve_rows(columns, len(irows))
+    columns = [[e[t] for e, _ in eqs] + [0] for t in range(dim)]
+    columns.append([f for _, f in eqs] + [0])
+    _, nullspace, _ = solve_rows(columns, len(eqs))
     return [_integer_row(z)[0] for z in nullspace]
 
 
@@ -553,7 +554,7 @@ def _member_reachable(joint, idx, v):
     functional on the image space.
     """
     rows = [
-        (tuple(ONE if y == x else ZERO for y in idx), target)
+        (tuple(int(y == x) for y in idx), target)
         for x, target in enumerate(v)
     ]
     ok, certificate = pt._lp_context(joint.body).feasible_with(rows)

@@ -6,7 +6,8 @@ containment with separating certificates, set equality, images under
 coordinate maps, and redundancy elimination.
 Representation conversion is the double description method run on the
 homogenization cone, with the combinatorial adjacency test; everything
-is exact.
+is exact. Rows are int tuples with int rhs (`HRep`), read as they are by
+every routine here; points, values and certificates are Fractions.
 
 Every LP over a nonempty polytope runs in its `LpContext`, built on
 first use and cached on the polytope: affine-hull coordinates z with
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from credalkit.exactq import (
@@ -73,18 +75,19 @@ class NotSeparableError(ValueError):
 # canonical rows
 
 def _canon_ineq(coeffs, rhs):
-    """Primitive-integer form of a row  coeffs.x <= rhs.
+    """Primitive-integer form (int tuple, int rhs) of  coeffs.x <= rhs.
 
     Returns None when the row is trivially true; all-zero coefficient
     rows with negative rhs normalize to the canonical empty marker
     (0,...,0) <= -1.
     """
-    nums = _integer_row(qvec([*coeffs, rhs]))[0]
+    nums = _integer_row([*coeffs, rhs])[0]
     if not any(nums[:-1]):
         if nums[-1] >= 0:
             return None
-        return (tuple(ZERO for _ in coeffs), Fraction(-1))
-    return _fraction_row(_content_free(nums))
+        return (0,) * len(coeffs), -1
+    nums = _content_free(nums)
+    return tuple(nums[:-1]), nums[-1]
 
 
 def _canon_eq(coeffs, rhs):
@@ -93,28 +96,43 @@ def _canon_eq(coeffs, rhs):
     Returns None when trivially true; all-zero rows with nonzero rhs
     normalize to (0,...,0) = 1 (the canonical inconsistent marker).
     """
-    nums = _integer_row(qvec([*coeffs, rhs]))[0]
+    nums = _integer_row([*coeffs, rhs])[0]
     lead = next((v for v in nums[:-1] if v), None)
     if lead is None:
         if nums[-1] == 0:
             return None
-        return (tuple(ZERO for _ in coeffs), Fraction(1))
+        return (0,) * len(coeffs), 1
     nums = _content_free(nums)
-    return _fraction_row([-v for v in nums] if lead < 0 else nums)
-
-
-def _fraction_row(nums):
-    """(coefficients, rhs) as Fractions from the integer row [a | b]."""
-    return tuple(Fraction(v) for v in nums[:-1]), Fraction(nums[-1])
+    if lead < 0:
+        nums = [-v for v in nums]
+    return tuple(nums[:-1]), nums[-1]
 
 
 @dataclass(frozen=True)
 class HRep:
-    """Inequality description: ineqs rows a.x <= b, eqs rows e.x = f."""
+    """Inequality description: ineqs rows a.x <= b, eqs rows e.x = f.
+
+    Each row is an int coefficient tuple and an int rhs. `make`
+    canonicalizes rational rows; the constructor takes integer rows as
+    they are (an integral Fraction, as read back from a build file,
+    becomes its int) and raises DimensionError on any other rational.
+    """
 
     dim: int
     ineqs: tuple
     eqs: tuple
+
+    def __post_init__(self):
+        for name in ("ineqs", "eqs"):
+            rows = tuple(getattr(self, name))
+            entries = chain(rows, (a for a, _ in rows))  # (a, b) pairs, then each a
+            if set(map(type, chain.from_iterable(entries))) - {tuple, int}:
+                if any(v.denominator != 1 for a, b in rows for v in (*a, b)):
+                    raise DimensionError("H-rep rows need integer entries")
+                rows = tuple(
+                    (tuple(v.numerator for v in a), b.numerator) for a, b in rows
+                )
+            object.__setattr__(self, name, rows)
 
     @classmethod
     def make(cls, dim, ineqs=(), eqs=()):
@@ -122,14 +140,14 @@ class HRep:
         for coeffs, rhs in ineqs:
             if len(coeffs) != dim:
                 raise DimensionError("inequality row has wrong dimension")
-            row = _canon_ineq(coeffs, rhs)
+            row = _canon_ineq(qvec(coeffs), Fraction(rhs))
             if row is not None:
                 can_ineqs.append(row)
         can_eqs = []
         for coeffs, rhs in eqs:
             if len(coeffs) != dim:
                 raise DimensionError("equality row has wrong dimension")
-            row = _canon_eq(coeffs, rhs)
+            row = _canon_eq(qvec(coeffs), Fraction(rhs))
             if row is not None:
                 can_eqs.append(row)
         return cls(dim, tuple(can_ineqs), tuple(can_eqs))
@@ -207,12 +225,10 @@ class Polytope:
     @classmethod
     def simplex(cls, dim):
         """The probability simplex {x >= 0, sum x = 1} in dimension dim."""
-        ineqs = []
-        for j in range(dim):
-            row = [ZERO] * dim
-            row[j] = -ONE
-            ineqs.append((row, ZERO))
-        return cls.from_hrep(dim, ineqs, [([ONE] * dim, ONE)])
+        ineqs = tuple(
+            (tuple(-int(k == j) for k in range(dim)), 0) for j in range(dim)
+        )
+        return cls(dim, hrep=HRep(dim, ineqs, (((1,) * dim, 1),)))
 
     # -- lazy representations ------------------------------------------------
 
@@ -257,29 +273,29 @@ def _maximize(p: Polytope, f):
     ctx = _lp_context(p)
     if ctx is None:
         return "infeasible", None, None
-    return ctx.maximize(qvec(f))
+    return ctx.maximize(tuple(f))
 
 
-def _feasible_point(p: Polytope, candidate=None):
-    """Decide whether p's H-rep has a point, in affine-hull coordinates.
+def _feasible_point(h: HRep, candidate=None):
+    """Decide whether the H-rep h has a point, in affine-hull coordinates.
 
-    Returns (context, None) when it has one: p's LP context, whose origin
-    is a point of p. Returns (None, certificate) when p is empty: one
-    Farkas multiplier per H-rep row, inequalities then equalities, valid
-    for the system with every variable free and re-checked in integers
-    against it.
+    Returns (context, None) when it has one: an LP context of h whose
+    origin is a point of it. Returns (None, certificate) when h is empty:
+    one Farkas multiplier per row of h, inequalities then equalities,
+    valid for the system with every variable free and re-checked in
+    integers against h's rows.
 
     The equality rows are solved once (`exactq.solve_rows`): x = x0 + N z,
     and each inequality row a.x <= b becomes (a.N) z <= b - a.x0. That
     elimination is the context's own, so the system runs one. Then:
-    - a `candidate` point of p becomes the origin, with no LP;
+    - a `candidate` point of h becomes the origin, with no LP;
     - inconsistent equality rows: `echelon` with `combine` names the
       combination of them that reads 0 = c, c != 0, and it is the
       certificate; no LP;
     - a row with a.N = 0 is constant on the hull: if one is violated, it
       and -w on the equality rows, with w.E = a, are the certificate; no
       LP. With d = 0 free directions every row is constant, so x0 is the
-      point or such a row proves p empty;
+      point or such a row proves h empty;
     - x0 satisfying every row is the origin; no LP;
     - otherwise one LP runs over the d columns z. A reduced row
       -c z_k <= 0 (c > 0), as a row x_j >= 0 on a free column of the
@@ -289,14 +305,12 @@ def _feasible_point(p: Polytope, candidate=None):
       combined row's entry there (>= 0) over c, and becomes (y, -w),
       with w.E = y.A, as in `LpContext.feasible_with`.
     """
-    h = p.hrep
-    irows, eq_irows = _integer_rows(h)
-    ctx = LpContext.eliminated(h, irows, eq_irows)
+    dim = h.dim
+    ctx = LpContext.eliminated(h)
     if ctx is None:
-        _, kept = echelon([nums for nums, _ in eq_irows], combine=True)
-        _, red, comb = next(k for k in kept if k[0] == p.dim)
-        certificate = [ZERO] * len(h.ineqs)
-        certificate += [-c * den / red[p.dim] for c, (_, den) in zip(comb, eq_irows)]
+        _, kept = echelon([[*e, f] for e, f in h.eqs], combine=True)
+        _, red, comb = next(k for k in kept if k[0] == dim)
+        certificate = [ZERO] * len(h.ineqs) + [-c / red[dim] for c in comb]
     else:
         if candidate is not None:
             moved = ctx.moved(candidate)
@@ -339,12 +353,8 @@ def _feasible_point(p: Polytope, candidate=None):
             for k, i in bound_at.items():
                 combined = sum((y[r] * zrows[r][0][k] for r in live if y[r]), ZERO)
                 y[i] = combined / -zrows[i][0][k]
-        certificate = y + ctx._eq_part(y, [a for a, _, _ in ctx.ineqs])
-    every = [(a, LE, b) for a, b in h.ineqs] + [(e, EQ, f) for e, f in h.eqs]
-    _check_infeasible(
-        LpProblem("min", tuple([ZERO] * p.dim), tuple(every), (False,) * p.dim),
-        irows + eq_irows, certificate,
-    )
+        certificate = y + ctx._eq_part(y, [a for a, _ in h.ineqs])
+    _check_infeasible(*_system_lp(dim, tuple([ZERO] * dim), h.ineqs, h.eqs), certificate)
     return None, tuple(certificate)
 
 
@@ -357,20 +367,30 @@ def _unit_bound(zrow):
     return support[0]
 
 
-def _integer_rows(h: HRep):
-    """The integer rows of h's inequality rows and of its equality rows."""
-    return (
-        [_integer_row([*a, b]) for a, b in h.ineqs],
-        [_integer_row([*e, f]) for e, f in h.eqs],
-    )
+def _system_lp(dim, f, ineqs, eqs, extra=()):
+    """The LP of f, every variable free, over the integer rows `ineqs`
+    (a.x <= b) and `eqs` and the rational equality rows `extra`, with
+    its rows as `exactq`'s checks read them."""
+    rows = [(a, LE, b) for a, b in ineqs] + [(e, EQ, g) for e, g in eqs]
+    irows = [*ineqs, *eqs]
+    for e, g in extra:
+        rows.append((e, EQ, g))
+        nums, _ = _integer_row([*e, g])
+        irows.append((nums[:dim], nums[dim]))
+    return LpProblem("max", f, tuple(rows), (False,) * dim), irows
+
+
+def _row_at(a, xnums):
+    """a . xnums for an integer row a and the numerators of a point."""
+    return sum(v * xnums[j] for j, v in enumerate(a) if v)
 
 
 def _decide_empty(p: Polytope, candidate=None):
-    """Decide whether p is empty with `_feasible_point` and keep what it
-    proves: for a nonempty p its LP context, whose origin is `candidate`
-    when that is a point of p. Returns the certificate when p is empty,
-    else None."""
-    p._context, certificate = _feasible_point(p, candidate)
+    """Decide whether p is empty with `_feasible_point` on its H-rep and
+    keep what it proves: for a nonempty p its LP context, whose origin is
+    `candidate` when that is a point of p. Returns the certificate when p
+    is empty, else None."""
+    p._context, certificate = _feasible_point(p.hrep, candidate)
     p._empty = p._context is None
     return certificate
 
@@ -408,27 +428,26 @@ class LpContext:
     removal drops them one at a time) and may add equality rows, which
     are reduced through the same N.
 
-    Every answer is mapped back and checked against the original rows in
-    integers: an optimal z gives x = origin + N z, and an infeasibility
-    certificate y on the reduced rows gives multipliers on the original
-    rows once the part of y.A in the row space of E is written as w.E
-    (`exactq.echelon` with `combine`); the certificate is then (y, -w).
+    Every answer is mapped back and checked in integers against the
+    H-rep's own rows (`ineqs`, `eqs`): an optimal z gives x = origin + N z,
+    and an infeasibility certificate y on the reduced rows gives
+    multipliers on the original rows once the part of y.A in the row
+    space of E is written as w.E (`exactq.echelon` with `combine`); the
+    certificate is then (y, -w).
     """
 
-    __slots__ = ("dim", "origin", "onums", "oden", "basis", "ineqs", "irows",
-                 "zrows", "live", "eqs", "eq_irows")
+    __slots__ = ("dim", "origin", "onums", "oden", "basis", "ineqs", "zrows",
+                 "live", "eqs")
 
-    def __init__(self, dim, origin, basis, ineqs, irows, zrows, eqs, eq_irows):
+    def __init__(self, dim, origin, basis, ineqs, zrows, eqs):
         self.dim = dim
         self.origin = origin
         self.onums, self.oden = _integer_row(origin)
         self.basis = basis
-        self.ineqs = ineqs  # LP rows (a, "<=", b)
-        self.irows = irows  # their integer rows
+        self.ineqs = ineqs  # the H-rep's rows (a, b): a.x <= b
         self.zrows = zrows  # per row, (a.N, "<=", b - a.origin)
         self.live = [any(coeffs) for coeffs, _, _ in zrows]  # a.N != 0
-        self.eqs = eqs
-        self.eq_irows = eq_irows
+        self.eqs = eqs  # the H-rep's rows (e, f): e.x = f
 
     @classmethod
     def build(cls, hrep: HRep, origin):
@@ -441,64 +460,51 @@ class LpContext:
     def at(cls, hrep: HRep, origin):
         """The context with `origin`, or None when it violates a row (or
         no point satisfies the equality rows)."""
-        ctx = cls.eliminated(hrep, *_integer_rows(hrep))
+        ctx = cls.eliminated(hrep)
         return None if ctx is None else ctx.moved(origin)
 
     @classmethod
-    def eliminated(cls, hrep: HRep, irows, eq_irows):
-        """The system's equality rows solved once, given the integer rows
-        of its inequality and equality rows: the context at the solution
-        x0 `solve_rows` gives, every inequality row reduced at it. A row
-        x0 violates keeps its negative slack, so this is a context for
-        LPs only when every slack is >= 0. None when the equality rows
-        are inconsistent."""
+    def eliminated(cls, hrep: HRep):
+        """The system's equality rows solved once: the context at the
+        solution x0 `solve_rows` gives, every inequality row reduced at
+        it. A row x0 violates keeps its negative slack, so this is a
+        context for LPs only when every slack is >= 0. None when the
+        equality rows are inconsistent."""
         dim = hrep.dim
-        solved = solve_rows([nums for nums, _ in eq_irows], dim)
+        solved = solve_rows([[*e, f] for e, f in hrep.eqs], dim)
         if solved is None:
             return None
         x0, nullspace, _ = solved
         basis = tuple(_primitive_int(v) for v in nullspace)
-        ctx = cls(
-            dim, x0, basis, tuple((a, LE, b) for a, b in hrep.ineqs), irows, [],
-            tuple((e, EQ, f) for e, f in hrep.eqs), eq_irows,
-        )
-        for nums, den in ctx.irows:
-            coeffs, at_origin = ctx._reduce(nums, den)
-            ctx.zrows.append((coeffs, LE, Fraction(nums[dim], den) - at_origin))
+        ctx = cls(dim, x0, basis, hrep.ineqs, [], hrep.eqs)
+        for a, b in hrep.ineqs:
+            coeffs, at_origin = ctx._reduce(a)
+            ctx.zrows.append((coeffs, LE, b - at_origin))
             ctx.live.append(any(coeffs))
         return ctx
 
     def moved(self, origin):
         """The same context with `origin`, each row's slack re-read there
         in integers; None when `origin` violates a row."""
-        dim = self.dim
         origin = tuple(origin)
         onums, oden = _integer_row(origin)
-
-        def lhs(nums):
-            return sum(v * onums[j] for j, v in enumerate(nums[:dim]) if v)
-
-        if any(lhs(nums) != nums[dim] * oden for nums, _ in self.eq_irows):
+        if any(_row_at(e, onums) != f * oden for e, f in self.eqs):
             return None
         zrows = []
-        for (coeffs, _, _), (nums, den) in zip(self.zrows, self.irows):
-            slack = nums[dim] * oden - lhs(nums)
+        for (coeffs, _, _), (a, b) in zip(self.zrows, self.ineqs):
+            slack = b * oden - _row_at(a, onums)
             if slack < 0:
                 return None
-            zrows.append((coeffs, LE, Fraction(slack, den * oden)))
-        return LpContext(
-            dim, origin, self.basis, self.ineqs, self.irows, zrows, self.eqs,
-            self.eq_irows,
-        )
+            zrows.append((coeffs, LE, Fraction(slack, oden)))
+        return LpContext(self.dim, origin, self.basis, self.ineqs, zrows, self.eqs)
 
-    def _reduce(self, nums, den):
-        """(a.N, a.origin) for the row a = nums[:dim] / den, in integers."""
-        support = [(j, v) for j, v in enumerate(nums[: self.dim]) if v]
-        coeffs = tuple(
-            Fraction(sum(v * vec[j] for j, v in support), den) for vec in self.basis
-        )
+    def _reduce(self, a):
+        """(a.N, a.origin) for the integer row a: an int tuple and a
+        Fraction."""
+        support = [(j, v) for j, v in enumerate(a) if v]
+        coeffs = tuple(sum(v * vec[j] for j, v in support) for vec in self.basis)
         onums = self.onums
-        at_origin = Fraction(sum(v * onums[j] for j, v in support), den * self.oden)
+        at_origin = Fraction(sum(v * onums[j] for j, v in support), self.oden)
         return coeffs, at_origin
 
     def restrict(self, keep):
@@ -507,18 +513,21 @@ class LpContext:
         return LpContext(
             self.dim, self.origin, self.basis,
             tuple(self.ineqs[i] for i in keep),
-            [self.irows[i] for i in keep],
             [self.zrows[i] for i in keep],
-            self.eqs, self.eq_irows,
+            self.eqs,
         )
 
     def maximize(self, f, keep=None):
         """Exact max of f.x over the inequality rows `keep` (default:
-        all) and the equality rows. Returns (status, value, argmax)."""
+        all) and the equality rows. Returns (status, value, argmax).
+
+        The LP runs on f times the lcm of its denominators, which moves
+        no pivot; its value is scaled back."""
         keep = range(len(self.ineqs)) if keep is None else keep
-        fz, base = self._reduce(*_integer_row(f))
+        fnums, fden = _integer_row(f)
+        fz, at_origin = self._reduce(fnums)
         if not any(fz):
-            return "optimal", base, self.origin
+            return "optimal", at_origin / fden, self.origin
         rows = [self.zrows[i] for i in keep if self.live[i]]
         nonneg = (False,) * len(fz)
         outcome = lp_solve(LpProblem("max", fz, tuple(rows), nonneg))
@@ -527,21 +536,27 @@ class LpContext:
         if outcome.status != "optimal":
             return outcome.status, None, None
         x = self._point(outcome.solution)
-        value = base + outcome.value
-        _check_optimal(*self._original(f, keep), LpOutcome("optimal", value, x))
+        value = (at_origin + outcome.value) / fden
+        _check_optimal(
+            *_system_lp(self.dim, f, [self.ineqs[i] for i in keep], self.eqs),
+            LpOutcome("optimal", value, x),
+        )
         return "optimal", value, x
 
     def feasible_with(self, eqs):
         """Whether some point of the set also satisfies the equality rows
-        `eqs`, each (e, f) read e.x = f. Returns (True, None), or (False,
-        certificate): Farkas multipliers on the inequality rows, the
-        equality rows and then `eqs`, checked against all of them."""
+        `eqs`, each (e, f) read e.x = f with e an integer row. Returns
+        (True, None), or (False, certificate): Farkas multipliers on the
+        inequality rows, the equality rows and then `eqs`, checked against
+        all of them."""
         extra = []
         for e, f in eqs:
-            coeffs, at_origin = self._reduce(*_integer_row(e))
+            coeffs, at_origin = self._reduce(e)
             extra.append((coeffs, EQ, f - at_origin))
         live = [i for i, flag in enumerate(self.live) if flag]
-        original = self._original(tuple([ZERO] * self.dim), extra=eqs)
+        original = _system_lp(
+            self.dim, tuple([ZERO] * self.dim), self.ineqs, self.eqs, eqs
+        )
         if self.basis:
             zero = tuple([ZERO] * len(self.basis))
             outcome = lp_solve(LpProblem(
@@ -565,7 +580,7 @@ class LpContext:
         for i, cm in zip(live, reduced):
             y[i] = cm
         mu = reduced[len(live):]
-        rows = [a for a, _, _ in self.ineqs] + [e for e, _ in eqs]
+        rows = [a for a, _ in self.ineqs] + [e for e, _ in eqs]
         certificate = (*y, *self._eq_part([*y, *mu], rows), *mu)
         _check_infeasible(*original, certificate)
         return False, certificate
@@ -591,24 +606,12 @@ class LpContext:
         """Weights w on the equality rows with w.E = u, for u in the row
         space of E (a u outside it leaves the certificate check to fail)."""
         w = [ZERO] * len(self.eqs)
-        kept = echelon([nums for nums, _ in self.eq_irows], combine=True)[1]
+        kept = echelon([[*e, f] for e, f in self.eqs], combine=True)[1]
         for col, red, comb in kept:
             t = u[col] / red[col]
             if t:
                 w = [s + t * c for s, c in zip(w, comb)]
-        # the echelon ran on the integer rows den_j * [e_j | f_j]
-        return [s * den for s, (_nums, den) in zip(w, self.eq_irows)]
-
-    def _original(self, f, keep=None, extra=()):
-        """The original LP behind a context LP, every variable free, with
-        its integer rows: the inequality rows `keep`, the equality rows
-        and the added equality rows `extra`."""
-        keep = range(len(self.ineqs)) if keep is None else keep
-        rows = [self.ineqs[i] for i in keep] + list(self.eqs)
-        rows += [(e, EQ, rhs) for e, rhs in extra]
-        irows = [self.irows[i] for i in keep] + self.eq_irows
-        irows += [_integer_row([*e, rhs]) for e, rhs in extra]
-        return LpProblem("max", f, tuple(rows), (False,) * self.dim), irows
+        return w
 
 
 # ---------------------------------------------------------------------------
@@ -699,64 +702,46 @@ def _initial_rays(m):
     ]
 
 
-def _equality_solutions(hrep: HRep):
-    """`solve_rows` on the equality rows of an H-rep; without any, x0 = 0
-    and the nullspace is the unit vectors."""
-    return solve_rows([_integer_row([*e, f])[0] for e, f in hrep.eqs], hrep.dim)
-
-
 def _points_from_hrep(hrep: HRep) -> tuple:
-    """Vertices of a bounded H-rep polytope, sorted; () when empty."""
-    dim = hrep.dim
-    sol = _equality_solutions(hrep)
-    if sol is None:
+    """Vertices of a bounded H-rep polytope, sorted; () when empty.
+
+    In the coordinates x = x0 + N u of `LpContext.eliminated`, a constant
+    row with negative slack leaves the set empty, each other row gives
+    the cone row [a.N | -slack], and each extreme ray (u, t) of the cone
+    the vertex x0 + N u / t."""
+    ctx = LpContext.eliminated(hrep)
+    if ctx is None:
         return ()
-    x0, basis, _ = sol
-    d2 = len(basis)
-    if d2 == 0:
-        ok = all(dot(a, x0) <= b for a, b in hrep.ineqs)
-        return (tuple(x0),) if ok else ()
-
-    # reduced inequality system a'.u <= b' with x = x0 + u.basis
-    red = []
-    for a, b in hrep.ineqs:
-        arow = tuple(dot(a, nb) for nb in basis)
-        brhs = b - dot(a, x0)
-        if all(v == 0 for v in arow):
-            if brhs < 0:
-                return ()
-            continue
-        red.append((arow, brhs))
-
-    cone_rows = [_primitive_int(list(a) + [-b]) for a, b in red]
-    cone_rows.append(tuple([0] * d2 + [-1]))
+    cone_rows = []
+    for (coeffs, _, slack), live in zip(ctx.zrows, ctx.live):
+        if live:
+            cone_rows.append(_primitive_int([*coeffs, -slack]))
+        elif slack < 0:
+            return ()
+    d = len(ctx.basis)
+    if d == 0:
+        return (ctx.origin,)
+    cone_rows.append((0,) * d + (-1,))
     try:
-        rays = _extreme_rays(cone_rows, d2 + 1)
+        rays = _extreme_rays(cone_rows, d + 1)
     except UnboundedError:
         # rank deficiency also occurs for some empty systems: decide by LP
-        if _feasible_point(Polytope(dim, hrep=hrep))[0] is None:
+        if _feasible_point(hrep)[0] is None:
             return ()
         raise
-    verts = []
+    verts = set()
     for ray in rays:
-        t = ray[d2]
+        t = ray[d]
         if t == 0:
             raise UnboundedError("H-representation describes an unbounded set")
-        u = [Fraction(v, t) for v in ray[:d2]]
-        x = list(x0)
-        for uk, nb in zip(u, basis):
-            if uk != 0:
-                for j in range(dim):
-                    x[j] += uk * nb[j]
-        verts.append(tuple(x))
-    return tuple(sorted(set(verts)))
+        verts.add(ctx._point([Fraction(v, t) for v in ray[:d]]))
+    return tuple(sorted(verts))
 
 
 def _hrep_from_points(points, dim) -> HRep:
     """Irredundant H-rep of the hull of finitely many points."""
     if not points:
-        zero = tuple([ZERO] * dim)
-        return HRep.make(dim, ineqs=[(zero, Fraction(-1))])
+        return HRep(dim, (((0,) * dim, -1),), ())
     pts = sorted(set(points))
     v0 = pts[0]
     # the affine hull is v0 + the span of the differences; its
@@ -780,15 +765,10 @@ def _hrep_from_points(points, dim) -> HRep:
 
     ineqs = []
     for y in facets:
-        gu = y[:r]
-        c = -Fraction(y[r])
-        coeffs = [ZERO] * dim
+        coeffs = [0] * dim
         for k, pk in enumerate(pivots):
-            coeffs[pk] = Fraction(gu[k])
-        rhs = c + sum(
-            (Fraction(gu[k]) * v0[pk] for k, pk in enumerate(pivots)), ZERO
-        )
-        ineqs.append((tuple(coeffs), rhs))
+            coeffs[pk] = y[k]
+        ineqs.append((tuple(coeffs), dot(coeffs, v0) - y[r]))
     ineqs.sort()
     return HRep.make(dim, ineqs=ineqs, eqs=sorted(eqs))
 
@@ -867,14 +847,17 @@ def _hull_membership(x, points):
 
 
 def contains_point(p: Polytope, x) -> bool:
-    """Exact membership via H-rep substitution or a hull-weight LP."""
+    """Exact membership via H-rep substitution or a hull-weight LP. The
+    substitution runs in integers: x over one common denominator against
+    the integer rows."""
     x = qvec(x)
     if len(x) != p.dim:
         raise DimensionError("point dimension differs from polytope")
     if p._hrep is not None:
         h = p._hrep
-        return all(dot(a, x) <= b for a, b in h.ineqs) and all(
-            dot(e, x) == f for e, f in h.eqs
+        xnums, xden = _integer_row(x)
+        return all(_row_at(a, xnums) <= b * xden for a, b in h.ineqs) and all(
+            _row_at(e, xnums) == f * xden for e, f in h.eqs
         )
     return _in_hull(x, p.points)
 
@@ -1023,26 +1006,24 @@ def _facet_rows(ctx, points):
     its equality rows; None when the points do not prove that.
 
     The tests run in integers: the points over one common denominator
-    against the context's integer rows. Of rows tight at the same
-    points, which cut out the same face, the last in row order stands
-    for them; the affine rank of each distinct tight set is computed
-    once.
+    against the context's rows. Of rows tight at the same points, which
+    cut out the same face, the last in row order stands for them; the
+    affine rank of each distinct tight set is computed once.
     """
-    dim = ctx.dim
     den = lcm(*[v.denominator for x in points for v in x])
     xs = [[v.numerator * (den // v.denominator) for v in x] for x in points]
 
-    def values(nums):
-        support = [(j, v) for j, v in enumerate(nums[:dim]) if v]
+    def values(a):
+        support = [(j, v) for j, v in enumerate(a) if v]
         return [sum(v * x[j] for j, v in support) for x in xs]
 
-    for nums, _ in ctx.eq_irows:
-        if any(val != nums[dim] * den for val in values(nums)):
+    for e, f in ctx.eqs:
+        if any(val != f * den for val in values(e)):
             return None
     tight = []
-    for nums, _ in ctx.irows:
-        bound = nums[dim] * den
-        vals = values(nums)
+    for a, b in ctx.ineqs:
+        bound = b * den
+        vals = values(a)
         if any(val > bound for val in vals):
             return None
         tight.append(frozenset(k for k, val in enumerate(vals) if val == bound))

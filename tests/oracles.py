@@ -66,7 +66,6 @@ from credalkit.exactq import (
     DimensionError,
     LpProblem,
     _check_infeasible,
-    _integer_row,
     dot,
     lp_solve,
     qvec,
@@ -323,7 +322,7 @@ def feasible_point_reference(p):
         certificate[i] = combined / -h.ineqs[i][0][j]
     _check_infeasible(
         LpProblem("min", zero, tuple(every), (False,) * dim),
-        [_integer_row([*coeffs, rhs]) for coeffs, _, rhs in every],
+        [*h.ineqs, *h.eqs],
         certificate,
     )
     return "infeasible", None, tuple(certificate)

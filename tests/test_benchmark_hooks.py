@@ -148,10 +148,10 @@ def test_diagnosis_lps_are_traced(monkeypatch):
     events = []
     real_feasible, real_diagnose = pt._feasible_point, jt._diagnose
 
-    def deciding(p, candidate=None):
-        whole = (p.hrep.ineqs, p.hrep.eqs) == everything
+    def deciding(h, candidate=None):
+        whole = (h.ineqs, h.eqs) == everything
         events.append("whole system" if whole else "subsystem")
-        return real_feasible(p, candidate)
+        return real_feasible(h, candidate)
 
     def diagnosing(*args):
         events.append("diagnosis")

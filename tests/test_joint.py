@@ -297,7 +297,8 @@ def random_infeasible_system(rng, dim, inconsistent_copy):
     equality rows through two different points of the simplex, a few
     inequality rows (some redundant on the simplex), and equality rows
     that depend on the others: a duplicate, a scaled copy and a sum, and
-    with `inconsistent_copy` a copy with another rhs. Credal-origin rows
+    with `inconsistent_copy` a copy with another rhs. Every row is put in
+    canonical integer form, as the build's rows are; credal-origin rows
     come in random order."""
     origins = [("a",), ("b",), ("a", "b")]
     simplex = pt.Polytope.simplex(dim).hrep
@@ -326,6 +327,8 @@ def random_infeasible_system(rng, dim, inconsistent_copy):
     if inconsistent_copy:
         e, f = rng.choice(eqs)
         eqs.append((e, f + 1))
+    ineqs = [row for row in (pt._canon_ineq(*r) for r in ineqs) if row is not None]
+    eqs = [row for row in (pt._canon_eq(*r) for r in eqs) if row is not None]
     ineq_rows = [(row, rng.choice(origins)) for row in ineqs]
     eq_rows = [(row, rng.choice(origins)) for row in eqs]
     rng.shuffle(ineq_rows)
@@ -364,7 +367,7 @@ def counted_diagnose(monkeypatch, dim, ineqs, eqs, certificate=None):
 def seed_certificate(dim, ineqs, eqs):
     """The certificate `_feasible_point` proves the whole system empty
     with, as the build passes it to `_diagnose`."""
-    context, certificate = pt._feasible_point(jt._system_polytope(dim, ineqs, eqs))
+    context, certificate = pt._feasible_point(jt._system_polytope(dim, ineqs, eqs).hrep)
     assert context is None
     return certificate
 
@@ -442,13 +445,12 @@ def recorded_systems(monkeypatch, dim, coll):
 
     real = pt._feasible_point
 
-    def recording_feasible(p, candidate=None):
-        h = p.hrep
+    def recording_feasible(h, candidate=None):
         rows = {(a, LE, b) for a, b in h.ineqs} | {(e, EQ, f) for e, f in h.eqs}
         decided.append((rows, []))
         current[0] = decided[-1][1]
         try:
-            return real(p, candidate)
+            return real(h, candidate)
         finally:
             current[0] = None
 
@@ -561,7 +563,7 @@ class TestDiagnose:
         simplex = pt.Polytope.simplex(3).hrep
         ineqs = [(row, SIMPLEX_ORIGIN) for row in simplex.ineqs]
         eqs = [(row, SIMPLEX_ORIGIN) for row in simplex.eqs]
-        eqs.append((((F(1), F(0), F(0)), F(1, 2)), ("a",)))
+        eqs.append((pt._canon_eq((F(1), F(0), F(0)), F(1, 2)), ("a",)))
         with pytest.raises(RuntimeError):
             _diagnose(3, ineqs, eqs)
 
@@ -595,6 +597,34 @@ class TestDiagnose:
                     d.diagnosis.offending_tuples) == (
                 diag.rows, diag.multipliers, diag.offending_tuples
             )
+
+
+def test_library_rows_are_ints(monkeypatch):
+    """The built joint set, the property suite's pullback systems Q and a
+    diagnosis's core rows hold int rows with int rhs."""
+    def assert_int_rows(rows):
+        for a, b in rows:
+            assert type(a) is tuple and all(type(v) is int for v in (*a, b))
+
+    coll = generated_instance(random.Random(811), 3)[1]
+    joint = build_joint(coll)
+    assert_int_rows((*joint.body.hrep.ineqs, *joint.body.hrep.eqs))
+    pulled = []
+    real = pt.is_subset
+
+    def recording(p, q):
+        pulled.append(q.hrep)
+        return real(p, q)
+
+    with monkeypatch.context() as m:
+        m.setattr(pt, "is_subset", recording)
+        assert property_suite(coll, joint).passed
+    assert pulled
+    for h in pulled:
+        assert_int_rows((*h.ineqs, *h.eqs))
+    empty = build_joint(clash_instance(random.Random(61), 3)[1])
+    assert empty.is_empty()
+    assert_int_rows([(coeffs, rhs) for coeffs, _, rhs, _ in empty.diagnosis.rows])
 
 
 def redundancy_case(coll):
@@ -756,9 +786,8 @@ class TestVerifyRepresentation:
             problem = LpProblem(
                 "min", (F(0),) * joint.dim, tuple(problem_rows), (False,) * joint.dim
             )
-            _check_infeasible(
-                problem, [_integer_row([*a, b]) for a, _, b in problem_rows], cert
-            )
+            irows = [_integer_row([*a, b])[0] for a, _, b in problem_rows]
+            _check_infeasible(problem, [(nums[:-1], nums[-1]) for nums in irows], cert)
             combined = [F(0)] * (joint.dim + 1)
             for cm, (a, sense, b) in zip(cert, problem_rows):
                 assert sense == EQ or cm >= 0
@@ -847,8 +876,8 @@ class TestPropertySuite:
         calls = []
         real = pt._feasible_point
 
-        def deciding(p, candidate=None):
-            context, certificate = real(p, candidate)
+        def deciding(h, candidate=None):
+            context, certificate = real(h, candidate)
             calls.append(context.origin == candidate)
             return context, certificate
 

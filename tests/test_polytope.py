@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 
 import credalkit.polytope as pt
-from credalkit.exactq import EQ, LE, LpProblem, _check_infeasible, _integer_row, dot, lp_solve
+from credalkit.exactq import EQ, LE, DimensionError, LpProblem, dot, lp_solve
 from credalkit.polytope import (
     HRep,
     NotSeparableError,
@@ -488,7 +488,7 @@ class TestEliminationParity:
             p = random_bounded_hrep(rng, rng.randint(1, 4))
             eq = tuple(F(rng.randint(-2, 2)) for _ in range(p.dim))
             eq = (eq, F(rng.randint(-1, 1)))
-            hreps.append(HRep(p.dim, p.hrep.ineqs, (eq,)))
+            hreps.append(HRep.make(p.dim, p.hrep.ineqs, (eq,)))
 
         real = pt._extreme_rays
         calls = []
@@ -532,17 +532,19 @@ class TestEliminationParity:
             rhs = F(rng.randint(-4, 4), rng.randint(1, 6))
             assert pt._primitive_int([*coeffs, rhs]) == primitive([*coeffs, rhs])
             ineq, eq = pt._canon_ineq(coeffs, rhs), pt._canon_eq(coeffs, rhs)
-            zero = (F(0),) * n
+            zero = (0,) * n
             if not any(coeffs):
-                assert ineq == (None if rhs >= 0 else (zero, F(-1)))
-                assert eq == (None if rhs == 0 else (zero, F(1)))
+                assert ineq == (None if rhs >= 0 else (zero, -1))
+                assert eq == (None if rhs == 0 else (zero, 1))
+                for row in (ineq, eq):
+                    assert row is None or all(type(v) is int for v in (*row[0], row[1]))
                 continue
             prim = primitive([*coeffs, rhs])
             sign = 1 if next(v for v in prim if v) > 0 else -1
             assert ineq == (prim[:-1], prim[-1])
             assert eq == (tuple(sign * v for v in prim[:-1]), sign * prim[-1])
             for coeffs_out, rhs_out in (ineq, eq):
-                assert all(type(v) is F for v in (*coeffs_out, rhs_out))
+                assert all(type(v) is int for v in (*coeffs_out, rhs_out))
 
 
 def random_context_case(rng, kind):
@@ -633,6 +635,66 @@ class TestLpContext:
         assert pt._maximize(p, (F(1),)) == ("infeasible", None, None)
 
 
+class TestIntegerRows:
+    """H-rep rows are int tuples with int rhs, and membership substitutes
+    a point into them in integers."""
+
+    @pytest.mark.parametrize("kind", ["full", "flat", "point"])
+    def test_contains_point_matches_fraction_substitution(self, kind):
+        rng = random.Random(60 + ("full", "flat", "point").index(kind))
+        seen = {"on a facet": 0, "just outside": 0, "outside": 0}
+        for _ in range(15):
+            p = random_context_case(rng, kind)
+            h = p.hrep
+            verts = dd_convert(p).points
+            center = tuple(sum(c) / len(verts) for c in zip(*verts))
+            near = [tuple(v + (v - c) / 1000 for v, c in zip(x, center)) for x in verts]
+            points = [*verts, *near]
+            points += [tuple((a + b) / 2 for a, b in zip(u, v))
+                       for u, v in zip(verts, verts[1:])]
+            points += [
+                tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(p.dim))
+                for _ in range(5)
+            ]
+            for x in points:
+                expected = hrep_contains(h, x)
+                assert contains_point(p, x) == expected
+                if expected and any(dot(a, x) == b for a, b in h.ineqs):
+                    seen["on a facet"] += 1
+                elif not expected:
+                    on_hull = all(dot(e, x) == f for e, f in h.eqs)
+                    seen["just outside" if x in near and on_hull else "outside"] += 1
+        assert all(seen.values()) or (kind == "point" and seen["outside"])
+
+    def test_constructor_stores_ints(self):
+        h = HRep(2, (((F(2), F(-1)), F(3)),), (((1, 1), F(1)),))
+        assert h == HRep(2, (((2, -1), 3),), (((1, 1), 1),))
+        assert all(type(v) is int for a, b in (*h.ineqs, *h.eqs) for v in (*a, b))
+        with pytest.raises(DimensionError):
+            HRep(2, (((F(1, 2), F(1)), F(1)),), ())
+        with pytest.raises(DimensionError):
+            HRep(1, (), (((1,), F(1, 3)),))
+
+    def test_library_rows_are_ints(self):
+        made = HRep.make(
+            2, [((F(1, 2), F(-1, 3)), F(1)), ((F(0), F(0)), F(-2))],
+            [((F(-2), F(4)), F(6))],
+        )
+        assert made == HRep(2, (((3, -2), 6), ((0, 0), -1)), (((1, -2), -3),))
+        rng = random.Random(61)
+        hreps = [made, Polytope.simplex(4).hrep, pt._hrep_from_points((), 3)]
+        for pts, dim in random_point_sets(rng, 30):
+            hreps.append(pt._hrep_from_points(pts, dim))
+        for h in hreps:
+            assert_int_rows(h)
+
+
+def assert_int_rows(h):
+    """Every row of the H-rep h is an int tuple with an int rhs."""
+    for a, b in (*h.ineqs, *h.eqs):
+        assert type(a) is tuple and all(type(v) is int for v in (*a, b))
+
+
 def facet_case(rng, kind):
     """A random feasible system (`random_context_case`) with scaled copies
     of two of its rows, and its vertices."""
@@ -703,7 +765,7 @@ class TestFacetRows:
         s = Polytope.simplex(3).hrep
         cut = ((F(1), F(1), F(0)), F(1))
         ineqs = (*s.ineqs, cut) if order == "simplex-first" else (cut, *s.ineqs)
-        p = Polytope(3, hrep=HRep(3, ineqs, s.eqs))
+        p = Polytope(3, hrep=HRep.make(3, ineqs, s.eqs))
         keep, lps = kept_rows_and_lps(monkeypatch, p, Polytope.simplex(3).points)
         assert lps == 0
         assert keep == redundant_rows_reference(3, ineqs, s.eqs)
@@ -763,7 +825,7 @@ def random_unit_row_system(rng, dim, only_units):
         rng.shuffle(ineqs)
         rows = [(a, LE, b) for a, b in ineqs] + [(e, EQ, f) for e, f in eqs]
         if not fraction_feasible(dim, rows):
-            return HRep(dim, tuple(ineqs), tuple(eqs))
+            return HRep.make(dim, ineqs, eqs)
 
 
 def assert_farkas(h, cert):
@@ -807,7 +869,7 @@ class TestFeasibleCertificate:
 
 
 def feasibility_lps(monkeypatch, p, candidate=None):
-    """`_feasible_point(p, candidate)` and, for each LP it ran, its column
+    """`_feasible_point(p.hrep, candidate)` and, for each LP it ran, its column
     count and how many of its columns are sign-constrained."""
     cols = []
     real = pt.lp_solve
@@ -818,7 +880,7 @@ def feasibility_lps(monkeypatch, p, candidate=None):
 
     with monkeypatch.context() as m:
         m.setattr(pt, "lp_solve", counting)
-        return pt._feasible_point(p, candidate), cols
+        return pt._feasible_point(p.hrep, candidate), cols
 
 
 def random_feasibility_case(rng):
@@ -887,7 +949,7 @@ class TestFeasiblePoint:
                  ((F(2), F(2), F(1)), F(2))],
         )
         self.assert_decides(monkeypatch, p, [])
-        assert pt.LpContext.eliminated(p.hrep, *pt._integer_rows(p.hrep)) is None
+        assert pt.LpContext.eliminated(p.hrep) is None
 
     @pytest.mark.parametrize("inside", [True, False])
     def test_single_point_hull_needs_no_lp(self, monkeypatch, inside):
