@@ -146,10 +146,6 @@ class CredalCollection:
         idx = sp.permutation_matrix(self.space, len(index_tuple), perm)
         return _pushforward_set(base, idx, index_tuple)
 
-    def covers_all_subsets(self) -> bool:
-        supplied = {sp.canonical_tuple(self.space, t) for t in self.sets}
-        return all(t in supplied for t in sp.all_canonical_tuples(self.space))
-
 
 def _tuple_sort_key(space):
     def key(tup):

@@ -263,7 +263,6 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     # Each row once as integers over its least common denominator; the
     # kernel rows and both certificate checks are built from these.
     ints = [_integer_row([*coeffs, rhs]) for coeffs, _sense, rhs in problem.rows]
-    irows = [(nums[:n], nums[n]) for nums, _den in ints]
     onums, oden = _integer_row(problem.objective)
     kept = _kept_rows(problem, ints)
 
@@ -310,7 +309,7 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
             dual[i] = sg * yi
         certificate = _farkas_from_dual(problem, dual)
         outcome = LpOutcome("infeasible", certificate=certificate)
-        _check_infeasible(problem, irows, certificate)
+        _check_infeasible(problem, ints, certificate)
         return outcome
 
     cols = iter(xcols)
@@ -320,7 +319,7 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     xnums, xden = _integer_row(solution)
     value = Fraction(sum(c * v for c, v in zip(onums, xnums) if v), oden * xden)
     outcome = LpOutcome("optimal", value=value, solution=solution)
-    _check_optimal(problem, irows, outcome)
+    _check_optimal(problem, ints, outcome)
     return outcome
 
 
@@ -373,32 +372,32 @@ def _farkas_from_dual(problem, dual):
     return tuple(cm * scale for cm in mult)
 
 
-def _check_infeasible(problem, irows, certificate):
+def _check_infeasible(problem, ints, certificate):
     """Re-verify a Farkas certificate on the integer rows.
 
-    irows[i] = (a, b) is problem row i over its least common denominator
-    den_i (1 for a row of ints). Multiplier i becomes the integer weight
-    cm_i * mden * (rden / den_i), with mden the lcm of the multipliers'
-    denominators and rden that of the weighted rows'; the combined row is
-    then the true one times mden * rden > 0, so every sign condition
-    reads the same.
+    ints[i] = (nums, den) is problem row i, coefficients then rhs, as
+    integers over den (`_integer_row`; den is 1 for a row of ints).
+    Multiplier i becomes the integer weight cm_i * mden * (rden / den_i),
+    with mden the lcm of the multipliers' denominators and rden that of
+    the weighted rows'; the combined row is then the true one times
+    mden * rden > 0, so every sign condition reads the same.
     """
     n = len(problem.objective)
     mden = lcm(*[cm.denominator for cm in certificate])
     weighted = [
-        (sense, irow, cm, lcm(rhs.denominator, *[v.denominator for v in coeffs]))
-        for (coeffs, sense, rhs), irow, cm in zip(problem.rows, irows, certificate)
+        (sense, nums, cm, den)
+        for (_, sense, _), (nums, den), cm in zip(problem.rows, ints, certificate)
         if cm
     ]
     rden = lcm(*[den for *_, den in weighted])
     combined = [0] * (n + 1)
-    for sense, (a, b), cm, den in weighted:
+    for sense, nums, cm, den in weighted:
         if sense != EQ and cm < 0:
             raise RuntimeError("negative multiplier on an inequality row")
         w = cm.numerator * (mden // cm.denominator) * (rden // den)
         if sense == GE:
             w = -w
-        combined = [s + w * v for s, v in zip(combined, (*a, b))]
+        combined = [s + w * v for s, v in zip(combined, nums)]
     for j in range(n):
         if problem.nonneg[j]:
             if combined[j] < 0:
@@ -409,21 +408,23 @@ def _check_infeasible(problem, irows, certificate):
         raise RuntimeError("combined rhs not violated")
 
 
-def _check_optimal(problem, irows, outcome):
+def _check_optimal(problem, ints, outcome):
     """Re-verify an optimal point on the integer rows.
 
-    irows[i] = (a, b) is problem row i times some positive number. With
-    x = xnums / xden, the row holds at x exactly when a . xnums compares
-    with b * xden the same way.
+    ints[i] = (nums, den) is problem row i as `_check_infeasible` reads
+    it: nums = [a | b], the row times den > 0. With x = xnums / xden, the
+    row holds at x exactly when a . xnums compares with b * xden the same
+    way.
     """
+    n = len(problem.objective)
     xnums, xden = _integer_row(outcome.solution)
     for j, flag in enumerate(problem.nonneg):
         if flag and xnums[j] < 0:
             raise RuntimeError("negative value for a sign-constrained variable")
     support = [(j, v) for j, v in enumerate(xnums) if v]
-    for (_coeffs, sense, _rhs), (a, b) in zip(problem.rows, irows):
-        lhs = sum(a[j] * v for j, v in support)
-        rhs = b * xden
+    for (_coeffs, sense, _rhs), (nums, _den) in zip(problem.rows, ints):
+        lhs = sum(nums[j] * v for j, v in support)
+        rhs = nums[n] * xden
         ok = lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs
         if not ok:
             raise RuntimeError("reported solution violates a constraint")

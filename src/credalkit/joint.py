@@ -316,7 +316,7 @@ def _pulled_vertices(coll, full):
     return [sp.pull(idx, v) for v in pt.dd_convert(coll.sets[full].body).points]
 
 
-def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
+def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
     """Minimal infeasible core plus its Farkas certificate.
 
     Simplex rows always stay in the system; credal-origin rows are
@@ -324,10 +324,9 @@ def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
     infeasible (deletion filter, Chinneck & Dravnieks 1991), so every
     surviving row is necessary. The filter carries a Farkas certificate
     of the rows still active, one multiplier per row of ineqs + eqs. The
-    first one is `certificate`, when the caller has already proved the
+    first one is `certificate`, the one with which the caller proved the
     whole system empty (`polytope._feasible_point`); it is re-checked in
-    integers, and a wrong one raises RuntimeError. Without it,
-    `_feasible_point` over all rows gives the first. Each row is then
+    integers, and a wrong one raises RuntimeError. Each row is then
     decided in one of three exact ways:
 
     - weight 0 in the carried certificate: the same certificate proves
@@ -367,7 +366,7 @@ def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
 
     def check(keep, weight):
         _check_infeasible(
-            problem(keep), [(rows[i][0], rows[i][2]) for i in keep],
+            problem(keep), [([*rows[i][0], rows[i][2]], 1) for i in keep],
             [weight[i] for i in keep],
         )
 
@@ -387,15 +386,10 @@ def _diagnose(dim, ineqs, eqs, certificate=None) -> InfeasibilityDiagnosis:
         return True, weight
 
     everything = range(len(rows))
-    if certificate is None:
-        bad, weight = infeasible(everything)
-        if not bad:
-            raise RuntimeError("diagnosis of a feasible system")
-    else:
-        if len(certificate) != len(rows):
-            raise RuntimeError("certificate length differs from the rows")
-        check(everything, certificate)
-        weight = list(certificate)
+    if len(certificate) != len(rows):
+        raise RuntimeError("certificate length differs from the rows")
+    check(everything, certificate)
+    weight = list(certificate)
     null = _equality_relations([row for row, _ in eqs], dim)
 
     for r, (_, sense, _, origin) in enumerate(rows):
@@ -549,7 +543,8 @@ def _max_over_joint(joint, objective):
 def _member_reachable(joint, idx, v):
     """Feasibility of {p in P : pushforward(p) = v} with certificate.
 
-    Runs in the joint set's LP context; on failure the Farkas
+    Decided in the joint set's LP context (`LpContext.decide`), with no
+    LP when its origin already maps onto v; on failure the Farkas
     multipliers on the pushforward rows, negated, are a separating
     functional on the image space.
     """
@@ -557,8 +552,8 @@ def _member_reachable(joint, idx, v):
         (tuple(int(y == x) for y in idx), target)
         for x, target in enumerate(v)
     ]
-    ok, certificate = pt._lp_context(joint.body).feasible_with(rows)
-    if ok:
+    point, certificate = pt._lp_context(joint.body).decide(rows)
+    if point is not None:
         return True, None
     mu = certificate[len(certificate) - len(rows):]
     return False, tuple(-m for m in mu)
@@ -571,8 +566,9 @@ def verify_representation(
     prescribed credal set; exact, certificate-producing in both
     directions.
 
-    The prescribed-within-pushforward direction solves one feasibility
-    LP per generator of the prescribed set; the reverse direction
+    The prescribed-within-pushforward direction decides one feasibility
+    question per generator of the prescribed set, by LP only when the
+    joint set's LP origin does not map onto it; the reverse direction
     maximizes every facet functional of the prescribed set, composed
     with the pushforward map, over the joint polytope. Neither
     direction enumerates vertices of the joint set.

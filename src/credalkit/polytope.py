@@ -14,11 +14,14 @@ first use and cached on the polytope: affine-hull coordinates z with
 x = origin + N z, from a feasible origin, so every LP starts from the
 slack basis with no phase 1. The origin is the first generator, a point
 the caller knows to lie in the set, or the point `_feasible_point` finds
-as it decides `is_empty`. That decision runs in the same coordinates:
-the equality rows are solved once, and when they, or a row constant on
-their solutions, do not already decide it, one phase 1 runs over the d
-free directions. Each answer and certificate is mapped back and checked
-against the original rows.
+as it decides `is_empty`. Whether a system, plus some equality rows, has
+a point is decided in the same coordinates by one routine,
+`LpContext.decide`: emptiness (the equality rows solved once, with no
+other rows added) and the joint set's reachability of a vertex (the
+pushforward rows added) both go through it. A violated row constant on
+the hull, or an origin that satisfies every row, decides it with no LP;
+otherwise one phase 1 runs over the d free directions. Each answer and
+certificate is mapped back and checked against the original rows.
 
 Redundancy removal keeps a row iff dropping it changes the set, probing
 the rows in order by LP. When it is given points whose hull holds the
@@ -285,77 +288,33 @@ def _feasible_point(h: HRep, candidate=None):
     valid for the system with every variable free and re-checked in
     integers against h's rows.
 
-    The equality rows are solved once (`exactq.solve_rows`): x = x0 + N z,
-    and each inequality row a.x <= b becomes (a.N) z <= b - a.x0. That
+    The equality rows are solved once (`LpContext.eliminated`), and that
     elimination is the context's own, so the system runs one. Then:
-    - a `candidate` point of h becomes the origin, with no LP;
     - inconsistent equality rows: `echelon` with `combine` names the
       combination of them that reads 0 = c, c != 0, and it is the
       certificate; no LP;
-    - a row with a.N = 0 is constant on the hull: if one is violated, it
-      and -w on the equality rows, with w.E = a, are the certificate; no
-      LP. With d = 0 free directions every row is constant, so x0 is the
-      point or such a row proves h empty;
-    - x0 satisfying every row is the origin; no LP;
-    - otherwise one LP runs over the d columns z. A reduced row
-      -c z_k <= 0 (c > 0), as a row x_j >= 0 on a free column of the
-      equality rows reduces, enters it as the bound z_k >= 0, so it adds
-      no row and z_k is not split. The LP's point gives the origin. Its
-      certificate y gives the first bound row of each bounded z_k the
-      combined row's entry there (>= 0) over c, and becomes (y, -w),
-      with w.E = y.A, as in `LpContext.feasible_with`.
+    - a `candidate` point of h becomes the origin, with no LP;
+    - otherwise `LpContext.decide` decides h from the solution x0 of the
+      equality rows, and the point it returns becomes the origin.
     """
-    dim = h.dim
     ctx = LpContext.eliminated(h)
     if ctx is None:
+        dim = h.dim
         _, kept = echelon([[*e, f] for e, f in h.eqs], combine=True)
         _, red, comb = next(k for k in kept if k[0] == dim)
-        certificate = [ZERO] * len(h.ineqs) + [-c / red[dim] for c in comb]
-    else:
-        if candidate is not None:
-            moved = ctx.moved(candidate)
-            if moved is not None:
-                return moved, None
-        zrows = ctx.zrows
-        y = [ZERO] * len(zrows)
-        bad = next(
-            (i for i, (_, _, slack) in enumerate(zrows)
-             if slack < 0 and not ctx.live[i]),
-            None,
+        certificate = tuple([ZERO] * len(h.ineqs) + [-c / red[dim] for c in comb])
+        _check_infeasible(
+            *_system_lp(dim, tuple([ZERO] * dim), h.ineqs, h.eqs), certificate
         )
-        if bad is not None:
-            y[bad] = -ONE / zrows[bad][2]
-        elif all(slack >= 0 for _, _, slack in zrows):
-            return ctx, None
-        else:
-            d = len(ctx.basis)
-            bound_at = {}  # bounded direction -> its first row -c z_k <= 0
-            live = []
-            for i in (i for i, flag in enumerate(ctx.live) if flag):
-                k = _unit_bound(zrows[i])
-                if k is None:
-                    live.append(i)
-                else:
-                    bound_at.setdefault(k, i)
-            outcome = lp_solve(LpProblem(
-                "min", tuple([ZERO] * d), tuple(zrows[i] for i in live),
-                tuple(k in bound_at for k in range(d)),
-            ))
-            if outcome.status == "optimal":
-                moved = ctx.moved(ctx._point(outcome.solution))
-                if moved is None:
-                    raise RuntimeError("feasibility LP point violates a row")
-                return moved, None
-            for i, cm in zip(live, outcome.certificate):
-                y[i] = cm
-            # the combined row is >= 0 at a bounded z_k; its first bound
-            # row takes the weight that clears it
-            for k, i in bound_at.items():
-                combined = sum((y[r] * zrows[r][0][k] for r in live if y[r]), ZERO)
-                y[i] = combined / -zrows[i][0][k]
-        certificate = y + ctx._eq_part(y, [a for a, _ in h.ineqs])
-    _check_infeasible(*_system_lp(dim, tuple([ZERO] * dim), h.ineqs, h.eqs), certificate)
-    return None, tuple(certificate)
+        return None, certificate
+    if candidate is not None:
+        moved = ctx.moved(candidate)
+        if moved is not None:
+            return moved, None
+    x, certificate = ctx.decide()
+    if x is None:
+        return None, certificate
+    return (ctx if x == ctx.origin else ctx.moved(x)), None
 
 
 def _unit_bound(zrow):
@@ -370,14 +329,14 @@ def _unit_bound(zrow):
 def _system_lp(dim, f, ineqs, eqs, extra=()):
     """The LP of f, every variable free, over the integer rows `ineqs`
     (a.x <= b) and `eqs` and the rational equality rows `extra`, with
-    its rows as `exactq`'s checks read them."""
+    its rows as `exactq`'s checks read them: (nums, den) with nums the
+    row [a | b] over den."""
     rows = [(a, LE, b) for a, b in ineqs] + [(e, EQ, g) for e, g in eqs]
-    irows = [*ineqs, *eqs]
+    ints = [([*a, b], 1) for a, b in chain(ineqs, eqs)]
     for e, g in extra:
         rows.append((e, EQ, g))
-        nums, _ = _integer_row([*e, g])
-        irows.append((nums[:dim], nums[dim]))
-    return LpProblem("max", f, tuple(rows), (False,) * dim), irows
+        ints.append(_integer_row([*e, g]))
+    return LpProblem("max", f, tuple(rows), (False,) * dim), ints
 
 
 def _row_at(a, xnums):
@@ -404,12 +363,8 @@ def _lp_context(p: Polytope):
     Its origin is the first generator when p has them, else the point
     `_feasible_point` finds as it decides `is_empty`.
     """
-    if p._context is None:
-        if p._points is not None:
-            if p._points:
-                p._context = LpContext.build(p.hrep, p._points[0])
-        elif not p._empty:
-            _decide_empty(p)
+    if p._context is None and not p._empty:
+        _decide_empty(p, p._points[0] if p._points else None)
     return p._context
 
 
@@ -425,8 +380,12 @@ class LpContext:
     no artificials and no phase 1. Moving the origin (`moved`) re-reads
     only the rhs. A row with a.N = 0 is constant on the hull and takes no
     part. An LP may use any subset of the inequality rows (redundancy
-    removal drops them one at a time) and may add equality rows, which
-    are reduced through the same N.
+    removal drops them one at a time).
+
+    `decide` is the one feasibility decision: whether the system, with
+    equality rows added (reduced through the same N), has a point. It
+    also runs on the context `eliminated` returns before any point is
+    known, whose origin may violate rows.
 
     Every answer is mapped back and checked in integers against the
     H-rep's own rows (`ineqs`, `eqs`): an optimal z gives x = origin + N z,
@@ -450,26 +409,12 @@ class LpContext:
         self.eqs = eqs  # the H-rep's rows (e, f): e.x = f
 
     @classmethod
-    def build(cls, hrep: HRep, origin):
-        ctx = cls.at(hrep, origin)
-        if ctx is None:
-            raise RuntimeError("LP context origin violates a row of its system")
-        return ctx
-
-    @classmethod
-    def at(cls, hrep: HRep, origin):
-        """The context with `origin`, or None when it violates a row (or
-        no point satisfies the equality rows)."""
-        ctx = cls.eliminated(hrep)
-        return None if ctx is None else ctx.moved(origin)
-
-    @classmethod
     def eliminated(cls, hrep: HRep):
         """The system's equality rows solved once: the context at the
         solution x0 `solve_rows` gives, every inequality row reduced at
-        it. A row x0 violates keeps its negative slack, so this is a
-        context for LPs only when every slack is >= 0. None when the
-        equality rows are inconsistent."""
+        it. A row x0 violates keeps its negative slack, so `maximize`
+        may run here only when every slack is >= 0; `decide` takes the
+        context as it is. None when the equality rows are inconsistent."""
         dim = hrep.dim
         solved = solve_rows([[*e, f] for e, f in hrep.eqs], dim)
         if solved is None:
@@ -543,47 +488,91 @@ class LpContext:
         )
         return "optimal", value, x
 
-    def feasible_with(self, eqs):
-        """Whether some point of the set also satisfies the equality rows
-        `eqs`, each (e, f) read e.x = f with e an integer row. Returns
-        (True, None), or (False, certificate): Farkas multipliers on the
-        inequality rows, the equality rows and then `eqs`, checked against
-        all of them."""
-        extra = []
+    def decide(self, eqs=()):
+        """Whether some point of the system also satisfies the equality
+        rows `eqs`, each (e, f) read e.x = f with e an integer row.
+        Returns (x, None) with such a point x, or (None, certificate):
+        Farkas multipliers on the inequality rows, the equality rows and
+        then `eqs`, checked in integers against all of them with every
+        variable free.
+
+        The origin may violate inequality rows, as `eliminated` leaves
+        it. Each row of `eqs` is reduced through N like the others, to
+        (e.N) z = f - e.origin. Then:
+        - a violated row that is constant on the hull (a.N = 0, negative
+          slack), or with d = 0 free directions a violated row of `eqs`,
+          is the certificate; no LP;
+        - an origin that satisfies every row, `eqs` included, is the
+          point; no LP;
+        - otherwise one LP runs over the d columns z. A reduced row
+          -c z_k <= 0 (c > 0), as a row x_j >= 0 on a free column of the
+          equality rows reduces where the origin has x_j = 0, enters as
+          the bound z_k >= 0, so it adds no row and z_k is not split.
+          Its point is mapped back and checked. Its certificate y gives
+          the first bound row of each bounded z_k the combined row's
+          entry there (>= 0) over c.
+        A certificate y on the reduced rows becomes (y, -w, y on `eqs`),
+        with w.E = y.A the part on the equality rows (`_eq_part`).
+        """
+        zrows = self.zrows
+        rows = list(zrows)  # the reduced rows, then those of `eqs`
         for e, f in eqs:
             coeffs, at_origin = self._reduce(e)
-            extra.append((coeffs, EQ, f - at_origin))
-        live = [i for i, flag in enumerate(self.live) if flag]
-        original = _system_lp(
-            self.dim, tuple([ZERO] * self.dim), self.ineqs, self.eqs, eqs
+            rows.append((coeffs, EQ, f - at_origin))
+        added = range(len(zrows), len(rows))
+        y = [ZERO] * len(rows)
+        bad = next(
+            (i for i, (_, _, slack) in enumerate(zrows)
+             if slack < 0 and not self.live[i]),
+            None,
         )
-        if self.basis:
-            zero = tuple([ZERO] * len(self.basis))
+        if bad is None and not self.basis:
+            bad = next((i for i in added if rows[i][2]), None)
+        if bad is not None:
+            y[bad] = -ONE / rows[bad][2]
+        elif all(slack >= 0 for _, _, slack in zrows) and not any(
+            rows[i][2] for i in added
+        ):
+            return self.origin, None
+        else:
+            d = len(self.basis)
+            bound_at = {}  # bounded direction -> its first row -c z_k <= 0
+            live = []
+            for i in (i for i, flag in enumerate(self.live) if flag):
+                k = _unit_bound(zrows[i])
+                if k is None:
+                    live.append(i)
+                else:
+                    bound_at.setdefault(k, i)
+            live += added
             outcome = lp_solve(LpProblem(
-                "min", zero, tuple([self.zrows[i] for i in live] + extra),
-                (False,) * len(zero),
+                "min", tuple([ZERO] * d), tuple(rows[i] for i in live),
+                tuple(k in bound_at for k in range(d)),
             ))
             if outcome.status == "optimal":
                 x = self._point(outcome.solution)
-                _check_optimal(*original, LpOutcome("optimal", ZERO, x))
-                return True, None
-            reduced = outcome.certificate
-        else:
-            # the set is the origin alone: a violated added row is the
-            # whole certificate
-            bad = next((k for k, row in enumerate(extra) if row[2]), None)
-            if bad is None:
-                return True, None
-            reduced = [ZERO] * (len(live) + len(extra))
-            reduced[len(live) + bad] = -ONE / extra[bad][2]
-        y = [ZERO] * len(self.ineqs)
-        for i, cm in zip(live, reduced):
-            y[i] = cm
-        mu = reduced[len(live):]
-        rows = [a for a, _ in self.ineqs] + [e for e, _ in eqs]
-        certificate = (*y, *self._eq_part([*y, *mu], rows), *mu)
-        _check_infeasible(*original, certificate)
-        return False, certificate
+                _check_optimal(*self._all_free(eqs), LpOutcome("optimal", ZERO, x))
+                return x, None
+            for i, cm in zip(live, outcome.certificate):
+                y[i] = cm
+            # the combined row is >= 0 at a bounded z_k; its first bound
+            # row takes the weight that clears it
+            for k, i in bound_at.items():
+                combined = sum((y[r] * rows[r][0][k] for r in live if y[r]), ZERO)
+                y[i] = combined / -zrows[i][0][k]
+        n = len(zrows)
+        certificate = (
+            *y[:n],
+            *self._eq_part(y, [a for a, _ in self.ineqs] + [e for e, _ in eqs]),
+            *y[n:],
+        )
+        _check_infeasible(*self._all_free(eqs), certificate)
+        return None, certificate
+
+    def _all_free(self, eqs):
+        """The system with the equality rows `eqs` added, every variable
+        free, as `exactq`'s checks read it."""
+        return _system_lp(self.dim, tuple([ZERO] * self.dim), self.ineqs, self.eqs, eqs)
 
     def _point(self, z):
         x = list(self.origin)

@@ -322,7 +322,7 @@ def feasible_point_reference(p):
         certificate[i] = combined / -h.ineqs[i][0][j]
     _check_infeasible(
         LpProblem("min", zero, tuple(every), (False,) * dim),
-        [*h.ineqs, *h.eqs],
+        [([*a, b], 1) for a, b in (*h.ineqs, *h.eqs)],
         certificate,
     )
     return "infeasible", None, tuple(certificate)

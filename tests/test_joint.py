@@ -35,6 +35,7 @@ from credalkit.spaces import (
     make_space,
     point_mass,
     pull,
+    push,
     pushforward_matrix,
     uniform_measure,
 )
@@ -339,10 +340,10 @@ def random_infeasible_system(rng, dim, inconsistent_copy):
     )
 
 
-def counted_diagnose(monkeypatch, dim, ineqs, eqs, certificate=None):
+def counted_diagnose(monkeypatch, dim, ineqs, eqs, certificate):
     """_diagnose's result, the LPs it ran (the filter's, in polytope, and
-    the last one, in joint) and its integer certificate checks (rule 2's,
-    and the seed's when `certificate` is given)."""
+    the last one, in joint) and its rule 2 substitutions: its integer
+    certificate checks but the seed's."""
     counts = {"lps": 0, "substitutions": 0}
     check = jt._check_infeasible
 
@@ -361,6 +362,7 @@ def counted_diagnose(monkeypatch, dim, ineqs, eqs, certificate=None):
             m.setattr(module, "lp_solve", counting(module.lp_solve))
         m.setattr(jt, "_check_infeasible", counting_check)
         diag = _diagnose(dim, ineqs, eqs, certificate)
+    counts["substitutions"] -= 1
     return diag, counts
 
 
@@ -383,24 +385,22 @@ def reference_seed_certificate(dim, ineqs, eqs):
 
 def assert_matches_reference(monkeypatch, dim, ineqs, eqs):
     """`_diagnose` returns the reference's rows, multipliers and tuples
-    unseeded and seeded with either certificate (`_feasible_point`'s or
-    the reference LP's), each time with fewer LPs; returns the unseeded
-    run's rule 2 substitutions and the diagnosis."""
+    seeded with either certificate (`_feasible_point`'s, as the build
+    seeds it, or the reference LP's), each time with fewer LPs; returns
+    the rule 2 substitutions and the diagnosis of the run seeded as the
+    build seeds it."""
     rows, multipliers, offending, ref_lps = deletion_filter_reference(dim, ineqs, eqs)
-    unseeded, counts = counted_diagnose(monkeypatch, dim, ineqs, eqs)
+    runs = []
     for seed in (seed_certificate, reference_seed_certificate):
-        seeded, seeded_counts = counted_diagnose(
+        diag, counts = counted_diagnose(
             monkeypatch, dim, ineqs, eqs, seed(dim, ineqs, eqs)
         )
-        assert (seeded.rows, seeded.multipliers, seeded.offending_tuples) == (
+        assert (diag.rows, diag.multipliers, diag.offending_tuples) == (
             rows, multipliers, offending
         )
-        assert seeded_counts["lps"] < ref_lps
-    assert (unseeded.rows, unseeded.multipliers, unseeded.offending_tuples) == (
-        rows, multipliers, offending
-    )
-    assert counts["lps"] < ref_lps
-    return counts["substitutions"], unseeded
+        assert counts["lps"] < ref_lps
+        runs.append((counts["substitutions"], diag))
+    return runs[0]
 
 
 def dead_finite_collection(seed, members):
@@ -560,12 +560,17 @@ class TestDiagnose:
         ]
 
     def test_feasible_system_raises(self):
+        """No certificate proves a feasible system empty, so the integer
+        check of the one passed raises."""
         simplex = pt.Polytope.simplex(3).hrep
         ineqs = [(row, SIMPLEX_ORIGIN) for row in simplex.ineqs]
         eqs = [(row, SIMPLEX_ORIGIN) for row in simplex.eqs]
         eqs.append((pt._canon_eq((F(1), F(0), F(0)), F(1, 2)), ("a",)))
-        with pytest.raises(RuntimeError):
-            _diagnose(3, ineqs, eqs)
+        # 2 (-x0 <= 0) + (2 x0 = 1) reads 0 <= 1: the combined row is 0,
+        # but its rhs is not negative
+        certificate = (F(2), F(0), F(0), F(0), F(1))
+        with pytest.raises(RuntimeError, match="combined rhs not violated"):
+            _diagnose(3, ineqs, eqs, certificate)
 
     def test_tampered_seed_raises(self):
         rng = random.Random(17)
@@ -727,6 +732,45 @@ class TestPushforward:
             assert equals(image.body, cset.body)
 
 
+def assert_unreachable(joint, alpha, target):
+    """No law of the joint set pushes forward onto `target` on alpha: the
+    LP context's certificate passes the integer check and, by direct
+    Fraction arithmetic, combines every row of the joint set and the
+    pushforward rows to 0 <= -1; the separation `_member_reachable`
+    gives re-verifies. Returns the certificate."""
+    h = joint.body.hrep
+    idx = pushforward_matrix(joint.space, alpha)
+    rows = [
+        (tuple(F(int(y == x)) for y in idx), target[x]) for x in range(len(target))
+    ]
+    point, cert = pt._lp_context(joint.body).decide(rows)
+    assert point is None
+    problem_rows = (
+        [(a, LE, b) for a, b in h.ineqs]
+        + [(e, EQ, f) for e, f in h.eqs]
+        + [(e, EQ, f) for e, f in rows]
+    )
+    problem = LpProblem(
+        "min", (F(0),) * joint.dim, tuple(problem_rows), (False,) * joint.dim
+    )
+    _check_infeasible(
+        problem, [_integer_row([*a, b]) for a, _, b in problem_rows], cert
+    )
+    combined = [F(0)] * (joint.dim + 1)
+    for cm, (a, sense, b) in zip(cert, problem_rows):
+        assert sense == EQ or cm >= 0
+        combined = [s + cm * v for s, v in zip(combined, (*a, b))]
+    assert combined[:-1] == [F(0)] * joint.dim and combined[-1] < 0
+    reachable, g = _member_reachable(joint, idx, target)
+    assert not reachable
+    status, sup, _ = pt._maximize(joint.body, pull(idx, g))
+    sep = pt.SeparationCertificate(g, dot(g, target) - sup, target)
+    assert sep.gap > 0
+    image = pushforward_joint(joint, alpha)
+    assert pt.verify_separation(sep, image.body)
+    return cert
+
+
 class TestVerifyRepresentation:
     def test_generated_instance_passes(self):
         rng = random.Random(600)
@@ -769,37 +813,50 @@ class TestVerifyRepresentation:
             joint = build_joint(coll)
             ctx = pt._lp_context(joint.body)
             assert len(ctx.basis) == hull_dim
-            h = joint.body.hrep
-            alpha = ("a",)
-            idx = pushforward_matrix(AB, alpha)
-            target = (F(1), F(0))
-            rows = [
-                (tuple(F(int(y == x)) for y in idx), target[x]) for x in range(2)
-            ]
-            ok, cert = ctx.feasible_with(rows)
-            assert not ok
-            problem_rows = (
-                [(a, LE, b) for a, b in h.ineqs]
-                + [(e, EQ, f) for e, f in h.eqs]
-                + [(e, EQ, f) for e, f in rows]
-            )
-            problem = LpProblem(
-                "min", (F(0),) * joint.dim, tuple(problem_rows), (False,) * joint.dim
-            )
-            irows = [_integer_row([*a, b])[0] for a, _, b in problem_rows]
-            _check_infeasible(problem, [(nums[:-1], nums[-1]) for nums in irows], cert)
-            combined = [F(0)] * (joint.dim + 1)
-            for cm, (a, sense, b) in zip(cert, problem_rows):
-                assert sense == EQ or cm >= 0
-                combined = [s + cm * v for s, v in zip(combined, (*a, b))]
-            assert combined[:-1] == [F(0)] * joint.dim and combined[-1] < 0
-            reachable, g = _member_reachable(joint, idx, target)
-            assert not reachable
-            status, sup, _ = pt._maximize(joint.body, pull(idx, g))
-            sep = pt.SeparationCertificate(g, dot(g, target) - sup, target)
-            assert sep.gap > 0
-            image = pushforward_joint(joint, alpha)
-            assert pt.verify_separation(sep, image.body)
+            assert_unreachable(joint, ("a",), (F(1), F(0)))
+
+    def test_reachable_at_the_origin_needs_no_lp(self, monkeypatch):
+        """A member the joint set's LP origin maps onto is reachable with
+        no LP."""
+        coll = generated_instance(random.Random(811), 3)[1]
+        joint = build_joint(coll)
+        origin = pt._lp_context(joint.body).origin
+        assert pt._lp_context(joint.body).basis
+        monkeypatch.setattr(pt, "lp_solve", None)  # any LP would fail
+        for alpha in coll.supplied_tuples():
+            idx = pushforward_matrix(coll.space, alpha)
+            v = push(idx, origin, 2 ** len(alpha))
+            assert _member_reachable(joint, idx, v) == (True, None)
+
+    def test_reachability_takes_unit_rows_as_bounds(self, monkeypatch):
+        """The joint set is a segment whose free direction z is 0 at the LP
+        origin, so the row -x_j <= 0 on its free column reduces to
+        -z <= 0. The reachability LP takes it as the bound z >= 0: one
+        column, not split. The bound row carries weight in the
+        certificate, which still re-checks."""
+        coll = forced_failure_collection(
+            ((F(1, 4), F(3, 4), F(0), F(0)), (F(3, 4), F(0), F(1, 4), F(0)))
+        )
+        joint = build_joint(coll)
+        ctx = pt._lp_context(joint.body)
+        bounds = [
+            i for i, z in enumerate(ctx.zrows) if pt._unit_bound(z) is not None
+        ]
+        assert len(ctx.basis) == 1 and bounds
+        shapes = []
+        real = pt.lp_solve
+
+        def recording(problem):
+            shapes.append((len(problem.objective), sum(problem.nonneg)))
+            return real(problem)
+
+        idx, target = pushforward_matrix(AB, ("b",)), (F(0), F(1))
+        with monkeypatch.context() as m:
+            m.setattr(pt, "lp_solve", recording)
+            assert not _member_reachable(joint, idx, target)[0]
+        assert shapes == [(1, 1)]
+        cert = assert_unreachable(joint, ("b",), target)
+        assert any(cert[i] for i in bounds)
 
     def test_wrong_lp_status_raises(self, monkeypatch):
         coll = singleton_collection(AB)

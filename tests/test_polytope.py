@@ -625,9 +625,12 @@ class TestLpContext:
         assert ctx.origin == (F(0), F(1))
         assert pt._maximize(p, (F(1), F(1))) == ("optimal", F(1), (F(0), F(1)))
 
-    def test_at_inconsistent_equality_rows_is_none(self):
+    def test_inconsistent_equality_rows_have_no_context(self):
         h = HRep.make(2, eqs=[((F(1), F(1)), F(1)), ((F(2), F(2)), F(1))])
-        assert pt.LpContext.at(h, (F(1, 2), F(1, 2))) is None
+        assert pt.LpContext.eliminated(h) is None
+        ctx, cert = pt._feasible_point(h, (F(1, 2), F(1, 2)))
+        assert ctx is None
+        assert_farkas(h, cert)
 
     def test_empty_has_no_context(self):
         p = Polytope.from_hrep(1, ineqs=[((F(1),), F(-1)), ((F(-1),), F(0))])
@@ -919,7 +922,8 @@ class TestFeasiblePoint:
             assert_farkas(p.hrep, cert)
             return
         assert cert is None and hrep_contains(p.hrep, ctx.origin)
-        fresh = pt.LpContext.at(p.hrep, ctx.origin)
+        fresh = pt.LpContext.eliminated(p.hrep)
+        fresh = fresh.moved(ctx.origin)
         assert (ctx.basis, ctx.zrows, ctx.live) == (fresh.basis, fresh.zrows, fresh.live)
 
     def test_random_systems_match_reference(self, monkeypatch):

@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Every CLI output on the benchmark workloads' families, for diffing checkouts.
+
+    python3 tools/outputs.py CHECKOUT OUTDIR
+
+Imports credalkit from CHECKOUT/src, and the workloads (WORKLOADS,
+MAX_DEN, `random_functional`) and the family generator from
+CHECKOUT/perfbench, which it reads and does not change (no bytecode is
+written there). For each workload and each of its family and check
+seeds, the family is drawn as the benchmark draws it, with labels t0..,
+and written to OUTDIR/<workload>-<seed>/model.json. Then the CLI runs in
+this process, in that directory:
+- validate, as text and with --json;
+- build -o joint.json (the build file is kept);
+- verify --json --emit-vertices;
+- expect for each of the workload's queries, without and with --joint,
+  each functional drawn from random.Random(seed).
+Each command's stdout, stderr and exit code go to <name>.out, <name>.err
+and <name>.code beside the model. Every path handed to the CLI is
+relative to that directory, so the outputs of two checkouts are the same
+iff `diff -r OUTDIR1 OUTDIR2` prints nothing.
+"""
+
+import argparse
+import io
+import json
+import os
+import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+
+def run_cli(cli, argv, name):
+    """Run `credalkit argv` in-process; write its stdout, stderr and exit
+    code to name.out, name.err and name.code in the current directory."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code or 0
+    for suffix, text in (("out", out.getvalue()), ("err", err.getvalue()),
+                         ("code", f"{code}\n")):
+        with open(f"{name}.{suffix}", "w") as fh:
+            fh.write(text)
+
+
+def family_outputs(cli, run, fam, spec, family, seed):
+    """Every CLI output of one family, written to the current directory."""
+    with open("model.json", "w") as fh:
+        json.dump(family.model(), fh, indent=1)
+    run_cli(cli, ["validate", "model.json"], "validate")
+    run_cli(cli, ["validate", "model.json", "--json"], "validate-json")
+    run_cli(cli, ["build", "model.json", "-o", "joint.json"], "build")
+    run_cli(cli, ["verify", "model.json", "--json", "--emit-vertices"], "verify")
+    rng = random.Random(seed)
+    for k, (positions, bound, _) in enumerate(spec["queries"]):
+        alpha = [family.indices[p] for p in positions]
+        f = run.random_functional(rng, len(fam.OUTCOMES) ** len(alpha))
+        ffile = f"f{k}.json"
+        with open(ffile, "w") as fh:
+            json.dump([str(v) for v in f], fh)
+        argv = ["expect", "model.json", "--tuple", ",".join(alpha),
+                "--function-file", ffile, "--bound", bound]
+        run_cli(cli, argv, f"expect{k}")
+        run_cli(cli, argv + ["--joint"], f"expect{k}-joint")
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout")
+    parser.add_argument("outdir")
+    args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True
+    checkout = os.path.abspath(args.checkout)
+    sys.path.insert(0, os.path.join(checkout, "src"))
+    sys.path.insert(0, os.path.join(checkout, "perfbench"))
+    import families as fam
+    import run
+    from credalkit import cli, polytope
+
+    if not cli.__file__.startswith(os.path.join(checkout, "src") + os.sep):
+        raise ImportError(f"credalkit imported from {cli.__file__}, not {checkout}")
+    home = os.getcwd()
+    for name, spec in run.WORKLOADS.items():
+        for seed in (*spec["family_seeds"], *spec["check_seeds"]):
+            frng = random.Random(seed)
+            labels = tuple(f"t{i}" for i in range(spec["indices"]))
+            family = fam.make_family(polytope, frng, labels,
+                                     frng.randint(*spec["vertices"]),
+                                     run.MAX_DEN, spec["clash"])
+            where = os.path.join(args.outdir, f"{name}-{seed}")
+            os.makedirs(where, exist_ok=True)
+            os.chdir(where)
+            try:
+                family_outputs(cli, run, fam, spec, family, seed)
+            finally:
+                os.chdir(home)
+            print(f"{name} seed {seed}: {where}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
