@@ -395,6 +395,7 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
     for r, (_, sense, _, origin) in enumerate(rows):
         if origin == SIMPLEX_ORIGIN:
             continue
+        # a relation for row r takes it out (rule 2, or rule 1 at weight 0)
         z = _drop_relation(null, r - first_eq) if sense == EQ else None
         if weight[r] and z is not None:
             # rule 2: row r is sum_k c_k e_k, c_k = -z_k / z_r; the loop

@@ -6,8 +6,12 @@ containment with separating certificates, set equality, images under
 coordinate maps, and redundancy elimination.
 Representation conversion is the double description method run on the
 homogenization cone, with the combinatorial adjacency test; everything
-is exact. Rows are int tuples with int rhs (`HRep`), read as they are by
-every routine here; points, values and certificates are Fractions.
+is exact. Points become a polytope in one routine, `_hrep_from_points`,
+which also tells the vertices among them, so membership in a set given
+by points is a substitution into rows, with no LP; the one hull LP left
+is the certificate `separate` gives for such a set. Rows are int tuples
+with int rhs (`HRep`), read as they are by every routine here; points,
+values and certificates are Fractions.
 
 Every LP over a nonempty polytope runs in its `LpContext`, built on
 first use and cached on the polytope: affine-hull coordinates z with
@@ -238,7 +242,7 @@ class Polytope:
     @property
     def hrep(self) -> HRep:
         if self._hrep is None:
-            self._hrep = _hrep_from_points(self._points, self.dim)
+            self._hrep = dd_convert(self).hrep
         return self._hrep
 
     @property
@@ -727,87 +731,77 @@ def _points_from_hrep(hrep: HRep) -> tuple:
     return tuple(sorted(verts))
 
 
-def _hrep_from_points(points, dim) -> HRep:
-    """Irredundant H-rep of the hull of finitely many points."""
+def _hrep_from_points(points, dim):
+    """The hull of finitely many points, which may repeat and need not be
+    vertices: (its irredundant H-rep, its vertices, sorted).
+
+    Everything runs in integers, the points over one common denominator.
+    The affine hull is v0 + the span of the differences from v0, the
+    least point; its equality rows are w.x = w.v0, one per nullspace
+    vector w of the differences. In the coordinates u = (x - v0) at the
+    pivot columns of the differences (r of them, the affine dimension),
+    each extreme ray y of the cone {y : y.(u, 1) <= 0 at every point}
+    (double description) is a facet row, and a point is a vertex iff
+    the rays tight at it have rank r (`echelon`). Rows come out in the
+    canonical form `HRep.make` gives: inequality rows in the order of
+    (coeffs, coeffs.v0 - y_t), equality rows in the order of w when
+    r > 0.
+    """
     if not points:
-        return HRep(dim, (((0,) * dim, -1),), ())
+        return HRep(dim, (((0,) * dim, -1),), ()), ()
     pts = sorted(set(points))
-    v0 = pts[0]
-    # the affine hull is v0 + the span of the differences; its
-    # equalities are w.x = w.v0 for the nullspace vectors w of the
-    # differences
-    diffs = [
-        _integer_row([a - b for a, b in zip(v, v0)] + [ZERO])[0] for v in pts[1:]
-    ]
+    den = lcm(*[v.denominator for x in pts for v in x])
+    xs = [[v.numerator * (den // v.denominator) for v in x] for x in pts]
+    x0 = xs[0]
+    diffs = [[a - b for a, b in zip(x, x0)] + [0] for x in xs]
     _, null, pivots = solve_rows(diffs, dim)
-    eqs = [(w, dot(w, v0)) for w in null]
     r = len(pivots)
-
+    eqs = []
+    for w in map(_primitive_int, sorted(null) if r else null):
+        if next(v for v in w if v) < 0:
+            w = [-v for v in w]
+        eqs.append(_row_over(w, _row_at(w, x0), den))
     if r == 0:
-        return HRep.make(dim, ineqs=(), eqs=eqs)
-
-    # coordinates: u_k = (x - v0)[pivots[k]]  (valid on the affine hull)
-    upts = [tuple(v[pk] - v0[pk] for pk in pivots) for v in pts]
-
-    gens = [_primitive_int(list(u) + [1]) for u in upts]
+        return HRep(dim, (), tuple(eqs)), (pts[0],)
+    gens = [_content_free([*(x[k] - x0[k] for k in pivots), den]) for x in xs]
     facets = _extreme_rays(gens, r + 1)
-
-    ineqs = []
+    keyed = []  # (coeffs, den * (coeffs.v0 - y_t))
     for y in facets:
         coeffs = [0] * dim
         for k, pk in enumerate(pivots):
             coeffs[pk] = y[k]
-        ineqs.append((tuple(coeffs), dot(coeffs, v0) - y[r]))
-    ineqs.sort()
-    return HRep.make(dim, ineqs=ineqs, eqs=sorted(eqs))
+        keyed.append((tuple(coeffs), _row_at(coeffs, x0) - y[r] * den))
+    ineqs = tuple(_row_over(a, b, den) for a, b in sorted(keyed))
+    verts = tuple(
+        x for x, g in zip(pts, gens)
+        if len(echelon([y for y in facets if not _row_at(y, g)])[0]) == r
+    )
+    return HRep(dim, ineqs, tuple(eqs)), verts
+
+
+def _row_over(a, b, den):
+    """The primitive integer row of a.x <= b / den (or =)."""
+    nums = _content_free([*(c * den for c in a), b])
+    return tuple(nums[:-1]), nums[-1]
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 def dd_convert(p: Polytope) -> Polytope:
-    """Both representations, canonical: extreme points, irredundant rows.
-
-    The result is cached on p, so each set is converted once."""
+    """Both representations, canonical: extreme points, irredundant rows,
+    from `_hrep_from_points` on p's generators (for an H-rep set, its
+    vertices). The result is cached on p, so each set is converted once."""
     if p._canonical:
         return p
     if p._converted is None:
-        if p._points is None:
-            pts = p.points  # double description output: exactly the vertices
-        else:
-            pts = _extreme_subset(p._points, p.dim)
-        p._converted = Polytope(
-            p.dim, hrep=_hrep_from_points(pts, p.dim), points=tuple(sorted(pts)),
-            canonical=True,
-        )
+        hrep, verts = _hrep_from_points(p.points, p.dim)
+        p._converted = Polytope(p.dim, hrep=hrep, points=verts, canonical=True)
     return p._converted
 
 
-def _extreme_subset(points, dim):
-    """Drop every generator that is a convex combination of the others."""
-    pts = sorted(set(points))
-    if len(pts) <= 1:
-        return tuple(pts)
-    keep = list(pts)
-    i = 0
-    while i < len(keep):
-        others = keep[:i] + keep[i + 1:]
-        if _in_hull(keep[i], others):
-            del keep[i]
-        else:
-            i += 1
-    return tuple(keep)
-
-
-def _in_hull(x, points) -> bool:
-    if not points:
-        return False
-    status, _ = _hull_membership(x, points)
-    return status == "optimal"
-
-
 def _hull_membership(x, points):
-    """Feasibility LP for x in conv(points).
+    """Feasibility LP for x in conv(points), for `separate`.
 
     Returns (status, certificate); the certificate rows are ordered as
     [normalization row, coordinate rows...].
@@ -836,19 +830,18 @@ def _hull_membership(x, points):
 
 
 def contains_point(p: Polytope, x) -> bool:
-    """Exact membership via H-rep substitution or a hull-weight LP. The
-    substitution runs in integers: x over one common denominator against
-    the integer rows."""
+    """Exact membership with no LP: x, over one common denominator, put
+    into p's integer rows or, for a set given by generators, into its
+    canonical form's (`dd_convert`). p itself gets no H-rep, so `separate`
+    keeps the hull-weight certificate for it."""
     x = qvec(x)
     if len(x) != p.dim:
         raise DimensionError("point dimension differs from polytope")
-    if p._hrep is not None:
-        h = p._hrep
-        xnums, xden = _integer_row(x)
-        return all(_row_at(a, xnums) <= b * xden for a, b in h.ineqs) and all(
-            _row_at(e, xnums) == f * xden for e, f in h.eqs
-        )
-    return _in_hull(x, p.points)
+    h = p._hrep if p._hrep is not None else dd_convert(p).hrep
+    xnums, xden = _integer_row(x)
+    return all(_row_at(a, xnums) <= b * xden for a, b in h.ineqs) and all(
+        _row_at(e, xnums) == f * xden for e, f in h.eqs
+    )
 
 
 def separate(p: Polytope, x) -> SeparationCertificate:
@@ -945,11 +938,15 @@ def _sup(q: Polytope, f) -> Fraction:
 
 def linear_image(idx, p: Polytope, size: int) -> Polytope:
     """Image of p under a coordinate map (an index map onto `size` cells):
-    pushed generators reduced to extreme points."""
+    the vertices among the pushed generators, with the rows of their hull
+    cached as its canonical form. It carries no H-rep itself, so
+    `separate` on it gives the hull-weight LP's certificate."""
     if len(idx) != p.dim:
         raise DimensionError(f"map has {len(idx)} source cells, polytope dim {p.dim}")
-    pts = [push(idx, v, size) for v in p.points]
-    return Polytope.from_points(_extreme_subset(pts, size), dim=size)
+    hrep, verts = _hrep_from_points([push(idx, v, size) for v in p.points], size)
+    image = Polytope(size, points=verts)
+    image._converted = Polytope(size, hrep=hrep, points=verts, canonical=True)
+    return image
 
 
 def remove_redundant_ineqs(dim, ineqs, eqs, context=None, vertices=None):

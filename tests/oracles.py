@@ -40,6 +40,12 @@ the program.
 the original coordinates, the unit rows -x_j <= 0 taken as bounds, with
 its certificate mapped back to one multiplier per row.
 
+`extreme_subset_reference` and `hrep_from_points_reference` are the
+references for `credalkit.polytope._hrep_from_points`: the vertices
+found by one hull LP per point (`_hull_membership` over the points kept
+so far), and the rows built in Fractions from those vertices and
+canonicalized by `HRep.make`.
+
 `solve_linear_system` and `fraction_inverse` are the references for
 `credalkit.exactq.echelon` and its callers: Gauss-Jordan elimination in
 Fractions, with the pivot chosen column by column. Matrices here are
@@ -66,9 +72,11 @@ from credalkit.exactq import (
     DimensionError,
     LpProblem,
     _check_infeasible,
+    _integer_row,
     dot,
     lp_solve,
     qvec,
+    solve_rows,
 )
 from credalkit.joint import SIMPLEX_ORIGIN
 from credalkit.spaces import (
@@ -373,6 +381,53 @@ def hrep_contains(hrep, x) -> bool:
     return all(dot(a, x) <= b for a, b in hrep.ineqs) and all(
         dot(e, x) == f for e, f in hrep.eqs
     )
+
+
+def extreme_subset_reference(points):
+    """The points that are not convex combinations of the others, sorted:
+    each point in turn is dropped when a hull LP over the points kept so
+    far (itself left out) finds it in their hull."""
+    keep = sorted(set(points))
+    i = 0
+    while len(keep) > 1 and i < len(keep):
+        others = keep[:i] + keep[i + 1:]
+        if pt._hull_membership(keep[i], others)[0] == "optimal":
+            del keep[i]
+        else:
+            i += 1
+    return tuple(keep)
+
+
+def hrep_from_points_reference(points, dim):
+    """The irredundant H-rep of the hull of `points`, built in Fractions
+    from its vertices (`extreme_subset_reference`): the affine hull's
+    equality rows w.x = w.v0 over the nullspace of the differences from
+    the least vertex v0, and one facet row per extreme ray of the cone
+    the vertices span in the pivot coordinates. Rows are sorted before
+    `HRep.make` canonicalizes them: inequality rows always, equality rows
+    when the hull has positive dimension."""
+    if not points:
+        return pt.HRep(dim, (((0,) * dim, -1),), ())
+    pts = extreme_subset_reference(points)
+    v0 = pts[0]
+    diffs = [
+        _integer_row([a - b for a, b in zip(v, v0)] + [ZERO])[0] for v in pts[1:]
+    ]
+    _, null, pivots = solve_rows(diffs, dim)
+    eqs = [(w, dot(w, v0)) for w in null]
+    r = len(pivots)
+    if r == 0:
+        return pt.HRep.make(dim, ineqs=(), eqs=eqs)
+    upts = [tuple(v[pk] - v0[pk] for pk in pivots) for v in pts]
+    gens = [pt._primitive_int(list(u) + [1]) for u in upts]
+    ineqs = []
+    for y in pt._extreme_rays(gens, r + 1):
+        coeffs = [0] * dim
+        for k, pk in enumerate(pivots):
+            coeffs[pk] = y[k]
+        ineqs.append((tuple(coeffs), dot(coeffs, v0) - y[r]))
+    ineqs.sort()
+    return pt.HRep.make(dim, ineqs=ineqs, eqs=sorted(eqs))
 
 
 def solve_linear_system(a, b):

@@ -6,6 +6,7 @@ import pytest
 import credalkit.credal as credal
 import credalkit.polytope as pt
 from credalkit.credal import (
+    SUPPLIED,
     CredalCollection,
     FiniteSeparation,
     check_marginal_consistency,
@@ -21,13 +22,20 @@ from credalkit.credal import (
     verify_witness_certificate,
 )
 from credalkit.exactq import EQ, DimensionError, LpProblem, dot, lp_solve
+from credalkit.modelio import parse_model
 from credalkit.spaces import (
     make_space,
     point_mass,
     product_index,
+    restriction_matrix,
     uniform_measure,
 )
-from gen import generated_instance, random_simplex_point
+from gen import (
+    clash_instance,
+    collection_to_model,
+    generated_instance,
+    random_simplex_point,
+)
 from oracles import apply, dense_pushforward, dense_restriction
 
 AB = make_space(("a", "b"), ("0", "1"))
@@ -202,6 +210,80 @@ class TestMarginalCheck:
                 if r.alpha == alpha and r.beta == beta
             ]
             assert all(r.status == "pass" for r in records) == expected
+
+
+def validate(coll):
+    return check_permutation_consistency(coll), check_marginal_consistency(coll)
+
+
+def comparison_set(coll, rec):
+    """The set a failing marginal record's certificate separates its
+    witness from: V_beta, or the restriction of V_alpha onto beta."""
+    if rec.direction == "restriction within supplied set":
+        return coll.sets[rec.beta]
+    idx = restriction_matrix(coll.space, rec.alpha, rec.beta)
+    return credal._pushforward_set(coll.sets[rec.alpha], idx, rec.beta)
+
+
+class TestValidateBySubstitution:
+    """Validate decides each inclusion between sets given by vertices by
+    substituting points into integer rows. The only LP left is the hull
+    LP inside `separate`, which a failing record's certificate needs."""
+
+    def test_consistent_family_runs_no_lp(self, monkeypatch):
+        """Sets read from a model by their vertices, with the 2-tuples'
+        permuted variants supplied too, validate with no LP."""
+        rng = random.Random(402)
+        for _ in range(3):
+            space, coll, _ = generated_instance(rng, 3)
+            sets = dict(parse_model(collection_to_model(coll))[1].sets)
+            for alpha in [t for t in coll.sets if len(t) == 2]:
+                swapped = alpha[::-1]
+                image = coll.credal_set(swapped).body.points
+                sets[swapped] = credal_set_from_vertices(space, swapped, image)
+            supplied = CredalCollection(space, sets, policy=SUPPLIED)
+            with monkeypatch.context() as m:
+                for module in (pt, credal):
+                    m.setattr(module, "lp_solve", None)  # any LP would fail
+                reports = validate(supplied)
+            assert all(report.passed for report in reports)
+            assert any(r.beta == swapped and r.status == "pass"
+                       for r in reports[0].records)
+
+    def test_clash_lps_only_certify_failures(self, monkeypatch):
+        """On an inconsistent family every LP runs inside `separate`, and
+        every failing record's certificate re-verifies."""
+        inside = [0]
+        outside = []
+        real = pt.separate
+
+        def separating(*args):
+            inside[0] += 1
+            try:
+                return real(*args)
+            finally:
+                inside[0] -= 1
+
+        def noting(solve):
+            def noting_solve(problem):
+                outside.append(inside[0] == 0)
+                return solve(problem)
+            return noting_solve
+
+        for seed in (5, 61, 62):
+            _, coll = clash_instance(random.Random(seed), 3)
+            outside.clear()
+            with monkeypatch.context() as m:
+                m.setattr(pt, "separate", separating)
+                for module in (pt, credal):
+                    m.setattr(module, "lp_solve", noting(module.lp_solve))
+                reports = validate(coll)
+            failures = [r for report in reports for r in report.failures()]
+            assert failures and outside and not any(outside)
+            for rec in failures:
+                assert verify_witness_certificate(
+                    rec.certificate, comparison_set(coll, rec)
+                )
 
 
 class TestExpectations:

@@ -559,6 +559,31 @@ class TestDiagnose:
             tuple(zip(reps, choice)) for choice in selections[:20]
         ]
 
+    def test_row_combining_a_kept_row_drops_with_no_lp(self, monkeypatch):
+        """x0 + x2 = 0 is the simplex row minus the later row x1 = 1; the
+        simplex row stays, and so does 2 x0 = 1 before it, decided by an
+        LP. The relation basis still holds both when the combined row's
+        turn comes, so rule 2 drops it, with no LP, and the core and its
+        multipliers are the reference's."""
+        simplex = pt.Polytope.simplex(3).hrep
+        kept, combined, later = ((2, 0, 0), 1), ((1, 0, 1), 0), ((0, 1, 0), 1)
+        ineqs = [(row, SIMPLEX_ORIGIN) for row in simplex.ineqs]
+        eqs = [(row, SIMPLEX_ORIGIN) for row in simplex.eqs]
+        eqs += [(kept, ("a",)), (combined, ("b",)), (later, ("c",))]
+        decided = []
+        real = pt._feasible_point
+
+        def recording(h, candidate=None):
+            decided.append(h.eqs)
+            return real(h, candidate)
+
+        monkeypatch.setattr(pt, "_feasible_point", recording)
+        found, diag = assert_matches_reference(monkeypatch, 3, ineqs, eqs)
+        assert found == 1
+        assert [row for row, _, _, _ in diag.rows[3:]] == [(1, 1, 1), kept[0], later[0]]
+        assert (*simplex.eqs, kept, later) not in decided  # combined's own LP
+        assert (*simplex.eqs, combined, later) in decided  # kept's LP
+
     def test_feasible_system_raises(self):
         """No certificate proves a feasible system empty, so the integer
         check of the one passed raises."""

@@ -35,10 +35,12 @@ from oracles import (
     brute_force_vertices,
     dense_pushforward,
     equals,
+    extreme_subset_reference,
     feasible_point_reference,
     fraction_feasible,
     fraction_inverse,
     hrep_contains,
+    hrep_from_points_reference,
     hull_sample_points,
     is_subset_reference,
     matrix_rank,
@@ -138,6 +140,94 @@ class TestConversion:
         )
         q = dd_convert(p)
         assert len(q.hrep.ineqs) == 3
+
+
+HULL_KINDS = (
+    "simplex", "off", "duplicates", "combinations", "collinear", "single", "empty",
+)
+
+
+def hull_case(rng, kind):
+    """(points, dim) of one kind: random points of the probability
+    simplex or off it, points repeated, convex combinations of the points
+    added, points on one line, one point (maybe repeated), or none."""
+    dim = rng.randint(1, 5)
+
+    def some_point():
+        return tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
+
+    def simplex_point():
+        w = [F(rng.randint(0, 4)) for _ in range(dim)]
+        w[rng.randrange(dim)] += 1
+        return tuple(v / sum(w) for v in w)
+
+    count = rng.randint(1, 8)
+    if kind == "simplex":
+        pts = [simplex_point() for _ in range(count)]
+    elif kind == "off":
+        pts = [some_point() for _ in range(count)]
+    elif kind == "duplicates":
+        pick = rng.choice((some_point, simplex_point))
+        pts = [pick() for _ in range(count)]
+        pts += [rng.choice(pts) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(pts)
+    elif kind == "combinations":
+        pick = rng.choice((some_point, simplex_point))
+        pts = [pick() for _ in range(count)]
+        pts += hull_sample_points(rng, pts, rng.randint(1, 5))
+        rng.shuffle(pts)
+    elif kind == "collinear":
+        base, step = some_point(), some_point()
+        pts = [
+            tuple(b + F(rng.randint(-6, 6), rng.randint(1, 3)) * d
+                  for b, d in zip(base, step))
+            for _ in range(count)
+        ]
+    elif kind == "single":
+        pts = [some_point()] * rng.randint(1, 3)
+    else:
+        pts = []
+    return pts, dim
+
+
+class TestHullRoutine:
+    """`_hrep_from_points` matches the LP-per-point references: the same
+    vertices, and the same rows (values, int types and order) as the
+    Fraction-built H-rep of those vertices."""
+
+    def test_matches_references(self):
+        rng = random.Random(401)
+        dropped = {kind: 0 for kind in HULL_KINDS}
+        for i in range(350):
+            kind = HULL_KINDS[i % len(HULL_KINDS)]
+            pts, dim = hull_case(rng, kind)
+            h, verts = pt._hrep_from_points(pts, dim)
+            assert verts == extreme_subset_reference(pts)
+            assert h == hrep_from_points_reference(pts, dim)
+            assert_int_rows(h)
+            dropped[kind] += len(verts) < len(set(pts))
+        # non-vertices occur where they should, and only there
+        assert dropped["combinations"] and dropped["collinear"]
+        assert dropped["single"] == dropped["empty"] == 0
+
+    def test_callers_use_it_with_no_lp(self, monkeypatch):
+        """dd_convert, linear_image, contains_point and the hrep property
+        of a set given by points run no LP; the image carries no H-rep of
+        its own, only its cached canonical form."""
+        rng = random.Random(402)
+        for _ in range(20):
+            pts, dim = hull_case(rng, rng.choice(("simplex", "combinations")))
+            ref = extreme_subset_reference(pts)
+            with monkeypatch.context() as m:
+                m.setattr(pt, "lp_solve", None)  # any LP would fail
+                p = Polytope.from_points(pts, dim=dim)
+                assert dd_convert(p).points == ref
+                for x in pts + [tuple(F(1) for _ in range(dim))]:
+                    assert contains_point(p, x) == hrep_contains(dd_convert(p).hrep, x)
+                image = linear_image(tuple(range(dim)), p, dim)
+                assert image.points == ref and image._hrep is None
+                assert image._converted.hrep == dd_convert(p).hrep
+                assert p.hrep is dd_convert(p).hrep
 
 
 def dense(idx, size):
@@ -501,7 +591,7 @@ class TestEliminationParity:
         def run():
             out = []
             for pts, dim in point_sets:
-                h = pt._hrep_from_points(pts, dim)
+                h = pt._hrep_from_points(pts, dim)[0]
                 out.append((h, pt._points_from_hrep(h)))
             for h in hreps:
                 try:
@@ -685,9 +775,9 @@ class TestIntegerRows:
         )
         assert made == HRep(2, (((3, -2), 6), ((0, 0), -1)), (((1, -2), -3),))
         rng = random.Random(61)
-        hreps = [made, Polytope.simplex(4).hrep, pt._hrep_from_points((), 3)]
+        hreps = [made, Polytope.simplex(4).hrep, pt._hrep_from_points((), 3)[0]]
         for pts, dim in random_point_sets(rng, 30):
-            hreps.append(pt._hrep_from_points(pts, dim))
+            hreps.append(pt._hrep_from_points(pts, dim)[0])
         for h in hreps:
             assert_int_rows(h)
 
