@@ -13,14 +13,22 @@ back onto the equality rows it eliminated.
 
 A system's rows are int tuples with int rhs (`polytope.HRep`);
 Fractions remain at the edges: parsed input, points, LP values and
-certificates. `lp_solve` puts each row of an `LpProblem` once over its
-least common denominator (an int row stays as it is). An equality row
-whose full row depends on the equality rows before it is then dropped:
-it holds wherever they do, and an inconsistent row is independent, so
-the kernel still proves infeasibility. The kernel's columns (free
-variables split, slacks, sign flips) are built from the kept rows, and
-the returned point or certificate is re-checked against every row with
-integer dot products; a certificate is 0 on the dropped rows.
+certificates. `lp_solve` takes an LP in one of two forms. An
+`LpProblem` has rational rows, and `lp_solve` puts each of them once
+over its least common denominator (an int row stays as it is). An
+`IntLp` comes with its rows already in integers, each [a | b] over one
+positive denominator, from an LP context (`polytope.LpContext`), which
+maps the answer back into its own coordinates. An equality row whose
+full row depends on the equality rows before it is then dropped: it
+holds wherever they do, and an inconsistent row is independent, so the
+kernel still proves infeasibility. The kernel's columns (free variables
+split, slacks, sign flips) are built from the kept rows, and a point
+whose columns are missing or negative is refused. The point or
+certificate of an `LpProblem` is re-checked against every row with
+integer dot products (a certificate is 0 on the dropped rows). That of
+an `IntLp` is handed back unchecked: the context checks it once, in its
+own coordinates, against the rows the reduced rows came from, and that
+check implies this one (the context says why).
 """
 
 from __future__ import annotations
@@ -248,6 +256,8 @@ class LpOutcome:
     inequality rows (with >= rows read in negated, <= form), the combined
     row vanishes on free variables and is nonnegative on sign-constrained
     ones, and the combined rhs equals -1. status "unbounded": flags only.
+    The outcome of an `IntLp` is the kernel's, unchecked and with no
+    value; its caller checks it.
     """
 
     status: str
@@ -256,28 +266,73 @@ class LpOutcome:
     certificate: Optional[tuple] = None
 
 
-def lp_solve(problem: LpProblem) -> LpOutcome:
-    """Exact simplex with Bland's rule; deterministic for fixed input."""
-    n = len(problem.objective)
-    split = [not flag for flag in problem.nonneg]
+@dataclass(frozen=True)
+class IntLp:
+    """An LP handed over in integers, for a caller that maps the answer
+    back into its own coordinates and checks it there.
+
+    Row i is (nums, sense, den): nums = [a | b] are integers, the row
+    a.x (sense) b times den > 0. `objective` holds integers, any positive
+    multiple of the objective (which moves no pivot); `direction` and
+    `nonneg` are read as in `LpProblem`. The kernel sees the same
+    rational rows an `LpProblem` with rows (a/den, sense, b/den) would
+    give it.
+    """
+
+    direction: str
+    objective: tuple
+    rows: tuple
+    nonneg: tuple
+
+
+def lp_solve(problem) -> LpOutcome:
+    """Exact simplex with Bland's rule; deterministic for fixed input.
+
+    An `LpProblem` is put in integers here and its answer checked
+    against every row; an `IntLp` goes to the kernel as it is, and its
+    point (the kernel's columns folded back, free variables as the
+    positive minus the negative column) or Farkas multipliers come back
+    unchecked."""
+    if isinstance(problem, IntLp):
+        return _kernel_answer(problem)
     # Each row once as integers over its least common denominator; the
     # kernel rows and both certificate checks are built from these.
-    ints = [_integer_row([*coeffs, rhs]) for coeffs, _sense, rhs in problem.rows]
+    rows = []
+    for coeffs, sense, rhs in problem.rows:
+        nums, den = _integer_row([*coeffs, rhs])
+        rows.append((nums, sense, den))
     onums, oden = _integer_row(problem.objective)
-    kept = _kept_rows(problem, ints)
+    outcome = _kernel_answer(IntLp(problem.direction, onums, rows, problem.nonneg))
+    if outcome.status == "infeasible":
+        _check_infeasible(rows, problem.nonneg, outcome.certificate)
+    elif outcome.status == "optimal":
+        xnums, xden = _integer_row(outcome.solution)
+        value = Fraction(sum(c * v for c, v in zip(onums, xnums) if v), oden * xden)
+        outcome = LpOutcome("optimal", value=value, solution=outcome.solution)
+        _check_optimal(rows, onums, oden, outcome)
+    return outcome
+
+
+def _kernel_answer(problem: IntLp):
+    """The kernel's answer to `problem` as an LpOutcome with no value.
+    Raises RuntimeError when the kernel's point or witness does not fit
+    the columns or rows it was given."""
+    rows = problem.rows
+    n = len(problem.objective)
+    split = [not flag for flag in problem.nonneg]
+    kept = _kept_rows(rows)
 
     # Column expansion: sign-constrained variables map to one column,
     # free variables split into a positive and a negative part.
     ncols = n + sum(split)
-    slack_cols = sum(1 for i in kept if problem.rows[i][1] != EQ)
+    slack_cols = sum(1 for i in kept if rows[i][1] != EQ)
     width = ncols + slack_cols
     slack_at = ncols
     arows = []
     dens = []
     sigma = []
     for i in kept:
-        sense = problem.rows[i][1]
-        nums, den = ints[i]
+        nums, sense, den = rows[i]
         row = _expand(nums, split)
         row += [0] * slack_cols
         if sense != EQ:
@@ -293,7 +348,7 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
         dens.append(den)
 
     sign = 1 if problem.direction == "min" else -1
-    cvec = [sign * v for v in _expand(onums, split)] + [0] * slack_cols
+    cvec = [sign * v for v in _expand(problem.objective, split)] + [0] * slack_cols
 
     status, xcols, y = _backend.simplex_solve(len(arows), width, arows, dens, cvec)
 
@@ -304,34 +359,35 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
         if len(y) != len(kept):
             raise RuntimeError("kernel returned a witness of the wrong length")
         # back to one entry per problem row, in the rows' own signs
-        dual = [ZERO] * len(problem.rows)
+        dual = [ZERO] * len(rows)
         for i, sg, yi in zip(kept, sigma, y):
             dual[i] = sg * yi
-        certificate = _farkas_from_dual(problem, dual)
-        outcome = LpOutcome("infeasible", certificate=certificate)
-        _check_infeasible(problem, ints, certificate)
-        return outcome
+        return LpOutcome("infeasible", certificate=_farkas_from_dual(rows, dual))
 
+    if len(xcols) < ncols:
+        raise RuntimeError("kernel returned a point of the wrong length")
+    if any(v.numerator < 0 for v in xcols[:ncols]):
+        raise RuntimeError("kernel returned a negative sign-constrained column")
+    solution = []
     cols = iter(xcols)
-    solution = tuple(
-        next(cols) - next(cols) if free else next(cols) for free in split
-    )
-    xnums, xden = _integer_row(solution)
-    value = Fraction(sum(c * v for c, v in zip(onums, xnums) if v), oden * xden)
-    outcome = LpOutcome("optimal", value=value, solution=solution)
-    _check_optimal(problem, ints, outcome)
-    return outcome
+    for free in split:
+        v = next(cols)
+        if free:
+            neg = next(cols)
+            if neg:
+                v -= neg
+        solution.append(v)
+    return LpOutcome("optimal", solution=tuple(solution))
 
 
-def _kept_rows(problem, ints):
+def _kept_rows(rows):
     """Indices of the rows the kernel sees: every inequality row, and
     each equality row independent of the equality rows kept before it."""
-    eqs = [i for i, (_coeffs, sense, _rhs) in enumerate(problem.rows) if sense == EQ]
-    keep = {eqs[k] for k in echelon([ints[i][0] for i in eqs])[0]}
-    return [
-        i for i, (_coeffs, sense, _rhs) in enumerate(problem.rows)
-        if sense != EQ or i in keep
-    ]
+    eqs = [i for i, (_nums, sense, _den) in enumerate(rows) if sense == EQ]
+    if not eqs:
+        return range(len(rows))
+    keep = {eqs[k] for k in echelon([rows[i][0] for i in eqs])[0]}
+    return [i for i, (_nums, sense, _den) in enumerate(rows) if sense != EQ or i in keep]
 
 
 def _integer_row(values):
@@ -353,40 +409,39 @@ def _expand(nums, split):
     return row
 
 
-def _farkas_from_dual(problem, dual):
+def _farkas_from_dual(rows, dual):
     """Map the phase-1 dual (one entry per row, in the row's own sign)
     onto per-row multipliers, <= normalized.
 
     Scaled so the combined rhs is exactly -1.
     """
-    mult = [
-        yi if sense == GE else -yi
-        for (_coeffs, sense, _rhs), yi in zip(problem.rows, dual)
-    ]
+    mult = [yi if sense == GE else -yi for (_nums, sense, _den), yi in zip(rows, dual)]
     gap = ZERO
-    for (coeffs, sense, rhs), cm in zip(problem.rows, mult):
-        gap += cm * (-rhs if sense == GE else rhs)
+    for (nums, sense, den), cm in zip(rows, mult):
+        if cm:
+            gap += cm * Fraction(-nums[-1] if sense == GE else nums[-1], den)
     if gap >= 0:
         raise RuntimeError("kernel returned an invalid infeasibility witness")
     scale = -ONE / gap
     return tuple(cm * scale for cm in mult)
 
 
-def _check_infeasible(problem, ints, certificate):
-    """Re-verify a Farkas certificate on the integer rows.
+def _check_infeasible(rows, nonneg, certificate):
+    """Re-verify a Farkas certificate on integer rows.
 
-    ints[i] = (nums, den) is problem row i, coefficients then rhs, as
-    integers over den (`_integer_row`; den is 1 for a row of ints).
-    Multiplier i becomes the integer weight cm_i * mden * (rden / den_i),
-    with mden the lcm of the multipliers' denominators and rden that of
-    the weighted rows'; the combined row is then the true one times
-    mden * rden > 0, so every sign condition reads the same.
+    rows[i] = (nums, sense, den) is row i, coefficients then rhs, as
+    integers over den (as in `IntLp`; den is 1 for a row of ints), and
+    nonneg[j] tells whether x_j >= 0. Multiplier i becomes the integer
+    weight cm_i * mden * (rden / den_i), with mden the lcm of the
+    multipliers' denominators and rden that of the weighted rows'; the
+    combined row is then the true one times mden * rden > 0, so every
+    sign condition reads the same.
     """
-    n = len(problem.objective)
+    n = len(nonneg)
     mden = lcm(*[cm.denominator for cm in certificate])
     weighted = [
         (sense, nums, cm, den)
-        for (_, sense, _), (nums, den), cm in zip(problem.rows, ints, certificate)
+        for (nums, sense, den), cm in zip(rows, certificate)
         if cm
     ]
     rden = lcm(*[den for *_, den in weighted])
@@ -399,7 +454,7 @@ def _check_infeasible(problem, ints, certificate):
             w = -w
         combined = [s + w * v for s, v in zip(combined, nums)]
     for j in range(n):
-        if problem.nonneg[j]:
+        if nonneg[j]:
             if combined[j] < 0:
                 raise RuntimeError("combined row negative on a nonneg variable")
         elif combined[j] != 0:
@@ -408,27 +463,25 @@ def _check_infeasible(problem, ints, certificate):
         raise RuntimeError("combined rhs not violated")
 
 
-def _check_optimal(problem, ints, outcome):
+def _check_optimal(rows, onums, oden, outcome):
     """Re-verify an optimal point on the integer rows.
 
-    ints[i] = (nums, den) is problem row i as `_check_infeasible` reads
-    it: nums = [a | b], the row times den > 0. With x = xnums / xden, the
-    row holds at x exactly when a . xnums compares with b * xden the same
-    way.
+    rows[i] = (nums, sense, den) is row i as `_check_infeasible` reads
+    it: nums = [a | b], the row times den > 0, and the objective is
+    onums / oden. With x = xnums / xden, the row holds at x exactly when
+    a . xnums compares with b * xden the same way. (The kernel's columns
+    were checked >= 0 as they came back, which covers every
+    sign-constrained variable.)
     """
-    n = len(problem.objective)
+    n = len(onums)
     xnums, xden = _integer_row(outcome.solution)
-    for j, flag in enumerate(problem.nonneg):
-        if flag and xnums[j] < 0:
-            raise RuntimeError("negative value for a sign-constrained variable")
     support = [(j, v) for j, v in enumerate(xnums) if v]
-    for (_coeffs, sense, _rhs), (nums, _den) in zip(problem.rows, ints):
+    for nums, sense, _den in rows:
         lhs = sum(nums[j] * v for j, v in support)
         rhs = nums[n] * xden
         ok = lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs
         if not ok:
             raise RuntimeError("reported solution violates a constraint")
-    onums, oden = _integer_row(problem.objective)
     value = outcome.value
     if sum(onums[j] * v for j, v in support) * value.denominator != (
         value.numerator * oden * xden

@@ -366,7 +366,8 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
 
     def check(keep, weight):
         _check_infeasible(
-            problem(keep), [([*rows[i][0], rows[i][2]], 1) for i in keep],
+            [([*rows[i][0], rows[i][2]], rows[i][1], 1) for i in keep],
+            (False,) * dim,
             [weight[i] for i in keep],
         )
 

@@ -24,8 +24,9 @@ a point is decided in the same coordinates by one routine,
 other rows added) and the joint set's reachability of a vertex (the
 pushforward rows added) both go through it. A violated row constant on
 the hull, or an origin that satisfies every row, decides it with no LP;
-otherwise one phase 1 runs over the d free directions. Each answer and
-certificate is mapped back and checked against the original rows.
+otherwise one phase 1 runs over the d free directions. The kernel gets
+the reduced rows as integers, and each answer and certificate is mapped
+back and checked once, in integers, against the original rows.
 
 Redundancy removal keeps a row iff dropping it changes the set, probing
 the rows in order by LP. When it is given points whose hull holds the
@@ -55,10 +56,9 @@ from credalkit.exactq import (
     ONE,
     ZERO,
     DimensionError,
-    LpOutcome,
+    IntLp,
     LpProblem,
     _check_infeasible,
-    _check_optimal,
     _content_free,
     _integer_row,
     dot,
@@ -307,9 +307,7 @@ def _feasible_point(h: HRep, candidate=None):
         _, kept = echelon([[*e, f] for e, f in h.eqs], combine=True)
         _, red, comb = next(k for k in kept if k[0] == dim)
         certificate = tuple([ZERO] * len(h.ineqs) + [-c / red[dim] for c in comb])
-        _check_infeasible(
-            *_system_lp(dim, tuple([ZERO] * dim), h.ineqs, h.eqs), certificate
-        )
+        _check_farkas(dim, h.ineqs, h.eqs, certificate)
         return None, certificate
     if candidate is not None:
         moved = ctx.moved(candidate)
@@ -323,24 +321,27 @@ def _feasible_point(h: HRep, candidate=None):
 
 def _unit_bound(zrow):
     """k when the reduced row reads -c z_k <= 0 with c > 0, else None."""
-    coeffs, _, slack = zrow
+    coeffs, slack = zrow
     support = [k for k, v in enumerate(coeffs) if v]
     if slack or len(support) != 1 or coeffs[support[0]] > 0:
         return None
     return support[0]
 
 
-def _system_lp(dim, f, ineqs, eqs, extra=()):
-    """The LP of f, every variable free, over the integer rows `ineqs`
-    (a.x <= b) and `eqs` and the rational equality rows `extra`, with
-    its rows as `exactq`'s checks read them: (nums, den) with nums the
-    row [a | b] over den."""
-    rows = [(a, LE, b) for a, b in ineqs] + [(e, EQ, g) for e, g in eqs]
-    ints = [([*a, b], 1) for a, b in chain(ineqs, eqs)]
-    for e, g in extra:
-        rows.append((e, EQ, g))
-        ints.append(_integer_row([*e, g]))
-    return LpProblem("max", f, tuple(rows), (False,) * dim), ints
+def _check_farkas(dim, ineqs, eqs, certificate):
+    """`exactq._check_infeasible` with every variable free, on the rows
+    the certificate weights: inequality rows (a, b) read a.x <= b, then
+    equality rows (e, f), a and e integer rows and f rational."""
+    rows = chain(((a, LE, b) for a, b in ineqs), ((e, EQ, f) for e, f in eqs))
+    weighted = []
+    mults = []
+    for (a, sense, b), cm in zip(rows, certificate):
+        if cm:
+            den = b.denominator
+            nums = [*a, b] if den == 1 else [*(v * den for v in a), b.numerator]
+            weighted.append((nums, sense, den))
+            mults.append(cm)
+    _check_infeasible(weighted, (False,) * dim, mults)
 
 
 def _row_at(a, xnums):
@@ -377,40 +378,51 @@ class LpContext:
 
     The equality rows E x = e leave the affine hull origin + N z, where
     `origin` is a point of the set and the columns of N (`basis`) are
-    primitive integer nullspace vectors of E. Each inequality row
-    a.x <= b becomes the row (a.N) z <= b - a.origin over free z, reduced
-    once in integers (`eliminated`); its rhs is >= 0 because the origin
-    is feasible, so the kernel starts every LP from the slack basis, with
-    no artificials and no phase 1. Moving the origin (`moved`) re-reads
-    only the rhs. A row with a.N = 0 is constant on the hull and takes no
-    part. An LP may use any subset of the inequality rows (redundancy
-    removal drops them one at a time).
+    primitive integer nullspace vectors of E. Everything is held in
+    integers over the origin's denominator `oden` (origin = onums / oden):
+    each inequality row a.x <= b becomes the row (a.N) z <= s / oden over
+    free z, kept as (a.N, s) with s = b * oden - a.onums; s >= 0 because
+    the origin is feasible, so the kernel starts every LP from the slack
+    basis, with no artificials and no phase 1. Moving the origin
+    (`moved`) re-reads only s. A row with a.N = 0 is constant on the hull
+    and takes no part. An LP may use any subset of the inequality rows
+    (redundancy removal drops them one at a time).
 
     `decide` is the one feasibility decision: whether the system, with
     equality rows added (reduced through the same N), has a point. It
     also runs on the context `eliminated` returns before any point is
     known, whose origin may violate rows.
 
-    Every answer is mapped back and checked in integers against the
-    H-rep's own rows (`ineqs`, `eqs`): an optimal z gives x = origin + N z,
-    and an infeasibility certificate y on the reduced rows gives
-    multipliers on the original rows once the part of y.A in the row
-    space of E is written as w.E (`exactq.echelon` with `combine`); the
-    certificate is then (y, -w).
+    The kernel gets each reduced row as the integers [(a.N) oden | s]
+    over oden, the rational row it always saw. Its answer z is mapped
+    back to x = origin + N z as integer numerators over one denominator
+    and checked once, against the H-rep's own rows (`ineqs`, `eqs`): the
+    rows the LP used, the equality rows and any added ones, each value
+    a.x an integer dot product (`_row_at`). That check implies the one in
+    z: in integers, a.(origin + N z) <= b is the same inequality as
+    (a.N) z <= b - a.origin, and E N = 0. An infeasibility certificate y
+    on the reduced rows gives multipliers on the original rows once the
+    part of y.A in the row space of E is written as w.E
+    (`exactq.echelon` with `combine`, once per context); the certificate
+    is then (y, -w), checked in integers on those rows.
     """
 
     __slots__ = ("dim", "origin", "onums", "oden", "basis", "ineqs", "zrows",
-                 "live", "eqs")
+                 "live", "eqs", "_combos")
 
-    def __init__(self, dim, origin, basis, ineqs, zrows, eqs):
+    def __init__(self, dim, origin, basis, ineqs, eqs):
+        """The context at `origin`, a solution of the equality rows `eqs`,
+        with every inequality row (a, b) of `ineqs` reduced there."""
         self.dim = dim
         self.origin = origin
-        self.onums, self.oden = _integer_row(origin)
+        self.onums, self.oden = onums, oden = _integer_row(origin)
         self.basis = basis
         self.ineqs = ineqs  # the H-rep's rows (a, b): a.x <= b
-        self.zrows = zrows  # per row, (a.N, "<=", b - a.origin)
-        self.live = [any(coeffs) for coeffs, _, _ in zrows]  # a.N != 0
         self.eqs = eqs  # the H-rep's rows (e, f): e.x = f
+        # per row, (a.N, s): (a.N) z <= s / oden
+        self.zrows = [(self._reduce(a), b * oden - _row_at(a, onums)) for a, b in ineqs]
+        self.live = [any(coeffs) for coeffs, _ in self.zrows]  # a.N != 0
+        self._combos = None  # `echelon` with `combine` on the equality rows
 
     @classmethod
     def eliminated(cls, hrep: HRep):
@@ -425,12 +437,14 @@ class LpContext:
             return None
         x0, nullspace, _ = solved
         basis = tuple(_primitive_int(v) for v in nullspace)
-        ctx = cls(dim, x0, basis, hrep.ineqs, [], hrep.eqs)
-        for a, b in hrep.ineqs:
-            coeffs, at_origin = ctx._reduce(a)
-            ctx.zrows.append((coeffs, LE, b - at_origin))
-            ctx.live.append(any(coeffs))
-        return ctx
+        return cls(dim, x0, basis, hrep.ineqs, hrep.eqs)
+
+    def _replace(self, **fields):
+        """A copy with some fields replaced."""
+        out = object.__new__(LpContext)
+        for name in LpContext.__slots__:
+            setattr(out, name, fields[name] if name in fields else getattr(self, name))
+        return out
 
     def moved(self, origin):
         """The same context with `origin`, each row's slack re-read there
@@ -440,30 +454,25 @@ class LpContext:
         if any(_row_at(e, onums) != f * oden for e, f in self.eqs):
             return None
         zrows = []
-        for (coeffs, _, _), (a, b) in zip(self.zrows, self.ineqs):
+        for (coeffs, _), (a, b) in zip(self.zrows, self.ineqs):
             slack = b * oden - _row_at(a, onums)
             if slack < 0:
                 return None
-            zrows.append((coeffs, LE, Fraction(slack, oden)))
-        return LpContext(self.dim, origin, self.basis, self.ineqs, zrows, self.eqs)
+            zrows.append((coeffs, slack))
+        return self._replace(origin=origin, onums=onums, oden=oden, zrows=zrows)
 
     def _reduce(self, a):
-        """(a.N, a.origin) for the integer row a: an int tuple and a
-        Fraction."""
+        """a.N for the integer row a, an int tuple."""
         support = [(j, v) for j, v in enumerate(a) if v]
-        coeffs = tuple(sum(v * vec[j] for j, v in support) for vec in self.basis)
-        onums = self.onums
-        at_origin = Fraction(sum(v * onums[j] for j, v in support), self.oden)
-        return coeffs, at_origin
+        return tuple(sum(v * vec[j] for j, v in support) for vec in self.basis)
 
     def restrict(self, keep):
         """The context of the same system with only the inequality rows
         `keep`: same origin and basis, a subset of the reduced rows."""
-        return LpContext(
-            self.dim, self.origin, self.basis,
-            tuple(self.ineqs[i] for i in keep),
-            [self.zrows[i] for i in keep],
-            self.eqs,
+        return self._replace(
+            ineqs=tuple(self.ineqs[i] for i in keep),
+            zrows=[self.zrows[i] for i in keep],
+            live=[self.live[i] for i in keep],
         )
 
     def maximize(self, f, keep=None):
@@ -471,38 +480,40 @@ class LpContext:
         all) and the equality rows. Returns (status, value, argmax).
 
         The LP runs on f times the lcm of its denominators, which moves
-        no pivot; its value is scaled back."""
+        no pivot; the value is read off the argmax in integers."""
         keep = range(len(self.ineqs)) if keep is None else keep
         fnums, fden = _integer_row(f)
-        fz, at_origin = self._reduce(fnums)
+        fz = self._reduce(fnums)
+        oden = self.oden
         if not any(fz):
-            return "optimal", at_origin / fden, self.origin
-        rows = [self.zrows[i] for i in keep if self.live[i]]
-        nonneg = (False,) * len(fz)
-        outcome = lp_solve(LpProblem("max", fz, tuple(rows), nonneg))
+            return "optimal", Fraction(_row_at(fnums, self.onums), fden * oden), self.origin
+        zrows, live = self.zrows, self.live
+        rows = tuple(
+            ([*(v * oden for v in zrows[i][0]), zrows[i][1]], LE, oden)
+            for i in keep if live[i]
+        )
+        outcome = lp_solve(IntLp("max", fz, rows, (False,) * len(fz)))
         if outcome.status == "infeasible":
             raise RuntimeError("LP over a feasible context reported infeasible")
         if outcome.status != "optimal":
             return outcome.status, None, None
-        x = self._point(outcome.solution)
-        value = (at_origin + outcome.value) / fden
-        _check_optimal(
-            *_system_lp(self.dim, f, [self.ineqs[i] for i in keep], self.eqs),
-            LpOutcome("optimal", value, x),
-        )
-        return "optimal", value, x
+        xnums, xden = self._point(*_integer_row(outcome.solution))
+        self._check_point(xnums, xden, keep)
+        value = Fraction(_row_at(fnums, xnums), fden * xden)
+        return "optimal", value, tuple(Fraction(v, xden) for v in xnums)
 
     def decide(self, eqs=()):
         """Whether some point of the system also satisfies the equality
-        rows `eqs`, each (e, f) read e.x = f with e an integer row.
-        Returns (x, None) with such a point x, or (None, certificate):
-        Farkas multipliers on the inequality rows, the equality rows and
-        then `eqs`, checked in integers against all of them with every
-        variable free.
+        rows `eqs`, each (e, f) read e.x = f with e an integer row and f
+        rational. Returns (x, None) with such a point x, or
+        (None, certificate): Farkas multipliers on the inequality rows,
+        the equality rows and then `eqs`, checked in integers against all
+        of them with every variable free.
 
         The origin may violate inequality rows, as `eliminated` leaves
         it. Each row of `eqs` is reduced through N like the others, to
-        (e.N) z = f - e.origin. Then:
+        (e.N) z = f - e.origin, in integers over the denominator of f
+        times oden. Then:
         - a violated row that is constant on the hull (a.N = 0, negative
           slack), or with d = 0 free directions a violated row of `eqs`,
           is the certificate; no LP;
@@ -512,31 +523,38 @@ class LpContext:
           -c z_k <= 0 (c > 0), as a row x_j >= 0 on a free column of the
           equality rows reduces where the origin has x_j = 0, enters as
           the bound z_k >= 0, so it adds no row and z_k is not split.
-          Its point is mapped back and checked. Its certificate y gives
-          the first bound row of each bounded z_k the combined row's
-          entry there (>= 0) over c.
+          Its point is mapped back and checked against every row. Its
+          certificate y gives the first bound row of each bounded z_k
+          the combined row's entry there (>= 0) over c.
         A certificate y on the reduced rows becomes (y, -w, y on `eqs`),
         with w.E = y.A the part on the equality rows (`_eq_part`).
         """
-        zrows = self.zrows
-        rows = list(zrows)  # the reduced rows, then those of `eqs`
+        if any(v.denominator != 1 for e, _ in eqs for v in e):
+            raise DimensionError("decide takes integer rows e")
+        eqs = [([v.numerator for v in e], f) for e, f in eqs]  # ints, as H-rep rows
+        zrows, oden, onums = self.zrows, self.oden, self.onums
+        added = []  # per row of eqs: (e.N, r, den), read (e.N) z = r / den
         for e, f in eqs:
-            coeffs, at_origin = self._reduce(e)
-            rows.append((coeffs, EQ, f - at_origin))
-        added = range(len(zrows), len(rows))
-        y = [ZERO] * len(rows)
+            fden = f.denominator
+            added.append(
+                (self._reduce(e), f.numerator * oden - _row_at(e, onums) * fden,
+                 fden * oden)
+            )
+        n = len(zrows)
+        y = [ZERO] * (n + len(added))
         bad = next(
-            (i for i, (_, _, slack) in enumerate(zrows)
-             if slack < 0 and not self.live[i]),
+            (i for i, (_, slack) in enumerate(zrows) if slack < 0 and not self.live[i]),
             None,
         )
+        bad_eq = None
         if bad is None and not self.basis:
-            bad = next((i for i in added if rows[i][2]), None)
+            bad_eq = next((k for k, (_, r, _) in enumerate(added) if r), None)
         if bad is not None:
-            y[bad] = -ONE / rows[bad][2]
-        elif all(slack >= 0 for _, _, slack in zrows) and not any(
-            rows[i][2] for i in added
-        ):
+            y[bad] = Fraction(-oden, zrows[bad][1])
+        elif bad_eq is not None:
+            _, r, den = added[bad_eq]
+            y[n + bad_eq] = Fraction(-den, r)
+        elif all(slack >= 0 for _, slack in zrows) and not any(r for _, r, _ in added):
             return self.origin, None
         else:
             d = len(self.basis)
@@ -548,42 +566,59 @@ class LpContext:
                     live.append(i)
                 else:
                     bound_at.setdefault(k, i)
-            live += added
-            outcome = lp_solve(LpProblem(
-                "min", tuple([ZERO] * d), tuple(rows[i] for i in live),
-                tuple(k in bound_at for k in range(d)),
+            rows = [([*(v * oden for v in zrows[i][0]), zrows[i][1]], LE, oden)
+                    for i in live]
+            rows += [([*(v * den for v in coeffs), r], EQ, den) for coeffs, r, den in added]
+            outcome = lp_solve(IntLp(
+                "min", (0,) * d, tuple(rows), tuple(k in bound_at for k in range(d)),
             ))
             if outcome.status == "optimal":
-                x = self._point(outcome.solution)
-                _check_optimal(*self._all_free(eqs), LpOutcome("optimal", ZERO, x))
-                return x, None
+                xnums, xden = self._point(*_integer_row(outcome.solution))
+                self._check_point(xnums, xden, range(n), eqs)
+                return tuple(Fraction(v, xden) for v in xnums), None
+            live += range(n, len(y))
+            reduced = [zrows[i][0] for i in range(n)] + [c for c, _, _ in added]
             for i, cm in zip(live, outcome.certificate):
                 y[i] = cm
             # the combined row is >= 0 at a bounded z_k; its first bound
             # row takes the weight that clears it
             for k, i in bound_at.items():
-                combined = sum((y[r] * rows[r][0][k] for r in live if y[r]), ZERO)
+                combined = sum((y[r] * reduced[r][k] for r in live if y[r]), ZERO)
                 y[i] = combined / -zrows[i][0][k]
-        n = len(zrows)
         certificate = (
             *y[:n],
             *self._eq_part(y, [a for a, _ in self.ineqs] + [e for e, _ in eqs]),
             *y[n:],
         )
-        _check_infeasible(*self._all_free(eqs), certificate)
+        _check_farkas(self.dim, self.ineqs, (*self.eqs, *eqs), certificate)
         return None, certificate
 
-    def _all_free(self, eqs):
-        """The system with the equality rows `eqs` added, every variable
-        free, as `exactq`'s checks read it."""
-        return _system_lp(self.dim, tuple([ZERO] * self.dim), self.ineqs, self.eqs, eqs)
-
-    def _point(self, z):
-        x = list(self.origin)
-        for zk, vec in zip(z, self.basis):
+    def _point(self, znums, zden):
+        """x = origin + N z for z = znums / zden, as integer numerators
+        over oden * zden."""
+        oden = self.oden
+        x = [v * zden for v in self.onums]
+        for zk, vec in zip(znums, self.basis):
             if zk:
+                zk *= oden
                 x = [xj + zk * v for xj, v in zip(x, vec)]
-        return tuple(x)
+        return x, oden * zden
+
+    def _check_point(self, xnums, xden, keep, eqs=()):
+        """Check the point xnums / xden against the inequality rows
+        `keep`, the equality rows and the equality rows `eqs` (rational
+        rhs), in integers. Each row is summed over the point's nonzero
+        entries: an LP's point is a vertex, with few of them, while a
+        joint set can have thousands of equality rows."""
+        support = [(j, v) for j, v in enumerate(xnums) if v]
+        ineqs = self.ineqs
+        for i in keep:
+            a, b = ineqs[i]
+            if sum(a[j] * v for j, v in support) > b * xden:
+                raise RuntimeError("reported solution violates a constraint")
+        for e, f in chain(self.eqs, eqs):
+            if sum(e[j] * v for j, v in support) * f.denominator != f.numerator * xden:
+                raise RuntimeError("reported solution violates a constraint")
 
     def _eq_part(self, mults, rows):
         """The equality rows' part -w of a certificate whose multipliers
@@ -597,10 +632,13 @@ class LpContext:
 
     def _eq_weights(self, u):
         """Weights w on the equality rows with w.E = u, for u in the row
-        space of E (a u outside it leaves the certificate check to fail)."""
+        space of E (a u outside it leaves the certificate check to fail).
+        The combinations behind E's echelon rows are computed once per
+        context."""
+        if self._combos is None:
+            self._combos = echelon([[*e, f] for e, f in self.eqs], combine=True)[1]
         w = [ZERO] * len(self.eqs)
-        kept = echelon([[*e, f] for e, f in self.eqs], combine=True)[1]
-        for col, red, comb in kept:
+        for col, red, comb in self._combos:
             t = u[col] / red[col]
             if t:
                 w = [s + t * c for s, c in zip(w, comb)]
@@ -619,21 +657,23 @@ def _extreme_rays(rows, dim):
     """Extreme rays of the pointed cone {z : r.z <= 0 for r in rows}.
 
     `rows` are integer tuples. Raises UnboundedError when the cone has a
-    lineality space (rank below dim). Returns primitive integer rays.
+    lineality space (rank below dim). Returns the primitive integer rays
+    and, for each, the bitmask of the rows it is tight on (bit i for
+    rows[i]): the zero masks the adjacency test keeps.
     """
     init = echelon(rows)[0]
     if len(init) < dim:
         raise UnboundedError("cone is not pointed")
     rays = _initial_rays([rows[i] for i in init])
-    # zero set bit t <-> the t-th processed row; ray j is tight on every
-    # initial row except the j-th
-    full = (1 << dim) - 1
-    zmask = [full & ~(1 << j) for j in range(dim)]
+    # zero set bit i <-> rows[i]; ray j is tight on every initial row
+    # except the j-th
+    full = sum(1 << i for i in init)
+    zmask = [full & ~(1 << i) for i in init]
 
-    order = list(init) + [i for i in range(len(rows)) if i not in set(init)]
-    for t in range(dim, len(order)):
-        row = rows[order[t]]
-        bit = 1 << t
+    taken = set(init)
+    for r in (r for r in range(len(rows)) if r not in taken):
+        row = rows[r]
+        bit = 1 << r
         vals = [sum(a * b for a, b in zip(row, ray)) for ray in rays]
         keep_rays = []
         keep_mask = []
@@ -671,7 +711,7 @@ def _extreme_rays(rows, dim):
                 new_mask.append(zpn | bit)
         rays = keep_rays + new_rays
         zmask = keep_mask + new_mask
-    return rays
+    return rays, zmask
 
 
 def _initial_rays(m):
@@ -706,9 +746,10 @@ def _points_from_hrep(hrep: HRep) -> tuple:
     if ctx is None:
         return ()
     cone_rows = []
-    for (coeffs, _, slack), live in zip(ctx.zrows, ctx.live):
+    oden = ctx.oden
+    for (coeffs, slack), live in zip(ctx.zrows, ctx.live):
         if live:
-            cone_rows.append(_primitive_int([*coeffs, -slack]))
+            cone_rows.append(tuple(_content_free([*(v * oden for v in coeffs), -slack])))
         elif slack < 0:
             return ()
     d = len(ctx.basis)
@@ -716,7 +757,7 @@ def _points_from_hrep(hrep: HRep) -> tuple:
         return (ctx.origin,)
     cone_rows.append((0,) * d + (-1,))
     try:
-        rays = _extreme_rays(cone_rows, d + 1)
+        rays, _ = _extreme_rays(cone_rows, d + 1)
     except UnboundedError:
         # rank deficiency also occurs for some empty systems: decide by LP
         if _feasible_point(hrep)[0] is None:
@@ -727,7 +768,8 @@ def _points_from_hrep(hrep: HRep) -> tuple:
         t = ray[d]
         if t == 0:
             raise UnboundedError("H-representation describes an unbounded set")
-        verts.add(ctx._point([Fraction(v, t) for v in ray[:d]]))
+        xnums, xden = ctx._point(ray[:d], t)
+        verts.add(tuple(Fraction(v, xden) for v in xnums))
     return tuple(sorted(verts))
 
 
@@ -741,8 +783,12 @@ def _hrep_from_points(points, dim):
     vector w of the differences. In the coordinates u = (x - v0) at the
     pivot columns of the differences (r of them, the affine dimension),
     each extreme ray y of the cone {y : y.(u, 1) <= 0 at every point}
-    (double description) is a facet row, and a point is a vertex iff
-    the rays tight at it have rank r (`echelon`). Rows come out in the
+    (double description) is a facet row, and its zero mask names the
+    points on that facet. A point p is a vertex iff the facets through
+    it meet in p alone, that is, iff no other point lies on every facet
+    through p: a vertex is the intersection of its facets, and any other
+    point lies in the relative interior of a face whose vertices, also
+    among the points, lie on every facet through it. Rows come out in the
     canonical form `HRep.make` gives: inequality rows in the order of
     (coeffs, coeffs.v0 - y_t), equality rows in the order of w when
     r > 0.
@@ -764,7 +810,7 @@ def _hrep_from_points(points, dim):
     if r == 0:
         return HRep(dim, (), tuple(eqs)), (pts[0],)
     gens = [_content_free([*(x[k] - x0[k] for k in pivots), den]) for x in xs]
-    facets = _extreme_rays(gens, r + 1)
+    facets, tight = _extreme_rays(gens, r + 1)
     keyed = []  # (coeffs, den * (coeffs.v0 - y_t))
     for y in facets:
         coeffs = [0] * dim
@@ -772,11 +818,17 @@ def _hrep_from_points(points, dim):
             coeffs[pk] = y[k]
         keyed.append((tuple(coeffs), _row_at(coeffs, x0) - y[r] * den))
     ineqs = tuple(_row_over(a, b, den) for a, b in sorted(keyed))
-    verts = tuple(
-        x for x, g in zip(pts, gens)
-        if len(echelon([y for y in facets if not _row_at(y, g)])[0]) == r
-    )
-    return HRep(dim, ineqs, tuple(eqs)), verts
+    verts = []
+    for i, x in enumerate(pts):
+        # the points on every facet through x are x alone
+        bit = 1 << i
+        common = -1
+        for mask in tight:
+            if mask & bit:
+                common &= mask
+        if common == bit:
+            verts.append(x)
+    return HRep(dim, ineqs, tuple(eqs)), tuple(verts)
 
 
 def _row_over(a, b, den):

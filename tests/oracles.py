@@ -40,6 +40,12 @@ the program.
 the original coordinates, the unit rows -x_j <= 0 taken as bounds, with
 its certificate mapped back to one multiplier per row.
 
+`context_maximize_reference` and `context_decide_reference` are the
+references for `credalkit.polytope.LpContext.maximize` and `.decide`:
+the same LPs over the context's origin and basis, with the reduced rows
+built in Fractions and handed to `lp_solve` as an `LpProblem` (whose
+answer it checks in z), and the answer mapped back in Fractions.
+
 `extreme_subset_reference` and `hrep_from_points_reference` are the
 references for `credalkit.polytope._hrep_from_points`: the vertices
 found by one hull LP per point (`_hull_membership` over the points kept
@@ -74,6 +80,7 @@ from credalkit.exactq import (
     _check_infeasible,
     _integer_row,
     dot,
+    echelon,
     lp_solve,
     qvec,
     solve_rows,
@@ -329,11 +336,98 @@ def feasible_point_reference(p):
         combined = sum((y * rows[k][0][j] for k, y in support), ZERO)
         certificate[i] = combined / -h.ineqs[i][0][j]
     _check_infeasible(
-        LpProblem("min", zero, tuple(every), (False,) * dim),
-        [([*a, b], 1) for a, b in (*h.ineqs, *h.eqs)],
-        certificate,
+        [([*a, b], sense, 1) for a, sense, b in every], (False,) * dim, certificate
     )
     return "infeasible", None, tuple(certificate)
+
+
+def _context_rows(ctx):
+    """The context's inequality rows reduced in Fractions, one
+    (a.N, "<=", b - a.origin) per row."""
+    rows = []
+    for a, b in ctx.ineqs:
+        coeffs = tuple(dot(a, vec) for vec in ctx.basis)
+        rows.append((coeffs, LE, b - dot(a, ctx.origin)))
+    return rows
+
+
+def _context_point(ctx, z):
+    """origin + N z, in Fractions."""
+    x = list(ctx.origin)
+    for zk, vec in zip(z, ctx.basis):
+        x = [xj + zk * v for xj, v in zip(x, vec)]
+    return tuple(x)
+
+
+def context_maximize_reference(ctx, f, keep=None):
+    """(status, value, argmax) of max f.x over the context's rows `keep`
+    (default: all): the rows with a.N != 0 as an LpProblem over free z."""
+    keep = range(len(ctx.ineqs)) if keep is None else keep
+    rows = _context_rows(ctx)
+    fz = tuple(dot(f, vec) for vec in ctx.basis)
+    at_origin = dot(f, ctx.origin)
+    if not any(fz):
+        return "optimal", at_origin, ctx.origin
+    lp_rows = tuple(rows[i] for i in keep if any(rows[i][0]))
+    out = lp_solve(LpProblem("max", fz, lp_rows, (False,) * len(fz)))
+    if out.status != "optimal":
+        return out.status, None, None
+    return "optimal", at_origin + out.value, _context_point(ctx, out.solution)
+
+
+def context_decide_reference(ctx, eqs=()):
+    """(x, None) or (None, certificate) for the context's system plus the
+    equality rows `eqs`, decided as `LpContext.decide` documents: a
+    violated constant row (or, with no free direction, a violated row
+    of `eqs`) is the certificate, a feasible origin is the point, and
+    otherwise one LP runs, the rows -c z_k <= 0 taken as bounds z_k >= 0.
+    The certificate's part on the equality rows is read off
+    `echelon(..., combine=True)` as the context reads it."""
+    rows = _context_rows(ctx)
+    n = len(rows)
+    live = [any(coeffs) for coeffs, _, _ in rows]
+    for e, f in eqs:
+        rows.append((tuple(dot(e, vec) for vec in ctx.basis), EQ, f - dot(e, ctx.origin)))
+    added = range(n, len(rows))
+    y = [ZERO] * len(rows)
+    bad = next((i for i in range(n) if rows[i][2] < 0 and not live[i]), None)
+    if bad is None and not ctx.basis:
+        bad = next((i for i in added if rows[i][2]), None)
+    if bad is not None:
+        y[bad] = -ONE / rows[bad][2]
+    elif all(rows[i][2] >= 0 for i in range(n)) and not any(rows[i][2] for i in added):
+        return ctx.origin, None
+    else:
+        d = len(ctx.basis)
+        bound_at = {}
+        lp = []
+        for i in (i for i in range(n) if live[i]):
+            coeffs, _, slack = rows[i]
+            support = [k for k, v in enumerate(coeffs) if v]
+            if slack == 0 and len(support) == 1 and coeffs[support[0]] < 0:
+                bound_at.setdefault(support[0], i)
+            else:
+                lp.append(i)
+        lp += added
+        out = lp_solve(LpProblem(
+            "min", (ZERO,) * d, tuple(rows[i] for i in lp),
+            tuple(k in bound_at for k in range(d)),
+        ))
+        if out.status == "optimal":
+            return _context_point(ctx, out.solution), None
+        for i, cm in zip(lp, out.certificate):
+            y[i] = cm
+        for k, i in bound_at.items():
+            combined = sum((y[r] * rows[r][0][k] for r in lp if y[r]), ZERO)
+            y[i] = combined / -rows[i][0][k]
+    u = [ZERO] * ctx.dim
+    for cm, a in zip(y, [a for a, _ in ctx.ineqs] + [e for e, _ in eqs]):
+        u = [s + cm * v for s, v in zip(u, a)]
+    w = [ZERO] * len(ctx.eqs)
+    for col, red, comb in echelon([[*e, f] for e, f in ctx.eqs], combine=True)[1]:
+        t = u[col] / red[col]
+        w = [s + t * c for s, c in zip(w, comb)]
+    return None, (*y[:n], *(-v for v in w), *y[n:])
 
 
 def fraction_feasible(dim, rows) -> bool:
@@ -421,7 +515,7 @@ def hrep_from_points_reference(points, dim):
     upts = [tuple(v[pk] - v0[pk] for pk in pivots) for v in pts]
     gens = [pt._primitive_int(list(u) + [1]) for u in upts]
     ineqs = []
-    for y in pt._extreme_rays(gens, r + 1):
+    for y in pt._extreme_rays(gens, r + 1)[0]:
         coeffs = [0] * dim
         for k, pk in enumerate(pivots):
             coeffs[pk] = y[k]

@@ -13,7 +13,7 @@ from credalkit.credal import (
     credal_set_from_members,
     credal_set_from_vertices,
 )
-from credalkit.exactq import EQ, LE, LpProblem, _check_infeasible, _integer_row, dot
+from credalkit.exactq import EQ, LE, _check_infeasible, _integer_row, dot
 import credalkit.joint as jt
 from credalkit.joint import (
     SIMPLEX_ORIGIN,
@@ -48,6 +48,8 @@ from gen import (
 )
 from oracles import (
     apply,
+    context_decide_reference,
+    context_maximize_reference,
     deletion_filter_reference,
     dense_pushforward,
     equals,
@@ -775,12 +777,11 @@ def assert_unreachable(joint, alpha, target):
         + [(e, EQ, f) for e, f in h.eqs]
         + [(e, EQ, f) for e, f in rows]
     )
-    problem = LpProblem(
-        "min", (F(0),) * joint.dim, tuple(problem_rows), (False,) * joint.dim
-    )
-    _check_infeasible(
-        problem, [_integer_row([*a, b]) for a, _, b in problem_rows], cert
-    )
+    int_rows = []
+    for a, sense, b in problem_rows:
+        nums, den = _integer_row([*a, b])
+        int_rows.append((nums, sense, den))
+    _check_infeasible(int_rows, (False,) * joint.dim, cert)
     combined = [F(0)] * (joint.dim + 1)
     for cm, (a, sense, b) in zip(cert, problem_rows):
         assert sense == EQ or cm >= 0
@@ -794,6 +795,78 @@ def assert_unreachable(joint, alpha, target):
     image = pushforward_joint(joint, alpha)
     assert pt.verify_separation(sep, image.body)
     return cert
+
+
+def parity_contexts(rng, p):
+    """LP contexts of p at several origins: its own, moved to a vertex
+    and to the midpoint of two vertices (no row tight in some
+    directions), and the one `eliminated` leaves, whose origin may
+    violate rows (only decided on). Returns (context, origin feasible)
+    pairs."""
+    ctx = pt._lp_context(p)
+    verts = list(pt.dd_convert(p).points)
+    u, v = rng.choice(verts), rng.choice(verts)
+    origins = [rng.choice(verts), tuple((a + b) / 2 for a, b in zip(u, v))]
+    out = [(ctx, True)] + [(ctx.moved(x), True) for x in origins]
+    out.append((pt.LpContext.eliminated(p.hrep), False))
+    return out
+
+
+class TestContextParity:
+    """The context's integer LP boundary gives the answers the Fraction
+    rows gave (`context_maximize_reference`, `context_decide_reference`):
+    the same status, value, argmax, point and certificate, on the joint
+    sets and base hulls of generated instances, at moved origins, over
+    subsets of the rows and with pushforward rows added."""
+
+    def test_matches_fraction_rows(self):
+        rng = random.Random(23)
+        seen = set()
+        bounded_certificates = 0
+        # the segment of `test_reachability_takes_unit_rows_as_bounds`,
+        # which misses the extreme points of its marginals
+        segment = forced_failure_collection(
+            ((F(1, 4), F(3, 4), F(0), F(0)), (F(3, 4), F(0), F(1, 4), F(0)))
+        )
+        systems = [(AB, segment, [build_joint(segment).body])]
+        for n_indices in (2, 2, 3):
+            space, coll, base = generated_instance(rng, n_indices)
+            hull = pt.Polytope(base.dim, hrep=pt.dd_convert(base).hrep)
+            systems.append((space, coll, [build_joint(coll).body, hull]))
+        for space, coll, bodies in systems:
+            for p in bodies:
+                m = len(p.hrep.ineqs)
+                for ctx, feasible in parity_contexts(rng, p):
+                    for _ in range(4 if feasible else 0):
+                        f = tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
+                                  for _ in range(p.dim))
+                        keep = rng.choice(
+                            [None, sorted(rng.sample(range(m), rng.randint(1, m)))]
+                        )
+                        got = ctx.maximize(f, keep)
+                        assert got == context_maximize_reference(ctx, f, keep)
+                        seen.add(("maximize", got[0], keep is None))
+                    alpha = rng.choice(list(coll.sets))
+                    idx = pushforward_matrix(space, alpha)
+                    size = len(set(idx))
+                    targets = list(pt.dd_convert(coll.sets[alpha].body).points)
+                    targets += [random_simplex_point(rng, size) for _ in range(2)]
+                    for eqs in [()] + [
+                        [(tuple(int(y == x) for y in idx), t[x]) for x in range(size)]
+                        for t in targets
+                    ]:
+                        got = ctx.decide(eqs)
+                        assert got == context_decide_reference(ctx, eqs)
+                        seen.add(("decide", got[0] is None, bool(eqs)))
+                        if got[0] is None:
+                            bounded_certificates += any(
+                                got[1][i] for i, z in enumerate(ctx.zrows)
+                                if ctx.live[i] and pt._unit_bound(z) is not None
+                            )
+        assert {("maximize", "optimal", True), ("maximize", "optimal", False),
+                ("maximize", "unbounded", False), ("decide", True, True),
+                ("decide", False, True), ("decide", False, False)} <= seen
+        assert bounded_certificates
 
 
 class TestVerifyRepresentation:

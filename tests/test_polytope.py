@@ -8,6 +8,7 @@ from math import gcd, lcm
 import pytest
 
 import credalkit.polytope as pt
+from credalkit import _backend
 from credalkit.exactq import EQ, LE, DimensionError, LpProblem, dot, lp_solve
 from credalkit.polytope import (
     HRep,
@@ -674,7 +675,7 @@ class TestLpContext:
             assert len(ctx.basis) == p.dim - rank
             if kind == "point":
                 assert ctx.basis == ()
-            assert all(row[2] >= 0 for row in ctx.zrows)
+            assert all(slack >= 0 for _, slack in ctx.zrows)
             for _ in range(4):
                 f = tuple(
                     F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p.dim)
@@ -722,10 +723,101 @@ class TestLpContext:
         assert ctx is None
         assert_farkas(h, cert)
 
+    def test_equality_combinations_computed_once(self, monkeypatch):
+        # two certificates from one context: E's row combinations are
+        # read off one `echelon(..., combine=True)`
+        calls = []
+        real = pt.echelon
+
+        def counting(rows, combine=False):
+            calls.append(combine)
+            return real(rows, combine)
+
+        ctx = pt._lp_context(Polytope.simplex(3))
+        monkeypatch.setattr(pt, "echelon", counting)
+        for target in (F(2), F(-1)):
+            point, cert = ctx.decide([((1, 0, 0), target)])
+            assert point is None and cert[-1] != 0
+        assert calls.count(True) == 1
+
     def test_empty_has_no_context(self):
         p = Polytope.from_hrep(1, ineqs=[((F(1),), F(-1)), ((F(-1),), F(0))])
         assert pt._lp_context(p) is None and p.is_empty()
         assert pt._maximize(p, (F(1),)) == ("infeasible", None, None)
+
+
+def unit_square():
+    return Polytope.from_hrep(
+        2, ineqs=[((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    )
+
+
+def square_context():
+    """The LP context of the unit square [0, 1]^2 moved to its centre:
+    z = x - (1/2, 1/2), both directions free, so the kernel sees the
+    columns z1+, z1-, z2+, z2- and then one slack per row."""
+    ctx = pt._lp_context(unit_square()).moved((F(1, 2), F(1, 2)))
+    assert ctx.basis == ((1, 0), (0, 1))
+    return ctx
+
+
+# x1 = 1/4, which the centre misses, so `decide` runs its one LP
+QUARTER = [((1, 0), F(1, 4))]
+
+
+class TestContextAnswerCheck:
+    """`maximize` and `decide` check the kernel's answer once, in x, on
+    the H-rep's integer rows; a wrong answer raises RuntimeError
+    whichever of them asked."""
+
+    @staticmethod
+    def ask(ctx, which):
+        if which == "maximize":
+            return ctx.maximize((F(1), F(0)))
+        return ctx.decide(QUARTER)
+
+    @pytest.mark.parametrize("which", ["maximize", "decide"])
+    def test_point_violating_a_row(self, monkeypatch, which):
+        # z = (1, 0) is x = (3/2, 1/2), outside x1 <= 1
+        ctx = square_context()
+        cols = [F(1), F(0), F(0), F(0)]
+        monkeypatch.setattr(_backend, "simplex_solve", lambda *a: ("optimal", cols, None))
+        with pytest.raises(RuntimeError, match="violates a constraint"):
+            self.ask(ctx, which)
+
+    @pytest.mark.parametrize("which", ["maximize", "decide"])
+    @pytest.mark.parametrize(
+        "cols, message",
+        [
+            # z1 = -1 - (-3/2) = 1/2: x = (1, 1/2) is the argmax of x1,
+            # but the kernel's columns are x >= 0
+            ([F(-1), F(-3, 2), F(0), F(0)], "negative"),
+            # z1 = 0 - 1/4 = -1/4 and no z2- column: read as 0 it would
+            # give x = (1/4, 1/2), which meets every row
+            ([F(0), F(1, 4), F(0)], "wrong length"),
+        ],
+        ids=["negative-column", "missing-column"],
+    )
+    def test_point_meeting_every_row_but_wrong(self, monkeypatch, which, cols, message):
+        ctx = square_context()
+        monkeypatch.setattr(_backend, "simplex_solve", lambda *a: ("optimal", cols, None))
+        with pytest.raises(RuntimeError, match=message):
+            self.ask(ctx, which)
+
+    def test_witness_negative_on_a_row(self, monkeypatch):
+        # weight on x1 <= 1 alone: normalized to rhs -1 it is negative on
+        # an inequality row, which the check in x refuses
+        ctx = square_context()
+        y = [F(1), F(0), F(0), F(0), F(0)]
+        monkeypatch.setattr(_backend, "simplex_solve", lambda *a: ("infeasible", None, y))
+        with pytest.raises(RuntimeError, match="negative multiplier"):
+            ctx.decide(QUARTER)
+
+    def test_kernel_answers_pass(self):
+        ctx = square_context()
+        assert ctx.maximize((F(1), F(0))) == ("optimal", F(1), (F(1), F(1, 2)))
+        point, _ = ctx.decide(QUARTER)
+        assert point[0] == F(1, 4) and contains_point(unit_square(), point)
 
 
 class TestIntegerRows:

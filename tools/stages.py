@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Stage wall times and LP counts on fixed seeded families.
 
-    python3 tools/stages.py CHECKOUT OUT.json [--cap SECONDS]
+    python3 tools/stages.py CHECKOUT OUT.json [--cap SECONDS] [--sizes 3,4,5]
+                            [--kernel]
 
 Imports credalkit from CHECKOUT/src and the family generator from
 CHECKOUT/perfbench, so the same script measures any checkout: run it once
 per checkout, one after the other, and compare the two files.
 
 Families: perfbench/families.py `make_family`, family seed 7, MAX_DEN 12,
-|Y| = 2, labels t0.., at |T| = 3 (4, 8 base points), 4 (2, 6) and 5 (2, 4,
-6, 8); all are consistent. Stages are library calls:
+|Y| = 2, labels t0.., at each |T| of --sizes (default 3,4,5) with the
+base point counts of BASE_POINTS: |T| = 3 (4, 8 base points), 4 (2, 6),
+5 (2, 4, 6, 8), 6 (2, 8) and 7 (2); any other |T| gets 2. All are
+consistent. Stages are library calls:
 - validate: both consistency checks;
 - feasibility: `polytope._decide_empty` on a fresh copy of the build's
   system, which is how a joint set read back from a build file decides
@@ -23,7 +26,9 @@ two H-rep sets in dimension 16 (the simplex rows plus random cuts, so the
 affine hull has dimension 15), one nonempty and one empty.
 
 LPs are `lp_solve` calls; the redundancy LPs are those inside
-`remove_redundant_ineqs`. Each family gets at most --cap seconds (default
+`remove_redundant_ineqs`. With --kernel each stage also records
+"kernel_s", the seconds spent in the simplex kernel
+(`_backend.simplex_solve`). Each family gets at most --cap seconds (default
 300, by SIGALRM); a stage cut by the cap is recorded as {"capped": cap}
 and the family's later stages are skipped.
 """
@@ -35,6 +40,9 @@ import random
 import signal
 import sys
 import time
+
+
+BASE_POINTS = {3: (4, 8), 4: (2, 6), 5: (2, 4, 6, 8), 6: (2, 8), 7: (2,)}
 
 
 class Capped(Exception):
@@ -50,16 +58,22 @@ def main(argv):
     parser.add_argument("checkout")
     parser.add_argument("out")
     parser.add_argument("--cap", type=int, default=300)
+    parser.add_argument("--sizes", default="3,4,5",
+                        help="comma-separated |T| values of the consistent families")
+    parser.add_argument("--kernel", action="store_true",
+                        help="also record the kernel's seconds per stage")
     args = parser.parse_args(argv)
+    sizes = [int(n) for n in args.sizes.split(",")]
     sys.path.insert(0, os.path.join(args.checkout, "src"))
     sys.path.insert(0, os.path.join(args.checkout, "perfbench"))
     import families as fam
-    from credalkit import credal, joint, modelio, polytope
+    from credalkit import _backend, credal, joint, modelio, polytope
     from credalkit.credal import CredalCollection, credal_set_from_vertices
     from credalkit.exactq import ONE, ZERO
     from credalkit.spaces import point_mass
 
-    counts = {"lps": 0, "redundancy": 0, "rows_in": None, "rows_kept": None}
+    counts = {"lps": 0, "redundancy": 0, "rows_in": None, "rows_kept": None,
+              "kernel_s": 0.0}
     depth = [0]
 
     def counting(fn):
@@ -84,11 +98,26 @@ def main(argv):
 
     polytope.remove_redundant_ineqs = rr
 
+    if args.kernel:
+        real_kernel = _backend.simplex_solve
+
+        def timed_kernel(*a):
+            t = time.perf_counter()
+            try:
+                return real_kernel(*a)
+            finally:
+                counts["kernel_s"] += time.perf_counter() - t
+
+        _backend.simplex_solve = timed_kernel
+
     def stage(fn):
-        counts.update(lps=0, redundancy=0)
+        counts.update(lps=0, redundancy=0, kernel_s=0.0)
         t = time.perf_counter()
         result = fn()
-        return result, {"s": round(time.perf_counter() - t, 3), "lps": counts["lps"]}
+        rec = {"s": round(time.perf_counter() - t, 3), "lps": counts["lps"]}
+        if args.kernel:
+            rec["kernel_s"] = round(counts["kernel_s"], 3)
+        return result, rec
 
     def build_stage(rec, coll):
         model, rec["build"] = stage(lambda: joint.build_joint(coll))
@@ -123,8 +152,8 @@ def main(argv):
 
     signal.signal(signal.SIGALRM, _on_alarm)
     rows = []
-    for n, sizes in ((3, (4, 8)), (4, (2, 6)), (5, (2, 4, 6, 8))):
-        for k in sizes:
+    for n in sizes:
+        for k in BASE_POINTS.get(n, (2,)):
             coll = family_coll(n, k)
             rec = {"T": n, "base_points": k}
 
