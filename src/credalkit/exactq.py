@@ -13,22 +13,20 @@ back onto the equality rows it eliminated.
 
 A system's rows are int tuples with int rhs (`polytope.HRep`);
 Fractions remain at the edges: parsed input, points, LP values and
-certificates. `lp_solve` takes an LP in one of two forms. An
-`LpProblem` has rational rows, and `lp_solve` puts each of them once
-over its least common denominator (an int row stays as it is). An
-`IntLp` comes with its rows already in integers, each [a | b] over one
-positive denominator, from an LP context (`polytope.LpContext`), which
-maps the answer back into its own coordinates. An equality row whose
-full row depends on the equality rows before it is then dropped: it
-holds wherever they do, and an inconsistent row is independent, so the
-kernel still proves infeasibility. The kernel's columns (free variables
-split, slacks, sign flips) are built from the kept rows, and a point
-whose columns are missing or negative is refused. The point or
-certificate of an `LpProblem` is re-checked against every row with
-integer dot products (a certificate is 0 on the dropped rows). That of
-an `IntLp` is handed back unchecked: the context checks it once, in its
-own coordinates, against the rows the reduced rows came from, and that
-check implies this one (the context says why).
+certificates. `lp_solve` takes an LP in one form, an `IntLp`, whose rows
+are already integers, each [a | b] over one positive denominator. An
+equality row whose full row depends on the equality rows before it is
+dropped: it holds wherever they do, and an inconsistent row is
+independent, so the kernel still proves infeasibility. The kernel's
+columns (free variables split, slacks, sign flips) are built from the
+kept rows, and a point whose columns are missing or negative is
+refused. Otherwise the point or certificate is handed back unchecked
+(a certificate is 0 on the dropped rows): every caller checks it once,
+in integers, in its own coordinates. An LP context
+(`polytope.LpContext`) maps the answer back to x and checks it against
+the rows the reduced rows came from; the diagnosis of an empty joint
+set (`joint._diagnose`) checks its last certificate on the rows it
+handed over (`_check_infeasible`).
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ ONE = Fraction(1)
 LE = "<="
 EQ = "="
 GE = ">="
-SENSES = (LE, EQ, GE)
 
 
 class DimensionError(ValueError):
@@ -207,76 +204,15 @@ def _content_free(vec):
 
 
 @dataclass(frozen=True)
-class LpProblem:
-    """min/max objective.x subject to rows (coeffs, sense, rhs).
-
-    `nonneg[j]` is True when x_j >= 0 and False when x_j is free.
-    """
-
-    direction: str
-    objective: tuple
-    rows: tuple  # of (coeffs, sense, rhs)
-    nonneg: tuple
-
-    def __post_init__(self):
-        if self.direction not in ("min", "max"):
-            raise DimensionError(f"direction must be min or max: {self.direction}")
-        n = len(self.objective)
-        if n == 0:
-            raise DimensionError("objective is empty")
-        if len(self.nonneg) != n:
-            raise DimensionError("bounds length differs from objective")
-        for coeffs, sense, _rhs in self.rows:
-            if len(coeffs) != n:
-                raise DimensionError(
-                    f"row has {len(coeffs)} coefficients, expected {n}"
-                )
-            if sense not in SENSES:
-                raise DimensionError(f"unknown sense {sense!r}")
-
-
-def lp_problem(direction, objective, rows, nonneg=None) -> LpProblem:
-    """Convenience constructor coercing entries to Fractions."""
-    objective = qvec(objective)
-    if nonneg is None:
-        nonneg = (True,) * len(objective)
-    rows = tuple(
-        (qvec(coeffs), sense, Fraction(rhs)) for coeffs, sense, rhs in rows
-    )
-    return LpProblem(direction, objective, rows, tuple(bool(f) for f in nonneg))
-
-
-@dataclass(frozen=True)
-class LpOutcome:
-    """Exact LP outcome.
-
-    status "optimal": `value` and `solution` are exact and satisfy every
-    constraint by direct substitution. status "infeasible": `certificate`
-    holds one multiplier per row; multipliers are nonnegative on
-    inequality rows (with >= rows read in negated, <= form), the combined
-    row vanishes on free variables and is nonnegative on sign-constrained
-    ones, and the combined rhs equals -1. status "unbounded": flags only.
-    The outcome of an `IntLp` is the kernel's, unchecked and with no
-    value; its caller checks it.
-    """
-
-    status: str
-    value: Optional[Fraction] = None
-    solution: Optional[tuple] = None
-    certificate: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
 class IntLp:
-    """An LP handed over in integers, for a caller that maps the answer
-    back into its own coordinates and checks it there.
+    """An LP in integers: min/max objective.x subject to its rows.
 
     Row i is (nums, sense, den): nums = [a | b] are integers, the row
     a.x (sense) b times den > 0. `objective` holds integers, any positive
-    multiple of the objective (which moves no pivot); `direction` and
-    `nonneg` are read as in `LpProblem`. The kernel sees the same
-    rational rows an `LpProblem` with rows (a/den, sense, b/den) would
-    give it.
+    multiple of the objective (which moves no pivot). `nonneg[j]` is True
+    when x_j >= 0 and False when x_j is free. The caller builds it from
+    rows it already holds in integers and checks the answer in its own
+    coordinates.
     """
 
     direction: str
@@ -285,38 +221,33 @@ class IntLp:
     nonneg: tuple
 
 
-def lp_solve(problem) -> LpOutcome:
+@dataclass(frozen=True)
+class LpOutcome:
+    """Exact LP outcome.
+
+    status "optimal": `solution` is a point. status "infeasible":
+    `certificate` holds one multiplier per row, scaled so that the
+    combined rhs is -1, with >= rows read in negated, <= form. status
+    "unbounded": flags only. `lp_solve` hands back the kernel's answer
+    with no `value` and leaves every other check to its caller: a
+    certificate is valid when its multipliers are nonnegative on
+    inequality rows and the combined row vanishes on free variables and
+    is nonnegative on sign-constrained ones (`_check_infeasible`).
+    """
+
+    status: str
+    value: Optional[Fraction] = None
+    solution: Optional[tuple] = None
+    certificate: Optional[tuple] = None
+
+
+def lp_solve(problem: IntLp) -> LpOutcome:
     """Exact simplex with Bland's rule; deterministic for fixed input.
 
-    An `LpProblem` is put in integers here and its answer checked
-    against every row; an `IntLp` goes to the kernel as it is, and its
-    point (the kernel's columns folded back, free variables as the
+    The kernel's point (its columns folded back, a free variable as the
     positive minus the negative column) or Farkas multipliers come back
-    unchecked."""
-    if isinstance(problem, IntLp):
-        return _kernel_answer(problem)
-    # Each row once as integers over its least common denominator; the
-    # kernel rows and both certificate checks are built from these.
-    rows = []
-    for coeffs, sense, rhs in problem.rows:
-        nums, den = _integer_row([*coeffs, rhs])
-        rows.append((nums, sense, den))
-    onums, oden = _integer_row(problem.objective)
-    outcome = _kernel_answer(IntLp(problem.direction, onums, rows, problem.nonneg))
-    if outcome.status == "infeasible":
-        _check_infeasible(rows, problem.nonneg, outcome.certificate)
-    elif outcome.status == "optimal":
-        xnums, xden = _integer_row(outcome.solution)
-        value = Fraction(sum(c * v for c, v in zip(onums, xnums) if v), oden * xden)
-        outcome = LpOutcome("optimal", value=value, solution=outcome.solution)
-        _check_optimal(rows, onums, oden, outcome)
-    return outcome
-
-
-def _kernel_answer(problem: IntLp):
-    """The kernel's answer to `problem` as an LpOutcome with no value.
-    Raises RuntimeError when the kernel's point or witness does not fit
-    the columns or rows it was given."""
+    unchecked. Raises RuntimeError when the point or witness does not
+    fit the columns or rows the kernel was given."""
     rows = problem.rows
     n = len(problem.objective)
     split = [not flag for flag in problem.nonneg]
@@ -462,28 +393,3 @@ def _check_infeasible(rows, nonneg, certificate):
     if combined[n] >= 0:
         raise RuntimeError("combined rhs not violated")
 
-
-def _check_optimal(rows, onums, oden, outcome):
-    """Re-verify an optimal point on the integer rows.
-
-    rows[i] = (nums, sense, den) is row i as `_check_infeasible` reads
-    it: nums = [a | b], the row times den > 0, and the objective is
-    onums / oden. With x = xnums / xden, the row holds at x exactly when
-    a . xnums compares with b * xden the same way. (The kernel's columns
-    were checked >= 0 as they came back, which covers every
-    sign-constrained variable.)
-    """
-    n = len(onums)
-    xnums, xden = _integer_row(outcome.solution)
-    support = [(j, v) for j, v in enumerate(xnums) if v]
-    for nums, sense, _den in rows:
-        lhs = sum(nums[j] * v for j, v in support)
-        rhs = nums[n] * xden
-        ok = lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs
-        if not ok:
-            raise RuntimeError("reported solution violates a constraint")
-    value = outcome.value
-    if sum(onums[j] * v for j, v in support) * value.denominator != (
-        value.numerator * oden * xden
-    ):
-        raise RuntimeError("reported value differs from objective at solution")

@@ -40,8 +40,8 @@ from credalkit.exactq import (
     LE,
     ZERO,
     DimensionError,
+    IntLp,
     LpOutcome,
-    LpProblem,
     _check_infeasible,
     _content_free,
     _integer_row,
@@ -345,7 +345,9 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
     all-free rows. Each rule only proves what an LP per row would find,
     whatever certificate is carried, so the kept rows are the ones the
     LP-per-row filter keeps, and the certificate reported comes from one
-    last LP over them with every variable free.
+    last LP over them with every variable free. That LP gets the kept
+    rows as they are, each [a | b] over 1 (`exactq.IntLp`), and its
+    certificate is checked in integers on them, as every carried one is.
     The c_j are read off a basis of the integer vectors z with
     sum_j z_j e_j = 0 over the equality rows (from `solve_rows`);
     dropping a dependent row r leaves the basis vectors with z_r = 0.
@@ -356,20 +358,11 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
     first_eq = len(ineqs)
     active = [True] * len(rows)
 
-    def problem(keep):
-        return LpProblem(
-            "min",
-            tuple([ZERO] * dim),
-            tuple(rows[i][:3] for i in keep),
-            (False,) * dim,
-        )
+    def int_rows(keep):
+        return tuple(([*rows[i][0], rows[i][2]], rows[i][1], 1) for i in keep)
 
     def check(keep, weight):
-        _check_infeasible(
-            [([*rows[i][0], rows[i][2]], rows[i][1], 1) for i in keep],
-            (False,) * dim,
-            [weight[i] for i in keep],
-        )
+        _check_infeasible(int_rows(keep), (False,) * dim, [weight[i] for i in keep])
 
     def infeasible(keep):
         """Whether the rows `keep` are infeasible, with the weight of
@@ -416,9 +409,11 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
             weight = found
         active[r] = False
     keep = [i for i in everything if active[i]]
-    outcome = lp_solve(problem(keep))
+    core = int_rows(keep)
+    outcome = lp_solve(IntLp("min", (0,) * dim, core, (False,) * dim))
     if outcome.status != "infeasible":
         raise RuntimeError("infeasible core turned feasible")
+    _check_infeasible(core, (False,) * dim, outcome.certificate)
     offending = []
     for i, mult in zip(keep, outcome.certificate):
         origin = rows[i][3]
@@ -542,18 +537,26 @@ def _max_over_joint(joint, objective):
     return LpOutcome(status, value=value, solution=solution)
 
 
-def _member_reachable(joint, idx, v):
-    """Feasibility of {p in P : pushforward(p) = v} with certificate.
+def _fiber_rows(idx, size):
+    """The pushforward rows of the index map idx onto `size` cells, built
+    in one pass over idx: row x is the 0/1 indicator of x's fiber, so
+    row x . p is the mass the pushforward of p puts on cell x."""
+    rows = [[0] * len(idx) for _ in range(size)]
+    for j, x in enumerate(idx):
+        rows[x][j] = 1
+    return [tuple(row) for row in rows]
+
+
+def _member_reachable(joint, fibers, v):
+    """Feasibility of {p in P : pushforward(p) = v} with certificate;
+    `fibers` are the map's pushforward rows (`_fiber_rows`).
 
     Decided in the joint set's LP context (`LpContext.decide`), with no
     LP when its origin already maps onto v; on failure the Farkas
     multipliers on the pushforward rows, negated, are a separating
     functional on the image space.
     """
-    rows = [
-        (tuple(int(y == x) for y in idx), target)
-        for x, target in enumerate(v)
-    ]
+    rows = list(zip(fibers, v))
     point, certificate = pt._lp_context(joint.body).decide(rows)
     if point is not None:
         return True, None
@@ -608,8 +611,9 @@ def _verify_tuple_polytope(joint, alpha, cset):
 
     # prescribed set within the pushforward of the joint set
     failure = None
+    fibers = _fiber_rows(idx, cset.dim)
     for v in target.points:
-        ok, g = _member_reachable(joint, idx, v)
+        ok, g = _member_reachable(joint, fibers, v)
         if not ok:
             lifted = sp.pull(idx, g)
             sup = _max_over_joint(joint, lifted)

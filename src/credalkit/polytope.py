@@ -8,10 +8,11 @@ Representation conversion is the double description method run on the
 homogenization cone, with the combinatorial adjacency test; everything
 is exact. Points become a polytope in one routine, `_hrep_from_points`,
 which also tells the vertices among them, so membership in a set given
-by points is a substitution into rows, with no LP; the one hull LP left
-is the certificate `separate` gives for such a set. Rows are int tuples
-with int rhs (`HRep`), read as they are by every routine here; points,
-values and certificates are Fractions.
+by points is a substitution into rows, with no LP, and `separate` reads
+its certificate off a row the point violates, with the gap taken over
+the generators. Rows are int tuples with int rhs (`HRep`), read as they
+are by every routine here; points, values and certificates are
+Fractions.
 
 Every LP over a nonempty polytope runs in its `LpContext`, built on
 first use and cached on the polytope: affine-hull coordinates z with
@@ -53,11 +54,9 @@ from math import lcm
 from credalkit.exactq import (
     EQ,
     LE,
-    ONE,
     ZERO,
     DimensionError,
     IntLp,
-    LpProblem,
     _check_infeasible,
     _content_free,
     _integer_row,
@@ -396,11 +395,16 @@ class LpContext:
     The kernel gets each reduced row as the integers [(a.N) oden | s]
     over oden, the rational row it always saw. Its answer z is mapped
     back to x = origin + N z as integer numerators over one denominator
-    and checked once, against the H-rep's own rows (`ineqs`, `eqs`): the
-    rows the LP used, the equality rows and any added ones, each value
-    a.x an integer dot product (`_row_at`). That check implies the one in
-    z: in integers, a.(origin + N z) <= b is the same inequality as
-    (a.N) z <= b - a.origin, and E N = 0. An infeasibility certificate y
+    and checked once, against the H-rep's own rows: the inequality rows
+    the LP used and any added equality rows, each value a.x an integer
+    dot product (`_row_at`). That check implies the one in z: in
+    integers, a.(origin + N z) <= b is the same inequality as
+    (a.N) z <= b - a.origin. The H-rep's equality rows need no check per
+    answer: E origin = e is checked in integers at every origin (by
+    `eliminated` for the first, by `moved` for each later one), and
+    E N = 0 once, by `eliminated`, from which every context descends
+    (`moved` and `restrict` keep N), so E x = e + (E N) z = e for every
+    z the kernel returns. An infeasibility certificate y
     on the reduced rows gives multipliers on the original rows once the
     part of y.A in the row space of E is written as w.E
     (`exactq.echelon` with `combine`, once per context); the certificate
@@ -430,14 +434,25 @@ class LpContext:
         solution x0 `solve_rows` gives, every inequality row reduced at
         it. A row x0 violates keeps its negative slack, so `maximize`
         may run here only when every slack is >= 0; `decide` takes the
-        context as it is. None when the equality rows are inconsistent."""
+        context as it is. None when the equality rows are inconsistent.
+        E x0 = e and E N = 0 are checked here, in integers, once for
+        every context that descends from this one."""
         dim = hrep.dim
         solved = solve_rows([[*e, f] for e, f in hrep.eqs], dim)
         if solved is None:
             return None
         x0, nullspace, _ = solved
         basis = tuple(_primitive_int(v) for v in nullspace)
-        return cls(dim, x0, basis, hrep.ineqs, hrep.eqs)
+        ctx = cls(dim, x0, basis, hrep.ineqs, hrep.eqs)
+        onums, oden = ctx.onums, ctx.oden
+        # a basis vector is nonzero only at its free column and the pivots
+        supports = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis]
+        for e, f in hrep.eqs:
+            if _row_at(e, onums) != f * oden or any(
+                sum(e[j] * v for j, v in support) for support in supports
+            ):
+                raise RuntimeError("equality rows' solution violates them")
+        return ctx
 
     def _replace(self, **fields):
         """A copy with some fields replaced."""
@@ -606,17 +621,17 @@ class LpContext:
 
     def _check_point(self, xnums, xden, keep, eqs=()):
         """Check the point xnums / xden against the inequality rows
-        `keep`, the equality rows and the equality rows `eqs` (rational
-        rhs), in integers. Each row is summed over the point's nonzero
-        entries: an LP's point is a vertex, with few of them, while a
-        joint set can have thousands of equality rows."""
+        `keep` and the added equality rows `eqs` (rational rhs), in
+        integers; the H-rep's equality rows hold at every origin + N z
+        (see the class). Each row is summed over the point's nonzero
+        entries: an LP's point is a vertex, with few of them."""
         support = [(j, v) for j, v in enumerate(xnums) if v]
         ineqs = self.ineqs
         for i in keep:
             a, b = ineqs[i]
             if sum(a[j] * v for j, v in support) > b * xden:
                 raise RuntimeError("reported solution violates a constraint")
-        for e, f in chain(self.eqs, eqs):
+        for e, f in eqs:
             if sum(e[j] * v for j, v in support) * f.denominator != f.numerator * xden:
                 raise RuntimeError("reported solution violates a constraint")
 
@@ -852,40 +867,10 @@ def dd_convert(p: Polytope) -> Polytope:
     return p._converted
 
 
-def _hull_membership(x, points):
-    """Feasibility LP for x in conv(points), for `separate`.
-
-    Returns (status, certificate); the certificate rows are ordered as
-    [normalization row, coordinate rows...].
-    """
-    dim = len(x)
-    npts = len(points)
-    rows = [(tuple([ONE] * npts), EQ, ONE)]
-    for j in range(dim):
-        rows.append((tuple(pt[j] for pt in points), EQ, x[j]))
-    # In the probability simplex the coordinate rows sum to the
-    # normalization row, so the last one is dependent: it is left out,
-    # and its multiplier is 0.
-    on_simplex = all(
-        sum(nums) == den for nums, den in map(_integer_row, (x, *points))
-    )
-    if on_simplex:
-        rows.pop()
-    problem = LpProblem(
-        "min", tuple([ZERO] * npts), tuple(rows), (True,) * npts
-    )
-    outcome = lp_solve(problem)
-    cert = outcome.certificate
-    if cert is not None and on_simplex:
-        cert = (*cert, ZERO)
-    return outcome.status, cert
-
-
 def contains_point(p: Polytope, x) -> bool:
     """Exact membership with no LP: x, over one common denominator, put
     into p's integer rows or, for a set given by generators, into its
-    canonical form's (`dd_convert`). p itself gets no H-rep, so `separate`
-    keeps the hull-weight certificate for it."""
+    canonical form's (`dd_convert`), the rows `separate` reads."""
     x = qvec(x)
     if len(x) != p.dim:
         raise DimensionError("point dimension differs from polytope")
@@ -897,37 +882,35 @@ def contains_point(p: Polytope, x) -> bool:
 
 
 def separate(p: Polytope, x) -> SeparationCertificate:
-    """A functional g and gap e > 0 with g.x - g.v >= e for all v in p."""
+    """A functional g and a gap > 0 with g.x - g.v >= gap for every v in
+    p, read off a row of p that x violates; no LP for a set given by
+    generators.
+
+    The rows are p's own or, for a set given by generators, those of its
+    canonical form (`dd_convert`), which `contains_point` substitutes
+    into. The first inequality row a.v <= b that x violates gives g = a
+    and gap = a.x - sup of a over p (`_sup`: the best generator, or an LP
+    over an H-rep set). That sup is at most b < a.x, so a gap <= 0 raises
+    RuntimeError. When x violates no inequality row, the first equality
+    row it misses gives g, signed so that g.x > g.v for every v in p. A
+    point that violates no row lies in p and raises NotSeparableError."""
     x = qvec(x)
     if p.is_empty():
         raise NotSeparableError("cannot separate from an empty set")
-    if contains_point(p, x):
-        raise NotSeparableError("point belongs to the set")
-    if p._hrep is not None:
-        h = p._hrep
-        for a, b in h.ineqs:
-            val = dot(a, x)
-            if val > b:
-                status, mx, _ = _maximize(p, a)
-                if status != "optimal":
-                    raise RuntimeError(f"separation LP ended {status}")
-                return SeparationCertificate(a, val - mx, x)
-        for e, f in h.eqs:
-            val = dot(e, x)
-            if val != f:
-                g = e if val > f else tuple(-c for c in e)
-                gap = abs(val - f)
-                return SeparationCertificate(g, gap, x)
-        raise NotSeparableError("point satisfies every row")  # unreachable
-    status, cert = _hull_membership(x, p.points)
-    if status != "infeasible":
-        raise RuntimeError(f"hull membership LP ended {status} for an outside point")
-    mu = cert[1:]
-    g = tuple(-m for m in mu)
-    gap = min(dot(g, x) - dot(g, v) for v in p.points)
-    if gap <= 0:
-        raise RuntimeError("hull membership certificate does not separate")
-    return SeparationCertificate(g, gap, x)
+    h = p._hrep if p._hrep is not None else dd_convert(p).hrep
+    for a, b in h.ineqs:
+        val = dot(a, x)
+        if val > b:
+            gap = val - _sup(p, a)
+            if gap <= 0:
+                raise RuntimeError("violated row does not separate")
+            return SeparationCertificate(a, gap, x)
+    for e, f in h.eqs:
+        val = dot(e, x)
+        if val != f:
+            g = e if val > f else tuple(-c for c in e)
+            return SeparationCertificate(g, abs(val - f), x)
+    raise NotSeparableError("point belongs to the set")
 
 
 def is_subset(p: Polytope, q: Polytope):
@@ -991,8 +974,8 @@ def _sup(q: Polytope, f) -> Fraction:
 def linear_image(idx, p: Polytope, size: int) -> Polytope:
     """Image of p under a coordinate map (an index map onto `size` cells):
     the vertices among the pushed generators, with the rows of their hull
-    cached as its canonical form. It carries no H-rep itself, so
-    `separate` on it gives the hull-weight LP's certificate."""
+    cached as its canonical form. It carries no H-rep itself, so a bound
+    over it (`credal._upper`) is read off its generators."""
     if len(idx) != p.dim:
         raise DimensionError(f"map has {len(idx)} source cells, polytope dim {p.dim}")
     hrep, verts = _hrep_from_points([push(idx, v, size) for v in p.points], size)

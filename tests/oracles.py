@@ -1,5 +1,10 @@
 """Independent oracles for the test suite.
 
+`rational_lp` is `credalkit.exactq.lp_solve` for LPs written with
+rational rows: each row goes to the kernel once over the lcm of its
+denominators, and the answer is checked on those integer rows, so the
+references below can hand it rows in Fractions.
+
 `brute_force_vertices` and `brute_force_max` call no double description
 machinery: vertex enumeration is done combinatorially (tight-row subsets
 + Gaussian solves), so they can cross-check both the LP solver and the
@@ -43,12 +48,12 @@ its certificate mapped back to one multiplier per row.
 `context_maximize_reference` and `context_decide_reference` are the
 references for `credalkit.polytope.LpContext.maximize` and `.decide`:
 the same LPs over the context's origin and basis, with the reduced rows
-built in Fractions and handed to `lp_solve` as an `LpProblem` (whose
-answer it checks in z), and the answer mapped back in Fractions.
+built in Fractions and handed to `rational_lp` (which checks the answer
+in z), and the answer mapped back in Fractions.
 
 `extreme_subset_reference` and `hrep_from_points_reference` are the
 references for `credalkit.polytope._hrep_from_points`: the vertices
-found by one hull LP per point (`_hull_membership` over the points kept
+found by one hull LP per point (`hull_membership` over the points kept
 so far), and the rows built in Fractions from those vertices and
 canonicalized by `HRep.make`.
 
@@ -74,9 +79,11 @@ import credalkit.polytope as pt
 from credalkit.credal import _pushforward_set
 from credalkit.exactq import (
     EQ,
+    GE,
     LE,
     DimensionError,
-    LpProblem,
+    IntLp,
+    LpOutcome,
     _check_infeasible,
     _integer_row,
     dot,
@@ -98,6 +105,35 @@ from credalkit.spaces import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def rational_lp(direction, objective, rows, nonneg=None):
+    """The LpOutcome of min/max objective.x subject to the rational rows
+    (coeffs, sense, rhs), sense "<=", "=" or ">="; `nonneg[j]` tells
+    whether x_j >= 0 (default: every variable).
+
+    Each row [coeffs | rhs] reaches `lp_solve` as integers over the lcm
+    of its denominators (an int row as it is), the objective likewise.
+    An optimal point is substituted into every row, and its value read
+    off it; a Farkas certificate is checked by `_check_infeasible` on the
+    integer rows. A wrong answer raises RuntimeError."""
+    objective = qvec(objective)
+    nonneg = (True,) * len(objective) if nonneg is None else tuple(map(bool, nonneg))
+    int_rows = []
+    for coeffs, sense, rhs in rows:
+        nums, den = _integer_row(qvec([*coeffs, rhs]))
+        int_rows.append((nums, sense, den))
+    out = lp_solve(IntLp(direction, _integer_row(objective)[0], tuple(int_rows), nonneg))
+    if out.status == "infeasible":
+        _check_infeasible(int_rows, nonneg, out.certificate)
+    elif out.status == "optimal":
+        x = out.solution
+        for nums, sense, _ in int_rows:
+            lhs, rhs = sum(a * v for a, v in zip(nums, x)), nums[-1]
+            if not {LE: lhs <= rhs, GE: lhs >= rhs, EQ: lhs == rhs}[sense]:
+                raise RuntimeError("reported solution violates a constraint")
+        out = LpOutcome("optimal", value=dot(objective, x), solution=x)
+    return out
 
 
 def brute_force_vertices(dim, ineqs, eqs=()):
@@ -144,7 +180,7 @@ def redundant_rows_reference(dim, ineqs, eqs):
         rows = [(ineqs[i][0], LE, ineqs[i][1]) for i in rest]
         rows += [(e, EQ, f) for e, f in eqs]
         a, b = ineqs[idx]
-        out = lp_solve(LpProblem("max", qvec(a), tuple(rows), (False,) * dim))
+        out = rational_lp("max", a, rows, (False,) * dim)
         if out.status == "optimal" and out.value <= b:
             alive = rest
     return alive
@@ -254,9 +290,7 @@ def deletion_filter_reference(dim, ineqs, eqs):
         nonlocal lps
         lps += 1
         lp_rows = tuple((coeffs, sense, rhs) for coeffs, rhs, sense, _ in active)
-        outcome = lp_solve(
-            LpProblem("min", tuple([ZERO] * dim), lp_rows, (False,) * dim)
-        )
+        outcome = rational_lp("min", [ZERO] * dim, lp_rows, (False,) * dim)
         return outcome.status == "infeasible", outcome.certificate
 
     active = list(range(len(rows)))
@@ -323,8 +357,7 @@ def feasible_point_reference(p):
             bound_at.setdefault(j, i)
     rows += [(e, EQ, f) for e, f in h.eqs]
     at += range(len(h.ineqs), len(h.ineqs) + len(h.eqs))
-    zero = tuple([ZERO] * dim)
-    outcome = lp_solve(LpProblem("min", zero, tuple(rows), tuple(nonneg)))
+    outcome = rational_lp("min", [ZERO] * dim, rows, nonneg)
     if outcome.status != "infeasible":
         return outcome.status, outcome.solution, None
     every = [(a, LE, b) for a, b in h.ineqs] + [(e, EQ, f) for e, f in h.eqs]
@@ -361,7 +394,7 @@ def _context_point(ctx, z):
 
 def context_maximize_reference(ctx, f, keep=None):
     """(status, value, argmax) of max f.x over the context's rows `keep`
-    (default: all): the rows with a.N != 0 as an LpProblem over free z."""
+    (default: all): the rows with a.N != 0 as an LP over free z."""
     keep = range(len(ctx.ineqs)) if keep is None else keep
     rows = _context_rows(ctx)
     fz = tuple(dot(f, vec) for vec in ctx.basis)
@@ -369,7 +402,7 @@ def context_maximize_reference(ctx, f, keep=None):
     if not any(fz):
         return "optimal", at_origin, ctx.origin
     lp_rows = tuple(rows[i] for i in keep if any(rows[i][0]))
-    out = lp_solve(LpProblem("max", fz, lp_rows, (False,) * len(fz)))
+    out = rational_lp("max", fz, lp_rows, (False,) * len(fz))
     if out.status != "optimal":
         return out.status, None, None
     return "optimal", at_origin + out.value, _context_point(ctx, out.solution)
@@ -409,10 +442,10 @@ def context_decide_reference(ctx, eqs=()):
             else:
                 lp.append(i)
         lp += added
-        out = lp_solve(LpProblem(
-            "min", (ZERO,) * d, tuple(rows[i] for i in lp),
+        out = rational_lp(
+            "min", (ZERO,) * d, [rows[i] for i in lp],
             tuple(k in bound_at for k in range(d)),
-        ))
+        )
         if out.status == "optimal":
             return _context_point(ctx, out.solution), None
         for i, cm in zip(lp, out.certificate):
@@ -477,6 +510,14 @@ def hrep_contains(hrep, x) -> bool:
     )
 
 
+def hull_membership(x, points):
+    """The status of the hull LP for x: weights w >= 0 with sum w = 1 and
+    sum_i w_i points_i = x, one row per coordinate."""
+    rows = [([ONE] * len(points), EQ, ONE)]
+    rows += [([v[j] for v in points], EQ, x[j]) for j in range(len(x))]
+    return rational_lp("min", [ZERO] * len(points), rows).status
+
+
 def extreme_subset_reference(points):
     """The points that are not convex combinations of the others, sorted:
     each point in turn is dropped when a hull LP over the points kept so
@@ -485,7 +526,7 @@ def extreme_subset_reference(points):
     i = 0
     while len(keep) > 1 and i < len(keep):
         others = keep[:i] + keep[i + 1:]
-        if pt._hull_membership(keep[i], others)[0] == "optimal":
+        if hull_membership(keep[i], others) == "optimal":
             del keep[i]
         else:
             i += 1

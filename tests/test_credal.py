@@ -21,7 +21,7 @@ from credalkit.credal import (
     verify_finite_separation,
     verify_witness_certificate,
 )
-from credalkit.exactq import EQ, DimensionError, LpProblem, dot, lp_solve
+from credalkit.exactq import EQ, DimensionError, dot
 from credalkit.modelio import parse_model
 from credalkit.spaces import (
     make_space,
@@ -36,7 +36,7 @@ from gen import (
     generated_instance,
     random_simplex_point,
 )
-from oracles import apply, dense_pushforward, dense_restriction
+from oracles import apply, dense_pushforward, dense_restriction, rational_lp
 
 AB = make_space(("a", "b"), ("0", "1"))
 
@@ -227,8 +227,8 @@ def comparison_set(coll, rec):
 
 class TestValidateBySubstitution:
     """Validate decides each inclusion between sets given by vertices by
-    substituting points into integer rows. The only LP left is the hull
-    LP inside `separate`, which a failing record's certificate needs."""
+    substituting points into integer rows, and a failing record's
+    certificate is read off a violated row, so it runs no LP."""
 
     def test_consistent_family_runs_no_lp(self, monkeypatch):
         """Sets read from a model by their vertices, with the 2-tuples'
@@ -250,36 +250,17 @@ class TestValidateBySubstitution:
             assert any(r.beta == swapped and r.status == "pass"
                        for r in reports[0].records)
 
-    def test_clash_lps_only_certify_failures(self, monkeypatch):
-        """On an inconsistent family every LP runs inside `separate`, and
-        every failing record's certificate re-verifies."""
-        inside = [0]
-        outside = []
-        real = pt.separate
-
-        def separating(*args):
-            inside[0] += 1
-            try:
-                return real(*args)
-            finally:
-                inside[0] -= 1
-
-        def noting(solve):
-            def noting_solve(problem):
-                outside.append(inside[0] == 0)
-                return solve(problem)
-            return noting_solve
-
+    def test_clash_certificates_need_no_lp(self, monkeypatch):
+        """An inconsistent family validates with no LP, and every failing
+        record's certificate re-verifies."""
         for seed in (5, 61, 62):
             _, coll = clash_instance(random.Random(seed), 3)
-            outside.clear()
             with monkeypatch.context() as m:
-                m.setattr(pt, "separate", separating)
                 for module in (pt, credal):
-                    m.setattr(module, "lp_solve", noting(module.lp_solve))
+                    m.setattr(module, "lp_solve", None)  # any LP would fail
                 reports = validate(coll)
             failures = [r for report in reports for r in report.failures()]
-            assert failures and outside and not any(outside)
+            assert failures
             for rec in failures:
                 assert verify_witness_certificate(
                     rec.certificate, comparison_set(coll, rec)
@@ -334,10 +315,9 @@ class TestExpectations:
             gens = cset.body.points
             bounds = []
             for g in (f, tuple(-v for v in f)):
-                outcome = lp_solve(LpProblem(
-                    "max", tuple(dot(g, v) for v in gens),
-                    ((tuple([F(1)] * len(gens)), EQ, F(1)),), (True,) * len(gens),
-                ))
+                outcome = rational_lp(
+                    "max", [dot(g, v) for v in gens], [([F(1)] * len(gens), EQ, F(1))],
+                )
                 bounds.append(outcome.value)
             with monkeypatch.context() as m:
                 for module in (pt, credal):

@@ -1,16 +1,21 @@
 import random
+from collections import namedtuple
 from fractions import Fraction as F
 
 import pytest
 
 from credalkit.exactq import (
+    EQ,
+    GE,
+    LE,
     DimensionError,
+    IntLp,
     RationalParseError,
+    _check_infeasible,
     _integer_row,
     dot,
     echelon,
     format_rational,
-    lp_problem,
     lp_solve,
     parse_rational,
     qvec,
@@ -21,6 +26,7 @@ from oracles import (
     brute_force_max,
     fraction_simplex_solve,
     matrix_rank,
+    rational_lp,
     solve_linear_system,
 )
 
@@ -141,18 +147,27 @@ class TestLinearSystems:
         assert seen == {"unique", "underdetermined", "inconsistent"}
 
 
+RationalLp = namedtuple("RationalLp", "direction objective rows nonneg")
+
+
+def problem_of(direction, objective, rows, nonneg=None):
+    """A rational LP kept as data, for the tests that read it back;
+    `rational_lp(*problem)` solves it."""
+    if nonneg is None:
+        nonneg = [True] * len(objective)
+    return RationalLp(direction, qvec(objective), rows, nonneg)
+
+
 class TestLpSolve:
     def test_simplex_vertex(self):
-        out = lp_solve(lp_problem("max", [1, 0], [([1, 1], "=", 1)]))
+        out = rational_lp("max", [1, 0], [([1, 1], "=", 1)])
         assert out.status == "optimal"
         assert out.value == 1
         assert out.solution == (F(1), F(0))
 
     def test_bound_contradiction_certificate(self):
-        out = lp_solve(
-            lp_problem(
-                "min", [0], [([1], "<=", 0), ([1], ">=", 1)], nonneg=[False]
-            )
+        out = rational_lp(
+            "min", [0], [([1], "<=", 0), ([1], ">=", 1)], nonneg=[False]
         )
         assert out.status == "infeasible"
         assert out.certificate == (F(1), F(1))
@@ -167,12 +182,12 @@ class TestLpSolve:
         assert expected == 1  # frozen from the oracle
 
         rows = [(c, "<=", b) for c, b in ineqs] + [(c, "=", b) for c, b in eqs]
-        out = lp_solve(lp_problem("max", objective, rows, nonneg=[False] * dim))
+        out = rational_lp("max", objective, rows, nonneg=[False] * dim)
         assert out.status == "optimal"
         assert out.value == expected
 
     def test_unbounded_flagged(self):
-        out = lp_solve(lp_problem("max", [1], [([1], ">=", 0)]))
+        out = rational_lp("max", [1], [([1], ">=", 0)])
         assert out.status == "unbounded"
 
     def test_deterministic_bit_for_bit(self):
@@ -184,13 +199,13 @@ class TestLpSolve:
                 coeffs = [F(rng.randint(-4, 4)) for _ in range(n)]
                 sense = rng.choice(["<=", "=", ">="])
                 rows.append((coeffs, sense, F(rng.randint(-3, 3))))
-            problem = lp_problem(
+            problem = problem_of(
                 "min", [F(rng.randint(-3, 3)) for _ in range(n)], rows
             )
-            assert lp_solve(problem) == lp_solve(problem)
+            assert rational_lp(*problem) == rational_lp(*problem)
 
     def test_random_outcomes_self_verify(self):
-        # lp_solve re-checks optima and certificates internally; this
+        # rational_lp checks every optimum and certificate; this
         # exercises a spread of shapes to make those checks bite
         rng = random.Random(17)
         statuses = set()
@@ -202,25 +217,23 @@ class TestLpSolve:
                 sense = rng.choice(["<=", "=", ">="])
                 rows.append((coeffs, sense, F(rng.randint(-2, 4))))
             nonneg = [rng.random() < 0.7 for _ in range(n)]
-            problem = lp_problem(
+            out = rational_lp(
                 rng.choice(["min", "max"]),
                 [F(rng.randint(-3, 3)) for _ in range(n)],
                 rows,
                 nonneg,
             )
-            statuses.add(lp_solve(problem).status)
+            statuses.add(out.status)
         assert {"optimal", "infeasible", "unbounded"} <= statuses
 
     def test_farkas_combination_is_exact(self):
-        out = lp_solve(
-            lp_problem(
-                "min",
-                [0, 0],
-                [
-                    ([1, 1], "<=", 1),
-                    ([1, 0], ">=", 2),
-                ],
-            )
+        out = rational_lp(
+            "min",
+            [0, 0],
+            [
+                ([1, 1], "<=", 1),
+                ([1, 0], ">=", 2),
+            ],
         )
         assert out.status == "infeasible"
         cert = out.certificate
@@ -233,20 +246,14 @@ class TestLpSolve:
         assert all(c >= 0 for c in combined)
         assert combined_rhs == -1
 
-    def test_malformed_dimensions(self):
-        with pytest.raises(DimensionError):
-            lp_problem("min", [1, 2], [([1], "<=", 0)])
-        with pytest.raises(DimensionError):
-            lp_problem("min", [1], [([1], "<<", 0)])
-
     def test_dot_dimension_guard(self):
         with pytest.raises(DimensionError):
             dot((F(1),), (F(1), F(2)))
 
     def test_rational_rows_reverify_in_fractions(self):
         # rows with mixed denominators and rhs of both signs; each answer
-        # is re-checked here in Fraction arithmetic, apart from lp_solve's
-        # own integer checks
+        # is re-checked here in Fraction arithmetic, apart from
+        # rational_lp's own integer checks
         rng = random.Random(29)
         statuses = set()
         for _ in range(80):
@@ -257,13 +264,13 @@ class TestLpSolve:
                 sense = rng.choice(["<=", "=", ">="])
                 rows.append((coeffs, sense, F(rng.randint(-4, 4), rng.randint(1, 6))))
             nonneg = [rng.random() < 0.6 for _ in range(n)]
-            problem = lp_problem(
+            problem = problem_of(
                 rng.choice(["min", "max"]),
                 [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)],
                 rows,
                 nonneg,
             )
-            out = lp_solve(problem)
+            out = rational_lp(*problem)
             statuses.add(out.status)
             assert_verifies(problem, out)
         assert {"optimal", "infeasible", "unbounded"} <= statuses
@@ -364,7 +371,7 @@ def random_dependent_lp(rng):
         coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
         rows.append((coeffs, rng.choice(["<=", ">="]), F(rng.randint(-3, 3))))
     rng.shuffle(rows)
-    return lp_problem(
+    return problem_of(
         rng.choice(["min", "max"]),
         [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)],
         rows,
@@ -441,7 +448,7 @@ class TestEqualityPresolve:
         for _ in range(150):
             problem = random_dependent_lp(rng)
             dropped = dropped_rows(problem)
-            out = lp_solve(problem)
+            out = rational_lp(*problem)
             assert seen.pop() == len(problem.rows) - len(dropped)
             status, value = reference_lp(problem)
             assert out.status == status
@@ -451,8 +458,8 @@ class TestEqualityPresolve:
                 assert all(out.certificate[i] == 0 for i in dropped)
                 eqs = [(c, s, r) for c, s, r in problem.rows if s == "="]
                 n = len(problem.objective)
-                alone = lp_problem("min", problem.objective, eqs, [False] * n)
-                inconsistent += lp_solve(alone).status == "infeasible"
+                alone = rational_lp("min", problem.objective, eqs, [False] * n)
+                inconsistent += alone.status == "infeasible"
             statuses.add(out.status)
             with_dropped += bool(dropped)
         assert {"optimal", "infeasible", "unbounded"} <= statuses
@@ -461,13 +468,11 @@ class TestEqualityPresolve:
     def test_inconsistent_copy_is_kept(self):
         # the scaled copy with a changed rhs proves infeasibility; the
         # exact duplicate is dropped and gets multiplier 0
-        out = lp_solve(
-            lp_problem(
-                "min",
-                [0, 0],
-                [([1, 1], "=", 1), ([1, 1], "=", 1), ([2, 2], "=", 3)],
-                [False, False],
-            )
+        out = rational_lp(
+            "min",
+            [0, 0],
+            [([1, 1], "=", 1), ([1, 1], "=", 1), ([2, 2], "=", 3)],
+            [False, False],
         )
         assert out.status == "infeasible"
         assert out.certificate[1] == 0
@@ -475,11 +480,9 @@ class TestEqualityPresolve:
 
     def test_zero_row(self):
         # 0 = 0 is dropped; 0 = 1 is kept and is the whole certificate
-        problem = lp_problem(
-            "max", [1], [([0], "=", 0), ([1], "<=", 2), ([0], "=", 1)]
-        )
-        assert lp_solve(problem).certificate == (F(0), F(0), F(-1))
-        assert lp_solve(lp_problem("max", [1], problem.rows[:2])).value == 2
+        rows = [([0], "=", 0), ([1], "<=", 2), ([0], "=", 1)]
+        assert rational_lp("max", [1], rows).certificate == (F(0), F(0), F(-1))
+        assert rational_lp("max", [1], rows[:2]).value == 2
 
 
 def fake_kernel(monkeypatch, answer):
@@ -488,13 +491,17 @@ def fake_kernel(monkeypatch, answer):
 
 
 class TestCertificateChecks:
-    """lp_solve rejects a kernel answer that is wrong in one way.
+    """`lp_solve` refuses a kernel point or witness that does not fit the
+    columns or rows the kernel was given, and `_check_infeasible`, which
+    each caller runs on a certificate, refuses a wrong Farkas combination.
+    The tests' `rational_lp`, which the references here rely on, refuses
+    a point that violates a row.
 
-    The kernel sees one column per sign-constrained variable, two per
-    free one (positive, then negative) and then one slack per inequality
-    row; a Farkas `y` has one entry per row the kernel is given: every
-    inequality row and each equality row independent of the equality
-    rows before it.
+    An `IntLp` row is ([a | b], sense, den). The kernel sees one column
+    per sign-constrained variable, two per free one (positive, then
+    negative) and then one slack per inequality row; a Farkas `y` has one
+    entry per row the kernel is given: every inequality row and each
+    equality row independent of the equality rows before it.
     """
 
     @pytest.mark.parametrize(
@@ -509,41 +516,36 @@ class TestCertificateChecks:
     def test_violated_row(self, monkeypatch, row, x):
         fake_kernel(monkeypatch, ("optimal", x, None))
         with pytest.raises(RuntimeError, match="violates a constraint"):
-            lp_solve(lp_problem("max", [1, 0], [([1, 0], "<=", 5), row]))
+            rational_lp("max", [1, 0], [([1, 0], "<=", 5), row])
 
     def test_negative_sign_constrained_variable(self, monkeypatch):
         # x0 = -1, x1 = 1 meets x0 + x1 = 0 but breaks x0 >= 0
         fake_kernel(monkeypatch, ("optimal", [F(-1), F(1)], None))
         with pytest.raises(RuntimeError, match="sign-constrained"):
-            lp_solve(lp_problem("min", [0, 0], [([1, 1], "=", 0)]))
+            lp_solve(IntLp("min", (0, 0), (([1, 1, 0], EQ, 1),), (True, True)))
 
     def test_free_variable_may_be_negative(self, monkeypatch):
         # the same point is optimal when x0 is free (columns x0+, x0-, x1,
         # then the slack of x1 <= 1)
         fake_kernel(monkeypatch, ("optimal", [F(0), F(1), F(1), F(0)], None))
-        out = lp_solve(
-            lp_problem(
-                "min", [1, 0], [([1, 1], "=", 0), ([0, 1], "<=", 1)], [False, True]
-            )
-        )
+        rows = (([1, 1, 0], EQ, 1), ([0, 1, 1], LE, 1))
+        out = lp_solve(IntLp("min", (1, 0), rows, (False, True)))
         assert out.solution == (F(-1), F(1))
-        assert out.value == -1
 
-    def test_negative_inequality_multiplier(self, monkeypatch):
-        fake_kernel(monkeypatch, ("infeasible", None, [F(1), F(0)]))
+    def test_negative_inequality_multiplier(self):
+        # x0 <= 2 with multiplier -1/2 and x0 = 1 with 0
+        rows = [([1, 2], LE, 1), ([1, 1], EQ, 1)]
         with pytest.raises(RuntimeError, match="negative multiplier"):
-            lp_solve(lp_problem("min", [0], [([1], "<=", 2), ([1], "=", 1)]))
+            _check_infeasible(rows, (True,), (F(-1, 2), F(0)))
 
-    def test_combined_row_negative_on_nonneg_variable(self, monkeypatch):
+    def test_combined_row_negative_on_nonneg_variable(self):
         # x0 >= 1 is feasible; y = 1 gives the combined row -x0 <= -1
-        fake_kernel(monkeypatch, ("infeasible", None, [F(1)]))
         with pytest.raises(RuntimeError, match="negative on a nonneg"):
-            lp_solve(lp_problem("min", [0], [([1], ">=", 1)]))
+            _check_infeasible([([1, 1], GE, 1)], (True,), (F(1),))
 
-    def test_combined_row_nonzero_on_free_variable(self, monkeypatch):
-        fake_kernel(monkeypatch, ("infeasible", None, [F(1)]))
+    def test_combined_row_nonzero_on_free_variable(self):
         with pytest.raises(RuntimeError, match="nonzero on a free"):
-            lp_solve(lp_problem("min", [0], [([1], ">=", 1)], [False]))
+            _check_infeasible([([1, 1], GE, 1)], (False,), (F(1),))
 
     @pytest.mark.parametrize("y", [F(0), F(-1)])
     def test_combined_rhs_not_violated(self, monkeypatch, y):
@@ -551,10 +553,10 @@ class TestCertificateChecks:
         # the normalization to rhs -1 refuses
         fake_kernel(monkeypatch, ("infeasible", None, [y]))
         with pytest.raises(RuntimeError, match="infeasibility witness"):
-            lp_solve(lp_problem("min", [0], [([1], "<=", 1)]))
+            lp_solve(IntLp("min", (0,), (([1, 1], LE, 1),), (True,)))
 
     # x0 = 1, 2 x0 = 2 (dropped), x0 = 3: the kernel sees rows 0 and 2
-    MISALIGNED = [([1], "=", 1), ([2], "=", 2), ([1], "=", 3)]
+    MISALIGNED = (([1, 1], EQ, 1), ([2, 2], EQ, 1), ([1, 3], EQ, 1))
 
     @pytest.mark.parametrize(
         "y, message",
@@ -569,16 +571,19 @@ class TestCertificateChecks:
     def test_witness_misaligned_with_kept_rows(self, monkeypatch, y, message):
         fake_kernel(monkeypatch, ("infeasible", None, y))
         with pytest.raises(RuntimeError, match=message):
-            lp_solve(lp_problem("min", [0], self.MISALIGNED))
+            lp_solve(IntLp("min", (0,), self.MISALIGNED, (True,)))
 
     def test_witness_on_kept_rows_accepted(self, monkeypatch):
         fake_kernel(monkeypatch, ("infeasible", None, [F(-1), F(1)]))
-        out = lp_solve(lp_problem("min", [0], self.MISALIGNED))
+        out = lp_solve(IntLp("min", (0,), self.MISALIGNED, (True,)))
         assert out.certificate == (F(1, 2), F(0), F(-1, 2))
+        _check_infeasible(self.MISALIGNED, (True,), out.certificate)
 
     def test_valid_certificate_accepted(self, monkeypatch):
         # -x0 >= 1 with x0 >= 0 is infeasible, and y = 1 proves it
         fake_kernel(monkeypatch, ("infeasible", None, [F(1)]))
-        out = lp_solve(lp_problem("min", [0], [([-1], ">=", 1)]))
+        rows = (([-1, 1], GE, 1),)
+        out = lp_solve(IntLp("min", (0,), rows, (True,)))
         assert out.status == "infeasible"
         assert out.certificate == (F(1),)
+        _check_infeasible(rows, (True,), out.certificate)

@@ -12,11 +12,11 @@ from fractions import Fraction as F
 
 import credalkit.polytope as pt
 from credalkit.credal import CredalCollection, check_marginal_consistency
-from credalkit.exactq import dot, lp_problem, lp_solve
+from credalkit.exactq import dot
 from credalkit.joint import build_joint, verify_representation
 from credalkit.spaces import restriction_matrix
 from gen import generated_instance, random_simplex_point
-from oracles import brute_force_vertices, equals, hull_sample_points
+from oracles import brute_force_vertices, equals, hull_sample_points, rational_lp
 
 
 def random_hrep_with_eqs(rng, dim):
@@ -82,7 +82,7 @@ def test_lp_optimum_equals_vertex_scan():
             continue
         objective = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
         rows = [(c, "<=", b) for c, b in ineqs] + [(c, "=", b) for c, b in eqs]
-        out = lp_solve(lp_problem("max", objective, rows, nonneg=[False] * dim))
+        out = rational_lp("max", objective, rows, nonneg=[False] * dim)
         assert out.status == "optimal"
         assert out.value == max(dot(objective, v) for v in verts)
         checked += 1

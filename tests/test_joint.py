@@ -5,6 +5,7 @@ from itertools import permutations, product
 import pytest
 
 import credalkit.polytope as pt
+from credalkit import _backend
 from credalkit.credal import (
     CredalCollection,
     check_marginal_consistency,
@@ -20,6 +21,7 @@ from credalkit.joint import (
     EmptyJointError,
     _assemble,
     _diagnose,
+    _fiber_rows,
     _member_reachable,
     ModeError,
     ResourceCapError,
@@ -345,7 +347,7 @@ def random_infeasible_system(rng, dim, inconsistent_copy):
 def counted_diagnose(monkeypatch, dim, ineqs, eqs, certificate):
     """_diagnose's result, the LPs it ran (the filter's, in polytope, and
     the last one, in joint) and its rule 2 substitutions: its integer
-    certificate checks but the seed's."""
+    certificate checks but the seed's and the last LP's."""
     counts = {"lps": 0, "substitutions": 0}
     check = jt._check_infeasible
 
@@ -364,7 +366,7 @@ def counted_diagnose(monkeypatch, dim, ineqs, eqs, certificate):
             m.setattr(module, "lp_solve", counting(module.lp_solve))
         m.setattr(jt, "_check_infeasible", counting_check)
         diag = _diagnose(dim, ineqs, eqs, certificate)
-    counts["substitutions"] -= 1
+    counts["substitutions"] -= 2
     return diag, counts
 
 
@@ -436,7 +438,8 @@ def recorded_systems(monkeypatch, dim, coll):
             if current[0] is not None:
                 current[0].append(len(problem.objective))
             if len(problem.objective) == dim:
-                system = set(problem.rows)
+                system = {(tuple(nums[:-1]), sense, F(nums[-1], den))
+                          for nums, sense, den in problem.rows}
                 for j, bounded in enumerate(problem.nonneg):
                     if bounded:
                         unit = tuple(F(-1) if k == j else F(0) for k in range(dim))
@@ -597,6 +600,29 @@ class TestDiagnose:
         # but its rhs is not negative
         certificate = (F(2), F(0), F(0), F(0), F(1))
         with pytest.raises(RuntimeError, match="combined rhs not violated"):
+            _diagnose(3, ineqs, eqs, certificate)
+
+    def test_wrong_last_witness_raises(self, monkeypatch):
+        """The last LP's certificate is checked on the core rows. The core
+        is every row: 2 x0 = 1 and x0 = 1 each need the other. A kernel
+        witness on x0 = 1 alone passes the normalization to rhs -1, but
+        its combined row -x0 is not 0, and the check refuses it."""
+        simplex = pt.Polytope.simplex(3).hrep
+        ineqs = [(row, SIMPLEX_ORIGIN) for row in simplex.ineqs]
+        eqs = [(row, SIMPLEX_ORIGIN) for row in simplex.eqs]
+        eqs += [(((2, 0, 0), 1), ("a",)), (((1, 0, 0), 1), ("b",))]
+        certificate = seed_certificate(3, ineqs, eqs)
+        assert len(_diagnose(3, ineqs, eqs, certificate).rows) == 6
+        real = jt.lp_solve
+
+        def last_lp(problem):
+            with monkeypatch.context() as m:
+                m.setattr(_backend, "simplex_solve",
+                          lambda rows, *args: ("infeasible", None, [F(0)] * (rows - 1) + [F(1)]))
+                return real(problem)
+
+        monkeypatch.setattr(jt, "lp_solve", last_lp)
+        with pytest.raises(RuntimeError, match="nonzero on a free variable"):
             _diagnose(3, ineqs, eqs, certificate)
 
     def test_tampered_seed_raises(self):
@@ -787,7 +813,7 @@ def assert_unreachable(joint, alpha, target):
         assert sense == EQ or cm >= 0
         combined = [s + cm * v for s, v in zip(combined, (*a, b))]
     assert combined[:-1] == [F(0)] * joint.dim and combined[-1] < 0
-    reachable, g = _member_reachable(joint, idx, target)
+    reachable, g = _member_reachable(joint, _fiber_rows(idx, len(target)), target)
     assert not reachable
     status, sup, _ = pt._maximize(joint.body, pull(idx, g))
     sep = pt.SeparationCertificate(g, dot(g, target) - sup, target)
@@ -913,6 +939,14 @@ class TestVerifyRepresentation:
             assert len(ctx.basis) == hull_dim
             assert_unreachable(joint, ("a",), (F(1), F(0)))
 
+    def test_fiber_rows_match_dense_map(self):
+        """The pushforward rows, built in one pass over the index map, are
+        the rows of the 0/1 matrix built cell by cell from labels."""
+        for alpha in all_canonical_tuples(ABC):
+            idx = pushforward_matrix(ABC, alpha)
+            dense = dense_pushforward(ABC, alpha)
+            assert _fiber_rows(idx, len(dense)) == [tuple(row) for row in dense]
+
     def test_reachable_at_the_origin_needs_no_lp(self, monkeypatch):
         """A member the joint set's LP origin maps onto is reachable with
         no LP."""
@@ -924,7 +958,7 @@ class TestVerifyRepresentation:
         for alpha in coll.supplied_tuples():
             idx = pushforward_matrix(coll.space, alpha)
             v = push(idx, origin, 2 ** len(alpha))
-            assert _member_reachable(joint, idx, v) == (True, None)
+            assert _member_reachable(joint, _fiber_rows(idx, len(v)), v) == (True, None)
 
     def test_reachability_takes_unit_rows_as_bounds(self, monkeypatch):
         """The joint set is a segment whose free direction z is 0 at the LP
@@ -951,7 +985,7 @@ class TestVerifyRepresentation:
         idx, target = pushforward_matrix(AB, ("b",)), (F(0), F(1))
         with monkeypatch.context() as m:
             m.setattr(pt, "lp_solve", recording)
-            assert not _member_reachable(joint, idx, target)[0]
+            assert not _member_reachable(joint, _fiber_rows(idx, 2), target)[0]
         assert shapes == [(1, 1)]
         cert = assert_unreachable(joint, ("b",), target)
         assert any(cert[i] for i in bounds)

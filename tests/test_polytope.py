@@ -9,7 +9,7 @@ import pytest
 
 import credalkit.polytope as pt
 from credalkit import _backend
-from credalkit.exactq import EQ, LE, DimensionError, LpProblem, dot, lp_solve
+from credalkit.exactq import EQ, LE, DimensionError, dot
 from credalkit.polytope import (
     HRep,
     NotSeparableError,
@@ -470,6 +470,44 @@ class TestSeparate:
         with pytest.raises(NotSeparableError):
             separate(Polytope.simplex(2), (F(1, 2), F(1, 2)))
 
+    def test_points_read_the_first_violated_row(self, monkeypatch):
+        """For a set given by points the certificate is the first
+        inequality row of its canonical form that x violates, with the
+        gap over the points, and no LP runs."""
+        rng = random.Random(81)
+        seen = 0
+        monkeypatch.setattr(pt, "lp_solve", None)  # any LP would fail
+        for pts, dim in random_point_sets(rng, 90):
+            p = Polytope.from_points(pts, dim=dim)
+            h = dd_convert(p).hrep
+            for _ in range(3):
+                x = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
+                violated = [a for a, b in h.ineqs if dot(a, x) > b]
+                if not violated:
+                    continue
+                cert = separate(p, x)
+                a = violated[0]
+                assert cert.functional == a and cert.point == x
+                assert cert.gap == dot(a, x) - max(dot(a, v) for v in pts)
+                assert verify_separation(cert, p)
+                seen += 1
+        assert seen > 100
+
+    @pytest.mark.parametrize("x, g, gap", [
+        ((F(1, 4), F(1, 4)), (-1, -1), F(1, 2)),
+        ((F(1), F(1)), (1, 1), F(1)),
+    ], ids=["below", "above"])
+    def test_equality_row_of_a_flat_hull(self, x, g, gap):
+        """A point of the segment's box off its line violates only the
+        equality row x0 + x1 = 1, which, signed, is the certificate."""
+        p = Polytope.from_points([(F(1), F(0)), (F(0), F(1))])
+        h = dd_convert(p).hrep
+        assert h.eqs == (((1, 1), 1),)
+        assert all(dot(a, x) <= b for a, b in h.ineqs)
+        cert = separate(p, x)
+        assert (cert.functional, cert.gap) == (g, gap)
+        assert verify_separation(cert, p)
+
     def test_certificates_verify_everywhere(self):
         rng = random.Random(80)
         for _ in range(20):
@@ -739,6 +777,23 @@ class TestLpContext:
             point, cert = ctx.decide([((1, 0, 0), target)])
             assert point is None and cert[-1] != 0
         assert calls.count(True) == 1
+
+    @pytest.mark.parametrize("part", ["origin", "basis"])
+    def test_eliminated_checks_the_equality_solution(self, monkeypatch, part):
+        """A solution of the equality rows that misses one of them, or a
+        basis vector outside their nullspace, raises RuntimeError when the
+        context is set up, before any answer relies on E x = e."""
+        real = pt.solve_rows
+
+        def skewed(rows, n):
+            x0, null, pivots = real(rows, n)
+            if part == "origin":
+                return (x0[0] + 1, *x0[1:]), null, pivots
+            return x0, (*null[:-1], tuple(v + 1 for v in null[-1])), pivots
+
+        monkeypatch.setattr(pt, "solve_rows", skewed)
+        with pytest.raises(RuntimeError, match="equality rows"):
+            pt.LpContext.eliminated(Polytope.simplex(3).hrep)
 
     def test_empty_has_no_context(self):
         p = Polytope.from_hrep(1, ineqs=[((F(1),), F(-1)), ((F(-1),), F(0))])
@@ -1190,35 +1245,9 @@ class TestFeasiblePoint:
         assert ctx.origin != outside and hrep_contains(p.hrep, ctx.origin)
 
 
-def hull_membership_all_rows(x, points):
-    """`_hull_membership` with every coordinate row kept."""
-    rows = [(tuple([F(1)] * len(points)), EQ, F(1))]
-    rows += [(tuple(v[j] for v in points), EQ, x[j]) for j in range(len(x))]
-    out = lp_solve(LpProblem("min", tuple([F(0)] * len(points)), tuple(rows),
-                             (True,) * len(points)))
-    return out.status, out.certificate
-
-
-class TestHullMembership:
-    def test_simplex_points_match_all_rows(self):
-        """Leaving out the dependent last coordinate row of points in the
-        simplex changes neither status nor certificate."""
-        rng = random.Random(33)
-        for pts, dim in random_point_sets(rng, 90):
-            if not all(sum(v) == 1 for v in pts):
-                continue
-            for x in pts[:1] + [tuple(F(rng.randint(0, 3)) for _ in range(dim))]:
-                x = tuple(v / sum(x) for v in x) if sum(x) else (F(1),) + x[1:]
-                assert pt._hull_membership(x, pts) == hull_membership_all_rows(x, pts)
-
-    def test_off_simplex_keeps_every_row(self):
-        pts = [(F(1), F(1)), (F(2), F(0))]
-        for x in [(F(3, 2), F(1, 2)), (F(1), F(0))]:
-            assert pt._hull_membership(x, pts) == hull_membership_all_rows(x, pts)
-
-
 class TestLpStatusChecks:
-    """A wrong LP status raises RuntimeError, also under python -O."""
+    """A wrong LP status, or a supremum that leaves no gap, raises
+    RuntimeError, also under python -O."""
 
     @staticmethod
     def unbounded(p, f):
@@ -1233,11 +1262,13 @@ class TestLpStatusChecks:
             pt._sup(p, (F(1), F(0)))
 
     def test_hull_separation(self, monkeypatch):
+        """x violates x0 <= 1 of the segment's rows; a sup of that row
+        over the points as large as its value at x leaves no gap."""
         p = Polytope.from_points([(F(1), F(0)), (F(0), F(1))])
-        monkeypatch.setattr(pt, "contains_point", lambda p, x: False)
-        monkeypatch.setattr(pt, "_hull_membership", lambda x, pts: ("optimal", None))
-        with pytest.raises(RuntimeError):
-            separate(p, (F(1), F(1)))
+        x = (F(2), F(-1))
+        monkeypatch.setattr(pt, "_sup", lambda q, f: dot(f, x))
+        with pytest.raises(RuntimeError, match="does not separate"):
+            separate(p, x)
 
     def test_under_optimize_flag(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
