@@ -41,7 +41,6 @@ from credalkit.exactq import (
     ZERO,
     DimensionError,
     IntLp,
-    LpOutcome,
     _check_infeasible,
     _content_free,
     _integer_row,
@@ -531,12 +530,6 @@ class RepresentationReport:
         return tuple(r for r in self.records if r.status != "pass")
 
 
-def _max_over_joint(joint, objective):
-    """max objective.p over the joint set, as an LpOutcome."""
-    status, value, solution = pt._maximize(joint.body, objective)
-    return LpOutcome(status, value=value, solution=solution)
-
-
 def _fiber_rows(idx, size):
     """The pushforward rows of the index map idx onto `size` cells, built
     in one pass over idx: row x is the 0/1 indicator of x's fiber, so
@@ -616,10 +609,10 @@ def _verify_tuple_polytope(joint, alpha, cset):
         ok, g = _member_reachable(joint, fibers, v)
         if not ok:
             lifted = sp.pull(idx, g)
-            sup = _max_over_joint(joint, lifted)
-            if sup.status != "optimal":
-                raise RuntimeError(f"supremum LP over the joint set ended {sup.status}")
-            gap = dot(g, v) - sup.value
+            status, sup, _ = pt._maximize(joint.body, lifted)
+            if status != "optimal":
+                raise RuntimeError(f"supremum LP over the joint set ended {status}")
+            gap = dot(g, v) - sup
             failure = RepresentationRecord(
                 alpha,
                 "prescribed within pushforward",
@@ -636,18 +629,13 @@ def _verify_tuple_polytope(joint, alpha, cset):
 
     # pushforward of the joint set within the prescribed set
     failure = None
-    hrep = target.hrep
-    probes = [(a, b) for a, b in hrep.ineqs]
-    for e, f in hrep.eqs:
-        probes.append((e, f))
-        probes.append((tuple(-c for c in e), -f))
-    for g, bound in probes:
+    for g, bound in target.hrep.as_ineqs():
         lifted = sp.pull(idx, g)
-        outcome = _max_over_joint(joint, lifted)
-        if outcome.status != "optimal":
-            raise RuntimeError(f"facet LP over the joint set ended {outcome.status}")
-        if outcome.value > bound:
-            image_point = sp.push(idx, outcome.solution, cset.dim)
+        status, value, solution = pt._maximize(joint.body, lifted)
+        if status != "optimal":
+            raise RuntimeError(f"facet LP over the joint set ended {status}")
+        if value > bound:
+            image_point = sp.push(idx, solution, cset.dim)
             sup = max(dot(g, w) for w in target.points)
             failure = RepresentationRecord(
                 alpha,
@@ -721,6 +709,15 @@ class PropertyReport:
         return all(r.status == "pass" for r in self.records)
 
 
+def _fiber_sup(fibers, a, points):
+    """max a.q over Q = {q >= 0 : r(q) in hull(points)}, fibers[c] listing
+    the cells the index map r sends to c. At a fixed v = r(q) the best q
+    puts each v_c on its fiber's best cell, for sum_c v_c max_{j in
+    fibers[c]} a_j; that is linear in v, so its max is at a point."""
+    best = [max(a[j] for j in fiber) for fiber in fibers]
+    return max(dot(best, w) for w in points)
+
+
 def property_suite(
     coll: CredalCollection,
     joint: Optional[JointModel] = None,
@@ -747,11 +744,16 @@ def property_suite(
       is compared by vertex sets;
     - covering of beta, by the restriction r: pi_beta = r o pi_alpha, so
       pre(beta) = pi_alpha^-1(Q) for Q = {q in alpha's simplex : r(q) in
-      V_beta}, the pullback of V_beta's rows. The record holds iff V_alpha
-      lies in Q, and is "strict" iff Q does not also lie in V_alpha;
+      V_beta}. The record holds iff V_alpha lies in Q: each vertex u of
+      V_alpha has r(u) in V_beta's integer rows (`contains_point`). It is
+      "strict" iff Q does not lie in V_alpha: some row a.x <= b of
+      V_alpha (an equality row read both ways) has sup_Q a > b
+      (`_fiber_sup`);
     - full tuple: the joint set is the intersection of pre(beta) over the
       representative tuples, so it equals pre(rep_gamma) iff every
-      covering record with alpha = rep_gamma holds, which takes no LP.
+      covering record with alpha = rep_gamma holds.
+    No record runs an LP; only `build_joint` and `verify_representation`
+    do, when run here for an argument not given.
     """
     if joint is None:
         joint = build_joint(coll)
@@ -785,30 +787,25 @@ def property_suite(
     shortcut = True
     for alpha in reps:
         body = pt.dd_convert(coll.sets[alpha].body)
+        rows = body.hrep.as_ineqs()
         for beta in reps:
             if alpha == beta or not sp.tuple_covers(alpha, beta):
                 continue
             idx = sp.restriction_matrix(coll.space, alpha, beta)
-            target = pt.dd_convert(coll.sets[beta].body).hrep
-            q = _system_polytope(
-                body.dim, *_pulled_system(body.dim, [(beta, idx, target)])
-            )
-            # V_alpha's first vertex, when in Q (as whenever the record
-            # holds), proves Q nonempty with no LP and is its LP origin
-            pt._decide_empty(q, body.points[0])
-            holds, _ = pt.is_subset(body, q)
-            strict = holds and not pt.is_subset(q, body)[0]
+            target = pt.dd_convert(coll.sets[beta].body)
+            holds = all(pt.contains_point(target, sp.push(idx, u, target.dim))
+                        for u in body.points)
+            fibers = [[] for _ in range(target.dim)]
+            for j, c in enumerate(idx):
+                fibers[c].append(j)
+            strict = holds and any(_fiber_sup(fibers, a, target.points) > b
+                                   for a, b in rows)
             if alpha == rep_gamma:
                 shortcut = shortcut and holds
-            records.append(
-                PropertyRecord(
-                    "covering tuple has smaller preimage",
-                    alpha,
-                    beta,
-                    "pass" if holds else "fail",
-                    note="strict" if strict else "",
-                )
-            )
+            records.append(PropertyRecord(
+                "covering tuple has smaller preimage", alpha, beta,
+                "pass" if holds else "fail", note="strict" if strict else "",
+            ))
 
     if representation is None:
         representation = verify_representation(coll, joint)

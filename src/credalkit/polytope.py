@@ -158,6 +158,14 @@ class HRep:
                 can_eqs.append(row)
         return cls(dim, tuple(can_ineqs), tuple(can_eqs))
 
+    def as_ineqs(self) -> list:
+        """Every row as a.x <= b: the inequality rows, then each equality
+        row e.x = f as e.x <= f and -e.x <= -f."""
+        rows = list(self.ineqs)
+        for e, f in self.eqs:
+            rows += [(e, f), (tuple(-c for c in e), -f)]
+        return rows
+
 
 @dataclass(frozen=True)
 class SeparationCertificate:
@@ -921,11 +929,12 @@ def is_subset(p: Polytope, q: Polytope):
     finite supremum over the empty set).
 
     A p given by generators is tested point by point. Otherwise every row
-    of q is maximized over p, except a row p already carries: an
-    inequality row (a, b) holds with no LP when p has a row (a, b') with
-    b' <= b, and an equality row in the span of p's equality rows is
-    constant on p, so its two LPs are free. The first failing row, and
-    so the certificate, is the one every row's LP would find.
+    of q, an equality row read both ways (`HRep.as_ineqs`), is maximized
+    over p, except a row p already carries: a row (a, b) holds with no
+    LP when p has an inequality row (a, b') with b' <= b, and an equality
+    row in the span of p's equality rows is constant on p, so its two
+    LPs are free. The first failing row, and so the certificate, is the
+    one every row's LP would find.
     """
     if p.dim != q.dim:
         raise DimensionError("dimension mismatch")
@@ -943,8 +952,7 @@ def is_subset(p: Polytope, q: Polytope):
     for a, b in p._hrep.ineqs:
         if a not in carried or b < carried[a]:
             carried[a] = b
-    h = q.hrep
-    for a, b in h.ineqs:
+    for a, b in q.hrep.as_ineqs():
         if a in carried and carried[a] <= b:
             continue
         status, val, arg = _maximize(p, a)
@@ -952,13 +960,6 @@ def is_subset(p: Polytope, q: Polytope):
             raise UnboundedError("containment query over an unbounded set")
         if val > b:
             return False, SeparationCertificate(a, val - _sup(q, a), arg)
-    for e, f in h.eqs:
-        for g, bound in ((e, f), (tuple(-c for c in e), -f)):
-            status, val, arg = _maximize(p, g)
-            if status != "optimal":
-                raise UnboundedError("containment query over an unbounded set")
-            if val > bound:
-                return False, SeparationCertificate(g, val - _sup(q, g), arg)
     return True, None
 
 

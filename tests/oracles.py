@@ -33,6 +33,11 @@ the tests compare polytopes with.
 simplex, on the preimage polytopes of the tuples (shuffled ones
 included), with `equals` for the permutation and full-tuple records.
 
+`covering_q` is the reference for `credalkit.joint._fiber_sup`: the
+polytope Q = {q in alpha's simplex : r(q) in V_beta} of a covering pair,
+built from V_beta's pulled-back rows as the build pulls rows back, so
+that an LP over it gives the support function `_fiber_sup` reads off.
+
 `deletion_filter_reference` is the reference for
 `credalkit.joint._diagnose`: the deletion filter with one LP per
 credal-origin row, each over every other row still active, and no
@@ -100,6 +105,7 @@ from credalkit.spaces import (
     product_index,
     pull,
     pushforward_matrix,
+    restriction_matrix,
     tuple_covers,
 )
 
@@ -274,6 +280,16 @@ def property_suite_reference(coll, joint, representation):
         "pass" if equals(joint.body, pre[rep_gamma]) else "fail",
     ))
     return jt.PropertyReport(tuple(records))
+
+
+def covering_q(coll, alpha, beta):
+    """Q = {q in alpha's simplex : r(q) in V_beta}, r the restriction of
+    alpha onto beta: the simplex rows and V_beta's canonical rows pulled
+    back through r (`joint._pulled_system`), as an H-rep polytope."""
+    dim = coll.sets[alpha].dim
+    idx = restriction_matrix(coll.space, alpha, beta)
+    target = pt.dd_convert(coll.sets[beta].body).hrep
+    return jt._system_polytope(dim, *jt._pulled_system(dim, [(beta, idx, target)]))
 
 
 def deletion_filter_reference(dim, ineqs, eqs):

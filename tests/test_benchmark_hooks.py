@@ -194,10 +194,10 @@ def test_diagnosis_lps_are_traced(monkeypatch):
 
 def test_verify_spans_one_representation_check(tmp_path):
     """CLI `verify` on a consistent |T|=3 collection: one
-    `verify_representation` span, the property suite's `is_subset` spans
-    still recorded, at most two per covering record (the permutation and
-    full-tuple records take none), and an `is_subset` call whose q rows p
-    already carries holds with no LP below its span."""
+    `verify_representation` span, no `is_subset` span inside the property
+    suite (its covering records substitute vertices and read off support
+    functions), and an `is_subset` call whose q rows p already carries
+    holds with no LP below its span."""
     layers = load_layers()
     gen = importlib.import_module("gen")
     cli = importlib.import_module("credalkit.cli")
@@ -229,10 +229,8 @@ def test_verify_spans_one_representation_check(tmp_path):
         if "properties" in (layer_of[a] for a in ancestors(spans, i))
     ]
     records = json.loads((tmp_path / "r.json").read_text())["properties"]["records"]
-    covering = [
-        r for r in records if r["property"] == "covering tuple has smaller preimage"
-    ]
-    assert 0 < len(in_suite) <= 2 * len(covering)
+    assert any(r["property"] == "covering tuple has smaller preimage" for r in records)
+    assert in_suite == []
     free = set(subset[-len(carried):])
     lps = [i for i, layer in enumerate(layer_of) if layer == "lp"]
     assert lps and not any(free & set(ancestors(spans, i)) for i in lps)

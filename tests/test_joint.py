@@ -39,6 +39,8 @@ from credalkit.spaces import (
     pull,
     push,
     pushforward_matrix,
+    restriction_matrix,
+    tuple_covers,
     uniform_measure,
 )
 from gen import (
@@ -52,6 +54,7 @@ from oracles import (
     apply,
     context_decide_reference,
     context_maximize_reference,
+    covering_q,
     deletion_filter_reference,
     dense_pushforward,
     equals,
@@ -657,9 +660,9 @@ class TestDiagnose:
             )
 
 
-def test_library_rows_are_ints(monkeypatch):
-    """The built joint set, the property suite's pullback systems Q and a
-    diagnosis's core rows hold int rows with int rhs."""
+def test_library_rows_are_ints():
+    """The built joint set and a diagnosis's core rows hold int rows with
+    int rhs."""
     def assert_int_rows(rows):
         for a, b in rows:
             assert type(a) is tuple and all(type(v) is int for v in (*a, b))
@@ -667,19 +670,6 @@ def test_library_rows_are_ints(monkeypatch):
     coll = generated_instance(random.Random(811), 3)[1]
     joint = build_joint(coll)
     assert_int_rows((*joint.body.hrep.ineqs, *joint.body.hrep.eqs))
-    pulled = []
-    real = pt.is_subset
-
-    def recording(p, q):
-        pulled.append(q.hrep)
-        return real(p, q)
-
-    with monkeypatch.context() as m:
-        m.setattr(pt, "is_subset", recording)
-        assert property_suite(coll, joint).passed
-    assert pulled
-    for h in pulled:
-        assert_int_rows((*h.ineqs, *h.eqs))
     empty = build_joint(clash_instance(random.Random(61), 3)[1])
     assert empty.is_empty()
     assert_int_rows([(coeffs, rhs) for coeffs, _, rhs, _ in empty.diagnosis.rows])
@@ -919,11 +909,9 @@ class TestVerifyRepresentation:
         cert = rec.certificate
         assert cert is not None and cert.gap > 0
         # the certificate's bound on the pushforward re-verifies by LP
-        from credalkit.joint import _max_over_joint
-
-        sup = _max_over_joint(joint, rec.lifted_functional)
-        assert sup.status == "optimal"
-        assert dot(cert.functional, cert.point) - sup.value >= cert.gap
+        status, sup, _ = pt._maximize(joint.body, rec.lifted_functional)
+        assert status == "optimal"
+        assert dot(cert.functional, cert.point) - sup >= cert.gap
 
     def test_unreachable_member_certificate(self):
         """An infeasible pushforward LP in the joint set's LP context maps
@@ -1056,25 +1044,29 @@ class TestPropertySuite:
         ]
         assert strict
 
-    def test_covering_records_run_no_feasibility_lp(self, monkeypatch):
-        # a holding record's Q holds V_alpha's first vertex, which becomes
-        # the origin of Q's LP context
-        coll = generated_instance(random.Random(811), 3)[1]
+    @pytest.mark.parametrize("make", [
+        lambda: generated_instance(random.Random(811), 3)[1],
+        lambda: lifted_collection(),
+        lambda: clash_instance(random.Random(5), 3)[1],
+    ], ids=["generated-t3", "non-strict", "clash"])
+    def test_covering_records_run_no_lp(self, monkeypatch, make):
+        """Given the representation report, the suite decides every
+        record with no LP and no feasibility decision, and gives the
+        report of an unpatched run."""
+        coll = make()
         joint = build_joint(coll)
         representation = verify_representation(coll, joint)
-        calls = []
-        real = pt._feasible_point
 
-        def deciding(h, candidate=None):
-            context, certificate = real(h, candidate)
-            calls.append(context.origin == candidate)
-            return context, certificate
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the property suite ran an LP")
 
-        monkeypatch.setattr(pt, "_feasible_point", deciding)
-        report = property_suite(coll, joint, representation)
-        records = _records(report, "covering tuple has smaller preimage")
-        assert report.passed and records
-        assert calls == [True] * len(records)
+        with monkeypatch.context() as m:
+            for module in (pt, jt):
+                m.setattr(module, "lp_solve", no_lp)
+            m.setattr(pt, "_feasible_point", no_lp)
+            report = property_suite(coll, joint, representation)
+        assert _records(report, "covering tuple has smaller preimage")
+        assert report == property_suite(coll, joint, representation)
 
     @pytest.mark.parametrize("make", [
         lambda: generated_instance(random.Random(800), 2)[1],
@@ -1135,6 +1127,35 @@ def _records(report, name):
     return [r for r in report.records if r.name == name]
 
 
+def flat_collection():
+    """V_ab is the segment from (1/6, 1/6, 1/3, 1/3) to (1/3, 1/3, 1/6,
+    1/6), whose marginals are V_a = {(1/3, 2/3), (2/3, 1/3)} and V_b =
+    {(1/2, 1/2)}: V_ab is lower-dimensional, so its rows hold equality
+    rows besides the normalization row."""
+    return CredalCollection(
+        AB,
+        {
+            ("a",): credal_set_from_vertices(
+                AB, ("a",), [(F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))]
+            ),
+            ("b",): credal_set_from_vertices(AB, ("b",), [(F(1, 2), F(1, 2))]),
+            ("a", "b"): credal_set_from_vertices(
+                AB,
+                ("a", "b"),
+                [(F(1, 6), F(1, 6), F(1, 3), F(1, 3)),
+                 (F(1, 3), F(1, 3), F(1, 6), F(1, 6))],
+            ),
+        },
+    )
+
+
+def both_covering_records_strict(report):
+    return [(r.beta, r.status, r.note)
+            for r in _records(report, "covering tuple has smaller preimage")] == [
+        (("a",), "pass", "strict"), (("b",), "pass", "strict"),
+    ]
+
+
 PARITY_CASES = {
     "generated-t2": (
         lambda: generated_instance(random.Random(810), 2)[1],
@@ -1168,6 +1189,10 @@ PARITY_CASES = {
             r.status for r in _records(report, "permutation-invariant preimage")
         ] == ["fail"],
     ),
+    # V_ab lower-dimensional: a segment, and a point, which has no
+    # inequality rows, so only its equality rows show that Q is larger
+    "flat": (flat_collection, both_covering_records_strict),
+    "point": (lambda: singleton_collection(AB), both_covering_records_strict),
 }
 
 
@@ -1182,3 +1207,32 @@ def test_property_suite_matches_path_space_reference(make, shows):
     report = property_suite(coll, joint, representation=representation)
     assert report == property_suite_reference(coll, joint, representation)
     assert shows(report)
+
+
+@pytest.mark.parametrize("make", [make for make, _ in PARITY_CASES.values()],
+                         ids=PARITY_CASES)
+def test_fiber_sup_is_the_support_of_q(make):
+    """For every covering pair (alpha, beta) and every row a of V_alpha,
+    equality rows both ways round, `_fiber_sup` is max a over Q = {q in
+    alpha's simplex : r(q) in V_beta}, found by LP over Q built as a
+    polytope (`covering_q`)."""
+    coll = make()
+    reps = representative_tuples(coll)
+    checked = 0
+    for alpha in reps:
+        h = pt.dd_convert(coll.sets[alpha].body).hrep
+        rows = [*h.ineqs, *h.eqs, *((tuple(-c for c in e), -f) for e, f in h.eqs)]
+        for beta in reps:
+            if alpha == beta or not tuple_covers(alpha, beta):
+                continue
+            target = pt.dd_convert(coll.sets[beta].body)
+            idx = restriction_matrix(coll.space, alpha, beta)
+            fibers = [[j for j, c in enumerate(idx) if c == x] for x in range(target.dim)]
+            q = covering_q(coll, alpha, beta)
+            for a, _ in rows:
+                status, value, _ = pt._maximize(q, a)
+                assert status == "optimal"
+                assert jt._fiber_sup(fibers, a, target.points) == value
+                checked += 1
+    assert checked
+

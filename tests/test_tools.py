@@ -1,5 +1,6 @@
-"""Smoke test of tools/outputs.py, the script whose output directories of
-two checkouts are compared with `diff -r`."""
+"""Smoke tests of tools/outputs.py, the script whose output directories of
+two checkouts are compared with `diff -r`, and of tools/stages.py, which
+records stage times and LP counts."""
 
 import json
 import os
@@ -31,3 +32,27 @@ def test_outputs_on_the_working_checkout(tmp_path):
         for command in ("validate", "validate-json", "build", "verify"):
             assert (where / f"{command}.code").read_text() == f"{code}\n", (name, command)
         json.loads((where / "verify.out").read_text())
+
+
+def test_stages_on_the_working_checkout(tmp_path):
+    """At |T| = 3 every consistent family passes with no LP in the
+    property suite, and the enlarged-full-tuple and H-rep records are
+    written."""
+    out = tmp_path / "stages.json"
+    run = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "stages.py"), ROOT, str(out),
+         "--sizes", "3", "--cap", "120"],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert run.returncode == 0, run.stderr
+    rows = json.loads(out.read_text())
+    consistent = [r for r in rows if "T" in r and "enlarged_full_tuple" not in r]
+    assert [r["base_points"] for r in consistent] == [4, 8]
+    for r in consistent:
+        assert r["passed"] is True, r
+        assert r["suite"]["lps"] == 0, r
+    enlarged = [r for r in rows if r.get("enlarged_full_tuple")]
+    assert [r["T"] for r in enlarged] == [3, 4, 5]
+    assert all("build" in r and "capped" not in r["build"] for r in enlarged)
+    assert [r["feasibility"]["empty"] for r in rows if "hrep_dim" in r] == [False, True]
