@@ -19,7 +19,6 @@ from credalkit import __version__
 from credalkit import credal as cr
 from credalkit import joint as jt
 from credalkit import modelio as io
-from credalkit import polytope as pt
 from credalkit import spaces as sp
 from credalkit._backend import kernel_backend
 from credalkit.exactq import (
@@ -90,19 +89,11 @@ def _report_empty(model):
 
 
 def _singleton_note(model):
-    """The note for a joint set P that is one point: P's equality rows
-    leave no free direction, or max v.x = min v.x over P for every
-    nullspace vector v of those rows. (A difference of two points of P
-    lies in the span of the nullspace; if it is also orthogonal to each
-    v, it is 0.)"""
-    if model.mode != cr.POLYTOPE or model.is_empty():
-        return None
-    for v in pt._lp_context(model.body).basis:
-        _, high, _ = pt._maximize(model.body, v)
-        _, low, _ = pt._maximize(model.body, [-c for c in v])
-        if high != -low:
-            return None
-    return "joint set is a single measure"
+    """The note for a joint set P that is one point: P has one vertex
+    (verify has read them off P's H-rep by then)."""
+    if model.mode == cr.POLYTOPE and not model.is_empty() and len(model.body.points) == 1:
+        return "joint set is a single measure"
+    return None
 
 
 def cmd_verify(args):

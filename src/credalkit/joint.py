@@ -10,9 +10,10 @@ their containment structure as a checkable report. Its main diagnostic
 value: when P comes out empty, the Farkas multipliers of a minimal
 infeasible core are mapped back to the offending tuples.
 
-Everything over the path simplex stays in inequality form: membership,
-containment, and verification all run through exact LPs; vertices of P
-are only ever enumerated on explicit request (pushforwards).
+The construction stays in inequality form: emptiness, its diagnosis
+and redundancy removal run through exact LPs, or read their answer off
+the vertices of pre(V_T). Pushforwards, and so the representation
+check, read P's vertices, from one double description of its H-rep.
 
 The path space is finite, so every law on it is countably additive;
 restricting P to countably additive laws is the identity and needs no
@@ -21,7 +22,7 @@ separate construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, permutations, product
 from typing import Optional
 
@@ -32,7 +33,7 @@ from credalkit.credal import (
     POLYTOPE,
     CredalCollection,
     CredalSet,
-    _separation_from,
+    _body_subset,
     _tuple_sort_key,
 )
 from credalkit.exactq import (
@@ -513,7 +514,7 @@ class RepresentationRecord:
     direction: str  # "prescribed within pushforward" | "pushforward within prescribed"
     status: str
     witness: Optional[tuple] = None
-    certificate: Optional[pt.SeparationCertificate] = None
+    certificate: Optional[object] = None  # SeparationCertificate | FiniteSeparation
     lifted_functional: Optional[tuple] = None
     note: str = ""
 
@@ -530,33 +531,6 @@ class RepresentationReport:
         return tuple(r for r in self.records if r.status != "pass")
 
 
-def _fiber_rows(idx, size):
-    """The pushforward rows of the index map idx onto `size` cells, built
-    in one pass over idx: row x is the 0/1 indicator of x's fiber, so
-    row x . p is the mass the pushforward of p puts on cell x."""
-    rows = [[0] * len(idx) for _ in range(size)]
-    for j, x in enumerate(idx):
-        rows[x][j] = 1
-    return [tuple(row) for row in rows]
-
-
-def _member_reachable(joint, fibers, v):
-    """Feasibility of {p in P : pushforward(p) = v} with certificate;
-    `fibers` are the map's pushforward rows (`_fiber_rows`).
-
-    Decided in the joint set's LP context (`LpContext.decide`), with no
-    LP when its origin already maps onto v; on failure the Farkas
-    multipliers on the pushforward rows, negated, are a separating
-    functional on the image space.
-    """
-    rows = list(zip(fibers, v))
-    point, certificate = pt._lp_context(joint.body).decide(rows)
-    if point is not None:
-        return True, None
-    mu = certificate[len(certificate) - len(rows):]
-    return False, tuple(-m for m in mu)
-
-
 def verify_representation(
     coll: CredalCollection, joint: Optional[JointModel] = None
 ) -> RepresentationReport:
@@ -564,17 +538,23 @@ def verify_representation(
     prescribed credal set; exact, certificate-producing in both
     directions.
 
-    The prescribed-within-pushforward direction decides one feasibility
-    question per generator of the prescribed set, by LP only when the
-    joint set's LP origin does not map onto it; the reverse direction
-    maximizes every facet functional of the prescribed set, composed
-    with the pushforward map, over the joint polytope. Neither
-    direction enumerates vertices of the joint set.
+    Each supplied tuple alpha gets its image, `pushforward_joint(joint,
+    alpha)`, read off the vertices of the joint set P, and both
+    inclusions are decided by `credal._body_subset`, the routine of the
+    consistency checks. In polytope mode it substitutes the vertices of
+    one side into the integer rows of the other: V_alpha's canonical
+    form, so a failing witness is the first vertex of V_alpha outside
+    the image, and the image's vertices. A failing record carries its
+    witness and certificate, and a separating functional g also pulled
+    back to the path cells (`lifted_functional`): in the first direction
+    it bounds every point of P by g.witness - gap, in the second some
+    vertex of P reaches g.witness. No LP runs: P's vertices come from one
+    double description of its H-rep, which is pre(V_T) on a consistent
+    family.
     """
     if joint is None:
         joint = build_joint(coll)
     representative_tuples(coll)  # enforce coverage
-    records = []
     if joint.is_empty():
         return RepresentationReport(
             (
@@ -586,106 +566,26 @@ def verify_representation(
                 ),
             )
         )
+    records = []
     # every supplied tuple is checked, permuted variants included
     for alpha in coll.supplied_tuples():
         cset = coll.sets[alpha]
-        if joint.mode == FINITE:
-            records.extend(_verify_tuple_finite(joint, alpha, cset))
-        else:
-            records.extend(_verify_tuple_polytope(joint, alpha, cset))
+        if cset.mode == POLYTOPE:
+            cset = replace(cset, body=pt.dd_convert(cset.body))
+        image = pushforward_joint(joint, alpha)
+        idx = sp.pushforward_matrix(joint.space, alpha)
+        for direction, a, b in (
+            ("prescribed within pushforward", cset, image),
+            ("pushforward within prescribed", image, cset),
+        ):
+            holds, witness, cert = _body_subset(a, b)
+            lifted = None
+            if isinstance(cert, pt.SeparationCertificate):
+                lifted = sp.pull(idx, cert.functional)
+            records.append(RepresentationRecord(
+                alpha, direction, "pass" if holds else "fail", witness, cert, lifted,
+            ))
     return RepresentationReport(tuple(records))
-
-
-def _verify_tuple_polytope(joint, alpha, cset):
-    space = joint.space
-    idx = sp.pushforward_matrix(space, alpha)
-    target = pt.dd_convert(cset.body)
-    records = []
-
-    # prescribed set within the pushforward of the joint set
-    failure = None
-    fibers = _fiber_rows(idx, cset.dim)
-    for v in target.points:
-        ok, g = _member_reachable(joint, fibers, v)
-        if not ok:
-            lifted = sp.pull(idx, g)
-            status, sup, _ = pt._maximize(joint.body, lifted)
-            if status != "optimal":
-                raise RuntimeError(f"supremum LP over the joint set ended {status}")
-            gap = dot(g, v) - sup
-            failure = RepresentationRecord(
-                alpha,
-                "prescribed within pushforward",
-                "fail",
-                witness=v,
-                certificate=pt.SeparationCertificate(g, gap, v),
-                lifted_functional=lifted,
-            )
-            break
-    records.append(
-        failure
-        or RepresentationRecord(alpha, "prescribed within pushforward", "pass")
-    )
-
-    # pushforward of the joint set within the prescribed set
-    failure = None
-    for g, bound in target.hrep.as_ineqs():
-        lifted = sp.pull(idx, g)
-        status, value, solution = pt._maximize(joint.body, lifted)
-        if status != "optimal":
-            raise RuntimeError(f"facet LP over the joint set ended {status}")
-        if value > bound:
-            image_point = sp.push(idx, solution, cset.dim)
-            sup = max(dot(g, w) for w in target.points)
-            failure = RepresentationRecord(
-                alpha,
-                "pushforward within prescribed",
-                "fail",
-                witness=image_point,
-                certificate=pt.SeparationCertificate(
-                    g, dot(g, image_point) - sup, image_point
-                ),
-                lifted_functional=lifted,
-            )
-            break
-    records.append(
-        failure
-        or RepresentationRecord(alpha, "pushforward within prescribed", "pass")
-    )
-    return records
-
-
-def _verify_tuple_finite(joint, alpha, cset):
-    space = joint.space
-    idx = sp.pushforward_matrix(space, alpha)
-    members = set(cset.members())
-    images = sorted(set(sp.push(idx, cell.point, cset.dim) for cell in joint.cells))
-    records = []
-
-    missing = next((v for v in sorted(members) if v not in set(images)), None)
-    records.append(
-        RepresentationRecord(
-            alpha,
-            "prescribed within pushforward",
-            "pass" if missing is None else "fail",
-            witness=missing,
-        )
-    )
-    stray = next((v for v in images if v not in members), None)
-    cert = None
-    if stray is not None:
-        cert = _separation_from(stray, cset)
-    records.append(
-        RepresentationRecord(
-            alpha,
-            "pushforward within prescribed",
-            "pass" if stray is None else "fail",
-            witness=stray,
-            certificate=cert if isinstance(cert, pt.SeparationCertificate) else None,
-            note="" if stray is None else "image point outside the prescribed set",
-        )
-    )
-    return records
 
 
 # ---------------------------------------------------------------------------

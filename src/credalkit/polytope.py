@@ -19,15 +19,13 @@ first use and cached on the polytope: affine-hull coordinates z with
 x = origin + N z, from a feasible origin, so every LP starts from the
 slack basis with no phase 1. The origin is the first generator, a point
 the caller knows to lie in the set, or the point `_feasible_point` finds
-as it decides `is_empty`. Whether a system, plus some equality rows, has
-a point is decided in the same coordinates by one routine,
-`LpContext.decide`: emptiness (the equality rows solved once, with no
-other rows added) and the joint set's reachability of a vertex (the
-pushforward rows added) both go through it. A violated row constant on
-the hull, or an origin that satisfies every row, decides it with no LP;
-otherwise one phase 1 runs over the d free directions. The kernel gets
-the reduced rows as integers, and each answer and certificate is mapped
-back and checked once, in integers, against the original rows.
+as it decides `is_empty`. Whether a system has a point is decided in the
+same coordinates, its equality rows solved once, by one routine,
+`LpContext.decide`. A violated row constant on the hull, or an origin
+that satisfies every row, decides it with no LP; otherwise one phase 1
+runs over the d free directions. The kernel gets the reduced rows as
+integers, and each answer and certificate is mapped back and checked
+once, in integers, against the original rows.
 
 Redundancy removal keeps a row iff dropping it changes the set, probing
 the rows in order by LP. When it is given points whose hull holds the
@@ -336,17 +334,15 @@ def _unit_bound(zrow):
 
 
 def _check_farkas(dim, ineqs, eqs, certificate):
-    """`exactq._check_infeasible` with every variable free, on the rows
-    the certificate weights: inequality rows (a, b) read a.x <= b, then
-    equality rows (e, f), a and e integer rows and f rational."""
+    """`exactq._check_infeasible` with every variable free, on the integer
+    rows the certificate weights: inequality rows (a, b) read a.x <= b,
+    then equality rows (e, f)."""
     rows = chain(((a, LE, b) for a, b in ineqs), ((e, EQ, f) for e, f in eqs))
     weighted = []
     mults = []
     for (a, sense, b), cm in zip(rows, certificate):
         if cm:
-            den = b.denominator
-            nums = [*a, b] if den == 1 else [*(v * den for v in a), b.numerator]
-            weighted.append((nums, sense, den))
+            weighted.append(([*a, b], sense, 1))
             mults.append(cm)
     _check_infeasible(weighted, (False,) * dim, mults)
 
@@ -395,19 +391,17 @@ class LpContext:
     and takes no part. An LP may use any subset of the inequality rows
     (redundancy removal drops them one at a time).
 
-    `decide` is the one feasibility decision: whether the system, with
-    equality rows added (reduced through the same N), has a point. It
-    also runs on the context `eliminated` returns before any point is
-    known, whose origin may violate rows.
+    `decide` is the one feasibility decision: whether the system has a
+    point. It runs on the context `eliminated` returns before any point
+    is known, whose origin may violate rows.
 
     The kernel gets each reduced row as the integers [(a.N) oden | s]
     over oden, the rational row it always saw. Its answer z is mapped
     back to x = origin + N z as integer numerators over one denominator
-    and checked once, against the H-rep's own rows: the inequality rows
-    the LP used and any added equality rows, each value a.x an integer
-    dot product (`_row_at`). That check implies the one in z: in
-    integers, a.(origin + N z) <= b is the same inequality as
-    (a.N) z <= b - a.origin. The H-rep's equality rows need no check per
+    and checked once, against the H-rep's own inequality rows that the
+    LP used, each value a.x an integer dot product (`_row_at`). That
+    check implies the one in z: in integers, a.(origin + N z) <= b is
+    the same inequality as (a.N) z <= b - a.origin. The H-rep's equality rows need no check per
     answer: E origin = e is checked in integers at every origin (by
     `eliminated` for the first, by `moved` for each later one), and
     E N = 0 once, by `eliminated`, from which every context descends
@@ -525,23 +519,17 @@ class LpContext:
         value = Fraction(_row_at(fnums, xnums), fden * xden)
         return "optimal", value, tuple(Fraction(v, xden) for v in xnums)
 
-    def decide(self, eqs=()):
-        """Whether some point of the system also satisfies the equality
-        rows `eqs`, each (e, f) read e.x = f with e an integer row and f
-        rational. Returns (x, None) with such a point x, or
-        (None, certificate): Farkas multipliers on the inequality rows,
-        the equality rows and then `eqs`, checked in integers against all
+    def decide(self):
+        """Whether the system has a point. Returns (x, None) with a point
+        x, or (None, certificate): Farkas multipliers on the inequality
+        rows and then the equality rows, checked in integers against all
         of them with every variable free.
 
         The origin may violate inequality rows, as `eliminated` leaves
-        it. Each row of `eqs` is reduced through N like the others, to
-        (e.N) z = f - e.origin, in integers over the denominator of f
-        times oden. Then:
+        it. Then:
         - a violated row that is constant on the hull (a.N = 0, negative
-          slack), or with d = 0 free directions a violated row of `eqs`,
-          is the certificate; no LP;
-        - an origin that satisfies every row, `eqs` included, is the
-          point; no LP;
+          slack) is the certificate; no LP;
+        - an origin that satisfies every row is the point; no LP;
         - otherwise one LP runs over the d columns z. A reduced row
           -c z_k <= 0 (c > 0), as a row x_j >= 0 on a free column of the
           equality rows reduces where the origin has x_j = 0, enters as
@@ -549,35 +537,19 @@ class LpContext:
           Its point is mapped back and checked against every row. Its
           certificate y gives the first bound row of each bounded z_k
           the combined row's entry there (>= 0) over c.
-        A certificate y on the reduced rows becomes (y, -w, y on `eqs`),
-        with w.E = y.A the part on the equality rows (`_eq_part`).
+        A certificate y on the reduced rows becomes (y, -w), with
+        w.E = y.A the part on the equality rows (`_eq_part`).
         """
-        if any(v.denominator != 1 for e, _ in eqs for v in e):
-            raise DimensionError("decide takes integer rows e")
-        eqs = [([v.numerator for v in e], f) for e, f in eqs]  # ints, as H-rep rows
-        zrows, oden, onums = self.zrows, self.oden, self.onums
-        added = []  # per row of eqs: (e.N, r, den), read (e.N) z = r / den
-        for e, f in eqs:
-            fden = f.denominator
-            added.append(
-                (self._reduce(e), f.numerator * oden - _row_at(e, onums) * fden,
-                 fden * oden)
-            )
+        zrows, oden = self.zrows, self.oden
         n = len(zrows)
-        y = [ZERO] * (n + len(added))
+        y = [ZERO] * n
         bad = next(
             (i for i, (_, slack) in enumerate(zrows) if slack < 0 and not self.live[i]),
             None,
         )
-        bad_eq = None
-        if bad is None and not self.basis:
-            bad_eq = next((k for k, (_, r, _) in enumerate(added) if r), None)
         if bad is not None:
             y[bad] = Fraction(-oden, zrows[bad][1])
-        elif bad_eq is not None:
-            _, r, den = added[bad_eq]
-            y[n + bad_eq] = Fraction(-den, r)
-        elif all(slack >= 0 for _, slack in zrows) and not any(r for _, r, _ in added):
+        elif all(slack >= 0 for _, slack in zrows):
             return self.origin, None
         else:
             d = len(self.basis)
@@ -589,31 +561,24 @@ class LpContext:
                     live.append(i)
                 else:
                     bound_at.setdefault(k, i)
-            rows = [([*(v * oden for v in zrows[i][0]), zrows[i][1]], LE, oden)
-                    for i in live]
-            rows += [([*(v * den for v in coeffs), r], EQ, den) for coeffs, r, den in added]
+            rows = tuple(([*(v * oden for v in zrows[i][0]), zrows[i][1]], LE, oden)
+                         for i in live)
             outcome = lp_solve(IntLp(
-                "min", (0,) * d, tuple(rows), tuple(k in bound_at for k in range(d)),
+                "min", (0,) * d, rows, tuple(k in bound_at for k in range(d)),
             ))
             if outcome.status == "optimal":
                 xnums, xden = self._point(*_integer_row(outcome.solution))
-                self._check_point(xnums, xden, range(n), eqs)
+                self._check_point(xnums, xden, range(n))
                 return tuple(Fraction(v, xden) for v in xnums), None
-            live += range(n, len(y))
-            reduced = [zrows[i][0] for i in range(n)] + [c for c, _, _ in added]
             for i, cm in zip(live, outcome.certificate):
                 y[i] = cm
             # the combined row is >= 0 at a bounded z_k; its first bound
             # row takes the weight that clears it
             for k, i in bound_at.items():
-                combined = sum((y[r] * reduced[r][k] for r in live if y[r]), ZERO)
+                combined = sum((y[r] * zrows[r][0][k] for r in live if y[r]), ZERO)
                 y[i] = combined / -zrows[i][0][k]
-        certificate = (
-            *y[:n],
-            *self._eq_part(y, [a for a, _ in self.ineqs] + [e for e, _ in eqs]),
-            *y[n:],
-        )
-        _check_farkas(self.dim, self.ineqs, (*self.eqs, *eqs), certificate)
+        certificate = (*y, *self._eq_part(y))
+        _check_farkas(self.dim, self.ineqs, self.eqs, certificate)
         return None, certificate
 
     def _point(self, znums, zden):
@@ -627,28 +592,24 @@ class LpContext:
                 x = [xj + zk * v for xj, v in zip(x, vec)]
         return x, oden * zden
 
-    def _check_point(self, xnums, xden, keep, eqs=()):
+    def _check_point(self, xnums, xden, keep):
         """Check the point xnums / xden against the inequality rows
-        `keep` and the added equality rows `eqs` (rational rhs), in
-        integers; the H-rep's equality rows hold at every origin + N z
-        (see the class). Each row is summed over the point's nonzero
-        entries: an LP's point is a vertex, with few of them."""
+        `keep`, in integers; the H-rep's equality rows hold at every
+        origin + N z (see the class). Each row is summed over the point's
+        nonzero entries: an LP's point is a vertex, with few of them."""
         support = [(j, v) for j, v in enumerate(xnums) if v]
         ineqs = self.ineqs
         for i in keep:
             a, b = ineqs[i]
             if sum(a[j] * v for j, v in support) > b * xden:
                 raise RuntimeError("reported solution violates a constraint")
-        for e, f in eqs:
-            if sum(e[j] * v for j, v in support) * f.denominator != f.numerator * xden:
-                raise RuntimeError("reported solution violates a constraint")
 
-    def _eq_part(self, mults, rows):
+    def _eq_part(self, mults):
         """The equality rows' part -w of a certificate whose multipliers
-        `mults` on `rows` leave a combination u = sum cm * a that vanishes
-        on the hull directions N, so that u = w.E."""
+        `mults` on the inequality rows leave a combination u = sum cm * a
+        that vanishes on the hull directions N, so that u = w.E."""
         u = [ZERO] * self.dim
-        for cm, a in zip(mults, rows):
+        for cm, (a, _) in zip(mults, self.ineqs):
             if cm:
                 u = [s + cm * v for s, v in zip(u, a)]
         return [-v for v in self._eq_weights(u)]

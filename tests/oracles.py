@@ -33,6 +33,14 @@ the tests compare polytopes with.
 simplex, on the preimage polytopes of the tuples (shuffled ones
 included), with `equals` for the permutation and full-tuple records.
 
+`representation_reference` is the reference for
+`credalkit.joint.verify_representation` in polytope mode: each record's
+status decided by LPs over the joint set's H-rep, with no vertex of it
+enumerated: a vertex v of V_alpha is reached iff the joint set's rows
+plus the pushforward rows = v are feasible (`fraction_feasible`), and
+the pushforward lies in V_alpha iff no row of V_alpha, pulled back, has
+its max over the joint set above its bound (`rational_lp`).
+
 `covering_q` is the reference for `credalkit.joint._fiber_sup`: the
 polytope Q = {q in alpha's simplex : r(q) in V_beta} of a covering pair,
 built from V_beta's pulled-back rows as the build pulls rows back, so
@@ -282,6 +290,32 @@ def property_suite_reference(coll, joint, representation):
     return jt.PropertyReport(tuple(records))
 
 
+def representation_reference(coll, joint):
+    """(alpha, direction, status, witness) per supplied tuple, as
+    `verify_representation(coll, joint)` reports them on a polytope
+    collection with a nonempty joint set. The witness of a failing
+    "prescribed within pushforward" record is the first vertex of V_alpha
+    the joint set does not reach; the other direction's is None (not
+    compared)."""
+    h = joint.body.hrep
+    rows = [(a, LE, b) for a, b in h.ineqs] + [(e, EQ, f) for e, f in h.eqs]
+    out = []
+    for alpha in coll.supplied_tuples():
+        target = pt.dd_convert(coll.sets[alpha].body)
+        m = dense_pushforward(coll.space, alpha)
+        missing = next((
+            v for v in target.points
+            if not fraction_feasible(joint.dim, rows + [(r, EQ, x) for r, x in zip(m, v)])
+        ), None)
+        out.append((alpha, "prescribed within pushforward",
+                    "pass" if missing is None else "fail", missing))
+        outside = any(rational_lp("max", dense_pull(m, a), rows).value > b
+                      for a, b in target.hrep.as_ineqs())
+        out.append((alpha, "pushforward within prescribed",
+                    "fail" if outside else "pass", None))
+    return out
+
+
 def covering_q(coll, alpha, beta):
     """Q = {q in alpha's simplex : r(q) in V_beta}, r the restriction of
     alpha onto beta: the simplex rows and V_beta's canonical rows pulled
@@ -424,27 +458,21 @@ def context_maximize_reference(ctx, f, keep=None):
     return "optimal", at_origin + out.value, _context_point(ctx, out.solution)
 
 
-def context_decide_reference(ctx, eqs=()):
-    """(x, None) or (None, certificate) for the context's system plus the
-    equality rows `eqs`, decided as `LpContext.decide` documents: a
-    violated constant row (or, with no free direction, a violated row
-    of `eqs`) is the certificate, a feasible origin is the point, and
-    otherwise one LP runs, the rows -c z_k <= 0 taken as bounds z_k >= 0.
-    The certificate's part on the equality rows is read off
+def context_decide_reference(ctx):
+    """(x, None) or (None, certificate) for the context's system, decided
+    as `LpContext.decide` documents: a violated constant row is the
+    certificate, a feasible origin is the point, and otherwise one LP
+    runs, the rows -c z_k <= 0 taken as bounds z_k >= 0. The
+    certificate's part on the equality rows is read off
     `echelon(..., combine=True)` as the context reads it."""
     rows = _context_rows(ctx)
     n = len(rows)
     live = [any(coeffs) for coeffs, _, _ in rows]
-    for e, f in eqs:
-        rows.append((tuple(dot(e, vec) for vec in ctx.basis), EQ, f - dot(e, ctx.origin)))
-    added = range(n, len(rows))
-    y = [ZERO] * len(rows)
+    y = [ZERO] * n
     bad = next((i for i in range(n) if rows[i][2] < 0 and not live[i]), None)
-    if bad is None and not ctx.basis:
-        bad = next((i for i in added if rows[i][2]), None)
     if bad is not None:
         y[bad] = -ONE / rows[bad][2]
-    elif all(rows[i][2] >= 0 for i in range(n)) and not any(rows[i][2] for i in added):
+    elif all(rows[i][2] >= 0 for i in range(n)):
         return ctx.origin, None
     else:
         d = len(ctx.basis)
@@ -457,7 +485,6 @@ def context_decide_reference(ctx, eqs=()):
                 bound_at.setdefault(support[0], i)
             else:
                 lp.append(i)
-        lp += added
         out = rational_lp(
             "min", (ZERO,) * d, [rows[i] for i in lp],
             tuple(k in bound_at for k in range(d)),
@@ -470,13 +497,13 @@ def context_decide_reference(ctx, eqs=()):
             combined = sum((y[r] * rows[r][0][k] for r in lp if y[r]), ZERO)
             y[i] = combined / -rows[i][0][k]
     u = [ZERO] * ctx.dim
-    for cm, a in zip(y, [a for a, _ in ctx.ineqs] + [e for e, _ in eqs]):
+    for cm, (a, _) in zip(y, ctx.ineqs):
         u = [s + cm * v for s, v in zip(u, a)]
     w = [ZERO] * len(ctx.eqs)
     for col, red, comb in echelon([[*e, f] for e, f in ctx.eqs], combine=True)[1]:
         t = u[col] / red[col]
         w = [s + t * c for s, c in zip(w, comb)]
-    return None, (*y[:n], *(-v for v in w), *y[n:])
+    return None, (*y, *(-v for v in w))
 
 
 def fraction_feasible(dim, rows) -> bool:

@@ -90,15 +90,19 @@ def ancestors(spans, i):
 
 def test_every_kernel_call_is_an_lp_span():
     """A build and the representation check on the joint set it returns,
-    reloaded from its H-rep the way perfbench/run.py reads a build file:
-    every kernel call sits below a traced `lp_solve` span, so the lp layer
-    counts every LP (LP-context ones included), and the redundancy span
-    sees the inequality rows and returns kept indices."""
+    reloaded from its H-rep the way perfbench/run.py reads a build file,
+    and a build with V_T enlarged by a point mass, whose redundancy
+    probes run LPs: every kernel call sits below a traced `lp_solve`
+    span, so the lp layer counts every LP (LP-context ones included),
+    and the redundancy span sees the inequality rows and returns kept
+    indices."""
     layers = load_layers()
     gen = importlib.import_module("gen")
     pt = importlib.import_module("credalkit.polytope")
     jt = importlib.import_module("credalkit.joint")
-    _, coll, _ = gen.generated_instance(random.Random(5), 2)
+    # |T| = 3: at |T| = 2 this family's enlarged V_T leaves P = pre(V_T)
+    _, coll, _ = gen.generated_instance(random.Random(5), 3)
+    enlarged = gen.enlarged_full_tuple(coll)
 
     def work():
         model = jt.build_joint(coll)
@@ -107,7 +111,9 @@ def test_every_kernel_call_is_an_lp_span():
                            empty=False)
         reloaded = jt.JointModel(coll.space, "polytope", body, model.ineq_origins,
                                  model.eq_origins, (), None)
-        return model, jt.verify_representation(coll, reloaded)
+        report = jt.verify_representation(coll, reloaded)
+        jt.build_joint(enlarged)
+        return model, report
 
     (model, report), spans, info = traced(layers, work)
     assert report.passed
@@ -120,7 +126,7 @@ def test_every_kernel_call_is_an_lp_span():
             p = spans[p][3]
         assert p >= 0, "a kernel call outside every traced lp_solve"
     redundancy = [i for i, layer in enumerate(layer_of) if layer == "redundancy"]
-    assert len(redundancy) == 1
+    assert len(redundancy) == 2
     rows = info[redundancy[0]]
     assert rows["rows_kept"] == len(model.body.hrep.ineqs) < rows["rows_in"]
 
@@ -196,8 +202,10 @@ def test_verify_spans_one_representation_check(tmp_path):
     """CLI `verify` on a consistent |T|=3 collection: one
     `verify_representation` span, no `is_subset` span inside the property
     suite (its covering records substitute vertices and read off support
-    functions), and an `is_subset` call whose q rows p already carries
-    holds with no LP below its span."""
+    functions), and no LP at all (the representation check reads the
+    joint set's vertices). Then `is_subset` calls whose q rows p already
+    carries hold with no LP below their spans, while one whose q has a
+    row p does not carry runs LPs."""
     layers = load_layers()
     gen = importlib.import_module("gen")
     cli = importlib.import_module("credalkit.cli")
@@ -207,20 +215,22 @@ def test_verify_spans_one_representation_check(tmp_path):
     model = tmp_path / "m.json"
     model.write_text(json.dumps(gen.collection_to_model(coll)))
     # q is p's own rows, or the path simplex, whose rows every preimage
-    # carries; their feasibility LPs run before the trace
+    # carries; their feasibility LPs run before the trace. The last q
+    # caps the first path cell at half of p's largest mass there.
     p = jt.preimage_set(coll, coll.space.full_tuple())
-    carried = [pt.Polytope(p.dim, hrep=p.hrep), pt.Polytope.simplex(p.dim)]
-    assert not any(s.is_empty() for s in (p, *carried))
+    top = max(v[0] for v in pt.dd_convert(p).points)
+    cut = pt.Polytope.from_hrep(p.dim, [*p.hrep.ineqs, ((1,) + (0,) * (p.dim - 1), top / 2)],
+                                p.hrep.eqs)
+    qs = [pt.Polytope(p.dim, hrep=p.hrep), pt.Polytope.simplex(p.dim), cut]
+    assert not any(s.is_empty() for s in (p, *qs))
 
-    def work():
+    def verify():
         try:
             cli.main(["verify", str(model), "--report", str(tmp_path / "r.json")])
         except SystemExit as exc:
             assert exc.code == 0
-        return [pt.is_subset(p, q) for q in carried]
 
-    answers, spans, _ = traced(layers, work)
-    assert answers == [(True, None)] * len(carried)
+    _, spans, _ = traced(layers, verify)
     layer_of = [name.split(".")[0] for name, *_ in spans]
     assert layer_of.count("represent") == 1
     subset = [i for i, layer in enumerate(layer_of) if layer == "is_subset"]
@@ -231,9 +241,14 @@ def test_verify_spans_one_representation_check(tmp_path):
     records = json.loads((tmp_path / "r.json").read_text())["properties"]["records"]
     assert any(r["property"] == "covering tuple has smaller preimage" for r in records)
     assert in_suite == []
-    free = set(subset[-len(carried):])
+    assert "lp" not in layer_of and "kernel" not in layer_of
+
+    answers, spans, _ = traced(layers, lambda: [pt.is_subset(p, q)[0] for q in qs])
+    assert answers == [True, True, False]
+    layer_of = [name.split(".")[0] for name, *_ in spans]
+    subset = [i for i, layer in enumerate(layer_of) if layer == "is_subset"]
     lps = [i for i, layer in enumerate(layer_of) if layer == "lp"]
-    assert lps and not any(free & set(ancestors(spans, i)) for i in lps)
+    assert lps and all(subset[-1] in ancestors(spans, i) for i in lps)
 
 
 def test_redundancy_runs_lps_only_off_the_full_tuple_hull():

@@ -7,22 +7,23 @@ import pytest
 import credalkit.polytope as pt
 from credalkit import _backend
 from credalkit.credal import (
+    POLYTOPE,
+    SUPPLIED,
     CredalCollection,
+    _body_subset,
     check_marginal_consistency,
     check_permutation_consistency,
     credal_set_from_hrep,
     credal_set_from_members,
     credal_set_from_vertices,
 )
-from credalkit.exactq import EQ, LE, _check_infeasible, _integer_row, dot
+from credalkit.exactq import EQ, LE, dot
 import credalkit.joint as jt
 from credalkit.joint import (
     SIMPLEX_ORIGIN,
     EmptyJointError,
     _assemble,
     _diagnose,
-    _fiber_rows,
-    _member_reachable,
     ModeError,
     ResourceCapError,
     build_joint,
@@ -37,7 +38,6 @@ from credalkit.spaces import (
     make_space,
     point_mass,
     pull,
-    push,
     pushforward_matrix,
     restriction_matrix,
     tuple_covers,
@@ -62,6 +62,7 @@ from oracles import (
     fraction_feasible,
     property_suite_reference,
     redundant_rows_reference,
+    representation_reference,
 )
 
 AB = make_space(("a", "b"), ("0", "1"))
@@ -775,42 +776,64 @@ class TestPushforward:
             assert equals(image.body, cset.body)
 
 
-def assert_unreachable(joint, alpha, target):
-    """No law of the joint set pushes forward onto `target` on alpha: the
-    LP context's certificate passes the integer check and, by direct
-    Fraction arithmetic, combines every row of the joint set and the
-    pushforward rows to 0 <= -1; the separation `_member_reachable`
-    gives re-verifies. Returns the certificate."""
+def reloaded(joint):
+    """The joint set as read back from a build file: its H-rep rows only,
+    marked nonempty (perfbench/run.py `load_joint`)."""
     h = joint.body.hrep
-    idx = pushforward_matrix(joint.space, alpha)
-    rows = [
-        (tuple(F(int(y == x)) for y in idx), target[x]) for x in range(len(target))
-    ]
-    point, cert = pt._lp_context(joint.body).decide(rows)
-    assert point is None
-    problem_rows = (
-        [(a, LE, b) for a, b in h.ineqs]
-        + [(e, EQ, f) for e, f in h.eqs]
-        + [(e, EQ, f) for e, f in rows]
+    body = pt.Polytope(joint.dim, hrep=pt.HRep(joint.dim, h.ineqs, h.eqs), empty=False)
+    return jt.JointModel(joint.space, POLYTOPE, body, joint.ineq_origins,
+                         joint.eq_origins, (), None)
+
+
+def assert_failing_record(coll, joint, rec):
+    """A failing polytope-mode record's witness, certificate and lifted
+    functional, re-checked by Fraction arithmetic on the vertices of the
+    joint set P (`pt.dd_convert`), the image and V_alpha.
+
+    Prescribed within pushforward: the witness is a vertex of V_alpha the
+    certificate separates from the image, and the lifted functional
+    bounds every vertex of P by g.witness - gap. Pushforward within
+    prescribed: the witness is a vertex of the image the certificate
+    separates from V_alpha, and some vertex of P reaches g.witness."""
+    idx = pushforward_matrix(coll.space, rec.alpha)
+    target = pt.dd_convert(coll.sets[rec.alpha].body)
+    image = pt.dd_convert(pushforward_joint(joint, rec.alpha).body)
+    cert, g = rec.certificate, rec.certificate.functional
+    assert cert.point == rec.witness and cert.gap > 0
+    assert rec.lifted_functional == pull(idx, g)
+    lifted = [dot(rec.lifted_functional, p) for p in pt.dd_convert(joint.body).points]
+    if rec.direction == "prescribed within pushforward":
+        assert rec.witness in target.points
+        assert pt.verify_separation(cert, image)
+        assert max(lifted) <= dot(g, rec.witness) - cert.gap
+    else:
+        assert rec.witness in image.points
+        assert not pt.contains_point(target, rec.witness)
+        assert pt.verify_separation(cert, target)
+        assert max(lifted) >= dot(g, rec.witness)
+
+
+def shuffled_failure_collection():
+    """Under the supplied policy, (b, a) prescribed as a law that is not
+    the shuffle of (a, b)'s uniform law: the joint set, built from (a, b),
+    pushes forward onto (b, a) as the uniform law, so both inclusions
+    fail there."""
+    return CredalCollection(
+        AB,
+        {
+            ("a",): credal_set_from_hrep(AB, ("a",)),
+            ("b",): credal_set_from_hrep(AB, ("b",)),
+            ("a", "b"): credal_set_from_vertices(AB, ("a", "b"), [uniform_measure(4)]),
+            ("b", "a"): credal_set_from_vertices(
+                AB, ("b", "a"), [(F(1, 2), F(1, 2), F(0), F(0))]
+            ),
+        },
+        policy=SUPPLIED,
     )
-    int_rows = []
-    for a, sense, b in problem_rows:
-        nums, den = _integer_row([*a, b])
-        int_rows.append((nums, sense, den))
-    _check_infeasible(int_rows, (False,) * joint.dim, cert)
-    combined = [F(0)] * (joint.dim + 1)
-    for cm, (a, sense, b) in zip(cert, problem_rows):
-        assert sense == EQ or cm >= 0
-        combined = [s + cm * v for s, v in zip(combined, (*a, b))]
-    assert combined[:-1] == [F(0)] * joint.dim and combined[-1] < 0
-    reachable, g = _member_reachable(joint, _fiber_rows(idx, len(target)), target)
-    assert not reachable
-    status, sup, _ = pt._maximize(joint.body, pull(idx, g))
-    sep = pt.SeparationCertificate(g, dot(g, target) - sup, target)
-    assert sep.gap > 0
-    image = pushforward_joint(joint, alpha)
-    assert pt.verify_separation(sep, image.body)
-    return cert
+
+
+def no_lp(*args, **kwargs):
+    raise AssertionError("an LP ran")
 
 
 def parity_contexts(rng, p):
@@ -832,15 +855,16 @@ class TestContextParity:
     """The context's integer LP boundary gives the answers the Fraction
     rows gave (`context_maximize_reference`, `context_decide_reference`):
     the same status, value, argmax, point and certificate, on the joint
-    sets and base hulls of generated instances, at moved origins, over
-    subsets of the rows and with pushforward rows added."""
+    sets and base hulls of generated instances, at moved origins and
+    over subsets of the rows. Emptiness is also decided on each system
+    with the pushforward rows of a tuple pinned to a target, a vertex of
+    V_alpha or a random law, as an equality row each, from the context
+    `eliminated` leaves."""
 
     def test_matches_fraction_rows(self):
         rng = random.Random(23)
         seen = set()
-        bounded_certificates = 0
-        # the segment of `test_reachability_takes_unit_rows_as_bounds`,
-        # which misses the extreme points of its marginals
+        # a segment that misses the extreme points of its marginals
         segment = forced_failure_collection(
             ((F(1, 4), F(3, 4), F(0), F(0)), (F(3, 4), F(0), F(1, 4), F(0)))
         )
@@ -852,7 +876,9 @@ class TestContextParity:
         for space, coll, bodies in systems:
             for p in bodies:
                 m = len(p.hrep.ineqs)
+                contexts = []
                 for ctx, feasible in parity_contexts(rng, p):
+                    contexts.append(ctx)
                     for _ in range(4 if feasible else 0):
                         f = tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
                                   for _ in range(p.dim))
@@ -862,27 +888,25 @@ class TestContextParity:
                         got = ctx.maximize(f, keep)
                         assert got == context_maximize_reference(ctx, f, keep)
                         seen.add(("maximize", got[0], keep is None))
-                    alpha = rng.choice(list(coll.sets))
-                    idx = pushforward_matrix(space, alpha)
-                    size = len(set(idx))
-                    targets = list(pt.dd_convert(coll.sets[alpha].body).points)
-                    targets += [random_simplex_point(rng, size) for _ in range(2)]
-                    for eqs in [()] + [
-                        [(tuple(int(y == x) for y in idx), t[x]) for x in range(size)]
-                        for t in targets
-                    ]:
-                        got = ctx.decide(eqs)
-                        assert got == context_decide_reference(ctx, eqs)
-                        seen.add(("decide", got[0] is None, bool(eqs)))
-                        if got[0] is None:
-                            bounded_certificates += any(
-                                got[1][i] for i, z in enumerate(ctx.zrows)
-                                if ctx.live[i] and pt._unit_bound(z) is not None
-                            )
+                alpha = rng.choice(list(coll.sets))
+                idx = pushforward_matrix(space, alpha)
+                size = len(set(idx))
+                targets = list(pt.dd_convert(coll.sets[alpha].body).points)
+                targets += [random_simplex_point(rng, size) for _ in range(2)]
+                for t in targets:
+                    pinned = pt.HRep.make(p.dim, p.hrep.ineqs, [*p.hrep.eqs, *(
+                        (tuple(int(y == x) for y in idx), t[x]) for x in range(size)
+                    )])
+                    ctx = pt.LpContext.eliminated(pinned)
+                    if ctx is not None:
+                        contexts.append(ctx)
+                for ctx in contexts:
+                    got = ctx.decide()
+                    assert got == context_decide_reference(ctx)
+                    seen.add(("decide", got[0] is None))
         assert {("maximize", "optimal", True), ("maximize", "optimal", False),
-                ("maximize", "unbounded", False), ("decide", True, True),
-                ("decide", False, True), ("decide", False, False)} <= seen
-        assert bounded_certificates
+                ("maximize", "unbounded", False), ("decide", True),
+                ("decide", False)} <= seen
 
 
 class TestVerifyRepresentation:
@@ -913,77 +937,91 @@ class TestVerifyRepresentation:
         assert status == "optimal"
         assert dot(cert.functional, cert.point) - sup >= cert.gap
 
-    def test_unreachable_member_certificate(self):
-        """An infeasible pushforward LP in the joint set's LP context maps
-        its certificate back to every original row: it passes the
-        integer check and, by direct Fraction arithmetic, combines the
-        rows to 0 <= -1; the separation it gives re-verifies."""
-        segment = (uniform_measure(4), (F(1, 2), F(0), F(0), F(1, 2)))
-        cases = [(forced_failure_collection(segment), 1),
-                 (forced_failure_collection(), 0), (singleton_collection(AB), 0)]
-        for coll, hull_dim in cases:
-            joint = build_joint(coll)
-            ctx = pt._lp_context(joint.body)
-            assert len(ctx.basis) == hull_dim
-            assert_unreachable(joint, ("a",), (F(1), F(0)))
-
-    def test_fiber_rows_match_dense_map(self):
-        """The pushforward rows, built in one pass over the index map, are
-        the rows of the 0/1 matrix built cell by cell from labels."""
-        for alpha in all_canonical_tuples(ABC):
-            idx = pushforward_matrix(ABC, alpha)
-            dense = dense_pushforward(ABC, alpha)
-            assert _fiber_rows(idx, len(dense)) == [tuple(row) for row in dense]
-
-    def test_reachable_at_the_origin_needs_no_lp(self, monkeypatch):
-        """A member the joint set's LP origin maps onto is reachable with
-        no LP."""
-        coll = generated_instance(random.Random(811), 3)[1]
+    @pytest.mark.parametrize("case", ["consistent", "reloaded", "enlarged"])
+    def test_reads_vertices_with_no_lp(self, monkeypatch, case):
+        """With every LP stubbed out, the check gives the statuses the
+        LPs over the joint set's rows give (`representation_reference`):
+        on a consistent family, on its joint set read back as H-rep rows
+        only, and on the family with V_T enlarged by a point mass, whose
+        joint set lies strictly inside pre(V_T). A failing record's
+        witness is the first vertex of V_alpha the joint set misses."""
+        _, coll, _ = generated_instance(random.Random(601), 3)
+        if case == "enlarged":
+            coll = enlarged_full_tuple(coll)
         joint = build_joint(coll)
-        origin = pt._lp_context(joint.body).origin
-        assert pt._lp_context(joint.body).basis
-        monkeypatch.setattr(pt, "lp_solve", None)  # any LP would fail
-        for alpha in coll.supplied_tuples():
-            idx = pushforward_matrix(coll.space, alpha)
-            v = push(idx, origin, 2 ** len(alpha))
-            assert _member_reachable(joint, _fiber_rows(idx, len(v)), v) == (True, None)
-
-    def test_reachability_takes_unit_rows_as_bounds(self, monkeypatch):
-        """The joint set is a segment whose free direction z is 0 at the LP
-        origin, so the row -x_j <= 0 on its free column reduces to
-        -z <= 0. The reachability LP takes it as the bound z >= 0: one
-        column, not split. The bound row carries weight in the
-        certificate, which still re-checks."""
-        coll = forced_failure_collection(
-            ((F(1, 4), F(3, 4), F(0), F(0)), (F(3, 4), F(0), F(1, 4), F(0)))
-        )
-        joint = build_joint(coll)
-        ctx = pt._lp_context(joint.body)
-        bounds = [
-            i for i, z in enumerate(ctx.zrows) if pt._unit_bound(z) is not None
-        ]
-        assert len(ctx.basis) == 1 and bounds
-        shapes = []
-        real = pt.lp_solve
-
-        def recording(problem):
-            shapes.append((len(problem.objective), sum(problem.nonneg)))
-            return real(problem)
-
-        idx, target = pushforward_matrix(AB, ("b",)), (F(0), F(1))
+        if case == "reloaded":
+            joint = reloaded(joint)
         with monkeypatch.context() as m:
-            m.setattr(pt, "lp_solve", recording)
-            assert not _member_reachable(joint, _fiber_rows(idx, 2), target)[0]
-        assert shapes == [(1, 1)]
-        cert = assert_unreachable(joint, ("b",), target)
-        assert any(cert[i] for i in bounds)
+            m.setattr(pt, "lp_solve", no_lp)
+            m.setattr(jt, "lp_solve", no_lp)
+            report = verify_representation(coll, joint)
+        expected = representation_reference(coll, joint)
+        assert [(r.alpha, r.direction, r.status) for r in report.records] == [
+            e[:3] for e in expected
+        ]
+        assert report.passed == (case != "enlarged")
+        for rec, (*_, missing) in zip(report.records, expected):
+            if rec.status == "fail":
+                assert_failing_record(coll, joint, rec)
+                if rec.direction == "prescribed within pushforward":
+                    assert rec.witness == missing
 
-    def test_wrong_lp_status_raises(self, monkeypatch):
-        coll = singleton_collection(AB)
+    def test_unreachable_member_certificate(self, monkeypatch):
+        """Failing records in both directions, with no LP: a vertex of
+        V_alpha outside the image, separated from it, with the lifted
+        functional bounding the joint set; and an image vertex outside a
+        supplied shuffle's set (`assert_failing_record`)."""
+        segment = (uniform_measure(4), (F(1, 2), F(0), F(0), F(1, 2)))
+        cases = [forced_failure_collection(segment), forced_failure_collection(),
+                 shuffled_failure_collection()]
+        seen = set()
+        for coll in cases:
+            joint = build_joint(coll)
+            with monkeypatch.context() as m:
+                m.setattr(pt, "lp_solve", no_lp)
+                m.setattr(jt, "lp_solve", no_lp)
+                report = verify_representation(coll, joint)
+            for rec in report.failures():
+                assert_failing_record(coll, joint, rec)
+                seen.add(rec.direction)
+            assert [r.status for r in report.records] == [
+                e[2] for e in representation_reference(coll, joint)
+            ]
+        assert seen == {"prescribed within pushforward", "pushforward within prescribed"}
+
+    @pytest.mark.parametrize("a_members", [
+        (point_mass(2, 0), point_mass(2, 1)),
+        (point_mass(2, 0), point_mass(2, 1), uniform_measure(2)),
+    ], ids=["separable", "surrounded"])
+    def test_finite_records_carry_body_subset(self, a_members):
+        """Finite mode: each record is `_body_subset`'s answer on the
+        members and the cells' images, and a separating functional is
+        pulled back to the path cells."""
+        both = (point_mass(4, 0), point_mass(4, 3))
+        coll = CredalCollection(AB, {
+            ("a",): credal_set_from_members(AB, ("a",), a_members),
+            ("b",): credal_set_from_members(AB, ("b",), [point_mass(2, 0), point_mass(2, 1)]),
+            ("a", "b"): credal_set_from_members(
+                AB, ("a", "b"), both[:1] if len(a_members) == 2 else both
+            ),
+        })
         joint = build_joint(coll)
-        monkeypatch.setattr(pt, "_maximize", lambda p, f: ("unbounded", None, None))
-        with pytest.raises(RuntimeError):
-            verify_representation(coll, joint)
+        report = verify_representation(coll, joint)
+        kinds = set()
+        for rec in report.records:
+            cset, image = coll.sets[rec.alpha], pushforward_joint(joint, rec.alpha)
+            pair = (cset, image) if rec.direction == "prescribed within pushforward" else (
+                image, cset)
+            holds, witness, cert = _body_subset(*pair)
+            assert (rec.status, rec.witness, rec.certificate, rec.note) == (
+                "pass" if holds else "fail", witness, cert, "")
+            lifted = None
+            if isinstance(cert, pt.SeparationCertificate):
+                lifted = pull(pushforward_matrix(AB, rec.alpha), cert.functional)
+            assert rec.lifted_functional == lifted
+            kinds.add(type(cert).__name__)
+        expected = {"SeparationCertificate"} if len(a_members) == 2 else {"FiniteSeparation"}
+        assert kinds == {"NoneType"} | expected
 
     def test_singleton_family_passes_with_point(self):
         coll = singleton_collection(ABC)
@@ -1056,10 +1094,6 @@ class TestPropertySuite:
         coll = make()
         joint = build_joint(coll)
         representation = verify_representation(coll, joint)
-
-        def no_lp(*args, **kwargs):
-            raise AssertionError("the property suite ran an LP")
-
         with monkeypatch.context() as m:
             for module in (pt, jt):
                 m.setattr(module, "lp_solve", no_lp)

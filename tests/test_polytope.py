@@ -25,6 +25,7 @@ from credalkit.polytope import (
 )
 from credalkit.credal import (
     CredalCollection,
+    _upper,
     credal_set_from_hrep,
     credal_set_from_vertices,
 )
@@ -34,6 +35,7 @@ from oracles import (
     apply,
     brute_force_max,
     brute_force_vertices,
+    context_decide_reference,
     dense_pushforward,
     equals,
     extreme_subset_reference,
@@ -771,10 +773,10 @@ class TestLpContext:
             calls.append(combine)
             return real(rows, combine)
 
-        ctx = pt._lp_context(Polytope.simplex(3))
+        ctx = pt.LpContext.eliminated(simplex_beyond_one())
         monkeypatch.setattr(pt, "echelon", counting)
-        for target in (F(2), F(-1)):
-            point, cert = ctx.decide([((1, 0, 0), target)])
+        for _ in range(2):
+            point, cert = ctx.decide()
             assert point is None and cert[-1] != 0
         assert calls.count(True) == 1
 
@@ -801,6 +803,12 @@ class TestLpContext:
         assert pt._maximize(p, (F(1),)) == ("infeasible", None, None)
 
 
+def simplex_beyond_one():
+    """The simplex rows of dimension 3 with x0 >= 2: empty."""
+    h = Polytope.simplex(3).hrep
+    return HRep(3, (*h.ineqs, ((-1, 0, 0), -2)), h.eqs)
+
+
 def unit_square():
     return Polytope.from_hrep(
         2, ineqs=[((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
@@ -816,63 +824,75 @@ def square_context():
     return ctx
 
 
-# x1 = 1/4, which the centre misses, so `decide` runs its one LP
-QUARTER = [((1, 0), F(1, 4))]
+def off_square_context():
+    """The context `eliminated` leaves for the square [1, 2]^2: with no
+    equality rows its origin is (0, 0), which violates x1 >= 1 and
+    x2 >= 1, so `decide` runs its one LP, over z = x with both
+    directions free (no row reads -c z_k <= 0), on the columns z1+, z1-,
+    z2+, z2-."""
+    square = HRep(2, (((1, 0), 2), ((-1, 0), -1), ((0, 1), 2), ((0, -1), -1)), ())
+    ctx = pt.LpContext.eliminated(square)
+    assert ctx.origin == (0, 0) and ctx.basis == ((1, 0), (0, 1))
+    return ctx
 
 
 class TestContextAnswerCheck:
     """`maximize` and `decide` check the kernel's answer once, in x, on
     the H-rep's integer rows; a wrong answer raises RuntimeError
-    whichever of them asked."""
+    whichever of them asked. `maximize` runs on the unit square from its
+    centre, `decide` on the square [1, 2]^2 from (0, 0)."""
 
     @staticmethod
-    def ask(ctx, which):
+    def ask(which):
         if which == "maximize":
-            return ctx.maximize((F(1), F(0)))
-        return ctx.decide(QUARTER)
+            return square_context().maximize((F(1), F(0)))
+        return off_square_context().decide()
 
     @pytest.mark.parametrize("which", ["maximize", "decide"])
     def test_point_violating_a_row(self, monkeypatch, which):
-        # z = (1, 0) is x = (3/2, 1/2), outside x1 <= 1
-        ctx = square_context()
+        # z = (1, 0): from the centre x = (3/2, 1/2), outside x1 <= 1;
+        # from (0, 0) x = (1, 0), outside x2 >= 1
         cols = [F(1), F(0), F(0), F(0)]
         monkeypatch.setattr(_backend, "simplex_solve", lambda *a: ("optimal", cols, None))
         with pytest.raises(RuntimeError, match="violates a constraint"):
-            self.ask(ctx, which)
+            self.ask(which)
 
     @pytest.mark.parametrize("which", ["maximize", "decide"])
     @pytest.mark.parametrize(
         "cols, message",
         [
-            # z1 = -1 - (-3/2) = 1/2: x = (1, 1/2) is the argmax of x1,
+            # maximize: z1 = -1 - (-3/2) = 1/2, so x = (1, 1/2), the
+            # argmax of x1; decide: z = (3/2, 3/2), a point of [1, 2]^2;
             # but the kernel's columns are x >= 0
-            ([F(-1), F(-3, 2), F(0), F(0)], "negative"),
-            # z1 = 0 - 1/4 = -1/4 and no z2- column: read as 0 it would
-            # give x = (1/4, 1/2), which meets every row
-            ([F(0), F(1, 4), F(0)], "wrong length"),
+            ({"maximize": [F(-1), F(-3, 2), F(0), F(0)],
+              "decide": [F(-1), F(-5, 2), F(3, 2), F(0)]}, "negative"),
+            # no z2- column: read as 0 it would give x = (1/4, 1/2) from
+            # the centre (z1 = 0 - 1/4) and x = (3/2, 3/2) from (0, 0),
+            # each meeting every row
+            ({"maximize": [F(0), F(1, 4), F(0)],
+              "decide": [F(3, 2), F(0), F(3, 2)]}, "wrong length"),
         ],
         ids=["negative-column", "missing-column"],
     )
     def test_point_meeting_every_row_but_wrong(self, monkeypatch, which, cols, message):
-        ctx = square_context()
-        monkeypatch.setattr(_backend, "simplex_solve", lambda *a: ("optimal", cols, None))
+        monkeypatch.setattr(
+            _backend, "simplex_solve", lambda *a: ("optimal", cols[which], None)
+        )
         with pytest.raises(RuntimeError, match=message):
-            self.ask(ctx, which)
+            self.ask(which)
 
     def test_witness_negative_on_a_row(self, monkeypatch):
-        # weight on x1 <= 1 alone: normalized to rhs -1 it is negative on
+        # weight on x1 <= 2 alone: normalized to rhs -1 it is negative on
         # an inequality row, which the check in x refuses
-        ctx = square_context()
-        y = [F(1), F(0), F(0), F(0), F(0)]
+        y = [F(1), F(0), F(0), F(0)]
         monkeypatch.setattr(_backend, "simplex_solve", lambda *a: ("infeasible", None, y))
         with pytest.raises(RuntimeError, match="negative multiplier"):
-            ctx.decide(QUARTER)
+            self.ask("decide")
 
     def test_kernel_answers_pass(self):
-        ctx = square_context()
-        assert ctx.maximize((F(1), F(0))) == ("optimal", F(1), (F(1), F(1, 2)))
-        point, _ = ctx.decide(QUARTER)
-        assert point[0] == F(1, 4) and contains_point(unit_square(), point)
+        assert self.ask("maximize") == ("optimal", F(1), (F(1), F(1, 2)))
+        point, _ = self.ask("decide")
+        assert 1 <= point[0] <= 2 and 1 <= point[1] <= 2
 
 
 class TestIntegerRows:
@@ -1235,6 +1255,35 @@ class TestFeasiblePoint:
         )
         self.assert_decides(monkeypatch, p, [])
 
+    def test_emptiness_takes_unit_rows_as_bounds(self, monkeypatch):
+        """x0 + x1 + x2 = 1 with x0 >= 2 is empty. The equality row
+        leaves x1 and x2 free at x = (1, 0, 0), so -x1 <= 0 and -x2 <= 0
+        reduce to -z_k <= 0 there: the one LP takes them as the bounds
+        z_k >= 0, two columns, neither split, and both bound rows carry
+        weight in the certificate. On random empty systems with unit rows
+        the answer is the Fraction reference's, and bound rows carry
+        weight in some certificates."""
+        h = simplex_beyond_one()
+        (ctx, cert), cols = feasibility_lps(monkeypatch, Polytope(3, hrep=h))
+        assert ctx is None and cols == [(2, 2)]
+        assert_farkas(h, cert)
+        eliminated = pt.LpContext.eliminated(h)
+        assert [i for i, z in enumerate(eliminated.zrows)
+                if pt._unit_bound(z) is not None] == [1, 2]
+        assert cert[1] and cert[2]
+        rng = random.Random(43)
+        weighted = 0
+        for _ in range(40):
+            dim = rng.randint(2, 4)
+            ctx = pt.LpContext.eliminated(random_unit_row_system(rng, dim, False))
+            if ctx is None:
+                continue
+            got = ctx.decide()
+            assert got[0] is None and got == context_decide_reference(ctx)
+            weighted += any(got[1][i] for i, z in enumerate(ctx.zrows)
+                            if ctx.live[i] and pt._unit_bound(z) is not None)
+        assert weighted
+
     def test_candidate_point_is_the_origin(self, monkeypatch):
         p = Polytope.simplex(3)
         x = (F(1, 3), F(1, 3), F(1, 3))
@@ -1260,6 +1309,16 @@ class TestLpStatusChecks:
             separate(p, (F(2), F(-1)))
         with pytest.raises(RuntimeError):
             pt._sup(p, (F(1), F(0)))
+
+    def test_subset_and_upper(self, monkeypatch):
+        """`is_subset`'s facet route and an upper expectation over an
+        H-rep set refuse a non-optimal LP."""
+        monkeypatch.setattr(pt, "_maximize", self.unbounded)
+        with pytest.raises(UnboundedError):
+            is_subset(Polytope.simplex(2), Polytope.from_points([(F(1), F(0))]))
+        with pytest.raises(DimensionError):
+            _upper(credal_set_from_hrep(make_space(("a",), ("0", "1")), ("a",)),
+                   (F(1), F(0)))
 
     def test_hull_separation(self, monkeypatch):
         """x violates x0 <= 1 of the segment's rows; a sup of that row

@@ -36,8 +36,10 @@ def test_outputs_on_the_working_checkout(tmp_path):
 
 def test_stages_on_the_working_checkout(tmp_path):
     """At |T| = 3 every consistent family passes with no LP in the
-    property suite, and the enlarged-full-tuple and H-rep records are
-    written."""
+    representation check or the property suite, the representation
+    check's double description runs are recorded, and the
+    enlarged-full-tuple records (the representation check with no LP
+    there too) and the H-rep records are written."""
     out = tmp_path / "stages.json"
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "stages.py"), ROOT, str(out),
@@ -52,7 +54,9 @@ def test_stages_on_the_working_checkout(tmp_path):
     for r in consistent:
         assert r["passed"] is True, r
         assert r["suite"]["lps"] == 0, r
+        assert r["verify"]["lps"] == 0 and r["verify"]["dd"] > 0, r
     enlarged = [r for r in rows if r.get("enlarged_full_tuple")]
     assert [r["T"] for r in enlarged] == [3, 4, 5]
     assert all("build" in r and "capped" not in r["build"] for r in enlarged)
+    assert all(r["verify"]["lps"] == 0 for r in enlarged)
     assert [r["feasibility"]["empty"] for r in rows if "hrep_dim" in r] == [False, True]

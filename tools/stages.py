@@ -21,13 +21,15 @@ consistent. Stages are library calls:
 - verify: `joint.verify_representation`;
 - suite: `joint.property_suite` given verify's report.
 Then three families with V_T enlarged by a path point mass (P strictly
-inside pre(V_T); build and feasibility only), and the emptiness check of
-two H-rep sets in dimension 16 (the simplex rows plus random cuts, so the
-affine hull has dimension 15), one nonempty and one empty.
+inside pre(V_T); feasibility, build and verify only), and the emptiness
+check of two H-rep sets in dimension 16 (the simplex rows plus random
+cuts, so the affine hull has dimension 15), one nonempty and one empty.
 
 LPs are `lp_solve` calls; the redundancy LPs are those inside
-`remove_redundant_ineqs`. With --kernel each stage also records
-"kernel_s", the seconds spent in the simplex kernel
+`remove_redundant_ineqs`. Each stage also records "dd", its double
+description runs (`polytope._points_from_hrep` and `_hrep_from_points`
+calls), and "dd_s", the seconds spent in them. With --kernel each stage
+also records "kernel_s", the seconds spent in the simplex kernel
 (`_backend.simplex_solve`). Each family gets at most --cap seconds (default
 300, by SIGALRM); a stage cut by the cap is recorded as {"capped": cap}
 and the family's later stages are skipped.
@@ -73,7 +75,7 @@ def main(argv):
     from credalkit.spaces import point_mass
 
     counts = {"lps": 0, "redundancy": 0, "rows_in": None, "rows_kept": None,
-              "kernel_s": 0.0}
+              "kernel_s": 0.0, "dd": 0, "dd_s": 0.0}
     depth = [0]
 
     def counting(fn):
@@ -98,6 +100,19 @@ def main(argv):
 
     polytope.remove_redundant_ineqs = rr
 
+    def timed_dd(fn):
+        def wrapped(*a, **k):
+            counts["dd"] += 1
+            t = time.perf_counter()
+            try:
+                return fn(*a, **k)
+            finally:
+                counts["dd_s"] += time.perf_counter() - t
+        return wrapped
+
+    for name in ("_points_from_hrep", "_hrep_from_points"):
+        setattr(polytope, name, timed_dd(getattr(polytope, name)))
+
     if args.kernel:
         real_kernel = _backend.simplex_solve
 
@@ -111,10 +126,11 @@ def main(argv):
         _backend.simplex_solve = timed_kernel
 
     def stage(fn):
-        counts.update(lps=0, redundancy=0, kernel_s=0.0)
+        counts.update(lps=0, redundancy=0, kernel_s=0.0, dd=0, dd_s=0.0)
         t = time.perf_counter()
         result = fn()
-        rec = {"s": round(time.perf_counter() - t, 3), "lps": counts["lps"]}
+        rec = {"s": round(time.perf_counter() - t, 3), "lps": counts["lps"],
+               "dd": counts["dd"], "dd_s": round(counts["dd_s"], 3)}
         if args.kernel:
             rec["kernel_s"] = round(counts["kernel_s"], 3)
         return result, rec
@@ -186,9 +202,10 @@ def main(argv):
 
         def run(rec=rec, coll=coll):
             feasibility_stage(rec, coll)
-            build_stage(rec, coll)
+            model = build_stage(rec, coll)
+            _, rec["verify"] = stage(lambda: joint.verify_representation(coll, model))
 
-        capped(rec, ("feasibility", "build"), run)
+        capped(rec, ("feasibility", "build", "verify"), run)
 
     # H-rep sets in dimension 16: rows a.x <= a.p + s through a random
     # point p of the simplex, with s >= 0, and for the empty one lower
