@@ -90,7 +90,7 @@ def _report_empty(model):
 
 def _singleton_note(model):
     """The note for a joint set P that is one point: P has one vertex
-    (verify has read them off P's H-rep by then)."""
+    (the build hands P's vertices to the joint set)."""
     if model.mode == cr.POLYTOPE and not model.is_empty() and len(model.body.points) == 1:
         return "joint set is a single measure"
     return None
@@ -115,7 +115,7 @@ def cmd_verify(args):
 
     vertices = None
     if args.emit_vertices and model.mode == cr.POLYTOPE and not model.is_empty():
-        verts = model.body.points  # the double description's sorted vertices
+        verts = model.body.points  # P's sorted vertices, carried from the build
         if len(verts) <= args.vertex_limit:
             vertices = verts
         else:

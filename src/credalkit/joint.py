@@ -10,10 +10,12 @@ their containment structure as a checkable report. Its main diagnostic
 value: when P comes out empty, the Farkas multipliers of a minimal
 infeasible core are mapped back to the offending tuples.
 
-The construction stays in inequality form: emptiness, its diagnosis
-and redundancy removal run through exact LPs, or read their answer off
-the vertices of pre(V_T). Pushforwards, and so the representation
-check, read P's vertices, from one double description of its H-rep.
+The construction stays in inequality form. P's vertices are those of
+pre(V_T) when P is pre(V_T), and otherwise come from one double
+description of P's rows; redundancy removal reads the kept rows off
+them, and the reduced P carries them, so pushforwards, and so the
+representation check, read them with no further conversion. Only an
+empty P runs LPs: its emptiness decision and its diagnosis.
 
 The path space is finite, so every law on it is countably additive;
 restricting P to countably additive laws is the identity and needs no
@@ -49,6 +51,7 @@ from credalkit.exactq import (
     lp_solve,
     solve_rows,
 )
+from credalkit.polytope import ResourceCapError
 
 SIMPLEX_ORIGIN = "simplex"
 
@@ -63,17 +66,6 @@ CHECKED_PERMUTATIONS = 6
 
 class EmptyJointError(ValueError):
     """An operation that needs a nonempty joint set got an empty one."""
-
-
-class ResourceCapError(RuntimeError):
-    """Finite-mode selection enumeration exceeded the configured cap."""
-
-    def __init__(self, count, cap):
-        super().__init__(
-            f"selection enumeration needs {count} cells, over the cap of {cap}"
-        )
-        self.count = count
-        self.cap = cap
 
 
 class ModeError(ValueError):
@@ -272,31 +264,41 @@ def _build_polytope(coll, reps) -> JointModel:
     dim = coll.space.path_count
     ineqs, eqs = _assemble(coll, reps)
     body = _system_polytope(dim, ineqs, eqs)
-    # P lies in pre(V_T), whose rows it carries; on a consistent
-    # collection it is pre(V_T), so a vertex of pre(V_T) is a point of P
-    # and gives it its LP context with no LP. Otherwise emptiness is
-    # decided in P's affine-hull coordinates, and an empty P gets the
-    # certificate the diagnosis starts from.
-    vertices = _pulled_vertices(coll, reps[-1])
-    certificate = pt._decide_empty(body, vertices[0])
-    if certificate is not None:
-        diagnosis = _diagnose(dim, ineqs, eqs, certificate)
-        return JointModel(
-            coll.space,
-            POLYTOPE,
-            body,
-            tuple(origin for _, origin in ineqs),
-            tuple(origin for _, origin in eqs),
-            (),
-            diagnosis,
-        )
-    # when P is pre(V_T), the redundancy removal reads the kept rows off
-    # its vertices with no LP
-    keep = pt.remove_redundant_ineqs(
-        dim, body.hrep.ineqs, body.hrep.eqs, pt._lp_context(body), vertices
-    )
+    # P lies in pre(V_T), whose rows it carries. When every row of P
+    # holds at each vertex of pre(V_T), P is pre(V_T), the consistent
+    # case, and those are its vertices. Otherwise emptiness is decided
+    # in P's affine-hull coordinates, from the first of those vertices
+    # that is a point of P when there is one (then with no LP), and an
+    # empty P gets the certificate the diagnosis starts from. A
+    # nonempty P's vertices come from one double description in the LP
+    # context that decision built.
+    pulled = _pulled_vertices(coll, reps[-1])
+    order, fits = pt._hull_order(body.hrep, pulled)
+    if all(fits):
+        vertices = tuple(sorted(pulled))
+    else:
+        inside = next((x for x, ok in zip(pulled, fits) if ok), None)
+        certificate = pt._decide_empty(body, inside)
+        if certificate is not None:
+            diagnosis = _diagnose(dim, ineqs, eqs, certificate)
+            return JointModel(
+                coll.space,
+                POLYTOPE,
+                body,
+                tuple(origin for _, origin in ineqs),
+                tuple(origin for _, origin in eqs),
+                (),
+                diagnosis,
+            )
+        vertices = pt._points_from_hrep(body.hrep, body._context, order)
+    # the kept rows are read off P's vertices, which the reduced body
+    # carries, so nothing downstream converts P again
+    h = body.hrep
+    keep = pt.remove_redundant_ineqs(dim, h.ineqs, h.eqs, vertices)
     ineqs = [ineqs[i] for i in keep]
-    body = pt._with_ineqs(body, keep)
+    body = pt.Polytope(
+        dim, hrep=pt.HRep(dim, tuple(h.ineqs[i] for i in keep), h.eqs), points=vertices
+    )
     return JointModel(
         coll.space,
         POLYTOPE,
@@ -458,7 +460,9 @@ def _build_cells(coll, reps, cell_cap) -> JointModel:
     for s in sizes:
         count *= s
     if count > cell_cap:
-        raise ResourceCapError(count, cell_cap)
+        raise ResourceCapError(
+            f"selection enumeration needs {count} cells, over the cap of {cell_cap}"
+        )
     dim = coll.space.path_count
     cells = []
     dead = []  # the diagnosed dead selections, with their systems
@@ -548,9 +552,11 @@ def verify_representation(
     witness and certificate, and a separating functional g also pulled
     back to the path cells (`lifted_functional`): in the first direction
     it bounds every point of P by g.witness - gap, in the second some
-    vertex of P reaches g.witness. No LP runs: P's vertices come from one
-    double description of its H-rep, which is pre(V_T) on a consistent
-    family.
+    vertex of P reaches g.witness. No LP runs: P's vertices are those
+    the build carries (pre(V_T)'s on a consistent family, else those of
+    one double description of P's rows); a joint set read back from a
+    build file, which holds rows only, gets them from one double
+    description of those rows.
     """
     if joint is None:
         joint = build_joint(coll)

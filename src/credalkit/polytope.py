@@ -27,14 +27,14 @@ runs over the d free directions. The kernel gets the reduced rows as
 integers, and each answer and certificate is mapped back and checked
 once, in integers, against the original rows.
 
-Redundancy removal keeps a row iff dropping it changes the set, probing
-the rows in order by LP. When it is given points whose hull holds the
-set (the joint build passes the vertices of pre(V_T), the full tuple's
-preimage), it first substitutes them into every row. If all rows hold
-there, the set is their hull; if the equality rows also leave exactly
-the directions the points span, the probes would keep the last row of
-each facet and nothing else, and those rows are read off the points with
-no LP. Any other case falls back to the probes.
+Redundancy removal keeps the rows of the drop-one-row filter (rows
+taken in order, a row dropped when the rows still kept without it
+describe the same set) and reads them off the set's vertices, with no
+LP: the last row of each facet, and of the rows tight at every vertex
+those without which the rows still kept would let the set leave its
+affine hull, a cone decided by a double description. Every double
+description stops with ResourceCapError once its intermediate rays
+outnumber RAY_CAP.
 
 Only bounded sets are supported. Constructors either receive finitely
 many points, or an inequality system that is expected to bound the set
@@ -73,6 +73,19 @@ class UnboundedError(ValueError):
 
 class NotSeparableError(ValueError):
     """Separation was requested for a point that belongs to the set."""
+
+
+class ResourceCapError(RuntimeError):
+    """A computation ran past a fixed cap: a double description's
+    intermediate rays here, finite mode's selection cells in `joint`."""
+
+
+# the most rays a double description may hold at once, so also the most
+# vertices or facets it can return. The peaks on the benchmark's families
+# and the tools/stages.py families stay below 40 (BENCH_build_vertices.json);
+# {x : sum x = 1, 1/24 <= x_j <= 1/8} in 12 coordinates passes 1,000 rays
+# within about a second, where running to the end takes 15 s.
+RAY_CAP = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +401,7 @@ class LpContext:
     the origin is feasible, so the kernel starts every LP from the slack
     basis, with no artificials and no phase 1. Moving the origin
     (`moved`) re-reads only s. A row with a.N = 0 is constant on the hull
-    and takes no part. An LP may use any subset of the inequality rows
-    (redundancy removal drops them one at a time).
+    and takes no part.
 
     `decide` is the one feasibility decision: whether the system has a
     point. It runs on the context `eliminated` returns before any point
@@ -398,19 +410,19 @@ class LpContext:
     The kernel gets each reduced row as the integers [(a.N) oden | s]
     over oden, the rational row it always saw. Its answer z is mapped
     back to x = origin + N z as integer numerators over one denominator
-    and checked once, against the H-rep's own inequality rows that the
-    LP used, each value a.x an integer dot product (`_row_at`). That
-    check implies the one in z: in integers, a.(origin + N z) <= b is
-    the same inequality as (a.N) z <= b - a.origin. The H-rep's equality rows need no check per
-    answer: E origin = e is checked in integers at every origin (by
+    and checked once, against the H-rep's own inequality rows, each
+    value a.x an integer dot product (`_row_at`). That check implies the
+    one in z: in integers, a.(origin + N z) <= b is the same inequality
+    as (a.N) z <= b - a.origin. The H-rep's equality rows need no check
+    per answer: E origin = e is checked in integers at every origin (by
     `eliminated` for the first, by `moved` for each later one), and
     E N = 0 once, by `eliminated`, from which every context descends
-    (`moved` and `restrict` keep N), so E x = e + (E N) z = e for every
-    z the kernel returns. An infeasibility certificate y
-    on the reduced rows gives multipliers on the original rows once the
-    part of y.A in the row space of E is written as w.E
-    (`exactq.echelon` with `combine`, once per context); the certificate
-    is then (y, -w), checked in integers on those rows.
+    (`moved` keeps N), so E x = e + (E N) z = e for every z the kernel
+    returns. An infeasibility certificate y on the reduced rows gives
+    multipliers on the original rows once the part of y.A in the row
+    space of E is written as w.E (`exactq.echelon` with `combine`, once
+    per context); the certificate is then (y, -w), checked in integers
+    on those rows.
     """
 
     __slots__ = ("dim", "origin", "onums", "oden", "basis", "ineqs", "zrows",
@@ -483,31 +495,20 @@ class LpContext:
         support = [(j, v) for j, v in enumerate(a) if v]
         return tuple(sum(v * vec[j] for j, v in support) for vec in self.basis)
 
-    def restrict(self, keep):
-        """The context of the same system with only the inequality rows
-        `keep`: same origin and basis, a subset of the reduced rows."""
-        return self._replace(
-            ineqs=tuple(self.ineqs[i] for i in keep),
-            zrows=[self.zrows[i] for i in keep],
-            live=[self.live[i] for i in keep],
-        )
-
-    def maximize(self, f, keep=None):
-        """Exact max of f.x over the inequality rows `keep` (default:
-        all) and the equality rows. Returns (status, value, argmax).
+    def maximize(self, f):
+        """Exact max of f.x over the system. Returns (status, value,
+        argmax).
 
         The LP runs on f times the lcm of its denominators, which moves
         no pivot; the value is read off the argmax in integers."""
-        keep = range(len(self.ineqs)) if keep is None else keep
         fnums, fden = _integer_row(f)
         fz = self._reduce(fnums)
         oden = self.oden
         if not any(fz):
             return "optimal", Fraction(_row_at(fnums, self.onums), fden * oden), self.origin
-        zrows, live = self.zrows, self.live
         rows = tuple(
-            ([*(v * oden for v in zrows[i][0]), zrows[i][1]], LE, oden)
-            for i in keep if live[i]
+            ([*(v * oden for v in coeffs), slack], LE, oden)
+            for (coeffs, slack), live in zip(self.zrows, self.live) if live
         )
         outcome = lp_solve(IntLp("max", fz, rows, (False,) * len(fz)))
         if outcome.status == "infeasible":
@@ -515,7 +516,7 @@ class LpContext:
         if outcome.status != "optimal":
             return outcome.status, None, None
         xnums, xden = self._point(*_integer_row(outcome.solution))
-        self._check_point(xnums, xden, keep)
+        self._check_point(xnums, xden)
         value = Fraction(_row_at(fnums, xnums), fden * xden)
         return "optimal", value, tuple(Fraction(v, xden) for v in xnums)
 
@@ -568,7 +569,7 @@ class LpContext:
             ))
             if outcome.status == "optimal":
                 xnums, xden = self._point(*_integer_row(outcome.solution))
-                self._check_point(xnums, xden, range(n))
+                self._check_point(xnums, xden)
                 return tuple(Fraction(v, xden) for v in xnums), None
             for i, cm in zip(live, outcome.certificate):
                 y[i] = cm
@@ -592,15 +593,13 @@ class LpContext:
                 x = [xj + zk * v for xj, v in zip(x, vec)]
         return x, oden * zden
 
-    def _check_point(self, xnums, xden, keep):
-        """Check the point xnums / xden against the inequality rows
-        `keep`, in integers; the H-rep's equality rows hold at every
-        origin + N z (see the class). Each row is summed over the point's
-        nonzero entries: an LP's point is a vertex, with few of them."""
+    def _check_point(self, xnums, xden):
+        """Check the point xnums / xden against the inequality rows, in
+        integers; the H-rep's equality rows hold at every origin + N z
+        (see the class). Each row is summed over the point's nonzero
+        entries: an LP's point is a vertex, with few of them."""
         support = [(j, v) for j, v in enumerate(xnums) if v]
-        ineqs = self.ineqs
-        for i in keep:
-            a, b = ineqs[i]
+        for a, b in self.ineqs:
             if sum(a[j] * v for j, v in support) > b * xden:
                 raise RuntimeError("reported solution violates a constraint")
 
@@ -637,18 +636,22 @@ def _primitive_int(vec) -> tuple:
     return tuple(_content_free(_integer_row(vec)[0]))
 
 
-def _extreme_rays(rows, dim):
+def _extreme_rays(rows, dim, stage):
     """Extreme rays of the pointed cone {z : r.z <= 0 for r in rows}.
 
-    `rows` are integer tuples. Raises UnboundedError when the cone has a
-    lineality space (rank below dim). Returns the primitive integer rays
-    and, for each, the bitmask of the rows it is tight on (bit i for
-    rows[i]): the zero masks the adjacency test keeps.
+    `rows` are integer tuples, inserted in their order. Raises
+    UnboundedError when the cone has a lineality space (rank below dim),
+    and ResourceCapError, naming `stage`, when more than RAY_CAP rays are
+    held at once. Returns the primitive integer rays and, for each, the
+    bitmask of the rows it is tight on (bit i for rows[i]): the zero
+    masks the adjacency test keeps.
     """
     init = echelon(rows)[0]
     if len(init) < dim:
         raise UnboundedError("cone is not pointed")
     rays = _initial_rays([rows[i] for i in init])
+    if len(rays) > RAY_CAP:
+        raise _over_cap(stage, rows, dim)
     # zero set bit i <-> rows[i]; ray j is tight on every initial row
     # except the j-th
     full = sum(1 << i for i in init)
@@ -693,9 +696,20 @@ def _extreme_rays(rows, dim):
                 ]
                 new_rays.append(tuple(_content_free(combo)))
                 new_mask.append(zpn | bit)
+                if len(keep_rays) + len(new_rays) > RAY_CAP:
+                    raise _over_cap(stage, rows, dim)
         rays = keep_rays + new_rays
         zmask = keep_mask + new_mask
     return rays, zmask
+
+
+def _over_cap(stage, rows, dim):
+    """The error of a double description that holds more than RAY_CAP
+    rays, naming its stage and its cone."""
+    return ResourceCapError(
+        f"{stage}: the double description holds more than {RAY_CAP} rays "
+        f"({len(rows)} rows in dimension {dim})"
+    )
 
 
 def _initial_rays(m):
@@ -719,20 +733,30 @@ def _initial_rays(m):
     ]
 
 
-def _points_from_hrep(hrep: HRep) -> tuple:
+def _points_from_hrep(hrep: HRep, context=None, order=None) -> tuple:
     """Vertices of a bounded H-rep polytope, sorted; () when empty.
 
-    In the coordinates x = x0 + N u of `LpContext.eliminated`, a constant
-    row with negative slack leaves the set empty, each other row gives
-    the cone row [a.N | -slack], and each extreme ray (u, t) of the cone
-    the vertex x0 + N u / t."""
-    ctx = LpContext.eliminated(hrep)
+    In the coordinates x = x0 + N u of an LP context of hrep (`context`,
+    else the one `LpContext.eliminated` gives), a constant row with
+    negative slack leaves the set empty, each other row gives the cone
+    row [a.N | -slack], and each extreme ray (u, t) of the cone the
+    vertex x0 + N u / t. The double description inserts the inequality
+    rows in `order` (default: row order), then t >= 0; the vertices do
+    not depend on it, its running time does.
+
+    Each vertex is checked in integers against every row of hrep, and
+    one outside the set raises RuntimeError. That check proves the
+    output valid, not complete: a vertex the double description missed
+    would pass it (Mehlhorn et al., "Checking geometric programs or
+    verification of geometric structures", Comput. Geom. 12, 1999)."""
+    ctx = LpContext.eliminated(hrep) if context is None else context
     if ctx is None:
         return ()
     cone_rows = []
     oden = ctx.oden
-    for (coeffs, slack), live in zip(ctx.zrows, ctx.live):
-        if live:
+    for i in range(len(ctx.zrows)) if order is None else order:
+        coeffs, slack = ctx.zrows[i]
+        if ctx.live[i]:
             cone_rows.append(tuple(_content_free([*(v * oden for v in coeffs), -slack])))
         elif slack < 0:
             return ()
@@ -741,7 +765,7 @@ def _points_from_hrep(hrep: HRep) -> tuple:
         return (ctx.origin,)
     cone_rows.append((0,) * d + (-1,))
     try:
-        rays, _ = _extreme_rays(cone_rows, d + 1)
+        rays, _ = _extreme_rays(cone_rows, d + 1, "vertex enumeration")
     except UnboundedError:
         # rank deficiency also occurs for some empty systems: decide by LP
         if _feasible_point(hrep)[0] is None:
@@ -754,7 +778,9 @@ def _points_from_hrep(hrep: HRep) -> tuple:
             raise UnboundedError("H-representation describes an unbounded set")
         xnums, xden = ctx._point(ray[:d], t)
         verts.add(tuple(Fraction(v, xden) for v in xnums))
-    return tuple(sorted(verts))
+    verts = tuple(sorted(verts))
+    _tight_sets(hrep.ineqs, hrep.eqs, *_integer_points(verts))
+    return verts
 
 
 def _hrep_from_points(points, dim):
@@ -780,8 +806,7 @@ def _hrep_from_points(points, dim):
     if not points:
         return HRep(dim, (((0,) * dim, -1),), ()), ()
     pts = sorted(set(points))
-    den = lcm(*[v.denominator for x in pts for v in x])
-    xs = [[v.numerator * (den // v.denominator) for v in x] for x in pts]
+    xs, den = _integer_points(pts)
     x0 = xs[0]
     diffs = [[a - b for a, b in zip(x, x0)] + [0] for x in xs]
     _, null, pivots = solve_rows(diffs, dim)
@@ -794,7 +819,7 @@ def _hrep_from_points(points, dim):
     if r == 0:
         return HRep(dim, (), tuple(eqs)), (pts[0],)
     gens = [_content_free([*(x[k] - x0[k] for k in pivots), den]) for x in xs]
-    facets, tight = _extreme_rays(gens, r + 1)
+    facets, tight = _extreme_rays(gens, r + 1, "facet enumeration")
     keyed = []  # (coeffs, den * (coeffs.v0 - y_t))
     for y in facets:
         coeffs = [0] * dim
@@ -946,77 +971,111 @@ def linear_image(idx, p: Polytope, size: int) -> Polytope:
     return image
 
 
-def remove_redundant_ineqs(dim, ineqs, eqs, context=None, vertices=None):
-    """Indices of the irredundant inequality rows of a feasible system.
+def remove_redundant_ineqs(dim, ineqs, eqs, vertices):
+    """Indices of the irredundant inequality rows of a nonempty system,
+    read off the vertices of its set P with no LP.
 
-    A row is dropped iff maximizing it over the remaining rows stays
-    within its bound; rows are probed in order, so the result is
-    deterministic. Every probe is an LP in the system's LP context
-    (`context`, which must be that of this system, or one built here)
-    over the rows still kept.
+    The rows are those of the drop-one-row filter, which takes the rows
+    in order and drops one when the rows still kept without it describe
+    P. Let d be the affine rank of the vertices, and P(S) the set cut
+    out by the equality rows and the inequality rows S. P(S) is P iff
+    (a) P(S) stays in P's affine hull and (b) within that hull each
+    facet of P has a row in S. Only the rows tight at every vertex
+    (implicit equalities) bear on (a), and only the facet rows, tight at
+    vertices of affine rank d - 1, on (b). So the filter keeps the last
+    row of each facet (`_facet_rows`), the implicit equality rows
+    `_hull_rows` keeps, and no other row.
 
-    `vertices`, when given, are points whose convex hull contains the
-    system's set P. If every row holds at each of them, P is their hull,
-    and if the equality rows also leave exactly as many directions as
-    the points span (d of them), P is full-dimensional within its
-    equality rows. The probes then keep, of each facet of P, the last
-    row that defines it and nothing else, and `_facet_rows` reads those
-    rows off the points with no LP: a row defines a facet iff the points
-    it is tight at span affine dimension d - 1 (a row tight at no point
-    is never kept, which matters at d = 0). Otherwise the probes run.
+    `vertices` are P's vertices (any finite set whose hull is P will
+    do), tested against the rows in integers over one common
+    denominator; a point that violates a row raises RuntimeError.
     """
-    if context is None:
-        context = _lp_context(Polytope(dim, hrep=HRep(dim, tuple(ineqs), tuple(eqs))))
-        if context is None:
-            return list(range(len(ineqs)))
-    if vertices:
-        keep = _facet_rows(context, vertices)
-        if keep is not None:
-            return keep
-    alive = list(range(len(ineqs)))
-    for idx in range(len(ineqs)):
-        rest = [i for i in alive if i != idx]
-        a, b = ineqs[idx]
-        status, val, _ = context.maximize(a, rest)
-        if status == "optimal" and val <= b:
-            alive = rest
-    return alive
-
-
-def _facet_rows(ctx, points):
-    """The rows the probes of `remove_redundant_ineqs` keep, when the
-    context's set P is the hull of `points` and full-dimensional within
-    its equality rows; None when the points do not prove that.
-
-    The tests run in integers: the points over one common denominator
-    against the context's rows. Of rows tight at the same points, which
-    cut out the same face, the last in row order stands for them; the
-    affine rank of each distinct tight set is computed once.
-    """
-    den = lcm(*[v.denominator for x in points for v in x])
-    xs = [[v.numerator * (den // v.denominator) for v in x] for x in points]
-
-    def values(a):
-        support = [(j, v) for j, v in enumerate(a) if v]
-        return [sum(v * x[j] for j, v in support) for x in xs]
-
-    for e, f in ctx.eqs:
-        if any(val != f * den for val in values(e)):
-            return None
-    tight = []
-    for a, b in ctx.ineqs:
-        bound = b * den
-        vals = values(a)
-        if any(val > bound for val in vals):
-            return None
-        tight.append(frozenset(k for k, val in enumerate(vals) if val == bound))
+    xs, den = _integer_points(vertices)
+    tight = _tight_sets(ineqs, eqs, xs, den)
     d = _affine_rank(xs)
-    if d != len(ctx.basis):
-        return None
-    last = {s: i for i, s in enumerate(tight) if s}
+    everywhere = [i for i, s in enumerate(tight) if len(s) == len(xs)]
     return sorted(
-        i for s, i in last.items() if _affine_rank([xs[k] for k in s]) == d - 1
+        _facet_rows(tight, xs, d) + _hull_rows(dim, ineqs, eqs, xs, everywhere)
     )
+
+
+def _integer_points(points):
+    """The points over one common denominator: (numerator lists, den)."""
+    den = lcm(*[v.denominator for x in points for v in x])
+    return [[v.numerator * (den // v.denominator) for v in x] for x in points], den
+
+
+def _row_values(rows, xs):
+    """For each row (a, b) of `rows`, the list of a.x over the integer
+    points xs; each sum runs over the point's nonzero entries, few for
+    the vertices of a joint set."""
+    supports = [[(j, v) for j, v in enumerate(x) if v] for x in xs]
+    for a, _ in rows:
+        yield [sum(a[j] * v for j, v in support) for support in supports]
+
+
+def _tight_sets(ineqs, eqs, xs, den):
+    """For each inequality row, the set of the points xs (integers over
+    den) where it is tight; RuntimeError when a point violates a row."""
+    for (_, f), vals in zip(eqs, _row_values(eqs, xs)):
+        if any(val != f * den for val in vals):
+            raise RuntimeError("a vertex violates an equality row")
+    tight = []
+    for (_, b), vals in zip(ineqs, _row_values(ineqs, xs)):
+        bound = b * den
+        if any(val > bound for val in vals):
+            raise RuntimeError("a vertex violates an inequality row")
+        tight.append(frozenset(k for k, val in enumerate(vals) if val == bound))
+    return tight
+
+
+def _facet_rows(tight, xs, d):
+    """The facet rows the filter keeps: of the rows tight at the same set
+    of the points xs (`tight`, one set per row), which cut out the same
+    face, the last in row order, when that set has affine rank d - 1.
+    The affine rank of each distinct tight set is computed once; a row
+    tight at no point is never kept."""
+    last = {s: i for i, s in enumerate(tight) if s}
+    return [i for s, i in last.items() if _affine_rank([xs[k] for k in s]) == d - 1]
+
+
+def _hull_rows(dim, ineqs, eqs, xs, rows):
+    """The rows of `rows`, each tight at every point of xs, that the
+    filter keeps: walking them in row order, one is dropped iff the rows
+    still kept without it leave the cone
+        {u : E u = 0, (x - x0).u = 0 for every x in xs, a_j.u <= 0}
+    equal to {0}. Those u are the directions, normal to P's affine hull,
+    in which the kept rows let P(S) leave it from a relative interior
+    point, where every other row is slack.
+
+    The rank check comes first: when the rows of E and the differences
+    x - x0 reach rank dim, the u are 0 alone and every row is dropped.
+    `echelon` stops at that rank, and it takes E's rows last first,
+    since the joint build appends the rows that pin P's affine hull on
+    a consistent family last. Otherwise a basis B of the u (`solve_rows`
+    on the echelon rows) writes the cone as {w : (a_j B) w <= 0}, and the
+    double description decides it: a lineality space (UnboundedError) or
+    any extreme ray means it is not {0}. No LP runs.
+    """
+    if not rows:
+        return []
+    x0 = xs[0]
+    diffs = [[a - b for a, b in zip(x, x0)] for x in xs[1:]]
+    chosen, kept = echelon([*diffs, *(e for e, _ in reversed(eqs))])
+    if len(chosen) == dim:
+        return []
+    basis = [_primitive_int(v) for v in solve_rows([[*red, 0] for _, red in kept], dim)[1]]
+    cone = {i: tuple(_row_at(ineqs[i][0], w) for w in basis) for i in rows}
+    alive = list(rows)
+    for i in rows:
+        rest = [cone[j] for j in alive if j != i]
+        try:
+            rays, _ = _extreme_rays(rest, len(basis), "implicit-equality cone")
+        except UnboundedError:
+            continue
+        if not rays:
+            alive.remove(i)
+    return alive
 
 
 def _affine_rank(xs):
@@ -1025,12 +1084,24 @@ def _affine_rank(xs):
     return len(echelon([[a - b for a, b in zip(x, x0)] for x in xs[1:]])[0])
 
 
-def _with_ineqs(p: Polytope, keep) -> Polytope:
-    """p with only the inequality rows `keep`, which must describe the
-    same set; it inherits p's emptiness and LP context."""
-    h = p.hrep
-    out = Polytope(p.dim, hrep=HRep(p.dim, tuple(h.ineqs[i] for i in keep), h.eqs))
-    out._empty = p._empty
-    if p._context is not None:
-        out._context = p._context.restrict(keep)
-    return out
+def _hull_order(h: HRep, points):
+    """(order, fits) for an H-rep whose set lies in the hull of `points`,
+    tested in integers over one common denominator.
+
+    `fits` says, per point, whether every row of h, equality rows
+    included, holds there; when all do, the set is their hull. `order`
+    lists the inequality rows for the double description on h: first
+    those that hold at every point, those tight at more of them first,
+    then those some point violates, each group in row order."""
+    xs, den = _integer_points(points)
+    fits = [True] * len(xs)
+    for (_, f), vals in zip(h.eqs, _row_values(h.eqs, xs)):
+        for k, val in enumerate(vals):
+            fits[k] = fits[k] and val == f * den
+    keys = []
+    for i, ((_, b), vals) in enumerate(zip(h.ineqs, _row_values(h.ineqs, xs))):
+        bound = b * den
+        for k, val in enumerate(vals):
+            fits[k] = fits[k] and val <= bound
+        keys.append((any(val > bound for val in vals), -vals.count(bound), i))
+    return [i for *_, i in sorted(keys)], fits

@@ -17,9 +17,9 @@ Fraction entries, one tableau entry at a time, so it shares no
 arithmetic with the kernel's integer rows.
 
 `redundant_rows_reference` is the reference for
-`credalkit.polytope.remove_redundant_ineqs`: the drop-one-row loop, each
-probe an LP over the original coordinates with every row and no LP
-context.
+`credalkit.polytope.remove_redundant_ineqs`, which reads its rows off
+the set's vertices: the drop-one-row loop, each probe an LP over the
+original coordinates with every row and no LP context.
 
 `is_subset_reference` is the reference for
 `credalkit.polytope.is_subset`: the same routes, but the facet route
@@ -442,16 +442,15 @@ def _context_point(ctx, z):
     return tuple(x)
 
 
-def context_maximize_reference(ctx, f, keep=None):
-    """(status, value, argmax) of max f.x over the context's rows `keep`
-    (default: all): the rows with a.N != 0 as an LP over free z."""
-    keep = range(len(ctx.ineqs)) if keep is None else keep
+def context_maximize_reference(ctx, f):
+    """(status, value, argmax) of max f.x over the context's rows: the
+    rows with a.N != 0 as an LP over free z."""
     rows = _context_rows(ctx)
     fz = tuple(dot(f, vec) for vec in ctx.basis)
     at_origin = dot(f, ctx.origin)
     if not any(fz):
         return "optimal", at_origin, ctx.origin
-    lp_rows = tuple(rows[i] for i in keep if any(rows[i][0]))
+    lp_rows = tuple(row for row in rows if any(row[0]))
     out = rational_lp("max", fz, lp_rows, (False,) * len(fz))
     if out.status != "optimal":
         return out.status, None, None
@@ -599,7 +598,7 @@ def hrep_from_points_reference(points, dim):
     upts = [tuple(v[pk] - v0[pk] for pk in pivots) for v in pts]
     gens = [pt._primitive_int(list(u) + [1]) for u in upts]
     ineqs = []
-    for y in pt._extreme_rays(gens, r + 1)[0]:
+    for y in pt._extreme_rays(gens, r + 1, "facet enumeration")[0]:
         coeffs = [0] * dim
         for k, pk in enumerate(pivots):
             coeffs[pk] = y[k]

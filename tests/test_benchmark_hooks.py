@@ -91,11 +91,11 @@ def ancestors(spans, i):
 def test_every_kernel_call_is_an_lp_span():
     """A build and the representation check on the joint set it returns,
     reloaded from its H-rep the way perfbench/run.py reads a build file,
-    and a build with V_T enlarged by a point mass, whose redundancy
-    probes run LPs: every kernel call sits below a traced `lp_solve`
-    span, so the lp layer counts every LP (LP-context ones included),
-    and the redundancy span sees the inequality rows and returns kept
-    indices."""
+    a maximization over that reloaded set, which runs in its LP context,
+    and a build with V_T enlarged by a point mass: every kernel call
+    sits below a traced `lp_solve` span, so the lp layer counts every LP
+    (LP-context ones included), and the redundancy span sees the
+    inequality rows and returns kept indices."""
     layers = load_layers()
     gen = importlib.import_module("gen")
     pt = importlib.import_module("credalkit.polytope")
@@ -112,6 +112,8 @@ def test_every_kernel_call_is_an_lp_span():
         reloaded = jt.JointModel(coll.space, "polytope", body, model.ineq_origins,
                                  model.eq_origins, (), None)
         report = jt.verify_representation(coll, reloaded)
+        status, _, _ = pt._maximize(body, (1,) + (0,) * (model.dim - 1))
+        assert status == "optimal"
         jt.build_joint(enlarged)
         return model, report
 
@@ -251,26 +253,22 @@ def test_verify_spans_one_representation_check(tmp_path):
     assert lps and all(subset[-1] in ancestors(spans, i) for i in lps)
 
 
-def test_redundancy_runs_lps_only_off_the_full_tuple_hull():
-    """A consistent build decides its rows in the `redundancy` span with no
-    LP below it, since P is the hull of V_T's vertices pulled back; a build
-    whose P lies strictly inside that hull (V_T enlarged by a point mass)
-    runs its probes there. Both spans see every row and return kept
-    indices."""
+def test_redundancy_runs_no_lp():
+    """A build decides its rows in the `redundancy` span, reading them off
+    P's vertices, with no LP anywhere in the build: on a consistent
+    family, where P is the hull of V_T's vertices pulled back, and with
+    V_T enlarged by a point mass, where P lies strictly inside that hull
+    and its vertices come from its own rows. Both spans see every row
+    and return kept indices."""
     layers = load_layers()
     gen = importlib.import_module("gen")
     jt = importlib.import_module("credalkit.joint")
     _, coll, _ = gen.generated_instance(random.Random(5), 3)
-    for c, probes in ((coll, False), (gen.enlarged_full_tuple(coll), True)):
+    for c in (coll, gen.enlarged_full_tuple(coll)):
         model, spans, info = traced(layers, lambda: jt.build_joint(c))
         layer_of = [name.split(".")[0] for name, *_ in spans]
         redundancy = [i for i, layer in enumerate(layer_of) if layer == "redundancy"]
         assert len(redundancy) == 1
-        root = redundancy[0]
-        below = [
-            i for i, layer in enumerate(layer_of)
-            if layer == "lp" and root in ancestors(spans, i)
-        ]
-        assert bool(below) == probes
-        rows = info[root]
+        assert "lp" not in layer_of and "kernel" not in layer_of
+        rows = info[redundancy[0]]
         assert rows["rows_kept"] == len(model.body.hrep.ineqs) < rows["rows_in"]

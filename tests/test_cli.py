@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import credalkit.joint as jt
+import credalkit.polytope as pt
 from credalkit.cli import main
 from gen import collection_to_model, generated_instance
 
@@ -623,6 +624,17 @@ class TestResourceCap:
         res = run_cli("build", model, "-o", out)
         assert res.returncode == 3
         assert "cap" in res.stderr
+
+
+    def test_double_description_cap_exit_three(self, tmp_path, monkeypatch, capsys):
+        # the (a, b) simplex's vertex enumeration starts from 4 rays
+        model = write(tmp_path, "m.json", full_simplex_model())
+        monkeypatch.setattr(pt, "RAY_CAP", 3)
+        with pytest.raises(SystemExit) as done:
+            main(["validate", model])
+        assert done.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: vertex enumeration: ") and "3 rays" in err
 
 
 def test_verify_checks_the_representation_once(tmp_path, monkeypatch):

@@ -274,8 +274,10 @@ class TestFiniteCells:
 
     def test_cap_enforced(self):
         coll, _ = self.build_two_member()
-        with pytest.raises(ResourceCapError):
+        message = r"^selection enumeration needs \d+ cells, over the cap of 7$"
+        with pytest.raises(ResourceCapError, match=message):
             build_joint(coll, cell_cap=7)
+        assert ResourceCapError is pt.ResourceCapError
 
     def test_empty_finite_joint_diagnosed(self):
         coll = CredalCollection(
@@ -548,14 +550,16 @@ class TestDiagnose:
         assert all(not cols for _, cols in decided)
 
     def test_consistent_build_runs_no_feasibility_lp(self, monkeypatch):
-        """On a consistent collection the first vertex of pre(V_T) is a
-        point of P and becomes its LP origin."""
+        """On a consistent collection every row of P holds at each vertex
+        of pre(V_T), so P is pre(V_T): its emptiness is not decided, no
+        LP context is built, and the joint set carries those vertices."""
         coll = generated_instance(random.Random(811), 3)[1]
-        joint, _, decided = recorded_systems(monkeypatch, 8, coll)
+        joint, systems, decided = recorded_systems(monkeypatch, 8, coll)
         assert not joint.is_empty()
-        assert [cols for _, cols in decided] == [[]]
-        vertex = jt._pulled_vertices(coll, representative_tuples(coll)[-1])[0]
-        assert joint.body._context.origin == vertex
+        assert decided == [] and systems == []
+        assert joint.body._context is None
+        pulled = jt._pulled_vertices(coll, representative_tuples(coll)[-1])
+        assert joint.body._points == tuple(sorted(pulled))
 
     def test_finite_diagnoses_the_first_dead_selections(self):
         coll = dead_finite_collection(6, {("a",): 5, ("b",): 5, ("c",): 5})
@@ -685,14 +689,18 @@ def redundancy_case(coll):
     return body, jt._pulled_vertices(coll, reps[-1])
 
 
-def assert_build_keeps_reference_rows(coll, read_off):
-    """build_joint keeps the rows of the reference filter on the build's
-    system; `read_off` says whether they come from pre(V_T)'s vertices."""
-    body, vertices = redundancy_case(coll)
+def assert_build_keeps_reference_rows(monkeypatch, coll):
+    """build_joint runs no LP, keeps the rows of the reference filter on
+    the build's system, and carries the vertices of that system's set."""
+    body, _ = redundancy_case(coll)
     h = body.hrep
-    assert (pt._facet_rows(body._context, vertices) is not None) == read_off
     keep = redundant_rows_reference(body.dim, h.ineqs, h.eqs)
-    assert build_joint(coll).body.hrep.ineqs == tuple(h.ineqs[i] for i in keep)
+    with monkeypatch.context() as m:
+        for module in (pt, jt):
+            m.setattr(module, "lp_solve", no_lp)
+        joint = build_joint(coll)
+    assert joint.body.hrep.ineqs == tuple(h.ineqs[i] for i in keep)
+    assert joint.body._points == pt._points_from_hrep(joint.body.hrep)
     return body, keep
 
 
@@ -701,32 +709,31 @@ def path_law_collection(space, points):
 
 
 class TestBuildRedundancy:
-    """On a consistent collection P = pre(V_T), and the build reads the
-    kept rows off pre(V_T)'s vertices with no LP; otherwise its probes
-    run. Either way it keeps the rows of the reference filter."""
+    """The build reads the kept rows off P's vertices with no LP: on a
+    consistent collection P = pre(V_T), whose vertices the build already
+    has, and otherwise they come from a double description of P's rows.
+    Either way it keeps the rows of the reference filter."""
 
     @pytest.mark.parametrize("n, seed", [(2, 0), (2, 3), (3, 0), (3, 4)])
-    def test_consistent_collections(self, n, seed):
+    def test_consistent_collections(self, monkeypatch, n, seed):
         _, coll, _ = generated_instance(random.Random(900 + 10 * n + seed), n)
-        assert_build_keeps_reference_rows(coll, read_off=True)
+        assert_build_keeps_reference_rows(monkeypatch, coll)
 
-    def test_consistent_collection_t4(self):
+    def test_consistent_collection_t4(self, monkeypatch):
         # a triangle of path laws: the reference filter takes about a
         # minute on a generated |T| = 4 family
         rng = random.Random(943)
         space = make_space(tuple("abcd"), ("0", "1"))
         points = [random_simplex_point(rng, 16) for _ in range(3)]
-        assert_build_keeps_reference_rows(
-            path_law_collection(space, points), read_off=True
-        )
+        assert_build_keeps_reference_rows(monkeypatch, path_law_collection(space, points))
 
-    def test_simplex_row_ties_with_a_tuple_row(self):
+    def test_simplex_row_ties_with_a_tuple_row(self, monkeypatch):
         # a simplex row -x_j <= 0 and a later tuple's row cut the same
         # facet through the equality rows: the later one is kept
         _, coll, _ = generated_instance(random.Random(939), 3)
         reps = representative_tuples(coll)
         origins = [origin for _, origin in _assemble(coll, reps)[0]]
-        body, keep = assert_build_keeps_reference_rows(coll, read_off=True)
+        body, keep = assert_build_keeps_reference_rows(monkeypatch, coll)
         vertices = jt._pulled_vertices(coll, reps[-1])
         tight = [
             frozenset(k for k, x in enumerate(vertices) if dot(a, x) == b)
@@ -743,15 +750,20 @@ class TestBuildRedundancy:
         ([(F(1, 8),) * 8], 0),
         ([(F(1, 8),) * 8, (F(1, 4), F(0), F(1, 4), F(0), F(0), F(1, 4), F(0), F(1, 4))], 1),
     ], ids=["d0", "d1"])
-    def test_low_dimensional_joint_set(self, points, d):
+    def test_low_dimensional_joint_set(self, monkeypatch, points, d):
         coll = path_law_collection(ABC, points)
-        body, keep = assert_build_keeps_reference_rows(coll, read_off=True)
+        body, keep = assert_build_keeps_reference_rows(monkeypatch, coll)
         assert len(body._context.basis) == d
         assert len(keep) == 2 * d
 
-    def test_enlarged_full_tuple_runs_the_probes(self):
+    def test_enlarged_full_tuple_runs_no_lp(self, monkeypatch):
+        # P lies strictly inside pre(V_T): some vertex of pre(V_T) violates
+        # a row of P, and P's vertices come from its own rows
         _, coll, _ = generated_instance(random.Random(930), 3)
-        assert_build_keeps_reference_rows(enlarged_full_tuple(coll), read_off=False)
+        coll = enlarged_full_tuple(coll)
+        body, _ = assert_build_keeps_reference_rows(monkeypatch, coll)
+        pulled = jt._pulled_vertices(coll, representative_tuples(coll)[-1])
+        assert not all(pt._hull_order(body.hrep, pulled)[1])
 
 
 class TestPushforward:
@@ -855,11 +867,10 @@ class TestContextParity:
     """The context's integer LP boundary gives the answers the Fraction
     rows gave (`context_maximize_reference`, `context_decide_reference`):
     the same status, value, argmax, point and certificate, on the joint
-    sets and base hulls of generated instances, at moved origins and
-    over subsets of the rows. Emptiness is also decided on each system
-    with the pushforward rows of a tuple pinned to a target, a vertex of
-    V_alpha or a random law, as an equality row each, from the context
-    `eliminated` leaves."""
+    sets and base hulls of generated instances, at moved origins.
+    Emptiness is also decided on each system with the pushforward rows
+    of a tuple pinned to a target, a vertex of V_alpha or a random law,
+    as an equality row each, from the context `eliminated` leaves."""
 
     def test_matches_fraction_rows(self):
         rng = random.Random(23)
@@ -875,19 +886,15 @@ class TestContextParity:
             systems.append((space, coll, [build_joint(coll).body, hull]))
         for space, coll, bodies in systems:
             for p in bodies:
-                m = len(p.hrep.ineqs)
                 contexts = []
                 for ctx, feasible in parity_contexts(rng, p):
                     contexts.append(ctx)
                     for _ in range(4 if feasible else 0):
                         f = tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
                                   for _ in range(p.dim))
-                        keep = rng.choice(
-                            [None, sorted(rng.sample(range(m), rng.randint(1, m)))]
-                        )
-                        got = ctx.maximize(f, keep)
-                        assert got == context_maximize_reference(ctx, f, keep)
-                        seen.add(("maximize", got[0], keep is None))
+                        got = ctx.maximize(f)
+                        assert got == context_maximize_reference(ctx, f)
+                        seen.add(("maximize", got[0]))
                 alpha = rng.choice(list(coll.sets))
                 idx = pushforward_matrix(space, alpha)
                 size = len(set(idx))
@@ -904,9 +911,7 @@ class TestContextParity:
                     got = ctx.decide()
                     assert got == context_decide_reference(ctx)
                     seen.add(("decide", got[0] is None))
-        assert {("maximize", "optimal", True), ("maximize", "optimal", False),
-                ("maximize", "unbounded", False), ("decide", True),
-                ("decide", False)} <= seen
+        assert {("maximize", "optimal"), ("decide", True), ("decide", False)} <= seen
 
 
 class TestVerifyRepresentation:
@@ -936,6 +941,30 @@ class TestVerifyRepresentation:
         status, sup, _ = pt._maximize(joint.body, rec.lifted_functional)
         assert status == "optimal"
         assert dot(cert.functional, cert.point) - sup >= cert.gap
+
+    @pytest.mark.parametrize("case", ["consistent", "enlarged"])
+    def test_reads_the_vertices_the_build_carries(self, monkeypatch, case):
+        """The joint set carries P's vertices from the build: pre(V_T)'s on
+        a consistent family, with no double description of P's rows at
+        all, and one double description of them in the build when V_T is
+        enlarged. Verify then converts P no more."""
+        _, coll, _ = generated_instance(random.Random(601), 3)
+        if case == "enlarged":
+            coll = enlarged_full_tuple(coll)
+        calls = []
+        real = pt._points_from_hrep
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(pt, "_points_from_hrep", counting)
+        joint = build_joint(coll)
+        assert len(calls) == (case == "enlarged")
+        report = verify_representation(coll, joint)
+        assert len(calls) == (case == "enlarged")
+        assert report.passed == (case == "consistent")
+        assert joint.body.points == pt.dd_convert(joint.body).points
 
     @pytest.mark.parametrize("case", ["consistent", "reloaded", "enlarged"])
     def test_reads_vertices_with_no_lp(self, monkeypatch, case):

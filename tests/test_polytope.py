@@ -406,7 +406,7 @@ def stacked(dim, parts):
     if out.is_empty():
         return out
     h = out.hrep
-    keep = remove_redundant_ineqs(dim, h.ineqs, h.eqs)
+    keep = remove_redundant_ineqs(dim, h.ineqs, h.eqs, pt._points_from_hrep(h))
     return Polytope.from_hrep(dim, [h.ineqs[i] for i in keep], h.eqs)
 
 
@@ -624,8 +624,8 @@ class TestEliminationParity:
         real = pt._extreme_rays
         calls = []
 
-        def recording(rows, dim):
-            rays = real(rows, dim)
+        def recording(rows, dim, stage):
+            rays = real(rows, dim, stage)
             calls.append((list(rows), dim, rays))
             return rays
 
@@ -734,19 +734,9 @@ class TestLpContext:
             # duplicated and scaled rows make some rows redundant
             ineqs = list(h.ineqs)
             ineqs += [(tuple(2 * v for v in a), 2 * b) for a, b in h.ineqs[:2]]
-            keep = remove_redundant_ineqs(p.dim, ineqs, h.eqs)
+            vertices = pt._points_from_hrep(HRep(p.dim, tuple(ineqs), h.eqs))
+            keep = remove_redundant_ineqs(p.dim, ineqs, h.eqs, vertices)
             assert keep == redundant_rows_reference(p.dim, ineqs, h.eqs)
-
-    def test_trimmed_body_inherits_context(self):
-        rng = random.Random(91)
-        p = random_context_case(rng, "flat")
-        p.is_empty()
-        h = p.hrep
-        keep = remove_redundant_ineqs(p.dim, h.ineqs, h.eqs, p._context)
-        q = pt._with_ineqs(p, keep)
-        assert q._context.origin == p._context.origin
-        assert q._context.zrows == [p._context.zrows[i] for i in keep]
-        assert equals(p, q)
 
     def test_generator_origin_needs_no_lp(self, monkeypatch):
         p = Polytope.from_points([(F(1), F(0)), (F(0), F(1))])
@@ -957,11 +947,19 @@ def assert_int_rows(h):
 
 def facet_case(rng, kind):
     """A random feasible system (`random_context_case`) with scaled copies
-    of two of its rows, and its vertices."""
-    p = random_context_case(rng, kind)
+    of two of its rows, and its vertices. "implicit" is a "flat" case
+    whose first equality row is also written as two inequality rows,
+    placed among the others: rows tight at every vertex that the
+    remaining equality rows do not imply."""
+    p = random_context_case(rng, "flat" if kind == "implicit" else kind)
     h = p.hrep
-    ineqs = (*h.ineqs, *((tuple(2 * v for v in a), 2 * b) for a, b in h.ineqs[:2]))
-    return Polytope(p.dim, hrep=HRep(p.dim, ineqs, h.eqs)), dd_convert(p).points
+    ineqs = [*h.ineqs, *((tuple(2 * v for v in a), 2 * b) for a, b in h.ineqs[:2])]
+    eqs = h.eqs
+    if kind == "implicit":
+        (e, f), eqs = eqs[0], eqs[1:]
+        for row in ((e, f), (tuple(-v for v in e), -f)):
+            ineqs.insert(rng.randint(0, len(ineqs)), row)
+    return Polytope(p.dim, hrep=HRep(p.dim, tuple(ineqs), eqs)), dd_convert(p).points
 
 
 def simplex3_system(ineqs=(), eqs=()):
@@ -972,9 +970,8 @@ def simplex3_system(ineqs=(), eqs=()):
 
 
 def kept_rows_and_lps(monkeypatch, p, vertices):
-    """remove_redundant_ineqs on p's rows in p's context, given vertices,
-    and the number of LPs it ran."""
-    ctx = pt._lp_context(p)
+    """remove_redundant_ineqs on p's rows, given vertices, and the number
+    of LPs it ran."""
     calls = []
     real = pt.lp_solve
 
@@ -985,38 +982,46 @@ def kept_rows_and_lps(monkeypatch, p, vertices):
     monkeypatch.setattr(pt, "lp_solve", counting)
     try:
         h = p.hrep
-        return remove_redundant_ineqs(p.dim, h.ineqs, h.eqs, ctx, vertices), len(calls)
+        return remove_redundant_ineqs(p.dim, h.ineqs, h.eqs, vertices), len(calls)
     finally:
         monkeypatch.setattr(pt, "lp_solve", real)
 
 
-class TestFacetRows:
-    """Given points whose hull contains the set, the kept rows are read off
-    the points with no LP when every row holds at them and the equality
-    rows leave as many directions as they span; they are the rows the
-    probes keep. Otherwise the probes run."""
+def implicit_rows(p, vertices):
+    """The inequality rows of p tight at every vertex, when p's equality
+    rows leave more directions than the vertices span; else []."""
+    x0 = vertices[0]
+    spanned = matrix_rank([[a - b for a, b in zip(x, x0)] for x in vertices] or [[0]])
+    free = p.dim - matrix_rank([e for e, _ in p.hrep.eqs] or [[0] * p.dim])
+    if spanned == free:
+        return []
+    return [i for i, (a, b) in enumerate(p.hrep.ineqs)
+            if all(dot(a, x) == b for x in vertices)]
 
-    @pytest.mark.parametrize("kind", ["full", "flat", "point"])
+
+class TestFacetRows:
+    """The kept rows are read off the set's vertices with no LP, and they
+    are the rows the drop-one-row filter keeps (`redundant_rows_reference`):
+    the last row of each facet, and the implicit equality rows without
+    which the kept rows would let the set leave its affine hull. A point
+    that violates a row raises RuntimeError."""
+
+    @pytest.mark.parametrize("kind", ["full", "flat", "point", "implicit"])
     def test_vertices_keep_the_reference_rows(self, kind, monkeypatch):
-        rng = random.Random(20 + ("full", "flat", "point").index(kind))
-        read_off = 0
+        rng = random.Random(20 + ("full", "flat", "point", "implicit").index(kind))
+        implicit = 0
         for _ in range(12):
             p, vertices = facet_case(rng, kind)
             h = p.hrep
             keep, lps = kept_rows_and_lps(monkeypatch, p, vertices)
             assert keep == redundant_rows_reference(p.dim, h.ineqs, h.eqs)
-            # a flat case may meet the box in a lower-dimensional face:
-            # some inequality rows then hold with equality, and the
-            # probes decide
-            x0 = vertices[0]
-            spanned = matrix_rank(
-                [[a - b for a, b in zip(x, x0)] for x in vertices] or [[0]]
-            )
-            assert (lps == 0) == (spanned == len(p._context.basis))
-            read_off += lps == 0
+            assert lps == 0
+            implicit += bool(implicit_rows(p, vertices))
             if kind == "point":
                 assert keep == []
-        assert read_off >= 6
+        # a flat case may meet the box in a lower-dimensional face, whose
+        # box rows are then implicit equalities too
+        assert implicit == 12 if kind == "implicit" else implicit < 12
 
     @pytest.mark.parametrize("order", ["simplex-first", "cut-first"])
     def test_tie_keeps_the_last_row_of_a_facet(self, order, monkeypatch):
@@ -1031,36 +1036,103 @@ class TestFacetRows:
         assert keep == redundant_rows_reference(3, ineqs, s.eqs)
         assert keep == ([0, 1, 3] if order == "simplex-first" else [1, 2, 3])
 
-    def test_point_outside_the_set_falls_back(self, monkeypatch):
+    def test_point_outside_the_set_raises(self):
         # x0 <= 1/2; the simplex vertex (1, 0, 0) violates it
         p = simplex3_system(ineqs=[(unit_row(3, 0), F(1, 2))])
         vertices = (*dd_convert(p).points, unit_row(3, 0))
-        assert pt._facet_rows(pt._lp_context(p), vertices) is None
-        keep, lps = kept_rows_and_lps(monkeypatch, p, vertices)
-        assert lps > 0
-        assert keep == redundant_rows_reference(3, p.hrep.ineqs, p.hrep.eqs)
+        with pytest.raises(RuntimeError, match="inequality row"):
+            remove_redundant_ineqs(3, p.hrep.ineqs, p.hrep.eqs, vertices)
 
-    def test_point_off_an_equality_row_falls_back(self, monkeypatch):
+    def test_point_off_an_equality_row_raises(self):
         # the segment x0 = x1; (1, 0, 0) holds every inequality row
         p = simplex3_system(eqs=[((F(1), F(-1), F(0)), F(0))])
         vertices = (*dd_convert(p).points, unit_row(3, 0))
         assert all(dot(a, x) <= b for a, b in p.hrep.ineqs for x in vertices)
-        assert pt._facet_rows(pt._lp_context(p), vertices) is None
-        keep, lps = kept_rows_and_lps(monkeypatch, p, vertices)
-        assert lps > 0
-        assert keep == redundant_rows_reference(3, p.hrep.ineqs, p.hrep.eqs)
+        with pytest.raises(RuntimeError, match="equality row"):
+            remove_redundant_ineqs(3, p.hrep.ineqs, p.hrep.eqs, vertices)
 
-    def test_implicit_equality_falls_back(self, monkeypatch):
+    def test_implicit_equality_is_read_off(self, monkeypatch):
         # the segment x0 = x1 as two inequality rows: its two vertices span
-        # one direction, the one equality row leaves two
+        # one direction, the one equality row leaves two; each of the two
+        # rows alone lets the set leave the segment, so both are kept
         d = (F(1), F(-1), F(0))
         p = simplex3_system(ineqs=[(d, F(0)), (tuple(-v for v in d), F(0))])
         vertices = dd_convert(p).points
-        assert len(vertices) == 2 and len(pt._lp_context(p).basis) == 2
-        assert pt._facet_rows(pt._lp_context(p), vertices) is None
+        assert len(vertices) == 2 and implicit_rows(p, vertices) == [3, 4]
         keep, lps = kept_rows_and_lps(monkeypatch, p, vertices)
-        assert lps > 0
+        assert lps == 0
         assert keep == redundant_rows_reference(3, p.hrep.ineqs, p.hrep.eqs)
+        assert keep == [1, 2, 3, 4]
+
+
+def boxed_simplex(n):
+    """{x : sum x = 1, 1/(2n) <= x_j <= 3/(2n)}: its vertices put 3/(2n)
+    on n/2 coordinates ((n choose n/2) of them), and the double
+    description of its rows holds 382 rays at its peak at n = 10, and
+    more than 1,000 at n = 12."""
+    box = [(unit_row(n, j), F(3, 2 * n)) for j in range(n)]
+    box += [(unit_row(n, j, -1), F(-1, 2 * n)) for j in range(n)]
+    return HRep.make(n, box, Polytope.simplex(n).hrep.eqs)
+
+
+class TestVertexEnumeration:
+    """`_points_from_hrep` gives the same sorted vertices in any LP
+    context of the set and any row order, checks each against every row,
+    and stops once its double description holds more than RAY_CAP rays."""
+
+    @pytest.mark.parametrize("kind", ["full", "flat", "point"])
+    def test_context_and_order_leave_the_vertices(self, kind):
+        rng = random.Random(40 + ("full", "flat", "point").index(kind))
+        for _ in range(12):
+            p = random_context_case(rng, kind)
+            h = p.hrep
+            expected = pt._points_from_hrep(h)
+            order = list(range(len(h.ineqs)))
+            rng.shuffle(order)
+            ctx = pt._lp_context(p)
+            moved = ctx.moved(rng.choice(expected))
+            assert pt._points_from_hrep(h, ctx, order) == expected
+            assert pt._points_from_hrep(h, moved, order[::-1]) == expected
+            assert expected == dd_convert(p).points
+
+    def test_hull_order(self):
+        # the square [0, 1]^2 cut by x0 + x1 <= 3/2, against the square's
+        # corners and (1/2, 1): x1 <= 1 is tight at three of them and goes
+        # first, and the cut, which (1, 1) violates, goes last
+        p = Polytope.from_hrep(2, [
+            ((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((1, 1), F(3, 2)),
+        ])
+        points = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(1, 2), F(1))]
+        assert pt._hull_order(p.hrep, points) == (
+            [2, 0, 1, 3, 4], [True, True, True, False, True]
+        )
+
+    def test_vertex_off_the_set_raises(self, monkeypatch):
+        real = pt._extreme_rays
+
+        def shifted(rows, dim, stage):
+            rays, masks = real(rows, dim, stage)
+            ray = rays[0]
+            return [(*(v + 5 * ray[-1] for v in ray[:-1]), ray[-1]), *rays[1:]], masks
+
+        monkeypatch.setattr(pt, "_extreme_rays", shifted)
+        with pytest.raises(RuntimeError, match="violates an inequality row"):
+            pt._points_from_hrep(unit_square().hrep)
+
+    def test_ray_cap_stops_the_boxed_simplex(self, monkeypatch):
+        h = boxed_simplex(12)
+        monkeypatch.setattr(pt, "RAY_CAP", 64)
+        with pytest.raises(pt.ResourceCapError, match="^vertex enumeration: .* 64 rays"):
+            pt._points_from_hrep(h)
+        vertices = pt._points_from_hrep(boxed_simplex(6))
+        monkeypatch.setattr(pt, "RAY_CAP", 8)
+        with pytest.raises(pt.ResourceCapError, match="^facet enumeration: "):
+            pt._hrep_from_points(vertices, 6)
+
+    def test_default_cap_holds_n_10_and_stops_n_12(self):
+        assert len(pt._points_from_hrep(boxed_simplex(10))) == 252
+        with pytest.raises(pt.ResourceCapError, match=f" {pt.RAY_CAP} rays"):
+            pt._points_from_hrep(boxed_simplex(12))
 
 
 def random_unit_row_system(rng, dim, only_units):

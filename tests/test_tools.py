@@ -56,7 +56,9 @@ def test_stages_on_the_working_checkout(tmp_path):
         assert r["suite"]["lps"] == 0, r
         assert r["verify"]["lps"] == 0 and r["verify"]["dd"] > 0, r
     enlarged = [r for r in rows if r.get("enlarged_full_tuple")]
-    assert [r["T"] for r in enlarged] == [3, 4, 5]
+    assert [(r["T"], r["base_points"]) for r in enlarged] == [
+        (3, 8), (4, 6), (5, 4), (5, 8), (6, 8)]
+    assert all(r["build"]["lps"] == 0 for r in enlarged)
     assert all("build" in r and "capped" not in r["build"] for r in enlarged)
     assert all(r["verify"]["lps"] == 0 for r in enlarged)
     assert [r["feasibility"]["empty"] for r in rows if "hrep_dim" in r] == [False, True]

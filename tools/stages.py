@@ -20,19 +20,22 @@ consistent. Stages are library calls:
 - build: `joint.build_joint`;
 - verify: `joint.verify_representation`;
 - suite: `joint.property_suite` given verify's report.
-Then three families with V_T enlarged by a path point mass (P strictly
-inside pre(V_T); feasibility, build and verify only), and the emptiness
-check of two H-rep sets in dimension 16 (the simplex rows plus random
-cuts, so the affine hull has dimension 15), one nonempty and one empty.
+Then the families of ENLARGED with V_T enlarged by a path point mass
+(P strictly inside pre(V_T), so the build converts P's own rows;
+feasibility, build and verify only), and the emptiness check of two
+H-rep sets in dimension 16 (the simplex rows plus random cuts, so the
+affine hull has dimension 15), one nonempty and one empty.
 
-LPs are `lp_solve` calls; the redundancy LPs are those inside
-`remove_redundant_ineqs`. Each stage also records "dd", its double
-description runs (`polytope._points_from_hrep` and `_hrep_from_points`
-calls), and "dd_s", the seconds spent in them. With --kernel each stage
-also records "kernel_s", the seconds spent in the simplex kernel
-(`_backend.simplex_solve`). Each family gets at most --cap seconds (default
-300, by SIGALRM); a stage cut by the cap is recorded as {"capped": cap}
-and the family's later stages are skipped.
+LPs are `lp_solve` calls. The build also records "redundancy_lps", the
+LPs inside `remove_redundant_ineqs`, which reads the kept rows off P's
+vertices and so runs none, and the rows it takes in and keeps. Each
+stage also records "dd", its double description runs
+(`polytope._points_from_hrep` and `_hrep_from_points` calls), and
+"dd_s", the seconds spent in them. With --kernel each stage also
+records "kernel_s", the seconds spent in the simplex kernel
+(`_backend.simplex_solve`). Each family gets at most --cap seconds
+(default 300, by SIGALRM); a stage cut by the cap is recorded as
+{"capped": cap} and the family's later stages are skipped.
 """
 
 import argparse
@@ -45,6 +48,9 @@ import time
 
 
 BASE_POINTS = {3: (4, 8), 4: (2, 6), 5: (2, 4, 6, 8), 6: (2, 8), 7: (2,)}
+
+# (|T|, base points) of the families whose V_T is enlarged, whatever --sizes
+ENLARGED = ((3, 8), (4, 6), (5, 4), (5, 8), (6, 8))
 
 
 class Capped(Exception):
@@ -189,7 +195,7 @@ def main(argv):
 
     # V_T enlarged by the first path point mass it does not hold, so that
     # P lies strictly inside pre(V_T)
-    for n, k in ((3, 8), (4, 6), (5, 4)):
+    for n, k in ENLARGED:
         coll = family_coll(n, k)
         full = max(coll.sets, key=len)
         body = polytope.dd_convert(coll.sets[full].body)
