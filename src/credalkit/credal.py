@@ -68,10 +68,10 @@ class CredalSet:
 def credal_set_from_vertices(space, index_tuple, vertices) -> CredalSet:
     index_tuple = sp.validate_index_tuple(space, index_tuple)
     dim = space.n_outcomes ** len(index_tuple)
-    pts = sorted(set(sp.validate_measure(v, dim) for v in vertices))
+    pts = pt.sorted_distinct(sp.validate_measure(v, dim) for v in vertices)
     if not pts:
         raise DimensionError("credal set must be nonempty")
-    body = pt.Polytope.from_points(pts, dim=dim)
+    body = pt.Polytope(dim, points=pts)
     return CredalSet(space, index_tuple, POLYTOPE, body)
 
 
@@ -95,7 +95,7 @@ def credal_set_from_hrep(space, index_tuple, ineqs=(), eqs=()) -> CredalSet:
 def credal_set_from_members(space, index_tuple, members) -> CredalSet:
     index_tuple = sp.validate_index_tuple(space, index_tuple)
     dim = space.n_outcomes ** len(index_tuple)
-    pts = sorted(set(sp.validate_measure(v, dim) for v in members))
+    pts = pt.sorted_distinct(sp.validate_measure(v, dim) for v in members)
     if not pts:
         raise DimensionError("credal set must be nonempty")
     return CredalSet(space, index_tuple, FINITE, tuple(pts))

@@ -32,6 +32,7 @@ handed over (`_check_infeasible`).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -55,23 +56,36 @@ class RationalParseError(ValueError):
     """Text does not match the rational grammar."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the text form: optional sign, integer, optional "/" positive int.
 
-    Accepts "2", "-3/7", "+1/12". Rejects floats, exponents, and zero
-    denominators.
+    Accepts "2", "-3/7", "+1/12", with surrounding whitespace. Rejects
+    floats, exponents, zero denominators (also "1/00") and a numerator
+    or denominator longer than the interpreter's integer-string limit
+    (`sys.get_int_max_str_digits`, 4,300 digits by default). Each value
+    is converted once: the Fraction is built from the integers of the
+    grammar's own match.
     """
     if not isinstance(text, str):
         raise RationalParseError(f"expected a rational string, got {text!r}")
-    match = _RATIONAL_RE.match(text.strip())
+    match = _RATIONAL_RE.fullmatch(text.strip())
     if not match:
         raise RationalParseError(f"not a rational: {text!r}")
-    if match.group(1) == "0":
+    num, den = match.groups()
+    try:
+        num = int(num)
+        den = 1 if den is None else int(den)
+    except ValueError:  # int's limit on the digits of a string
+        raise RationalParseError(
+            "numerator or denominator has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+    if den == 0:
         raise RationalParseError(f"zero denominator: {text!r}")
-    return Fraction(text)
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -79,8 +93,12 @@ def format_rational(value: Fraction) -> str:
 
 
 def qvec(values) -> tuple:
-    """Coerce a sequence to a tuple of Fractions."""
-    return tuple(Fraction(v) for v in values)
+    """Coerce a sequence to a tuple of Fractions.
+
+    An entry that is a Fraction already is kept as it is, so each value
+    is converted once; any other entry (an int, a string, a Fraction
+    subclass) is coerced by `Fraction`."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -228,7 +228,11 @@ def _pulled_system(dim, targets):
     """Rows of the simplex of dimension dim, plus each (origin, index map,
     H-rep) target's rows pulled back through its map.
 
-    Rows are canonical and each enters once, tagged with the first origin
+    Rows are canonical, as `HRep.make` gives them: primitive integers,
+    an equality row's first nonzero entry positive. A pulled row is an
+    integer row that is not trivially true (`_pullback_rows`), so this
+    takes the gcd out of it and fixes the sign of an equality row's
+    leading entry. Each row enters once, tagged with the first origin
     that produced it.
     """
     simplex = pt.Polytope.simplex(dim).hrep
@@ -238,14 +242,18 @@ def _pulled_system(dim, targets):
     seen_e = {row for row, _ in eqs}
     for origin, idx, target in targets:
         add_i, add_e = _pullback_rows(idx, target)
-        for row in add_i:
-            row = pt._canon_ineq(*row)
-            if row is not None and row not in seen_i:
+        for a, b in add_i:
+            nums = _content_free([*a, b])
+            row = tuple(nums[:-1]), nums[-1]
+            if row not in seen_i:
                 seen_i.add(row)
                 ineqs.append((row, origin))
-        for row in add_e:
-            row = pt._canon_eq(*row)
-            if row is not None and row not in seen_e:
+        for e, f in add_e:
+            nums = _content_free([*e, f])
+            if next(v for v in nums if v) < 0:
+                nums = [-v for v in nums]
+            row = tuple(nums[:-1]), nums[-1]
+            if row not in seen_e:
                 seen_e.add(row)
                 eqs.append((row, origin))
     return ineqs, eqs

@@ -67,9 +67,17 @@ def _rational(text, path):
 
 
 def _rational_vector(values, path):
+    """A list of rational strings as a tuple of Fractions; an entry's
+    path is formatted only for the entry that fails."""
     if not isinstance(values, list):
         _fail(path, "expected a list of rational strings")
-    return tuple(_rational(v, f"{path}[{i}]") for i, v in enumerate(values))
+    out = []
+    for i, text in enumerate(values):
+        try:
+            out.append(parse_rational(text))
+        except RationalParseError as exc:
+            _fail(f"{path}[{i}]", str(exc))
+    return tuple(out)
 
 
 def load_model(path):

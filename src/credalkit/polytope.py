@@ -202,6 +202,13 @@ def verify_separation(cert: SeparationCertificate, p: "Polytope") -> bool:
     return status == "optimal" and value <= target
 
 
+def sorted_distinct(points) -> list:
+    """The points in sorted order, each once. Equal points are adjacent
+    once sorted, so no entry is hashed."""
+    pts = sorted(points)
+    return [p for i, p in enumerate(pts) if not i or p != pts[i - 1]]
+
+
 class Polytope:
     """A bounded convex rational polytope with lazily linked reps.
 
@@ -238,7 +245,7 @@ class Polytope:
 
     @classmethod
     def from_points(cls, points, dim=None):
-        pts = sorted(set(qvec(p) for p in points))
+        pts = sorted_distinct(qvec(p) for p in points)
         if dim is None:
             if not pts:
                 raise DimensionError("cannot infer dimension of an empty set")

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from credalkit.exactq import ONE, ZERO, DimensionError, qvec
+from credalkit.exactq import ONE, ZERO, DimensionError, _integer_row, qvec
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def push(idx, vec, size: int) -> tuple:
 
 def pull(idx, row) -> tuple:
     """A row on the target read through an index map: entry w is row[idx[w]]."""
-    return tuple(row[target] for target in idx)
+    return tuple(map(row.__getitem__, idx))
 
 
 def alignment_permutation(alpha: tuple, beta: tuple) -> tuple:
@@ -217,13 +217,17 @@ def restriction_matrix(space: ProcessSpace, alpha: tuple, beta: tuple) -> tuple:
 # measure vectors
 
 def validate_measure(vec, dim=None) -> tuple:
-    """Check nonnegativity and exact normalization; returns the tuple."""
+    """Check nonnegativity and exact normalization; returns the tuple.
+
+    Both are decided in integers: the entries' numerators over the lcm
+    of their denominators are nonnegative and sum to that lcm."""
     vec = qvec(vec)
     if dim is not None and len(vec) != dim:
         raise DimensionError(f"measure has {len(vec)} entries, expected {dim}")
-    if any(v < 0 for v in vec):
+    nums, den = _integer_row(vec)
+    if any(v < 0 for v in nums):
         raise DimensionError("measure has a negative entry")
-    if sum(vec) != 1:
+    if sum(nums) != den:
         raise DimensionError("measure entries do not sum to 1")
     return vec
 

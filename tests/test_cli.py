@@ -114,6 +114,26 @@ class TestValidate:
         assert res.returncode == 2
         assert "1/0" in res.stderr
 
+    @pytest.mark.parametrize("text, message", [
+        ("1/00", "zero denominator"),
+        ("1" * 5000 + "/3", "digits"),
+    ], ids=["zero-denominator", "over-long-numerator"])
+    def test_unreadable_rational_exit_two(self, tmp_path, text, message):
+        """A zero denominator written with more digits than one, or a
+        numerator past int's digit limit, is an input error naming the
+        field, not a traceback."""
+        doc = full_simplex_model()
+        doc["credal_sets"][0] = {
+            "tuple": ["a"],
+            "mode": "polytope-v",
+            "vertices": [["1", "0"], ["0", text]],
+        }
+        res = run_cli("validate", write(tmp_path, "m.json", doc))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "model.credal_sets[0].vertices[1][1]" in res.stderr
+        assert message in res.stderr
+
     def test_array_label_exit_two(self, tmp_path):
         doc = {
             "Y": ["0", "1"],
@@ -464,6 +484,14 @@ class TestExpect:
         open(fpath, "w").write('["1", "0", "0"]')
         res = run_cli("expect", model, "--tuple", "a", "--function-file", fpath)
         assert res.returncode == 2
+
+    def test_zero_denominator_in_function_exit_two(self, tmp_path):
+        model = write(tmp_path, "m.json", full_simplex_model())
+        fpath = str(tmp_path / "f.json")
+        open(fpath, "w").write('["1", "2/000"]')
+        res = run_cli("expect", model, "--tuple", "a", "--function-file", fpath)
+        assert res.returncode == 2
+        assert "function[1]: zero denominator" in res.stderr
 
     def test_non_string_index_labels(self, tmp_path):
         doc = full_simplex_model()

@@ -50,6 +50,23 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             credal_set_from_vertices(AB, ("a",), [(F(1, 2), F(1, 3))])
 
+    def test_vertices_give_the_points_from_points_gives(self):
+        """Sorted, deduplicated and validated once: the body holds the
+        points `Polytope.from_points` gives on the same vertices."""
+        rng = random.Random(5)
+        for _ in range(40):
+            pts = [random_simplex_point(rng, 4) for _ in range(rng.randint(1, 6))]
+            pts += rng.sample(pts, rng.randint(0, len(pts)))  # duplicates
+            rng.shuffle(pts)
+            cset = credal_set_from_vertices(AB, ("a", "b"), pts)
+            assert cset.body.points == pt.Polytope.from_points(pts, dim=4).points
+            assert cset.body.dim == 4
+            assert cset.body.points == tuple(sorted(set(pts)))
+
+    def test_empty_vertex_list_rejected(self):
+        with pytest.raises(DimensionError, match="nonempty"):
+            credal_set_from_vertices(AB, ("a",), [])
+
     def test_empty_hrep_rejected(self):
         with pytest.raises(DimensionError):
             credal_set_from_hrep(

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction as F
 
@@ -40,10 +41,41 @@ class TestRationalGrammar:
         assert parse_rational("+1/12") == F(1, 12)
         assert parse_rational(" 5/10 ") == F(1, 2)
 
-    @pytest.mark.parametrize("bad", ["1/0", "1.5", "1e3", "3/-7", "", "a", "1/ 2"])
+    @pytest.mark.parametrize("bad", ["1/0", "1.5", "1e3", "3/-7", "", "a", "1/ 2",
+                                     "1/00", "-5/000", "1_000", "--1", "1/2/3"])
     def test_rejects(self, bad):
         with pytest.raises(RationalParseError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("text", [
+        "0", "-0", "+0", "7", "+7", "-7", "-0/5", "007/014", "+12/18", "-12/18",
+        "0003", "1/1", "  3/4", "3/4\n", "\t-4/6 ", "\u00a05/10\u2003",
+        "\u0663/\u0664", "-\uff11\uff12/\uff14", "123456789012345678901234567890/9",
+    ])
+    def test_matches_fraction_on_the_grammar(self, text):
+        """Built from the match's own integers, the value is Fraction(text):
+        signs, leading zeros, surrounding whitespace and non-ASCII digits."""
+        value = parse_rational(text)
+        assert type(value) is F
+        assert (value.numerator, value.denominator) == (F(text).numerator,
+                                                         F(text).denominator)
+
+    def test_zero_denominator_named(self):
+        for text in ("1/0", "1/00", "-3/0000"):
+            with pytest.raises(RationalParseError, match="zero denominator"):
+                parse_rational(text)
+
+    def test_digit_limit(self):
+        """A numerator or denominator past int's string limit is a parse
+        error, not a bare ValueError; one at the limit is read."""
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no integer-string limit")
+        assert parse_rational("1" * limit) == int("1" * limit)
+        for text in ("1" * (limit + 1), "1/" + "3" * (limit + 1),
+                     "-" + "2" * (limit + 1) + "/3"):
+            with pytest.raises(RationalParseError, match=f"{limit} digits"):
+                parse_rational(text)
 
     def test_round_trip_canonical(self):
         rng = random.Random(0)
@@ -56,6 +88,21 @@ class TestRationalGrammar:
             from math import gcd
 
             assert gcd(abs(back.numerator), back.denominator) == 1
+
+
+class TestQvec:
+    def test_fractions_kept_as_they_are(self):
+        values = [F(1, 3), F(-2, 5), F(0)]
+        out = qvec(values)
+        assert all(a is b for a, b in zip(out, values))
+
+    def test_other_values_coerced(self):
+        class Sub(F):
+            pass
+
+        out = qvec([2, "3/4", Sub(1, 2), True])
+        assert out == (2, F(3, 4), F(1, 2), 1)
+        assert all(type(v) is F for v in out)
 
 
 def integer_rows(a, b):

@@ -87,6 +87,30 @@ class TestParseModel:
         with pytest.raises(ModelFormatError, match="sum"):
             parse_model(doc)
 
+    @pytest.mark.parametrize("vertices, field, message", [
+        ([["1/2", "0.5"]], r"credal_sets\[0\]\.vertices\[0\]\[1\]", "not a rational"),
+        ([["1", "0"], ["1/0", "1"]], r"vertices\[1\]\[0\]", "zero denominator"),
+        ([["1/00", "1"]], r"vertices\[0\]\[0\]", "zero denominator"),
+        ([["1" * 5000 + "/2", "1"]], r"vertices\[0\]\[0\]", "digits"),
+        ([["1", "0"], ["0", "1" * 5000]], r"vertices\[1\]\[1\]", "digits"),
+        ([["3/2", "-1/2"]], r"credal_sets\[0\]", "negative"),
+        ([["1/2", "1/3"]], r"credal_sets\[0\]", "sum"),
+        ([["1/2", "1/2", "0"]], r"credal_sets\[0\]", "3 entries, expected 2"),
+        ([], r"credal_sets\[0\]", "nonempty"),
+        ([[1, 0]], r"vertices\[0\]\[0\]", "expected a rational string"),
+    ], ids=["grammar", "zero-denominator", "zero-denominator-digits",
+            "long-numerator", "long-entry", "negative-entry", "sum", "dimension",
+            "empty-set", "not-a-string"])
+    def test_vertex_checks_named(self, vertices, field, message):
+        """Each input check on a polytope-v set still refuses its input,
+        naming the field."""
+        doc = base_doc()
+        doc["credal_sets"][0] = {"tuple": ["a"], "mode": "polytope-v",
+                                 "vertices": vertices}
+        with pytest.raises(ModelFormatError, match=field) as info:
+            parse_model(doc)
+        assert message in str(info.value)
+
     def test_bad_cap(self):
         for cap in (0, True):
             doc = base_doc()

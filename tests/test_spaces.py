@@ -240,6 +240,23 @@ class TestMeasures:
         with pytest.raises(DimensionError):
             validate_measure([F(1)], dim=2)
 
+    def test_validate_decides_exactly(self):
+        """The sign and the sum are decided on numerators over one
+        common denominator: an entry or a sum off by 1/10^30 is refused,
+        and the entries come back as the same Fractions."""
+        tiny = F(1, 10**30)
+        with pytest.raises(DimensionError, match="sum"):
+            validate_measure([F(1, 3), F(2, 3) + tiny])
+        with pytest.raises(DimensionError, match="sum"):
+            validate_measure([F(1, 7), F(6, 7) - tiny, F(0)])
+        with pytest.raises(DimensionError, match="negative"):
+            validate_measure([-tiny, F(1) + tiny])
+        with pytest.raises(DimensionError, match="sum"):
+            validate_measure([])
+        vec = [F(1, 10**30), F(1, 3), F(2, 3) - F(1, 10**30)]
+        assert all(a is b for a, b in zip(validate_measure(vec, dim=3), vec))
+        assert validate_measure([0, "1/2", F(1, 2)]) == (0, F(1, 2), F(1, 2))
+
     def test_point_mass(self):
         assert point_mass(3, 1) == (0, 1, 0)
         with pytest.raises(DimensionError):

@@ -35,7 +35,8 @@ def test_outputs_on_the_working_checkout(tmp_path):
 
 
 def test_stages_on_the_working_checkout(tmp_path):
-    """At |T| = 3 every consistent family passes with no LP in the
+    """At |T| = 3 every consistent family's model file is parsed in
+    recorded time, every consistent family passes with no LP in the
     representation check or the property suite, the representation
     check's double description runs are recorded, and the
     enlarged-full-tuple records (the representation check with no LP
@@ -52,6 +53,7 @@ def test_stages_on_the_working_checkout(tmp_path):
     consistent = [r for r in rows if "T" in r and "enlarged_full_tuple" not in r]
     assert [r["base_points"] for r in consistent] == [4, 8]
     for r in consistent:
+        assert list(r)[2] == "parse" and r["parse"]["s"] > 0, r
         assert r["passed"] is True, r
         assert r["suite"]["lps"] == 0, r
         assert r["verify"]["lps"] == 0 and r["verify"]["dd"] > 0, r

@@ -12,7 +12,11 @@ Families: perfbench/families.py `make_family`, family seed 7, MAX_DEN 12,
 |Y| = 2, labels t0.., at each |T| of --sizes (default 3,4,5) with the
 base point counts of BASE_POINTS: |T| = 3 (4, 8 base points), 4 (2, 6),
 5 (2, 4, 6, 8), 6 (2, 8) and 7 (2); any other |T| gets 2. All are
-consistent. Stages are library calls:
+consistent. Each family's model (`family.model()`) is written to a file
+in a temporary directory. Stages are library calls:
+- parse: `modelio.load_model` on that file, the median seconds of
+  PARSE_REPEATS loads (one takes milliseconds); the other stages run on
+  the collection it reads;
 - validate: both consistency checks;
 - feasibility: `polytope._decide_empty` on a fresh copy of the build's
   system, which is how a joint set read back from a build file decides
@@ -43,11 +47,15 @@ import json
 import os
 import random
 import signal
+import statistics
 import sys
+import tempfile
 import time
 
 
 BASE_POINTS = {3: (4, 8), 4: (2, 6), 5: (2, 4, 6, 8), 6: (2, 8), 7: (2,)}
+
+PARSE_REPEATS = 9
 
 # (|T|, base points) of the families whose V_T is enlarged, whatever --sizes
 ENLARGED = ((3, 8), (4, 6), (5, 4), (5, 8), (6, 8))
@@ -153,10 +161,21 @@ def main(argv):
         _, rec["feasibility"] = stage(lambda: polytope._decide_empty(body))
         rec["feasibility"]["empty"] = body.is_empty()
 
-    def family_coll(n, k):
+    def family_model(n, k):
         indices = tuple(f"t{i}" for i in range(n))
-        family = fam.make_family(polytope, random.Random(7), indices, k, 12, False)
-        return modelio.parse_model(family.model())[1]
+        return fam.make_family(polytope, random.Random(7), indices, k, 12, False).model()
+
+    def family_coll(n, k):
+        return modelio.parse_model(family_model(n, k))[1]
+
+    def parse_stage(rec, path):
+        times = []
+        for _ in range(PARSE_REPEATS):
+            t = time.perf_counter()
+            _, coll, _ = modelio.load_model(path)
+            times.append(time.perf_counter() - t)
+        rec["parse"] = {"s": round(statistics.median(times), 5)}
+        return coll
 
     def capped(rec, stages, fn):
         """Run the family's `stages` under the cap; the stage it cuts is
@@ -174,12 +193,16 @@ def main(argv):
 
     signal.signal(signal.SIGALRM, _on_alarm)
     rows = []
+    models = tempfile.TemporaryDirectory()
     for n in sizes:
         for k in BASE_POINTS.get(n, (2,)):
-            coll = family_coll(n, k)
+            path = os.path.join(models.name, f"T{n}-{k}.json")
+            with open(path, "w") as fh:
+                json.dump(family_model(n, k), fh, indent=1)
             rec = {"T": n, "base_points": k}
 
-            def run(rec=rec, coll=coll):
+            def run(rec=rec, path=path):
+                coll = parse_stage(rec, path)
                 _, rec["validate"] = stage(lambda: (
                     credal.check_permutation_consistency(coll),
                     credal.check_marginal_consistency(coll)))
@@ -191,7 +214,9 @@ def main(argv):
                     lambda: joint.property_suite(coll, model, report))
                 rec["passed"] = report.passed and suite.passed
 
-            capped(rec, ("validate", "feasibility", "build", "verify", "suite"), run)
+            capped(rec, ("parse", "validate", "feasibility", "build", "verify", "suite"),
+                   run)
+    models.cleanup()
 
     # V_T enlarged by the first path point mass it does not hold, so that
     # P lies strictly inside pre(V_T)
