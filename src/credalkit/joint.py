@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice, permutations, product
+from math import gcd, lcm
 from typing import Optional
 
 from credalkit import polytope as pt
@@ -46,10 +47,9 @@ from credalkit.exactq import (
     IntLp,
     _check_infeasible,
     _content_free,
-    _integer_row,
     dot,
+    echelon,
     lp_solve,
-    solve_rows,
 )
 from credalkit.polytope import ResourceCapError
 
@@ -358,9 +358,17 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
     last LP over them with every variable free. That LP gets the kept
     rows as they are, each [a | b] over 1 (`exactq.IntLp`), and its
     certificate is checked in integers on them, as every carried one is.
-    The c_j are read off a basis of the integer vectors z with
-    sum_j z_j e_j = 0 over the equality rows (from `solve_rows`);
-    dropping a dependent row r leaves the basis vectors with z_r = 0.
+    The c_j come from one basis of the integer relations z (sum_j z_j
+    [e_j | f_j] = 0) over the equality rows, `_equality_relations`,
+    computed once: no two of its vectors lead (have their first nonzero
+    entry, in visit order) at the same row. When row r's turn comes,
+    every earlier visited row is either dropped or kept, and a kept one
+    had no relation over the rows active at its turn, which include
+    every row active now, so the relations over row r and the active
+    rows are those with z_k = 0 at each earlier visited row k. Those
+    are spanned by the basis vectors that lead at r or after it, and
+    only one leading at r has z_r != 0: rule 2 applies to row r iff a
+    vector leads there, and then that vector gives the c_j.
     The rows are integer H-rep rows, and every step reads them as they are.
     """
     rows = [(coeffs, LE, rhs, origin) for (coeffs, rhs), origin in ineqs]
@@ -394,13 +402,13 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
         raise RuntimeError("certificate length differs from the rows")
     check(everything, certificate)
     weight = list(certificate)
-    null = _equality_relations([row for row, _ in eqs], dim)
+    relation = _equality_relations(eqs, dim)
 
     for r, (_, sense, _, origin) in enumerate(rows):
         if origin == SIMPLEX_ORIGIN:
             continue
         # a relation for row r takes it out (rule 2, or rule 1 at weight 0)
-        z = _drop_relation(null, r - first_eq) if sense == EQ else None
+        z = relation[r - first_eq] if sense == EQ else None
         if weight[r] and z is not None:
             # rule 2: row r is sum_k c_k e_k, c_k = -z_k / z_r; the loop
             # also clears row r's own weight
@@ -437,29 +445,43 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
 
 
 def _equality_relations(eqs, dim):
-    """A basis of the integer vectors z with sum_j z_j [e_j | f_j] = 0
-    over the integer equality rows (e_j, f_j), one list per vector."""
+    """For each equality row ((e_j, f_j), origin) of `eqs`, the integer
+    relation z (sum_k z_k [e_k | f_k] = 0) that leads at it, or None.
+
+    The rows are ranked in the deletion filter's visit order: the
+    credal-origin rows ascending, then the SIMPLEX_ORIGIN rows, which it
+    never visits. `echelon` reduces the transposed system, one row per
+    column of [e | f], with the relation's entries in the reverse of
+    that order. A reduced row is 0 left of its pivot and at every other
+    pivot, so the relation of a free entry F is z_F = L, z_c = -red[F] L
+    / red[c] at the pivot c of each reduced row red with red[F] != 0,
+    and 0 elsewhere, L the least common multiple of the red[c] /
+    gcd(red[c], red[F]) (the vector is primitive). Each such c lies
+    left of F, so the relation leads at F in visit order: z_F != 0, and
+    z_k = 0 at every row k visited before F. The relations are a basis,
+    and no two lead at the same row.
+    """
     if not eqs:
         return []
-    columns = [[e[t] for e, _ in eqs] + [0] for t in range(dim)]
-    columns.append([f for _, f in eqs] + [0])
-    _, nullspace, _ = solve_rows(columns, len(eqs))
-    return [_integer_row(z)[0] for z in nullspace]
-
-
-def _drop_relation(null, j):
-    """Restrict the relation basis `null` to z_j = 0, in place; returns the
-    vector used to clear position j, or None when every z_j is 0 (row j
-    is not a combination of the others)."""
-    w = next((z for z in null if z[j]), None)
-    if w is None:
-        return None
-    null[:] = [
-        _content_free([w[j] * a - z[j] * b for a, b in zip(z, w)]) if z[j] else z
-        for z in null
-        if z is not w
-    ]
-    return w
+    order = [j for j, (_, origin) in enumerate(eqs) if origin != SIMPLEX_ORIGIN]
+    order += [j for j, (_, origin) in enumerate(eqs) if origin == SIMPLEX_ORIGIN]
+    order.reverse()
+    columns = [[eqs[j][0][0][t] for j in order] for t in range(dim)]
+    columns.append([eqs[j][0][1] for j in order])
+    kept = echelon(columns)[1]
+    pivots = {col for col, _ in kept}
+    relation = [None] * len(eqs)
+    for free in range(len(order)):
+        if free in pivots:
+            continue
+        used = [(col, red) for col, red in kept if red[free]]
+        scale = lcm(*(red[col] // gcd(red[col], red[free]) for col, red in used))
+        z = [0] * len(eqs)
+        z[order[free]] = scale
+        for col, red in used:
+            z[order[col]] = -red[free] * scale // red[col]
+        relation[order[free]] = z
+    return relation
 
 
 def _build_cells(coll, reps, cell_cap) -> JointModel:

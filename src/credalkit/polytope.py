@@ -428,8 +428,8 @@ class LpContext:
     returns. An infeasibility certificate y on the reduced rows gives
     multipliers on the original rows once the part of y.A in the row
     space of E is written as w.E (`exactq.echelon` with `combine`, once
-    per context); the certificate is then (y, -w), checked in integers
-    on those rows.
+    per context, then summed in integers, `_eq_part`); the certificate
+    is then (y, -w), checked in integers on those rows.
     """
 
     __slots__ = ("dim", "origin", "onums", "oden", "basis", "ineqs", "zrows",
@@ -447,7 +447,7 @@ class LpContext:
         # per row, (a.N, s): (a.N) z <= s / oden
         self.zrows = [(self._reduce(a), b * oden - _row_at(a, onums)) for a, b in ineqs]
         self.live = [any(coeffs) for coeffs, _ in self.zrows]  # a.N != 0
-        self._combos = None  # `echelon` with `combine` on the equality rows
+        self._combos = None  # E's echelon combinations, in integers (`_eq_weights`)
 
     @classmethod
     def eliminated(cls, hrep: HRep):
@@ -613,26 +613,52 @@ class LpContext:
     def _eq_part(self, mults):
         """The equality rows' part -w of a certificate whose multipliers
         `mults` on the inequality rows leave a combination u = sum cm * a
-        that vanishes on the hull directions N, so that u = w.E."""
-        u = [ZERO] * self.dim
-        for cm, (a, _) in zip(mults, self.ineqs):
-            if cm:
-                u = [s + cm * v for s, v in zip(u, a)]
-        return [-v for v in self._eq_weights(u)]
+        that vanishes on the hull directions N, so that u = w.E.
+
+        u is summed in integers, over the lcm of the multipliers'
+        denominators, and `_eq_weights` gives w over one denominator:
+        Fractions are made only for the returned multipliers."""
+        weighted = [(cm, a) for cm, (a, _) in zip(mults, self.ineqs) if cm]
+        uden = lcm(*(cm.denominator for cm, _ in weighted))
+        unums = [0] * self.dim
+        for cm, a in weighted:
+            k = cm.numerator * (uden // cm.denominator)
+            unums = [s + k * v for s, v in zip(unums, a)]
+        wnums, wden = self._eq_weights(unums)
+        wden *= uden
+        return [Fraction(-v, wden) if v else ZERO for v in wnums]
 
     def _eq_weights(self, u):
-        """Weights w on the equality rows with w.E = u, for u in the row
-        space of E (a u outside it leaves the certificate check to fail).
-        The combinations behind E's echelon rows are computed once per
+        """Integers wnums and a denominator wden > 0 with w.E = u for
+        w = wnums / wden, given an integer u in the row space of E (a u
+        outside it leaves the certificate check to fail).
+
+        E's echelon rows are red_k = comb_k.E (`exactq.echelon` with
+        `combine`), red_k with pivot column c_k and 0 at every other
+        pivot column, so w = sum_k (u[c_k] / red_k[c_k]) comb_k agrees
+        with u at each pivot column, and hence on the whole row space.
+        Each comb_k / red_k[c_k] is held as integers over wden, the lcm
+        of their denominators, nonzero entries only, computed once per
         context."""
         if self._combos is None:
-            self._combos = echelon([[*e, f] for e, f in self.eqs], combine=True)[1]
-        w = [ZERO] * len(self.eqs)
-        for col, red, comb in self._combos:
-            t = u[col] / red[col]
+            scaled = []
+            for col, red, comb in echelon([[*e, f] for e, f in self.eqs], combine=True)[1]:
+                support = [(i, c) for i, c in enumerate(comb) if c]
+                den = lcm(*(c.denominator for _, c in support))
+                nums = [(i, c.numerator * (den // c.denominator)) for i, c in support]
+                scaled.append((col, nums, red[col] * den))
+            wden = lcm(*(den for *_, den in scaled))
+            self._combos = [
+                (col, [(i, v * (wden // den)) for i, v in nums]) for col, nums, den in scaled
+            ], wden
+        combos, wden = self._combos
+        w = [0] * len(self.eqs)
+        for col, nums in combos:
+            t = u[col]
             if t:
-                w = [s + t * c for s, c in zip(w, comb)]
-        return w
+                for i, v in nums:
+                    w[i] += t * v
+        return w, wden
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,12 @@ carried certificate. `fraction_feasible` decides a system of free
 variables with `fraction_simplex_solve`, so it shares no LP code with
 the program.
 
+`equality_relations_reference` and `drop_relation_reference` are the
+reference for `credalkit.joint._equality_relations`, the relation
+lookup of `_diagnose`'s rule 2: a basis of the relations in row order,
+from the Fraction nullspace of `solve_rows`, restricted in place to
+z_j = 0 at each row j the filter visits.
+
 `feasible_point_reference` is the reference for
 `credalkit.polytope._feasible_point`: one phase-1 LP over every row in
 the original coordinates, the unit rows -x_j <= 0 taken as bounds, with
@@ -63,6 +69,8 @@ references for `credalkit.polytope.LpContext.maximize` and `.decide`:
 the same LPs over the context's origin and basis, with the reduced rows
 built in Fractions and handed to `rational_lp` (which checks the answer
 in z), and the answer mapped back in Fractions.
+`eq_part_reference` is the reference for `LpContext._eq_part`, the
+equality rows' part of a certificate, summed in Fractions.
 
 `extreme_subset_reference` and `hrep_from_points_reference` are the
 references for `credalkit.polytope._hrep_from_points`: the vertices
@@ -98,6 +106,7 @@ from credalkit.exactq import (
     IntLp,
     LpOutcome,
     _check_infeasible,
+    _content_free,
     _integer_row,
     dot,
     echelon,
@@ -363,6 +372,34 @@ def deletion_filter_reference(dim, ineqs, eqs):
     return core, tuple(certificate), tuple(offending), lps
 
 
+def equality_relations_reference(eqs, dim):
+    """A basis of the integer vectors z with sum_j z_j [e_j | f_j] = 0
+    over the integer equality rows (e_j, f_j), one list per vector: the
+    Fraction nullspace of the transposed rows, each vector over its
+    entries' least common denominator."""
+    if not eqs:
+        return []
+    columns = [[e[t] for e, _ in eqs] + [0] for t in range(dim)]
+    columns.append([f for _, f in eqs] + [0])
+    _, nullspace, _ = solve_rows(columns, len(eqs))
+    return [_integer_row(z)[0] for z in nullspace]
+
+
+def drop_relation_reference(null, j):
+    """Restrict the relation basis `null` to z_j = 0, in place; returns the
+    vector used to clear position j, or None when every z_j is 0 (row j
+    is not a combination of the others)."""
+    w = next((z for z in null if z[j]), None)
+    if w is None:
+        return None
+    null[:] = [
+        _content_free([w[j] * a - z[j] * b for a, b in zip(z, w)]) if z[j] else z
+        for z in null
+        if z is not w
+    ]
+    return w
+
+
 def unit_nonneg(coeffs, rhs, dim):
     """Index j when the row is exactly -c x_j <= 0 with c > 0, else None."""
     if rhs != 0:
@@ -462,8 +499,7 @@ def context_decide_reference(ctx):
     as `LpContext.decide` documents: a violated constant row is the
     certificate, a feasible origin is the point, and otherwise one LP
     runs, the rows -c z_k <= 0 taken as bounds z_k >= 0. The
-    certificate's part on the equality rows is read off
-    `echelon(..., combine=True)` as the context reads it."""
+    certificate's part on the equality rows is `eq_part_reference`."""
     rows = _context_rows(ctx)
     n = len(rows)
     live = [any(coeffs) for coeffs, _, _ in rows]
@@ -495,14 +531,22 @@ def context_decide_reference(ctx):
         for k, i in bound_at.items():
             combined = sum((y[r] * rows[r][0][k] for r in lp if y[r]), ZERO)
             y[i] = combined / -rows[i][0][k]
+    return None, (*y, *eq_part_reference(ctx, y))
+
+
+def eq_part_reference(ctx, mults):
+    """The equality rows' part -w of the context's certificate with the
+    multipliers `mults` on its inequality rows, in Fractions: u = sum
+    cm * a, and w = sum_k (u[c_k] / red_k[c_k]) comb_k over the rows of
+    `echelon(..., combine=True)` on [E | e], red_k with pivot c_k."""
     u = [ZERO] * ctx.dim
-    for cm, (a, _) in zip(y, ctx.ineqs):
+    for cm, (a, _) in zip(mults, ctx.ineqs):
         u = [s + cm * v for s, v in zip(u, a)]
     w = [ZERO] * len(ctx.eqs)
     for col, red, comb in echelon([[*e, f] for e, f in ctx.eqs], combine=True)[1]:
         t = u[col] / red[col]
         w = [s + t * c for s, c in zip(w, comb)]
-    return None, (*y, *(-v for v in w))
+    return tuple(-v for v in w)
 
 
 def fraction_feasible(dim, rows) -> bool:

@@ -57,9 +57,12 @@ from oracles import (
     covering_q,
     deletion_filter_reference,
     dense_pushforward,
+    drop_relation_reference,
+    equality_relations_reference,
     equals,
     feasible_point_reference,
     fraction_feasible,
+    matrix_rank,
     property_suite_reference,
     redundant_rows_reference,
     representation_reference,
@@ -663,6 +666,70 @@ class TestDiagnose:
                     d.diagnosis.offending_tuples) == (
                 diag.rows, diag.multipliers, diag.offending_tuples
             )
+
+
+def random_relation_system(rng, dim):
+    """Equality rows ((e, f), origin) in canonical integer form: random
+    rows, and rows that depend on them (scaled copies and combinations,
+    some with another rhs), in random order, SIMPLEX_ORIGIN rows among
+    the credal-origin ones."""
+    origins = [("a",), ("b",), ("a", "b"), SIMPLEX_ORIGIN]
+    rows = [[rng.randint(-3, 3) for _ in range(dim + 1)]
+            for _ in range(rng.randint(1, dim + 1))]
+    for _ in range(rng.randint(1, 5)):
+        u, v = rng.choice(rows), rng.choice(rows)
+        k, h = rng.choice([1, 2, -3]), rng.choice([0, 1, -2])
+        row = [k * a + h * b for a, b in zip(u, v)]
+        if rng.random() < 0.25:
+            row[-1] += 1
+        rows.append(row)
+    rng.shuffle(rows)
+    eqs = []
+    for row in rows:
+        canon = pt._canon_eq(tuple(F(v) for v in row[:-1]), F(row[-1]))
+        if canon is not None:
+            eqs.append((canon, rng.choice(origins)))
+    return eqs
+
+
+class TestRelationLookup:
+    """`_equality_relations` against the in-place restriction of one
+    relation basis at every row the filter visits: at each step a
+    relation is found iff the reference finds one, and it is an integer
+    relation of the rows that is nonzero at the row and 0 at every row
+    visited before it."""
+
+    def test_lookup_matches_in_place_restriction(self):
+        rng = random.Random(2323)
+        found = missed = 0
+        for _ in range(150):
+            dim = rng.randint(1, 5)
+            eqs = random_relation_system(rng, dim)
+            relation = jt._equality_relations(eqs, dim)
+            full = [[*e, f] for (e, f), _ in eqs]
+            assert sum(z is not None for z in relation) == len(eqs) - matrix_rank(full)
+            null = equality_relations_reference([row for row, _ in eqs], dim)
+            visited = []
+            for j, (_, origin) in enumerate(eqs):
+                if origin == SIMPLEX_ORIGIN:
+                    continue
+                expected = drop_relation_reference(null, j)
+                z = relation[j]
+                assert (z is None) == (expected is None)
+                if z is None:
+                    missed += 1
+                else:
+                    found += 1
+                    assert all(type(v) is int for v in z)
+                    assert [sum(zk * row[t] for zk, row in zip(z, full))
+                            for t in range(dim + 1)] == [0] * (dim + 1)
+                    assert z[j] != 0
+                    assert all(z[k] == 0 for k in visited)
+                visited.append(j)
+        assert found and missed
+
+    def test_no_equality_rows(self):
+        assert jt._equality_relations([], 3) == []
 
 
 def test_library_rows_are_ints():

@@ -37,6 +37,7 @@ from oracles import (
     brute_force_vertices,
     context_decide_reference,
     dense_pushforward,
+    eq_part_reference,
     equals,
     extreme_subset_reference,
     feasible_point_reference,
@@ -883,6 +884,77 @@ class TestContextAnswerCheck:
         assert self.ask("maximize") == ("optimal", F(1), (F(1), F(1, 2)))
         point, _ = self.ask("decide")
         assert 1 <= point[0] <= 2 and 1 <= point[1] <= 2
+
+
+def random_empty_flat_system(rng):
+    """(h, context, certificate) for an empty H-rep with equality rows
+    through a point x, in a third of the cases also a combination of
+    them, and inequality rows through or near x, some violated there;
+    drawn until `LpContext.decide` proves it empty."""
+    while True:
+        dim = rng.randint(2, 5)
+        x = tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim))
+        eqs = []
+        for _ in range(rng.randint(1, dim - 1)):
+            e = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+            eqs.append((e, dot(e, x)))
+        if rng.random() < 1 / 3:
+            (e1, f1), (e2, f2) = rng.choice(eqs), rng.choice(eqs)
+            k = F(rng.choice([2, -3, 1]), rng.choice([1, 2]))
+            eqs.append((tuple(k * a + b for a, b in zip(e1, e2)), k * f1 + f2))
+        ineqs = []
+        for _ in range(rng.randint(2, 6)):
+            a = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
+            ineqs.append((a, dot(a, x) + rng.randint(-3, 1)))
+        h = HRep.make(dim, ineqs, eqs)
+        ctx = pt.LpContext.eliminated(h)
+        if ctx is None:
+            continue
+        point, cert = ctx.decide()
+        if point is None:
+            return h, ctx, cert
+
+
+class TestEqualityPart:
+    """`LpContext._eq_part` sums the equality rows' part of a certificate
+    in integers; it is the Fraction reference's, exactly, and a wrong
+    combination still fails the certificate check."""
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(2424)
+        dependent = weighted = 0
+        for _ in range(60):
+            h, ctx, cert = random_empty_flat_system(rng)
+            n = len(h.ineqs)
+            assert cert[n:] == eq_part_reference(ctx, cert[:n])
+            assert all(type(v) is F for v in cert[n:])
+            y = [F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)]
+            assert tuple(ctx._eq_part(y)) == eq_part_reference(ctx, y)
+            dependent += bool(h.eqs) and matrix_rank([e for e, _ in h.eqs]) < len(h.eqs)
+            weighted += any(cert[n:])
+        assert dependent and weighted
+
+    def test_tampered_combination_fails_the_check(self):
+        """One integer weight of one combination the certificate uses, off
+        by one: the equality part is wrong, and `_check_farkas` refuses
+        it."""
+        rng = random.Random(2525)
+        tampered = 0
+        while tampered < 10:
+            h, _, cert = random_empty_flat_system(rng)
+            u = [sum(y * a[t] for y, (a, _) in zip(cert, h.ineqs)) for t in range(h.dim)]
+            ctx = pt.LpContext.eliminated(h)
+            ctx._eq_weights([0] * h.dim)  # builds the combinations
+            combos, _ = ctx._combos
+            k = next((k for k, (col, _) in enumerate(combos) if u[col]), None)
+            if k is None:
+                continue
+            col, nums = combos[k]
+            (i, v), *rest = nums
+            combos[k] = (col, [(i, v + 1), *rest])
+            with pytest.raises(RuntimeError, match="combined row"):
+                ctx.decide()
+            tampered += 1
 
 
 class TestIntegerRows:

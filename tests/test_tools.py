@@ -40,7 +40,9 @@ def test_stages_on_the_working_checkout(tmp_path):
     representation check or the property suite, the representation
     check's double description runs are recorded, and the
     enlarged-full-tuple records (the representation check with no LP
-    there too) and the H-rep records are written."""
+    there too), the clash records (an empty P, and its diagnosis's
+    seconds, LPs and core rows, inside the build's) and the H-rep
+    records are written."""
     out = tmp_path / "stages.json"
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "stages.py"), ROOT, str(out),
@@ -50,7 +52,8 @@ def test_stages_on_the_working_checkout(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     rows = json.loads(out.read_text())
-    consistent = [r for r in rows if "T" in r and "enlarged_full_tuple" not in r]
+    consistent = [r for r in rows if "T" in r
+                  and "enlarged_full_tuple" not in r and "clash_seed" not in r]
     assert [r["base_points"] for r in consistent] == [4, 8]
     for r in consistent:
         assert list(r)[2] == "parse" and r["parse"]["s"] > 0, r
@@ -63,4 +66,11 @@ def test_stages_on_the_working_checkout(tmp_path):
     assert all(r["build"]["lps"] == 0 for r in enlarged)
     assert all("build" in r and "capped" not in r["build"] for r in enlarged)
     assert all(r["verify"]["lps"] == 0 for r in enlarged)
+    clash = [r for r in rows if "clash_seed" in r]
+    assert [(r["T"], r["clash_seed"]) for r in clash] == [(3, 2), (3, 3)]
+    for r in clash:
+        assert r["feasibility"]["empty"] is True, r
+        diagnose = r["diagnose"]
+        assert diagnose["core_rows"] > 0 and diagnose["lps"] > 0, r
+        assert diagnose["lps"] <= r["build"]["lps"] and diagnose["s"] <= r["build"]["s"] + 1e-3, r
     assert [r["feasibility"]["empty"] for r in rows if "hrep_dim" in r] == [False, True]

@@ -24,15 +24,22 @@ in a temporary directory. Stages are library calls:
 - build: `joint.build_joint`;
 - verify: `joint.verify_representation`;
 - suite: `joint.property_suite` given verify's report.
-Then the families of ENLARGED with V_T enlarged by a path point mass
-(P strictly inside pre(V_T), so the build converts P's own rows;
-feasibility, build and verify only), and the emptiness check of two
-H-rep sets in dimension 16 (the simplex rows plus random cuts, so the
-affine hull has dimension 15), one nonempty and one empty.
+Then, at each |T| of --sizes, the clash families of CLASH_SEEDS (the
+clash-t4 workload's family and check seeds), drawn as perfbench/run.py
+draws them: one `randint` for the base point count (2), then
+`make_family(..., clash=True)`, so P is empty. They record validate,
+feasibility (empty), build, and "diagnose": the build's
+`joint._diagnose` call, its seconds, LPs and core rows. Then the
+families of ENLARGED with V_T enlarged by a path point mass (P strictly
+inside pre(V_T), so the build converts P's own rows; feasibility, build
+and verify only), and the emptiness check of two H-rep sets in
+dimension 16 (the simplex rows plus random cuts, so the affine hull has
+dimension 15), one nonempty and one empty.
 
 LPs are `lp_solve` calls. The build also records "redundancy_lps", the
 LPs inside `remove_redundant_ineqs`, which reads the kept rows off P's
-vertices and so runs none, and the rows it takes in and keeps. Each
+vertices and so runs none, and the rows it takes in and keeps (null
+when P is empty and it does not run). Each
 stage also records "dd", its double description runs
 (`polytope._points_from_hrep` and `_hrep_from_points` calls), and
 "dd_s", the seconds spent in them. With --kernel each stage also
@@ -56,6 +63,9 @@ import time
 BASE_POINTS = {3: (4, 8), 4: (2, 6), 5: (2, 4, 6, 8), 6: (2, 8), 7: (2,)}
 
 PARSE_REPEATS = 9
+
+# family seeds of the clash families, each with 2 base points
+CLASH_SEEDS = (2, 3)
 
 # (|T|, base points) of the families whose V_T is enlarged, whatever --sizes
 ENLARGED = ((3, 8), (4, 6), (5, 4), (5, 8), (6, 8))
@@ -113,6 +123,18 @@ def main(argv):
         return keep
 
     polytope.remove_redundant_ineqs = rr
+    real_diagnose = joint._diagnose
+    diagnosed = {}
+
+    def timed_diagnose(*a, **k):
+        lps = counts["lps"]
+        t = time.perf_counter()
+        result = real_diagnose(*a, **k)
+        diagnosed.update(s=round(time.perf_counter() - t, 4),
+                         lps=counts["lps"] - lps, core_rows=len(result.rows))
+        return result
+
+    joint._diagnose = timed_diagnose
 
     def timed_dd(fn):
         def wrapped(*a, **k):
@@ -140,7 +162,8 @@ def main(argv):
         _backend.simplex_solve = timed_kernel
 
     def stage(fn):
-        counts.update(lps=0, redundancy=0, kernel_s=0.0, dd=0, dd_s=0.0)
+        counts.update(lps=0, redundancy=0, rows_in=None, rows_kept=None,
+                      kernel_s=0.0, dd=0, dd_s=0.0)
         t = time.perf_counter()
         result = fn()
         rec = {"s": round(time.perf_counter() - t, 3), "lps": counts["lps"],
@@ -154,6 +177,11 @@ def main(argv):
         rec["build"].update(redundancy_lps=counts["redundancy"],
                             rows_in=counts["rows_in"], rows_kept=counts["rows_kept"])
         return model
+
+    def validate_stage(rec, coll):
+        _, rec["validate"] = stage(lambda: (
+            credal.check_permutation_consistency(coll),
+            credal.check_marginal_consistency(coll)))
 
     def feasibility_stage(rec, coll):
         reps = joint.representative_tuples(coll)
@@ -203,9 +231,7 @@ def main(argv):
 
             def run(rec=rec, path=path):
                 coll = parse_stage(rec, path)
-                _, rec["validate"] = stage(lambda: (
-                    credal.check_permutation_consistency(coll),
-                    credal.check_marginal_consistency(coll)))
+                validate_stage(rec, coll)
                 feasibility_stage(rec, coll)
                 model = build_stage(rec, coll)
                 report, rec["verify"] = stage(
@@ -217,6 +243,23 @@ def main(argv):
             capped(rec, ("parse", "validate", "feasibility", "build", "verify", "suite"),
                    run)
     models.cleanup()
+
+    for n in sizes:
+        for seed in CLASH_SEEDS:
+            frng = random.Random(seed)
+            indices = tuple(f"t{i}" for i in range(n))
+            family = fam.make_family(polytope, frng, indices, frng.randint(2, 2), 12, True)
+            coll = modelio.parse_model(family.model())[1]
+            rec = {"T": n, "base_points": 2, "clash_seed": seed}
+
+            def run(rec=rec, coll=coll):
+                validate_stage(rec, coll)
+                feasibility_stage(rec, coll)
+                diagnosed.clear()
+                build_stage(rec, coll)
+                rec["diagnose"] = dict(diagnosed)
+
+            capped(rec, ("validate", "feasibility", "build", "diagnose"), run)
 
     # V_T enlarged by the first path point mass it does not hold, so that
     # P lies strictly inside pre(V_T)
