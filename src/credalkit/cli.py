@@ -111,7 +111,7 @@ def cmd_verify(args):
     if note:
         notes.append(note)
     if model.mode == cr.POLYTOPE and consistency.passed and not model.is_empty():
-        properties = jt.property_suite(coll, model, representation=representation)
+        properties = jt.property_suite(coll, model, representation, consistency)
 
     vertices = None
     if args.emit_vertices and model.mode == cr.POLYTOPE and not model.is_empty():

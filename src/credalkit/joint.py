@@ -34,6 +34,7 @@ from credalkit import spaces as sp
 from credalkit.credal import (
     FINITE,
     POLYTOPE,
+    ConsistencyReport,
     CredalCollection,
     CredalSet,
     _body_subset,
@@ -656,8 +657,9 @@ def _fiber_sup(fibers, a, points):
 
 def property_suite(
     coll: CredalCollection,
-    joint: Optional[JointModel] = None,
-    representation: Optional[RepresentationReport] = None,
+    joint: JointModel,
+    representation: RepresentationReport,
+    consistency: ConsistencyReport,
 ) -> PropertyReport:
     """Structural facts that hold for consistent polytope collections.
 
@@ -666,50 +668,59 @@ def property_suite(
     - a tuple covering another has a smaller (contained) preimage;
     - every prescribed set is reachable: the inclusion half of
       `representation`, the report of `verify_representation(coll,
-      joint)`, which is run here when not given;
+      joint)`;
     - the preimage of the full tuple equals `joint`, which must be
       `build_joint(coll)`.
 
-    All are decided in the tuples' own spaces, with no path-space
-    polytope. pi_alpha maps the path simplex onto alpha's simplex, which
-    holds V_alpha, so for A and B in that simplex pi_alpha^-1(A) lies in
-    pi_alpha^-1(B) iff A lies in B. Hence:
+    The first two are read off `consistency`, the records of both checks
+    of `credal` on `coll`. pi_alpha maps the path simplex onto alpha's
+    simplex, which holds V_alpha, so for A and B in that simplex
+    pi_alpha^-1(A) lies in pi_alpha^-1(B) iff A lies in B. Hence:
     - permutation to s, by the shuffle sigma: pi_s = sigma o pi_alpha, so
       the record holds iff sigma(V_alpha) = V_s. A V_s not supplied is
-      derived as sigma(V_alpha), so it holds with no LP; a supplied one
-      is compared by vertex sets;
+      derived as sigma(V_alpha), so it holds; a supplied one holds iff
+      both permutation records (alpha, s) pass (alpha, the smallest
+      tuple over its indices, comes first in each pair);
     - covering of beta, by the restriction r: pi_beta = r o pi_alpha, so
       pre(beta) = pi_alpha^-1(Q) for Q = {q in alpha's simplex : r(q) in
-      V_beta}. The record holds iff V_alpha lies in Q: each vertex u of
-      V_alpha has r(u) in V_beta's integer rows (`contains_point`). It is
+      V_beta}. The record holds iff V_alpha lies in Q, that is iff
+      r(V_alpha) lies in V_beta: the marginal record (alpha, beta,
+      "restriction within supplied set") passes. A record that holds is
       "strict" iff Q does not lie in V_alpha: some row a.x <= b of
       V_alpha (an equality row read both ways) has sup_Q a > b
-      (`_fiber_sup`);
+      (`_fiber_sup`), the only thing computed here;
     - full tuple: the joint set is the intersection of pre(beta) over the
       representative tuples, so it equals pre(rep_gamma) iff every
       covering record with alpha = rep_gamma holds.
-    No record runs an LP; only `build_joint` and `verify_representation`
-    do, when run here for an argument not given.
+    A record the suite reads but `consistency` lacks raises DimensionError.
     """
-    if joint is None:
-        joint = build_joint(coll)
     if joint.mode != POLYTOPE:
         raise ModeError("the property suite runs on polytope collections")
     reps = representative_tuples(coll)
-    records = []
+    checked = {(r.alpha, r.beta, r.direction): r.status for r in consistency.records}
 
+    def passes(alpha, beta, direction):
+        try:
+            return checked[alpha, beta, direction] == "pass"
+        except KeyError:
+            raise DimensionError(
+                f"consistency report has no record {(alpha, beta, direction)!r}"
+            ) from None
+
+    records = []
     for alpha in reps:
         if len(alpha) < 2:
             continue
-        cset = coll.sets[alpha]
         shuffles = islice(permutations(range(len(alpha))), 1, CHECKED_PERMUTATIONS + 1)
         for perm in shuffles:
             shuffled = sp.permute_tuple(alpha, perm)
-            same = True  # a derived set is the image by construction
-            if shuffled in coll.sets:
-                idx = sp.permutation_matrix(coll.space, len(alpha), perm)
-                image = pt.linear_image(idx, cset.body, cset.dim)
-                same = image.points == pt.dd_convert(coll.sets[shuffled].body).points
+            # a derived set is the image by construction; a supplied one
+            # reads both records (a list, so that a missing one raises)
+            same = shuffled not in coll.sets or all([
+                passes(alpha, shuffled, direction)
+                for direction in ("supplied set within shuffle image",
+                                  "shuffle image within supplied set")
+            ])
             records.append(
                 PropertyRecord(
                     "permutation-invariant preimage",
@@ -722,15 +733,13 @@ def property_suite(
     rep_gamma = reps[-1]  # the longest
     shortcut = True
     for alpha in reps:
-        body = pt.dd_convert(coll.sets[alpha].body)
-        rows = body.hrep.as_ineqs()
+        rows = pt.dd_convert(coll.sets[alpha].body).hrep.as_ineqs()
         for beta in reps:
             if alpha == beta or not sp.tuple_covers(alpha, beta):
                 continue
+            holds = passes(alpha, beta, "restriction within supplied set")
             idx = sp.restriction_matrix(coll.space, alpha, beta)
             target = pt.dd_convert(coll.sets[beta].body)
-            holds = all(pt.contains_point(target, sp.push(idx, u, target.dim))
-                        for u in body.points)
             fibers = [[] for _ in range(target.dim)]
             for j, c in enumerate(idx):
                 fibers[c].append(j)
@@ -743,8 +752,6 @@ def property_suite(
                 "pass" if holds else "fail", note="strict" if strict else "",
             ))
 
-    if representation is None:
-        representation = verify_representation(coll, joint)
     for r in representation.records:
         if r.direction == "prescribed within pushforward":
             records.append(

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import credalkit.polytope as pt
 from credalkit.credal import (
     POLYTOPE,
+    SUPPLIED,
     CredalCollection,
     CredalSet,
     credal_set_from_vertices,
@@ -94,6 +96,17 @@ def instance_stream(seed, n_indices, count):
         yield generated_instance(rng, n_indices)
 
 
+def supplied_variants(coll):
+    """`coll` under the supplied policy, every permuted variant of each
+    tuple supplied as its derived set."""
+    sets = {
+        perm: coll.credal_set(perm)
+        for alpha in coll.sets
+        for perm in permutations(alpha)
+    }
+    return CredalCollection(coll.space, sets, policy=SUPPLIED)
+
+
 def collection_to_model(coll):
     """The model document of a polytope collection, each set by vertices."""
     doc = {
@@ -101,6 +114,8 @@ def collection_to_model(coll):
         "T": list(coll.space.indices),
         "credal_sets": [],
     }
+    if coll.policy == SUPPLIED:
+        doc["options"] = {"permutations": SUPPLIED}
     for tup in coll.supplied_tuples():
         cset = coll.sets[tup]
         doc["credal_sets"].append(

@@ -256,7 +256,8 @@ def _path_preimage(cset):
 
 def property_suite_reference(coll, joint, representation):
     """The PropertyReport of `credalkit.joint.property_suite(coll, joint,
-    representation=representation)`, from path-space preimages."""
+    representation, consistency)`, consistency the report of both
+    consistency checks on coll, from path-space preimages."""
     reps = jt.representative_tuples(coll)
     pre = {alpha: _path_preimage(coll.sets[alpha]) for alpha in reps}
     records = []

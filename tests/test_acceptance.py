@@ -18,7 +18,10 @@ import pytest
 import credalkit.polytope as pt
 from credalkit.cli import main as cli_main
 from credalkit.credal import (
+    ConsistencyReport,
     CredalCollection,
+    check_marginal_consistency,
+    check_permutation_consistency,
     credal_set_from_members,
     credal_set_from_vertices,
     lower_expectation,
@@ -135,8 +138,11 @@ def test_criterion_3_structural_properties(pipeline):
     with criterion(3, "preimage property suite"):
         strict_seen = 0
         for entry in pipeline.entries:
+            coll = entry["coll"]
+            consistency = ConsistencyReport(check_permutation_consistency(coll).records
+                                            + check_marginal_consistency(coll).records)
             report = property_suite(
-                entry["coll"], entry["joint"], representation=entry["representation"]
+                coll, entry["joint"], entry["representation"], consistency
             )
             assert report.passed
             strict_seen += sum(

@@ -203,8 +203,9 @@ def test_diagnosis_lps_are_traced(monkeypatch):
 def test_verify_spans_one_representation_check(tmp_path):
     """CLI `verify` on a consistent |T|=3 collection: one
     `verify_representation` span, no `is_subset` span inside the property
-    suite (its covering records substitute vertices and read off support
-    functions), and no LP at all (the representation check reads the
+    suite (it reads its covering and permutation records off the
+    consistency report verify hands it, and computes only the "strict"
+    notes, off support functions), and no LP at all (the representation check reads the
     joint set's vertices). Then `is_subset` calls whose q rows p already
     carries hold with no LP below their spans, while one whose q has a
     row p does not carry runs LPs."""

@@ -8,7 +8,7 @@ import pytest
 import credalkit.joint as jt
 import credalkit.polytope as pt
 from credalkit.cli import main
-from gen import collection_to_model, generated_instance
+from gen import collection_to_model, generated_instance, supplied_variants
 
 MODULE = [sys.executable, "-m", "credalkit.cli"]
 
@@ -318,6 +318,18 @@ class TestVerify:
         report = json.loads(res.stdout)
         assert report["representation"]["passed"] is True
         assert report["properties"]["passed"] is True
+
+    def test_supplied_shuffles_read_off_validate(self, tmp_path):
+        """With every permuted variant supplied, each permutation record
+        of the suite reads validate's permutation records of its pair."""
+        coll = supplied_variants(generated_instance(random.Random(812), 3)[1])
+        model = write(tmp_path, "m.json", collection_to_model(coll))
+        res = run_cli("verify", model, "--json")
+        assert res.returncode == 0, res.stderr
+        records = json.loads(res.stdout)["properties"]["records"]
+        shuffled = [r["status"] for r in records
+                    if r["property"] == "permutation-invariant preimage"]
+        assert shuffled == ["pass"] * 8
 
     def test_uniform_joint_full_marginal_fails(self, tmp_path):
         doc = full_simplex_model()

@@ -1,14 +1,18 @@
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
 import credalkit.polytope as pt
+import credalkit.spaces as sp
 from credalkit import _backend
 from credalkit.credal import (
     POLYTOPE,
     SUPPLIED,
+    ConsistencyReport,
     CredalCollection,
     _body_subset,
     check_marginal_consistency,
@@ -17,7 +21,7 @@ from credalkit.credal import (
     credal_set_from_members,
     credal_set_from_vertices,
 )
-from credalkit.exactq import EQ, LE, dot
+from credalkit.exactq import EQ, LE, DimensionError, dot
 import credalkit.joint as jt
 from credalkit.joint import (
     SIMPLEX_ORIGIN,
@@ -49,6 +53,7 @@ from gen import (
     generated_instance,
     pushforward_collection,
     random_simplex_point,
+    supplied_variants,
 )
 from oracles import (
     apply,
@@ -190,8 +195,6 @@ class TestBuildJoint:
         coll = CredalCollection(
             AB, {("a",): credal_set_from_hrep(AB, ("a",))}
         )
-        from credalkit.exactq import DimensionError
-
         with pytest.raises(DimensionError):
             build_joint(coll)
 
@@ -1142,12 +1145,24 @@ class TestVerifyRepresentation:
         assert "empty" in report.records[0].note
 
 
+def consistency_of(coll):
+    """The consistency report `credalkit validate` gives for `coll`."""
+    return ConsistencyReport(check_permutation_consistency(coll).records
+                             + check_marginal_consistency(coll).records)
+
+
+def suite_of(coll, joint):
+    """`property_suite` given the reports CLI `verify` hands it."""
+    return property_suite(
+        coll, joint, verify_representation(coll, joint), consistency_of(coll)
+    )
+
+
 class TestPropertySuite:
     def test_generated_instance_all_pass(self):
         rng = random.Random(800)
         _, coll, _ = generated_instance(rng, 2)
-        joint = build_joint(coll)
-        report = property_suite(coll, joint)
+        report = suite_of(coll, build_joint(coll))
         assert report.passed
 
     def test_strict_containment_occurs(self):
@@ -1170,7 +1185,7 @@ class TestPropertySuite:
                 ),
             },
         )
-        report = property_suite(coll, build_joint(coll))
+        report = suite_of(coll, build_joint(coll))
         strict = [
             r
             for r in report.records
@@ -1184,33 +1199,95 @@ class TestPropertySuite:
         lambda: clash_instance(random.Random(5), 3)[1],
     ], ids=["generated-t3", "non-strict", "clash"])
     def test_covering_records_run_no_lp(self, monkeypatch, make):
-        """Given the representation report, the suite decides every
-        record with no LP and no feasibility decision, and gives the
-        report of an unpatched run."""
+        """Given both reports, the suite decides every record with no LP
+        and no feasibility decision, and gives the report of an unpatched
+        run."""
         coll = make()
         joint = build_joint(coll)
         representation = verify_representation(coll, joint)
+        consistency = consistency_of(coll)
         with monkeypatch.context() as m:
             for module in (pt, jt):
                 m.setattr(module, "lp_solve", no_lp)
             m.setattr(pt, "_feasible_point", no_lp)
-            report = property_suite(coll, joint, representation)
+            report = property_suite(coll, joint, representation, consistency)
         assert _records(report, "covering tuple has smaller preimage")
-        assert report == property_suite(coll, joint, representation)
+        assert report == property_suite(coll, joint, representation, consistency)
 
     @pytest.mark.parametrize("make", [
-        lambda: generated_instance(random.Random(800), 2)[1],
-        forced_failure_collection,
-    ], ids=["passing", "failing-representation"])
-    def test_given_representation_gives_the_same_report(self, make):
+        lambda: generated_instance(random.Random(811), 3)[1],
+        lambda: clash_instance(random.Random(5), 3)[1],
+    ], ids=["generated-t3", "clash"])
+    def test_covering_record_follows_the_report(self, make):
+        """Each covering record reads validate's marginal record of its
+        pair: flipped to "fail", the record fails with no "strict" note,
+        and so does the full-tuple record when alpha is the full tuple;
+        every other record is unchanged."""
         coll = make()
         joint = build_joint(coll)
         representation = verify_representation(coll, joint)
-        if make is forced_failure_collection:
-            assert not representation.passed
-        assert property_suite(coll, joint) == property_suite(
-            coll, joint, representation=representation
-        )
+        consistency = consistency_of(coll)
+        base = property_suite(coll, joint, representation, consistency)
+        covering = [r for r in base.records
+                    if r.name == "covering tuple has smaller preimage"]
+        full = representative_tuples(coll)[-1]
+        assert any(r.alpha == full for r in covering)
+        for record in covering:
+            flipped = ConsistencyReport(tuple(
+                replace(r, status="fail")
+                if (r.alpha, r.beta, r.direction)
+                == (record.alpha, record.beta, "restriction within supplied set")
+                else r
+                for r in consistency.records
+            ))
+            report = property_suite(coll, joint, representation, flipped)
+            changed = {(r.name, r.alpha, r.beta): (r.status, r.note)
+                       for r, was in zip(report.records, base.records) if r != was}
+            expect = {("covering tuple has smaller preimage", record.alpha, record.beta):
+                      ("fail", "")} if record.status == "pass" else {}
+            if record.alpha == full and base.records[-1].status == "pass":
+                expect["full-tuple preimage equals joint set", full, ()] = ("fail", "")
+            assert changed == expect
+
+    def test_permutation_record_follows_the_report(self):
+        """A supplied shuffle's permutation record reads validate's two
+        permutation records of the pair: either one flipped to "fail"
+        fails it, and only it."""
+        coll = PARITY_CASES["supplied"][0]()
+        joint = build_joint(coll)
+        representation = verify_representation(coll, joint)
+        consistency = consistency_of(coll)
+        base = property_suite(coll, joint, representation, consistency)
+        assert base.passed
+        shuffled = _records(base, "permutation-invariant preimage")
+        reads = 0
+        for target in consistency.records:
+            if target.condition != "permutation" or target.status != "pass":
+                continue
+            flipped = ConsistencyReport(tuple(
+                replace(r, status="fail") if r is target else r
+                for r in consistency.records
+            ))
+            report = property_suite(coll, joint, representation, flipped)
+            failed = [(r.name, r.alpha, r.beta) for r in report.records
+                      if r.status == "fail"]
+            read = any((r.alpha, r.beta) == (target.alpha, target.beta)
+                       for r in shuffled)
+            reads += read
+            assert failed == ([("permutation-invariant preimage", target.alpha,
+                                target.beta)] if read else [])
+        assert reads == 2 * len(shuffled)
+
+    def test_missing_record_names_it(self):
+        """A consistency report without the permutation records of a
+        supplied shuffle is refused, naming the record."""
+        coll = PARITY_CASES["supplied"][0]()
+        joint = build_joint(coll)
+        alpha = next(t for t in representative_tuples(coll) if len(t) == 2)
+        missing = (alpha, alpha[::-1], "supplied set within shuffle image")
+        with pytest.raises(DimensionError, match=re.escape(repr(missing))):
+            property_suite(coll, joint, verify_representation(coll, joint),
+                           check_marginal_consistency(coll))
 
 
 def lifted_collection():
@@ -1230,17 +1307,6 @@ def lifted_collection():
             ),
         },
     )
-
-
-def supplied_variants(coll):
-    """`coll` under the supplied policy, every permuted variant of each
-    tuple supplied as its derived set."""
-    sets = {
-        perm: coll.credal_set(perm)
-        for alpha in coll.sets
-        for perm in permutations(alpha)
-    }
-    return CredalCollection(coll.space, sets, policy="supplied")
 
 
 def disagreeing_variant():
@@ -1326,15 +1392,24 @@ PARITY_CASES = {
 }
 
 
+def not_in_suite(*args, **kwargs):
+    raise AssertionError("the suite decided an inclusion or pushed a point")
+
+
 @pytest.mark.parametrize("make, shows", PARITY_CASES.values(), ids=PARITY_CASES)
-def test_property_suite_matches_path_space_reference(make, shows):
-    """The suite, decided in the tuples' own spaces, gives the report of
-    the path-space reference; each case also shows the outcome it is
-    there for."""
+def test_property_suite_matches_path_space_reference(monkeypatch, make, shows):
+    """The suite, given both reports, gives the report of the path-space
+    reference with no inclusion decided and no point pushed; each case
+    also shows the outcome it is there for."""
     coll = make()
     joint = build_joint(coll)
     representation = verify_representation(coll, joint)
-    report = property_suite(coll, joint, representation=representation)
+    consistency = consistency_of(coll)
+    with monkeypatch.context() as m:
+        for module, name in ((pt, "is_subset"), (pt, "contains_point"),
+                             (pt, "linear_image"), (sp, "push")):
+            m.setattr(module, name, not_in_suite)
+        report = property_suite(coll, joint, representation, consistency)
     assert report == property_suite_reference(coll, joint, representation)
     assert shows(report)
 

@@ -17,13 +17,14 @@ in a temporary directory. Stages are library calls:
 - parse: `modelio.load_model` on that file, the median seconds of
   PARSE_REPEATS loads (one takes milliseconds); the other stages run on
   the collection it reads;
-- validate: both consistency checks;
+- validate: both consistency checks, joined into one report;
 - feasibility: `polytope._decide_empty` on a fresh copy of the build's
   system, which is how a joint set read back from a build file decides
   that it is nonempty;
 - build: `joint.build_joint`;
 - verify: `joint.verify_representation`;
-- suite: `joint.property_suite` given verify's report.
+- suite: `joint.property_suite` given verify's and validate's reports,
+  as CLI `verify` runs it.
 Then, at each |T| of --sizes, the clash families of CLASH_SEEDS (the
 clash-t4 workload's family and check seeds), drawn as perfbench/run.py
 draws them: one `randint` for the base point count (2), then
@@ -179,9 +180,10 @@ def main(argv):
         return model
 
     def validate_stage(rec, coll):
-        _, rec["validate"] = stage(lambda: (
-            credal.check_permutation_consistency(coll),
-            credal.check_marginal_consistency(coll)))
+        report, rec["validate"] = stage(lambda: credal.ConsistencyReport(
+            credal.check_permutation_consistency(coll).records
+            + credal.check_marginal_consistency(coll).records))
+        return report
 
     def feasibility_stage(rec, coll):
         reps = joint.representative_tuples(coll)
@@ -231,13 +233,13 @@ def main(argv):
 
             def run(rec=rec, path=path):
                 coll = parse_stage(rec, path)
-                validate_stage(rec, coll)
+                consistency = validate_stage(rec, coll)
                 feasibility_stage(rec, coll)
                 model = build_stage(rec, coll)
                 report, rec["verify"] = stage(
                     lambda: joint.verify_representation(coll, model))
                 suite, rec["suite"] = stage(
-                    lambda: joint.property_suite(coll, model, report))
+                    lambda: joint.property_suite(coll, model, report, consistency))
                 rec["passed"] = report.passed and suite.passed
 
             capped(rec, ("parse", "validate", "feasibility", "build", "verify", "suite"),
