@@ -91,7 +91,7 @@ def _report_empty(model):
 def _singleton_note(model):
     """The note for a joint set P that is one point: P has one vertex
     (the build hands P's vertices to the joint set)."""
-    if model.mode == cr.POLYTOPE and not model.is_empty() and len(model.body.points) == 1:
+    if model.mode == cr.POLYTOPE and not model.is_empty() and len(model.body.xs) == 1:
         return "joint set is a single measure"
     return None
 

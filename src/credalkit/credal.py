@@ -48,12 +48,6 @@ class CredalSet:
     def dim(self) -> int:
         return self.space.n_outcomes ** len(self.index_tuple)
 
-    def generators(self) -> tuple:
-        """Hull generators (polytope mode) or the members (finite mode)."""
-        if self.mode == POLYTOPE:
-            return self.body.points
-        return self.body
-
     def members(self) -> tuple:
         if self.mode != FINITE:
             raise DimensionError("members() only applies to finite mode")
@@ -66,12 +60,14 @@ class CredalSet:
 
 
 def credal_set_from_vertices(space, index_tuple, vertices) -> CredalSet:
+    """Polytope-mode set given by generators, built from the integer
+    numerators `spaces.measure_numerators` checks each measure on."""
     index_tuple = sp.validate_index_tuple(space, index_tuple)
     dim = space.n_outcomes ** len(index_tuple)
-    pts = pt.sorted_distinct(sp.validate_measure(v, dim) for v in vertices)
-    if not pts:
+    measures = [sp.measure_numerators(v, dim) for v in vertices]
+    if not measures:
         raise DimensionError("credal set must be nonempty")
-    body = pt.Polytope(dim, points=pts)
+    body = pt.Polytope.from_numerators(dim, measures)
     return CredalSet(space, index_tuple, POLYTOPE, body)
 
 
@@ -472,7 +468,7 @@ def _upper(cset: CredalSet, f):
     body = cset.body
     if body._hrep is None:
         # a linear functional peaks over a hull at one of its generators
-        return max(dot(f, v) for v in body.points)
+        return pt._sup(body, f)
     status, value, _ = pt._maximize(body, f)
     if status != "optimal":
         raise DimensionError("expectation query over an unbounded body")

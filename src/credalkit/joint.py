@@ -25,6 +25,7 @@ separate construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import islice, permutations, product
 from math import gcd, lcm
 from typing import Optional
@@ -48,7 +49,6 @@ from credalkit.exactq import (
     IntLp,
     _check_infeasible,
     _content_free,
-    dot,
     echelon,
     lp_solve,
 )
@@ -281,12 +281,12 @@ def _build_polytope(coll, reps) -> JointModel:
     # empty P gets the certificate the diagnosis starts from. A
     # nonempty P's vertices come from one double description in the LP
     # context that decision built.
-    pulled = _pulled_vertices(coll, reps[-1])
-    order, fits = pt._hull_order(body.hrep, pulled)
+    pulled, den = _pulled_vertices(coll, reps[-1])
+    order, fits = pt._hull_order(body.hrep, pulled, den)
     if all(fits):
-        vertices = tuple(sorted(pulled))
+        xs = tuple(sorted(pulled))
     else:
-        inside = next((x for x, ok in zip(pulled, fits) if ok), None)
+        inside = next(((x, den) for x, ok in zip(pulled, fits) if ok), None)
         certificate = pt._decide_empty(body, inside)
         if certificate is not None:
             diagnosis = _diagnose(dim, ineqs, eqs, certificate)
@@ -299,14 +299,14 @@ def _build_polytope(coll, reps) -> JointModel:
                 (),
                 diagnosis,
             )
-        vertices = pt._points_from_hrep(body.hrep, body._context, order)
+        xs, den = pt._points_from_hrep(body.hrep, body._context, order)
     # the kept rows are read off P's vertices, which the reduced body
     # carries, so nothing downstream converts P again
     h = body.hrep
-    keep = pt.remove_redundant_ineqs(dim, h.ineqs, h.eqs, vertices)
+    keep = pt.remove_redundant_ineqs(dim, h.ineqs, h.eqs, xs, den)
     ineqs = [ineqs[i] for i in keep]
     body = pt.Polytope(
-        dim, hrep=pt.HRep(dim, tuple(h.ineqs[i] for i in keep), h.eqs), points=vertices
+        dim, hrep=pt.HRep(dim, tuple(h.ineqs[i] for i in keep), h.eqs), xs=xs, den=den
     )
     return JointModel(
         coll.space,
@@ -320,11 +320,12 @@ def _build_polytope(coll, reps) -> JointModel:
 
 
 def _pulled_vertices(coll, full):
-    """The vertices of pre(V_full) for a tuple over every index: its
-    pushforward is a bijection of the cells, so they are V_full's
-    vertices read through it."""
+    """The vertices of pre(V_full) for a tuple over every index, as
+    (xs, den): its pushforward is a bijection of the cells, so they are
+    V_full's vertices read through it, over V_full's denominator."""
     idx = sp.pushforward_matrix(coll.space, full)
-    return [sp.pull(idx, v) for v in pt.dd_convert(coll.sets[full].body).points]
+    body = pt.dd_convert(coll.sets[full].body)
+    return [sp.pull(idx, x) for x in body.xs], body.den
 
 
 def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
@@ -567,11 +568,12 @@ class RepresentationReport:
 
 
 def verify_representation(
-    coll: CredalCollection, joint: Optional[JointModel] = None
+    coll: CredalCollection, joint: JointModel
 ) -> RepresentationReport:
     """Check, tuple by tuple, that the joint set's pushforward equals the
     prescribed credal set; exact, certificate-producing in both
-    directions.
+    directions. `joint` is `build_joint(coll)`, or a joint set read back
+    from its build file.
 
     Each supplied tuple alpha gets its image, `pushforward_joint(joint,
     alpha)`, read off the vertices of the joint set P, and both
@@ -589,8 +591,6 @@ def verify_representation(
     build file, which holds rows only, gets them from one double
     description of those rows.
     """
-    if joint is None:
-        joint = build_joint(coll)
     representative_tuples(coll)  # enforce coverage
     if joint.is_empty():
         return RepresentationReport(
@@ -646,13 +646,14 @@ class PropertyReport:
         return all(r.status == "pass" for r in self.records)
 
 
-def _fiber_sup(fibers, a, points):
+def _fiber_sup(fibers, a, xs, den):
     """max a.q over Q = {q >= 0 : r(q) in hull(points)}, fibers[c] listing
-    the cells the index map r sends to c. At a fixed v = r(q) the best q
-    puts each v_c on its fiber's best cell, for sum_c v_c max_{j in
-    fibers[c]} a_j; that is linear in v, so its max is at a point."""
+    the cells the index map r sends to c, for the integer row a and the
+    points xs / den. At a fixed v = r(q) the best q puts each v_c on its
+    fiber's best cell, for sum_c v_c max_{j in fibers[c]} a_j; that is
+    linear in v, so its max is at a point, summed in integers."""
     best = [max(a[j] for j in fiber) for fiber in fibers]
-    return max(dot(best, w) for w in points)
+    return Fraction(max(pt._row_at(best, x) for x in xs), den)
 
 
 def property_suite(
@@ -743,7 +744,7 @@ def property_suite(
             fibers = [[] for _ in range(target.dim)]
             for j, c in enumerate(idx):
                 fibers[c].append(j)
-            strict = holds and any(_fiber_sup(fibers, a, target.points) > b
+            strict = holds and any(_fiber_sup(fibers, a, target.xs, target.den) > b
                                    for a, b in rows)
             if alpha == rep_gamma:
                 shortcut = shortcut and holds

@@ -10,9 +10,11 @@ is exact. Points become a polytope in one routine, `_hrep_from_points`,
 which also tells the vertices among them, so membership in a set given
 by points is a substitution into rows, with no LP, and `separate` reads
 its certificate off a row the point violates, with the gap taken over
-the generators. Rows are int tuples with int rhs (`HRep`), read as they
-are by every routine here; points, values and certificates are
-Fractions.
+the generators. Rows are int tuples with int rhs (`HRep`), and a set's
+points are int tuples over one positive common denominator (`Polytope`'s
+`xs` and `den`); every routine here reads both as they are. Fractions
+appear only where a value leaves: the `points` view, LP values and
+argmaxes, and certificates.
 
 Every LP over a nonempty polytope runs in its `LpContext`, built on
 first use and cached on the polytope: affine-hull coordinates z with
@@ -47,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from credalkit.exactq import (
     EQ,
@@ -196,8 +199,8 @@ def verify_separation(cert: SeparationCertificate, p: "Polytope") -> bool:
     if cert.gap <= 0:
         return False
     target = dot(cert.functional, cert.point) - cert.gap
-    if p._points is not None:
-        return all(dot(cert.functional, v) <= target for v in p._points)
+    if p._xs is not None:
+        return not p._xs or _sup(p, cert.functional) <= target
     status, value, _ = _maximize(p, cert.functional)
     return status == "optimal" and value <= target
 
@@ -213,27 +216,32 @@ class Polytope:
     """A bounded convex rational polytope with lazily linked reps.
 
     At least one of the two representations is present. The generator
-    form lists hull generators; after `dd_convert` (and for anything
-    produced by representation conversion) the generators are exactly
-    the extreme points and the inequality form has no redundant rows.
-    Instances are immutable apart from idempotent caching (the missing
-    representation, emptiness, the LP context, and the canonical form
-    `dd_convert` returns), so concurrent readers are safe.
+    form holds hull generators the way `HRep` holds rows: `xs`, sorted
+    distinct int tuples, the numerators over one positive common
+    denominator `den`; `points` is their Fraction view, for output.
+    After `dd_convert` (and for anything produced by representation
+    conversion) the generators are exactly the extreme points and the
+    inequality form has no redundant rows. Instances are immutable apart
+    from idempotent caching (the missing representation, emptiness, the
+    LP context, the Fraction view, and the canonical form `dd_convert`
+    returns), so concurrent readers are safe.
     """
 
-    __slots__ = ("dim", "_hrep", "_points", "_empty", "_canonical", "_context",
-                 "_converted")
+    __slots__ = ("dim", "_hrep", "_xs", "_den", "_points", "_empty", "_canonical",
+                 "_context", "_converted")
 
-    def __init__(self, dim, hrep=None, points=None, empty=None, canonical=False):
-        if hrep is None and points is None:
+    def __init__(self, dim, hrep=None, xs=None, den=1, empty=None, canonical=False):
+        if hrep is None and xs is None:
             raise DimensionError("polytope needs an H-rep or generators")
         if dim < 1:
             raise DimensionError("dimension must be >= 1")
         self.dim = dim
         self._hrep = hrep
-        self._points = None if points is None else tuple(points)
-        if empty is None and points is not None:
-            empty = len(self._points) == 0
+        self._xs = None if xs is None else tuple(xs)
+        self._den = den
+        self._points = None
+        if empty is None and xs is not None:
+            empty = not self._xs
         self._empty = empty
         self._canonical = canonical
         self._context = None
@@ -245,14 +253,25 @@ class Polytope:
 
     @classmethod
     def from_points(cls, points, dim=None):
-        pts = sorted_distinct(qvec(p) for p in points)
+        """The hull of rational points, each converted once
+        (`from_numerators`)."""
+        pts = [qvec(p) for p in points]
         if dim is None:
             if not pts:
                 raise DimensionError("cannot infer dimension of an empty set")
             dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise DimensionError("generator dimensions differ")
-        return cls(dim, points=tuple(pts))
+        return cls.from_numerators(dim, [_integer_row(p) for p in pts])
+
+    @classmethod
+    def from_numerators(cls, dim, rows):
+        """The hull of the points given as (numerators, denominator) pairs:
+        put over the lcm of the denominators, sorted and deduplicated as
+        int tuples."""
+        den = lcm(*[d for _, d in rows])
+        xs = {tuple([v * (den // d) for v in nums]) for nums, d in rows}
+        return cls(dim, xs=sorted(xs), den=den)
 
     @classmethod
     def simplex(cls, dim):
@@ -271,18 +290,38 @@ class Polytope:
         return self._hrep
 
     @property
+    def xs(self) -> tuple:
+        """Hull generators (exactly the vertices once converted) as int
+        tuples over `den`; an H-rep set's come from its double
+        description, run on first read."""
+        if self._xs is None:
+            xs, self._den = _points_from_hrep(self._hrep)
+            self._empty = not xs
+            self._xs = xs  # last: a reader that finds _xs set reads _den
+        return self._xs
+
+    @property
+    def den(self) -> int:
+        """The positive common denominator of `xs`."""
+        if self._xs is None:
+            self.xs  # noqa: B018 (its double description sets _den)
+        return self._den
+
+    @property
     def points(self) -> tuple:
-        """Hull generators (exactly the vertices once converted)."""
+        """The generators as Fraction tuples, sorted: a view built on
+        first read and cached, for reports, witnesses and files."""
         if self._points is None:
-            pts = _points_from_hrep(self._hrep)
-            self._empty = len(pts) == 0
-            self._points = pts
+            xs, den = self.xs, self._den
+            self._points = tuple(
+                tuple([Fraction(v, den) if v else ZERO for v in x]) for x in xs
+            )
         return self._points
 
     def is_empty(self) -> bool:
         if self._empty is None:
-            if self._points is not None:
-                self._empty = len(self._points) == 0
+            if self._xs is not None:
+                self._empty = not self._xs
             else:
                 _lp_context(self)  # its feasibility LP decides emptiness
         return self._empty
@@ -291,8 +330,8 @@ class Polytope:
         reps = []
         if self._hrep is not None:
             reps.append(f"{len(self._hrep.ineqs)} ineqs/{len(self._hrep.eqs)} eqs")
-        if self._points is not None:
-            reps.append(f"{len(self._points)} points")
+        if self._xs is not None:
+            reps.append(f"{len(self._xs)} points")
         return f"Polytope(dim={self.dim}, {', '.join(reps)})"
 
 
@@ -315,7 +354,8 @@ def _feasible_point(h: HRep, candidate=None):
     origin is a point of it. Returns (None, certificate) when h is empty:
     one Farkas multiplier per row of h, inequalities then equalities,
     valid for the system with every variable free and re-checked in
-    integers against h's rows.
+    integers against h's rows. A `candidate` is a point as integer
+    numerators over a positive denominator, (nums, den).
 
     The equality rows are solved once (`LpContext.eliminated`), and that
     elimination is the context's own, so the system runs one. Then:
@@ -335,13 +375,13 @@ def _feasible_point(h: HRep, candidate=None):
         _check_farkas(dim, h.ineqs, h.eqs, certificate)
         return None, certificate
     if candidate is not None:
-        moved = ctx.moved(candidate)
+        moved = ctx.moved(*candidate)
         if moved is not None:
             return moved, None
     x, certificate = ctx.decide()
     if x is None:
         return None, certificate
-    return (ctx if x == ctx.origin else ctx.moved(x)), None
+    return (ctx if x == ctx.origin else ctx.moved(*_integer_row(x))), None
 
 
 def _unit_bound(zrow):
@@ -369,14 +409,14 @@ def _check_farkas(dim, ineqs, eqs, certificate):
 
 def _row_at(a, xnums):
     """a . xnums for an integer row a and the numerators of a point."""
-    return sum(v * xnums[j] for j, v in enumerate(a) if v)
+    return sum(map(mul, a, xnums))
 
 
 def _decide_empty(p: Polytope, candidate=None):
     """Decide whether p is empty with `_feasible_point` on its H-rep and
     keep what it proves: for a nonempty p its LP context, whose origin is
-    `candidate` when that is a point of p. Returns the certificate when p
-    is empty, else None."""
+    `candidate` (nums, den) when that is a point of p. Returns the
+    certificate when p is empty, else None."""
     p._context, certificate = _feasible_point(p.hrep, candidate)
     p._empty = p._context is None
     return certificate
@@ -392,7 +432,7 @@ def _lp_context(p: Polytope):
     `_feasible_point` finds as it decides `is_empty`.
     """
     if p._context is None and not p._empty:
-        _decide_empty(p, p._points[0] if p._points else None)
+        _decide_empty(p, (p._xs[0], p._den) if p._xs else None)
     return p._context
 
 
@@ -432,14 +472,14 @@ class LpContext:
     is then (y, -w), checked in integers on those rows.
     """
 
-    __slots__ = ("dim", "origin", "onums", "oden", "basis", "ineqs", "zrows",
+    __slots__ = ("dim", "_origin", "onums", "oden", "basis", "ineqs", "zrows",
                  "live", "eqs", "_combos")
 
     def __init__(self, dim, origin, basis, ineqs, eqs):
         """The context at `origin`, a solution of the equality rows `eqs`,
         with every inequality row (a, b) of `ineqs` reduced there."""
         self.dim = dim
-        self.origin = origin
+        self._origin = origin
         self.onums, self.oden = onums, oden = _integer_row(origin)
         self.basis = basis
         self.ineqs = ineqs  # the H-rep's rows (a, b): a.x <= b
@@ -482,11 +522,10 @@ class LpContext:
             setattr(out, name, fields[name] if name in fields else getattr(self, name))
         return out
 
-    def moved(self, origin):
-        """The same context with `origin`, each row's slack re-read there
-        in integers; None when `origin` violates a row."""
-        origin = tuple(origin)
-        onums, oden = _integer_row(origin)
+    def moved(self, onums, oden):
+        """The same context with its origin at the point onums / oden
+        (integers, oden > 0), each row's slack re-read there in integers;
+        None when that point violates a row."""
         if any(_row_at(e, onums) != f * oden for e, f in self.eqs):
             return None
         zrows = []
@@ -495,7 +534,14 @@ class LpContext:
             if slack < 0:
                 return None
             zrows.append((coeffs, slack))
-        return self._replace(origin=origin, onums=onums, oden=oden, zrows=zrows)
+        return self._replace(_origin=None, onums=onums, oden=oden, zrows=zrows)
+
+    @property
+    def origin(self) -> tuple:
+        """The origin as Fractions, built on first read."""
+        if self._origin is None:
+            self._origin = tuple([Fraction(v, self.oden) for v in self.onums])
+        return self._origin
 
     def _reduce(self, a):
         """a.N for the integer row a, an int tuple."""
@@ -766,8 +812,9 @@ def _initial_rays(m):
     ]
 
 
-def _points_from_hrep(hrep: HRep, context=None, order=None) -> tuple:
-    """Vertices of a bounded H-rep polytope, sorted; () when empty.
+def _points_from_hrep(hrep: HRep, context=None, order=None):
+    """Vertices of a bounded H-rep polytope as (xs, den): sorted int
+    tuples over their least common denominator; ((), 1) when empty.
 
     In the coordinates x = x0 + N u of an LP context of hrep (`context`,
     else the one `LpContext.eliminated` gives), a constant row with
@@ -784,7 +831,7 @@ def _points_from_hrep(hrep: HRep, context=None, order=None) -> tuple:
     verification of geometric structures", Comput. Geom. 12, 1999)."""
     ctx = LpContext.eliminated(hrep) if context is None else context
     if ctx is None:
-        return ()
+        return (), 1
     cone_rows = []
     oden = ctx.oden
     for i in range(len(ctx.zrows)) if order is None else order:
@@ -792,36 +839,41 @@ def _points_from_hrep(hrep: HRep, context=None, order=None) -> tuple:
         if ctx.live[i]:
             cone_rows.append(tuple(_content_free([*(v * oden for v in coeffs), -slack])))
         elif slack < 0:
-            return ()
+            return (), 1
     d = len(ctx.basis)
     if d == 0:
-        return (ctx.origin,)
+        return (tuple(ctx.onums),), ctx.oden
     cone_rows.append((0,) * d + (-1,))
     try:
         rays, _ = _extreme_rays(cone_rows, d + 1, "vertex enumeration")
     except UnboundedError:
         # rank deficiency also occurs for some empty systems: decide by LP
         if _feasible_point(hrep)[0] is None:
-            return ()
+            return (), 1
         raise
-    verts = set()
+    verts = set()  # each vertex in lowest terms, (nums, den)
     for ray in rays:
         t = ray[d]
         if t == 0:
             raise UnboundedError("H-representation describes an unbounded set")
         xnums, xden = ctx._point(ray[:d], t)
-        verts.add(tuple(Fraction(v, xden) for v in xnums))
-    verts = tuple(sorted(verts))
-    _tight_sets(hrep.ineqs, hrep.eqs, *_integer_points(verts))
-    return verts
+        g = gcd(xden, *xnums)
+        verts.add((tuple([v // g for v in xnums]), xden // g))
+    den = lcm(*[xden for _, xden in verts])
+    xs = tuple(sorted(
+        tuple([v * (den // xden) for v in xnums]) for xnums, xden in verts
+    ))
+    _tight_sets(hrep.ineqs, hrep.eqs, xs, den)
+    return xs, den
 
 
-def _hrep_from_points(points, dim):
+def _hrep_from_points(xs, den, dim):
     """The hull of finitely many points, which may repeat and need not be
     vertices: (its irredundant H-rep, its vertices, sorted).
 
-    Everything runs in integers, the points over one common denominator.
-    The affine hull is v0 + the span of the differences from v0, the
+    The points are int tuples xs over one positive common denominator
+    den, and so are the vertices; everything runs in integers. The
+    affine hull is v0 + the span of the differences from v0, the
     least point; its equality rows are w.x = w.v0, one per nullspace
     vector w of the differences. In the coordinates u = (x - v0) at the
     pivot columns of the differences (r of them, the affine dimension),
@@ -836,10 +888,9 @@ def _hrep_from_points(points, dim):
     (coeffs, coeffs.v0 - y_t), equality rows in the order of w when
     r > 0.
     """
-    if not points:
+    if not xs:
         return HRep(dim, (((0,) * dim, -1),), ()), ()
-    pts = sorted(set(points))
-    xs, den = _integer_points(pts)
+    xs = sorted(set(xs))
     x0 = xs[0]
     diffs = [[a - b for a, b in zip(x, x0)] + [0] for x in xs]
     _, null, pivots = solve_rows(diffs, dim)
@@ -850,7 +901,7 @@ def _hrep_from_points(points, dim):
             w = [-v for v in w]
         eqs.append(_row_over(w, _row_at(w, x0), den))
     if r == 0:
-        return HRep(dim, (), tuple(eqs)), (pts[0],)
+        return HRep(dim, (), tuple(eqs)), (x0,)
     gens = [_content_free([*(x[k] - x0[k] for k in pivots), den]) for x in xs]
     facets, tight = _extreme_rays(gens, r + 1, "facet enumeration")
     keyed = []  # (coeffs, den * (coeffs.v0 - y_t))
@@ -861,7 +912,7 @@ def _hrep_from_points(points, dim):
         keyed.append((tuple(coeffs), _row_at(coeffs, x0) - y[r] * den))
     ineqs = tuple(_row_over(a, b, den) for a, b in sorted(keyed))
     verts = []
-    for i, x in enumerate(pts):
+    for i, x in enumerate(xs):
         # the points on every facet through x are x alone
         bit = 1 << i
         common = -1
@@ -885,27 +936,38 @@ def _row_over(a, b, den):
 def dd_convert(p: Polytope) -> Polytope:
     """Both representations, canonical: extreme points, irredundant rows,
     from `_hrep_from_points` on p's generators (for an H-rep set, its
-    vertices). The result is cached on p, so each set is converted once."""
+    vertices), over p's denominator. The result is cached on p, so each
+    set is converted once."""
     if p._canonical:
         return p
     if p._converted is None:
-        hrep, verts = _hrep_from_points(p.points, p.dim)
-        p._converted = Polytope(p.dim, hrep=hrep, points=verts, canonical=True)
+        xs = p.xs
+        hrep, verts = _hrep_from_points(xs, p._den, p.dim)
+        p._converted = Polytope(p.dim, hrep=hrep, xs=verts, den=p._den, canonical=True)
     return p._converted
 
 
-def contains_point(p: Polytope, x) -> bool:
-    """Exact membership with no LP: x, over one common denominator, put
-    into p's integer rows or, for a set given by generators, into its
-    canonical form's (`dd_convert`), the rows `separate` reads."""
-    x = qvec(x)
-    if len(x) != p.dim:
-        raise DimensionError("point dimension differs from polytope")
-    h = p._hrep if p._hrep is not None else dd_convert(p).hrep
-    xnums, xden = _integer_row(x)
+def _rows_of(p: Polytope) -> HRep:
+    """p's own rows or, for a set given by generators, its canonical
+    form's (`dd_convert`): the rows `contains_point` substitutes into
+    and `separate` reads."""
+    return p._hrep if p._hrep is not None else dd_convert(p).hrep
+
+
+def _holds_at(h: HRep, xnums, xden) -> bool:
+    """Whether every row of h holds at the point xnums / xden."""
     return all(_row_at(a, xnums) <= b * xden for a, b in h.ineqs) and all(
         _row_at(e, xnums) == f * xden for e, f in h.eqs
     )
+
+
+def contains_point(p: Polytope, x) -> bool:
+    """Exact membership with no LP: the rational point x, over one common
+    denominator, put into p's integer rows (`_rows_of`)."""
+    x = qvec(x)
+    if len(x) != p.dim:
+        raise DimensionError("point dimension differs from polytope")
+    return _holds_at(_rows_of(p), *_integer_row(x))
 
 
 def separate(p: Polytope, x) -> SeparationCertificate:
@@ -924,7 +986,7 @@ def separate(p: Polytope, x) -> SeparationCertificate:
     x = qvec(x)
     if p.is_empty():
         raise NotSeparableError("cannot separate from an empty set")
-    h = p._hrep if p._hrep is not None else dd_convert(p).hrep
+    h = _rows_of(p)
     for a, b in h.ineqs:
         val = dot(a, x)
         if val > b:
@@ -947,7 +1009,8 @@ def is_subset(p: Polytope, q: Polytope):
     of p from q; it is None when q is empty (no functional can have a
     finite supremum over the empty set).
 
-    A p given by generators is tested point by point. Otherwise every row
+    A p given by generators is tested point by point, in integers, on
+    q's rows (`_rows_of`). Otherwise every row
     of q, an equality row read both ways (`HRep.as_ineqs`), is maximized
     over p, except a row p already carries: a row (a, b) holds with no
     LP when p has an inequality row (a, b') with b' <= b, and an equality
@@ -961,10 +1024,11 @@ def is_subset(p: Polytope, q: Polytope):
         return True, None
     if q.is_empty():
         return False, None
-    if p._points is not None:
-        for v in p.points:
-            if not contains_point(q, v):
-                return False, separate(q, v)
+    if p._xs is not None:
+        h, den = _rows_of(q), p._den
+        for x in p._xs:
+            if not _holds_at(h, x, den):
+                return False, separate(q, [Fraction(v, den) for v in x])
         return True, None
     # facet route: maximize every row of q over p that p does not carry
     carried = {}
@@ -983,8 +1047,11 @@ def is_subset(p: Polytope, q: Polytope):
 
 
 def _sup(q: Polytope, f) -> Fraction:
-    if q._points is not None:
-        return max(dot(f, v) for v in q.points)
+    """The max of f.x over the nonempty q: at its best generator, summed
+    in integers, or by an LP over an H-rep set."""
+    if q._xs is not None:
+        fnums, fden = _integer_row(f)
+        return Fraction(max(_row_at(fnums, x) for x in q._xs), fden * q._den)
     status, val, _ = _maximize(q, f)
     if status != "optimal":
         raise RuntimeError(f"supremum LP ended {status}")
@@ -994,17 +1061,21 @@ def _sup(q: Polytope, f) -> Fraction:
 def linear_image(idx, p: Polytope, size: int) -> Polytope:
     """Image of p under a coordinate map (an index map onto `size` cells):
     the vertices among the pushed generators, with the rows of their hull
-    cached as its canonical form. It carries no H-rep itself, so a bound
-    over it (`credal._upper`) is read off its generators."""
+    cached as its canonical form. The generators' numerators are pushed
+    as they are, over p's denominator, which the image keeps. The image
+    carries no H-rep itself, so a bound over it (`credal._upper`) is read
+    off its generators."""
     if len(idx) != p.dim:
         raise DimensionError(f"map has {len(idx)} source cells, polytope dim {p.dim}")
-    hrep, verts = _hrep_from_points([push(idx, v, size) for v in p.points], size)
-    image = Polytope(size, points=verts)
-    image._converted = Polytope(size, hrep=hrep, points=verts, canonical=True)
+    xs = p.xs
+    den = p._den
+    hrep, verts = _hrep_from_points([push(idx, x, size) for x in xs], den, size)
+    image = Polytope(size, xs=verts, den=den)
+    image._converted = Polytope(size, hrep=hrep, xs=verts, den=den, canonical=True)
     return image
 
 
-def remove_redundant_ineqs(dim, ineqs, eqs, vertices):
+def remove_redundant_ineqs(dim, ineqs, eqs, xs, den):
     """Indices of the irredundant inequality rows of a nonempty system,
     read off the vertices of its set P with no LP.
 
@@ -1019,23 +1090,16 @@ def remove_redundant_ineqs(dim, ineqs, eqs, vertices):
     row of each facet (`_facet_rows`), the implicit equality rows
     `_hull_rows` keeps, and no other row.
 
-    `vertices` are P's vertices (any finite set whose hull is P will
-    do), tested against the rows in integers over one common
-    denominator; a point that violates a row raises RuntimeError.
+    xs are P's vertices (any finite set whose hull is P will do), int
+    tuples over the common denominator den, tested against the rows in
+    integers; a point that violates a row raises RuntimeError.
     """
-    xs, den = _integer_points(vertices)
     tight = _tight_sets(ineqs, eqs, xs, den)
     d = _affine_rank(xs)
     everywhere = [i for i, s in enumerate(tight) if len(s) == len(xs)]
     return sorted(
         _facet_rows(tight, xs, d) + _hull_rows(dim, ineqs, eqs, xs, everywhere)
     )
-
-
-def _integer_points(points):
-    """The points over one common denominator: (numerator lists, den)."""
-    den = lcm(*[v.denominator for x in points for v in x])
-    return [[v.numerator * (den // v.denominator) for v in x] for x in points], den
 
 
 def _row_values(rows, xs):
@@ -1117,16 +1181,16 @@ def _affine_rank(xs):
     return len(echelon([[a - b for a, b in zip(x, x0)] for x in xs[1:]])[0])
 
 
-def _hull_order(h: HRep, points):
-    """(order, fits) for an H-rep whose set lies in the hull of `points`,
-    tested in integers over one common denominator.
+def _hull_order(h: HRep, xs, den):
+    """(order, fits) for an H-rep whose set lies in the hull of the
+    points xs, int tuples over the common denominator den, tested in
+    integers.
 
     `fits` says, per point, whether every row of h, equality rows
     included, holds there; when all do, the set is their hull. `order`
     lists the inequality rows for the double description on h: first
     those that hold at every point, those tight at more of them first,
     then those some point violates, each group in row order."""
-    xs, den = _integer_points(points)
     fits = [True] * len(xs)
     for (_, f), vals in zip(h.eqs, _row_values(h.eqs, xs)):
         for k, val in enumerate(vals):

@@ -13,7 +13,10 @@ coordinates, coordinate permutations, and marginalization of trailing
 coordinates. Each sends every source cell to exactly one target cell,
 so it is an index map: a tuple of ints whose entry w is the target cell
 of source cell w. `push` carries a measure forward by bucket sums, which
-keeps probability vectors probability vectors exactly, and `pull` reads
+keeps probability vectors probability vectors exactly; it reads a point
+of a polytope as its integer numerators over the set's denominator
+(`polytope.Polytope.xs`), which the image keeps, and a member of a
+finite set as its Fractions. `pull` reads
 a row on the target through the map, which is how constraint rows and
 functionals move back to the source. Maps compose by indexing: g after
 f is `tuple(g[x] for x in f)`. The factories keep their `*_matrix`
@@ -167,12 +170,16 @@ def _reading_map(m: int, n: int, positions) -> tuple:
 
 
 def push(idx, vec, size: int) -> tuple:
-    """Pushforward of a vector along an index map: a bucket sum per cell."""
+    """Pushforward of a vector along an index map: a bucket sum per cell
+    of the nonzero entries, as they are. A point's numerators over a
+    denominator give the image's over the same denominator, Fractions
+    give Fractions, and a cell that receives none holds the int 0."""
     if len(vec) != len(idx):
         raise DimensionError(f"push: map has {len(idx)} cells, vector {len(vec)}")
-    out = [ZERO] * size
+    out = [0] * size
     for target, v in zip(idx, vec):
-        out[target] += v
+        if v:
+            out[target] += v
     return tuple(out)
 
 
@@ -217,10 +224,18 @@ def restriction_matrix(space: ProcessSpace, alpha: tuple, beta: tuple) -> tuple:
 # measure vectors
 
 def validate_measure(vec, dim=None) -> tuple:
-    """Check nonnegativity and exact normalization; returns the tuple.
+    """Check nonnegativity and exact normalization (`measure_numerators`);
+    returns the tuple of Fractions."""
+    vec = qvec(vec)
+    measure_numerators(vec, dim)
+    return vec
 
-    Both are decided in integers: the entries' numerators over the lcm
-    of their denominators are nonnegative and sum to that lcm."""
+
+def measure_numerators(vec, dim=None):
+    """A measure's entries as integers over one denominator, (nums, den),
+    once nonnegativity and exact normalization are checked on them: the
+    numerators over the lcm of the denominators are nonnegative and sum
+    to that lcm."""
     vec = qvec(vec)
     if dim is not None and len(vec) != dim:
         raise DimensionError(f"measure has {len(vec)} entries, expected {dim}")
@@ -229,7 +244,7 @@ def validate_measure(vec, dim=None) -> tuple:
         raise DimensionError("measure has a negative entry")
     if sum(nums) != den:
         raise DimensionError("measure entries do not sum to 1")
-    return vec
+    return nums, den
 
 
 def uniform_measure(dim: int) -> tuple:

@@ -76,7 +76,12 @@ equality rows' part of a certificate, summed in Fractions.
 references for `credalkit.polytope._hrep_from_points`: the vertices
 found by one hull LP per point (`hull_membership` over the points kept
 so far), and the rows built in Fractions from those vertices and
-canonicalized by `HRep.make`.
+canonicalized by `HRep.make`. `hrep_from_points_fraction_route` is
+the reference for the integer interface of `_hrep_from_points`: the
+same hull routine, but taking Fraction points, putting them over one
+common denominator itself and giving the vertices back as Fractions.
+`integer_points` and `fraction_points` convert between rational points
+and the library's point form, int tuples over one denominator.
 
 `solve_linear_system` and `fraction_inverse` are the references for
 `credalkit.exactq.echelon` and its callers: Gauss-Jordan elimination in
@@ -94,6 +99,7 @@ a matrix-vector product and pulling a row is a row-matrix product.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 import credalkit.joint as jt
 import credalkit.polytope as pt
@@ -220,7 +226,7 @@ def is_subset_reference(p, q):
         return True, None
     if q.is_empty():
         return False, None
-    if p._points is not None:
+    if p._xs is not None:
         for v in p.points:
             if not pt.contains_point(q, v):
                 return False, pt.separate(q, v)
@@ -650,6 +656,60 @@ def hrep_from_points_reference(points, dim):
         ineqs.append((tuple(coeffs), dot(coeffs, v0) - y[r]))
     ineqs.sort()
     return pt.HRep.make(dim, ineqs=ineqs, eqs=sorted(eqs))
+
+
+def integer_points(points):
+    """Rational points as (xs, den): int tuples over the lcm of every
+    denominator, in the given order, repeats kept."""
+    pts = [qvec(x) for x in points]
+    den = lcm(*[v.denominator for x in pts for v in x])
+    return [tuple(v.numerator * (den // v.denominator) for v in x) for x in pts], den
+
+
+def fraction_points(xs, den):
+    """Int tuples over den as Fraction tuples."""
+    return tuple(tuple(Fraction(v, den) for v in x) for x in xs)
+
+
+def hrep_from_points_fraction_route(points, dim):
+    """`_hrep_from_points` behind a Fraction interface: the rational
+    points, which may repeat, deduplicated and sorted as Fractions, put
+    over one common denominator, and the hull built in integers as the
+    library builds it; (the H-rep, the vertices as Fraction tuples)."""
+    if not points:
+        return pt.HRep(dim, (((0,) * dim, -1),), ()), ()
+    pts = sorted(set(qvec(x) for x in points))
+    xs, den = integer_points(pts)
+    x0 = xs[0]
+    diffs = [[a - b for a, b in zip(x, x0)] + [0] for x in xs]
+    _, null, pivots = solve_rows(diffs, dim)
+    r = len(pivots)
+    eqs = []
+    for w in map(pt._primitive_int, sorted(null) if r else null):
+        if next(v for v in w if v) < 0:
+            w = [-v for v in w]
+        eqs.append(pt._row_over(w, pt._row_at(w, x0), den))
+    if r == 0:
+        return pt.HRep(dim, (), tuple(eqs)), (pts[0],)
+    gens = [_content_free([*(x[k] - x0[k] for k in pivots), den]) for x in xs]
+    facets, tight = pt._extreme_rays(gens, r + 1, "facet enumeration")
+    keyed = []
+    for y in facets:
+        coeffs = [0] * dim
+        for k, pk in enumerate(pivots):
+            coeffs[pk] = y[k]
+        keyed.append((tuple(coeffs), pt._row_at(coeffs, x0) - y[r] * den))
+    ineqs = tuple(pt._row_over(a, b, den) for a, b in sorted(keyed))
+    verts = []
+    for i, x in enumerate(pts):
+        bit = 1 << i
+        common = -1
+        for mask in tight:
+            if mask & bit:
+                common &= mask
+        if common == bit:
+            verts.append(x)
+    return pt.HRep(dim, ineqs, tuple(eqs)), tuple(verts)
 
 
 def solve_linear_system(a, b):

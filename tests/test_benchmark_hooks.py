@@ -273,3 +273,88 @@ def test_redundancy_runs_no_lp():
         assert "lp" not in layer_of and "kernel" not in layer_of
         rows = info[redundancy[0]]
         assert rows["rows_kept"] == len(model.body.hrep.ineqs) < rows["rows_in"]
+
+
+FAMILIES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "families.py")
+
+
+def load_families():
+    # executed from its source text, so nothing is written next to it
+    with open(FAMILIES) as fh:
+        code = compile(fh.read(), FAMILIES, "exec")
+    module = types.ModuleType("perfbench_families")
+    exec(code, module.__dict__)
+    return module
+
+
+def is_fraction_tuple(x):
+    return type(x) is tuple and all(type(v) is Fraction for v in x)
+
+
+def test_family_generator_reads_fraction_vertices():
+    """perfbench/families.py hands `Polytope.from_points` Fraction points,
+    reads `dd_convert(hull).points` and does Fraction arithmetic on them
+    (the clash point (hi + 1) / 2): the vertices it gets are Fraction
+    tuples, for a consistent family and for the clash-t4 family, drawn
+    as perfbench/run.py draws it."""
+    fam = load_families()
+    pt = importlib.import_module("credalkit.polytope")
+    labels = ("t0", "t1", "t2", "t3")
+    consistent = fam.make_family(pt, random.Random(7), labels[:3], 4, 12, False)
+    frng = random.Random(2)
+    clash = fam.make_family(pt, frng, labels, frng.randint(2, 2), 12, True)
+    for family in (consistent, clash):
+        assert family.sets and all(
+            points and all(is_fraction_tuple(p) for p in points)
+            for points in family.sets.values()
+        )
+    (q, rest), = clash.sets[clash.clash]
+    assert type(q) is Fraction and rest == 1 - q
+
+
+def test_clash_records_carry_fraction_points():
+    """The failing consistency records of the clash-t4 family carry a
+    Fraction-tuple witness and a separation certificate whose point is
+    that witness, a Fraction tuple too, as the reports format them."""
+    fam = load_families()
+    pt = importlib.import_module("credalkit.polytope")
+    cr = importlib.import_module("credalkit.credal")
+    io = importlib.import_module("credalkit.modelio")
+    frng = random.Random(2)
+    labels = ("t0", "t1", "t2", "t3")
+    family = fam.make_family(pt, frng, labels, frng.randint(2, 2), 12, True)
+    _, coll, _ = io.parse_model(family.model())
+    failing = cr.check_marginal_consistency(coll).failures()
+    assert failing
+    for rec in failing:
+        assert is_fraction_tuple(rec.witness)
+        assert isinstance(rec.certificate, pt.SeparationCertificate)
+        assert is_fraction_tuple(rec.certificate.point)
+        assert rec.certificate.point == rec.witness
+        assert type(rec.certificate.gap) is Fraction
+
+
+def test_joint_summary_formats_vertices():
+    """`joint_summary(..., vertices=...)` writes each vertex of the joint
+    set as its rational strings, the form `verify --emit-vertices`
+    prints: for the pushforwards of a triangle of path laws, the joint
+    set is the triangle, and its vertices come out sorted."""
+    gen = importlib.import_module("gen")
+    pt = importlib.import_module("credalkit.polytope")
+    jt = importlib.import_module("credalkit.joint")
+    io = importlib.import_module("credalkit.modelio")
+    sp = importlib.import_module("credalkit.spaces")
+    space = sp.make_space(("a", "b"), ("0", "1"))
+    points = [
+        (Fraction(1, 2), 0, 0, Fraction(1, 2)),
+        (1, 0, 0, 0),
+        (0, Fraction(1, 3), Fraction(2, 3), 0),
+    ]
+    coll = gen.pushforward_collection(space, pt.Polytope.from_points(points))
+    model = jt.build_joint(coll)
+    summary = io.joint_summary(model, vertices=model.body.points)
+    assert summary["vertices"] == [
+        ["0", "1/3", "2/3", "0"], ["1/2", "0", "0", "1/2"], ["1", "0", "0", "0"],
+    ]
+    assert all(is_fraction_tuple(v) for v in model.body.points)
+    assert json.loads(io.dump_json(summary))["vertices"] == summary["vertices"]

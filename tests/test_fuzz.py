@@ -128,7 +128,7 @@ def test_intersection_membership_fuzz():
         out = pt.Polytope.from_hrep(dim, ineqs, eqs)
         if not out.is_empty():
             keep = pt.remove_redundant_ineqs(
-                dim, out.hrep.ineqs, out.hrep.eqs, pt._points_from_hrep(out.hrep)
+                dim, out.hrep.ineqs, out.hrep.eqs, *pt._points_from_hrep(out.hrep)
             )
             out = pt.Polytope.from_hrep(
                 dim, [out.hrep.ineqs[i] for i in keep], out.hrep.eqs

@@ -21,7 +21,7 @@ from credalkit.credal import (
     credal_set_from_members,
     credal_set_from_vertices,
 )
-from credalkit.exactq import EQ, LE, DimensionError, dot
+from credalkit.exactq import EQ, LE, DimensionError, _integer_row, dot
 import credalkit.joint as jt
 from credalkit.joint import (
     SIMPLEX_ORIGIN,
@@ -67,6 +67,7 @@ from oracles import (
     equals,
     feasible_point_reference,
     fraction_feasible,
+    fraction_points,
     matrix_rank,
     property_suite_reference,
     redundant_rows_reference,
@@ -564,8 +565,8 @@ class TestDiagnose:
         assert not joint.is_empty()
         assert decided == [] and systems == []
         assert joint.body._context is None
-        pulled = jt._pulled_vertices(coll, representative_tuples(coll)[-1])
-        assert joint.body._points == tuple(sorted(pulled))
+        pulled, den = jt._pulled_vertices(coll, representative_tuples(coll)[-1])
+        assert (joint.body._xs, joint.body._den) == (tuple(sorted(pulled)), den)
 
     def test_finite_diagnoses_the_first_dead_selections(self):
         coll = dead_finite_collection(6, {("a",): 5, ("b",): 5, ("c",): 5})
@@ -752,7 +753,8 @@ def test_library_rows_are_ints():
 
 def redundancy_case(coll):
     """The build's system for coll, as a nonempty polytope with its LP
-    context, and the vertices of pre(V_T) for the full tuple T."""
+    context, and the vertices of pre(V_T) for the full tuple T, as
+    (xs, den)."""
     reps = representative_tuples(coll)
     body = jt._system_polytope(coll.space.path_count, *_assemble(coll, reps))
     assert not body.is_empty()
@@ -770,7 +772,8 @@ def assert_build_keeps_reference_rows(monkeypatch, coll):
             m.setattr(module, "lp_solve", no_lp)
         joint = build_joint(coll)
     assert joint.body.hrep.ineqs == tuple(h.ineqs[i] for i in keep)
-    assert joint.body._points == pt._points_from_hrep(joint.body.hrep)
+    carried = fraction_points(joint.body._xs, joint.body._den)
+    assert carried == fraction_points(*pt._points_from_hrep(joint.body.hrep))
     return body, keep
 
 
@@ -804,7 +807,7 @@ class TestBuildRedundancy:
         reps = representative_tuples(coll)
         origins = [origin for _, origin in _assemble(coll, reps)[0]]
         body, keep = assert_build_keeps_reference_rows(monkeypatch, coll)
-        vertices = jt._pulled_vertices(coll, reps[-1])
+        vertices = fraction_points(*jt._pulled_vertices(coll, reps[-1]))
         tight = [
             frozenset(k for k, x in enumerate(vertices) if dot(a, x) == b)
             for a, b in body.hrep.ineqs
@@ -833,7 +836,7 @@ class TestBuildRedundancy:
         coll = enlarged_full_tuple(coll)
         body, _ = assert_build_keeps_reference_rows(monkeypatch, coll)
         pulled = jt._pulled_vertices(coll, representative_tuples(coll)[-1])
-        assert not all(pt._hull_order(body.hrep, pulled)[1])
+        assert not all(pt._hull_order(body.hrep, *pulled)[1])
 
 
 class TestPushforward:
@@ -928,7 +931,7 @@ def parity_contexts(rng, p):
     verts = list(pt.dd_convert(p).points)
     u, v = rng.choice(verts), rng.choice(verts)
     origins = [rng.choice(verts), tuple((a + b) / 2 for a, b in zip(u, v))]
-    out = [(ctx, True)] + [(ctx.moved(x), True) for x in origins]
+    out = [(ctx, True)] + [(ctx.moved(*_integer_row(x)), True) for x in origins]
     out.append((pt.LpContext.eliminated(p.hrep), False))
     return out
 
@@ -1437,7 +1440,7 @@ def test_fiber_sup_is_the_support_of_q(make):
             for a, _ in rows:
                 status, value, _ = pt._maximize(q, a)
                 assert status == "optimal"
-                assert jt._fiber_sup(fibers, a, target.points) == value
+                assert jt._fiber_sup(fibers, a, target.xs, target.den) == value
                 checked += 1
     assert checked
 

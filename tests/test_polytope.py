@@ -30,7 +30,8 @@ from credalkit.credal import (
     credal_set_from_vertices,
 )
 from credalkit.joint import preimage_set
-from credalkit.spaces import make_space, pushforward_matrix
+from credalkit.spaces import make_space, point_mass, push, pushforward_matrix
+from gen import random_simplex_point
 from oracles import (
     apply,
     brute_force_max,
@@ -43,9 +44,12 @@ from oracles import (
     feasible_point_reference,
     fraction_feasible,
     fraction_inverse,
+    fraction_points,
     hrep_contains,
+    hrep_from_points_fraction_route,
     hrep_from_points_reference,
     hull_sample_points,
+    integer_points,
     is_subset_reference,
     matrix_rank,
     redundant_rows_reference,
@@ -205,7 +209,9 @@ class TestHullRoutine:
         for i in range(350):
             kind = HULL_KINDS[i % len(HULL_KINDS)]
             pts, dim = hull_case(rng, kind)
-            h, verts = pt._hrep_from_points(pts, dim)
+            xs, den = integer_points(pts)
+            h, verts = pt._hrep_from_points(xs, den, dim)
+            verts = fraction_points(verts, den)
             assert verts == extreme_subset_reference(pts)
             assert h == hrep_from_points_reference(pts, dim)
             assert_int_rows(h)
@@ -237,6 +243,113 @@ class TestHullRoutine:
 def dense(idx, size):
     """The index map as a 0/1 matrix."""
     return [[F(int(y == x)) for y in idx] for x in range(size)]
+
+
+INTEGER_KINDS = ("mixed", "repeated", "mass", "segment")
+
+
+def integer_point_case(rng, kind):
+    """(points, dim), dim = 2, 4 or 8, of one kind: random simplex points
+    with mixed denominators, random points some of them repeated, a
+    single point mass (denominator 1, maybe repeated), or two points and
+    two more on the segment between them."""
+    dim = rng.choice((2, 4, 8))
+    if kind == "mixed":
+        pts = [random_simplex_point(rng, dim, rng.choice((2, 3, 5, 12)))
+               for _ in range(rng.randint(2, 6))]
+    elif kind == "repeated":
+        pts = [random_simplex_point(rng, dim) for _ in range(rng.randint(1, 4))]
+        pts += [rng.choice(pts) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(pts)
+    elif kind == "mass":
+        pts = [point_mass(dim, rng.randrange(dim))] * rng.randint(1, 3)
+    else:
+        u, v = random_simplex_point(rng, dim), random_simplex_point(rng, dim)
+        pts = [u, v] + [tuple(a + t * (b - a) for a, b in zip(u, v))
+                        for t in (F(1, 3), F(1, 2))]
+        rng.shuffle(pts)
+    return pts, dim
+
+
+class TestIntegerPoints:
+    """Points are held as int tuples over one denominator; every consumer
+    that reads them agrees with the same computation on Fraction
+    points."""
+
+    def cases(self, seed, count=10):
+        rng = random.Random(seed)
+        for i in range(count * len(INTEGER_KINDS)):
+            yield (rng, *integer_point_case(rng, INTEGER_KINDS[i % len(INTEGER_KINDS)]))
+
+    def test_points_view_is_sorted_distinct(self):
+        for _, pts, dim in self.cases(501):
+            expected = tuple(pt.sorted_distinct(pts))
+            p = Polytope.from_points(pts, dim=dim)
+            assert p.points == expected
+            assert p.den > 0 and all(type(v) is int for x in p.xs for v in x)
+            assert fraction_points(p.xs, p.den) == expected
+            if len(set(pts)) == 1 and all(v.denominator == 1 for v in pts[0]):
+                assert p.den == 1
+            space = make_space(tuple("abc"[:dim.bit_length() - 1]), ("0", "1"))
+            cset = credal_set_from_vertices(space, space.indices, pts)
+            assert cset.body.points == expected
+
+    def test_hull_matches_the_fraction_route(self):
+        for _, pts, dim in self.cases(502):
+            ref_h, ref_verts = hrep_from_points_fraction_route(pts, dim)
+            xs, den = integer_points(pts)
+            h, verts = pt._hrep_from_points(xs, den, dim)
+            assert h == ref_h and fraction_points(verts, den) == ref_verts
+            q = dd_convert(Polytope.from_points(pts, dim=dim))
+            assert q.hrep == ref_h and q.points == ref_verts
+
+    def test_linear_image_matches_fraction_push(self):
+        for rng, pts, dim in self.cases(503):
+            p = Polytope.from_points(pts, dim=dim)
+            size = rng.randint(1, dim)
+            idx = tuple(rng.randrange(size) for _ in range(dim))
+            ref_h, ref_verts = hrep_from_points_fraction_route(
+                [push(idx, v, size) for v in p.points], size
+            )
+            image = linear_image(idx, p, size)
+            assert image.points == ref_verts
+            assert image._converted.hrep == ref_h
+
+    def test_contains_point_matches_fraction_substitution(self):
+        seen = {"vertex": 0, "facet": 0, "outside": 0}
+        for rng, pts, dim in self.cases(504):
+            p = Polytope.from_points(pts, dim=dim)
+            q = dd_convert(p)
+            verts = q.points
+            centre = tuple(sum(c) / len(verts) for c in zip(*verts))
+            facet = [
+                tuple(sum(c) / len(on) for c in zip(*on))
+                for a, b in q.hrep.ineqs
+                for on in [[v for v in verts if dot(a, v) == b]]
+            ]
+            eps = F(1, 97)
+            outside = [tuple(x + eps * (x - c) for x, c in zip(v, centre))
+                       for v in verts if v != centre]
+            outside.append(tuple(x + eps * (j == 0) for j, x in enumerate(verts[0])))
+            for kind, points, inside in (
+                ("vertex", verts, True),
+                ("facet", facet, True),
+                ("outside", outside, False),
+            ):
+                for x in points:
+                    assert contains_point(p, x) == hrep_contains(q.hrep, x) == inside
+                    seen[kind] += 1
+        assert all(seen.values()), seen
+
+    def test_push_of_integers_equals_push_of_fractions(self):
+        for rng, pts, dim in self.cases(505):
+            size = rng.randint(1, dim)
+            idx = tuple(rng.randrange(size) for _ in range(dim))
+            xs, den = integer_points(pts)
+            for x, v in zip(xs, pts):
+                pushed = push(idx, x, size)
+                assert all(type(c) is int for c in pushed)
+                assert tuple(F(c, den) for c in pushed) == push(idx, v, size)
 
 
 class TestLinearImage:
@@ -407,7 +520,7 @@ def stacked(dim, parts):
     if out.is_empty():
         return out
     h = out.hrep
-    keep = remove_redundant_ineqs(dim, h.ineqs, h.eqs, pt._points_from_hrep(h))
+    keep = remove_redundant_ineqs(dim, h.ineqs, h.eqs, *pt._points_from_hrep(h))
     return Polytope.from_hrep(dim, [h.ineqs[i] for i in keep], h.eqs)
 
 
@@ -633,7 +746,7 @@ class TestEliminationParity:
         def run():
             out = []
             for pts, dim in point_sets:
-                h = pt._hrep_from_points(pts, dim)[0]
+                h = pt._hrep_from_points(*integer_points(pts), dim)[0]
                 out.append((h, pt._points_from_hrep(h)))
             for h in hreps:
                 try:
@@ -651,7 +764,7 @@ class TestEliminationParity:
         assert run() == shipped
         assert calls == shipped_calls
         assert any(h.eqs and h.ineqs for h, _ in shipped[:90])
-        assert any(pts == () for pts in shipped[90:])
+        assert any(pts == ((), 1) for pts in shipped[90:])
 
     def test_canonical_rows_match_fraction_scaling(self):
         rng = random.Random(14)
@@ -735,8 +848,8 @@ class TestLpContext:
             # duplicated and scaled rows make some rows redundant
             ineqs = list(h.ineqs)
             ineqs += [(tuple(2 * v for v in a), 2 * b) for a, b in h.ineqs[:2]]
-            vertices = pt._points_from_hrep(HRep(p.dim, tuple(ineqs), h.eqs))
-            keep = remove_redundant_ineqs(p.dim, ineqs, h.eqs, vertices)
+            xs, den = pt._points_from_hrep(HRep(p.dim, tuple(ineqs), h.eqs))
+            keep = remove_redundant_ineqs(p.dim, ineqs, h.eqs, xs, den)
             assert keep == redundant_rows_reference(p.dim, ineqs, h.eqs)
 
     def test_generator_origin_needs_no_lp(self, monkeypatch):
@@ -750,7 +863,7 @@ class TestLpContext:
     def test_inconsistent_equality_rows_have_no_context(self):
         h = HRep.make(2, eqs=[((F(1), F(1)), F(1)), ((F(2), F(2)), F(1))])
         assert pt.LpContext.eliminated(h) is None
-        ctx, cert = pt._feasible_point(h, (F(1, 2), F(1, 2)))
+        ctx, cert = pt._feasible_point(h, ((1, 1), 2))
         assert ctx is None
         assert_farkas(h, cert)
 
@@ -810,7 +923,7 @@ def square_context():
     """The LP context of the unit square [0, 1]^2 moved to its centre:
     z = x - (1/2, 1/2), both directions free, so the kernel sees the
     columns z1+, z1-, z2+, z2- and then one slack per row."""
-    ctx = pt._lp_context(unit_square()).moved((F(1, 2), F(1, 2)))
+    ctx = pt._lp_context(unit_square()).moved((1, 1), 2)
     assert ctx.basis == ((1, 0), (0, 1))
     return ctx
 
@@ -1004,9 +1117,9 @@ class TestIntegerRows:
         )
         assert made == HRep(2, (((3, -2), 6), ((0, 0), -1)), (((1, -2), -3),))
         rng = random.Random(61)
-        hreps = [made, Polytope.simplex(4).hrep, pt._hrep_from_points((), 3)[0]]
+        hreps = [made, Polytope.simplex(4).hrep, pt._hrep_from_points((), 1, 3)[0]]
         for pts, dim in random_point_sets(rng, 30):
-            hreps.append(pt._hrep_from_points(pts, dim)[0])
+            hreps.append(pt._hrep_from_points(*integer_points(pts), dim)[0])
         for h in hreps:
             assert_int_rows(h)
 
@@ -1054,7 +1167,8 @@ def kept_rows_and_lps(monkeypatch, p, vertices):
     monkeypatch.setattr(pt, "lp_solve", counting)
     try:
         h = p.hrep
-        return remove_redundant_ineqs(p.dim, h.ineqs, h.eqs, vertices), len(calls)
+        xs, den = integer_points(vertices)
+        return remove_redundant_ineqs(p.dim, h.ineqs, h.eqs, xs, den), len(calls)
     finally:
         monkeypatch.setattr(pt, "lp_solve", real)
 
@@ -1113,7 +1227,7 @@ class TestFacetRows:
         p = simplex3_system(ineqs=[(unit_row(3, 0), F(1, 2))])
         vertices = (*dd_convert(p).points, unit_row(3, 0))
         with pytest.raises(RuntimeError, match="inequality row"):
-            remove_redundant_ineqs(3, p.hrep.ineqs, p.hrep.eqs, vertices)
+            remove_redundant_ineqs(3, p.hrep.ineqs, p.hrep.eqs, *integer_points(vertices))
 
     def test_point_off_an_equality_row_raises(self):
         # the segment x0 = x1; (1, 0, 0) holds every inequality row
@@ -1121,7 +1235,7 @@ class TestFacetRows:
         vertices = (*dd_convert(p).points, unit_row(3, 0))
         assert all(dot(a, x) <= b for a, b in p.hrep.ineqs for x in vertices)
         with pytest.raises(RuntimeError, match="equality row"):
-            remove_redundant_ineqs(3, p.hrep.ineqs, p.hrep.eqs, vertices)
+            remove_redundant_ineqs(3, p.hrep.ineqs, p.hrep.eqs, *integer_points(vertices))
 
     def test_implicit_equality_is_read_off(self, monkeypatch):
         # the segment x0 = x1 as two inequality rows: its two vertices span
@@ -1162,10 +1276,10 @@ class TestVertexEnumeration:
             order = list(range(len(h.ineqs)))
             rng.shuffle(order)
             ctx = pt._lp_context(p)
-            moved = ctx.moved(rng.choice(expected))
+            moved = ctx.moved(rng.choice(expected[0]), expected[1])
             assert pt._points_from_hrep(h, ctx, order) == expected
             assert pt._points_from_hrep(h, moved, order[::-1]) == expected
-            assert expected == dd_convert(p).points
+            assert fraction_points(*expected) == dd_convert(p).points
 
     def test_hull_order(self):
         # the square [0, 1]^2 cut by x0 + x1 <= 3/2, against the square's
@@ -1175,7 +1289,7 @@ class TestVertexEnumeration:
             ((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((1, 1), F(3, 2)),
         ])
         points = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(1, 2), F(1))]
-        assert pt._hull_order(p.hrep, points) == (
+        assert pt._hull_order(p.hrep, *integer_points(points)) == (
             [2, 0, 1, 3, 4], [True, True, True, False, True]
         )
 
@@ -1196,13 +1310,13 @@ class TestVertexEnumeration:
         monkeypatch.setattr(pt, "RAY_CAP", 64)
         with pytest.raises(pt.ResourceCapError, match="^vertex enumeration: .* 64 rays"):
             pt._points_from_hrep(h)
-        vertices = pt._points_from_hrep(boxed_simplex(6))
+        xs, den = pt._points_from_hrep(boxed_simplex(6))
         monkeypatch.setattr(pt, "RAY_CAP", 8)
         with pytest.raises(pt.ResourceCapError, match="^facet enumeration: "):
-            pt._hrep_from_points(vertices, 6)
+            pt._hrep_from_points(xs, den, 6)
 
     def test_default_cap_holds_n_10_and_stops_n_12(self):
-        assert len(pt._points_from_hrep(boxed_simplex(10))) == 252
+        assert len(pt._points_from_hrep(boxed_simplex(10))[0]) == 252
         with pytest.raises(pt.ResourceCapError, match=f" {pt.RAY_CAP} rays"):
             pt._points_from_hrep(boxed_simplex(12))
 
@@ -1324,7 +1438,7 @@ class TestFeasiblePoint:
             return
         assert cert is None and hrep_contains(p.hrep, ctx.origin)
         fresh = pt.LpContext.eliminated(p.hrep)
-        fresh = fresh.moved(ctx.origin)
+        fresh = fresh.moved(ctx.onums, ctx.oden)
         assert (ctx.basis, ctx.zrows, ctx.live) == (fresh.basis, fresh.zrows, fresh.live)
 
     def test_random_systems_match_reference(self, monkeypatch):
@@ -1431,10 +1545,10 @@ class TestFeasiblePoint:
     def test_candidate_point_is_the_origin(self, monkeypatch):
         p = Polytope.simplex(3)
         x = (F(1, 3), F(1, 3), F(1, 3))
-        (ctx, cert), cols = feasibility_lps(monkeypatch, p, x)
+        (ctx, cert), cols = feasibility_lps(monkeypatch, p, ((1, 1, 1), 3))
         assert (ctx.origin, cert, cols) == (x, None, [])
         outside = (F(1), F(1), F(-1))
-        (ctx, _), _ = feasibility_lps(monkeypatch, p, outside)
+        (ctx, _), _ = feasibility_lps(monkeypatch, p, ((1, 1, -1), 1))
         assert ctx.origin != outside and hrep_contains(p.hrep, ctx.origin)
 
 
@@ -1643,7 +1757,7 @@ class TestConvertCache:
 
     def test_equals_a_fresh_conversion_of_a_copy(self):
         for p in self.inputs():
-            copy = Polytope(p.dim, hrep=p._hrep, points=p._points)
+            copy = Polytope(p.dim, hrep=p._hrep, xs=p._xs, den=p._den)
             cached, fresh = dd_convert(p), dd_convert(copy)
             assert cached is not fresh
             assert cached.points == fresh.points
