@@ -130,13 +130,17 @@ class CredalCollection:
         return tuple(sorted(self.sets, key=_tuple_sort_key(self.space)))
 
     def credal_set(self, index_tuple) -> CredalSet:
-        """The set for a tuple, derived by pushforward when synthesized."""
+        """The set for a tuple, derived by pushforward when synthesized;
+        DimensionError when the model supplies no set to answer it."""
         index_tuple = sp.validate_index_tuple(self.space, index_tuple)
         if index_tuple in self.sets:
             return self.sets[index_tuple]
-        if self.policy != SYNTHESIZED:
-            raise KeyError(index_tuple)
         canon = sp.canonical_tuple(self.space, index_tuple)
+        if self.policy != SYNTHESIZED or canon not in self.sets:
+            raise DimensionError(
+                f"no credal set for {index_tuple!r} under the {self.policy!r} "
+                "permutation policy"
+            )
         base = self.sets[canon]
         perm = tuple(canon.index(t) for t in index_tuple)
         idx = sp.permutation_matrix(self.space, len(index_tuple), perm)
@@ -465,14 +469,7 @@ def _upper(cset: CredalSet, f):
         )
     if cset.mode == FINITE:
         return max(dot(f, v) for v in cset.body)
-    body = cset.body
-    if body._hrep is None:
-        # a linear functional peaks over a hull at one of its generators
-        return pt._sup(body, f)
-    status, value, _ = pt._maximize(body, f)
-    if status != "optimal":
-        raise DimensionError("expectation query over an unbounded body")
-    return value
+    return pt._sup(cset.body, f)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ Everything in this package funnels through here: rationals are
 `lp_solve` is an exact two-phase simplex that returns either an optimal
 point, an unbounded flag, or a Farkas-style infeasibility certificate
 that can be re-verified by direct substitution. There are no tolerances
-anywhere; every comparison is exact. On request `echelon` also names the
-input rows behind each kept row; that is how an LP solved in affine-hull
+anywhere; every comparison is exact. The elimination answers in
+integers: `solve_rows` gives a system's solution as numerators over one
+denominator and its nullspace as primitive integer vectors, and on
+request `echelon` names the integer combination of the input rows
+behind each kept row; that is how an LP solved in affine-hull
 coordinates (`polytope.LpContext`) maps its infeasibility certificate
 back onto the equality rows it eliminated.
 
@@ -125,14 +128,15 @@ def echelon(rows, combine=False):
     elimination would). A new row is reduced only by the kept rows
     whose pivot column it touches.
 
-    With `combine`, each kept entry is (pivot column, reduced row,
-    combination): the combination holds one Fraction per input row, 0
-    off the chosen rows, and the reduced row is the sum of the input
-    rows weighted by it. It is read off the echelon rows of
-    [chosen rows | I]: the chosen rows are independent, so every pivot
-    lands left of the identity block, the left block is the same
-    reduced row echelon form up to row scaling, and the right block
-    names the weights of the chosen rows behind it.
+    With `combine`, each kept entry is (pivot column, row, combination):
+    the combination holds one integer per input row, 0 off the chosen
+    rows, and the row is the sum of the input rows weighted by it, in
+    integers. The row is a positive multiple of the primitive reduced
+    row (it is not divided by its content). Both are read off the
+    echelon rows of [chosen rows | I]: the chosen rows are independent,
+    so every pivot lands left of the identity block, the left block is
+    the same reduced row echelon form up to row scaling, and the right
+    block names the weights of the chosen rows behind it.
     """
     if combine:
         chosen = echelon(rows)[0]
@@ -143,11 +147,10 @@ def echelon(rows, combine=False):
         ]
         out = []
         for col, red in echelon(aug)[1]:
-            g = gcd(*red[:n])
-            comb = [ZERO] * len(rows)
+            comb = [0] * len(rows)
             for j, i in enumerate(chosen):
-                comb[i] = Fraction(red[n + j], g)
-            out.append((col, [v // g for v in red[:n]], tuple(comb)))
+                comb[i] = red[n + j]
+            out.append((col, red[:n], tuple(comb)))
         return chosen, out
     kept = []  # (pivot column, primitive reduced row)
     chosen = []
@@ -182,33 +185,41 @@ def echelon(rows, combine=False):
 
 def solve_rows(rows, n):
     """The solution set of the integer rows [a | b], read a.x = b, in n
-    variables.
+    variables, in integers.
 
     Returns None when a pivot lands in the rhs column (the system is
-    inconsistent), else (x0, nullspace, pivots): x0 is the solution that
-    is 0 on every free column, each nullspace vector is 1 at its free
-    column and 0 at the others (one per free column, in column order),
-    and pivots lists the pivot columns of the kept rows in row order.
-    The solutions are x0 + span(nullspace).
+    inconsistent), else ((nums, den), nullspace, pivots). x0 = nums / den
+    is the solution that is 0 on every free column, over the least
+    common denominator of its entries. Each nullspace vector z, one per
+    free column F in column order, is the primitive integer vector that
+    is positive at F and 0 at the other free columns: a kept row red
+    with pivot c is 0 at every other pivot, so z_F = L and z_c =
+    -red[F] L / red[c], L the least common multiple of the red[c] /
+    gcd(red[c], red[F]) over the rows with red[F] != 0. `pivots` lists
+    the pivot columns of the kept rows in row order. The solutions are
+    x0 + span(nullspace).
     """
     kept = echelon(rows)[1]
     if any(col == n for col, _ in kept):
         return None
-    x0 = [ZERO] * n
+    den = lcm(*[red[col] // gcd(red[col], red[n]) for col, red in kept])
+    nums = [0] * n
     for col, red in kept:
-        x0[col] = Fraction(red[n], red[col])
+        nums[col] = red[n] * den // red[col]
     pivots = [col for col, _ in kept]
     taken = set(pivots)
     nullspace = []
     for free in range(n):
         if free in taken:
             continue
-        vec = [ZERO] * n
-        vec[free] = ONE
-        for col, red in kept:
-            vec[col] = Fraction(-red[free], red[col])
+        used = [(col, red) for col, red in kept if red[free]]
+        scale = lcm(*[red[col] // gcd(red[col], red[free]) for col, red in used])
+        vec = [0] * n
+        vec[free] = scale
+        for col, red in used:
+            vec[col] = -red[free] * scale // red[col]
         nullspace.append(tuple(vec))
-    return tuple(x0), tuple(nullspace), pivots
+    return (tuple(nums), den), tuple(nullspace), pivots
 
 
 def _content_free(vec):

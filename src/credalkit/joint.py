@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, permutations, product
-from math import gcd, lcm
 from typing import Optional
 
 from credalkit import polytope as pt
@@ -49,8 +48,8 @@ from credalkit.exactq import (
     IntLp,
     _check_infeasible,
     _content_free,
-    echelon,
     lp_solve,
+    solve_rows,
 )
 from credalkit.polytope import ResourceCapError
 
@@ -452,37 +451,30 @@ def _equality_relations(eqs, dim):
 
     The rows are ranked in the deletion filter's visit order: the
     credal-origin rows ascending, then the SIMPLEX_ORIGIN rows, which it
-    never visits. `echelon` reduces the transposed system, one row per
-    column of [e | f], with the relation's entries in the reverse of
-    that order. A reduced row is 0 left of its pivot and at every other
-    pivot, so the relation of a free entry F is z_F = L, z_c = -red[F] L
-    / red[c] at the pivot c of each reduced row red with red[F] != 0,
-    and 0 elsewhere, L the least common multiple of the red[c] /
-    gcd(red[c], red[F]) (the vector is primitive). Each such c lies
-    left of F, so the relation leads at F in visit order: z_F != 0, and
-    z_k = 0 at every row k visited before F. The relations are a basis,
-    and no two lead at the same row.
+    never visits. `solve_rows` solves the transposed system, one row per
+    column of [e | f] with a 0 rhs, its unknowns the relation's entries
+    in the reverse of that order. Its nullspace vector of a free entry F
+    is nonzero, besides at F, only at pivots of echelon rows nonzero at
+    F, each of which lies left of F, so the relation leads at F in visit
+    order: z_F != 0, and z_k = 0 at every row k visited before F. The
+    relations are a basis of primitive vectors, and no two lead at the
+    same row.
     """
     if not eqs:
         return []
     order = [j for j, (_, origin) in enumerate(eqs) if origin != SIMPLEX_ORIGIN]
     order += [j for j, (_, origin) in enumerate(eqs) if origin == SIMPLEX_ORIGIN]
     order.reverse()
-    columns = [[eqs[j][0][0][t] for j in order] for t in range(dim)]
-    columns.append([eqs[j][0][1] for j in order])
-    kept = echelon(columns)[1]
-    pivots = {col for col, _ in kept}
+    columns = [[eqs[j][0][0][t] for j in order] + [0] for t in range(dim)]
+    columns.append([eqs[j][0][1] for j in order] + [0])
+    _, nullspace, pivots = solve_rows(columns, len(order))
+    taken = set(pivots)
     relation = [None] * len(eqs)
-    for free in range(len(order)):
-        if free in pivots:
-            continue
-        used = [(col, red) for col, red in kept if red[free]]
-        scale = lcm(*(red[col] // gcd(red[col], red[free]) for col, red in used))
-        z = [0] * len(eqs)
-        z[order[free]] = scale
-        for col, red in used:
-            z[order[col]] = -red[free] * scale // red[col]
-        relation[order[free]] = z
+    for free, z in zip((k for k in range(len(order)) if k not in taken), nullspace):
+        mapped = [0] * len(eqs)
+        for j, v in zip(order, z):
+            mapped[j] = v
+        relation[order[free]] = mapped
     return relation
 
 

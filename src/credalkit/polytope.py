@@ -195,14 +195,13 @@ class SeparationCertificate:
 
 
 def verify_separation(cert: SeparationCertificate, p: "Polytope") -> bool:
-    """Exact re-check of a certificate against the separated set."""
+    """Exact re-check of a certificate against the separated set. An
+    empty set passes: the gap holds for each of its (no) members."""
     if cert.gap <= 0:
         return False
-    target = dot(cert.functional, cert.point) - cert.gap
-    if p._xs is not None:
-        return not p._xs or _sup(p, cert.functional) <= target
-    status, value, _ = _maximize(p, cert.functional)
-    return status == "optimal" and value <= target
+    return p.is_empty() or (
+        _sup(p, cert.functional) <= dot(cert.functional, cert.point) - cert.gap
+    )
 
 
 def sorted_distinct(points) -> list:
@@ -360,28 +359,25 @@ def _feasible_point(h: HRep, candidate=None):
     The equality rows are solved once (`LpContext.eliminated`), and that
     elimination is the context's own, so the system runs one. Then:
     - inconsistent equality rows: `echelon` with `combine` names the
-      combination of them that reads 0 = c, c != 0, and it is the
-      certificate; no LP;
+      integer combination of them that reads 0 = c, c != 0, and that
+      combination over -c is the certificate; no LP;
     - a `candidate` point of h becomes the origin, with no LP;
     - otherwise `LpContext.decide` decides h from the solution x0 of the
-      equality rows, and the point it returns becomes the origin.
+      equality rows, and gives the context at the point it finds.
     """
     ctx = LpContext.eliminated(h)
     if ctx is None:
         dim = h.dim
         _, kept = echelon([[*e, f] for e, f in h.eqs], combine=True)
-        _, red, comb = next(k for k in kept if k[0] == dim)
-        certificate = tuple([ZERO] * len(h.ineqs) + [-c / red[dim] for c in comb])
+        _, row, comb = next(k for k in kept if k[0] == dim)
+        certificate = tuple([ZERO] * len(h.ineqs) + [Fraction(-v, row[dim]) for v in comb])
         _check_farkas(dim, h.ineqs, h.eqs, certificate)
         return None, certificate
     if candidate is not None:
         moved = ctx.moved(*candidate)
         if moved is not None:
             return moved, None
-    x, certificate = ctx.decide()
-    if x is None:
-        return None, certificate
-    return (ctx if x == ctx.origin else ctx.moved(*_integer_row(x))), None
+    return ctx.decide()
 
 
 def _unit_bound(zrow):
@@ -440,15 +436,15 @@ class LpContext:
     """One feasible H-rep, set up once for every LP over it.
 
     The equality rows E x = e leave the affine hull origin + N z, where
-    `origin` is a point of the set and the columns of N (`basis`) are
-    primitive integer nullspace vectors of E. Everything is held in
-    integers over the origin's denominator `oden` (origin = onums / oden):
-    each inequality row a.x <= b becomes the row (a.N) z <= s / oden over
-    free z, kept as (a.N, s) with s = b * oden - a.onums; s >= 0 because
-    the origin is feasible, so the kernel starts every LP from the slack
-    basis, with no artificials and no phase 1. Moving the origin
-    (`moved`) re-reads only s. A row with a.N = 0 is constant on the hull
-    and takes no part.
+    `origin` is a point of the set and the columns of N (`basis`) are the
+    integer nullspace of E that `solve_rows` gives. Everything is held
+    in integers over the origin's denominator `oden` (origin = onums /
+    oden): each inequality row a.x <= b becomes the row (a.N) z <= s /
+    oden over free z, kept as (a.N, s) with s = b * oden - a.onums; s >=
+    0 because the origin is feasible, so the kernel starts every LP from
+    the slack basis, with no artificials and no phase 1. Moving the
+    origin (`moved`) re-reads only s. A row with a.N = 0 is constant on
+    the hull and takes no part.
 
     `decide` is the one feasibility decision: whether the system has a
     point. It runs on the context `eliminated` returns before any point
@@ -458,8 +454,9 @@ class LpContext:
     over oden, the rational row it always saw. Its answer z is mapped
     back to x = origin + N z as integer numerators over one denominator
     and checked once, against the H-rep's own inequality rows, each
-    value a.x an integer dot product (`_row_at`). That check implies the
-    one in z: in integers, a.(origin + N z) <= b is the same inequality
+    value a.x an integer dot product (`_row_at`; `decide` checks its
+    point as `moved` re-reads the slacks). That check implies the one in
+    z: in integers, a.(origin + N z) <= b is the same inequality
     as (a.N) z <= b - a.origin. The H-rep's equality rows need no check
     per answer: E origin = e is checked in integers at every origin (by
     `eliminated` for the first, by `moved` for each later one), and
@@ -475,12 +472,12 @@ class LpContext:
     __slots__ = ("dim", "_origin", "onums", "oden", "basis", "ineqs", "zrows",
                  "live", "eqs", "_combos")
 
-    def __init__(self, dim, origin, basis, ineqs, eqs):
-        """The context at `origin`, a solution of the equality rows `eqs`,
-        with every inequality row (a, b) of `ineqs` reduced there."""
+    def __init__(self, dim, onums, oden, basis, ineqs, eqs):
+        """The context at the origin onums / oden, a solution of the
+        equality rows `eqs`, every inequality row of `ineqs` reduced there."""
         self.dim = dim
-        self._origin = origin
-        self.onums, self.oden = onums, oden = _integer_row(origin)
+        self._origin = None
+        self.onums, self.oden = onums, oden
         self.basis = basis
         self.ineqs = ineqs  # the H-rep's rows (a, b): a.x <= b
         self.eqs = eqs  # the H-rep's rows (e, f): e.x = f
@@ -492,20 +489,18 @@ class LpContext:
     @classmethod
     def eliminated(cls, hrep: HRep):
         """The system's equality rows solved once: the context at the
-        solution x0 `solve_rows` gives, every inequality row reduced at
-        it. A row x0 violates keeps its negative slack, so `maximize`
-        may run here only when every slack is >= 0; `decide` takes the
-        context as it is. None when the equality rows are inconsistent.
+        solution x0 `solve_rows` gives, on its nullspace, every inequality
+        row reduced at x0. A row x0 violates keeps its negative slack, so
+        `maximize` may run here only when every slack is >= 0; `decide`
+        takes the context as it is. None when the equality rows are inconsistent.
         E x0 = e and E N = 0 are checked here, in integers, once for
         every context that descends from this one."""
         dim = hrep.dim
         solved = solve_rows([[*e, f] for e, f in hrep.eqs], dim)
         if solved is None:
             return None
-        x0, nullspace, _ = solved
-        basis = tuple(_primitive_int(v) for v in nullspace)
-        ctx = cls(dim, x0, basis, hrep.ineqs, hrep.eqs)
-        onums, oden = ctx.onums, ctx.oden
+        (onums, oden), basis, _ = solved
+        ctx = cls(dim, onums, oden, basis, hrep.ineqs, hrep.eqs)
         # a basis vector is nonzero only at its free column and the pivots
         supports = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis]
         for e, f in hrep.eqs:
@@ -574,10 +569,10 @@ class LpContext:
         return "optimal", value, tuple(Fraction(v, xden) for v in xnums)
 
     def decide(self):
-        """Whether the system has a point. Returns (x, None) with a point
-        x, or (None, certificate): Farkas multipliers on the inequality
-        rows and then the equality rows, checked in integers against all
-        of them with every variable free.
+        """Whether the system has a point. Returns (context, None), the
+        context moved to a point, or (None, certificate): Farkas
+        multipliers on the inequality rows and then the equality rows,
+        checked in integers against all of them with every variable free.
 
         The origin may violate inequality rows, as `eliminated` leaves
         it. Then:
@@ -588,7 +583,8 @@ class LpContext:
           -c z_k <= 0 (c > 0), as a row x_j >= 0 on a free column of the
           equality rows reduces where the origin has x_j = 0, enters as
           the bound z_k >= 0, so it adds no row and z_k is not split.
-          Its point is mapped back and checked against every row. Its
+          Its point, mapped back and reduced by its gcd, is checked
+          once, by `moved` (RuntimeError when it fails a row). Its
           certificate y gives the first bound row of each bounded z_k
           the combined row's entry there (>= 0) over c.
         A certificate y on the reduced rows becomes (y, -w), with
@@ -604,7 +600,7 @@ class LpContext:
         if bad is not None:
             y[bad] = Fraction(-oden, zrows[bad][1])
         elif all(slack >= 0 for _, slack in zrows):
-            return self.origin, None
+            return self, None
         else:
             d = len(self.basis)
             bound_at = {}  # bounded direction -> its first row -c z_k <= 0
@@ -622,8 +618,11 @@ class LpContext:
             ))
             if outcome.status == "optimal":
                 xnums, xden = self._point(*_integer_row(outcome.solution))
-                self._check_point(xnums, xden)
-                return tuple(Fraction(v, xden) for v in xnums), None
+                g = gcd(xden, *xnums)
+                moved = self.moved([v // g for v in xnums], xden // g)
+                if moved is None:
+                    raise RuntimeError("reported solution violates a constraint")
+                return moved, None
             for i, cm in zip(live, outcome.certificate):
                 y[i] = cm
             # the combined row is >= 0 at a bounded z_k; its first bound
@@ -647,9 +646,9 @@ class LpContext:
         return x, oden * zden
 
     def _check_point(self, xnums, xden):
-        """Check the point xnums / xden against the inequality rows, in
-        integers; the H-rep's equality rows hold at every origin + N z
-        (see the class). Each row is summed over the point's nonzero
+        """Check `maximize`'s point xnums / xden against the inequality
+        rows, in integers; the H-rep's equality rows hold at every origin +
+        N z (see the class). Each row is summed over the point's nonzero
         entries: an LP's point is a vertex, with few of them."""
         support = [(j, v) for j, v in enumerate(xnums) if v]
         for a, b in self.ineqs:
@@ -679,20 +678,16 @@ class LpContext:
         w = wnums / wden, given an integer u in the row space of E (a u
         outside it leaves the certificate check to fail).
 
-        E's echelon rows are red_k = comb_k.E (`exactq.echelon` with
-        `combine`), red_k with pivot column c_k and 0 at every other
-        pivot column, so w = sum_k (u[c_k] / red_k[c_k]) comb_k agrees
+        E's echelon rows are row_k = comb_k.E, in integers (`exactq.echelon`
+        with `combine`), row_k with pivot column c_k and 0 at every other
+        pivot column, so w = sum_k (u[c_k] / row_k[c_k]) comb_k agrees
         with u at each pivot column, and hence on the whole row space.
-        Each comb_k / red_k[c_k] is held as integers over wden, the lcm
-        of their denominators, nonzero entries only, computed once per
-        context."""
+        Each comb_k / row_k[c_k] is held as integers over wden, the lcm of
+        the row_k[c_k], nonzero entries only, computed once per context."""
         if self._combos is None:
-            scaled = []
-            for col, red, comb in echelon([[*e, f] for e, f in self.eqs], combine=True)[1]:
-                support = [(i, c) for i, c in enumerate(comb) if c]
-                den = lcm(*(c.denominator for _, c in support))
-                nums = [(i, c.numerator * (den // c.denominator)) for i, c in support]
-                scaled.append((col, nums, red[col] * den))
+            _, kept = echelon([[*e, f] for e, f in self.eqs], combine=True)
+            scaled = [(col, [(i, c) for i, c in enumerate(comb) if c], row[col])
+                      for col, row, comb in kept]
             wden = lcm(*(den for *_, den in scaled))
             self._combos = [
                 (col, [(i, v * (wden // den)) for i, v in nums]) for col, nums, den in scaled
@@ -709,11 +704,6 @@ class LpContext:
 
 # ---------------------------------------------------------------------------
 # double description on homogenization cones
-
-def _primitive_int(vec) -> tuple:
-    """Scale a rational vector to a primitive integer tuple."""
-    return tuple(_content_free(_integer_row(vec)[0]))
-
 
 def _extreme_rays(rows, dim, stage):
     """Extreme rays of the pointed cone {z : r.z <= 0 for r in rows}.
@@ -874,9 +864,10 @@ def _hrep_from_points(xs, den, dim):
     The points are int tuples xs over one positive common denominator
     den, and so are the vertices; everything runs in integers. The
     affine hull is v0 + the span of the differences from v0, the
-    least point; its equality rows are w.x = w.v0, one per nullspace
-    vector w of the differences. In the coordinates u = (x - v0) at the
-    pivot columns of the differences (r of them, the affine dimension),
+    least point; its equality rows are w.x = w.v0, one per integer
+    nullspace vector w of the differences (`solve_rows`). In the
+    coordinates u = (x - v0) at the pivot columns of the differences (r
+    of them, the affine dimension),
     each extreme ray y of the cone {y : y.(u, 1) <= 0 at every point}
     (double description) is a facet row, and its zero mask names the
     points on that facet. A point p is a vertex iff the facets through
@@ -885,8 +876,9 @@ def _hrep_from_points(xs, den, dim):
     point lies in the relative interior of a face whose vertices, also
     among the points, lie on every facet through it. Rows come out in the
     canonical form `HRep.make` gives: inequality rows in the order of
-    (coeffs, coeffs.v0 - y_t), equality rows in the order of w when
-    r > 0.
+    (coeffs, coeffs.v0 - y_t), equality rows in the order of the w / w_F
+    when r > 0 (w_F > 0 at w's free column F), read off the w scaled to
+    the lcm of the w_F.
     """
     if not xs:
         return HRep(dim, (((0,) * dim, -1),), ()), ()
@@ -895,8 +887,14 @@ def _hrep_from_points(xs, den, dim):
     diffs = [[a - b for a, b in zip(x, x0)] + [0] for x in xs]
     _, null, pivots = solve_rows(diffs, dim)
     r = len(pivots)
+    if r:
+        taken = set(pivots)
+        heads = [w[j] for w, j in zip(null, (j for j in range(dim) if j not in taken))]
+        m = lcm(*heads)
+        null = [w for _, w in sorted(([v * (m // h) for v in w], w)
+                                     for w, h in zip(null, heads))]
     eqs = []
-    for w in map(_primitive_int, sorted(null) if r else null):
+    for w in null:
         if next(v for v in w if v) < 0:
             w = [-v for v in w]
         eqs.append(_row_over(w, _row_at(w, x0), den))
@@ -1149,10 +1147,11 @@ def _hull_rows(dim, ineqs, eqs, xs, rows):
     x - x0 reach rank dim, the u are 0 alone and every row is dropped.
     `echelon` stops at that rank, and it takes E's rows last first,
     since the joint build appends the rows that pin P's affine hull on
-    a consistent family last. Otherwise a basis B of the u (`solve_rows`
-    on the echelon rows) writes the cone as {w : (a_j B) w <= 0}, and the
-    double description decides it: a lineality space (UnboundedError) or
-    any extreme ray means it is not {0}. No LP runs.
+    a consistent family last. Otherwise a basis B of the u (the integer
+    nullspace of the echelon rows, `solve_rows`) writes the cone as
+    {w : (a_j B) w <= 0}, and the double description decides it: a
+    lineality space (UnboundedError) or any extreme ray means it is not
+    {0}. No LP runs.
     """
     if not rows:
         return []
@@ -1161,7 +1160,7 @@ def _hull_rows(dim, ineqs, eqs, xs, rows):
     chosen, kept = echelon([*diffs, *(e for e, _ in reversed(eqs))])
     if len(chosen) == dim:
         return []
-    basis = [_primitive_int(v) for v in solve_rows([[*red, 0] for _, red in kept], dim)[1]]
+    basis = solve_rows([[*red, 0] for _, red in kept], dim)[1]
     cone = {i: tuple(_row_at(ineqs[i][0], w) for w in basis) for i in rows}
     alive = list(rows)
     for i in rows:

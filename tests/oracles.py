@@ -56,8 +56,8 @@ the program.
 `equality_relations_reference` and `drop_relation_reference` are the
 reference for `credalkit.joint._equality_relations`, the relation
 lookup of `_diagnose`'s rule 2: a basis of the relations in row order,
-from the Fraction nullspace of `solve_rows`, restricted in place to
-z_j = 0 at each row j the filter visits.
+from the Fraction nullspace of `solve_linear_system`, restricted in
+place to z_j = 0 at each row j the filter visits.
 
 `feasible_point_reference` is the reference for
 `credalkit.polytope._feasible_point`: one phase-1 LP over every row in
@@ -85,8 +85,11 @@ and the library's point form, int tuples over one denominator.
 
 `solve_linear_system` and `fraction_inverse` are the references for
 `credalkit.exactq.echelon` and its callers: Gauss-Jordan elimination in
-Fractions, with the pivot chosen column by column. Matrices here are
-plain sequences of rows. `apply` and `matrix_rank` are the dense
+Fractions, with the pivot chosen column by column. `fraction_nullspace`
+reads the pivot columns and Fraction nullspace of a homogeneous system
+off it, and `primitive` scales a rational vector to its primitive
+integer form, for the references of the library's integer elimination.
+Matrices here are plain sequences of rows. `apply` and `matrix_rank` are the dense
 matrix-vector product and the rank of a matrix, and `index_to_outcomes` /
 `all_outcome_tuples` spell out the row-major order of outcome tuples
 cell by cell.
@@ -99,7 +102,7 @@ a matrix-vector product and pulling a row is a row-matrix product.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 
 import credalkit.joint as jt
 import credalkit.polytope as pt
@@ -118,7 +121,6 @@ from credalkit.exactq import (
     echelon,
     lp_solve,
     qvec,
-    solve_rows,
 )
 from credalkit.joint import SIMPLEX_ORIGIN
 from credalkit.spaces import (
@@ -382,14 +384,13 @@ def deletion_filter_reference(dim, ineqs, eqs):
 def equality_relations_reference(eqs, dim):
     """A basis of the integer vectors z with sum_j z_j [e_j | f_j] = 0
     over the integer equality rows (e_j, f_j), one list per vector: the
-    Fraction nullspace of the transposed rows, each vector over its
-    entries' least common denominator."""
+    Fraction nullspace of the transposed rows, each vector scaled to
+    its primitive integer form."""
     if not eqs:
         return []
-    columns = [[e[t] for e, _ in eqs] + [0] for t in range(dim)]
-    columns.append([f for _, f in eqs] + [0])
-    _, nullspace, _ = solve_rows(columns, len(eqs))
-    return [_integer_row(z)[0] for z in nullspace]
+    columns = [[e[t] for e, _ in eqs] for t in range(dim)]
+    columns.append([f for _, f in eqs])
+    return [list(primitive(z)) for z in fraction_nullspace(columns, len(eqs))[1]]
 
 
 def drop_relation_reference(null, j):
@@ -638,16 +639,14 @@ def hrep_from_points_reference(points, dim):
         return pt.HRep(dim, (((0,) * dim, -1),), ())
     pts = extreme_subset_reference(points)
     v0 = pts[0]
-    diffs = [
-        _integer_row([a - b for a, b in zip(v, v0)] + [ZERO])[0] for v in pts[1:]
-    ]
-    _, null, pivots = solve_rows(diffs, dim)
+    diffs = [[a - b for a, b in zip(v, v0)] for v in pts[1:]]
+    pivots, null = fraction_nullspace(diffs, dim)
     eqs = [(w, dot(w, v0)) for w in null]
     r = len(pivots)
     if r == 0:
         return pt.HRep.make(dim, ineqs=(), eqs=eqs)
     upts = [tuple(v[pk] - v0[pk] for pk in pivots) for v in pts]
-    gens = [pt._primitive_int(list(u) + [1]) for u in upts]
+    gens = [primitive(list(u) + [1]) for u in upts]
     ineqs = []
     for y in pt._extreme_rays(gens, r + 1, "facet enumeration")[0]:
         coeffs = [0] * dim
@@ -674,18 +673,19 @@ def fraction_points(xs, den):
 def hrep_from_points_fraction_route(points, dim):
     """`_hrep_from_points` behind a Fraction interface: the rational
     points, which may repeat, deduplicated and sorted as Fractions, put
-    over one common denominator, and the hull built in integers as the
-    library builds it; (the H-rep, the vertices as Fraction tuples)."""
+    over one common denominator, and the hull built as the library
+    builds it, but with the equality rows read off the Fraction
+    nullspace, sorted as Fractions when the hull has positive
+    dimension; (the H-rep, the vertices as Fraction tuples)."""
     if not points:
         return pt.HRep(dim, (((0,) * dim, -1),), ()), ()
     pts = sorted(set(qvec(x) for x in points))
     xs, den = integer_points(pts)
     x0 = xs[0]
-    diffs = [[a - b for a, b in zip(x, x0)] + [0] for x in xs]
-    _, null, pivots = solve_rows(diffs, dim)
+    pivots, null = fraction_nullspace([[a - b for a, b in zip(x, x0)] for x in xs], dim)
     r = len(pivots)
     eqs = []
-    for w in map(pt._primitive_int, sorted(null) if r else null):
+    for w in map(primitive, sorted(null) if r else null):
         if next(v for v in w if v) < 0:
             w = [-v for v in w]
         eqs.append(pt._row_over(w, pt._row_at(w, x0), den))
@@ -743,6 +743,26 @@ def solve_linear_system(a, b):
         nullspace.append(tuple(vec))
     status = "unique" if not free_cols else "underdetermined"
     return status, rank, tuple(solution), tuple(nullspace)
+
+
+def fraction_nullspace(a, n):
+    """(pivots, nullspace) of the homogeneous rows a in n columns, from
+    `solve_linear_system`: the pivot columns ascending, and one Fraction
+    vector per free column, 1 there and 0 at the other free columns. A
+    vector's free column is its last nonzero entry: a reduced row is 0
+    left of its pivot."""
+    nullspace = solve_linear_system(a or [[ZERO] * n], [ZERO] * max(len(a), 1))[3]
+    free = {max(j for j, v in enumerate(vec) if v) for vec in nullspace}
+    return [j for j in range(n) if j not in free], nullspace
+
+
+def primitive(vec):
+    """A rational vector scaled to a primitive integer tuple, in Fractions."""
+    vec = [Fraction(v) for v in vec]
+    den = lcm(*[v.denominator for v in vec])
+    ints = [int(v * den) for v in vec]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g else tuple(ints)
 
 
 def _rref(aug, n):

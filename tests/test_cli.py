@@ -539,6 +539,33 @@ class TestExpect:
         assert res.returncode == 2
         assert "'2'" in res.stderr
 
+    def test_unanswerable_tuple_exit_two(self, tmp_path):
+        """A tuple the model cannot answer is an input error: a shuffle
+        the supplied policy was not given (--joint answers it from the
+        joint set), or a tuple whose index set has no set at all."""
+        doc = full_simplex_model()
+        doc["options"] = {"permutations": "supplied"}
+        model = write(tmp_path, "m.json", doc)
+        fpath = str(tmp_path / "f.json")
+        open(fpath, "w").write('["1", "0", "0", "0"]')
+        res = run_cli("expect", model, "--tuple", "b,a", "--function-file", fpath)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            "error: no credal set for ('b', 'a') under the 'supplied' "
+            "permutation policy\n"
+        )
+        res = run_cli("expect", model, "--tuple", "b,a", "--function-file", fpath,
+                      "--bound", "upper", "--joint")
+        assert res.returncode == 0 and res.stdout.strip() == "1"
+        doc = full_simplex_model()
+        doc["T"].append("c")
+        model = write(tmp_path, "m3.json", doc)
+        res = run_cli("expect", model, "--tuple", "c,a", "--function-file", fpath)
+        assert res.returncode == 2 and res.stderr == (
+            "error: no credal set for ('c', 'a') under the 'synthesized' "
+            "permutation policy\n"
+        )
+
     def test_joint_flag_finite_mode(self, tmp_path):
         doc = {
             "Y": ["0", "1"],

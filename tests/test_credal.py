@@ -342,6 +342,20 @@ class TestExpectations:
                 assert upper_expectation(cset, f) == bounds[0]
                 assert lower_expectation(cset, f) == -bounds[1]
 
+    def test_body_with_both_forms_reads_its_generators(self, monkeypatch):
+        """Once an H-rep body has its vertices, its bounds are read off
+        them with no LP, and equal the LP's."""
+        cset = credal_set_from_hrep(
+            AB, ("a", "b"), ineqs=[((-1, -1, 0, 0), F(-1, 3)), ((0, 1, 0, 1), F(3, 4))]
+        )
+        f = (F(2), F(-1, 3), F(0), F(5, 2))
+        expected = (lower_expectation(cset, f), upper_expectation(cset, f))
+        cset.body.xs  # noqa: B018 (the double description adds the generators)
+        with monkeypatch.context() as m:
+            for module in (pt, credal):
+                m.setattr(module, "lp_solve", None)  # any LP would fail
+            assert (lower_expectation(cset, f), upper_expectation(cset, f)) == expected
+
     def test_finite_mode_enumeration(self):
         cset = credal_set_from_members(
             AB, ("a",), [(F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))]

@@ -2,6 +2,7 @@ import random
 import sys
 from collections import namedtuple
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -110,12 +111,18 @@ def integer_rows(a, b):
     return [_integer_row(qvec([*row, rhs]))[0] for row, rhs in zip(a, b)]
 
 
+def fraction_x0(x0):
+    """The solution (nums, den) of `solve_rows` as Fractions."""
+    nums, den = x0
+    return tuple(F(v, den) for v in nums)
+
+
 class TestLinearSystems:
     def test_identity(self):
         x0, nullspace, pivots = solve_rows(
             integer_rows([[1, 0], [0, 1]], [F(1, 2), F(1, 2)]), 2
         )
-        assert x0 == (F(1, 2), F(1, 2))
+        assert x0 == ((1, 1), 2)
         assert nullspace == () and pivots == [0, 1]
 
     def test_inconsistent_parallel_rows(self):
@@ -135,33 +142,36 @@ class TestLinearSystems:
             b = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)]
             x0, nullspace, _ = solve_rows(integer_rows(a, b), 5)
             assert nullspace == ()
-            assert list(apply(a, x0)) == list(qvec(b))
+            assert list(apply(a, fraction_x0(x0))) == list(qvec(b))
 
     def test_underdetermined_nullspace(self):
         a = [[1, 1, 0], [0, 0, 1]]
         x0, nullspace, pivots = solve_rows(integer_rows(a, [1, 2]), 3)
         assert pivots == [0, 2]
-        assert nullspace == ((F(-1), F(1), F(0)),)
+        assert nullspace == ((-1, 1, 0),)
         for vec in nullspace:
             assert all(v == 0 for v in apply(a, vec))
         # full solution set reproduces the rhs
-        assert list(apply(a, x0)) == [F(1), F(2)]
+        assert list(apply(a, fraction_x0(x0))) == [F(1), F(2)]
 
     def test_no_rows(self):
         x0, nullspace, pivots = solve_rows([], 2)
-        assert x0 == (F(0), F(0)) and pivots == []
-        assert nullspace == ((F(1), F(0)), (F(0), F(1)))
+        assert x0 == ((0, 0), 1) and pivots == []
+        assert nullspace == ((1, 0), (0, 1))
 
     def test_matches_fraction_reference(self):
-        # random rational systems with duplicate, scaled, summed and
-        # zero rows, a third of the copies with a changed rhs: the same
-        # solution, nullspace and rank as Fraction Gauss-Jordan
+        # random rational systems, some with no rows, with duplicate,
+        # scaled, summed and zero rows, a third of the copies with a
+        # changed rhs: the same solution, nullspace and rank as Fraction
+        # Gauss-Jordan. The solution is in lowest terms, and each
+        # nullspace vector is primitive, positive at its free column and
+        # the Fraction vector times that entry.
         rng = random.Random(6)
         seen = set()
         for _ in range(2000):
             n = rng.randint(1, 5)
             a, b = [], []
-            for _ in range(rng.randint(1, 6)):
+            for _ in range(rng.randint(0, 6)):
                 kind = rng.choice(("fresh", "fresh", "duplicate", "scaled", "sum", "zero"))
                 if kind == "fresh" or not a:
                     row = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
@@ -182,16 +192,27 @@ class TestLinearSystems:
                         rhs += 1
                 a.append(row)
                 b.append(rhs)
-            status, rank, solution, nullspace = solve_linear_system(a, b)
+            status, rank, solution, nullspace = solve_linear_system(
+                a or [[F(0)] * n], b or [F(0)]
+            )
             got = solve_rows(integer_rows(a, b), n)
             assert len(echelon(integer_rows(a, [0] * len(a)))[0]) == rank
             if status == "inconsistent":
                 assert got is None
-            else:
-                assert got[:2] == (solution, nullspace)
-                assert len(got[2]) == rank
+                seen.add(status)
+                continue
+            (nums, den), null, pivots = got
+            assert fraction_x0((nums, den)) == solution
+            assert den > 0 and gcd(den, *nums) == 1
+            assert len(pivots) == rank and len(null) == len(nullspace)
+            free = [j for j in range(n) if j not in pivots]
+            for z, vec, j in zip(null, nullspace, free):
+                assert all(type(v) is int for v in z)
+                assert gcd(*z) == 1 and z[j] > 0
+                assert z == tuple(z[j] * v for v in vec)
             seen.add(status)
-        assert seen == {"unique", "underdetermined", "inconsistent"}
+            seen.add("no rows" if not a else "rows")
+        assert seen == {"unique", "underdetermined", "inconsistent", "no rows", "rows"}
 
 
 RationalLp = namedtuple("RationalLp", "direction objective rows nonneg")
@@ -466,14 +487,16 @@ class TestIndependentRows:
             chosen, kept = echelon(rows)
             chosen_c, kept_c = echelon(rows, combine=True)
             assert chosen_c == chosen
-            assert [(col, red) for col, red, _ in kept_c] == kept
-            for _col, red, comb in kept_c:
+            # each row is a positive multiple of the plain call's
+            assert [(col, [v // gcd(*row) for v in row]) for col, row, _ in kept_c] == [
+                (col, list(red)) for col, red in kept
+            ]
+            for col, row, comb in kept_c:
+                assert row[col] > 0
+                assert all(type(c) is int for c in (*row, *comb))
                 assert all(c == 0 for i, c in enumerate(comb) if i not in chosen)
-                rebuilt = [
-                    sum((c * row[j] for c, row in zip(comb, rows)), F(0))
-                    for j in range(width)
-                ]
-                assert rebuilt == red
+                rebuilt = [sum(c * r[j] for c, r in zip(comb, rows)) for j in range(width)]
+                assert rebuilt == list(row)
 
 
 class TestEqualityPresolve:

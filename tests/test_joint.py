@@ -981,9 +981,10 @@ class TestContextParity:
                     if ctx is not None:
                         contexts.append(ctx)
                 for ctx in contexts:
-                    got = ctx.decide()
-                    assert got == context_decide_reference(ctx)
-                    seen.add(("decide", got[0] is None))
+                    found, certificate = ctx.decide()
+                    point = None if found is None else found.origin
+                    assert (point, certificate) == context_decide_reference(ctx)
+                    seen.add(("decide", found is None))
         assert {("maximize", "optimal"), ("decide", True), ("decide", False)} <= seen
 
 

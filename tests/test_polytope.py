@@ -14,6 +14,7 @@ from credalkit.polytope import (
     HRep,
     NotSeparableError,
     Polytope,
+    SeparationCertificate,
     UnboundedError,
     contains_point,
     dd_convert,
@@ -52,6 +53,7 @@ from oracles import (
     integer_points,
     is_subset_reference,
     matrix_rank,
+    primitive,
     redundant_rows_reference,
     solve_linear_system,
     unit_nonneg,
@@ -582,6 +584,19 @@ class TestSeparate:
         scale = cert.functional[0]
         assert cert.gap / scale == F(1, 6)
 
+    @pytest.mark.parametrize("form", ["generators", "from-points", "rows"])
+    def test_empty_set_passes_every_certificate(self, form):
+        """A certificate's gap holds for every member of an empty set,
+        whichever form the set is given in; a gap <= 0 still fails."""
+        p = {
+            "generators": lambda: Polytope(1, xs=()),
+            "from-points": lambda: Polytope.from_points([], dim=1),
+            "rows": lambda: Polytope.from_hrep(1, ineqs=[((1,), -1), ((-1,), 0)]),
+        }[form]()
+        assert verify_separation(SeparationCertificate((F(1),), F(1), (F(0),)), p)
+        assert not verify_separation(SeparationCertificate((F(1),), F(0), (F(0),)), p)
+        assert p.is_empty()
+
     def test_inside_point_rejected(self):
         with pytest.raises(NotSeparableError):
             separate(Polytope.simplex(2), (F(1, 2), F(1, 2)))
@@ -640,15 +655,6 @@ class TestSeparate:
                        for v in p.points) >= cert.gap
 
 
-def primitive(vec):
-    """A rational vector scaled to a primitive integer tuple, in Fractions."""
-    vec = [F(v) for v in vec]
-    den = lcm(*[v.denominator for v in vec])
-    ints = [int(v * den) for v in vec]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints) if g else tuple(ints)
-
-
 def fraction_initial_rays(m):
     return [primitive([-v for v in col]) for col in zip(*fraction_inverse(m))]
 
@@ -662,7 +668,9 @@ def pivot_columns(a):
 
 def fraction_solve_rows(rows, n):
     """`solve_rows` from the Fraction references; the pivot of a kept row
-    is the column it adds to the pivots of the rows before it."""
+    is the column it adds to the pivots of the rows before it. The
+    solution is put over its least common denominator and each nullspace
+    vector scaled to its primitive integer form, after the solve."""
     a = [row[:n] for row in rows] or [[0] * n]
     b = [row[n] for row in rows] or [0]
     status, _, x0, nullspace = solve_linear_system(a, b)
@@ -671,7 +679,8 @@ def fraction_solve_rows(rows, n):
     pivots = []
     for k in range(1, len(rows) + 1):
         pivots += sorted(pivot_columns(a[:k]) - set(pivots))
-    return x0, nullspace, pivots
+    (nums,), den = integer_points([x0])
+    return (nums, den), tuple(primitive(v) for v in nullspace), pivots
 
 
 def random_point_sets(rng, count):
@@ -775,7 +784,6 @@ class TestEliminationParity:
                 for _ in range(n)
             ]
             rhs = F(rng.randint(-4, 4), rng.randint(1, 6))
-            assert pt._primitive_int([*coeffs, rhs]) == primitive([*coeffs, rhs])
             ineq, eq = pt._canon_ineq(coeffs, rhs), pt._canon_eq(coeffs, rhs)
             zero = (0,) * n
             if not any(coeffs):
@@ -892,10 +900,10 @@ class TestLpContext:
         real = pt.solve_rows
 
         def skewed(rows, n):
-            x0, null, pivots = real(rows, n)
+            (nums, den), null, pivots = real(rows, n)
             if part == "origin":
-                return (x0[0] + 1, *x0[1:]), null, pivots
-            return x0, (*null[:-1], tuple(v + 1 for v in null[-1])), pivots
+                return ((nums[0] + 1, *nums[1:]), den), null, pivots
+            return (nums, den), (*null[:-1], tuple(v + 1 for v in null[-1])), pivots
 
         monkeypatch.setattr(pt, "solve_rows", skewed)
         with pytest.raises(RuntimeError, match="equality rows"):
@@ -995,7 +1003,8 @@ class TestContextAnswerCheck:
 
     def test_kernel_answers_pass(self):
         assert self.ask("maximize") == ("optimal", F(1), (F(1), F(1, 2)))
-        point, _ = self.ask("decide")
+        ctx, _ = self.ask("decide")
+        point = ctx.origin
         assert 1 <= point[0] <= 2 and 1 <= point[1] <= 2
 
 
@@ -1574,7 +1583,7 @@ class TestLpStatusChecks:
         monkeypatch.setattr(pt, "_maximize", self.unbounded)
         with pytest.raises(UnboundedError):
             is_subset(Polytope.simplex(2), Polytope.from_points([(F(1), F(0))]))
-        with pytest.raises(DimensionError):
+        with pytest.raises(RuntimeError, match="supremum LP ended unbounded"):
             _upper(credal_set_from_hrep(make_space(("a",), ("0", "1")), ("a",)),
                    (F(1), F(0)))
 

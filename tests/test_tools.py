@@ -9,11 +9,13 @@ import sys
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
-# the family and check seeds of each workload in perfbench/run.py
+# the family and check seeds of each workload in perfbench/run.py, then
+# the |T| = 5 families of tools/outputs.py LARGE
 SEED_DIRS = {
     "pipeline-t3-4": 0, "pipeline-t3-7": 0, "pipeline-t3-3": 0, "pipeline-t3-5": 0,
     "joint-t4-7": 0, "joint-t4-13": 0,
     "clash-t4-2": 1, "clash-t4-3": 1,
+    "family-t5-7": 0, "clash-t5-2": 1, "clash-t5-3": 1,
 }
 
 

@@ -15,10 +15,15 @@ this process, in that directory:
 - verify --json --emit-vertices;
 - expect for each of the workload's queries, without and with --joint,
   each functional drawn from random.Random(seed).
-Each command's stdout, stderr and exit code go to <name>.out, <name>.err
-and <name>.code beside the model. Every path handed to the CLI is
-relative to that directory, so the outputs of two checkouts are the same
-iff `diff -r OUTDIR1 OUTDIR2` prints nothing.
+Then the |T| = 5 families of LARGE, drawn as tools/stages.py draws them
+(family seed 7 with 4 base points; the clash families of seeds 2 and 3,
+each with one `randint` for its 2 base points), go to
+OUTDIR/<name>-t5-<seed>, with validate (text and --json), build and
+verify only: their many dependent equality rows exercise the relations
+of the empty-set diagnosis. Each command's stdout, stderr and exit code
+go to <name>.out, <name>.err and <name>.code beside the model. Every
+path handed to the CLI is relative to that directory, so the outputs of
+two checkouts are the same iff `diff -r OUTDIR1 OUTDIR2` prints nothing.
 """
 
 import argparse
@@ -28,6 +33,9 @@ import os
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+
+# (directory prefix, family seed, clash) of the |T| = 5 families
+LARGE = (("family", 7, False), ("clash", 2, True), ("clash", 3, True))
 
 
 def run_cli(cli, argv, name):
@@ -46,14 +54,20 @@ def run_cli(cli, argv, name):
             fh.write(text)
 
 
-def family_outputs(cli, run, fam, spec, family, seed):
-    """Every CLI output of one family, written to the current directory."""
+def model_outputs(cli, family):
+    """The model file and its validate, build and verify outputs, written
+    to the current directory."""
     with open("model.json", "w") as fh:
         json.dump(family.model(), fh, indent=1)
     run_cli(cli, ["validate", "model.json"], "validate")
     run_cli(cli, ["validate", "model.json", "--json"], "validate-json")
     run_cli(cli, ["build", "model.json", "-o", "joint.json"], "build")
     run_cli(cli, ["verify", "model.json", "--json", "--emit-vertices"], "verify")
+
+
+def family_outputs(cli, run, fam, spec, family, seed):
+    """Every CLI output of one family, written to the current directory."""
+    model_outputs(cli, family)
     rng = random.Random(seed)
     for k, (positions, bound, _) in enumerate(spec["queries"]):
         alpha = [family.indices[p] for p in positions]
@@ -83,6 +97,17 @@ def main(argv):
     if not cli.__file__.startswith(os.path.join(checkout, "src") + os.sep):
         raise ImportError(f"credalkit imported from {cli.__file__}, not {checkout}")
     home = os.getcwd()
+
+    def write(name, write_outputs):
+        where = os.path.join(args.outdir, name)
+        os.makedirs(where, exist_ok=True)
+        os.chdir(where)
+        try:
+            write_outputs()
+        finally:
+            os.chdir(home)
+        print(f"{name}: {where}", file=sys.stderr)
+
     for name, spec in run.WORKLOADS.items():
         for seed in (*spec["family_seeds"], *spec["check_seeds"]):
             frng = random.Random(seed)
@@ -90,14 +115,14 @@ def main(argv):
             family = fam.make_family(polytope, frng, labels,
                                      frng.randint(*spec["vertices"]),
                                      run.MAX_DEN, spec["clash"])
-            where = os.path.join(args.outdir, f"{name}-{seed}")
-            os.makedirs(where, exist_ok=True)
-            os.chdir(where)
-            try:
-                family_outputs(cli, run, fam, spec, family, seed)
-            finally:
-                os.chdir(home)
-            print(f"{name} seed {seed}: {where}", file=sys.stderr)
+            write(f"{name}-{seed}",
+                  lambda: family_outputs(cli, run, fam, spec, family, seed))
+    labels = tuple(f"t{i}" for i in range(5))
+    for prefix, seed, clash in LARGE:
+        frng = random.Random(seed)
+        family = fam.make_family(polytope, frng, labels,
+                                 frng.randint(2, 2) if clash else 4, run.MAX_DEN, clash)
+        write(f"{prefix}-t5-{seed}", lambda: model_outputs(cli, family))
     return 0
 
 
