@@ -271,7 +271,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except (io.ModelFormatError, RationalParseError, DimensionError) as exc:
+    except (io.ModelFormatError, RationalParseError, DimensionError,
+            jt.ModeError) as exc:
+        # jt.ModeError: a model mixing finite and polytope sets has no joint set
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
     except OSError as exc:

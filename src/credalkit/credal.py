@@ -404,48 +404,98 @@ def check_marginal_consistency(coll: CredalCollection) -> ConsistencyReport:
     """Marginal compatibility: for nested tuples, restricting the larger
     set onto the smaller tuple's coordinates must reproduce the smaller
     set exactly; both inclusions are reported separately.
+
+    Restrictions compose (r_alpha,beta = r_mid,beta . r_alpha,mid), so the
+    pairs are taken by increasing |alpha| - |beta|, and a direction of
+    (alpha, beta) passes, with no witness, when some supplied tuple mid
+    with |mid| = |alpha| - 1 between them passes it on (alpha, mid) and
+    on (mid, beta):
+    - restriction within supplied set:
+      r(V_alpha) = r_mid,beta(r_alpha,mid(V_alpha)) within r_mid,beta(V_mid)
+      within V_beta;
+    - supplied set within restriction:
+      V_beta within r_mid,beta(V_mid) within r_alpha,beta(V_alpha).
+    `_body_subset` decides set inclusion in every mode, so this holds for
+    finite, polytope and mixed collections. Every other direction is
+    decided directly: the pairs that drop one coordinate, the pairs with
+    no such mid supplied, and so every failing record, which keeps its
+    witness and certificate. Records come in the order of the pairs
+    (beta, then alpha, in supplied order), the report that deciding
+    every pair directly gives.
     """
-    records = []
     supplied = coll.supplied_tuples()
-    for beta in supplied:
-        for alpha in supplied:
-            if alpha == beta or not sp.tuple_covers(alpha, beta):
-                continue
-            if set(alpha) == set(beta):
-                continue  # permutation territory
-            records.extend(_marginal_pair(coll, alpha, beta))
-    return ConsistencyReport(tuple(records))
+    by_set = {}
+    for tup in supplied:
+        by_set.setdefault(frozenset(tup), []).append(tup)
+    pairs = [
+        (alpha, beta)
+        for beta in supplied
+        for alpha in supplied
+        if set(beta) < set(alpha)  # equal label sets are permutation territory
+    ]
+    directions = ("restriction within supplied set", "supplied set within restriction")
+    decided = {}
+    for alpha, beta in sorted(pairs, key=lambda ab: len(ab[0]) - len(ab[1])):
+        direct = []
+        for direction in directions:
+            if _composes(decided, by_set, alpha, beta, direction):
+                decided[alpha, beta, direction] = CheckRecord(
+                    "marginal", alpha, beta, direction, "pass"
+                )
+            else:
+                direct.append(direction)
+        if direct:
+            for rec in _marginal_pair(coll, alpha, beta, direct):
+                decided[alpha, beta, rec.direction] = rec
+    return ConsistencyReport(
+        tuple(
+            decided[alpha, beta, direction]
+            for alpha, beta in pairs
+            for direction in directions
+        )
+    )
 
 
-def _marginal_pair(coll, alpha, beta):
+def _composes(decided, by_set, alpha, beta, direction) -> bool:
+    """Does some supplied mid, alpha less one label not in beta, pass
+    `direction` on (alpha, mid) and on (mid, beta)? Never when |alpha| -
+    |beta| = 1: then mid's labels are beta's, and no such pair is
+    checked here."""
+    labels = frozenset(alpha)
+
+    def passes(key):
+        return key in decided and decided[key].status == "pass"
+
+    for label in labels.difference(beta):
+        for mid in by_set.get(labels - {label}, ()):
+            if passes((alpha, mid, direction)) and passes((mid, beta, direction)):
+                return True
+    return False
+
+
+def _marginal_pair(coll, alpha, beta, directions):
+    """The records of (alpha, beta) in `directions`, each decided by one
+    inclusion between the restriction of V_alpha and V_beta."""
     idx = sp.restriction_matrix(coll.space, alpha, beta)
     image = _pushforward_set(coll.sets[alpha], idx, beta)
     target = coll.sets[beta]
     out = []
-    holds, witness, cert = _body_subset(image, target)
-    out.append(
-        CheckRecord(
-            "marginal",
-            alpha,
-            beta,
-            "restriction within supplied set",
-            "pass" if holds else "fail",
-            witness,
-            cert,
+    for direction in directions:
+        if direction == "restriction within supplied set":
+            holds, witness, cert = _body_subset(image, target)
+        else:
+            holds, witness, cert = _body_subset(target, image)
+        out.append(
+            CheckRecord(
+                "marginal",
+                alpha,
+                beta,
+                direction,
+                "pass" if holds else "fail",
+                witness,
+                cert,
+            )
         )
-    )
-    holds, witness, cert = _body_subset(target, image)
-    out.append(
-        CheckRecord(
-            "marginal",
-            alpha,
-            beta,
-            "supplied set within restriction",
-            "pass" if holds else "fail",
-            witness,
-            cert,
-        )
-    )
     return out
 
 

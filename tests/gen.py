@@ -10,6 +10,7 @@ from credalkit.credal import (
     SUPPLIED,
     CredalCollection,
     CredalSet,
+    credal_set_from_members,
     credal_set_from_vertices,
 )
 from credalkit.modelio import rat_list
@@ -17,6 +18,7 @@ from credalkit.spaces import (
     all_canonical_tuples,
     make_space,
     point_mass,
+    push,
     pushforward_matrix,
 )
 
@@ -56,6 +58,27 @@ def pushforward_collection(space, base):
             space, alpha, POLYTOPE, pt.linear_image(idx, base, size)
         )
     return CredalCollection(space, sets)
+
+
+def members_instance(rng, n_indices, hulls=()):
+    """The pushforwards of 2..4 random path laws onto every canonical
+    tuple, each tuple's set the finite set of them (a consistent
+    collection), except that the tuples in `hulls` get their hull in
+    polytope mode (a mixed collection). Returns (space, collection)."""
+    labels = tuple("abcdefgh"[:n_indices])
+    space = make_space(labels, ("0", "1"))
+    points = [random_simplex_point(rng, space.path_count)
+              for _ in range(rng.randint(2, 4))]
+    sets = {}
+    for alpha in all_canonical_tuples(space):
+        idx = pushforward_matrix(space, alpha)
+        size = space.n_outcomes ** len(alpha)
+        images = [push(idx, p, size) for p in points]
+        if alpha in hulls:
+            sets[alpha] = credal_set_from_vertices(space, alpha, images)
+        else:
+            sets[alpha] = credal_set_from_members(space, alpha, images)
+    return space, CredalCollection(space, sets)
 
 
 def clash_instance(rng, n_indices):

@@ -41,6 +41,12 @@ plus the pushforward rows = v are feasible (`fraction_feasible`), and
 the pushforward lies in V_alpha iff no row of V_alpha, pulled back, has
 its max over the joint set above its bound (`rational_lp`).
 
+`marginal_consistency_reference` is the reference for
+`credalkit.credal.check_marginal_consistency`: every covering pair of
+supplied tuples decided directly, both inclusions between the
+restriction of V_alpha and V_beta, with no record read off a
+composition of restrictions.
+
 `covering_q` is the reference for `credalkit.joint._fiber_sup`: the
 polytope Q = {q in alpha's simplex : r(q) in V_beta} of a covering pair,
 built from V_beta's pulled-back rows as the build pulls rows back, so
@@ -106,7 +112,12 @@ from math import gcd, lcm
 
 import credalkit.joint as jt
 import credalkit.polytope as pt
-from credalkit.credal import _pushforward_set
+from credalkit.credal import (
+    CheckRecord,
+    ConsistencyReport,
+    _body_subset,
+    _pushforward_set,
+)
 from credalkit.exactq import (
     EQ,
     GE,
@@ -332,6 +343,33 @@ def representation_reference(coll, joint):
         out.append((alpha, "pushforward within prescribed",
                     "fail" if outside else "pass", None))
     return out
+
+
+def marginal_consistency_reference(coll):
+    """The marginal check's report with every pair decided directly:
+    for beta, then alpha, in supplied order, the records "restriction
+    within supplied set" and "supplied set within restriction"."""
+    records = []
+    supplied = coll.supplied_tuples()
+    for beta in supplied:
+        for alpha in supplied:
+            if alpha == beta or not tuple_covers(alpha, beta):
+                continue
+            if set(alpha) == set(beta):
+                continue  # permutation territory
+            idx = restriction_matrix(coll.space, alpha, beta)
+            image = _pushforward_set(coll.sets[alpha], idx, beta)
+            target = coll.sets[beta]
+            for direction, inner, outer in (
+                ("restriction within supplied set", image, target),
+                ("supplied set within restriction", target, image),
+            ):
+                holds, witness, cert = _body_subset(inner, outer)
+                records.append(CheckRecord(
+                    "marginal", alpha, beta, direction,
+                    "pass" if holds else "fail", witness, cert,
+                ))
+    return ConsistencyReport(tuple(records))
 
 
 def covering_q(coll, alpha, beta):

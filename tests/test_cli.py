@@ -720,3 +720,37 @@ def test_verify_checks_the_representation_once(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["properties"]["passed"] and report["representation"]["passed"]
     assert len(calls) == 1
+
+
+class TestMixedModes:
+    """A model that mixes finite and polytope sets has no joint set: the
+    commands that build one exit 2 with an error line."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["build", "{model}", "-o", "{dir}/joint.json"],
+            ["verify", "{model}"],
+            ["expect", "{model}", "--tuple", "a", "--function-file", "{f}",
+             "--joint"],
+        ],
+        ids=["build", "verify", "expect-joint"],
+    )
+    def test_joint_set_needs_one_mode_exit_two(self, tmp_path, args):
+        doc = {
+            "Y": ["0", "1"],
+            "T": ["a", "b"],
+            "credal_sets": [
+                {"tuple": ["a"], "mode": "finite", "members": [["1/2", "1/2"]]},
+                {"tuple": ["b"], "mode": "polytope-h", "hrep": []},
+                {"tuple": ["a", "b"], "mode": "polytope-h", "hrep": []},
+            ],
+        }
+        model = write(tmp_path, "m.json", doc)
+        f = write(tmp_path, "f.json", ["1", "0"])
+        res = run_cli(*[a.format(dir=tmp_path, model=model, f=f) for a in args])
+        assert res.returncode == 2
+        assert res.stderr == (
+            "error: joint construction needs all sets in one mode; mix of "
+            "finite and polytope sets is not supported\n"
+        )

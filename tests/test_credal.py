@@ -34,9 +34,17 @@ from gen import (
     clash_instance,
     collection_to_model,
     generated_instance,
+    members_instance,
     random_simplex_point,
+    supplied_variants,
 )
-from oracles import apply, dense_pushforward, dense_restriction, rational_lp
+from oracles import (
+    apply,
+    dense_pushforward,
+    dense_restriction,
+    marginal_consistency_reference,
+    rational_lp,
+)
 
 AB = make_space(("a", "b"), ("0", "1"))
 
@@ -282,6 +290,147 @@ class TestValidateBySubstitution:
                 assert verify_witness_certificate(
                     rec.certificate, comparison_set(coll, rec)
                 )
+
+
+def replaced(coll, alpha, cset):
+    """coll with the set of alpha replaced by cset (None: left out)."""
+    sets = dict(coll.sets)
+    if cset is None:
+        del sets[alpha]
+    else:
+        sets[alpha] = cset
+    return CredalCollection(coll.space, sets, policy=coll.policy)
+
+
+def direct_pairs(monkeypatch):
+    """Record (alpha, beta, directions) of each pair the marginal check
+    decides directly."""
+    calls = []
+    real = credal._marginal_pair
+
+    def spy(coll, alpha, beta, directions):
+        calls.append((alpha, beta, tuple(directions)))
+        return real(coll, alpha, beta, directions)
+
+    monkeypatch.setattr(credal, "_marginal_pair", spy)
+    return calls
+
+
+class TestMarginalComposition:
+    """The marginal check decides the pairs that drop one coordinate and
+    reads the longer ones off compositions of restrictions; its records
+    are those of deciding every pair directly, witnesses and
+    certificates included."""
+
+    def assert_parity(self, coll):
+        report = check_marginal_consistency(coll)
+        assert report.records == marginal_consistency_reference(coll).records
+        return report
+
+    def test_consistent_families(self):
+        rng = random.Random(701)
+        for n in (3, 3, 4, 4):
+            _, coll, _ = generated_instance(rng, n)
+            assert self.assert_parity(coll).passed
+
+    def test_clash_families(self):
+        for seed, n in ((5, 3), (61, 3), (62, 4), (3, 4)):
+            _, coll = clash_instance(random.Random(seed), n)
+            assert self.assert_parity(coll).failures()
+
+    def test_finite_and_mixed_collections(self):
+        rng = random.Random(702)
+        failing = 0
+        for n, hulls in ((3, ()), (4, ()), (3, (("a",),)),
+                         (4, (("a", "b"), ("c",), ("a", "b", "c", "d")))):
+            space, coll = members_instance(rng, n, hulls)
+            assert self.assert_parity(coll).passed == (not hulls)
+            # one member more in a finite 2-tuple set
+            alpha = next(t for t in coll.sets if len(t) == 2 and t not in hulls)
+            extra = random_simplex_point(rng, 4)
+            grown = credal_set_from_members(
+                space, alpha, (*coll.sets[alpha].members(), extra))
+            failing += len(self.assert_parity(replaced(coll, alpha, grown)).failures())
+        assert failing
+
+    def test_supplied_permuted_tuples(self):
+        rng = random.Random(703)
+        for n in (3, 4):
+            _, coll, _ = generated_instance(rng, n)
+            assert self.assert_parity(supplied_variants(coll)).passed
+        _, coll = clash_instance(random.Random(5), 3)
+        assert self.assert_parity(supplied_variants(coll)).failures()
+        _, coll = members_instance(rng, 3, (("b", "c"),))
+        assert self.assert_parity(supplied_variants(coll)).failures()
+
+    def test_intermediate_tuples_not_supplied(self, monkeypatch):
+        """With no 2-tuple over a supplied, (a, b, c) onto (a,) has no
+        tuple between them and is decided directly."""
+        rng = random.Random(704)
+        for make in (lambda: generated_instance(rng, 3)[1],
+                     lambda: clash_instance(random.Random(5), 3)[1],
+                     lambda: members_instance(rng, 3)[1]):
+            coll = make()
+            for alpha in (("a", "b"), ("a", "c")):
+                coll = replaced(coll, alpha, None)
+            calls = direct_pairs(monkeypatch)
+            self.assert_parity(coll)
+            assert (("a", "b", "c"), ("a",), ("restriction within supplied set",
+                                               "supplied set within restriction")) in calls
+
+    def test_failing_step_decides_the_pair_directly(self, monkeypatch):
+        """V_(a) a point outside a's marginal range: (a, b, c) onto (a, b)
+        passes both directions but (a, b) onto (a,) fails both, so
+        (a, b, c) onto (a,) is decided directly, and its failing records
+        carry certificates that re-verify."""
+        _, coll = clash_instance(random.Random(5), 3)
+        calls = direct_pairs(monkeypatch)
+        report = self.assert_parity(coll)
+        status = {(r.alpha, r.beta, r.direction): r.status for r in report.records}
+        full, mid, one = ("a", "b", "c"), ("a", "b"), ("a",)
+        for direction in ("restriction within supplied set",
+                          "supplied set within restriction"):
+            assert status[full, mid, direction] == "pass"
+            assert status[mid, one, direction] == "fail"
+        assert (full, one, ("restriction within supplied set",
+                            "supplied set within restriction")) in calls
+        failed = [r for r in report.failures() if (r.alpha, r.beta) == (full, one)]
+        assert len(failed) == 2
+        for rec in failed:
+            assert rec.witness is not None
+            assert verify_witness_certificate(rec.certificate, comparison_set(coll, rec))
+
+    def test_one_direction_composes(self, monkeypatch):
+        """V_(a) a point inside a's marginal range: "supplied set within
+        restriction" composes for (a, b, c) onto (a,), and only
+        "restriction within supplied set" is decided directly, failing
+        with a certificate that re-verifies."""
+        rng = random.Random(705)
+        while True:
+            space, coll, _ = generated_instance(rng, 3)
+            ends = sorted(p[0] for p in coll.sets[("a",)].body.points)
+            if ends[0] < ends[-1]:
+                break
+        q = (ends[0] + ends[-1]) / 2
+        coll = replaced(coll, ("a",), credal_set_from_vertices(space, ("a",), [(q, 1 - q)]))
+        calls = direct_pairs(monkeypatch)
+        report = self.assert_parity(coll)
+        full, one = ("a", "b", "c"), ("a",)
+        assert [c for c in calls if c[:2] == (full, one)] == [
+            (full, one, ("restriction within supplied set",))]
+        [rec] = [r for r in report.failures() if (r.alpha, r.beta) == (full, one)]
+        assert rec.direction == "restriction within supplied set"
+        assert verify_witness_certificate(rec.certificate, comparison_set(coll, rec))
+
+    @pytest.mark.parametrize("n, direct", [(3, 9), (4, 28)])
+    def test_direct_pairs_drop_one_coordinate(self, monkeypatch, n, direct):
+        """On a consistent family with every tuple supplied, only the
+        pairs that drop one coordinate are decided directly."""
+        _, coll, _ = generated_instance(random.Random(706), n)
+        calls = direct_pairs(monkeypatch)
+        assert check_marginal_consistency(coll).passed
+        assert len(calls) == direct
+        assert all(len(alpha) - len(beta) == 1 for alpha, beta, _ in calls)
 
 
 class TestExpectations:

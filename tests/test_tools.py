@@ -9,20 +9,23 @@ import sys
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
-# the family and check seeds of each workload in perfbench/run.py, then
-# the |T| = 5 families of tools/outputs.py LARGE
+# the family and check seeds of each workload in perfbench/run.py, the
+# |T| = 5 families of tools/outputs.py LARGE, then its all-finite and
+# supplied-policy |T| = 4 families
 SEED_DIRS = {
     "pipeline-t3-4": 0, "pipeline-t3-7": 0, "pipeline-t3-3": 0, "pipeline-t3-5": 0,
     "joint-t4-7": 0, "joint-t4-13": 0,
     "clash-t4-2": 1, "clash-t4-3": 1,
     "family-t5-7": 0, "clash-t5-2": 1, "clash-t5-3": 1,
+    "finite-t4-7": 0, "supplied-t4-2": 1,
 }
 
 
 def test_outputs_on_the_working_checkout(tmp_path):
     """One directory per seed; validate, build and verify exit 0 on the
     consistent families and 1 on the clash families; every verify report
-    is JSON."""
+    is JSON. The all-finite family's sets are finite, and the
+    supplied-policy family lists permuted tuples."""
     out = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "outputs.py"), ROOT, str(tmp_path)],
         capture_output=True, text=True, timeout=600,
@@ -34,6 +37,12 @@ def test_outputs_on_the_working_checkout(tmp_path):
         for command in ("validate", "validate-json", "build", "verify"):
             assert (where / f"{command}.code").read_text() == f"{code}\n", (name, command)
         json.loads((where / "verify.out").read_text())
+    modes = {s["mode"] for s in json.loads(
+        (tmp_path / "finite-t4-7" / "model.json").read_text())["credal_sets"]}
+    assert modes == {"finite"}
+    supplied = json.loads((tmp_path / "supplied-t4-2" / "model.json").read_text())
+    assert supplied["options"] == {"permutations": "supplied"}
+    assert ["t1", "t0"] in [s["tuple"] for s in supplied["credal_sets"]]
 
 
 def test_stages_on_the_working_checkout(tmp_path):

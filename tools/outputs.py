@@ -20,10 +20,17 @@ Then the |T| = 5 families of LARGE, drawn as tools/stages.py draws them
 each with one `randint` for its 2 base points), go to
 OUTDIR/<name>-t5-<seed>, with validate (text and --json), build and
 verify only: their many dependent equality rows exercise the relations
-of the empty-set diagnosis. Each command's stdout, stderr and exit code
-go to <name>.out, <name>.err and <name>.code beside the model. Every
-path handed to the CLI is relative to that directory, so the outputs of
-two checkouts are the same iff `diff -r OUTDIR1 OUTDIR2` prints nothing.
+of the empty-set diagnosis. Two |T| = 4 families in the other input
+modes get the same four commands:
+- OUTDIR/finite-t4-7: the joint-t4 family (seed 7, 2 base points) with
+  each tuple's set the finite set of the base points' pushforwards;
+- OUTDIR/supplied-t4-2: the clash-t4 family (seed 2) under the supplied
+  permutation policy, every permuted tuple given, so validate has
+  failing records and permutation records.
+Each command's stdout, stderr and exit code go to <name>.out, <name>.err
+and <name>.code beside the model. Every path handed to the CLI is
+relative to that directory, so the outputs of two checkouts are the same
+iff `diff -r OUTDIR1 OUTDIR2` prints nothing.
 """
 
 import argparse
@@ -33,6 +40,7 @@ import os
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import permutations
 
 # (directory prefix, family seed, clash) of the |T| = 5 families
 LARGE = (("family", 7, False), ("clash", 2, True), ("clash", 3, True))
@@ -54,11 +62,11 @@ def run_cli(cli, argv, name):
             fh.write(text)
 
 
-def model_outputs(cli, family):
+def model_outputs(cli, doc):
     """The model file and its validate, build and verify outputs, written
     to the current directory."""
     with open("model.json", "w") as fh:
-        json.dump(family.model(), fh, indent=1)
+        json.dump(doc, fh, indent=1)
     run_cli(cli, ["validate", "model.json"], "validate")
     run_cli(cli, ["validate", "model.json", "--json"], "validate-json")
     run_cli(cli, ["build", "model.json", "-o", "joint.json"], "build")
@@ -67,7 +75,7 @@ def model_outputs(cli, family):
 
 def family_outputs(cli, run, fam, spec, family, seed):
     """Every CLI output of one family, written to the current directory."""
-    model_outputs(cli, family)
+    model_outputs(cli, family.model())
     rng = random.Random(seed)
     for k, (positions, bound, _) in enumerate(spec["queries"]):
         alpha = [family.indices[p] for p in positions]
@@ -79,6 +87,33 @@ def family_outputs(cli, run, fam, spec, family, seed):
                 "--function-file", ffile, "--bound", bound]
         run_cli(cli, argv, f"expect{k}")
         run_cli(cli, argv + ["--joint"], f"expect{k}-joint")
+
+
+def rationals(points):
+    return [[str(v) for v in p] for p in points]
+
+
+def finite_model(family):
+    """The family's model with each tuple's set the finite set of the
+    base points' pushforwards."""
+    doc = family.model()
+    for entry in doc["credal_sets"]:
+        del entry["vertices"]
+        entry.update(mode="finite", members=rationals(family.image(entry["tuple"])))
+    return doc
+
+
+def supplied_model(family):
+    """The family's model under the supplied permutation policy, with
+    every permuted tuple of each tuple given by its generators."""
+    doc = family.model()
+    doc["credal_sets"] = [
+        {"tuple": list(shuffled), "mode": "polytope-v",
+         "vertices": rationals(family.generators(shuffled))}
+        for alpha in family.sets for shuffled in permutations(alpha)
+    ]
+    doc["options"] = {"permutations": "supplied"}
+    return doc
 
 
 def main(argv):
@@ -122,7 +157,14 @@ def main(argv):
         frng = random.Random(seed)
         family = fam.make_family(polytope, frng, labels,
                                  frng.randint(2, 2) if clash else 4, run.MAX_DEN, clash)
-        write(f"{prefix}-t5-{seed}", lambda: model_outputs(cli, family))
+        write(f"{prefix}-t5-{seed}", lambda: model_outputs(cli, family.model()))
+    labels = tuple(f"t{i}" for i in range(4))
+    for prefix, seed, clash, model in (("finite", 7, False, finite_model),
+                                       ("supplied", 2, True, supplied_model)):
+        frng = random.Random(seed)
+        family = fam.make_family(polytope, frng, labels, frng.randint(2, 2),
+                                 run.MAX_DEN, clash)
+        write(f"{prefix}-t4-{seed}", lambda: model_outputs(cli, model(family)))
     return 0
 
 
