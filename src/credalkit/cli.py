@@ -99,10 +99,12 @@ def _singleton_note(model):
 def cmd_verify(args):
     _, coll, options = io.load_model(args.model)
     digest = io.input_digest(args.model)
+    # built first: a model that mixes finite and polytope sets has no
+    # joint set (ModeError) and needs no consistency check
+    model = jt.build_joint(coll, cell_cap=options["finite_cap"])
     c1 = cr.check_permutation_consistency(coll)
     c2 = cr.check_marginal_consistency(coll)
     consistency = cr.ConsistencyReport(c1.records + c2.records)
-    model = jt.build_joint(coll, cell_cap=options["finite_cap"])
     representation = jt.verify_representation(coll, model)
 
     properties = None
@@ -143,14 +145,7 @@ def cmd_verify(args):
 def cmd_expect(args):
     space, coll, options = io.load_model(args.model)
     alpha = sp.validate_index_tuple(space, _tuple_labels(space, args.tuple))
-    with open(args.function_file, "rb") as fh:
-        try:
-            doc = json.loads(fh.read().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise io.ModelFormatError(
-                f"{args.function_file}: not valid JSON ({exc})"
-            ) from exc
-    f = io._rational_vector(doc, "function")
+    f = io._rational_vector(io.read_json(args.function_file), "function")
     expected = space.n_outcomes ** len(alpha)
     if len(f) != expected:
         raise io.ModelFormatError(
@@ -186,14 +181,7 @@ def _tuple_labels(space, text):
 
 
 def cmd_extend(args):
-    with open(args.partition_file, "rb") as fh:
-        try:
-            doc = json.loads(fh.read().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise io.ModelFormatError(
-                f"{args.partition_file}: not valid JSON ({exc})"
-            ) from exc
-    size, atoms, masses = io.parse_partition(doc)
+    size, atoms, masses = io.parse_partition(io.read_json(args.partition_file))
     measure = cr.extend_measure(size, atoms, masses)
     print(json.dumps(io.rat_list(measure)))
     return EXIT_PASS

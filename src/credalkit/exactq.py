@@ -8,11 +8,11 @@ point, an unbounded flag, or a Farkas-style infeasibility certificate
 that can be re-verified by direct substitution. There are no tolerances
 anywhere; every comparison is exact. The elimination answers in
 integers: `solve_rows` gives a system's solution as numerators over one
-denominator and its nullspace as primitive integer vectors, and on
-request `echelon` names the integer combination of the input rows
-behind each kept row; that is how an LP solved in affine-hull
-coordinates (`polytope.LpContext`) maps its infeasibility certificate
-back onto the equality rows it eliminated.
+denominator and its nullspace as primitive integer vectors, and
+`combination` writes a target in the span of some rows as integer
+weights of them over one denominator; that is how an LP solved in
+affine-hull coordinates (`polytope.LpContext`) maps its infeasibility
+certificate back onto the equality rows it eliminated.
 
 A system's rows are int tuples with int rhs (`polytope.HRep`);
 Fractions remain at the edges: parsed input, points, LP values and
@@ -91,8 +91,9 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+def format_rational(value) -> str:
+    """The grammar's text of an int or a Fraction: its `str`."""
+    return str(value)
 
 
 def qvec(values) -> tuple:
@@ -114,7 +115,7 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 # Fraction-free elimination
 
 
-def echelon(rows, combine=False):
+def echelon(rows):
     """Greedy row echelon form of integer rows of one length.
 
     Rows are taken in input order; a row is kept when it is not in the
@@ -127,31 +128,7 @@ def echelon(rows, combine=False):
     fraction-free elimination keeps the same rows as Fraction
     elimination would). A new row is reduced only by the kept rows
     whose pivot column it touches.
-
-    With `combine`, each kept entry is (pivot column, row, combination):
-    the combination holds one integer per input row, 0 off the chosen
-    rows, and the row is the sum of the input rows weighted by it, in
-    integers. The row is a positive multiple of the primitive reduced
-    row (it is not divided by its content). Both are read off the
-    echelon rows of [chosen rows | I]: the chosen rows are independent,
-    so every pivot lands left of the identity block, the left block is
-    the same reduced row echelon form up to row scaling, and the right
-    block names the weights of the chosen rows behind it.
     """
-    if combine:
-        chosen = echelon(rows)[0]
-        k = len(chosen)
-        n = len(rows[0]) if rows else 0
-        aug = [
-            [*rows[i], *(int(t == j) for t in range(k))] for j, i in enumerate(chosen)
-        ]
-        out = []
-        for col, red in echelon(aug)[1]:
-            comb = [0] * len(rows)
-            for j, i in enumerate(chosen):
-                comb[i] = red[n + j]
-            out.append((col, red[:n], tuple(comb)))
-        return chosen, out
     kept = []  # (pivot column, primitive reduced row)
     chosen = []
     for idx, row in enumerate(rows):
@@ -220,6 +197,28 @@ def solve_rows(rows, n):
             vec[col] = -red[free] * scale // red[col]
         nullspace.append(tuple(vec))
     return (tuple(nums), den), tuple(nullspace), pivots
+
+
+def combination(rows, target):
+    """Integer weights (nums, den) of the integer rows that sum to
+    `target`: sum_i nums[i] * rows[i] = den * target, den > 0, with
+    nums[i] = 0 off the rows `echelon` chooses.
+
+    The chosen rows are independent, so their weights are unique. They
+    solve the k x k system of the chosen rows restricted to their pivot
+    columns (one `solve_rows`), which is nonsingular: there the reduced
+    rows, the chosen rows times an invertible matrix, are diagonal with
+    positive entries. A target outside the rows' span gets the weights
+    that match it at the pivot columns only, so the weighted sum misses
+    it elsewhere and the caller's check fails.
+    """
+    chosen, kept = echelon(rows)
+    system = [[*(rows[i][col] for i in chosen), target[col]] for col, _ in kept]
+    (weights, den), _, _ = solve_rows(system, len(chosen))
+    nums = [0] * len(rows)
+    for i, v in zip(chosen, weights):
+        nums[i] = v
+    return nums, den
 
 
 def _content_free(vec):

@@ -80,15 +80,20 @@ def _rational_vector(values, path):
     return tuple(out)
 
 
-def load_model(path):
-    """Parse a model file into (space, collection, options)."""
+def read_json(path):
+    """The JSON document in the file at path, read as UTF-8; a file that
+    is not raises ModelFormatError "<path>: not valid JSON (...)"."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_model(doc)
+
+
+def load_model(path):
+    """Parse a model file into (space, collection, options)."""
+    return parse_model(read_json(path))
 
 
 def parse_model(doc):

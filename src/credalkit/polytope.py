@@ -61,6 +61,7 @@ from credalkit.exactq import (
     _check_infeasible,
     _content_free,
     _integer_row,
+    combination,
     dot,
     echelon,
     lp_solve,
@@ -358,9 +359,9 @@ def _feasible_point(h: HRep, candidate=None):
 
     The equality rows are solved once (`LpContext.eliminated`), and that
     elimination is the context's own, so the system runs one. Then:
-    - inconsistent equality rows: `echelon` with `combine` names the
-      integer combination of them that reads 0 = c, c != 0, and that
-      combination over -c is the certificate; no LP;
+    - inconsistent equality rows: the certificate is the combination y
+      of them with y.[E | f] = [0 ... 0 | -1], 0 = -1 (`combination`);
+      no LP;
     - a `candidate` point of h becomes the origin, with no LP;
     - otherwise `LpContext.decide` decides h from the solution x0 of the
       equality rows, and gives the context at the point it finds.
@@ -368,9 +369,8 @@ def _feasible_point(h: HRep, candidate=None):
     ctx = LpContext.eliminated(h)
     if ctx is None:
         dim = h.dim
-        _, kept = echelon([[*e, f] for e, f in h.eqs], combine=True)
-        _, row, comb = next(k for k in kept if k[0] == dim)
-        certificate = tuple([ZERO] * len(h.ineqs) + [Fraction(-v, row[dim]) for v in comb])
+        nums, den = combination([[*e, f] for e, f in h.eqs], [0] * dim + [-1])
+        certificate = tuple([ZERO] * len(h.ineqs) + [Fraction(v, den) for v in nums])
         _check_farkas(dim, h.ineqs, h.eqs, certificate)
         return None, certificate
     if candidate is not None:
@@ -464,13 +464,13 @@ class LpContext:
     (`moved` keeps N), so E x = e + (E N) z = e for every z the kernel
     returns. An infeasibility certificate y on the reduced rows gives
     multipliers on the original rows once the part of y.A in the row
-    space of E is written as w.E (`exactq.echelon` with `combine`, once
-    per context, then summed in integers, `_eq_part`); the certificate
-    is then (y, -w), checked in integers on those rows.
+    space of E is written as w.E (`exactq.combination`, one elimination
+    of E per certificate, `_eq_part`); the certificate is then (y, -w),
+    checked in integers on those rows.
     """
 
     __slots__ = ("dim", "_origin", "onums", "oden", "basis", "ineqs", "zrows",
-                 "live", "eqs", "_combos")
+                 "live", "eqs")
 
     def __init__(self, dim, onums, oden, basis, ineqs, eqs):
         """The context at the origin onums / oden, a solution of the
@@ -484,7 +484,6 @@ class LpContext:
         # per row, (a.N, s): (a.N) z <= s / oden
         self.zrows = [(self._reduce(a), b * oden - _row_at(a, onums)) for a, b in ineqs]
         self.live = [any(coeffs) for coeffs, _ in self.zrows]  # a.N != 0
-        self._combos = None  # E's echelon combinations, in integers (`_eq_weights`)
 
     @classmethod
     def eliminated(cls, hrep: HRep):
@@ -661,45 +660,19 @@ class LpContext:
         that vanishes on the hull directions N, so that u = w.E.
 
         u is summed in integers, over the lcm of the multipliers'
-        denominators, and `_eq_weights` gives w over one denominator:
-        Fractions are made only for the returned multipliers."""
+        denominators, and `exactq.combination` solves w.E = u over one
+        denominator (a u outside E's row space leaves the certificate
+        check to fail): Fractions are made only for the returned
+        multipliers."""
         weighted = [(cm, a) for cm, (a, _) in zip(mults, self.ineqs) if cm]
         uden = lcm(*(cm.denominator for cm, _ in weighted))
         unums = [0] * self.dim
         for cm, a in weighted:
             k = cm.numerator * (uden // cm.denominator)
             unums = [s + k * v for s, v in zip(unums, a)]
-        wnums, wden = self._eq_weights(unums)
+        wnums, wden = combination([e for e, _ in self.eqs], unums)
         wden *= uden
         return [Fraction(-v, wden) if v else ZERO for v in wnums]
-
-    def _eq_weights(self, u):
-        """Integers wnums and a denominator wden > 0 with w.E = u for
-        w = wnums / wden, given an integer u in the row space of E (a u
-        outside it leaves the certificate check to fail).
-
-        E's echelon rows are row_k = comb_k.E, in integers (`exactq.echelon`
-        with `combine`), row_k with pivot column c_k and 0 at every other
-        pivot column, so w = sum_k (u[c_k] / row_k[c_k]) comb_k agrees
-        with u at each pivot column, and hence on the whole row space.
-        Each comb_k / row_k[c_k] is held as integers over wden, the lcm of
-        the row_k[c_k], nonzero entries only, computed once per context."""
-        if self._combos is None:
-            _, kept = echelon([[*e, f] for e, f in self.eqs], combine=True)
-            scaled = [(col, [(i, c) for i, c in enumerate(comb) if c], row[col])
-                      for col, row, comb in kept]
-            wden = lcm(*(den for *_, den in scaled))
-            self._combos = [
-                (col, [(i, v * (wden // den)) for i, v in nums]) for col, nums, den in scaled
-            ], wden
-        combos, wden = self._combos
-        w = [0] * len(self.eqs)
-        for col, nums in combos:
-            t = u[col]
-            if t:
-                for i, v in nums:
-                    w[i] += t * v
-        return w, wden
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,11 @@ the same LPs over the context's origin and basis, with the reduced rows
 built in Fractions and handed to `rational_lp` (which checks the answer
 in z), and the answer mapped back in Fractions.
 `eq_part_reference` is the reference for `LpContext._eq_part`, the
-equality rows' part of a certificate, summed in Fractions.
+equality rows' part of a certificate, summed in Fractions with
+`combination_reference`, the reference for `credalkit.exactq.combination`.
+It sums the rows of `echelon_combinations_reference`: each kept echelon
+row with the integer combination of the input rows behind it, read off
+a second elimination, of [chosen rows | I].
 
 `extreme_subset_reference` and `hrep_from_points_reference` are the
 references for `credalkit.polytope._hrep_from_points`: the vertices
@@ -583,16 +587,47 @@ def context_decide_reference(ctx):
 def eq_part_reference(ctx, mults):
     """The equality rows' part -w of the context's certificate with the
     multipliers `mults` on its inequality rows, in Fractions: u = sum
-    cm * a, and w = sum_k (u[c_k] / red_k[c_k]) comb_k over the rows of
-    `echelon(..., combine=True)` on [E | e], red_k with pivot c_k."""
+    cm * a, and w = `combination_reference`(E's rows, u)."""
     u = [ZERO] * ctx.dim
     for cm, (a, _) in zip(mults, ctx.ineqs):
         u = [s + cm * v for s, v in zip(u, a)]
-    w = [ZERO] * len(ctx.eqs)
-    for col, red, comb in echelon([[*e, f] for e, f in ctx.eqs], combine=True)[1]:
-        t = u[col] / red[col]
+    return tuple(-v for v in combination_reference([e for e, _ in ctx.eqs], u))
+
+
+def echelon_combinations_reference(rows):
+    """(chosen, kept) as `echelon(rows)` gives them, each kept entry
+    (pivot column, row, combination): the combination holds one integer
+    per input row, 0 off the chosen rows, and the row is the sum of the
+    input rows weighted by it, a positive multiple of the primitive
+    reduced row. Both are read off the echelon rows of [chosen rows |
+    I]: the chosen rows are independent, so every pivot lands left of
+    the identity block, the left block is the same reduced row echelon
+    form up to row scaling, and the right block names the weights of
+    the chosen rows behind it."""
+    chosen = echelon(rows)[0]
+    k = len(chosen)
+    n = len(rows[0]) if rows else 0
+    aug = [[*rows[i], *(int(t == j) for t in range(k))] for j, i in enumerate(chosen)]
+    out = []
+    for col, red in echelon(aug)[1]:
+        comb = [0] * len(rows)
+        for j, i in enumerate(chosen):
+            comb[i] = red[n + j]
+        out.append((col, red[:n], tuple(comb)))
+    return chosen, out
+
+
+def combination_reference(rows, target):
+    """Fraction weights w of the rows with w.rows = target, 0 off the
+    chosen rows, for a target in their span: w = sum_k (target[c_k] /
+    row_k[c_k]) comb_k over `echelon_combinations_reference`'s rows
+    row_k, which read row_k[c_k] at their own pivot column c_k and 0 at
+    every other."""
+    w = [ZERO] * len(rows)
+    for col, red, comb in echelon_combinations_reference(rows)[1]:
+        t = Fraction(target[col], red[col])
         w = [s + t * c for s, c in zip(w, comb)]
-    return tuple(-v for v in w)
+    return w
 
 
 def fraction_feasible(dim, rows) -> bool:

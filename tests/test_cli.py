@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import credalkit.credal as cr
 import credalkit.joint as jt
 import credalkit.polytope as pt
 from credalkit.cli import main
@@ -657,6 +658,29 @@ class TestUnreadableInput:
         assert res.stderr.startswith("error: ")
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("raw", [b'{"Y": [', b'["\xff"]'], ids=["json", "utf-8"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["validate", "{bad}"],
+            ["expect", "{model}", "--tuple", "a", "--function-file", "{bad}"],
+            ["extend", "{bad}"],
+        ],
+        ids=["model", "function", "partition"],
+    )
+    def test_invalid_json_exit_two(self, tmp_path, capsys, args, raw):
+        """A model, function or partition file that is not JSON, or not
+        UTF-8, exits 2 with one line naming the file."""
+        model = write(tmp_path, "m.json", full_simplex_model())
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        with pytest.raises(SystemExit) as done:
+            main([a.format(bad=bad, model=model) for a in args])
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid JSON (")
+        assert err.count("\n") == 1
+
 
 class TestResourceCap:
     def test_finite_cap_exit_three(self, tmp_path):
@@ -726,6 +750,20 @@ class TestMixedModes:
     """A model that mixes finite and polytope sets has no joint set: the
     commands that build one exit 2 with an error line."""
 
+    MODEL = {
+        "Y": ["0", "1"],
+        "T": ["a", "b"],
+        "credal_sets": [
+            {"tuple": ["a"], "mode": "finite", "members": [["1/2", "1/2"]]},
+            {"tuple": ["b"], "mode": "polytope-h", "hrep": []},
+            {"tuple": ["a", "b"], "mode": "polytope-h", "hrep": []},
+        ],
+    }
+    ERROR = (
+        "error: joint construction needs all sets in one mode; mix of "
+        "finite and polytope sets is not supported\n"
+    )
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -737,20 +775,22 @@ class TestMixedModes:
         ids=["build", "verify", "expect-joint"],
     )
     def test_joint_set_needs_one_mode_exit_two(self, tmp_path, args):
-        doc = {
-            "Y": ["0", "1"],
-            "T": ["a", "b"],
-            "credal_sets": [
-                {"tuple": ["a"], "mode": "finite", "members": [["1/2", "1/2"]]},
-                {"tuple": ["b"], "mode": "polytope-h", "hrep": []},
-                {"tuple": ["a", "b"], "mode": "polytope-h", "hrep": []},
-            ],
-        }
-        model = write(tmp_path, "m.json", doc)
+        model = write(tmp_path, "m.json", self.MODEL)
         f = write(tmp_path, "f.json", ["1", "0"])
         res = run_cli(*[a.format(dir=tmp_path, model=model, f=f) for a in args])
         assert res.returncode == 2
-        assert res.stderr == (
-            "error: joint construction needs all sets in one mode; mix of "
-            "finite and polytope sets is not supported\n"
-        )
+        assert res.stderr == self.ERROR
+
+    def test_verify_stops_before_any_check(self, tmp_path, monkeypatch, capsys):
+        """verify finds the mode mix before it decides a record."""
+        model = write(tmp_path, "m.json", self.MODEL)
+
+        def refuse(coll):
+            raise AssertionError("a consistency check ran")
+
+        monkeypatch.setattr(cr, "check_permutation_consistency", refuse)
+        monkeypatch.setattr(cr, "check_marginal_consistency", refuse)
+        with pytest.raises(SystemExit) as done:
+            main(["verify", model])
+        assert done.value.code == 2
+        assert capsys.readouterr().err == self.ERROR

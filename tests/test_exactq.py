@@ -15,6 +15,7 @@ from credalkit.exactq import (
     RationalParseError,
     _check_infeasible,
     _integer_row,
+    combination,
     dot,
     echelon,
     format_rational,
@@ -26,6 +27,8 @@ from credalkit.exactq import (
 from oracles import (
     apply,
     brute_force_max,
+    combination_reference,
+    echelon_combinations_reference,
     fraction_simplex_solve,
     matrix_rank,
     rational_lp,
@@ -79,10 +82,14 @@ class TestRationalGrammar:
                 parse_rational(text)
 
     def test_round_trip_canonical(self):
+        # Fractions and ints, the two kinds of value the writers pass
         rng = random.Random(0)
-        for _ in range(200):
-            q = F(rng.randint(-50, 50), rng.randint(1, 50))
+        for k in range(300):
+            q = rng.randint(-50, 50)
+            if k % 3:
+                q = F(q, rng.randint(1, 50))
             text = format_rational(q)
+            assert text == str(F(q))
             back = parse_rational(text)
             assert back == q
             assert back.denominator > 0
@@ -447,21 +454,27 @@ def random_dependent_lp(rng):
     )
 
 
+def dependent_rows(rng, width):
+    """1 to 9 integer rows of the width, each drawn at random or as a
+    combination of two earlier rows."""
+    rows = []
+    for _ in range(rng.randint(1, 9)):
+        if rows and rng.random() < 0.5:
+            u, v = rng.choice(rows), rng.choice(rows)
+            k, h = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([k * x + h * y for x, y in zip(u, v)])
+        else:
+            rows.append([rng.randint(-4, 4) for _ in range(width)])
+    return rows
+
+
 class TestIndependentRows:
     def test_matches_rank_oracle(self):
         # rows drawn at random or as combinations of earlier rows; a row
         # is kept iff it raises the rank of the rows kept before it
         rng = random.Random(8)
         for _ in range(200):
-            width = rng.randint(1, 6)
-            rows = []
-            for _ in range(rng.randint(1, 9)):
-                if rows and rng.random() < 0.5:
-                    u, v = rng.choice(rows), rng.choice(rows)
-                    k, h = rng.randint(-3, 3), rng.randint(-3, 3)
-                    rows.append([k * x + h * y for x, y in zip(u, v)])
-                else:
-                    rows.append([rng.randint(-4, 4) for _ in range(width)])
+            rows = dependent_rows(rng, rng.randint(1, 6))
             expected = []
             for i, row in enumerate(rows):
                 kept = [rows[j] for j in expected] + [row]
@@ -470,22 +483,16 @@ class TestIndependentRows:
             assert echelon(rows)[0] == expected
 
     def test_combinations_rebuild_the_reduced_rows(self):
-        # with `combine`, each kept row is the combination of the input
-        # rows it names, which is zero off the chosen rows; the chosen
-        # rows and reduced rows are those of the plain call
+        # the reference `combination` is checked against: each kept row
+        # is the combination of the input rows it names, which is zero
+        # off the chosen rows; the chosen rows and reduced rows are those
+        # of `echelon`
         rng = random.Random(9)
         for _ in range(200):
             width = rng.randint(1, 6)
-            rows = []
-            for _ in range(rng.randint(1, 9)):
-                if rows and rng.random() < 0.5:
-                    u, v = rng.choice(rows), rng.choice(rows)
-                    k, h = rng.randint(-3, 3), rng.randint(-3, 3)
-                    rows.append([k * x + h * y for x, y in zip(u, v)])
-                else:
-                    rows.append([rng.randint(-4, 4) for _ in range(width)])
+            rows = dependent_rows(rng, width)
             chosen, kept = echelon(rows)
-            chosen_c, kept_c = echelon(rows, combine=True)
+            chosen_c, kept_c = echelon_combinations_reference(rows)
             assert chosen_c == chosen
             # each row is a positive multiple of the plain call's
             assert [(col, [v // gcd(*row) for v in row]) for col, row, _ in kept_c] == [
@@ -497,6 +504,58 @@ class TestIndependentRows:
                 assert all(c == 0 for i, c in enumerate(comb) if i not in chosen)
                 rebuilt = [sum(c * r[j] for c, r in zip(comb, rows)) for j in range(width)]
                 assert rebuilt == list(row)
+
+
+class TestCombination:
+    """`combination` writes a target in the rows' span as integer
+    weights over one denominator: one `echelon` and one square solve,
+    the weights of the two-elimination reference exactly."""
+
+    def check(self, rows, target):
+        nums, den = combination(rows, target)
+        chosen = echelon(rows)[0]
+        assert den > 0 and all(type(v) is int for v in (*nums, den))
+        assert all(v == 0 for i, v in enumerate(nums) if i not in chosen)
+        width = len(target)
+        assert [sum(v * r[j] for v, r in zip(nums, rows)) for j in range(width)] == [
+            den * t for t in target
+        ]
+        assert [F(v, den) for v in nums] == combination_reference(rows, target)
+        return nums, den
+
+    def test_matches_reference_on_dependent_rows(self):
+        rng = random.Random(10)
+        dependent = 0
+        for _ in range(300):
+            width = rng.randint(1, 6)
+            rows = dependent_rows(rng, width)
+            weights = [rng.randint(-3, 3) for _ in rows]
+            target = [sum(w * r[j] for w, r in zip(weights, rows)) for j in range(width)]
+            self.check(rows, target)
+            dependent += len(echelon(rows)[0]) < len(rows)
+        assert dependent > 50
+
+    def test_no_rows(self):
+        assert combination([], [0, 0]) == ([], 1)
+
+    def test_inconsistent_rows_certificate(self):
+        # rows [e | f] whose equalities e.x = f have no solution: the
+        # weights of [0 ... 0 | -1] are the old certificate, the combination
+        # behind the echelon row with its pivot in the rhs column over minus
+        # that pivot
+        rng = random.Random(11)
+        inconsistent = 0
+        for _ in range(300):
+            d = rng.randint(1, 5)
+            rows = [[*e, rng.randint(-3, 3)] for e in dependent_rows(rng, d)]
+            if solve_rows(rows, d) is not None:
+                continue
+            nums, den = self.check(rows, [0] * d + [-1])
+            _, row, comb = next(k for k in echelon_combinations_reference(rows)[1]
+                                if k[0] == d)
+            assert [F(v, den) for v in nums] == [F(-c, row[d]) for c in comb]
+            inconsistent += 1
+        assert inconsistent > 50
 
 
 class TestEqualityPresolve:

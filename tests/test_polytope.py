@@ -7,6 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
+import credalkit.exactq as eq
 import credalkit.polytope as pt
 from credalkit import _backend
 from credalkit.exactq import EQ, LE, DimensionError, dot
@@ -875,22 +876,36 @@ class TestLpContext:
         assert ctx is None
         assert_farkas(h, cert)
 
-    def test_equality_combinations_computed_once(self, monkeypatch):
-        # two certificates from one context: E's row combinations are
-        # read off one `echelon(..., combine=True)`
+    def test_each_certificate_eliminates_the_equality_rows_once(self, monkeypatch):
+        # two certificates from one context, and one for inconsistent
+        # equality rows: each runs one `echelon` over E's rows (and one
+        # over its own square system), beside the elimination that set
+        # the context up or found the rows inconsistent
         calls = []
-        real = pt.echelon
 
-        def counting(rows, combine=False):
-            calls.append(combine)
-            return real(rows, combine)
+        def counting(real):
+            def wrapped(rows):
+                calls.append([list(r) for r in rows])
+                return real(rows)
+            return wrapped
 
-        ctx = pt.LpContext.eliminated(simplex_beyond_one())
-        monkeypatch.setattr(pt, "echelon", counting)
-        for _ in range(2):
+        def over(eqs):
+            return sum(c in ([list(e) for e, _ in eqs], [[*e, f] for e, f in eqs])
+                       for c in calls)
+
+        h = simplex_beyond_one()
+        ctx = pt.LpContext.eliminated(h)
+        monkeypatch.setattr(eq, "echelon", counting(eq.echelon))
+        monkeypatch.setattr(pt, "echelon", counting(pt.echelon))
+        for k in (1, 2):
             point, cert = ctx.decide()
             assert point is None and cert[-1] != 0
-        assert calls.count(True) == 1
+            assert over(h.eqs) == k
+        assert len(calls) == 4
+        calls.clear()
+        h = HRep.make(2, eqs=[((F(1), F(1)), F(1)), ((F(2), F(2)), F(1))])
+        assert pt._feasible_point(h)[0] is None
+        assert over(h.eqs) == 2 and len(calls) == 3
 
     @pytest.mark.parametrize("part", ["origin", "basis"])
     def test_eliminated_checks_the_equality_solution(self, monkeypatch, part):
@@ -1056,26 +1071,28 @@ class TestEqualityPart:
             weighted += any(cert[n:])
         assert dependent and weighted
 
-    def test_tampered_combination_fails_the_check(self):
-        """One integer weight of one combination the certificate uses, off
-        by one: the equality part is wrong, and `_check_farkas` refuses
-        it."""
+    def test_tampered_combination_fails_the_check(self, monkeypatch):
+        """One integer weight of the combination the certificate uses,
+        off by one: the equality part is wrong, and `_check_farkas`
+        refuses it."""
+        real = pt.combination
+
+        def tampered_combination(rows, target):
+            nums, den = real(rows, target)
+            k = next(k for k, v in enumerate(nums) if v)
+            nums[k] += 1
+            return nums, den
+
         rng = random.Random(2525)
         tampered = 0
         while tampered < 10:
-            h, _, cert = random_empty_flat_system(rng)
-            u = [sum(y * a[t] for y, (a, _) in zip(cert, h.ineqs)) for t in range(h.dim)]
-            ctx = pt.LpContext.eliminated(h)
-            ctx._eq_weights([0] * h.dim)  # builds the combinations
-            combos, _ = ctx._combos
-            k = next((k for k, (col, _) in enumerate(combos) if u[col]), None)
-            if k is None:
+            h, ctx, cert = random_empty_flat_system(rng)
+            if not any(cert[len(h.ineqs):]):
                 continue
-            col, nums = combos[k]
-            (i, v), *rest = nums
-            combos[k] = (col, [(i, v + 1), *rest])
-            with pytest.raises(RuntimeError, match="combined row"):
-                ctx.decide()
+            with monkeypatch.context() as m:
+                m.setattr(pt, "combination", tampered_combination)
+                with pytest.raises(RuntimeError, match="combined row"):
+                    ctx.decide()
             tampered += 1
 
 

@@ -52,8 +52,8 @@ def test_stages_on_the_working_checkout(tmp_path):
     check's double description runs are recorded, and the
     enlarged-full-tuple records (the representation check with no LP
     there too), the clash records (an empty P, and its diagnosis's
-    seconds, LPs and core rows, inside the build's) and the H-rep
-    records are written."""
+    seconds, LPs, eliminations and core rows, inside the build's) and
+    the H-rep records are written. Every stage counts its eliminations."""
     out = tmp_path / "stages.json"
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "stages.py"), ROOT, str(out),
@@ -84,4 +84,8 @@ def test_stages_on_the_working_checkout(tmp_path):
         diagnose = r["diagnose"]
         assert diagnose["core_rows"] > 0 and diagnose["lps"] > 0, r
         assert diagnose["lps"] <= r["build"]["lps"] and diagnose["s"] <= r["build"]["s"] + 1e-3, r
+        assert 0 < diagnose["elim"] <= r["build"]["elim"], r
+    stages = [v for r in rows for v in r.values() if isinstance(v, dict) and "lps" in v]
+    assert stages and all(type(v["elim"]) is int for v in stages)
+    assert all(r["build"]["elim"] > 0 for r in consistent + clash)
     assert [r["feasibility"]["empty"] for r in rows if "hrep_dim" in r] == [False, True]

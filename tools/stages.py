@@ -30,7 +30,8 @@ clash-t4 workload's family and check seeds), drawn as perfbench/run.py
 draws them: one `randint` for the base point count (2), then
 `make_family(..., clash=True)`, so P is empty. They record validate,
 feasibility (empty), build, and "diagnose": the build's
-`joint._diagnose` call, its seconds, LPs and core rows. Then the
+`joint._diagnose` call, its seconds, LPs, eliminations and core rows.
+Then the
 families of ENLARGED with V_T enlarged by a path point mass (P strictly
 inside pre(V_T), so the build converts P's own rows; feasibility, build
 and verify only), and the emptiness check of two H-rep sets in
@@ -40,11 +41,13 @@ dimension 15), one nonempty and one empty.
 LPs are `lp_solve` calls. The build also records "redundancy_lps", the
 LPs inside `remove_redundant_ineqs`, which reads the kept rows off P's
 vertices and so runs none, and the rows it takes in and keeps (null
-when P is empty and it does not run). Each
-stage also records "dd", its double description runs
-(`polytope._points_from_hrep` and `_hrep_from_points` calls), and
-"dd_s", the seconds spent in them. With --kernel each stage also
-records "kernel_s", the seconds spent in the simplex kernel
+when P is empty and it does not run). Each stage also records "dd",
+its double description runs (`polytope._points_from_hrep` and
+`_hrep_from_points` calls), "dd_s", the seconds spent in them, and
+"elim", its eliminations: the `exactq.echelon` runs, counted by
+rebinding it in `exactq` (which `solve_rows`, `combination` and the LP
+wrapper call) and in `polytope` (which imports it). With --kernel each
+stage also records "kernel_s", the seconds spent in the simplex kernel
 (`_backend.simplex_solve`). Each family gets at most --cap seconds
 (default 300, by SIGALRM); a stage cut by the cap is recorded as
 {"capped": cap} and the family's later stages are skipped.
@@ -94,13 +97,13 @@ def main(argv):
     sys.path.insert(0, os.path.join(args.checkout, "src"))
     sys.path.insert(0, os.path.join(args.checkout, "perfbench"))
     import families as fam
-    from credalkit import _backend, credal, joint, modelio, polytope
+    from credalkit import _backend, credal, exactq, joint, modelio, polytope
     from credalkit.credal import CredalCollection, credal_set_from_vertices
     from credalkit.exactq import ONE, ZERO
     from credalkit.spaces import point_mass
 
     counts = {"lps": 0, "redundancy": 0, "rows_in": None, "rows_kept": None,
-              "kernel_s": 0.0, "dd": 0, "dd_s": 0.0}
+              "kernel_s": 0.0, "dd": 0, "dd_s": 0.0, "elim": 0}
     depth = [0]
 
     def counting(fn):
@@ -124,15 +127,25 @@ def main(argv):
         return keep
 
     polytope.remove_redundant_ineqs = rr
+
+    def counted_echelon(fn):
+        def wrapped(*a, **k):
+            counts["elim"] += 1
+            return fn(*a, **k)
+        return wrapped
+
+    for mod in (exactq, polytope):
+        mod.echelon = counted_echelon(mod.echelon)
     real_diagnose = joint._diagnose
     diagnosed = {}
 
     def timed_diagnose(*a, **k):
-        lps = counts["lps"]
+        lps, elim = counts["lps"], counts["elim"]
         t = time.perf_counter()
         result = real_diagnose(*a, **k)
         diagnosed.update(s=round(time.perf_counter() - t, 4),
-                         lps=counts["lps"] - lps, core_rows=len(result.rows))
+                         lps=counts["lps"] - lps, elim=counts["elim"] - elim,
+                         core_rows=len(result.rows))
         return result
 
     joint._diagnose = timed_diagnose
@@ -164,11 +177,12 @@ def main(argv):
 
     def stage(fn):
         counts.update(lps=0, redundancy=0, rows_in=None, rows_kept=None,
-                      kernel_s=0.0, dd=0, dd_s=0.0)
+                      kernel_s=0.0, dd=0, dd_s=0.0, elim=0)
         t = time.perf_counter()
         result = fn()
         rec = {"s": round(time.perf_counter() - t, 3), "lps": counts["lps"],
-               "dd": counts["dd"], "dd_s": round(counts["dd_s"], 3)}
+               "dd": counts["dd"], "dd_s": round(counts["dd_s"], 3),
+               "elim": counts["elim"]}
         if args.kernel:
             rec["kernel_s"] = round(counts["kernel_s"], 3)
         return result, rec
