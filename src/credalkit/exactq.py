@@ -12,7 +12,10 @@ denominator and its nullspace as primitive integer vectors, and
 `combination` writes a target in the span of some rows as integer
 weights of them over one denominator; that is how an LP solved in
 affine-hull coordinates (`polytope.LpContext`) maps its infeasibility
-certificate back onto the equality rows it eliminated.
+certificate back onto the equality rows it eliminated. `right_inverse`
+inverts independent rows at columns where they are nonsingular, which
+the deletion filter of an empty joint set (`joint._FilterHull`) reads
+every step's affine hull off.
 
 A system's rows are int tuples with int rhs (`polytope.HRep`);
 Fractions remain at the edges: parsed input, points, LP values and
@@ -160,9 +163,10 @@ def echelon(rows):
     return chosen, kept
 
 
-def solve_rows(rows, n):
+def solve_rows(rows, n, reduced=None):
     """The solution set of the integer rows [a | b], read a.x = b, in n
-    variables, in integers.
+    variables, in integers. `reduced` is `echelon(rows)` when the caller
+    has it.
 
     Returns None when a pivot lands in the rhs column (the system is
     inconsistent), else ((nums, den), nullspace, pivots). x0 = nums / den
@@ -176,7 +180,7 @@ def solve_rows(rows, n):
     the pivot columns of the kept rows in row order. The solutions are
     x0 + span(nullspace).
     """
-    kept = echelon(rows)[1]
+    kept = (reduced or echelon(rows))[1]
     if any(col == n for col, _ in kept):
         return None
     den = lcm(*[red[col] // gcd(red[col], red[n]) for col, red in kept])
@@ -199,10 +203,12 @@ def solve_rows(rows, n):
     return (tuple(nums), den), tuple(nullspace), pivots
 
 
-def combination(rows, target):
+def combination(rows, target, pivots=None):
     """Integer weights (nums, den) of the integer rows that sum to
     `target`: sum_i nums[i] * rows[i] = den * target, den > 0, with
-    nums[i] = 0 off the rows `echelon` chooses.
+    nums[i] = 0 off the rows `echelon` chooses. `pivots` is (chosen,
+    columns), the rows `echelon(rows)` chooses and their pivot columns,
+    when the caller has them.
 
     The chosen rows are independent, so their weights are unique. They
     solve the k x k system of the chosen rows restricted to their pivot
@@ -212,13 +218,44 @@ def combination(rows, target):
     that match it at the pivot columns only, so the weighted sum misses
     it elsewhere and the caller's check fails.
     """
-    chosen, kept = echelon(rows)
-    system = [[*(rows[i][col] for i in chosen), target[col]] for col, _ in kept]
+    if pivots is None:
+        chosen, kept = echelon(rows)
+        pivots = chosen, [col for col, _ in kept]
+    chosen, columns = pivots
+    system = [[*(rows[i][col] for i in chosen), target[col]] for col in columns]
     (weights, den), _, _ = solve_rows(system, len(chosen))
     nums = [0] * len(rows)
     for i, v in zip(chosen, weights):
         nums[i] = v
     return nums, den
+
+
+def right_inverse(rows, cols):
+    """A right inverse of k independent integer rows, as integer columns
+    over one denominator (columns, den), den > 0: rows[i] . columns[j] =
+    den when i == j, else 0. The rows restricted to the k columns `cols`
+    are a nonsingular matrix M, and every column is nonzero only there.
+
+    One `echelon` of the rows [M | I] keeps each of them and gives each
+    a reduced row [D | X] = X [M | I], D positive at the row's pivot q
+    and 0 elsewhere, so X M = D: row q of M's inverse is X over D's
+    pivot entry. A pivot right of M means M is singular, and raises
+    RuntimeError.
+    """
+    k = len(rows)
+    if not k:
+        return [], 1
+    kept = echelon([[*(row[c] for c in cols), *(int(i == j) for j in range(k))]
+                    for i, row in enumerate(rows)])[1]
+    if len(kept) < k or any(q >= k for q, _ in kept):
+        raise RuntimeError("rows are singular at the chosen columns")
+    den = lcm(*[red[q] for q, red in kept])
+    columns = [[0] * len(rows[0]) for _ in range(k)]
+    for q, red in kept:
+        scale = den // red[q]
+        for j in range(k):
+            columns[j][cols[q]] = red[k + j] * scale
+    return columns, den
 
 
 def _content_free(vec):

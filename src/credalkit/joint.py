@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, permutations, product
+from math import gcd
 from typing import Optional
 
 from credalkit import polytope as pt
@@ -48,8 +49,9 @@ from credalkit.exactq import (
     IntLp,
     _check_infeasible,
     _content_free,
+    echelon,
     lp_solve,
-    solve_rows,
+    right_inverse,
 )
 from credalkit.polytope import ResourceCapError
 
@@ -340,37 +342,43 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
     integers, and a wrong one raises RuntimeError. Each row is then
     decided in one of three exact ways:
 
-    - weight 0 in the carried certificate: the same certificate proves
-      the other rows infeasible, so the row is dropped with no LP;
-    - an equality row whose full row [a | b] is a combination
-      sum_j c_j e_j of the other active equality rows: the rest has the
-      same (empty) solution set, so the row is dropped with no LP, and
-      its weight y_r moves onto the others (y_j + y_r c_j), a
+    - weight 0 in the carried certificate (rule 1): the same certificate
+      proves the other rows infeasible, so the row is dropped with no LP;
+    - an equality row outside B (rule 2, B below): its full row [e | f]
+      is a combination sum_b c_b [e_b | f_b] of active rows of B, so the
+      rest has the same (empty) solution set; the row is dropped with no
+      LP, and its weight y_r moves onto those rows (y_b + y_r c_b), a
       substitution re-checked in integers;
-    - otherwise `_feasible_point` decides the other active rows, and
-      when they are infeasible its certificate becomes the carried one.
+    - otherwise (rule 3) the other active rows are decided, and when
+      they are infeasible their certificate becomes the carried one.
 
-    `_feasible_point` solves each subsystem's equality rows afresh, since
-    every step drops a row, and runs at most one LP, over the free
-    directions they leave; its certificate is checked against the
-    all-free rows. Each rule only proves what an LP per row would find,
-    whatever certificate is carried, so the kept rows are the ones the
-    LP-per-row filter keeps, and the certificate reported comes from one
-    last LP over them with every variable free. That LP gets the kept
-    rows as they are, each [a | b] over 1 (`exactq.IntLp`), and its
-    certificate is checked in integers on them, as every carried one is.
-    The c_j come from one basis of the integer relations z (sum_j z_j
-    [e_j | f_j] = 0) over the equality rows, `_equality_relations`,
-    computed once: no two of its vectors lead (have their first nonzero
-    entry, in visit order) at the same row. When row r's turn comes,
-    every earlier visited row is either dropped or kept, and a kept one
-    had no relation over the rows active at its turn, which include
-    every row active now, so the relations over row r and the active
-    rows are those with z_k = 0 at each earlier visited row k. Those
-    are spanned by the basis vectors that lead at r or after it, and
-    only one leading at r has z_r != 0: rule 2 applies to row r iff a
-    vector leads there, and then that vector gives the c_j.
-    The rows are integer H-rep rows, and every step reads them as they are.
+    The equality rows are eliminated once, in the reverse of the visit
+    order (the SIMPLEX_ORIGIN rows, which are never visited, then the
+    credal-origin rows descending), by `_FilterHull`. The rows it keeps,
+    B, are each independent of the rows visited after them, so every
+    other row is a combination of rows of B visited after it, all active
+    at its turn: rule 2 takes every equality row outside B that has
+    weight, the equality rows rule 3 meets are rows of B, and the active
+    equality rows always have the solution set of the active rows of B.
+    From that elimination and one square solve (a right inverse of B,
+    which also gives the c_b), `_FilterHull` reads each rule-3
+    subsystem's affine hull, widened by one direction per row of B
+    dropped so far, and decides the subsystem with at most one LP over
+    those directions (`polytope.LpContext.decide`), or with none while
+    its equality rows are inconsistent. Each point it finds and each
+    certificate are checked in integers against the subsystem's rows,
+    the certificate with every variable free. So the diagnosis runs
+    three eliminations, however many rows rule 3 decides: B's, the
+    square solve's and the last LP's (`exactq.lp_solve` drops dependent
+    equality rows).
+
+    Each rule only proves what an LP per row would find, whatever
+    certificate is carried, so the kept rows are the ones the LP-per-row
+    filter keeps, and the certificate reported comes from one last LP
+    over them with every variable free. That LP gets the kept rows as
+    they are, each [a | b] over 1 (`exactq.IntLp`), and its certificate
+    is checked in integers on them, as every carried one is. The rows
+    are integer H-rep rows, and every step reads them as they are.
     """
     rows = [(coeffs, LE, rhs, origin) for (coeffs, rhs), origin in ineqs]
     rows += [(coeffs, EQ, rhs, origin) for (coeffs, rhs), origin in eqs]
@@ -381,16 +389,19 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
         return tuple(([*rows[i][0], rows[i][2]], rows[i][1], 1) for i in keep)
 
     def check(keep, weight):
-        _check_infeasible(int_rows(keep), (False,) * dim, [weight[i] for i in keep])
+        support = [i for i in keep if weight[i]]  # the check reads no other row
+        _check_infeasible(
+            int_rows(support), (False,) * dim, [weight[i] for i in support]
+        )
 
-    def infeasible(keep):
-        """Whether the rows `keep` are infeasible, with the weight of
-        every row in their certificate (0 off `keep`)."""
-        context, found = pt._feasible_point(pt.HRep(
-            dim,
-            tuple(ineqs[i][0] for i in keep if i < first_eq),
-            tuple(eqs[i - first_eq][0] for i in keep if i >= first_eq),
-        ))
+    def infeasible(keep, hull):
+        """Whether the rows `keep`, whose equality rows have the solution
+        set of `hull`, are infeasible, with the weight of every row in
+        their certificate (0 off `keep`)."""
+        context, found = hull.decide(
+            [i for i in keep if i < first_eq],
+            [i - first_eq for i in keep if i >= first_eq],
+        )
         if context is not None:
             return False, None
         weight = [ZERO] * len(rows)
@@ -403,30 +414,39 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
         raise RuntimeError("certificate length differs from the rows")
     check(everything, certificate)
     weight = list(certificate)
-    relation = _equality_relations(eqs, dim)
+    visit = [j for j, (_, origin) in enumerate(eqs) if origin != SIMPLEX_ORIGIN]
+    visit += [j for j, (_, origin) in enumerate(eqs) if origin == SIMPLEX_ORIGIN]
+    hull = _FilterHull(
+        dim, [row for row, _ in ineqs], [row for row, _ in eqs], visit[::-1]
+    )
 
     for r, (_, sense, _, origin) in enumerate(rows):
         if origin == SIMPLEX_ORIGIN:
             continue
-        # a relation for row r takes it out (rule 2, or rule 1 at weight 0)
-        z = relation[r - first_eq] if sense == EQ else None
-        if weight[r] and z is not None:
-            # rule 2: row r is sum_k c_k e_k, c_k = -z_k / z_r; the loop
-            # also clears row r's own weight
-            scale = weight[r] / z[r - first_eq]
-            for k, zk in enumerate(z):
-                if zk:
-                    weight[first_eq + k] -= scale * zk
-            active[r] = False
-            check([i for i in everything if active[i]], weight)
-            continue
+        j = r - first_eq
+        widened = hull
+        if sense == EQ and j not in hull.inverse:
+            if weight[r]:  # rule 2
+                expansion, den = hull.expansion(j)
+                scale = weight[r] / den
+                for b, c in expansion.items():
+                    weight[first_eq + b] += scale * c
+                weight[r] = ZERO
+                active[r] = False
+                check([i for i in everything if active[i]], weight)
+                continue
+        elif sense == EQ:  # a row of B: its leaving widens the hull
+            widened = hull.widened(j, (
+                i - first_eq for i in range(first_eq, len(rows)) if active[i] and i != r
+            ))
         if weight[r]:  # else rule 1
             keep = [i for i in everything if active[i] and i != r]
-            bad, found = infeasible(keep)
+            bad, found = infeasible(keep, widened)
             if not bad:
                 continue
             weight = found
         active[r] = False
+        hull = widened
     keep = [i for i in everything if active[i]]
     core = int_rows(keep)
     outcome = lp_solve(IntLp("min", (0,) * dim, core, (False,) * dim))
@@ -445,37 +465,147 @@ def _diagnose(dim, ineqs, eqs, certificate) -> InfeasibilityDiagnosis:
     )
 
 
-def _equality_relations(eqs, dim):
-    """For each equality row ((e_j, f_j), origin) of `eqs`, the integer
-    relation z (sum_k z_k [e_k | f_k] = 0) that leads at it, or None.
+class _FilterHull:
+    """The LP contexts of a deletion filter's subsystems, every one read
+    off a single elimination of the system's equality rows, so that no
+    step eliminates.
 
-    The rows are ranked in the deletion filter's visit order: the
-    credal-origin rows ascending, then the SIMPLEX_ORIGIN rows, which it
-    never visits. `solve_rows` solves the transposed system, one row per
-    column of [e | f] with a 0 rhs, its unknowns the relation's entries
-    in the reverse of that order. Its nullspace vector of a free entry F
-    is nonzero, besides at F, only at pivots of echelon rows nonzero at
-    F, each of which lies left of F, so the relation leads at F in visit
-    order: z_F != 0, and z_k = 0 at every row k visited before F. The
-    relations are a basis of primitive vectors, and no two lead at the
-    same row.
+    The full equality rows [e | f] are eliminated once (`echelon`), taken
+    in `order`: the rows it keeps, B, are each independent of the rows
+    before them in `order`, and every other row j is a combination of
+    rows of B before it (`expansion`). The same elimination gives k = |B|
+    coordinates of [e | f] (dim is the rhs) at which B's full rows B~
+    are nonsingular, and one square solve there a right inverse C of B~
+    (B~ C = den I, `exactq.right_inverse`; column C_j is `inverse[j]`).
+
+    A filter that visits rows in the reverse of `order` drops a row
+    outside B only when active rows of B span it, so its active equality
+    rows have the solution set of its active rows of B (`_diagnose`).
+    The (x, s) with B~_j . (x, s) = 0 at each active row j of B are
+    spanned by one vector per coordinate F off those k, den e_F - C B~
+    e_F, and by C_j for each row j of B dropped so far; the active rows'
+    solutions are the x with (x, -1) in that span.
+
+    The first of these generators with s != 0 gives the origin, and each
+    other one h a direction, o[dim] h - h[dim] o for that first one o,
+    made primitive. Every inequality row's value at the origin (its
+    slack) and at each direction (one entry of its reduced row) is
+    computed once, as the generator joins (`widened`), and `decide` puts
+    a step's context together from them. Until a generator with s != 0
+    joins, the active equality rows are inconsistent, and y_j = -C_j[dim]
+    / den over them is a certificate (y.B~ = [0 ... 0 | -1]). Otherwise a
+    certificate's equality part w, with w.E = u for the combination u of
+    its inequality rows, is w_j = (u.C_j[:dim] + C_j[dim] u.origin) / den
+    at each row j of B, and 0 at every other row
+    (`polytope.LpContext._eq_part`): u vanishes at every direction, so u
+    = w.E over the active rows of B, and B~_j . C_i = den [i == j] gives
+    u.C_i[:dim] = den w_i - C_i[dim] w.f, where w.f = u.origin.
+
+    Nothing here is trusted: the origin is checked in integers, when it
+    joins, against the equality rows the caller names, and
+    `polytope.LpContext.decide` checks each point it moves to and each
+    certificate against the subsystem's own rows.
     """
-    if not eqs:
-        return []
-    order = [j for j, (_, origin) in enumerate(eqs) if origin != SIMPLEX_ORIGIN]
-    order += [j for j, (_, origin) in enumerate(eqs) if origin == SIMPLEX_ORIGIN]
-    order.reverse()
-    columns = [[eqs[j][0][0][t] for j in order] + [0] for t in range(dim)]
-    columns.append([eqs[j][0][1] for j in order] + [0])
-    _, nullspace, pivots = solve_rows(columns, len(order))
-    taken = set(pivots)
-    relation = [None] * len(eqs)
-    for free, z in zip((k for k in range(len(order)) if k not in taken), nullspace):
-        mapped = [0] * len(eqs)
-        for j, v in zip(order, z):
-            mapped[j] = v
-        relation[order[free]] = mapped
-    return relation
+
+    __slots__ = ("dim", "ineqs", "eqs", "inverse", "den", "origin", "basis",
+                 "zcoeffs", "slacks")
+
+    def __init__(self, dim, ineqs, eqs, order):
+        """The hull of every equality row, the integer rows `eqs`, taken
+        in `order` (indices into `eqs`); the origin, if it joins, is
+        checked against each of them."""
+        self.dim, self.ineqs, self.eqs = dim, ineqs, eqs
+        full = [[*e, f] for e, f in eqs]
+        chosen, kept = echelon([full[j] for j in order])
+        pivots = [order[i] for i in chosen]
+        coords = [col for col, _ in kept]
+        full = [full[j] for j in pivots]
+        columns, self.den = right_inverse(full, coords)
+        self.inverse = dict(zip(pivots, columns))
+        self.origin = None  # (onums, oden, its generator)
+        self.basis = []
+        self.zcoeffs = [()] * len(ineqs)
+        self.slacks = None
+        taken = set(coords)
+        for col in range(dim + 1):
+            if col in taken:
+                continue
+            g = [0] * (dim + 1)
+            g[col] = self.den
+            for row, c in zip(full, columns):
+                if row[col]:
+                    g = [gv - row[col] * cv for gv, cv in zip(g, c)]
+            self._join(g, range(len(eqs)))
+
+    def expansion(self, j):
+        """Equality row j, outside B, as a combination of rows of B:
+        (weights, den) with sum_b weights[b] [e_b | f_b] = den [e_j |
+        f_j], weights a dict of its nonzero entries, which sit at rows
+        before j in `order`. B spans every full row, and B~_b . C_i = den
+        [b == i], so weights[i] = [e_j | f_j] . C_i."""
+        e, f = self.eqs[j]
+        row = [*e, f]
+        weights = {}
+        for i, c in self.inverse.items():
+            v = pt._row_at(row, c)
+            if v:
+                weights[i] = v
+        return weights, self.den
+
+    def widened(self, j, holding):
+        """The hull once row j of B drops; an origin that joins is checked
+        against the equality rows `holding` (indices into `eqs`)."""
+        out = object.__new__(_FilterHull)
+        for name in _FilterHull.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.basis = list(self.basis)
+        out._join(self.inverse[j], holding)
+        return out
+
+    def _join(self, g, holding):
+        dim = self.dim
+        if self.origin is None and g[dim]:
+            oden = abs(g[dim])
+            onums = [v if g[dim] < 0 else -v for v in g[:dim]]
+            common = gcd(oden, *onums)
+            oden //= common
+            onums = [v // common for v in onums]
+            if any(pt._row_at(self.eqs[i][0], onums) != self.eqs[i][1] * oden
+                   for i in holding):
+                raise RuntimeError("equality rows' solution violates them")
+            self.origin = (onums, oden, g)
+            self.slacks = [b * oden - pt._row_at(a, onums) for a, b in self.ineqs]
+            return
+        if self.origin is not None:
+            o = self.origin[2]
+            g = [o[dim] * gv - g[dim] * ov for gv, ov in zip(g, o)]
+        d = tuple(_content_free(g[:dim]))
+        self.basis.append(d)
+        self.zcoeffs = [
+            (*z, pt._row_at(a, d)) for z, (a, _) in zip(self.zcoeffs, self.ineqs)
+        ]
+
+    def decide(self, ineq_keep, eq_keep):
+        """`polytope.LpContext.decide` on the inequality rows `ineq_keep`
+        and the equality rows `eq_keep` (indices into `ineqs` and `eqs`),
+        with no LP while the equality rows are inconsistent: (context,
+        None), or (None, certificate) over those rows, in that order."""
+        ineqs = tuple(self.ineqs[i] for i in ineq_keep)
+        eqs = tuple(self.eqs[j] for j in eq_keep)
+        if self.origin is None:
+            dim, den = self.dim, self.den
+            certificate = (*[ZERO] * len(ineqs), *(
+                Fraction(-self.inverse[j][dim], den) if j in self.inverse else ZERO
+                for j in eq_keep
+            ))
+            pt._check_farkas(dim, ineqs, eqs, certificate)
+            return None, certificate
+        onums, oden, _ = self.origin
+        zrows = [(self.zcoeffs[i], self.slacks[i]) for i in ineq_keep]
+        columns = [self.inverse.get(j) for j in eq_keep]
+        return pt.LpContext(
+            self.dim, onums, oden, self.basis, ineqs, eqs, zrows, (columns, self.den)
+        ).decide()
 
 
 def _build_cells(coll, reps, cell_cap) -> JointModel:

@@ -357,19 +357,24 @@ def _feasible_point(h: HRep, candidate=None):
     integers against h's rows. A `candidate` is a point as integer
     numerators over a positive denominator, (nums, den).
 
-    The equality rows are solved once (`LpContext.eliminated`), and that
-    elimination is the context's own, so the system runs one. Then:
+    The full equality rows [E | f] are eliminated once (`echelon`), and
+    that elimination is the context's own (`LpContext.eliminated`). Then:
     - inconsistent equality rows: the certificate is the combination y
-      of them with y.[E | f] = [0 ... 0 | -1], 0 = -1 (`combination`);
-      no LP;
+      of them with y.[E | f] = [0 ... 0 | -1], 0 = -1, read off the same
+      elimination with one square solve over the rows it chose
+      (`combination`); no LP;
     - a `candidate` point of h becomes the origin, with no LP;
     - otherwise `LpContext.decide` decides h from the solution x0 of the
       equality rows, and gives the context at the point it finds.
     """
-    ctx = LpContext.eliminated(h)
+    rows = [[*e, f] for e, f in h.eqs]
+    reduced = echelon(rows)
+    ctx = LpContext.eliminated(h, reduced)
     if ctx is None:
         dim = h.dim
-        nums, den = combination([[*e, f] for e, f in h.eqs], [0] * dim + [-1])
+        chosen, kept = reduced
+        target = [0] * dim + [-1]
+        nums, den = combination(rows, target, (chosen, [col for col, _ in kept]))
         certificate = tuple([ZERO] * len(h.ineqs) + [Fraction(v, den) for v in nums])
         _check_farkas(dim, h.ineqs, h.eqs, certificate)
         return None, certificate
@@ -464,17 +469,22 @@ class LpContext:
     (`moved` keeps N), so E x = e + (E N) z = e for every z the kernel
     returns. An infeasibility certificate y on the reduced rows gives
     multipliers on the original rows once the part of y.A in the row
-    space of E is written as w.E (`exactq.combination`, one elimination
-    of E per certificate, `_eq_part`); the certificate is then (y, -w),
-    checked in integers on those rows.
+    space of E is written as w.E (`_eq_part`: one square solve over the
+    rows the context's own elimination chose, `exactq.combination`, or a
+    product with the columns `joint._FilterHull` gives a deletion
+    filter's context); the certificate is then (y, -w), checked in
+    integers on those rows.
     """
 
     __slots__ = ("dim", "_origin", "onums", "oden", "basis", "ineqs", "zrows",
-                 "live", "eqs")
+                 "live", "eqs", "eq_columns", "pivots")
 
-    def __init__(self, dim, onums, oden, basis, ineqs, eqs):
+    def __init__(self, dim, onums, oden, basis, ineqs, eqs, zrows=None,
+                 eq_columns=None):
         """The context at the origin onums / oden, a solution of the
-        equality rows `eqs`, every inequality row of `ineqs` reduced there."""
+        equality rows `eqs`, every inequality row of `ineqs` reduced there,
+        unless the caller has each row's (a.N, s) as `zrows`.
+        `eq_columns` is None or what `_eq_part` reads w off."""
         self.dim = dim
         self._origin = None
         self.onums, self.oden = onums, oden
@@ -482,24 +492,33 @@ class LpContext:
         self.ineqs = ineqs  # the H-rep's rows (a, b): a.x <= b
         self.eqs = eqs  # the H-rep's rows (e, f): e.x = f
         # per row, (a.N, s): (a.N) z <= s / oden
-        self.zrows = [(self._reduce(a), b * oden - _row_at(a, onums)) for a, b in ineqs]
-        self.live = [any(coeffs) for coeffs, _ in self.zrows]  # a.N != 0
+        if zrows is None:
+            zrows = [(self._reduce(a), b * oden - _row_at(a, onums)) for a, b in ineqs]
+        self.zrows = zrows
+        self.live = [any(coeffs) for coeffs, _ in zrows]  # a.N != 0
+        self.eq_columns = eq_columns
+        self.pivots = None  # the rows `eliminated` chose, and their pivot columns
 
     @classmethod
-    def eliminated(cls, hrep: HRep):
+    def eliminated(cls, hrep: HRep, reduced=None):
         """The system's equality rows solved once: the context at the
         solution x0 `solve_rows` gives, on its nullspace, every inequality
         row reduced at x0. A row x0 violates keeps its negative slack, so
         `maximize` may run here only when every slack is >= 0; `decide`
         takes the context as it is. None when the equality rows are inconsistent.
-        E x0 = e and E N = 0 are checked here, in integers, once for
-        every context that descends from this one."""
+        `reduced` is the `echelon` of the full rows [e | f] when the
+        caller has it; the context keeps the rows it chose and their pivot
+        columns for `_eq_part`. E x0 = e and E N = 0 are checked here, in
+        integers, once for every context that descends from this one."""
         dim = hrep.dim
-        solved = solve_rows([[*e, f] for e, f in hrep.eqs], dim)
+        rows = [[*e, f] for e, f in hrep.eqs]
+        reduced = reduced or echelon(rows)
+        solved = solve_rows(rows, dim, reduced)
         if solved is None:
             return None
-        (onums, oden), basis, _ = solved
+        (onums, oden), basis, columns = solved
         ctx = cls(dim, onums, oden, basis, hrep.ineqs, hrep.eqs)
+        ctx.pivots = reduced[0], columns
         # a basis vector is nonzero only at its free column and the pivots
         supports = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis]
         for e, f in hrep.eqs:
@@ -660,17 +679,34 @@ class LpContext:
         that vanishes on the hull directions N, so that u = w.E.
 
         u is summed in integers, over the lcm of the multipliers'
-        denominators, and `exactq.combination` solves w.E = u over one
-        denominator (a u outside E's row space leaves the certificate
-        check to fail): Fractions are made only for the returned
-        multipliers."""
+        denominators, and w.E = u is solved over one denominator (a u
+        outside E's row space leaves the certificate check to fail):
+        Fractions are made only for the returned multipliers. Without
+        `eq_columns`, `exactq.combination` solves it with one square solve
+        over the rows, and at the pivot columns, that `eliminated`'s
+        echelon of [E | f] chose: the equality rows are consistent, so
+        each full row is independent of the rows before it exactly when
+        its row of E is, and its first nonzero entry after reduction lies
+        in E's part, so `echelon` of E alone would choose the same rows
+        and pivot columns. A deletion filter's context
+        (`joint._FilterHull`) has, for each equality row, an integer
+        column c over the dim + 1 coordinates of [e | f] or None, and a
+        denominator den: w_j = (oden u, u.onums).c_j / (den oden), 0 for
+        None."""
         weighted = [(cm, a) for cm, (a, _) in zip(mults, self.ineqs) if cm]
         uden = lcm(*(cm.denominator for cm, _ in weighted))
         unums = [0] * self.dim
         for cm, a in weighted:
             k = cm.numerator * (uden // cm.denominator)
             unums = [s + k * v for s, v in zip(unums, a)]
-        wnums, wden = combination([e for e, _ in self.eqs], unums)
+        if self.eq_columns is None:
+            wnums, wden = combination([e for e, _ in self.eqs], unums, self.pivots)
+        else:
+            columns, cden = self.eq_columns
+            oden = self.oden
+            uh = [*(oden * v for v in unums), _row_at(unums, self.onums)]
+            wnums = [0 if c is None else _row_at(c, uh) for c in columns]
+            wden = cden * oden
         wden *= uden
         return [Fraction(-v, wden) if v else ZERO for v in wnums]
 

@@ -60,7 +60,7 @@ variables with `fraction_simplex_solve`, so it shares no LP code with
 the program.
 
 `equality_relations_reference` and `drop_relation_reference` are the
-reference for `credalkit.joint._equality_relations`, the relation
+reference for `credalkit.joint._FilterHull.expansion`, the relation
 lookup of `_diagnose`'s rule 2: a basis of the relations in row order,
 from the Fraction nullspace of `solve_linear_system`, restricted in
 place to z_j = 0 at each row j the filter visits.

@@ -3,9 +3,11 @@ import re
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
+from operator import mul
 
 import pytest
 
+import credalkit.exactq as eq
 import credalkit.polytope as pt
 import credalkit.spaces as sp
 from credalkit import _backend
@@ -480,6 +482,44 @@ def recorded_systems(monkeypatch, dim, coll):
     return joint, systems, decided
 
 
+def hull_events(monkeypatch):
+    """Counts of the filter's rule-3 steps by the state of its hull:
+    "no lp", decided while the active equality rows are inconsistent;
+    "restored", a step whose dropped row of B gives the hull its origin
+    and whose subsystem is infeasible, so the drop restores consistency;
+    "kept", the same with a feasible subsystem; "rule 1", a row of B
+    dropped at weight 0 that gives the hull its origin."""
+    events = {"no lp": 0, "restored": 0, "kept": 0, "rule 1": 0}
+    anchored = []  # hulls whose origin their last row's drop gave
+    widened, decide = jt._FilterHull.widened, jt._FilterHull.decide
+
+    def widening(hull, j, holding):
+        out = widened(hull, j, holding)
+        if hull.origin is None and out.origin is not None:
+            anchored.append(out)
+        return out
+
+    def deciding(hull, ineq_keep, eq_keep):
+        context, certificate = decide(hull, ineq_keep, eq_keep)
+        if hull.origin is None:
+            events["no lp"] += 1
+        elif any(h is hull for h in anchored):
+            events["kept" if certificate is None else "restored"] += 1
+            anchored.remove(hull)
+        return context, certificate
+
+    monkeypatch.setattr(jt._FilterHull, "widened", widening)
+    monkeypatch.setattr(jt._FilterHull, "decide", deciding)
+
+    def finish():
+        # a hull anchored by a row's drop and never decided: rule 1
+        events["rule 1"] += len(anchored)
+        anchored.clear()
+        return events
+
+    return finish
+
+
 def assert_minimal_core(dim, diag):
     """The core is empty, and leaving out any credal-origin row of it
     leaves a nonempty system, by the Fraction simplex."""
@@ -507,6 +547,69 @@ class TestDiagnose:
             assert_minimal_core(dim, diag)
             substitutions += found
         assert substitutions
+
+    def test_inconsistent_equality_rows_match_reference(self, monkeypatch):
+        """Empty systems whose full equality rows are inconsistent, as
+        random systems with a copy of an equality row at another rhs and
+        as finite-mode dead selections: the reference's rows, multipliers
+        and tuples from either seed. Until a dropped row of B gives the
+        hull an origin, every rule-3 step is decided with no LP; rule-3
+        drops that restore consistency, and steps that keep such a row,
+        both occur."""
+        finish = hull_events(monkeypatch)
+        rng = random.Random(909)
+        inconsistent = 0
+        for _ in range(16):
+            dim = rng.randint(3, 5)
+            ineqs, eqs = random_infeasible_system(rng, dim, True)
+            inconsistent += pt.LpContext.eliminated(
+                jt._system_polytope(dim, ineqs, eqs).hrep) is None
+            _, diag = assert_matches_reference(monkeypatch, dim, ineqs, eqs)
+            assert_minimal_core(dim, diag)
+        assert inconsistent == 16
+        coll = dead_finite_collection(6, {("a",): 2, ("b",): 2, ("a", "b"): 2})
+        joint = build_joint(coll)
+        reps = representative_tuples(coll)
+        for d in joint.diagnosis:
+            ineqs, eqs = _assemble(coll, reps, selections=dict(d.selection))
+            body = jt._system_polytope(8, ineqs, eqs)
+            assert pt.LpContext.eliminated(body.hrep) is None
+            _, diag = assert_matches_reference(monkeypatch, 8, ineqs, eqs)
+            assert (d.diagnosis.rows, d.diagnosis.multipliers,
+                    d.diagnosis.offending_tuples) == (
+                diag.rows, diag.multipliers, diag.offending_tuples
+            )
+        events = finish()
+        assert events["no lp"] and events["restored"] and events["kept"], events
+
+    def test_eliminations_do_not_grow_with_the_steps(self, monkeypatch):
+        """One `_diagnose` runs the same three eliminations whether rule 3
+        decides one row or many: the equality rows' own, the square solve
+        of their right inverse, and the last LP's. A step eliminates
+        nothing; it runs at most one LP."""
+        runs = {}
+        rng = random.Random(4242)
+        for _ in range(40):
+            dim = rng.randint(3, 5)
+            ineqs, eqs = random_infeasible_system(rng, dim, False)
+            certificate = seed_certificate(dim, ineqs, eqs)
+            counts = {"elim": 0, "steps": 0}
+
+            def counting(key, fn):
+                def wrapped(*args, **kwargs):
+                    counts[key] += 1
+                    return fn(*args, **kwargs)
+                return wrapped
+
+            real = eq.echelon
+            with monkeypatch.context() as m:
+                for module in (eq, pt, jt):
+                    m.setattr(module, "echelon", counting("elim", real), raising=False)
+                m.setattr(pt, "lp_solve", counting("steps", pt.lp_solve))
+                _diagnose(dim, ineqs, eqs, certificate)
+            runs.setdefault(counts["steps"], set()).add(counts["elim"])
+        assert min(runs) <= 1 and max(runs) >= 4, runs
+        assert runs[min(runs)] == runs[max(runs)] == {3}, runs
 
     def test_build_diagnosis_matches_reference(self, monkeypatch):
         rng = random.Random(61)
@@ -591,13 +694,13 @@ class TestDiagnose:
         eqs = [(row, SIMPLEX_ORIGIN) for row in simplex.eqs]
         eqs += [(kept, ("a",)), (combined, ("b",)), (later, ("c",))]
         decided = []
-        real = pt._feasible_point
+        real = pt.LpContext.decide
 
-        def recording(h, candidate=None):
-            decided.append(h.eqs)
-            return real(h, candidate)
+        def recording(ctx):
+            decided.append(ctx.eqs)
+            return real(ctx)
 
-        monkeypatch.setattr(pt, "_feasible_point", recording)
+        monkeypatch.setattr(pt.LpContext, "decide", recording)
         found, diag = assert_matches_reference(monkeypatch, 3, ineqs, eqs)
         assert found == 1
         assert [row for row, _, _, _ in diag.rows[3:]] == [(1, 1, 1), kept[0], later[0]]
@@ -696,12 +799,22 @@ def random_relation_system(rng, dim):
     return eqs
 
 
+def filter_hull(dim, eqs):
+    """`joint._FilterHull` over the equality rows ((e, f), origin), taken
+    in the reverse of the deletion filter's visit order, as `_diagnose`
+    builds it."""
+    visit = [j for j, (_, origin) in enumerate(eqs) if origin != SIMPLEX_ORIGIN]
+    visit += [j for j, (_, origin) in enumerate(eqs) if origin == SIMPLEX_ORIGIN]
+    return jt._FilterHull(dim, [], [row for row, _ in eqs], visit[::-1])
+
+
 class TestRelationLookup:
-    """`_equality_relations` against the in-place restriction of one
+    """`_FilterHull.expansion` against the in-place restriction of one
     relation basis at every row the filter visits: at each step a
     relation is found iff the reference finds one, and it is an integer
     relation of the rows that is nonzero at the row and 0 at every row
-    visited before it."""
+    visited before it. The rows with none are B, and `inverse` is a
+    right inverse of their full rows."""
 
     def test_lookup_matches_in_place_restriction(self):
         rng = random.Random(2323)
@@ -709,21 +822,28 @@ class TestRelationLookup:
         for _ in range(150):
             dim = rng.randint(1, 5)
             eqs = random_relation_system(rng, dim)
-            relation = jt._equality_relations(eqs, dim)
+            hull = filter_hull(dim, eqs)
             full = [[*e, f] for (e, f), _ in eqs]
-            assert sum(z is not None for z in relation) == len(eqs) - matrix_rank(full)
+            assert len(hull.inverse) == matrix_rank(full)
+            for b in hull.inverse:
+                assert [sum(map(mul, full[b], c)) for c in hull.inverse.values()] == [
+                    hull.den * (i == b) for i in hull.inverse
+                ]
             null = equality_relations_reference([row for row, _ in eqs], dim)
             visited = []
             for j, (_, origin) in enumerate(eqs):
                 if origin == SIMPLEX_ORIGIN:
                     continue
                 expected = drop_relation_reference(null, j)
-                z = relation[j]
-                assert (z is None) == (expected is None)
-                if z is None:
+                assert (j in hull.inverse) == (expected is None)
+                if j in hull.inverse:
                     missed += 1
                 else:
                     found += 1
+                    weights, den = hull.expansion(j)
+                    assert all(weights.values())
+                    z = [-weights.get(k, 0) for k in range(len(eqs))]
+                    z[j] += den
                     assert all(type(v) is int for v in z)
                     assert [sum(zk * row[t] for zk, row in zip(z, full))
                             for t in range(dim + 1)] == [0] * (dim + 1)
@@ -733,7 +853,9 @@ class TestRelationLookup:
         assert found and missed
 
     def test_no_equality_rows(self):
-        assert jt._equality_relations([], 3) == []
+        hull = filter_hull(3, [])
+        assert hull.inverse == {} and hull.origin[:2] == ([0, 0, 0], 1)
+        assert sorted(hull.basis) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_library_rows_are_ints():

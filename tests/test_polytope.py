@@ -667,11 +667,12 @@ def pivot_columns(a):
     return {c for c in range(len(a[0])) if ranks[c + 1] > ranks[c]}
 
 
-def fraction_solve_rows(rows, n):
-    """`solve_rows` from the Fraction references; the pivot of a kept row
-    is the column it adds to the pivots of the rows before it. The
-    solution is put over its least common denominator and each nullspace
-    vector scaled to its primitive integer form, after the solve."""
+def fraction_solve_rows(rows, n, reduced=None):
+    """`solve_rows` from the Fraction references, which do not read the
+    caller's `reduced`; the pivot of a kept row is the column it adds to
+    the pivots of the rows before it. The solution is put over its least
+    common denominator and each nullspace vector scaled to its primitive
+    integer form, after the solve."""
     a = [row[:n] for row in rows] or [[0] * n]
     b = [row[n] for row in rows] or [0]
     status, _, x0, nullspace = solve_linear_system(a, b)
@@ -876,11 +877,13 @@ class TestLpContext:
         assert ctx is None
         assert_farkas(h, cert)
 
-    def test_each_certificate_eliminates_the_equality_rows_once(self, monkeypatch):
-        # two certificates from one context, and one for inconsistent
-        # equality rows: each runs one `echelon` over E's rows (and one
-        # over its own square system), beside the elimination that set
-        # the context up or found the rows inconsistent
+    def test_equality_rows_are_eliminated_once_per_system(self, monkeypatch):
+        # the elimination that sets a context up serves every certificate
+        # mapped through it: two certificates each run one square solve
+        # over the rows it chose, and no `echelon` over E's rows.
+        # Inconsistent equality rows are eliminated once too: the
+        # certificate is read off the elimination that finds them
+        # inconsistent, with one square solve
         calls = []
 
         def counting(real):
@@ -894,18 +897,18 @@ class TestLpContext:
                        for c in calls)
 
         h = simplex_beyond_one()
-        ctx = pt.LpContext.eliminated(h)
         monkeypatch.setattr(eq, "echelon", counting(eq.echelon))
         monkeypatch.setattr(pt, "echelon", counting(pt.echelon))
+        ctx = pt.LpContext.eliminated(h)
+        assert over(h.eqs) == 1 and len(calls) == 1
         for k in (1, 2):
             point, cert = ctx.decide()
             assert point is None and cert[-1] != 0
-            assert over(h.eqs) == k
-        assert len(calls) == 4
+            assert over(h.eqs) == 1 and len(calls) == 1 + k
         calls.clear()
         h = HRep.make(2, eqs=[((F(1), F(1)), F(1)), ((F(2), F(2)), F(1))])
         assert pt._feasible_point(h)[0] is None
-        assert over(h.eqs) == 2 and len(calls) == 3
+        assert over(h.eqs) == 1 and len(calls) == 2
 
     @pytest.mark.parametrize("part", ["origin", "basis"])
     def test_eliminated_checks_the_equality_solution(self, monkeypatch, part):
@@ -914,8 +917,8 @@ class TestLpContext:
         context is set up, before any answer relies on E x = e."""
         real = pt.solve_rows
 
-        def skewed(rows, n):
-            (nums, den), null, pivots = real(rows, n)
+        def skewed(rows, n, reduced=None):
+            (nums, den), null, pivots = real(rows, n, reduced)
             if part == "origin":
                 return ((nums[0] + 1, *nums[1:]), den), null, pivots
             return (nums, den), (*null[:-1], tuple(v + 1 for v in null[-1])), pivots
@@ -1077,8 +1080,8 @@ class TestEqualityPart:
         refuses it."""
         real = pt.combination
 
-        def tampered_combination(rows, target):
-            nums, den = real(rows, target)
+        def tampered_combination(rows, target, pivots=None):
+            nums, den = real(rows, target, pivots)
             k = next(k for k, v in enumerate(nums) if v)
             nums[k] += 1
             return nums, den

@@ -53,7 +53,9 @@ def test_stages_on_the_working_checkout(tmp_path):
     enlarged-full-tuple records (the representation check with no LP
     there too), the clash records (an empty P, and its diagnosis's
     seconds, LPs, eliminations and core rows, inside the build's) and
-    the H-rep records are written. Every stage counts its eliminations."""
+    the H-rep records are written. Every stage counts its eliminations;
+    the diagnosis also counts its rule-3 steps, each with at most one LP,
+    and runs at most three eliminations however many steps it takes."""
     out = tmp_path / "stages.json"
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "stages.py"), ROOT, str(out),
@@ -84,7 +86,8 @@ def test_stages_on_the_working_checkout(tmp_path):
         diagnose = r["diagnose"]
         assert diagnose["core_rows"] > 0 and diagnose["lps"] > 0, r
         assert diagnose["lps"] <= r["build"]["lps"] and diagnose["s"] <= r["build"]["s"] + 1e-3, r
-        assert 0 < diagnose["elim"] <= r["build"]["elim"], r
+        assert 0 < diagnose["elim"] <= min(3, r["build"]["elim"]), r
+        assert type(diagnose["steps"]) is int and diagnose["lps"] <= diagnose["steps"] + 1, r
     stages = [v for r in rows for v in r.values() if isinstance(v, dict) and "lps" in v]
     assert stages and all(type(v["elim"]) is int for v in stages)
     assert all(r["build"]["elim"] > 0 for r in consistent + clash)

@@ -30,7 +30,10 @@ clash-t4 workload's family and check seeds), drawn as perfbench/run.py
 draws them: one `randint` for the base point count (2), then
 `make_family(..., clash=True)`, so P is empty. They record validate,
 feasibility (empty), build, and "diagnose": the build's
-`joint._diagnose` call, its seconds, LPs, eliminations and core rows.
+`joint._diagnose` call, its seconds, LPs, eliminations, rule-3 steps
+and core rows. A step is one subsystem the deletion filter decides:
+a `joint._FilterHull.decide` call, or, in a checkout without
+`_FilterHull`, a `polytope._feasible_point` call inside the diagnosis.
 Then the
 families of ENLARGED with V_T enlarged by a path point mass (P strictly
 inside pre(V_T), so the build converts P's own rows; feasibility, build
@@ -45,8 +48,9 @@ when P is empty and it does not run). Each stage also records "dd",
 its double description runs (`polytope._points_from_hrep` and
 `_hrep_from_points` calls), "dd_s", the seconds spent in them, and
 "elim", its eliminations: the `exactq.echelon` runs, counted by
-rebinding it in `exactq` (which `solve_rows`, `combination` and the LP
-wrapper call) and in `polytope` (which imports it). With --kernel each
+rebinding it in `exactq` (which `solve_rows`, `combination`,
+`right_inverse` and the LP wrapper call) and in `polytope` and `joint`
+where they import it. With --kernel each
 stage also records "kernel_s", the seconds spent in the simplex kernel
 (`_backend.simplex_solve`). Each family gets at most --cap seconds
 (default 300, by SIGALRM); a stage cut by the cap is recorded as
@@ -134,18 +138,31 @@ def main(argv):
             return fn(*a, **k)
         return wrapped
 
-    for mod in (exactq, polytope):
-        mod.echelon = counted_echelon(mod.echelon)
+    for mod in (exactq, polytope, joint):
+        if hasattr(mod, "echelon"):
+            mod.echelon = counted_echelon(mod.echelon)
+
+    def counted_step(fn):
+        def wrapped(*a, **k):
+            counts["steps"] += 1
+            return fn(*a, **k)
+        return wrapped
+
+    if hasattr(joint, "_FilterHull"):
+        joint._FilterHull.decide = counted_step(joint._FilterHull.decide)
+    else:
+        polytope._feasible_point = counted_step(polytope._feasible_point)
+    counts["steps"] = 0
     real_diagnose = joint._diagnose
     diagnosed = {}
 
     def timed_diagnose(*a, **k):
-        lps, elim = counts["lps"], counts["elim"]
+        lps, elim, steps = counts["lps"], counts["elim"], counts["steps"]
         t = time.perf_counter()
         result = real_diagnose(*a, **k)
         diagnosed.update(s=round(time.perf_counter() - t, 4),
                          lps=counts["lps"] - lps, elim=counts["elim"] - elim,
-                         core_rows=len(result.rows))
+                         steps=counts["steps"] - steps, core_rows=len(result.rows))
         return result
 
     joint._diagnose = timed_diagnose
